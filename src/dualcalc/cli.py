@@ -315,14 +315,8 @@ def _cmd_mirror(args) -> dict:
             "mirror_map": [frac_str(c) for c in data["mirror_map"]],
         }
     elif args.geometry == "toric":
-        with open(args.spec) as fh:
-            spec = json.load(fh)
-        unknown = set(spec) - {"generators", "line_bundles", "divisors"}
-        if unknown:
-            raise UsageError(f"unknown keys in toric spec: {sorted(unknown)}")
-        gens = [(g["name"], int(g["nilpotency"])) for g in spec["generators"]]
-        b = mirror.toric_b_series(gens, spec["line_bundles"], spec["divisors"],
-                                  args.max_degree)
+        gens, bundles, divisors = _read_toric_spec(args.spec)
+        b = mirror.toric_b_series(gens, bundles, divisors, args.max_degree)
         result = {"slices": {
             ",".join(map(str, d)): {
                 "H^" + ",".join(map(str, ge)) + "|t^" + ",".join(map(str, te)):
@@ -338,6 +332,27 @@ def _cmd_mirror(args) -> dict:
                            "pass": hv["equal"]})
             result["equal"] = hv["equal"]
     return {"result": result, "checks": checks}
+
+
+def _read_toric_spec(path: str):
+    """(generators, line bundles, divisors) from a toric spec JSON file."""
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read toric spec {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise UsageError(f"toric spec {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(spec, dict) or set(spec) != {"generators", "line_bundles", "divisors"}:
+        raise UsageError("toric spec must be a JSON object with exactly the keys "
+                         "generators, line_bundles and divisors")
+    try:
+        gens = [(g["name"], int(g["nilpotency"])) for g in spec["generators"]]
+        bundles = [[int(c) for c in vec] for vec in spec["line_bundles"]]
+        divisors = [[int(c) for c in vec] for vec in spec["divisors"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed toric spec: {exc!r}") from exc
+    return gens, bundles, divisors
 
 
 def _reduced_json(side) -> dict:

@@ -338,27 +338,17 @@ def b_constant(g: int) -> Frac:
     return Frac(p - 1, p) * abs(bernoulli(2 * g)) / factorial(2 * g)
 
 
-_global_sign: Optional[int] = None
-
-
 def lambda_g_check(fs: FramedSeries, g: int, mu: Partition) -> bool:
     """tau = 0 value of the extracted polynomial against b_g |mu|^{2g+n-3}.
 
-    One global sign relates the two sides; it is calibrated once on
-    (g, mu) = (1, (1)) and then required for every case.
+    The two sides must agree exactly, sign included, for every (g, mu).
     """
-    global _global_sign
     if g < 1:
         raise UsageError("the identity concerns g >= 1")
     mu = tuple(mu)
     poly = hodge_extract(fs, g, mu)
-    value = poly[0]
     target = b_constant(g) * Frac(size(mu)) ** (2 * g + length(mu) - 3)
-    if _global_sign is None:
-        if abs(value) != abs(target):
-            return False
-        _global_sign = 1 if value == target else -1
-    return value == _global_sign * target
+    return poly[0] == target
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial
+from itertools import permutations
+from math import comb, factorial
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import InternalError, UsageError, VerificationFailure
@@ -38,26 +38,38 @@ def ramification_order(g: int, mu: Partition) -> int:
 # Burnside route
 # ---------------------------------------------------------------------------
 
+def _half_kappa_power_sums(n: int, weight, order: int) -> List[int]:
+    """s_j = sum_nu weight(nu) (kappa_nu/2)^j over partitions nu of n, j = 0..order.
+
+    With integer weights, sum_nu weight(nu) e^{kappa_nu L/2} has L^j
+    coefficient s_j / j!.
+    """
+    by_half_kappa: Dict[int, int] = {}
+    for nu in enumerate_partitions(n):
+        c = weight(nu)
+        if c:
+            hk = kappa(nu) // 2
+            by_half_kappa[hk] = by_half_kappa.get(hk, 0) + c
+    terms = [(hk, c) for hk, c in by_half_kappa.items() if c]
+    return [sum(c * hk ** j for hk, c in terms) for j in range(order + 1)]
+
+
 @lru_cache(maxsize=None)
-def _disconnected_coeff(mu: Partition, order: int) -> Tuple[Frac, ...]:
-    """Coefficients 0..order of sum_nu chi_nu(mu)/z_mu e^{kappa_nu L/2} / hooks."""
-    z = zmu(mu)
-    by_half_kappa: Dict[int, Frac] = {}
-    for nu in enumerate_partitions(size(mu)):
+def _disconnected_coeff(mu: Partition, order: int) -> Tuple[Tuple[int, ...], int]:
+    """sum_nu chi_nu(mu)/z_mu e^{kappa_nu L/2} / hooks, in exponential form.
+
+    Returns (s, D) with integers s_j = sum_nu chi_nu(mu) dim(R_nu)
+    (kappa_nu/2)^j for j = 0..order and D = z_mu |mu|!; the coefficient of
+    L^j is s_j / (D j!).
+    """
+    nfact = factorial(size(mu))
+
+    def weight(nu: Partition) -> int:
         chi = character(nu, mu)
-        if not chi:
-            continue
-        hk = kappa(nu) // 2
-        by_half_kappa[hk] = by_half_kappa.get(hk, Frac(0)) + Frac(chi, z * hook_product(nu))
-    out = [Frac(0)] * (order + 1)
-    for hk, c in by_half_kappa.items():
-        if not c:
-            continue
-        p = Frac(1)
-        for j in range(order + 1):
-            out[j] += c * p
-            p = p * hk / (j + 1)
-    return tuple(out)
+        return chi * (nfact // hook_product(nu)) if chi else 0
+
+    s = _half_kappa_power_sums(size(mu), weight, order)
+    return tuple(s), zmu(mu) * nfact
 
 
 def _set_partitions(items: Sequence[int]) -> Iterator[List[List[int]]]:
@@ -71,35 +83,35 @@ def _set_partitions(items: Sequence[int]) -> Iterator[List[List[int]]]:
         yield [[first]] + sub
 
 
-def _series_mul(a: Sequence[Frac], b: Sequence[Frac], order: int) -> List[Frac]:
-    out = [Frac(0)] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if not x:
-            continue
-        for j in range(min(len(b), order + 1 - i)):
-            if b[j]:
-                out[i + j] += x * b[j]
-    return out
-
-
 @lru_cache(maxsize=None)
 def _connected_coeff(mu: Partition, order: int) -> Tuple[Frac, ...]:
-    """Connected coefficient of p_mu, via Moebius inversion on part blocks."""
+    """Connected coefficient of p_mu, via Moebius inversion on part blocks.
+
+    Block series are multiplied in exponential form: integer numerators
+    combine by the binomial convolution sum_j C(k, j) a_j b_{k-j}, and their
+    denominators D multiply.
+    """
     if not mu:
         raise UsageError("connected series needs a nonempty profile")
+    binom = [[comb(k, j) for j in range(k + 1)] for k in range(order + 1)]
     total = [Frac(0)] * (order + 1)
     positions = list(range(len(mu)))
     for block_partition in _set_partitions(positions):
-        w = Frac((-1) ** (len(block_partition) - 1) * factorial(len(block_partition) - 1))
-        prod = [Frac(1)] + [Frac(0)] * order
+        w = (-1) ** (len(block_partition) - 1) * factorial(len(block_partition) - 1)
+        prod, denom = None, 1
         for block in block_partition:
             sub = tuple(sorted((mu[i] for i in block), reverse=True))
             w *= aut(sub)
-            prod = _series_mul(prod, _disconnected_coeff(sub, order), order)
-        for j in range(order + 1):
-            total[j] += w * prod[j]
+            s, d = _disconnected_coeff(sub, order)
+            denom *= d
+            prod = s if prod is None else [
+                sum(row[j] * prod[j] * s[k - j] for j in range(k + 1))
+                for k, row in enumerate(binom)]
+        for k, x in enumerate(prod):
+            if x:
+                total[k] += Frac(w * x, denom)
     a = aut(mu)
-    return tuple(t / a for t in total)
+    return tuple(t / (a * factorial(k)) for k, t in enumerate(total))
 
 
 def burnside_phi(mu: Partition, trunc: int) -> LambdaSeries:
@@ -201,22 +213,10 @@ def double_hurwitz(mu: Partition, nu: Partition, trunc: int) -> LambdaSeries:
     if size(mu) != size(nu):
         raise UsageError("profiles must have equal sizes")
     zz = zmu(mu) * zmu(nu)
-    by_half_kappa: Dict[int, Frac] = {}
-    for eta in enumerate_partitions(size(mu)):
-        c = character(eta, mu) * character(eta, nu)
-        if not c:
-            continue
-        hk = kappa(eta) // 2
-        by_half_kappa[hk] = by_half_kappa.get(hk, Frac(0)) + Frac(c, zz)
-    out = [Frac(0)] * trunc
-    for hk, c in by_half_kappa.items():
-        if not c:
-            continue
-        p = Frac(1)
-        for j in range(trunc):
-            out[j] += c * p
-            p = p * hk / (j + 1)
-    return LambdaSeries.from_map({j: c for j, c in enumerate(out) if c}, trunc)
+    s = _half_kappa_power_sums(
+        size(mu), lambda eta: character(eta, mu) * character(eta, nu), trunc - 1)
+    return LambdaSeries.from_map(
+        {j: Frac(x, zz * factorial(j)) for j, x in enumerate(s) if x}, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +255,8 @@ def _exponent_multisets(total_max: int, n: int) -> List[Partition]:
 def _monomial_symmetric(rho: Partition, point: Sequence[int]) -> Frac:
     n = len(point)
     padded = tuple(rho) + (0,) * (n - len(rho))
-    seen = set()
     total = 0
-    for perm in _distinct_permutations(padded):
-        if perm in seen:
-            continue
-        seen.add(perm)
+    for perm in set(permutations(padded)):
         v = 1
         for x, e in zip(point, perm):
             v *= x ** e
@@ -268,28 +264,28 @@ def _monomial_symmetric(rho: Partition, point: Sequence[int]) -> Frac:
     return Frac(total)
 
 
-def _distinct_permutations(items: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-    from itertools import permutations
-
-    seen = set()
-    for p in permutations(items):
-        if p not in seen:
-            seen.add(p)
-            yield p
+def _parts_exactly(m: int, n: int, cap: int) -> Iterator[Partition]:
+    """Partitions of m into exactly n parts, each at most cap, ascending."""
+    if n == 0:
+        if m == 0:
+            yield ()
+        return
+    for first in range(-(-m // n), min(cap, m - n + 1) + 1):
+        for rest in _parts_exactly(m - first, n - 1, first):
+            yield (first,) + rest
 
 
 def _sample_points(n: int, count: int) -> List[Tuple[int, ...]]:
-    """Strictly decreasing positive n-tuples, smallest sums first."""
+    """Weakly decreasing positive n-tuples, smallest sums first.
+
+    ELSV polynomiality holds for repeated parts too, so the partitions of
+    m = n, n+1, ... into exactly n parts all serve as sample profiles.
+    """
     out: List[Tuple[int, ...]] = []
-    top = n
+    m = n
     while len(out) < count:
-        top += 1
-        fresh = [tuple(sorted(c, reverse=True))
-                 for c in combinations(range(1, top + 1), n)]
-        fresh = [c for c in fresh if c not in out]
-        fresh.sort(key=lambda c: (sum(c), c))
-        out.extend(fresh)
-    out.sort(key=lambda c: (sum(c), c))
+        out.extend(_parts_exactly(m, n, m))
+        m += 1
     return out[:count]
 
 
@@ -297,8 +293,8 @@ def _sample_points(n: int, count: int) -> List[Tuple[int, ...]]:
 def _bare_polynomial(g: int, n: int) -> Dict[Partition, Frac]:
     """Interpolated bare-integral polynomial, in the monomial-symmetric basis.
 
-    Sample rows are chosen greedily for rank (consecutive combination
-    tuples alone can be collinear for the quadratic monomials), and only the
+    Sample rows are chosen greedily for rank (consecutive sample profiles
+    alone can be collinear for the quadratic monomials), and only the
     selected profiles are fed to the Hurwitz evaluation.  Two extra points
     provide a consistency check on the interpolation degree.
     """

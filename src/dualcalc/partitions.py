@@ -30,7 +30,11 @@ def parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text:
         return ()
-    return check_partition(int(t) for t in text.split(","))
+    try:
+        parts = [int(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"parts must be integers: {text!r}") from exc
+    return check_partition(parts)
 
 
 def format_partition(mu: Partition) -> str:

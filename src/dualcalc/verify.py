@@ -1,15 +1,12 @@
 """Acceptance checks, shared by the CLI verify-all command and the test suite.
 
 Each check returns (ok, detail).  The quick profile shrinks caps for a fast
-smoke run; the full profile runs the shipped contracts.  All checks are pure
-and independent, so they can be dispatched to a worker pool; results are
-merged in registry order regardless of completion order.
+smoke run; the full profile runs the shipped contracts.  Checks run one after
+another in registry order, in the calling thread.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, Optional, Tuple
@@ -219,20 +216,11 @@ TIME_BOUNDS = {
 }
 
 
-def worker_count() -> int:
-    raw = os.environ.get("DUALCALC_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_all(profile: str = "quick", inject_fault: Optional[str] = None) -> dict:
     if profile not in ("quick", "full"):
         from .errors import UsageError
 
         raise UsageError(f"unknown profile {profile!r}")
-    names = list(CHECKS)
 
     def run_one(name: str) -> dict:
         t0 = time.monotonic()
@@ -244,13 +232,7 @@ def run_all(profile: str = "quick", inject_fault: Optional[str] = None) -> dict:
         return {"name": name, "pass": bool(ok), "seconds": round(seconds, 3),
                 "detail": detail}
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, names))
-    else:
-        results = [run_one(name) for name in names]
-    # merged deterministically in registry order by construction of `map`
+    results = [run_one(name) for name in CHECKS]
     return {
         "profile": profile,
         "checks": results,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dualcalc import cli
+from dualcalc import cli, verify
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -118,21 +118,12 @@ def test_mv_dump_series():
     assert ["1"] in keys and ["2"] in keys and ["1,1"] in keys
 
 
-def test_worker_pool_env(monkeypatch):
-    monkeypatch.setenv("DUALCALC_WORKERS", "3")
-    code, doc = run_json(["verify-all", "--profile", "quick"])
-    assert code == 0
-    # results stay in registry order regardless of completion order
-    names = [c["name"] for c in doc["checks"]]
-    assert names[0] == "hurwitz-oracle-equivalence"
-    assert names[-1] == "hori-vafa-equality"
-
-
 def test_verify_all_defaults():
     code, doc = run_json(["verify-all"])
     assert code == 0
     assert doc["result"]["profile"] == "quick"
     assert doc["result"]["all_pass"] is True
+    assert [c["name"] for c in doc["checks"]] == list(verify.CHECKS)
     assert len(doc["checks"]) == 12
 
 
@@ -154,6 +145,23 @@ def test_toric_unknown_keys_rejected(tmp_path):
     path.write_text(json.dumps(spec))
     code, doc = run_json(["mirror", "toric", "--spec", str(path)])
     assert code == 1 and doc["kind"] == "usage"
+
+
+@pytest.mark.parametrize("case", ["non-integer-part", "missing-spec",
+                                  "malformed-spec", "spec-not-object"])
+def test_bad_input_is_one_usage_document(case, tmp_path):
+    spec = tmp_path / "spec.json"
+    argv = ["mirror", "toric", "--spec", str(spec)]
+    if case == "non-integer-part":
+        argv = ["hurwitz", "--genus", "0", "--partition", "a,b"]
+    elif case == "malformed-spec":
+        spec.write_text('{"generators": [')
+    elif case == "spec-not-object":
+        spec.write_text("[1, 2]")
+    code, out = run(argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["kind"] == "usage"
 
 
 def test_grassmannian_verify():

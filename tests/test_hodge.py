@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dualcalc
 from dualcalc.errors import UsageError
 from dualcalc.hodge import (FramedSeries, b_constant, build_series,
                             convolution_check, elsv_limit_check,
@@ -97,10 +102,28 @@ def test_lambda_g_values(fs3):
     assert lambda_g_check(fs3, 1, (1,))
     assert lambda_g_check(fs3, 1, (2, 1))
     assert lambda_g_check(fs3, 2, (1,))
-    # the (2,1) case carries b_1 |mu|^(2g+n-3) = (1/24) * 3^1 = 1/8 up to
-    # the global sign (2g+n-3 = 1 for g=1, n=2)
+    # the (2,1) case carries b_1 |mu|^(2g+n-3) = (1/24) * 3^1 = 1/8
+    # (2g+n-3 = 1 for g=1, n=2)
     poly = hodge_extract(fs3, 1, (2, 1))
-    assert abs(poly[0]) == Fraction(1, 8)
+    assert poly[0] == Fraction(1, 8)
+
+
+_NEGATED_FIRST_CASE = """
+from dualcalc import hodge
+extract = hodge.hodge_extract
+hodge.hodge_extract = lambda fs, g, mu: [-c for c in extract(fs, g, mu)]
+print(hodge.lambda_g_check(hodge.build_series(1, 9), 1, (1,)))
+"""
+
+
+def test_lambda_g_rejects_negated_first_case():
+    # a fresh interpreter, so this is the first lambda_g_check call of the
+    # process: the verdict may not depend on which case happens to run first
+    src = str(Path(dualcalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _NEGATED_FIRST_CASE], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_elsv_limit(fs3):

@@ -5,10 +5,12 @@ from math import factorial
 import pytest
 
 from dualcalc.errors import UsageError
-from dualcalc.hurwitz import (burnside_phi, double_hurwitz, elsv_I,
-                              hurwitz_number, psi_from_asymptotics,
+from dualcalc.hurwitz import (_connected_coeff, _sample_points,
+                              _set_partitions, burnside_phi, double_hurwitz,
+                              elsv_I, hurwitz_number, psi_from_asymptotics,
                               ramification_order)
-from dualcalc.partitions import enumerate_partitions, length, size, zmu
+from dualcalc.partitions import (aut, character, enumerate_partitions,
+                                 hook_product, kappa, length, size, zmu)
 from dualcalc.scalars import GaussianRational
 
 
@@ -167,3 +169,58 @@ def test_psi_preconditions():
         psi_from_asymptotics(0, (1, 0, 0))  # dimension violated
     with pytest.raises(UsageError):
         psi_from_asymptotics(0, (0, 0))     # unstable
+
+
+def _reference_connected_coeff(mu, order):
+    """Moebius inversion with Fraction series products, term by term."""
+    def disconnected(sub):
+        out = [Fraction(0)] * (order + 1)
+        for nu in enumerate_partitions(size(sub)):
+            c = Fraction(character(nu, sub), zmu(sub) * hook_product(nu))
+            p = Fraction(1)
+            for j in range(order + 1):
+                out[j] += c * p
+                p = p * (kappa(nu) // 2) / (j + 1)
+        return out
+
+    def mul(a, b):
+        out = [Fraction(0)] * (order + 1)
+        for i, x in enumerate(a):
+            for j in range(order + 1 - i):
+                out[i + j] += x * b[j]
+        return out
+
+    total = [Fraction(0)] * (order + 1)
+    for blocks in _set_partitions(list(range(len(mu)))):
+        w = Fraction((-1) ** (len(blocks) - 1) * factorial(len(blocks) - 1))
+        prod = [Fraction(1)] + [Fraction(0)] * order
+        for block in blocks:
+            sub = tuple(sorted((mu[i] for i in block), reverse=True))
+            w *= aut(sub)
+            prod = mul(prod, disconnected(sub))
+        total = [t + w * p for t, p in zip(total, prod)]
+    return tuple(t / aut(mu) for t in total)
+
+
+def test_connected_coeff_matches_fraction_reference():
+    for n in range(1, 7):
+        for mu in enumerate_partitions(n):
+            order = ramification_order(2, mu)
+            assert _connected_coeff(mu, order) == \
+                _reference_connected_coeff(mu, order), mu
+
+
+@pytest.mark.parametrize("n,count", [(1, 9), (2, 20), (3, 30), (5, 40)])
+def test_sample_points_weakly_decreasing(n, count):
+    pts = _sample_points(n, count)
+    assert len(pts) == count == len(set(pts))
+    assert all(len(p) == n and p[-1] >= 1 for p in pts)
+    assert all(p[i] >= p[i + 1] for p in pts for i in range(n - 1))
+    sums = [sum(p) for p in pts]
+    assert sums == sorted(sums) and sums[0] == n
+    # every partition of each completed sum into n parts is present
+    for m in range(n, sums[-1]):
+        expect = {mu for mu in enumerate_partitions(m) if len(mu) == n}
+        assert expect == {p for p in pts if sum(p) == m}
+    if n > 1:
+        assert any(p[0] == p[1] for p in pts)

@@ -54,13 +54,15 @@ def test_double_factorial():
 
 def test_cross_module_agreement():
     # dvv agrees with the Hurwitz asymptotic extraction on stable (g, n)
-    # with 2g - 2 + n <= 4 (the small half; the full window is acceptance)
+    # with 2g - 2 + n <= 3 (the small half; the full window is acceptance)
     cases = {
         (0, 3): [(0, 0, 0)],
         (1, 1): [(1,)],
         (0, 4): [(1, 0, 0, 0)],
         (1, 2): [(2, 0), (1, 1)],
         (2, 1): [(4,)],
+        (0, 5): [(2, 0, 0, 0, 0), (1, 1, 0, 0, 0)],
+        (1, 3): [(3, 0, 0), (2, 1, 0), (1, 1, 1)],
     }
     for (g, n), kss in cases.items():
         for ks in kss:
