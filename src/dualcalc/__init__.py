@@ -1,14 +1,16 @@
 """dualcalc: exact computation of both sides of enumerative string-duality
 identities, with the connecting checks.
 
-Subsystems: Gaussian-rational scalars and truncated series (``scalars``,
-``series``, ``qfunc``), partition and character data (``partitions``,
-``schur``), quantum-dimension W values (``chern_simons``), the partition-
-indexed series ring with cut-and-join operators (``pseries``), Hurwitz and
-ELSV (``hurwitz``), the framed triple-Hodge series (``hodge``), the local-P2
-vertex with GV inversion (``vertex``), psi-intersections and Virasoro
-(``intersections``), mirror hypergeometrics (``mirror``), and the acceptance
-registry (``verify``) behind the ``dualcalc`` CLI (``cli``).
+Subsystems: Gaussian-rational scalars, the sparse Laurent type, dense and
+lambda-truncated series (``scalars``, ``laurent``, ``dense``, ``series``,
+``qfunc``), partition and character data (``partitions``, ``schur``),
+quantum-dimension W values (``chern_simons``), the partition-indexed series
+ring with cut-and-join operators (``pseries``), Hurwitz and ELSV
+(``hurwitz``), the framed triple-Hodge series (``hodge``), the local-P2 vertex
+with GV inversion (``vertex``), psi-intersections and Virasoro
+(``intersections``), mirror hypergeometrics with the alpha-Laurent ``XPoly``
+ring (``nilpotent``, ``mirror``), and the acceptance registry (``verify``)
+behind the ``dualcalc`` CLI (``cli``).
 """
 
 from .scalars import GaussianRational, bernoulli

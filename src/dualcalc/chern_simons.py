@@ -36,7 +36,8 @@ def w_one(mu: Partition) -> QFunction:
         for b in range(a + 1, l):
             m = mu[a] - mu[b] + (b + 1) - (a + 1)
             n = (b + 1) - (a + 1)
-            assert m > 0 and n > 0
+            if m <= 0 or n <= 0:
+                raise InternalError(f"nonpositive bracket argument in w_one({mu})")
             num = num * ULaurent.bracket(m)
             den = den * ULaurent.bracket(n)
     ipow = 0

@@ -7,7 +7,8 @@ Every subcommand prints exactly one JSON document on stdout:
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
 inconsistency.  Rationals are serialized as decimal strings "p/q"; partitions
 as comma-separated descending integers; keys are sorted, so output is
-byte-deterministic for fixed inputs.
+byte-deterministic for fixed inputs apart from the ``seconds`` timings of
+``verify-all``.
 """
 from __future__ import annotations
 
@@ -207,6 +208,8 @@ def _cmd_mv(args) -> dict:
         return {"result": {"series": dump}, "checks": []}
     if args.check is None:
         raise UsageError("mv needs either an action or --check")
+    if args.degree < 1:
+        raise UsageError("mv --check needs --degree >= 1")
     cap, trunc = args.degree, args.order
     if args.check == "pde":
         fs = hodge.build_series(cap, trunc)
@@ -253,6 +256,8 @@ def _cmd_mv(args) -> dict:
 
 def _cmd_vertex(args) -> dict:
     d_max, g_max = args.max_degree, args.max_genus
+    if d_max < 1:
+        raise UsageError("vertex needs --max-degree >= 1")
     n_table = vertex.extract_gw(d_max, g_max)
     result = {"N": [[frac_str(n_table[(g, d)]) for d in range(1, d_max + 1)]
                     for g in range(g_max + 1)]}

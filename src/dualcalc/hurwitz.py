@@ -22,7 +22,8 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import InternalError, UsageError, VerificationFailure
 from .partitions import (Partition, aut, character, enumerate_partitions,
-                         hook_product, kappa, length, size, zmu)
+                         hook_product, kappa, length, set_partitions, size,
+                         zmu)
 from .pseries import PSeries
 from .series import LambdaSeries
 
@@ -72,17 +73,6 @@ def _disconnected_coeff(mu: Partition, order: int) -> Tuple[Tuple[int, ...], int
     return tuple(s), zmu(mu) * nfact
 
 
-def _set_partitions(items: Sequence[int]) -> Iterator[List[List[int]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1:]
-        yield [[first]] + sub
-
-
 @lru_cache(maxsize=None)
 def _connected_coeff(mu: Partition, order: int) -> Tuple[Frac, ...]:
     """Connected coefficient of p_mu, via Moebius inversion on part blocks.
@@ -95,8 +85,7 @@ def _connected_coeff(mu: Partition, order: int) -> Tuple[Frac, ...]:
         raise UsageError("connected series needs a nonempty profile")
     binom = [[comb(k, j) for j in range(k + 1)] for k in range(order + 1)]
     total = [Frac(0)] * (order + 1)
-    positions = list(range(len(mu)))
-    for block_partition in _set_partitions(positions):
+    for block_partition in set_partitions(len(mu)):
         w = (-1) ** (len(block_partition) - 1) * factorial(len(block_partition) - 1)
         prod, denom = None, 1
         for block in block_partition:

@@ -18,9 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import UsageError
+from .partitions import compositions, set_partitions
 
 Frac = Fraction
 
@@ -127,81 +128,12 @@ def dvv_normalized(g: int, ks: Sequence[int]) -> Frac:
 # Virasoro constraints on the partition function
 # ---------------------------------------------------------------------------
 
-class TPoly:
-    """Sparse polynomial in t_0..t_K over Fraction, truncated by total degree."""
-
-    __slots__ = ("deg_cap", "c")
-
-    def __init__(self, deg_cap: int, c: Dict[Tuple[int, ...], Frac] | None = None):
-        self.deg_cap = deg_cap
-        self.c = {k: v for k, v in (c or {}).items() if v}
-
-    @staticmethod
-    def _canon(mono: Tuple[int, ...]) -> Tuple[int, ...]:
-        m = list(mono)
-        while m and not m[-1]:
-            m.pop()
-        return tuple(m)
-
-    def add_inplace(self, mono: Tuple[int, ...], v: Frac):
-        mono = self._canon(mono)
-        s = self.c.get(mono, _F0) + v
-        if s:
-            self.c[mono] = s
-        else:
-            self.c.pop(mono, None)
-
-    def __add__(self, o: "TPoly") -> "TPoly":
-        out = TPoly(self.deg_cap, dict(self.c))
-        for k, v in o.c.items():
-            out.add_inplace(k, v)
-        return out
-
-    def __sub__(self, o: "TPoly") -> "TPoly":
-        out = TPoly(self.deg_cap, dict(self.c))
-        for k, v in o.c.items():
-            out.add_inplace(k, -v)
-        return out
-
-    def scale(self, v: Frac) -> "TPoly":
-        return TPoly(self.deg_cap, {k: w * v for k, w in self.c.items()})
-
-    def __mul__(self, o: "TPoly") -> "TPoly":
-        out = TPoly(self.deg_cap)
-        for k1, v1 in self.c.items():
-            d1 = sum(k1)
-            for k2, v2 in o.c.items():
-                if d1 + sum(k2) > self.deg_cap:
-                    continue
-                n = max(len(k1), len(k2))
-                mono = tuple((k1[i] if i < len(k1) else 0) + (k2[i] if i < len(k2) else 0)
-                             for i in range(n))
-                out.add_inplace(mono, v1 * v2)
-        return out
-
-    def deriv(self, var: int) -> "TPoly":
-        out = TPoly(self.deg_cap)
-        for k, v in self.c.items():
-            if var >= len(k) or not k[var]:
-                continue
-            mono = list(k)
-            e = mono[var]
-            mono[var] = e - 1
-            out.add_inplace(tuple(mono), v * e)
-        return out
-
-    def mul_var(self, var: int) -> "TPoly":
-        out = TPoly(self.deg_cap)
-        for k, v in self.c.items():
-            if sum(k) + 1 > self.deg_cap:
-                continue
-            mono = list(k) + [0] * (var + 1 - len(k))
-            mono[var] += 1
-            out.add_inplace(tuple(mono), v)
-        return out
-
-    def max_abs(self) -> Frac:
-        return max((abs(v) for v in self.c.values()), default=_F0)
+def _canon(mono: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Drop trailing zero exponents."""
+    m = list(mono)
+    while m and not m[-1]:
+        m.pop()
+    return tuple(m)
 
 
 _F0 = Frac(0)
@@ -245,7 +177,7 @@ def tau_coefficient(mono: Tuple[int, ...]) -> Frac:
     for k, m in enumerate(mono):
         sym *= factorial(m)
     total = _F0
-    for blocks in _set_partitions_list(tuple(range(len(ms)))):
+    for blocks in set_partitions(len(ms)):
         prod = Frac(1)
         for block in blocks:
             sub = tuple(sorted((ms[i] for i in block), reverse=True))
@@ -261,36 +193,16 @@ def tau_coefficient(mono: Tuple[int, ...]) -> Frac:
     return total / sym
 
 
-@lru_cache(maxsize=None)
-def _set_partitions_list(items: Tuple[int, ...]):
-    if not items:
-        return ([],)
-    first, rest = items[0], items[1:]
-    out = []
-    for sub in _set_partitions_list(rest):
-        for i in range(len(sub)):
-            out.append(sub[:i] + [[first] + sub[i]] + sub[i + 1:])
-        out.append([[first]] + sub)
-    return tuple(out)
-
-
 def _monomials(order: int, kmax: int) -> Iterator[Tuple[int, ...]]:
-    def rec(k: int, left: int) -> Iterator[Tuple[int, ...]]:
-        if k > kmax:
-            yield ()
-            return
-        for m in range(left + 1):
-            for rest in rec(k + 1, left - m):
-                yield (m,) + rest
-
-    for mono in rec(0, order):
-        yield TPoly._canon(mono)
+    """Exponent vectors in t_0..t_kmax of total degree <= order."""
+    for mono in compositions(order, kmax + 2):
+        yield _canon(mono[:-1])
 
 
 def _bump(mono: Tuple[int, ...], var: int, by: int) -> Tuple[int, ...]:
     m = list(mono) + [0] * (var + 1 - len(mono))
     m[var] += by
-    return TPoly._canon(tuple(m))
+    return _canon(tuple(m))
 
 
 def virasoro_residual(n: int, order: int, kmax_check: int = 4) -> Frac:
@@ -307,6 +219,8 @@ def virasoro_residual(n: int, order: int, kmax_check: int = 4) -> Frac:
     """
     if n < -1:
         raise UsageError("Virasoro index must be >= -1")
+    if order < 0:
+        raise UsageError("Virasoro order must be >= 0")
     worst = _F0
     for mono in _monomials(order, kmax_check):
         acc = _F0

@@ -21,8 +21,11 @@ from itertools import permutations
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import dense
 from .errors import InternalError, UsageError, VerificationFailure
-from .nilpotent import AlphaLaurent, XPoly, _perm_sign, exp_x_times
+from .laurent import Laurent
+from .nilpotent import XPoly, _perm_sign, exp_x_times
+from .partitions import compositions
 
 Frac = Fraction
 
@@ -30,31 +33,6 @@ Frac = Fraction
 # ===========================================================================
 # quintic
 # ===========================================================================
-
-def _hmul(a: List[Frac], b: List[Frac], nilp: int) -> List[Frac]:
-    out = [Frac(0)] * nilp
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j in range(min(len(b), nilp - i)):
-            if b[j]:
-                out[i + j] += x * b[j]
-    return out
-
-
-def _hinv(a: List[Frac], nilp: int) -> List[Frac]:
-    if not a[0]:
-        raise UsageError("cannot invert a nilpotent-ring element with zero constant")
-    out = [Frac(0)] * nilp
-    out[0] = 1 / a[0]
-    for m in range(1, nilp):
-        acc = Frac(0)
-        for j in range(1, m + 1):
-            if j < len(a) and a[j]:
-                acc += a[j] * out[m - j]
-        out[m] = -acc / a[0]
-    return out
-
 
 @lru_cache(maxsize=None)
 def quintic_hg(d_max: int) -> Tuple[Dict[int, List[Frac]], ...]:
@@ -68,15 +46,15 @@ def quintic_hg(d_max: int) -> Tuple[Dict[int, List[Frac]], ...]:
     nilp = 5
     f: Tuple[Dict[int, List[Frac]], ...] = tuple({} for _ in range(4))
     for d in range(d_max + 1):
-        num = [Frac(1)] + [Frac(0)] * (nilp - 1)
+        num = [Frac(1)]
         for m in range(0, 5 * d + 1):
-            num = _hmul(num, [Frac(m), Frac(5)] + [Frac(0)] * (nilp - 2), nilp)
-        den = [Frac(1)] + [Frac(0)] * (nilp - 1)
+            num = dense.mul(num, [Frac(m), Frac(5)], nilp)
+        den = [Frac(1)]
         for m in range(1, d + 1):
-            lin = [Frac(m), Frac(1)] + [Frac(0)] * (nilp - 2)
+            lin = [Frac(m), Frac(1)]
             for _ in range(5):
-                den = _hmul(den, lin, nilp)
-        slice_d = _hmul(num, _hinv(den, nilp), nilp)
+                den = dense.mul(den, lin, nilp)
+        slice_d = dense.mul(num, dense.inv(den, nilp), nilp)
         if slice_d[0]:
             raise InternalError("quintic slice not divisible by the hyperplane class")
         # multiply by e^{Ht} and read off coefficients of H^{i+1}
@@ -90,60 +68,6 @@ def quintic_hg(d_max: int) -> Tuple[Dict[int, List[Frac]], ...]:
                 tpoly.pop()
             f[i][d] = tpoly
     return f
-
-
-# -- Q-series helpers (lists indexed by the e^{t}-degree) ---------------------
-
-def _qmul(a: Sequence[Frac], b: Sequence[Frac], n: int) -> List[Frac]:
-    out = [Frac(0)] * n
-    for i, x in enumerate(a[:n]):
-        if not x:
-            continue
-        for j in range(min(len(b), n - i)):
-            if b[j]:
-                out[i + j] += x * b[j]
-    return out
-
-
-def _qinv(a: Sequence[Frac], n: int) -> List[Frac]:
-    if not a[0]:
-        raise UsageError("Q-series not invertible")
-    out = [Frac(0)] * n
-    out[0] = 1 / a[0]
-    for m in range(1, n):
-        acc = Frac(0)
-        for j in range(1, m + 1):
-            if j < len(a) and a[j]:
-                acc += a[j] * out[m - j]
-        out[m] = -acc / a[0]
-    return out
-
-
-def _qexp(a: Sequence[Frac], n: int) -> List[Frac]:
-    if a[0]:
-        raise UsageError("exp needs zero constant term")
-    out = [Frac(0)] * n
-    out[0] = Frac(1)
-    term = list(out)
-    for m in range(1, n):
-        term = [x / m for x in _qmul(term, a, n)]
-        out = [x + y for x, y in zip(out, term)]
-    return out
-
-
-def _qcompose(outer: Sequence[Frac], inner: Sequence[Frac], n: int) -> List[Frac]:
-    """outer(inner(Q)) with inner(0) = 0."""
-    if inner[0]:
-        raise UsageError("composition needs zero constant inner term")
-    out = [Frac(0)] * n
-    out[0] = outer[0] if outer else Frac(0)
-    power = [Frac(0)] * n
-    power[0] = Frac(1)
-    for m in range(1, len(outer)):
-        power = _qmul(power, inner, n)
-        if outer[m]:
-            out = [x + outer[m] * y for x, y in zip(out, power)]
-    return out
 
 
 def candelas(d_max: int) -> dict:
@@ -179,32 +103,32 @@ def candelas(d_max: int) -> dict:
     s0 = S[0]
     if s0[0] != 5:
         raise InternalError("unexpected overall normalization of the quintic series")
-    u = _qmul(S[1], _qinv(s0, n), n)       # mirror map: T = t + u(Q)
+    u = dense.mul(S[1], dense.inv(s0, n), n)       # mirror map: T = t + u(Q)
     if u[0]:
         raise InternalError("mirror map must fix the log term")
     # inverse map: Q = Qt B(Qt) with Qt = Q e^{u(Q)}
-    e_u = _qexp(u, n)
+    e_u = dense.exp(u, n)
     B = [Frac(1)] + [Frac(0)] * (n - 1)
     for _ in range(n):
-        inner = _qmul([Frac(0), Frac(1)], B, n)      # Qt * B
-        B = _qinv(_qcompose(e_u, inner, n), n)
-    q_of_qt = _qmul([Frac(0), Frac(1)], B, n)
+        inner = dense.mul([Frac(0), Frac(1)], B, n)      # Qt * B
+        B = dense.inv(dense.compose(e_u, inner, n), n)
+    q_of_qt = dense.mul([Frac(0), Frac(1)], B, n)
 
     # potential as a t-polynomial with Q-series coefficients
-    inv0 = _qinv(s0, n)
-    inv0sq = _qmul(inv0, inv0, n)
+    inv0 = dense.inv(s0, n)
+    inv0sq = dense.mul(inv0, inv0, n)
 
     def fprod(a: Dict[int, List[Frac]], b: Dict[int, List[Frac]]) -> Dict[int, List[Frac]]:
         out: Dict[int, List[Frac]] = {}
         for j1, c1 in a.items():
             for j2, c2 in b.items():
                 cur = out.setdefault(j1 + j2, [Frac(0)] * n)
-                prod = _qmul(c1, c2, n)
+                prod = dense.mul(c1, c2, n)
                 out[j1 + j2] = [x + y for x, y in zip(cur, prod)]
         return out
 
     def fscale(a: Dict[int, List[Frac]], qs: List[Frac]) -> Dict[int, List[Frac]]:
-        return {j: _qmul(c, qs, n) for j, c in a.items()}
+        return {j: dense.mul(c, qs, n) for j, c in a.items()}
 
     pot = fscale(fprod(F[1], F[2]), inv0sq)
     f3s = fscale(F[3], inv0)
@@ -217,16 +141,16 @@ def candelas(d_max: int) -> dict:
     # substitute t = T - u(Q), then Q = Q(Qt)
     minus_u_pow = {0: [Frac(1)] + [Frac(0)] * (n - 1)}
     for j in range(1, max(potential) + 1):
-        minus_u_pow[j] = _qmul(minus_u_pow[j - 1], [-c for c in u], n)
+        minus_u_pow[j] = dense.mul(minus_u_pow[j - 1], [-c for c in u], n)
     in_T: Dict[int, List[Frac]] = {}
     for j, qs in potential.items():
         for r in range(j + 1):
             w = comb(j, r)
-            piece = _qmul(qs, minus_u_pow[j - r], n)
+            piece = dense.mul(qs, minus_u_pow[j - r], n)
             cur = in_T.setdefault(r, [Frac(0)] * n)
             in_T[r] = [x + w * y for x, y in zip(cur, piece)]
     for r in in_T:
-        in_T[r] = _qcompose(in_T[r], q_of_qt, n)
+        in_T[r] = dense.compose(in_T[r], q_of_qt, n)
 
     cubic = in_T.get(3, [Frac(0)] * n)
     if cubic[0] != Frac(5, 6) or any(cubic[1:]):
@@ -250,9 +174,9 @@ def mirror_map_round_trip(d_max: int) -> bool:
     """t(T(t)) = t through e^{d_max t}: Q(Qt(Q)) = Q as series."""
     data = candelas(d_max)
     n = d_max + 1
-    e_u = _qexp(data["mirror_map"], n)
-    qt_of_q = _qmul([Frac(0), Frac(1)], e_u, n)
-    round_trip = _qcompose(data["q_of_qt"], qt_of_q, n)
+    e_u = dense.exp(data["mirror_map"], n)
+    qt_of_q = dense.mul([Frac(0), Frac(1)], e_u, n)
+    round_trip = dense.compose(data["q_of_qt"], qt_of_q, n)
     return round_trip == [Frac(0), Frac(1)] + [Frac(0)] * (n - 2)
 
 
@@ -336,17 +260,6 @@ def toric_b_series(generators: Sequence[Tuple[str, int]],
                 break
         return {k: v for k, v in out.items() if v}
 
-    def degrees(total: int):
-        def rec(i, left):
-            if i == r - 1:
-                yield (left,)
-                return
-            for v in range(left + 1):
-                for rest in rec(i + 1, left - v):
-                    yield (v,) + rest
-        for s in range(total + 1):
-            yield from rec(0, s)
-
     # e^{-H t} = prod_j e^{-G_j t_j}
     expfac: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Frac] = {}
     base = [((0,) * r, (0,) * r, Frac(1))]
@@ -363,8 +276,9 @@ def toric_b_series(generators: Sequence[Tuple[str, int]],
     for ge, te, v in base:
         expfac[(ge, te)] = expfac.get((ge, te), Frac(0)) + v
 
+    degrees = [d for s in range(d_max + 1) for d in compositions(s, r)]
     out: Dict[Tuple[int, ...], Dict] = {}
-    for d in degrees(d_max):
+    for d in degrees:
         num = {(0,) * r: Frac(1)}
         for vec in line_bundles:
             pair = sum(c * dd for c, dd in zip(vec, d))
@@ -424,43 +338,32 @@ def hg_projective(n: int, d_max: int, cap: Optional[int] = None) -> Tuple[XPoly,
 
 
 def _inv_linear_power(k: int, cap: int, var: int, mcoef: int, power: int) -> XPoly:
-    """(x_var + mcoef*alpha)^{-power} as a truncated x-series over AlphaLaurent."""
+    """(x_var + mcoef*alpha)^{-power} as a truncated x-series over Laurent."""
     if mcoef == 0:
         raise UsageError("non-invertible linear factor")
-    c: Dict[Tuple[int, ...], AlphaLaurent] = {}
+    c: Dict[Tuple[int, ...], Laurent] = {}
     for j in range(cap + 1):
         key = [0] * (k + 2)
         key[var] = j
         coeff = Frac(comb(power - 1 + j, j) * (-1) ** j, mcoef ** (power + j))
-        c[tuple(key)] = AlphaLaurent.mono(-(power + j), coeff)
+        c[tuple(key)] = Laurent.mono(-(power + j), coeff)
     return XPoly(k, cap, c)
-
-
-def _compositions_nonneg(d: int, k: int) -> List[Tuple[int, ...]]:
-    if k == 1:
-        return [(d,)]
-    out = []
-    for first in range(d + 1):
-        for rest in _compositions_nonneg(d - first, k - 1):
-            out.append((first,) + rest)
-    return out
 
 
 def _loc_raw(k: int, n: int, d: int, cap: int) -> XPoly:
     """Composition sum after Vandermonde division, with the printed sign."""
-    total: Optional[XPoly] = None
-    for compn in _compositions_nonneg(d, k):
+    total = XPoly(k, cap)
+    for compn in compositions(d, k):
         term = XPoly.const(k, cap, 1)
         for i in range(k):
             for j in range(i + 1, k):
                 diff = (XPoly.x_var(k, cap, i) - XPoly.x_var(k, cap, j)
-                        + XPoly.const(k, cap, AlphaLaurent.mono(1, compn[i] - compn[j])))
+                        + XPoly.const(k, cap, Laurent.mono(1, compn[i] - compn[j])))
                 term = term * diff
         for i in range(k):
             for l in range(1, compn[i] + 1):
                 term = term * _inv_linear_power(k, cap, i, l, n)
-        total = term if total is None else total + term
-    assert total is not None
+        total = total + term
     if not total.is_antisymmetric():
         raise InternalError("composition sum is not antisymmetric")
     quo = total.vandermonde_divide()
@@ -472,7 +375,7 @@ def _loc_raw(k: int, n: int, d: int, cap: int) -> XPoly:
 
 
 def gr_loc_sum(k: int, n: int, d: int,
-               cap: Optional[int] = None) -> Dict[Tuple[int, ...], AlphaLaurent]:
+               cap: Optional[int] = None) -> Dict[Tuple[int, ...], Laurent]:
     """Localization-sum class in the Schur basis of H*(Gr(k,n))."""
     if not (1 <= k < n):
         raise UsageError("need 1 <= k < n")
@@ -480,7 +383,7 @@ def gr_loc_sum(k: int, n: int, d: int,
         cap = k * (n - k) + k * (k - 1) // 2 + 2
     quo = _loc_raw(k, n, d, cap)
     comps = quo.schur_components()
-    out: Dict[Tuple[int, ...], AlphaLaurent] = {}
+    out: Dict[Tuple[int, ...], Laurent] = {}
     for (lam, pe, te), v in comps.items():
         if pe or te:
             raise InternalError("unexpected symbol in the localization sum")
@@ -495,7 +398,7 @@ def gr_loc_sum(k: int, n: int, d: int,
 def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
     """Operator-formula series, localization series, and their equality.
 
-    Output: {"operator": {d: {t_exp: {lam: AlphaLaurent}}}, "localization":
+    Output: {"operator": {d: {t_exp: {lam: Laurent}}}, "localization":
     same shape, "equal": bool}.  The alpha -> -alpha bridge between the two
     printed conventions is applied to the composition sum.
     """
@@ -525,21 +428,18 @@ def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
     # alpha^{k(k-1)/2} from the operator factors, and the Vandermonde
     # orientation sign relating the determinant expansion to the prefactor
     # denominator (for k = 1 both are empty products)
-    vand_alpha = AlphaLaurent.mono(k * (k - 1) // 2,
+    vand_alpha = Laurent.mono(k * (k - 1) // 2,
                                    (-1) ** (k * (k - 1) // 2))
-    operator_out: Dict[int, Dict[int, Dict[Tuple[int, ...], AlphaLaurent]]] = {}
+    operator_out: Dict[int, Dict[int, Dict[Tuple[int, ...], Laurent]]] = {}
     for d in range(d_max + 1):
-        total: Optional[XPoly] = None
-        for compn in _compositions_nonneg(d, k):
+        total = XPoly(k, cap)
+        for compn in compositions(d, k):
             for sigma in permutations(range(1, k + 1)):
                 sign = _perm_sign(tuple(s - 1 for s in sigma))
-                term: Optional[XPoly] = None
-                for i in range(k):
-                    fac = der[(compn[i], k - sigma[i])].embed(k, i, cap)
-                    term = fac if term is None else term * fac
-                assert term is not None
-                total = term.scale(sign) if total is None else total + term.scale(sign)
-        assert total is not None
+                term = der[(compn[0], k - sigma[0])].embed(k, 0, cap)
+                for i in range(1, k):
+                    term = term * der[(compn[i], k - sigma[i])].embed(k, i, cap)
+                total = total + term.scale(sign)
         total = total.scale(vand_alpha)
         total = total * prefactor
         total = XPoly(k, trusted, {key: v for key, v in total.c.items()
@@ -548,7 +448,7 @@ def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
             raise InternalError("surviving P-dependence in the operator formula")
         quo = total.vandermonde_divide()
         comps = quo.schur_components()
-        by_t: Dict[int, Dict[Tuple[int, ...], AlphaLaurent]] = {}
+        by_t: Dict[int, Dict[Tuple[int, ...], Laurent]] = {}
         for (lam, pe, te), v in comps.items():
             if pe:
                 raise InternalError("surviving P-dependence after reduction")
@@ -563,7 +463,7 @@ def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
     pre_t = XPoly.const(k, cap, 1)
     for i in range(k):
         pre_t = pre_t * exp_x_times(k, cap, i, "t", 0, -1, True)
-    loc_out: Dict[int, Dict[int, Dict[Tuple[int, ...], AlphaLaurent]]] = {}
+    loc_out: Dict[int, Dict[int, Dict[Tuple[int, ...], Laurent]]] = {}
     for d in range(d_max + 1):
         raw = _loc_raw(k, n, d, cap).negate_alpha()
         assembled = pre_t * raw
@@ -603,7 +503,7 @@ def gr23_matches_p2(d_max: int = 2) -> bool:
     lam_of_deg = {0: (), 1: (1,), 2: (1, 1)}
     for d in range(d_max + 1):
         got = hv["operator"].get(d, {})
-        expect: Dict[int, Dict[Tuple[int, ...], AlphaLaurent]] = {}
+        expect: Dict[int, Dict[Tuple[int, ...], Laurent]] = {}
         for (xe, pe, te), v in p2[d].c.items():
             if xe > 2 or not v:
                 continue

@@ -1,10 +1,10 @@
-"""Truncated polynomial rings for the mirror module.
+"""Truncated polynomial ring for the mirror module.
 
-``AlphaLaurent``: Laurent polynomials in an invertible weight alpha over the
-rationals.  ``XPoly``: polynomials in Chern roots x_1..x_k plus the formal
-symbols P (the pi sqrt(-1)/alpha bookkeeping unit) and t, with AlphaLaurent
-coefficients, truncated at a total x-degree cap.  Division by the Vandermonde
-works degree slice by degree slice, which keeps truncated inputs exact.
+``XPoly``: polynomials in Chern roots x_1..x_k plus the formal symbols P
+(the pi sqrt(-1)/alpha bookkeeping unit) and t, with coefficients that are
+``laurent.Laurent`` polynomials in the equivariant weight alpha, truncated
+at a total x-degree cap.  Division by the Vandermonde works degree slice by
+degree slice, which keeps truncated inputs exact.
 """
 from __future__ import annotations
 
@@ -13,112 +13,22 @@ from math import comb, factorial
 from typing import Dict, Optional, Tuple
 
 from .errors import InternalError, UsageError
+from .laurent import Laurent
 
 Frac = Fraction
-
-
-class AlphaLaurent:
-    __slots__ = ("c",)
-
-    def __init__(self, c: Optional[Dict[int, Frac]] = None):
-        self.c = {}
-        if c:
-            for k, v in c.items():
-                f = v if isinstance(v, Fraction) else Fraction(v)
-                if f:
-                    self.c[k] = f
-
-    @staticmethod
-    def const(v) -> "AlphaLaurent":
-        return AlphaLaurent({0: Fraction(v)})
-
-    @staticmethod
-    def mono(exp: int, v=1) -> "AlphaLaurent":
-        return AlphaLaurent({exp: Fraction(v)})
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __add__(self, o: "AlphaLaurent") -> "AlphaLaurent":
-        c = dict(self.c)
-        for k, v in o.c.items():
-            s = c.get(k, _F0) + v
-            if s:
-                c[k] = s
-            elif k in c:
-                del c[k]
-        out = AlphaLaurent.__new__(AlphaLaurent)
-        out.c = c
-        return out
-
-    def __neg__(self):
-        out = AlphaLaurent.__new__(AlphaLaurent)
-        out.c = {k: -v for k, v in self.c.items()}
-        return out
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __mul__(self, o: "AlphaLaurent") -> "AlphaLaurent":
-        if not self.c or not o.c:
-            return AlphaLaurent()
-        c: Dict[int, Frac] = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in o.c.items():
-                k = k1 + k2
-                s = c.get(k, _F0) + v1 * v2
-                if s:
-                    c[k] = s
-                elif k in c:
-                    del c[k]
-        out = AlphaLaurent.__new__(AlphaLaurent)
-        out.c = c
-        return out
-
-    def scale(self, v) -> "AlphaLaurent":
-        f = Fraction(v)
-        out = AlphaLaurent.__new__(AlphaLaurent)
-        out.c = {} if not f else {k: w * f for k, w in self.c.items()}
-        return out
-
-    def shift(self, d: int) -> "AlphaLaurent":
-        out = AlphaLaurent.__new__(AlphaLaurent)
-        out.c = {k + d: v for k, v in self.c.items()}
-        return out
-
-    def negate_alpha(self) -> "AlphaLaurent":
-        """alpha -> -alpha."""
-        out = AlphaLaurent.__new__(AlphaLaurent)
-        out.c = {k: (-v if k % 2 else v) for k, v in self.c.items()}
-        return out
-
-    def __eq__(self, o):
-        return isinstance(o, AlphaLaurent) and self.c == o.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        return " + ".join(f"({v})a^{k}" if k else f"({v})"
-                          for k, v in sorted(self.c.items()))
-
-
-_F0 = Frac(0)
-AL_ONE = AlphaLaurent.const(1)
+AL_ONE = Laurent.const(1)
 
 
 class XPoly:
-    """Keys are (x_1..x_k exponents, P exponent, t exponent) -> AlphaLaurent."""
+    """Keys are (x_1..x_k exponents, P exponent, t exponent) -> Laurent in alpha."""
 
     __slots__ = ("k", "cap", "c")
 
     def __init__(self, k: int, cap: int,
-                 c: Optional[Dict[Tuple[int, ...], AlphaLaurent]] = None):
+                 c: Optional[Dict[Tuple[int, ...], Laurent]] = None):
         self.k = k
         self.cap = cap
-        self.c: Dict[Tuple[int, ...], AlphaLaurent] = {}
+        self.c: Dict[Tuple[int, ...], Laurent] = {}
         if c:
             for key, v in c.items():
                 if len(key) != k + 2:
@@ -129,7 +39,7 @@ class XPoly:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def const(k: int, cap: int, v) -> "XPoly":
-        al = v if isinstance(v, AlphaLaurent) else AlphaLaurent.const(v)
+        al = v if isinstance(v, Laurent) else Laurent.const(v)
         return XPoly(k, cap, {(0,) * (k + 2): al})
 
     @staticmethod
@@ -164,7 +74,7 @@ class XPoly:
     def __mul__(self, o: "XPoly") -> "XPoly":
         if self.k != o.k or self.cap != o.cap:
             raise UsageError("XPoly shape mismatch")
-        c: Dict[Tuple[int, ...], AlphaLaurent] = {}
+        c: Dict[Tuple[int, ...], Laurent] = {}
         for k1, v1 in self.c.items():
             d1 = sum(k1[: self.k])
             for k2, v2 in o.c.items():
@@ -181,7 +91,7 @@ class XPoly:
         return self._like(c)
 
     def scale(self, v) -> "XPoly":
-        al = v if isinstance(v, AlphaLaurent) else AlphaLaurent.const(v)
+        al = v if isinstance(v, Laurent) else Laurent.const(v)
         return self._like({k: w * al for k, w in self.c.items()})
 
     def __bool__(self):
@@ -191,21 +101,9 @@ class XPoly:
         return isinstance(o, XPoly) and self.k == o.k and self.c == o.c
 
     # -- calculus -------------------------------------------------------------
-    def dx(self, i: int) -> "XPoly":
-        c: Dict[Tuple[int, ...], AlphaLaurent] = {}
-        for key, v in self.c.items():
-            e = key[i]
-            if not e:
-                continue
-            nk = key[:i] + (e - 1,) + key[i + 1:]
-            piece = v.scale(e)
-            s = c.get(nk)
-            c[nk] = piece if s is None else s + piece
-        return self._like(c)
-
     def dt(self) -> "XPoly":
         """Derivative in the t variable (exact: t-degrees are fully stored)."""
-        c: Dict[Tuple[int, ...], AlphaLaurent] = {}
+        c: Dict[Tuple[int, ...], Laurent] = {}
         tpos = self.k + 1
         for key, v in self.c.items():
             e = key[tpos]
@@ -220,7 +118,7 @@ class XPoly:
     # -- substitutions ------------------------------------------------------------
     def subs_t_plus_p_alpha(self) -> "XPoly":
         """t -> t + P alpha (each dropped t-power becomes a P with an alpha)."""
-        c: Dict[Tuple[int, ...], AlphaLaurent] = {}
+        c: Dict[Tuple[int, ...], Laurent] = {}
         tpos = self.k + 1
         ppos = self.k
         for key, v in self.c.items():
@@ -239,7 +137,7 @@ class XPoly:
         """Embed a one-variable polynomial as variable ``pos`` of k_total."""
         if self.k != 1:
             raise UsageError("embed expects a one-variable polynomial")
-        c: Dict[Tuple[int, ...], AlphaLaurent] = {}
+        c: Dict[Tuple[int, ...], Laurent] = {}
         for (xe, pe, te), v in self.c.items():
             key = [0] * (k_total + 2)
             key[pos] = xe
@@ -249,7 +147,7 @@ class XPoly:
         return XPoly(k_total, cap, c)
 
     def negate_alpha(self) -> "XPoly":
-        return self._like({k: v.negate_alpha() for k, v in self.c.items()})
+        return self._like({k: v.negate_var() for k, v in self.c.items()})
 
     def p_free(self) -> bool:
         return all(not key[self.k] or not v for key, v in self.c.items())
@@ -271,7 +169,7 @@ class XPoly:
             for perm in permutations(idx):
                 sign = _perm_sign(perm)
                 pk = tuple(xs[p] for p in perm) + key[self.k:]
-                w = self.c.get(pk, AlphaLaurent())
+                w = self.c.get(pk, Laurent())
                 if w != (v if sign > 0 else -v):
                     return False
         return True
@@ -279,10 +177,10 @@ class XPoly:
     # -- Vandermonde ---------------------------------------------------------------
     def divide_linear(self, i: int, j: int) -> "XPoly":
         """Exact division by (x_i - x_j), one homogeneous x-slice at a time."""
-        slices: Dict[int, Dict[Tuple[int, ...], AlphaLaurent]] = {}
+        slices: Dict[int, Dict[Tuple[int, ...], Laurent]] = {}
         for key, v in self.c.items():
             slices.setdefault(sum(key[: self.k]), {})[key] = v
-        out: Dict[Tuple[int, ...], AlphaLaurent] = {}
+        out: Dict[Tuple[int, ...], Laurent] = {}
         for deg, terms in slices.items():
             work = dict(terms)
             maxe = max((key[i] for key in work), default=0)
@@ -320,7 +218,7 @@ class XPoly:
         return out
 
     # -- Schur reduction -----------------------------------------------------------
-    def schur_components(self) -> Dict[Tuple[Tuple[int, ...], int, int], AlphaLaurent]:
+    def schur_components(self) -> Dict[Tuple[Tuple[int, ...], int, int], Laurent]:
         """Expand a symmetric polynomial over Schur polynomials.
 
         Returns {(lambda, P exponent, t exponent): coefficient}.  The input
@@ -331,7 +229,7 @@ class XPoly:
             raise InternalError("Schur expansion of a non-symmetric polynomial")
         bumped = XPoly(self.k, self.cap + self.k * (self.k - 1) // 2, dict(self.c))
         anti = bumped.vandermonde_multiply()
-        out: Dict[Tuple[Tuple[int, ...], int, int], AlphaLaurent] = {}
+        out: Dict[Tuple[Tuple[int, ...], int, int], Laurent] = {}
         delta = tuple(self.k - 1 - i for i in range(self.k))
         for key, v in anti.c.items():
             xs = key[: self.k]
@@ -362,15 +260,15 @@ def exp_x_times(k: int, cap: int, var: int, sym_var: str, alpha_shift: int,
 
     sym_var 'P': e^{sign * P x_var};  sym_var 't': e^{sign * t x_var / alpha}.
     """
-    c: Dict[Tuple[int, ...], AlphaLaurent] = {}
+    c: Dict[Tuple[int, ...], Laurent] = {}
     for j in range(cap + 1):
         key = [0] * (k + 2)
         key[var] = j
         if sym_var == "P":
             key[k] = j
-            al = AlphaLaurent.mono(0, Frac(sign ** j, factorial(j)))
+            al = Laurent.mono(0, Frac(sign ** j, factorial(j)))
         else:
             key[k + 1] = j
-            al = AlphaLaurent.mono(-j, Frac(sign ** j, factorial(j)))
+            al = Laurent.mono(-j, Frac(sign ** j, factorial(j)))
         c[tuple(key)] = al
     return XPoly(k, cap, c)

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterator, List, Tuple
 
-from .errors import UsageError
+from .errors import InternalError, UsageError
 
 Partition = Tuple[int, ...]
 
@@ -71,7 +71,8 @@ def zmu(mu: Partition) -> int:
 def kappa(mu: Partition) -> int:
     """|mu| + sum_i (mu_i^2 - 2 i mu_i); always even."""
     k = sum(mu) + sum(p * p - 2 * (i + 1) * p for i, p in enumerate(mu))
-    assert k % 2 == 0
+    if k % 2:
+        raise InternalError(f"odd kappa for {mu}")
     return k
 
 
@@ -114,11 +115,7 @@ def sub_diagrams(mu: Partition) -> Iterator[Partition]:
             for rest in rec(i + 1, first):
                 yield (first,) + rest
 
-    seen = set()
-    for rho in rec(0, mu[0]):
-        if rho not in seen:
-            seen.add(rho)
-            yield rho
+    yield from rec(0, mu[0])
 
 
 @lru_cache(maxsize=None)
@@ -157,6 +154,33 @@ def add_parts(mu: Partition, *parts: int) -> Partition:
     return tuple(sorted(mu + tuple(parts), reverse=True))
 
 
+@lru_cache(maxsize=None)
+def compositions(total: int, parts: int) -> Tuple[Tuple[int, ...], ...]:
+    """Weak compositions of total into ``parts`` nonnegative parts, in
+    lexicographic order."""
+    if parts == 0:
+        return ((),) if total == 0 else ()
+    if parts == 1:
+        return ((total,),)
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in compositions(total - first, parts - 1))
+
+
+@lru_cache(maxsize=None)
+def set_partitions(n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """Set partitions of {0, ..., n-1}; each is a tuple of blocks."""
+    if not n:
+        return ((),)
+    out = []
+    for sub in set_partitions(n - 1):
+        # relabel {0..n-2} as {1..n-1}, then join 0 to each block or alone
+        sub = tuple(tuple(x + 1 for x in block) for block in sub)
+        for i in range(len(sub)):
+            out.append(sub[:i] + ((0,) + sub[i],) + sub[i + 1:])
+        out.append(((0,),) + sub)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # hooks and dimensions
 # ---------------------------------------------------------------------------
@@ -183,8 +207,9 @@ def hook_dim(nu: Partition) -> Fraction:
 
 
 def dim(nu: Partition) -> int:
-    d = factorial(size(nu)) // hook_product(nu)
-    assert d * hook_product(nu) == factorial(size(nu))
+    d, r = divmod(factorial(size(nu)), hook_product(nu))
+    if r:
+        raise InternalError(f"hook product of {nu} does not divide |nu|!")
     return d
 
 

@@ -82,9 +82,6 @@ class PSeries:
     def scale(self, v) -> "PSeries":
         return self._like({k: s.scale(v) for k, s in self.co.items()})
 
-    def scale_series(self, ls: LambdaSeries) -> "PSeries":
-        return self._like({k: s * ls for k, s in self.co.items()})
-
     def map_coeffs(self, f: Callable[[Key, LambdaSeries], LambdaSeries]) -> "PSeries":
         return self._like({k: f(k, s) for k, s in self.co.items()})
 

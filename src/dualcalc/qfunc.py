@@ -13,7 +13,9 @@ from functools import lru_cache
 from math import factorial, gcd
 from typing import Dict, List, Tuple
 
+from . import dense
 from .errors import InternalError, UsageError
+from .laurent import Laurent
 from .scalars import GR_I, GaussianRational, neg_i_power
 from .series import LambdaSeries, TauLaurent
 
@@ -64,27 +66,11 @@ def _int_poly_gcd(a: List[int], b: List[int]) -> List[int]:
     return a
 
 
-class ULaurent:
+class ULaurent(Laurent):
     """Laurent polynomial in u over Fraction."""
 
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Dict[int, Fraction] | None = None):
-        c: Dict[int, Fraction] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                f = v if isinstance(v, Fraction) else Fraction(v)
-                if f:
-                    c[k] = f
-        self.c = c
-
-    @staticmethod
-    def const(v) -> "ULaurent":
-        return ULaurent({0: Fraction(v)})
-
-    @staticmethod
-    def mono(exp: int, v=1) -> "ULaurent":
-        return ULaurent({exp: Fraction(v)})
+    __slots__ = ()
+    var = "u"
 
     @staticmethod
     def bracket(m: int) -> "ULaurent":
@@ -93,116 +79,21 @@ class ULaurent:
             return ULaurent()
         return ULaurent({m: Fraction(1), -m: Fraction(-1)})
 
-    def __bool__(self):
-        return bool(self.c)
-
-    def __add__(self, o: "ULaurent") -> "ULaurent":
-        c = dict(self.c)
-        for k, v in o.c.items():
-            s = c.get(k, _F0) + v
-            if s:
-                c[k] = s
-            elif k in c:
-                del c[k]
-        out = ULaurent.__new__(ULaurent)
-        out.c = c
-        return out
-
-    def __neg__(self):
-        out = ULaurent.__new__(ULaurent)
-        out.c = {k: -v for k, v in self.c.items()}
-        return out
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __mul__(self, o: "ULaurent") -> "ULaurent":
-        if not self.c or not o.c:
-            return ULaurent()
-        c: Dict[int, Fraction] = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in o.c.items():
-                k = k1 + k2
-                s = c.get(k, _F0) + v1 * v2
-                if s:
-                    c[k] = s
-                elif k in c:
-                    del c[k]
-        out = ULaurent.__new__(ULaurent)
-        out.c = c
-        return out
-
-    def scale(self, v) -> "ULaurent":
-        f = Fraction(v)
-        out = ULaurent.__new__(ULaurent)
-        out.c = {} if not f else {k: w * f for k, w in self.c.items()}
-        return out
-
-    def shift(self, d: int) -> "ULaurent":
-        out = ULaurent.__new__(ULaurent)
-        out.c = {k + d: v for k, v in self.c.items()}
-        return out
-
-    def min_exp(self) -> int:
-        return min(self.c)
-
-    def max_exp(self) -> int:
-        return max(self.c)
-
-    def __eq__(self, o):
-        return isinstance(o, ULaurent) and self.c == o.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    # -- dense helpers (valuation shifted away) -----------------------------
-    def _dense(self) -> Tuple[int, List[Fraction]]:
+    def _dense_int(self) -> List[int]:
+        """Dense coefficients from the lowest power up, cleared of denominators."""
         if not self.c:
-            return 0, []
-        lo, hi = self.min_exp(), self.max_exp()
-        out = [_F0] * (hi - lo + 1)
-        for k, v in self.c.items():
-            out[k - lo] = v
-        return lo, out
-
-    def _dense_int(self) -> Tuple[int, List[int], int]:
-        """Returns (shift, int coefficients, common denominator)."""
-        lo, dense = self._dense()
-        if not dense:
-            return 0, [], 1
+            return []
+        lo = self.min_exp()
         den = 1
-        for v in dense:
+        for v in self.c.values():
             den = den * v.denominator // gcd(den, v.denominator)
-        return lo, [int(v * den) for v in dense], den
-
-    def divexact(self, o: "ULaurent") -> "ULaurent":
-        if not o.c:
-            raise ZeroDivisionError("ULaurent division by zero")
-        if not self.c:
-            return ULaurent()
-        sa, a = self._dense()
-        sb, b = o._dense()
-        q: Dict[int, Fraction] = {}
-        da, db = len(a) - 1, len(b) - 1
-        lb = b[-1]
-        while a:
-            while a and not a[-1]:
-                a.pop()
-            if not a:
-                break
-            da = len(a) - 1
-            if da < db:
-                raise InternalError("u-polynomial division leaves a remainder")
-            f = a[-1] / lb
-            q[da - db] = f
-            for i, c in enumerate(b):
-                a[da - db + i] -= f * c
-        return ULaurent({k + sa - sb: v for k, v in q.items() if v})
+        out = [0] * (self.max_exp() - lo + 1)
+        for k, v in self.c.items():
+            out[k - lo] = int(v * den)
+        return out
 
     def gcd(self, o: "ULaurent") -> "ULaurent":
-        _, a, _ = self._dense_int()
-        _, b, _ = o._dense_int()
-        g = _int_poly_gcd(a, b)
+        g = _int_poly_gcd(self._dense_int(), o._dense_int())
         return ULaurent({i: Fraction(c) for i, c in enumerate(g)})
 
     def subs_q_to_lambda(self, trunc: int) -> LambdaSeries:
@@ -220,12 +111,6 @@ class ULaurent:
         if any(k % 2 for k in self.c):
             raise InternalError("odd u-power where a q-expansion was requested")
         return [self.c.get(2 * k, _F0) for k in range(order + 1)]
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        return " + ".join(f"({v})*u^{k}" if k else f"({v})"
-                          for k, v in sorted(self.c.items()))
 
 
 _F0 = Fraction(0)
@@ -384,19 +269,7 @@ class QFunction:
                 num[k // 2] = v
         if not den[0]:
             raise InternalError("denominator not invertible as a q-series")
-        inv = [_F0] * (order + 1)
-        inv[0] = 1 / den[0]
-        for m in range(1, order + 1):
-            acc = _F0
-            for j in range(1, m + 1):
-                acc += den[j] * inv[m - j]
-            inv[m] = -acc / den[0]
-        out = [_F0] * (order + 1)
-        for i in range(order + 1):
-            if num[i]:
-                for j in range(order + 1 - i):
-                    out[i + j] += num[i] * inv[j]
-        return out
+        return dense.mul(num, dense.inv(den, order + 1), order + 1)
 
     def __repr__(self):
         return f"(-i)^{self.ipow} * ({self.num}) / ({self.den})"

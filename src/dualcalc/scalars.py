@@ -50,10 +50,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     def as_fraction(self) -> Fraction:
         if self.im:
             raise ValueError(f"not real: {self}")

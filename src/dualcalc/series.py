@@ -2,8 +2,9 @@
 
 Two layers:
 
-* ``TauLaurent`` -- finite Laurent polynomials in the framing parameter tau
-  over ``GaussianRational``.
+* ``TauLaurent`` -- the sparse ``laurent.Laurent`` in the framing parameter
+  tau over ``GaussianRational``, plus scalar extraction, evaluation and the
+  monomial inverse.
 * ``LambdaSeries`` -- truncated Laurent series in lambda whose coefficients
   are ``TauLaurent`` values.  Every series carries an explicit window
   ``[floor, trunc)``; arithmetic narrows windows so that no operation ever
@@ -14,9 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InternalError, UsageError
+from .laurent import Laurent
 from .scalars import GR_ONE, GR_ZERO, GaussianRational
 
 
@@ -24,35 +26,17 @@ def _gr(x) -> GaussianRational:
     return x if isinstance(x, GaussianRational) else GaussianRational.coerce(x)
 
 
-class TauLaurent:
+class TauLaurent(Laurent):
     """Finite Laurent polynomial in tau over GaussianRational."""
 
-    __slots__ = ("c",)
+    __slots__ = ()
+    ring = GaussianRational
+    var = "tau"
+    _recip = staticmethod(GaussianRational.inverse)
 
-    def __init__(self, coeffs: Optional[Dict[int, object]] = None):
-        c: Dict[int, GaussianRational] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                g = _gr(v)
-                if g:
-                    c[k] = g
-        self.c = c
-
-    # -- constructors ------------------------------------------------------
-    @staticmethod
-    def scalar(v) -> "TauLaurent":
-        return TauLaurent({0: v})
-
-    @staticmethod
-    def mono(exp: int, v=1) -> "TauLaurent":
-        return TauLaurent({exp: v})
-
-    # -- predicates ----------------------------------------------------------
-    def __bool__(self):
-        return bool(self.c)
-
-    def is_scalar(self) -> bool:
-        return not self.c or set(self.c) == {0}
+    @classmethod
+    def scalar(cls, v) -> "TauLaurent":
+        return cls.const(v)
 
     def as_scalar(self) -> GaussianRational:
         if not self.c:
@@ -60,81 +44,6 @@ class TauLaurent:
         if set(self.c) != {0}:
             raise InternalError(f"tau-dependent where scalar expected: {self}")
         return self.c[0]
-
-    def is_monomial(self) -> bool:
-        return len(self.c) == 1
-
-    def min_exp(self) -> int:
-        return min(self.c)
-
-    def max_exp(self) -> int:
-        return max(self.c)
-
-    # -- arithmetic -------------------------------------------------------------
-    def __add__(self, other: "TauLaurent") -> "TauLaurent":
-        if not other.c:
-            return self
-        if not self.c:
-            return other
-        c = dict(self.c)
-        for k, v in other.c.items():
-            s = c.get(k)
-            s = v if s is None else s + v
-            if s:
-                c[k] = s
-            elif k in c:
-                del c[k]
-        out = TauLaurent.__new__(TauLaurent)
-        out.c = c
-        return out
-
-    def __neg__(self):
-        out = TauLaurent.__new__(TauLaurent)
-        out.c = {k: -v for k, v in self.c.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "TauLaurent") -> "TauLaurent":
-        if not self.c or not other.c:
-            return TL_ZERO
-        c: Dict[int, GaussianRational] = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
-                k = k1 + k2
-                p = v1 * v2
-                s = c.get(k)
-                s = p if s is None else s + p
-                if s:
-                    c[k] = s
-                elif k in c:
-                    del c[k]
-        out = TauLaurent.__new__(TauLaurent)
-        out.c = c
-        return out
-
-    def scale(self, v) -> "TauLaurent":
-        g = _gr(v)
-        if not g:
-            return TL_ZERO
-        out = TauLaurent.__new__(TauLaurent)
-        out.c = {k: w * g for k, w in self.c.items()}
-        return out
-
-    def shift(self, d: int) -> "TauLaurent":
-        out = TauLaurent.__new__(TauLaurent)
-        out.c = {k + d: v for k, v in self.c.items()}
-        return out
-
-    def deriv(self) -> "TauLaurent":
-        return TauLaurent({k - 1: v * k for k, v in self.c.items() if k})
-
-    def subs_inverse(self) -> "TauLaurent":
-        """tau -> 1/tau."""
-        out = TauLaurent.__new__(TauLaurent)
-        out.c = {-k: v for k, v in self.c.items()}
-        return out
 
     def eval(self, x) -> GaussianRational:
         g = _gr(x)
@@ -154,38 +63,6 @@ class TauLaurent:
             acc = acc + v * p(k)
         return acc
 
-    def divexact(self, other: "TauLaurent") -> "TauLaurent":
-        """Exact Laurent division; raises InternalError on a remainder."""
-        if not other.c:
-            raise ZeroDivisionError("TauLaurent division by zero")
-        if not self.c:
-            return TL_ZERO
-        if other.is_monomial():
-            (k, v), = other.c.items()
-            inv = v.inverse()
-            return TauLaurent({kk - k: vv * inv for kk, vv in self.c.items()})
-        sh_a, sh_b = self.min_exp(), other.min_exp()
-        rem = {k - sh_a: v for k, v in self.c.items()}
-        div = {k - sh_b: v for k, v in other.c.items()}
-        db = max(div)
-        lead = div[db]
-        lead_inv = lead.inverse()
-        q: Dict[int, GaussianRational] = {}
-        while rem:
-            da = max(rem)
-            if da < db:
-                raise InternalError("tau division leaves a remainder")
-            f = rem[da] * lead_inv
-            q[da - db] = f
-            for k, v in div.items():
-                kk = k + da - db
-                s = rem.get(kk, GR_ZERO) - f * v
-                if s:
-                    rem[kk] = s
-                elif kk in rem:
-                    del rem[kk]
-        return TauLaurent({k + sh_a - sh_b: v for k, v in q.items()})
-
     def inverse(self) -> "TauLaurent":
         if not self.is_monomial():
             raise InternalError("only monomial TauLaurent values are invertible")
@@ -199,18 +76,6 @@ class TauLaurent:
             if a > m:
                 m = a
         return m
-
-    def __eq__(self, other):
-        return isinstance(other, TauLaurent) and self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        return " + ".join(f"({v})*tau^{k}" if k else f"({v})"
-                          for k, v in sorted(self.c.items()))
 
 
 TL_ZERO = TauLaurent()
@@ -337,11 +202,6 @@ class LambdaSeries:
         if not g:
             return LambdaSeries(0, [])
         return LambdaSeries(self.floor, [c.scale(g) for c in self.co])
-
-    def scale_tau(self, t: TauLaurent) -> "LambdaSeries":
-        if not t:
-            return LambdaSeries(0, [])
-        return LambdaSeries(self.floor, [c * t for c in self.co])
 
     def shift(self, d: int) -> "LambdaSeries":
         return LambdaSeries(self.floor + d, list(self.co))
@@ -535,9 +395,3 @@ def exp_monomial(coeff, exp: int, trunc: int) -> LambdaSeries:
         k += 1
     return LambdaSeries.from_map(m, trunc)
 
-
-def ls_sum(terms: Iterable[LambdaSeries]) -> LambdaSeries:
-    out: Optional[LambdaSeries] = None
-    for t in terms:
-        out = t if out is None else out + t
-    return out if out is not None else LambdaSeries(0, [])

@@ -5,12 +5,12 @@ from math import factorial
 import pytest
 
 from dualcalc.errors import UsageError
-from dualcalc.hurwitz import (_connected_coeff, _sample_points,
-                              _set_partitions, burnside_phi, double_hurwitz,
-                              elsv_I, hurwitz_number, psi_from_asymptotics,
-                              ramification_order)
+from dualcalc.hurwitz import (_connected_coeff, _sample_points, burnside_phi,
+                              double_hurwitz, elsv_I, hurwitz_number,
+                              psi_from_asymptotics, ramification_order)
 from dualcalc.partitions import (aut, character, enumerate_partitions,
-                                 hook_product, kappa, length, size, zmu)
+                                 hook_product, kappa, length, set_partitions,
+                                 size, zmu)
 from dualcalc.scalars import GaussianRational
 
 
@@ -191,7 +191,7 @@ def _reference_connected_coeff(mu, order):
         return out
 
     total = [Fraction(0)] * (order + 1)
-    for blocks in _set_partitions(list(range(len(mu)))):
+    for blocks in set_partitions(len(mu)):
         w = Fraction((-1) ** (len(blocks) - 1) * factorial(len(blocks) - 1))
         prod = [Fraction(1)] + [Fraction(0)] * order
         for block in blocks:

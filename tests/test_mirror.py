@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from dualcalc.errors import UsageError, VerificationFailure
-from dualcalc.nilpotent import AL_ONE, AlphaLaurent, XPoly
+from dualcalc.laurent import Laurent
+from dualcalc.nilpotent import AL_ONE, XPoly
 from dualcalc.mirror import (candelas, gr23_matches_p2, gr_loc_sum,
                              hg_projective, hori_vafa_series,
                              mirror_map_round_trip, multiple_cover_forward,
@@ -89,15 +90,15 @@ def test_hg_projective_degree_zero():
     p = hg_projective(3, 1)
     # pure e^{-tx/alpha}: coefficient of x^j t^j is (-1)^j/j! alpha^{-j}
     assert p[0].c[(0, 0, 0)] == AL_ONE
-    assert p[0].c[(1, 0, 1)] == AlphaLaurent.mono(-1, -1)
-    assert p[0].c[(2, 0, 2)] == AlphaLaurent.mono(-2, F(1, 2))
+    assert p[0].c[(1, 0, 1)] == Laurent.mono(-1, -1)
+    assert p[0].c[(2, 0, 2)] == Laurent.mono(-2, F(1, 2))
 
 
 def test_hg_projective_p1_degree_one():
     # 1/(x - alpha)^2 = alpha^{-2} (1 + 2x/alpha + ...) with x^2 = 0
     p = hg_projective(2, 1)
-    assert p[1].c[(0, 0, 0)] == AlphaLaurent.mono(-2)
-    assert p[1].c[(1, 0, 0)] == AlphaLaurent.mono(-3, 2)
+    assert p[1].c[(0, 0, 0)] == Laurent.mono(-2)
+    assert p[1].c[(1, 0, 0)] == Laurent.mono(-3, 2)
 
 
 def test_hg_projective_alpha_homogeneity():
@@ -127,7 +128,7 @@ def test_gr_loc_sum_k1_shape():
                 direct = direct * _inv_linear_power(1, n - 1, 0, l, n)
             for (xe, pe, te), v in direct.c.items():
                 lam = (xe,) if xe else ()
-                assert got.get(lam, AlphaLaurent()) == v
+                assert got.get(lam, Laurent()) == v
 
 
 def test_gr_loc_sum_symmetry_witness():
@@ -139,11 +140,11 @@ def test_gr_loc_sum_symmetry_witness():
 
 def test_vandermonde_divide_round_trip():
     g = XPoly(2, 6, {
-        (1, 0, 0, 0): AlphaLaurent.mono(1, 3),
-        (0, 1, 0, 0): AlphaLaurent.mono(1, 3),
+        (1, 0, 0, 0): Laurent.mono(1, 3),
+        (0, 1, 0, 0): Laurent.mono(1, 3),
         (2, 1, 0, 1): AL_ONE,
         (1, 2, 0, 1): AL_ONE,
-        (0, 0, 0, 0): AlphaLaurent.const(F(1, 2)),
+        (0, 0, 0, 0): Laurent.const(F(1, 2)),
     })
     assert g.is_symmetric()
     anti = g.vandermonde_multiply()

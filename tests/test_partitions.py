@@ -1,13 +1,15 @@
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import pytest
 
 from dualcalc.errors import UsageError
-from dualcalc.partitions import (aut, basic_stats, character, conjugate, dim,
-                                 enumerate_partitions, format_partition,
-                                 hook_dim, kappa, length, parse_partition,
-                                 size, sub_diagrams, zmu)
+from dualcalc.partitions import (aut, basic_stats, character, compositions,
+                                 conjugate, dim, enumerate_partitions,
+                                 format_partition, hook_dim, kappa, length,
+                                 parse_partition, set_partitions, size,
+                                 sub_diagrams, zmu)
 
 
 # independent oracle: Euler's pentagonal-number recurrence for p(n)
@@ -170,3 +172,33 @@ def test_sub_diagrams():
     subs = list(sub_diagrams((2, 1)))
     assert set(subs) == {(), (1,), (2,), (1, 1), (2, 1)}
     assert list(sub_diagrams(())) == [()]
+    # each contained diagram once, with no de-duplication pass
+    for mu in enumerate_partitions(6):
+        subs = list(sub_diagrams(mu))
+        assert len(subs) == len(set(subs))
+        assert set(subs) == {rho for n in range(7) for rho in enumerate_partitions(n)
+                             if len(rho) <= len(mu)
+                             and all(r <= m for r, m in zip(rho, mu))}
+
+
+def test_compositions():
+    assert compositions(2, 2) == ((0, 2), (1, 1), (2, 0))
+    assert compositions(3, 1) == ((3,),)
+    assert compositions(0, 0) == ((),) and compositions(2, 0) == ()
+    for total in range(5):
+        for parts in range(1, 4):
+            comps = compositions(total, parts)
+            assert list(comps) == sorted(set(comps))
+            assert all(len(c) == parts and sum(c) == total for c in comps)
+            assert len(comps) == comb(total + parts - 1, parts - 1)
+
+
+def test_set_partitions_bell_numbers():
+    bell = [1, 1, 2, 5, 15, 52, 203]
+    for n, b in enumerate(bell):
+        parts = set_partitions(n)
+        assert len(parts) == b
+        canon = {frozenset(frozenset(block) for block in p) for p in parts}
+        assert len(canon) == b
+        assert all(sorted(x for block in p for x in block) == list(range(n))
+                   for p in parts)
