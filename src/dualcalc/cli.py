@@ -258,6 +258,8 @@ def _cmd_vertex(args) -> dict:
     d_max, g_max = args.max_degree, args.max_genus
     if d_max < 1:
         raise UsageError("vertex needs --max-degree >= 1")
+    if g_max < 0:
+        raise UsageError("vertex needs --max-genus >= 0")
     n_table = vertex.extract_gw(d_max, g_max)
     result = {"N": [[frac_str(n_table[(g, d)]) for d in range(1, d_max + 1)]
                     for g in range(g_max + 1)]}
@@ -267,7 +269,8 @@ def _cmd_vertex(args) -> dict:
         result["n"] = [[gv[(g, d)] for d in range(1, d_max + 1)]
                        for g in range(g_max + 1)]
         result["integral"] = True
-        checks.append({"name": "gv-integrality", "pass": True})
+        checks.append({"name": "gv-integrality",
+                       "pass": vertex.gv_forward(gv, d_max, g_max) == n_table})
     return {"result": result, "checks": checks}
 
 
@@ -312,7 +315,8 @@ def _cmd_mirror(args) -> dict:
         data = mirror.candelas(args.max_degree)
         n_list = mirror.multiple_cover_invert(data["K"])
         checks.append({"name": "cubic-5/6", "pass": data["cubic"] == Fraction(5, 6)})
-        checks.append({"name": "multiple-cover-integrality", "pass": True})
+        checks.append({"name": "multiple-cover-integrality",
+                       "pass": mirror.multiple_cover_forward(n_list) == data["K"]})
         result = {
             "K": [frac_str(k) for k in data["K"]],
             "n": n_list,

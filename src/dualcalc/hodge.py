@@ -37,56 +37,9 @@ from .partitions import (Partition, aut, character, enumerate_partitions,
 from .pseries import PSeries, empty_key
 from .qfunc import QFunction, ULaurent
 from .scalars import GaussianRational, GR_I
-from .series import LambdaSeries, TauLaurent
+from .series import LambdaSeries, TauLaurent, exp_monomial
 
 Frac = Fraction
-
-
-# ---------------------------------------------------------------------------
-# framing exponentials
-# ---------------------------------------------------------------------------
-
-def _framing_exp_one(kap: int, trunc: int) -> LambdaSeries:
-    """e^{i (tau + 1/2) kap lambda / 2} as a series with tau-polynomial coefficients."""
-    half_k = Frac(kap, 2)
-    co: Dict[int, TauLaurent] = {}
-    # (tau + 1/2)^m expanded by Pascal's rule
-    pasc = [Frac(1)]
-    scalar = GaussianRational(1)
-    for m in range(trunc):
-        co[m] = TauLaurent({j: scalar * (pasc[j] * Frac(1, factorial(m)))
-                            for j in range(m + 1)})
-        nxt = [Frac(0)] * (m + 2)
-        for j, v in enumerate(pasc):
-            nxt[j] += v * Frac(1, 2)
-            nxt[j + 1] += v
-        pasc = nxt
-        scalar = scalar * GR_I * half_k
-    return LambdaSeries.from_map(co, trunc)
-
-
-def _framing_exp_two(kp: int, km: int, trunc: int) -> LambdaSeries:
-    """e^{i (kappa+ tau + kappa- tau^{-1}) lambda / 2}."""
-    co: Dict[int, TauLaurent] = {}
-    # (kp tau + km / tau)^m expanded binomially
-    poly = {0: Frac(1)}
-    scalar = GaussianRational(1)
-    for m in range(trunc):
-        co[m] = TauLaurent({j: scalar * (v * Frac(1, factorial(m)))
-                            for j, v in poly.items()})
-        nxt: Dict[int, Frac] = {}
-        for j, v in poly.items():
-            if kp:
-                nxt[j + 1] = nxt.get(j + 1, Frac(0)) + v * kp
-            if km:
-                nxt[j - 1] = nxt.get(j - 1, Frac(0)) + v * km
-        poly = {j: v * Frac(1, 2) for j, v in nxt.items() if v}
-        scalar = scalar * GR_I
-        if not poly and m + 1 < trunc:
-            for mm in range(m + 1, trunc):
-                co[mm] = TauLaurent()
-            break
-    return LambdaSeries.from_map(co, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +64,19 @@ class FramedSeries:
 @lru_cache(maxsize=None)
 def _one_family_term(nu: Partition, trunc: int) -> LambdaSeries:
     t = trunc + size(nu)
-    return _framing_exp_one(kappa(nu), t) * w_one_lambda(nu, t)
+    # e^{i (tau + 1/2) kappa lambda / 2}
+    framing = exp_monomial(TauLaurent({0: GR_I * Frac(kappa(nu), 4),
+                                       1: GR_I * Frac(kappa(nu), 2)}), 1, t)
+    return framing * w_one_lambda(nu, t)
 
 
 @lru_cache(maxsize=None)
 def _two_family_term(nup: Partition, num: Partition, trunc: int) -> LambdaSeries:
     t = trunc + size(nup) + size(num)
-    return _framing_exp_two(kappa(nup), kappa(num), t) * w_pair_lambda(nup, num, t)
+    # e^{i (kappa+ tau + kappa- / tau) lambda / 2}
+    framing = exp_monomial(TauLaurent({1: GR_I * Frac(kappa(nup), 2),
+                                       -1: GR_I * Frac(kappa(num), 2)}), 1, t)
+    return framing * w_pair_lambda(nup, num, t)
 
 
 def build_series(degree_cap: int, trunc: int, families: int = 1,
@@ -302,10 +261,14 @@ def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> List[Frac]:
     polynomial of degree at most 2g.
     """
     mu = tuple(mu)
+    if g < 0:
+        raise UsageError("genus must be nonnegative")
     if size(mu) > fs.caps[0]:
         raise UsageError("partition exceeds the built degree cap")
     e = 2 * g - 2 + length(mu)
     s = fs.connected.coeff((mu,))
+    if s.co and e >= s.trunc:
+        raise UsageError(f"lambda^{e} lies beyond the series window (order {s.trunc})")
     c = s.coeff(e)
     quotient = c.divexact(framing_prefactor(mu))
     if quotient and quotient.min_exp() < 0:

@@ -134,50 +134,46 @@ def _hurwitz_burnside(g: int, mu: Partition) -> Frac:
 # cut-and-join route
 # ---------------------------------------------------------------------------
 
-def _slice(cap: int, co: Dict[Tuple[Partition, ...], Frac]) -> PSeries:
-    return PSeries(1, (cap,), {k: LambdaSeries.mono(0, v, 1) for k, v in co.items() if v})
-
-
-def _quad_term(a: PSeries, b: PSeries, cap: int) -> PSeries:
-    """(1/2) sum_{ordered i,j} i j p_{i+j} (dA/dp_i)(dB/dp_j)."""
-    out = None
-    da = {i: a.pderiv(0, i) for i in range(1, cap + 1)}
-    db = {j: b.pderiv(0, j) for j in range(1, cap + 1)}
+def _quad_term(da: Dict[int, PSeries], db: Dict[int, PSeries], cap: int) -> PSeries:
+    """(1/2) sum_{ordered i,j} i j p_{i+j} (dA/dp_i)(dB/dp_j), from the derivative dicts."""
+    out = PSeries(1, (cap,), {})
     for i, ai in da.items():
-        if not ai.co:
-            continue
         for j, bj in db.items():
-            if i + j > cap or not bj.co:
-                continue
-            piece = (ai * bj).mul_parts(0, i + j).scale(Frac(i * j, 2))
-            out = piece if out is None else out + piece
-    return out if out is not None else PSeries(1, (cap,), {})
+            if i + j <= cap:
+                out = out + (ai * bj).mul_parts(0, i + j).scale(Frac(i * j, 2))
+    return out
 
 
 @lru_cache(maxsize=None)
-def _cutjoin_slices(cap: int, orders: int) -> Tuple[Dict[Tuple[Partition, ...], Frac], ...]:
-    """Coefficient slices of Phi by lambda-order, grown from the degree-1 seed."""
-    slices: List[PSeries] = [_slice(cap, {((1,),): Frac(1)})]
-    for r in range(1, orders + 1):
-        rhs = slices[r - 1].cut_join_linear(0)
-        for a in range(r):
-            b = r - 1 - a
-            rhs = rhs + _quad_term(slices[a], slices[b], cap)
-        slices.append(rhs.scale(Frac(1, r)))
-    out = []
-    for s in slices:
-        out.append({k: v.scalar_coeff(0).as_fraction() for k, v in s.co.items() if v.co})
-    return tuple(out)
+def _cutjoin_slice(cap: int, r: int) -> PSeries:
+    """The lambda^r coefficient Phi_r of Phi through weight ``cap``.
+
+    Grown from the degree-1 seed Phi_0 = p_1 by the cut-and-join evolution
+    r Phi_r = CJ(Phi_{r-1}) + sum_{a+b=r-1} quad(Phi_a, Phi_b); each slice
+    is cached on its own and recurses on the lower ones.
+    """
+    if r == 0:
+        return PSeries(1, (cap,), {((1,),): LambdaSeries.one(1)})
+    rhs = _cutjoin_slice(cap, r - 1).cut_join_linear(0)
+    for a in range(r):
+        rhs = rhs + _quad_term(_cutjoin_derivs(cap, a), _cutjoin_derivs(cap, r - 1 - a), cap)
+    return rhs.scale(Frac(1, r))
+
+
+@lru_cache(maxsize=None)
+def _cutjoin_derivs(cap: int, r: int) -> Dict[int, PSeries]:
+    """The nonzero dPhi_r/dp_i, i = 1..cap."""
+    s = _cutjoin_slice(cap, r)
+    derivs = {i: s.pderiv(0, i) for i in range(1, cap + 1)}
+    return {i: d for i, d in derivs.items() if d.co}
 
 
 def _hurwitz_cutjoin(g: int, mu: Partition) -> Frac:
     r = ramification_order(g, mu)
     if r < 0:
         return Frac(0)
-    cap = size(mu)
-    slices = _cutjoin_slices(cap, r)
-    val = slices[r].get((mu,), Frac(0))
-    return val * factorial(r)
+    s = _cutjoin_slice(size(mu), r).coeff((mu,))
+    return s.scalar_coeff(0).as_fraction() * factorial(r)
 
 
 def hurwitz_number(g: int, mu: Partition, method: str = "burnside") -> Frac:

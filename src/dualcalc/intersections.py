@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .errors import UsageError
-from .partitions import compositions, set_partitions
+from .partitions import compositions
 
 Frac = Fraction
 
@@ -139,25 +140,25 @@ def _canon(mono: Tuple[int, ...]) -> Tuple[int, ...]:
 _F0 = Frac(0)
 
 
-def _free_energy_coeff(ms: Tuple[int, ...]) -> Frac:
-    """Coefficient of prod t_k^{m_k} in sum_g <exp sum t_k s_k>_g.
+def _free_energy_coeff(mono: Tuple[int, ...]) -> Frac:
+    """Coefficient of prod t_k^{mono_k} in sum_g <exp sum t_k s_k>_g.
 
     The genus is fixed by the dimension constraint; the coefficient carries
     1/prod m_k! from the exponential insertions.
     """
-    n = len(ms)
-    s = sum(ms)
+    n = sum(mono)
+    s = sum(k * m for k, m in enumerate(mono))
     if n == 0 or (s - n) % 3:
         return _F0
     g = (s - n) // 3 + 1
     if g < 0:
         return _F0
-    v = dvv_normalized(g, ms)
+    v = dvv_normalized(g, [k for k, m in enumerate(mono) for _ in range(m)])
     if not v:
         return _F0
     sym = 1
-    for x in set(ms):
-        sym *= factorial(ms.count(x))
+    for m in mono:
+        sym *= factorial(m)
     return v / sym
 
 
@@ -165,32 +166,24 @@ def _free_energy_coeff(ms: Tuple[int, ...]) -> Frac:
 def tau_coefficient(mono: Tuple[int, ...]) -> Frac:
     """Coefficient of prod t_k^{mono_k} in tau = exp(free energy).
 
-    Computed pointwise by the exponential formula: sum over set partitions
-    of the labeled insertions, blocks contributing free-energy coefficients.
+    Computed by the graded exponential formula: the Euler operator
+    sum_k t_k d/dt_k turns tau = exp(F) into |m| T_m = sum_{0 < j <= m}
+    |j| F_j T_{m-j}, where j runs over the exponent vectors below m and
+    |.| is the total t-degree.  Keys are canonical (``_canon``).
     """
-    ms: List[int] = []
-    for k, m in enumerate(mono):
-        ms.extend([k] * m)
-    if not ms:
+    deg = sum(mono)
+    if not deg:
         return Frac(1)
-    sym = 1
-    for k, m in enumerate(mono):
-        sym *= factorial(m)
     total = _F0
-    for blocks in set_partitions(len(ms)):
-        prod = Frac(1)
-        for block in blocks:
-            sub = tuple(sorted((ms[i] for i in block), reverse=True))
-            bsym = 1
-            for x in set(sub):
-                bsym *= factorial(sub.count(x))
-            f = _free_energy_coeff(sub) * bsym
-            if not f:
-                prod = _F0
-                break
-            prod *= f
-        total += prod
-    return total / sym
+    for j in product(*(range(m + 1) for m in mono)):
+        dj = sum(j)
+        if not dj:
+            continue
+        f = _free_energy_coeff(j)
+        if f:
+            rest = _canon(tuple(a - b for a, b in zip(mono, j)))
+            total += dj * f * tau_coefficient(rest)
+    return total / deg
 
 
 def _monomials(order: int, kmax: int) -> Iterator[Tuple[int, ...]]:

@@ -327,7 +327,7 @@ def hg_projective(n: int, d_max: int, cap: Optional[int] = None) -> Tuple[XPoly,
         raise UsageError("need projective space of dimension >= 1")
     if cap is None:
         cap = n - 1
-    pre = exp_x_times(1, cap, 0, "t", 0, -1, True)
+    pre = exp_x_times(1, cap, 0, "t", -1)
     out: List[XPoly] = []
     for d in range(d_max + 1):
         slice_d = XPoly.const(1, cap, 1)
@@ -381,18 +381,28 @@ def gr_loc_sum(k: int, n: int, d: int,
         raise UsageError("need 1 <= k < n")
     if cap is None:
         cap = k * (n - k) + k * (k - 1) // 2 + 2
-    quo = _loc_raw(k, n, d, cap)
-    comps = quo.schur_components()
-    out: Dict[Tuple[int, ...], Laurent] = {}
-    for (lam, pe, te), v in comps.items():
-        if pe or te:
-            raise InternalError("unexpected symbol in the localization sum")
+    by_t = _schur_by_t(_loc_raw(k, n, d, cap), k, n)
+    if set(by_t) - {0}:
+        raise InternalError("unexpected symbol in the localization sum")
+    return by_t.get(0, {})
+
+
+def _schur_by_t(xpoly: XPoly, k: int, n: int) -> Dict[int, Dict[Tuple[int, ...], Laurent]]:
+    """Schur components of a P-free symmetric ``xpoly`` grouped by t-exponent.
+
+    Only the Schur classes of H*(Gr(k,n)) are kept: partitions inside the
+    k x (n-k) box.
+    """
+    by_t: Dict[int, Dict[Tuple[int, ...], Laurent]] = {}
+    for (lam, pe, te), v in xpoly.schur_components().items():
+        if pe:
+            raise InternalError("surviving P-dependence after Schur reduction")
         if lam and lam[0] > n - k:
             continue
         if sum(lam) > k * (n - k):
             continue
-        out[lam] = v
-    return out
+        by_t.setdefault(te, {})[lam] = v
+    return by_t
 
 
 def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
@@ -404,6 +414,8 @@ def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
     """
     if not (1 <= k < n):
         raise UsageError("need 1 <= k < n")
+    if d_max < 0:
+        raise UsageError("degree must be nonnegative")
     cap = k * (n - k) + k * (k - 1) // 2 + 2
     trusted = cap
     slices = hg_projective(n, d_max, cap=cap)
@@ -423,7 +435,7 @@ def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
 
     prefactor = XPoly.const(k, cap, 1)
     for i in range(k):
-        prefactor = prefactor * exp_x_times(k, cap, i, "P", 0, 1, False)
+        prefactor = prefactor * exp_x_times(k, cap, i, "P", 1)
 
     # alpha^{k(k-1)/2} from the operator factors, and the Vandermonde
     # orientation sign relating the determinant expansion to the prefactor
@@ -446,38 +458,15 @@ def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
                                    if sum(key[:k]) <= trusted})
         if not total.p_free():
             raise InternalError("surviving P-dependence in the operator formula")
-        quo = total.vandermonde_divide()
-        comps = quo.schur_components()
-        by_t: Dict[int, Dict[Tuple[int, ...], Laurent]] = {}
-        for (lam, pe, te), v in comps.items():
-            if pe:
-                raise InternalError("surviving P-dependence after reduction")
-            if lam and lam[0] > n - k:
-                continue
-            if sum(lam) > k * (n - k):
-                continue
-            by_t.setdefault(te, {})[lam] = v
-        operator_out[d] = by_t
+        operator_out[d] = _schur_by_t(total.vandermonde_divide(), k, n)
 
     # localization side: e^{-t sigma/alpha} sum_d L_d e^{dt}, alpha flipped in L_d
     pre_t = XPoly.const(k, cap, 1)
     for i in range(k):
-        pre_t = pre_t * exp_x_times(k, cap, i, "t", 0, -1, True)
+        pre_t = pre_t * exp_x_times(k, cap, i, "t", -1)
     loc_out: Dict[int, Dict[int, Dict[Tuple[int, ...], Laurent]]] = {}
     for d in range(d_max + 1):
-        raw = _loc_raw(k, n, d, cap).negate_alpha()
-        assembled = pre_t * raw
-        comps = assembled.schur_components()
-        by_t = {}
-        for (lam, pe, te), v in comps.items():
-            if pe:
-                raise InternalError("unexpected symbol on the localization side")
-            if lam and lam[0] > n - k:
-                continue
-            if sum(lam) > k * (n - k):
-                continue
-            by_t.setdefault(te, {})[lam] = v
-        loc_out[d] = by_t
+        loc_out[d] = _schur_by_t(pre_t * _loc_raw(k, n, d, cap).negate_alpha(), k, n)
 
     equal = _reduced_equal(operator_out, loc_out)
     return {"operator": operator_out, "localization": loc_out, "equal": equal}

@@ -254,8 +254,7 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def exp_x_times(k: int, cap: int, var: int, sym_var: str, alpha_shift: int,
-                sign: int, tdeg: bool) -> XPoly:
+def exp_x_times(k: int, cap: int, var: int, sym_var: str, sign: int) -> XPoly:
     """Helper exponentials used by the operator formula.
 
     sym_var 'P': e^{sign * P x_var};  sym_var 't': e^{sign * t x_var / alpha}.

@@ -104,14 +104,6 @@ class PSeries:
                 co[key] = prod if key not in co else co[key] + prod
         return self._like(co)
 
-    def pow(self, k: int) -> "PSeries":
-        if k < 1:
-            raise UsageError("pow expects a positive exponent")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
     # -- grading -----------------------------------------------------------------
     def min_weight(self) -> Optional[int]:
         w = None
@@ -246,15 +238,6 @@ class PSeries:
     # -- predicates ---------------------------------------------------------------
     def is_zero_through_windows(self) -> bool:
         return all(s.is_zero_through() for s in self.co.values())
-
-    def max_abs(self) -> Fraction:
-        m = Fraction(0)
-        for s in self.co.values():
-            for c in s.co:
-                a = c.max_abs()
-                if a > m:
-                    m = a
-        return m
 
     def eq_through_windows(self, other: "PSeries") -> bool:
         self.check_compatible(other)

@@ -86,9 +86,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 

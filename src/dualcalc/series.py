@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InternalError, UsageError
 from .laurent import Laurent
-from .scalars import GR_ONE, GR_ZERO, GaussianRational
+from .scalars import GR_ZERO, GaussianRational
 
 
 def _gr(x) -> GaussianRational:
@@ -68,14 +68,6 @@ class TauLaurent(Laurent):
             raise InternalError("only monomial TauLaurent values are invertible")
         (k, v), = self.c.items()
         return TauLaurent({-k: v.inverse()})
-
-    def max_abs(self) -> Fraction:
-        m = Fraction(0)
-        for v in self.c.values():
-            a = abs(v.re) + abs(v.im)
-            if a > m:
-                m = a
-        return m
 
 
 TL_ZERO = TauLaurent()
@@ -251,64 +243,6 @@ class LambdaSeries:
                         rem[m + j] = rem[m + j] - qm * b.co[j]
         return LambdaSeries(qfloor, q)
 
-    def __pow__(self, k: int) -> "LambdaSeries":
-        if k < 0:
-            return self.inverse() ** (-k)
-        # repeated multiplication keeps window bookkeeping exact
-        out: Optional[LambdaSeries] = None
-        base = self
-        kk = k
-        while kk:
-            if kk & 1:
-                out = base if out is None else out * base
-            kk >>= 1
-            if kk:
-                base = base * base
-        if out is None:
-            raise UsageError("power 0 has no well-defined window; use one(trunc)")
-        return out
-
-    def exp(self) -> "LambdaSeries":
-        s = self.pruned()
-        if not s.co:
-            raise UsageError("exp needs an explicit window; got exact zero")
-        val = s.valuation()
-        if val is not None and val < 1:
-            raise UsageError("exp requires valuation >= 1")
-        trunc = s.trunc
-        out = LambdaSeries.one(trunc)
-        if val is None:
-            return out
-        term = LambdaSeries.one(trunc)
-        kmax = (trunc - 1) // val
-        for k in range(1, kmax + 1):
-            term = (term * s).scale(Fraction(1, k))
-            term = LambdaSeries(term.floor, term.co[: trunc - term.floor])
-            out = out + term
-        return out
-
-    def log(self) -> "LambdaSeries":
-        s = self.pruned()
-        if not s.co or s.floor > 0 or s.coeff(0) != TL_ONE:
-            raise UsageError("log requires constant term 1")
-        if s.floor < 0:
-            s = LambdaSeries(0, s.co[-s.floor:])
-        trunc = s.trunc
-        x = s - LambdaSeries.one(trunc)
-        x = x.pruned()
-        if not x.co:
-            return LambdaSeries(0, [])
-        val = x.valuation()
-        out: Optional[LambdaSeries] = None
-        term = LambdaSeries.one(trunc)
-        kmax = (trunc - 1) // val
-        for k in range(1, kmax + 1):
-            term = term * x
-            term = LambdaSeries(term.floor, term.co[: trunc - term.floor])
-            piece = term.scale(Fraction((-1) ** (k - 1), k))
-            out = piece if out is None else out + piece
-        return out if out is not None else LambdaSeries(0, [])
-
     # -- tau plumbing ----------------------------------------------------------
     def map_coeffs(self, f: Callable[[int, TauLaurent], TauLaurent]) -> "LambdaSeries":
         return LambdaSeries(self.floor,
@@ -382,16 +316,20 @@ def sin_expand(m: int, trunc: int) -> LambdaSeries:
 
 
 def exp_monomial(coeff, exp: int, trunc: int) -> LambdaSeries:
-    """exp(coeff * lambda^exp) for exp >= 1, truncated at ``trunc``."""
+    """exp(coeff * lambda^exp) for exp >= 1, truncated at ``trunc``.
+
+    ``coeff`` is a scalar or a ``TauLaurent``; the lambda^{k exp} coefficient
+    coeff^k / k! is built by repeated ``TauLaurent`` products, so the framing
+    exponentials of ``hodge`` come out with tau-polynomial coefficients.
+    """
     if exp < 1:
         raise UsageError("exp_monomial requires exponent >= 1")
-    g = _gr(coeff)
-    m: Dict[int, object] = {}
+    c = coeff if isinstance(coeff, TauLaurent) else TauLaurent.scalar(coeff)
+    m: Dict[int, TauLaurent] = {}
+    p = TL_ONE
     k = 0
-    p = GR_ONE
     while k * exp < trunc:
-        m[k * exp] = p * Fraction(1, factorial(k))
-        p = p * g
+        m[k * exp] = p.scale(Fraction(1, factorial(k)))
+        p = p * c
         k += 1
     return LambdaSeries.from_map(m, trunc)
-

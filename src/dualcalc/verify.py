@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Dict, Optional, Tuple
 
@@ -17,14 +18,10 @@ from .partitions import enumerate_partitions, length, size
 Detail = dict
 CheckFn = Callable[[str], Tuple[bool, Detail]]
 
-_series_cache: Dict[Tuple[int, int, int], hodge.FramedSeries] = {}
 
-
+@lru_cache(maxsize=None)
 def _series(cap: int, trunc: int, families: int = 1) -> hodge.FramedSeries:
-    key = (cap, trunc, families)
-    if key not in _series_cache:
-        _series_cache[key] = hodge.build_series(cap, trunc, families=families)
-    return _series_cache[key]
+    return hodge.build_series(cap, trunc, families=families)
 
 
 def check_hurwitz_oracles(profile: str) -> Tuple[bool, Detail]:

@@ -26,24 +26,13 @@ from typing import Dict, List, Optional, Tuple
 
 from .chern_simons import w_pair
 from .errors import InternalError, UsageError, VerificationFailure
-from .partitions import enumerate_partitions, kappa, size
+from .partitions import compositions, enumerate_partitions, kappa
 from .qfunc import QFunction
 from .series import LambdaSeries, sin_expand
 
 Frac = Fraction
 NTable = Dict[Tuple[int, int], Frac]
 GVTable = Dict[Tuple[int, int], int]
-
-
-def local_p2_term_count(d: int) -> int:
-    """Number of partition triples with total size d."""
-    total = 0
-    for a in range(d + 1):
-        for b in range(d + 1 - a):
-            c = d - a - b
-            total += (len(enumerate_partitions(a)) * len(enumerate_partitions(b))
-                      * len(enumerate_partitions(c)))
-    return total
 
 
 @lru_cache(maxsize=None)
@@ -96,31 +85,16 @@ def rebuild_partition_function(d_max: int) -> bool:
     f = local_p2_free_energy(d_max)
     for d in range(d_max + 1):
         acc = QFunction.const(1) if d == 0 else QFunction.zero()
-        # sum over compositions of d into parts >= 1 of prod F_{d_i} / m!
-        for comp in _compositions(d):
-            term = QFunction.const(Frac(1, factorial(len(comp))))
-            for part in comp:
-                term = term * f[part]
-            acc = acc + term
+        # sum over compositions of d into m parts >= 1 of prod F_{d_i} / m!
+        for m in range(1, d + 1):
+            for comp in compositions(d - m, m):
+                term = QFunction.const(Frac(1, factorial(m)))
+                for part in comp:
+                    term = term * f[part + 1]
+                acc = acc + term
         if acc != z[d]:
             return False
     return True
-
-
-def _compositions(d: int) -> List[Tuple[int, ...]]:
-    if d == 0:
-        return []
-    out: List[Tuple[int, ...]] = []
-
-    def rec(left: int, prefix: Tuple[int, ...]):
-        if left == 0:
-            out.append(prefix)
-            return
-        for first in range(1, left + 1):
-            rec(left - first, prefix + (first,))
-
-    rec(d, ())
-    return out
 
 
 def extract_gw(d_max: int, g_max: int, trunc: Optional[int] = None) -> NTable:

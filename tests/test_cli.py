@@ -147,11 +147,19 @@ def test_toric_unknown_keys_rejected(tmp_path):
     assert code == 1 and doc["kind"] == "usage"
 
 
-# inputs that would otherwise compare nothing and report a vacuous pass
+# inputs that would otherwise compare nothing and report a vacuous pass,
+# or lie outside the range the computation is defined or built for
 VACUOUS = {
     "virasoro-negative-order": ["witten", "--virasoro", "1", "--order", "-1"],
     "mv-check-degree-zero": ["mv", "--check", "pde", "--degree", "0", "--order", "1"],
     "vertex-degree-zero": ["vertex", "local-p2", "--max-degree", "0", "--gv"],
+    "vertex-negative-genus": ["vertex", "local-p2", "--max-degree", "2",
+                              "--max-genus", "-1", "--gv"],
+    "grassmannian-negative-degree": ["mirror", "grassmannian", "-k", "1", "-n", "2",
+                                     "--max-degree", "-1", "--verify"],
+    "hodge-negative-genus": ["mv", "hodge", "--genus", "-1", "--partition", "1"],
+    "lambda-g-order-1": ["mv", "--check", "lambda-g", "--degree", "1", "--order", "1"],
+    "lambda-g-order-3": ["mv", "--check", "lambda-g", "--degree", "2", "--order", "3"],
 }
 
 
@@ -171,6 +179,39 @@ def test_bad_input_is_one_usage_document(case, tmp_path):
     assert code == 1
     assert out.count("\n") == 1
     assert json.loads(out)["kind"] == "usage"
+
+
+def test_gv_integrality_checks_forward_map(monkeypatch):
+    from dualcalc import vertex
+
+    real = vertex.gv_forward
+
+    def off_by_one(gv, d_max, g_max):
+        out = real(gv, d_max, g_max)
+        out[(0, 1)] += 1
+        return out
+
+    monkeypatch.setattr(vertex, "gv_forward", off_by_one)
+    code, doc = run_json(["vertex", "local-p2", "--max-degree", "2",
+                          "--max-genus", "1", "--gv"])
+    assert code == 2
+    assert {"name": "gv-integrality", "pass": False} in doc["checks"]
+
+
+def test_multiple_cover_integrality_checks_forward_map(monkeypatch):
+    from dualcalc import mirror
+
+    real = mirror.multiple_cover_forward
+
+    def off_by_one(n_list):
+        out = real(n_list)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(mirror, "multiple_cover_forward", off_by_one)
+    code, doc = run_json(["mirror", "quintic", "--max-degree", "3"])
+    assert code == 2
+    assert {"name": "multiple-cover-integrality", "pass": False} in doc["checks"]
 
 
 def test_grassmannian_verify():

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -7,6 +8,7 @@ from dualcalc.errors import UsageError
 from dualcalc.hurwitz import psi_from_asymptotics
 from dualcalc.intersections import (double_factorial_odd, dvv, dvv_normalized,
                                     tau_coefficient, virasoro_residual)
+from dualcalc.partitions import set_partitions
 
 
 def test_seeds():
@@ -83,6 +85,41 @@ def test_tau_coefficient_small():
     # coefficient of t_1^2: <s_1^2>_1/2 + <s_1>_1^2/2
     expect = dvv_normalized(1, (1, 1)) / 2 + Fraction(1, 8) ** 2 / 2
     assert tau_coefficient((0, 2)) == expect
+
+
+def _tau_by_set_partitions(mono):
+    """Exponential formula over set partitions of the labelled insertions:
+    each block B contributes the normalized correlator of its indices, and
+    the sum carries 1/prod m_k!."""
+    ms = [k for k, m in enumerate(mono) for _ in range(m)]
+    total = Fraction(0)
+    for blocks in set_partitions(len(ms)):
+        term = Fraction(1)
+        for block in blocks:
+            sub = [ms[i] for i in block]
+            excess = sum(sub) - len(sub)
+            if excess % 3:
+                term = 0
+                break
+            term *= dvv_normalized(excess // 3 + 1, sub)
+        total += term
+    for m in mono:
+        total /= factorial(m)
+    return total
+
+
+def test_tau_coefficient_matches_set_partition_sum():
+    # every monomial of degree <= 6 in t_0..t_4
+    checked = 0
+    for mono in product(range(7), repeat=5):
+        if sum(mono) > 6:
+            continue
+        key = list(mono)
+        while key and not key[-1]:
+            key.pop()
+        assert tau_coefficient(tuple(key)) == _tau_by_set_partitions(mono), mono
+        checked += 1
+    assert checked == 462
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])

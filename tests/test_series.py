@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,25 +76,6 @@ def test_div_requires_invertible_lead():
         a.div(b)
 
 
-def test_exp_log_round_trip():
-    s = LambdaSeries.from_map({1: 1, 2: Fraction(-1, 3)}, 9)
-    assert s.exp().log().eq_through(s, 1, 9)
-    c = LambdaSeries.from_map({0: 1, 1: 2, 4: Fraction(1, 5)}, 9)
-    assert c.log().exp().eq_through(c, 0, 9)
-
-
-def test_exp_zero_is_one():
-    z = LambdaSeries.from_map({1: 0}, 7)
-    assert z.exp().eq_through(LambdaSeries.one(7), 0, 7)
-
-
-def test_exp_requires_valuation():
-    with pytest.raises(UsageError):
-        LambdaSeries.one(5).exp()
-    with pytest.raises(UsageError):
-        LambdaSeries.from_map({1: 1, 2: 1}, 6).log()
-
-
 def test_sin_expand_values():
     # m=1, trunc 4: L - L^3/24
     s = sin_expand(1, 4)
@@ -106,9 +88,59 @@ def test_sin_expand_values():
 
 
 def test_exp_monomial_matches_series_exp():
-    a = exp_monomial(Fraction(3, 2), 1, 8)
-    b = LambdaSeries.mono(1, Fraction(3, 2), 8).exp()
-    assert a.eq_through(b, 0, 8)
+    # exp(c L^e) has c^k/k! at L^{k e} and nothing elsewhere
+    c = Fraction(3, 2)
+    for e in (1, 2, 3):
+        a = exp_monomial(c, e, 8)
+        assert (a.floor, a.trunc) == (0, 8)
+        for j in range(8):
+            k, r = divmod(j, e)
+            expect = c ** k / factorial(k) if not r else 0
+            assert a.scalar_coeff(j) == GaussianRational(expect), (e, j)
+    with pytest.raises(UsageError):
+        exp_monomial(c, 0, 8)
+
+
+def _framing_one_reference(kap, trunc):
+    """e^{i (tau + 1/2) kap L / 2}: (tau + 1/2)^m by Pascal's rule."""
+    co, pasc = {}, [Fraction(1)]
+    for m in range(trunc):
+        scalar = GaussianRational(0, Fraction(kap, 2)) ** m
+        co[m] = TauLaurent({j: scalar * (v / factorial(m)) for j, v in enumerate(pasc)})
+        nxt = [Fraction(0)] * (m + 2)
+        for j, v in enumerate(pasc):
+            nxt[j] += v / 2
+            nxt[j + 1] += v
+        pasc = nxt
+    return LambdaSeries.from_map(co, trunc)
+
+
+def _framing_two_reference(kp, km, trunc):
+    """e^{i (kp tau + km / tau) L / 2}: (kp tau + km / tau)^m expanded binomially."""
+    co = {}
+    for m in range(trunc):
+        scalar = GaussianRational(0, Fraction(1, 2)) ** m / factorial(m)
+        co[m] = TauLaurent({2 * j - m: scalar * (comb(m, j) * kp ** j * km ** (m - j))
+                            for j in range(m + 1)})
+    return LambdaSeries.from_map(co, trunc)
+
+
+@pytest.mark.parametrize("kap", [-6, -2, 0, 2, 4, 12])
+def test_exp_monomial_tau_coefficient_framing_one(kap):
+    i = GaussianRational(0, 1)
+    got = exp_monomial(TauLaurent({0: i * Fraction(kap, 4), 1: i * Fraction(kap, 2)}), 1, 9)
+    expect = _framing_one_reference(kap, 9)
+    assert (got.floor, got.trunc) == (expect.floor, expect.trunc)
+    assert got.co == expect.co
+
+
+@pytest.mark.parametrize("kp,km", [(0, 0), (2, 0), (0, -2), (4, -6), (-2, 2), (6, 6)])
+def test_exp_monomial_tau_coefficient_framing_two(kp, km):
+    i = GaussianRational(0, 1)
+    got = exp_monomial(TauLaurent({1: i * Fraction(kp, 2), -1: i * Fraction(km, 2)}), 1, 8)
+    expect = _framing_two_reference(kp, km, 8)
+    assert (got.floor, got.trunc) == (expect.floor, expect.trunc)
+    assert got.co == expect.co
 
 
 def test_tau_plumbing_on_series():

@@ -7,17 +7,12 @@ from dualcalc.errors import VerificationFailure
 from dualcalc.partitions import kappa
 from dualcalc.qfunc import QFunction
 from dualcalc.vertex import (extract_gw, gv_forward, gv_invert,
-                             local_p2_free_energy, local_p2_term_count,
-                             local_p2_z, rebuild_partition_function)
+                             local_p2_free_energy, local_p2_z,
+                             rebuild_partition_function)
 
 
 def test_degree_zero_is_one():
     assert local_p2_z(0)[0] == QFunction.const(1)
-
-
-def test_term_counts():
-    assert local_p2_term_count(2) == 9
-    assert local_p2_term_count(3) == 22
 
 
 def test_degree_one_slice_explicit():
