@@ -256,10 +256,6 @@ def _cmd_mv(args) -> dict:
 
 def _cmd_vertex(args) -> dict:
     d_max, g_max = args.max_degree, args.max_genus
-    if d_max < 1:
-        raise UsageError("vertex needs --max-degree >= 1")
-    if g_max < 0:
-        raise UsageError("vertex needs --max-genus >= 0")
     n_table = vertex.extract_gw(d_max, g_max)
     result = {"N": [[frac_str(n_table[(g, d)]) for d in range(1, d_max + 1)]
                     for g in range(g_max + 1)]}

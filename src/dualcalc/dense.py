@@ -5,16 +5,22 @@ takes the number ``n`` of coefficients to keep and returns a list of exactly
 that length.  Inputs may be shorter than ``n`` (missing terms are zero).
 The same kernel serves the quintic nilpotent ring Q[H]/(H^5), the mirror
 map's Q-series and the q-expansion of a ``QFunction``.
+
+``graded_log``/``graded_exp`` take the weight slices of a graded series over
+any ring with ``*``, ``+``, ``-`` and ``scale``: ``PSeries`` by key weight,
+the local-P2 ``QFunction`` slices by degree.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, TypeVar
 
 from .errors import UsageError
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+R = TypeVar("R")
 
 
 def mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> List[Fraction]:
@@ -66,3 +72,27 @@ def compose(outer: Sequence[Fraction], inner: Sequence[Fraction], n: int) -> Lis
         if outer[m]:
             out = [x + outer[m] * y for x, y in zip(out, power)]
     return out
+
+
+def graded_log(z: Sequence[R], zero: R) -> List[R]:
+    """Slices zero, F_1..F_n of log Z from Z_0 = 1 (not read), Z_1..Z_n:
+    w F_w = w Z_w - sum_{0<j<w} j F_j Z_{w-j}."""
+    f = [zero]
+    for w in range(1, len(z)):
+        acc = z[w].scale(w)
+        for j in range(1, w):
+            acc = acc - (f[j] * z[w - j]).scale(j)
+        f.append(acc.scale(Fraction(1, w)))
+    return f
+
+
+def graded_exp(f: Sequence[R], one: R) -> List[R]:
+    """Slices one, T_1..T_n of exp F from F_0 (not read), F_1..F_n:
+    w T_w = sum_{0<j<=w} j F_j T_{w-j}."""
+    t = [one]
+    for w in range(1, len(f)):
+        acc = f[1] * t[w - 1]
+        for j in range(2, w + 1):
+            acc = acc + (f[j] * t[w - j]).scale(j)
+        t.append(acc.scale(Fraction(1, w)))
+    return t

@@ -237,7 +237,7 @@ def framing_prefactor(mu: Partition) -> TauLaurent:
     l = length(mu)
     if l == 0:
         raise UsageError("prefactor needs a nonempty partition")
-    poly = TauLaurent.scalar(1)
+    poly = TauLaurent.const(1)
     tt1 = TauLaurent({1: 1, 2: 1})
     for _ in range(l - 1):
         poly = poly * tt1
@@ -338,7 +338,7 @@ def elsv_limit_check(fs: FramedSeries, g_max: int = 2) -> bool:
                     f"negative tau-power survives the degeneration at p_{mu} lambda^{e}")
             limit[e + w] = c.c.get(e + w, GaussianRational(0)) if c else GaussianRational(0)
         got = LambdaSeries.from_map(
-            {o: TauLaurent.scalar(v) for o, v in limit.items() if v}, s.trunc + w)
+            {o: TauLaurent.const(v) for o, v in limit.items() if v}, s.trunc + w)
         expect = burnside_phi(mu, s.trunc + w).subst_scale(GR_I)
         need = 2 * g_max - 2 + w + length(mu) + 1
         lo = min(got.floor, expect.floor)

@@ -9,13 +9,17 @@ The cut-and-join operators act family by family:
     nonlinear     linear + (1/2) sum_{i,j} i j p_{i+j} (dF/dp_i)(dF/dp_j)
 
 with the sums over ordered pairs and the global 1/2 as displayed; both
-conserve total weight within their family.
+conserve total weight within their family.  The quadratic term forms
+(dF/dp_i)(dF/dp_j) only on keys with room for the part i+j.  ``log`` and
+``exp`` run the Euler recursion of ``dense.graded_log``/``graded_exp`` over
+the slices of equal total key weight.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from .dense import graded_exp, graded_log
 from .errors import UsageError
 from .partitions import Partition, add_parts, multiplicities, remove_part
 from .series import LambdaSeries
@@ -57,9 +61,6 @@ class PSeries:
 
     def coeff(self, key: Key) -> LambdaSeries:
         return self.co.get(tuple(tuple(m) for m in key), LambdaSeries.zero())
-
-    def keys(self):
-        return sorted(self.co.keys())
 
     def check_compatible(self, other: "PSeries"):
         if self.fams != other.fams or self.caps != other.caps:
@@ -105,39 +106,23 @@ class PSeries:
         return self._like(co)
 
     # -- grading -----------------------------------------------------------------
-    def min_weight(self) -> Optional[int]:
-        w = None
+    def _slices(self) -> List["PSeries"]:
+        """The weight slices 0..sum(caps): slice w holds the keys of total weight w."""
+        co: List[Dict[Key, LambdaSeries]] = [{} for _ in range(sum(self.caps) + 1)]
         for k, s in self.co.items():
-            if s.is_exact_zero():
-                continue
-            kw = key_weight(k)
-            if w is None or kw < w:
-                w = kw
-        return w
+            co[key_weight(k)][k] = s
+        return [self._like(c) for c in co]
 
-    def drop_empty_key(self) -> "PSeries":
-        co = dict(self.co)
-        co.pop(empty_key(self.fams), None)
-        return self._like(co)
+    def _join(self, slices: List["PSeries"]) -> "PSeries":
+        return self._like({k: s for piece in slices for k, s in piece.co.items()})
 
     def exp(self, trunc: int) -> "PSeries":
         """exp of a series with no constant (empty-key) term."""
         ek = empty_key(self.fams)
         if ek in self.co and not self.co[ek].is_zero_through():
             raise UsageError("exp requires zero constant term")
-        x = self.drop_empty_key()
-        out = self._like({ek: LambdaSeries.one(trunc)})
-        if not x.co:
-            return out
-        mw = x.min_weight()
-        if mw is None or mw < 1:
-            return out
-        term = self._like({ek: LambdaSeries.one(trunc)})
-        mmax = sum(self.caps) // mw
-        for m in range(1, mmax + 1):
-            term = (term * x).scale(Fraction(1, m))
-            out = out + term
-        return out
+        one = self._like({ek: LambdaSeries.one(trunc)})
+        return self._join(graded_exp(self._slices(), one))
 
     def log(self) -> "PSeries":
         """log of a series with constant (empty-key) term 1."""
@@ -145,18 +130,7 @@ class PSeries:
         one = self.co.get(ek)
         if one is None or not (one - LambdaSeries.one(one.trunc)).is_zero_through():
             raise UsageError("log requires constant term exactly 1")
-        x = self._like({k: s for k, s in self.co.items() if k != ek})
-        if not x.co:
-            return self._like({})
-        mw = x.min_weight()
-        out: Optional[PSeries] = None
-        term = None
-        mmax = sum(self.caps) // mw
-        for m in range(1, mmax + 1):
-            term = x if term is None else term * x
-            piece = term.scale(Fraction((-1) ** (m - 1), m))
-            out = piece if out is None else out + piece
-        return out if out is not None else self._like({})
+        return self._join(graded_log(self._slices(), self._like({})))
 
     # -- derivatives and multiplication by variables ------------------------------
     def pderiv(self, fam: int, part: int) -> "PSeries":
@@ -230,7 +204,10 @@ class PSeries:
             for j, dj in derivs.items():
                 if j < i or i + j > cap:
                     continue
-                prod = (di * dj).mul_parts(fam, i + j)
+                # only keys with room for the part i+j survive: form no others
+                room = self.caps[:fam] + (cap - i - j,) + self.caps[fam + 1:]
+                prod = PSeries(self.fams, room, di.co) * PSeries(self.fams, room, dj.co)
+                prod = self._like(prod.co).mul_parts(fam, i + j)
                 w = Fraction(i * j) if i != j else Fraction(i * j, 2)
                 out = out + prod.scale(w)
         return out
@@ -239,12 +216,8 @@ class PSeries:
     def is_zero_through_windows(self) -> bool:
         return all(s.is_zero_through() for s in self.co.values())
 
-    def eq_through_windows(self, other: "PSeries") -> bool:
-        self.check_compatible(other)
-        return (self - other).is_zero_through_windows()
-
     def __repr__(self):
         lines = [f"PSeries(fams={self.fams}, caps={self.caps})"]
-        for k in self.keys():
+        for k in sorted(self.co):
             lines.append(f"  {k}: {self.co[k]!r}")
         return "\n".join(lines)

@@ -103,7 +103,7 @@ class ULaurent(Laurent):
             e = _exp_iu(m, trunc)
             for j, g in enumerate(e):
                 out[j] = out.get(j, _GR0) + g * v
-        return LambdaSeries.from_map({k: TauLaurent.scalar(v) for k, v in out.items() if v},
+        return LambdaSeries.from_map({k: TauLaurent.const(v) for k, v in out.items() if v},
                                      trunc)
 
     def q_series(self, order: int) -> List[Fraction]:

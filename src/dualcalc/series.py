@@ -34,10 +34,6 @@ class TauLaurent(Laurent):
     var = "tau"
     _recip = staticmethod(GaussianRational.inverse)
 
-    @classmethod
-    def scalar(cls, v) -> "TauLaurent":
-        return cls.const(v)
-
     def as_scalar(self) -> GaussianRational:
         if not self.c:
             return GR_ZERO
@@ -95,7 +91,7 @@ class LambdaSeries:
 
     @staticmethod
     def from_map(m: Dict[int, object], trunc: int) -> "LambdaSeries":
-        items = {k: (v if isinstance(v, TauLaurent) else TauLaurent.scalar(v))
+        items = {k: (v if isinstance(v, TauLaurent) else TauLaurent.const(v))
                  for k, v in m.items()}
         items = {k: v for k, v in items.items() if v}
         if not items:
@@ -253,7 +249,7 @@ class LambdaSeries:
 
     def tau_eval(self, x) -> "LambdaSeries":
         g = _gr(x)
-        return self.map_coeffs(lambda e, c: TauLaurent.scalar(c.eval(g)))
+        return self.map_coeffs(lambda e, c: TauLaurent.const(c.eval(g)))
 
     def tau_inverse(self) -> "LambdaSeries":
         return self.map_coeffs(lambda e, c: c.subs_inverse())
@@ -324,7 +320,7 @@ def exp_monomial(coeff, exp: int, trunc: int) -> LambdaSeries:
     """
     if exp < 1:
         raise UsageError("exp_monomial requires exponent >= 1")
-    c = coeff if isinstance(coeff, TauLaurent) else TauLaurent.scalar(coeff)
+    c = coeff if isinstance(coeff, TauLaurent) else TauLaurent.const(coeff)
     m: Dict[int, TauLaurent] = {}
     p = TL_ONE
     k = 0

@@ -25,6 +25,7 @@ from math import factorial
 from typing import Dict, List, Optional, Tuple
 
 from .chern_simons import w_pair
+from .dense import graded_log
 from .errors import InternalError, UsageError, VerificationFailure
 from .partitions import compositions, enumerate_partitions, kappa
 from .qfunc import QFunction
@@ -69,14 +70,7 @@ def local_p2_free_energy(d_max: int) -> Tuple[QFunction, ...]:
 
     d F_d = d Z_d - sum_{j<d} j F_j Z_{d-j}.
     """
-    z = local_p2_z(d_max)
-    f: List[QFunction] = [QFunction.zero()]
-    for d in range(1, d_max + 1):
-        acc = z[d].scale(d)
-        for j in range(1, d):
-            acc = acc - (f[j] * z[d - j]).scale(j)
-        f.append(acc.scale(Frac(1, d)))
-    return tuple(f)
+    return tuple(graded_log(local_p2_z(d_max), QFunction.zero()))
 
 
 def rebuild_partition_function(d_max: int) -> bool:
@@ -100,8 +94,14 @@ def rebuild_partition_function(d_max: int) -> bool:
 def extract_gw(d_max: int, g_max: int, trunc: Optional[int] = None) -> NTable:
     """N_{g,d} for d <= d_max, g <= g_max from the free-energy slices.
 
-    Asserts: lambda-floor >= -2, odd lambda-powers vanish, values real.
+    Raises UsageError for d_max < 1 or g_max < 0 (an empty table), and
+    InternalError unless the lambda-floor is >= -2, odd lambda-powers vanish
+    and the values are real.
     """
+    if d_max < 1:
+        raise UsageError("local P2 needs a maximal degree >= 1")
+    if g_max < 0:
+        raise UsageError("local P2 needs a maximal genus >= 0")
     if trunc is None:
         trunc = 2 * g_max + 2
     if trunc < 2 * g_max + 2:

@@ -227,6 +227,7 @@ def test_grassmannian_verify():
     ("witten", ["witten", "--correlator", "1:1"]),
     ("vertex", ["vertex", "local-p2", "--max-degree", "2", "--max-genus", "1", "--gv"]),
     ("quintic", ["mirror", "quintic", "--max-degree", "3"]),
+    ("mv-dump", ["mv", "--dump", "connected", "--degree", "3", "--order", "7"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)

@@ -6,7 +6,7 @@ import pytest
 from dualcalc.errors import UsageError
 from dualcalc.partitions import enumerate_partitions, zmu
 from dualcalc.pseries import PSeries, empty_key, key_weight
-from dualcalc.series import LambdaSeries
+from dualcalc.series import LambdaSeries, TauLaurent
 
 TR = 6
 
@@ -28,7 +28,7 @@ def test_mul_union_of_parts():
     # unit
     u = mono(f, caps, ((),))
     s = mono(f, caps, ((3, 1),), val=Fraction(2, 3))
-    assert (u * s).eq_through_windows(s)
+    assert (u * s - s).is_zero_through_windows()
 
 
 def test_square_of_sum():
@@ -62,14 +62,14 @@ def test_exp_log_round_trip():
     s = mono(f, caps, ((1,),), val=Fraction(1, 2)) \
         + mono(f, caps, ((2, 1),), val=-2) \
         + PSeries(f, caps, {((3,),): LambdaSeries.mono(1, Fraction(1, 3), TR)})
-    assert s.exp(TR).log().eq_through_windows(s)
+    assert (s.exp(TR).log() - s).is_zero_through_windows()
 
 
 def test_log_of_exp_lambda_monomial():
     # log(exp(L p_1)) = L p_1
     f, caps = one_fam()
     s = PSeries(f, caps, {((1,),): LambdaSeries.mono(1, 1, TR)})
-    assert s.exp(TR).log().eq_through_windows(s)
+    assert (s.exp(TR).log() - s).is_zero_through_windows()
 
 
 def test_exp_requires_no_constant():
@@ -135,7 +135,7 @@ def test_schur_eigenvectors():
                 s = t if s is None else s + t
             lhs = s.cut_join_linear(0)
             rhs = s.scale(Fraction(kappa(nu), 2))
-            assert lhs.eq_through_windows(rhs)
+            assert (lhs - rhs).is_zero_through_windows()
 
 
 def test_nonlinear_conjugation_identity():
@@ -154,7 +154,7 @@ def test_nonlinear_conjugation_identity():
         ef = f.exp(TR)
         lhs = ef.cut_join_linear(0)
         rhs = ef * f.cut_join_nonlinear(0)
-        assert lhs.eq_through_windows(rhs)
+        assert (lhs - rhs).is_zero_through_windows()
 
 
 def test_nonlinear_quadratic_piece():
@@ -178,3 +178,103 @@ def test_three_family_support():
     cj2 = mono(3, caps, (((), (2,), ()))).cut_join_linear(1)
     assert list(cj2.co) == [((), (1, 1), ())]
     assert key_weight(((1,), (2, 2), ())) == 5
+
+
+# -- the pruned product and the graded log/exp against their plain forms -----
+
+def exact(ps):
+    """Coefficients with their lambda windows, for window-exact comparison."""
+    return {k: (s.floor, s.co) for k, s in ps.co.items()}
+
+
+def random_series(rng, fams, caps, density=0.5):
+    """Random coefficients on keys within the caps, mixed lambda floors and
+    truncations, some tau-dependent."""
+    parts = [[mu for n in range(cap + 1) for mu in enumerate_partitions(n)]
+             for cap in caps]
+    keys = [()]
+    for ps in parts:
+        keys = [k + (mu,) for k in keys for mu in ps]
+    co = {}
+    for key in keys:
+        if key == empty_key(fams) or rng.random() > density:
+            continue
+        floor = rng.randint(-2, 1)
+        trunc = rng.randint(floor + 2, floor + 5)
+        co[key] = LambdaSeries.from_map(
+            {e: TauLaurent({0: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                            1: rng.randint(-1, 1)})
+             for e in range(floor, trunc) if rng.random() < 0.7}, trunc)
+    return PSeries(fams, caps, co)
+
+
+def cut_join_nonlinear_unpruned(f, fam):
+    """The quadratic term formed at full cap, then cut by mul_parts."""
+    out = f.cut_join_linear(fam)
+    cap = f.caps[fam]
+    derivs = {i: f.pderiv(fam, i) for i in range(1, cap + 1)}
+    derivs = {i: d for i, d in derivs.items() if d.co}
+    for i, di in derivs.items():
+        for j, dj in derivs.items():
+            if j < i or i + j > cap:
+                continue
+            prod = (di * dj).mul_parts(fam, i + j)
+            w = Fraction(i * j) if i != j else Fraction(i * j, 2)
+            out = out + prod.scale(w)
+    return out
+
+
+def exp_power_sum(f, trunc):
+    ek = empty_key(f.fams)
+    x = PSeries(f.fams, f.caps, {k: s for k, s in f.co.items() if k != ek})
+    out = term = PSeries(f.fams, f.caps, {ek: LambdaSeries.one(trunc)})
+    for m in range(1, sum(f.caps) + 1):
+        term = (term * x).scale(Fraction(1, m))
+        out = out + term
+    return out
+
+
+def log_power_sum(z):
+    ek = empty_key(z.fams)
+    x = PSeries(z.fams, z.caps, {k: s for k, s in z.co.items() if k != ek})
+    out = term = x
+    for m in range(2, sum(z.caps) + 1):
+        term = term * x
+        out = out + term.scale(Fraction((-1) ** (m - 1), m))
+    return out
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5, 6])
+def test_pruned_cut_join_matches_unpruned(cap):
+    rng = random.Random(100 + cap)
+    for _ in range(2):
+        f = random_series(rng, 1, (cap,), density=0.6)
+        assert exact(f.cut_join_nonlinear(0)) == exact(cut_join_nonlinear_unpruned(f, 0))
+    # the operator of one family leaves the other family's cap alone
+    f = random_series(rng, 2, (3, 2))
+    for fam in (0, 1):
+        assert exact(f.cut_join_nonlinear(fam)) == exact(cut_join_nonlinear_unpruned(f, fam))
+
+
+def test_cut_join_forms_only_kept_keys(monkeypatch):
+    calls = []
+    real = PSeries.mul_parts
+
+    def spy(self, fam, *parts):
+        out = real(self, fam, *parts)
+        calls.append((len(self.co), len(out.co)))
+        return out
+
+    monkeypatch.setattr(PSeries, "mul_parts", spy)
+    random_series(random.Random(5), 1, (6,), density=0.8).cut_join_nonlinear(0)
+    assert calls and sum(formed for formed, _ in calls) > 0
+    assert all(formed == kept for formed, kept in calls)
+
+
+@pytest.mark.parametrize("fams,caps", [(1, (5,)), (2, (3, 2)), (3, (2, 1, 3))])
+def test_graded_exp_log_match_power_sums(fams, caps):
+    rng = random.Random(sum(caps) * 10 + fams)
+    f = random_series(rng, fams, caps, density=0.4)
+    e = f.exp(TR)
+    assert exact(e) == exact(exp_power_sum(f, TR))
+    assert exact(e.log()) == exact(log_power_sum(e))

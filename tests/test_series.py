@@ -14,7 +14,7 @@ from dualcalc.series import LambdaSeries, TauLaurent, exp_monomial, sin_expand
 def test_tau_basic():
     t = TauLaurent({1: 1, -2: Fraction(1, 3)})
     assert (t - t) == TauLaurent()
-    assert t * TauLaurent.scalar(3) == TauLaurent({1: 3, -2: 1})
+    assert t * TauLaurent.const(3) == TauLaurent({1: 3, -2: 1})
     assert t.subs_inverse() == TauLaurent({-1: 1, 2: Fraction(1, 3)})
     assert t.deriv() == TauLaurent({0: 1, -3: Fraction(-2, 3)})
     assert t.eval(2) == GaussianRational(Fraction(2) + Fraction(1, 12))
@@ -146,10 +146,10 @@ def test_exp_monomial_tau_coefficient_framing_two(kp, km):
 def test_tau_plumbing_on_series():
     s = LambdaSeries.from_map({0: TauLaurent({1: 1}), 2: TauLaurent({-1: 2})}, 5)
     d = s.tau_deriv()
-    assert d.coeff(0) == TauLaurent.scalar(1)
+    assert d.coeff(0) == TauLaurent.const(1)
     assert d.coeff(2) == TauLaurent({-2: -2})
     e = s.tau_eval(Fraction(1, 2))
-    assert e.coeff(2) == TauLaurent.scalar(4)
+    assert e.coeff(2) == TauLaurent.const(4)
     inv = s.tau_inverse()
     assert inv.coeff(0) == TauLaurent({-1: 1})
 
@@ -167,7 +167,7 @@ small_frac = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 def series_strategy(floor=-2, trunc=5):
     n = trunc - floor
     return st.lists(small_frac, min_size=n, max_size=n).map(
-        lambda cs: LambdaSeries(floor, [TauLaurent.scalar(c) for c in cs]))
+        lambda cs: LambdaSeries(floor, [TauLaurent.const(c) for c in cs]))
 
 
 @settings(max_examples=60, deadline=None)

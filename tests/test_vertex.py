@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dualcalc.chern_simons import w_pair
-from dualcalc.errors import VerificationFailure
+from dualcalc.errors import UsageError, VerificationFailure
 from dualcalc.partitions import kappa
 from dualcalc.qfunc import QFunction
 from dualcalc.vertex import (extract_gw, gv_forward, gv_invert,
@@ -75,3 +75,9 @@ def test_u_exponent_integrality():
     # q^{(1/2) sum kappa} is an integral u-power since kappa is even
     for nu in [(1,), (2,), (1, 1), (2, 1)]:
         assert kappa(nu) % 2 == 0
+
+
+@pytest.mark.parametrize("d_max,g_max", [(2, -1), (0, 1)])
+def test_extract_gw_rejects_empty_table(d_max, g_max):
+    with pytest.raises(UsageError):
+        extract_gw(d_max, g_max)
