@@ -171,6 +171,8 @@ def _cmd_hurwitz(args) -> dict:
 
 
 def _cmd_w(args) -> dict:
+    if args.expand is not None and args.expand < 1:
+        raise UsageError("--expand needs an order >= 1")
     mu = parse_partition(args.mu)
     if args.nu is None:
         f = w_one(mu)
@@ -181,7 +183,7 @@ def _cmd_w(args) -> dict:
         f = w_pair(mu, nu)
         out = {"kind": "two-partition", "mu": format_partition(mu),
                "nu": format_partition(nu), "value": qfun_json(f)}
-    if args.expand:
+    if args.expand is not None:
         out["lambda_expansion"] = series_json(f.to_lambda(args.expand))
     return {"result": out, "checks": []}
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 from typing import Dict, Optional, Tuple
 
 from .errors import InternalError, UsageError
@@ -74,21 +75,28 @@ class XPoly:
     def __mul__(self, o: "XPoly") -> "XPoly":
         if self.k != o.k or self.cap != o.cap:
             raise UsageError("XPoly shape mismatch")
-        c: Dict[Tuple[int, ...], Laurent] = {}
+        # the right operand grouped by x-degree, lowest first, so each left
+        # key stops at the room cap - deg(k1) left under the cap; alpha
+        # coefficients accumulate per key before any Laurent is formed
+        by_deg: Dict[int, list] = {}
+        for k2, v2 in o.c.items():
+            by_deg.setdefault(sum(k2[: self.k]), []).append((k2, v2.c.items()))
+        buckets = sorted(by_deg.items())
+        acc: Dict[Tuple[int, ...], dict] = {}
         for k1, v1 in self.c.items():
-            d1 = sum(k1[: self.k])
-            for k2, v2 in o.c.items():
-                if d1 + sum(k2[: self.k]) > self.cap:
-                    continue
-                key = tuple(a + b for a, b in zip(k1, k2))
-                p = v1 * v2
-                s = c.get(key)
-                s = p if s is None else s + p
-                if s:
-                    c[key] = s
-                elif key in c:
-                    del c[key]
-        return self._like(c)
+            room = self.cap - sum(k1[: self.k])
+            a1 = v1.c.items()
+            for d2, terms in buckets:
+                if d2 > room:
+                    break
+                for k2, a2 in terms:
+                    key = tuple(map(add, k1, k2))
+                    row = acc.setdefault(key, {})
+                    for e1, f1 in a1:
+                        for e2, f2 in a2:
+                            e = e1 + e2
+                            row[e] = row[e] + f1 * f2 if e in row else f1 * f2
+        return self._like({key: Laurent(row) for key, row in acc.items()})
 
     def scale(self, v) -> "XPoly":
         al = v if isinstance(v, Laurent) else Laurent.const(v)

@@ -1,17 +1,25 @@
 """Exact rational functions in u = q^(1/2) with a tracked power of (-sqrt(-1)).
 
-A ``QFunction`` stores value = (-sqrt(-1))**ipow * num(u)/den(u) with num, den
-Laurent polynomials over the rationals.  Keeping the phase separate leaves all
-polynomial arithmetic inside Q(u); the phase is recombined only when a value
-is expanded as a lambda-series through ``to_lambda`` (u = e^{sqrt(-1)
-lambda/2}, so q = e^{sqrt(-1) lambda}).
+A ``QFunction`` stores value = (-sqrt(-1))**ipow * num(u)/den(u) with num a
+Laurent polynomial over the rationals and den a product of cyclotomic
+polynomials Phi_e(u), kept factored as {e: m_e}.  Every denominator the
+package builds has that form: the quantum integers u^m - u^(-m) =
+u^(-m) prod_{e | 2m} Phi_e and the principal-specialization factors
+1 - u^(2i).  So no polynomial gcd is ever taken: a product adds exponents,
+a sum takes the largest exponent of each factor, and reduction is a trial
+exact division of the numerator by each Phi_e present (Phi_e is irreducible
+over Q).  Keeping the phase separate leaves all polynomial arithmetic inside
+Q(u); the phase is recombined only when a value is expanded as a
+lambda-series through ``to_lambda`` (u = e^{sqrt(-1) lambda/2}, so
+q = e^{sqrt(-1) lambda}).
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
-from typing import Dict, List, Tuple
+from math import factorial
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import dense
 from .errors import InternalError, UsageError
@@ -19,51 +27,7 @@ from .laurent import Laurent
 from .scalars import GR_I, GaussianRational, neg_i_power
 from .series import LambdaSeries, TauLaurent
 
-
-# ---------------------------------------------------------------------------
-# integer polynomial gcd (primitive pseudo-remainder sequence)
-# ---------------------------------------------------------------------------
-
-def _content(p: List[int]) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, c)
-    return g or 1
-
-def _prim(p: List[int]) -> List[int]:
-    g = _content(p)
-    return [c // g for c in p]
-
-def _trim(p: List[int]) -> List[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-def _pseudo_rem(a: List[int], b: List[int]) -> List[int]:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        da, la = len(a) - 1, a[-1]
-        a = [c * lb for c in a]
-        for i, c in enumerate(b):
-            a[da - db + i] -= la * c
-        _trim(a)
-        if not a:
-            break
-    return a
-
-def _int_poly_gcd(a: List[int], b: List[int]) -> List[int]:
-    a, b = _prim(_trim(list(a))), _prim(_trim(list(b)))
-    if not a:
-        return b
-    if not b:
-        return a
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, (_prim(r) if r else [])
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
+Factors = Tuple[Tuple[int, int], ...]
 
 
 class ULaurent(Laurent):
@@ -79,23 +43,6 @@ class ULaurent(Laurent):
             return ULaurent()
         return ULaurent({m: Fraction(1), -m: Fraction(-1)})
 
-    def _dense_int(self) -> List[int]:
-        """Dense coefficients from the lowest power up, cleared of denominators."""
-        if not self.c:
-            return []
-        lo = self.min_exp()
-        den = 1
-        for v in self.c.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        out = [0] * (self.max_exp() - lo + 1)
-        for k, v in self.c.items():
-            out[k - lo] = int(v * den)
-        return out
-
-    def gcd(self, o: "ULaurent") -> "ULaurent":
-        g = _int_poly_gcd(self._dense_int(), o._dense_int())
-        return ULaurent({i: Fraction(c) for i, c in enumerate(g)})
-
     def subs_q_to_lambda(self, trunc: int) -> LambdaSeries:
         """Substitute u = e^{i lambda/2}, truncated at ``trunc``."""
         out: Dict[int, GaussianRational] = {}
@@ -105,12 +52,6 @@ class ULaurent(Laurent):
                 out[j] = out.get(j, _GR0) + g * v
         return LambdaSeries.from_map({k: TauLaurent.const(v) for k, v in out.items() if v},
                                      trunc)
-
-    def q_series(self, order: int) -> List[Fraction]:
-        """Coefficients of q^0..q^order, for u-even values with den(0) != 0."""
-        if any(k % 2 for k in self.c):
-            raise InternalError("odd u-power where a q-expansion was requested")
-        return [self.c.get(2 * k, _F0) for k in range(order + 1)]
 
 
 _F0 = Fraction(0)
@@ -129,57 +70,117 @@ def _exp_iu(m: int, trunc: int) -> Tuple[GaussianRational, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic(e: int) -> ULaurent:
+    """Phi_e(u): u^e - 1 over Phi_d for each d | e, d < e."""
+    p = ULaurent({e: 1, 0: -1})
+    for d in range(1, e):
+        if e % d == 0:
+            p = p.divexact(_cyclotomic(d))
+    return p
+
+
+def _strip(f: ULaurent, e: int, m: int) -> Tuple[ULaurent, int]:
+    """Divide Phi_e out of f up to m times; return the quotient and what is left of m.
+
+    Each division is tried first on f folded modulo u^e - 1, a multiple of Phi_e.
+    """
+    phi = _cyclotomic(e)
+    while m and f:
+        r: Dict[int, Fraction] = {}
+        for k, v in f.c.items():
+            r[k % e] = r.get(k % e, _F0) + v
+        try:
+            ULaurent(r).divexact(phi)
+        except InternalError:
+            break
+        f = f.divexact(phi)
+        m -= 1
+    return f, m
+
+
+@lru_cache(maxsize=None)
+def _expand(fac: Factors) -> ULaurent:
+    """prod Phi_e^{m_e} as a polynomial (monic, valuation 0)."""
+    out = ULaurent.const(1)
+    for e, m in fac:
+        for _ in range(m):
+            out = out * _cyclotomic(e)
+    return out
+
+
+def _factor(den: ULaurent) -> Tuple[Fraction, int, Factors]:
+    """den = c * u^k * prod Phi_e^{m_e}, found by trial division.
+
+    Raises UsageError for a denominator with any other factor.  A factor
+    Phi_e of degree phi(e) <= D has e <= 2 D^2, because phi(e) >= sqrt(e/2).
+    """
+    if not den:
+        raise ZeroDivisionError("QFunction with zero denominator")
+    lo, lead = den.min_exp(), den.c[den.max_exp()]
+    rest = den.shift(-lo).scale(1 / lead)
+    fac = []
+    e = 0
+    while rest.max_exp() and e < 2 * rest.max_exp() ** 2:
+        e += 1
+        m = rest.max_exp()
+        rest, left = _strip(rest, e, m)
+        if left < m:
+            fac.append((e, m - left))
+    if rest != ULaurent.const(1):
+        raise UsageError("denominator is not a u-power times cyclotomic polynomials")
+    return lead, lo, tuple(fac)
+
+
 class QFunction:
     """(-sqrt(-1))**ipow * num(u) / den(u), reduced and canonically normalized.
 
-    Canonical form: ipow in {0, 1}; den has valuation 0 and leading (highest
-    u-power) coefficient 1; gcd(num, den) = 1.
+    Canonical form: ipow in {0, 1}; the denominator is the factored product
+    ``fac`` = ((e, m_e), ...) of cyclotomic polynomials Phi_e(u)^{m_e},
+    sorted by e, so den has valuation 0 and leading coefficient 1; no Phi_e
+    in ``fac`` divides num, so gcd(num, den) = 1.  Zero is (0, 0, ()).  The
+    constructor takes den as a ``ULaurent`` c * u^k * prod Phi_e^{m_e} and
+    factors it; ``den`` expands ``fac`` back to that monic polynomial.
     """
 
-    __slots__ = ("ipow", "num", "den")
+    __slots__ = ("ipow", "num", "fac")
 
     def __init__(self, ipow: int, num: ULaurent, den: ULaurent):
-        if not den:
-            raise ZeroDivisionError("QFunction with zero denominator")
-        sign = 1
+        lead, lo, fac = _factor(den)
+        self._set(ipow, num.shift(-lo).scale(1 / lead), fac, dict(fac))
+
+    def _set(self, ipow: int, num: ULaurent, fac: Factors, trial=()) -> None:
+        """Store with ipow in {0, 1}, each Phi_e with e in ``trial`` divided
+        out of num as often as it divides it and fac allows."""
         ipow %= 4
         if ipow >= 2:
-            ipow -= 2
-            sign = -1
-        if num:
-            g = num.gcd(den)
-            if g.c and (len(g.c) > 1 or 0 not in g.c or g.c[0] != 1):
-                num = num.divexact(g)
-                den = den.divexact(g)
-            dv = den.min_exp()
-            if dv:
-                den = den.shift(-dv)
-                num = num.shift(-dv)
-            lead = den.c[den.max_exp()]
-            if lead != 1:
-                den = den.scale(Fraction(1) / lead)
-                num = num.scale(Fraction(1) / lead)
-            if sign < 0:
-                num = -num
-        else:
-            ipow = 0
-            den = ULaurent.const(1)
-        self.ipow = ipow
-        self.num = num
-        self.den = den
+            ipow, num = ipow - 2, -num
+        kept = []
+        for e, m in fac if num else ():
+            if e in trial:
+                num, m = _strip(num, e, m)
+            if m:
+                kept.append((e, m))
+        self.ipow, self.num, self.fac = ipow if num else 0, num, tuple(kept)
+
+    @staticmethod
+    def _of(ipow: int, num: ULaurent, fac: Factors, trial=()) -> "QFunction":
+        out = object.__new__(QFunction)
+        out._set(ipow, num, fac, trial)
+        return out
 
     # -- constructors -------------------------------------------------------
     @staticmethod
     def const(v) -> "QFunction":
-        return QFunction(0, ULaurent.const(v), ULaurent.const(1))
-
-    @staticmethod
-    def u_mono(exp: int, v=1) -> "QFunction":
-        return QFunction(0, ULaurent.mono(exp, v), ULaurent.const(1))
+        return QFunction._of(0, ULaurent.const(v), ())
 
     @staticmethod
     def zero() -> "QFunction":
-        return QFunction(0, ULaurent(), ULaurent.const(1))
+        return QFunction._of(0, ULaurent(), ())
+
+    @property
+    def den(self) -> ULaurent:
+        return _expand(self.fac)
 
     # -- predicates -----------------------------------------------------------
     def __bool__(self):
@@ -188,19 +189,19 @@ class QFunction:
     def __eq__(self, o):
         if not isinstance(o, QFunction):
             return NotImplemented
-        return self.ipow == o.ipow and self.num == o.num and self.den == o.den
+        return self.ipow == o.ipow and self.fac == o.fac and self.num == o.num
 
     def __hash__(self):
-        return hash((self.ipow, self.num, self.den))
+        return hash((self.ipow, self.num, self.fac))
 
     # -- arithmetic -------------------------------------------------------------
     def __mul__(self, o: "QFunction") -> "QFunction":
-        return QFunction(self.ipow + o.ipow, self.num * o.num, self.den * o.den)
-
-    def __truediv__(self, o: "QFunction") -> "QFunction":
-        if not o.num:
-            raise ZeroDivisionError("QFunction division by zero")
-        return QFunction(self.ipow - o.ipow, self.num * o.den, self.den * o.num)
+        # each operand is reduced, so only a factor of exactly one
+        # denominator can cancel, against the other operand's numerator
+        fac = Counter(dict(self.fac))
+        fac.update(dict(o.fac))
+        return QFunction._of(self.ipow + o.ipow, self.num * o.num, tuple(sorted(fac.items())),
+                             dict(self.fac).keys() ^ dict(o.fac).keys())
 
     def __add__(self, o: "QFunction") -> "QFunction":
         if not self.num:
@@ -209,67 +210,64 @@ class QFunction:
             return self
         if self.ipow != o.ipow:
             raise UsageError("adding QFunctions with incompatible phases")
-        return QFunction(self.ipow,
-                         self.num * o.den + o.num * self.den,
-                         self.den * o.den)
+        fa, fb = dict(self.fac), dict(o.fac)
+        top = tuple(sorted((e, max(fa.get(e, 0), fb.get(e, 0))) for e in {**fa, **fb}))
+        num = (self.num * _expand(tuple((e, m - fa.get(e, 0)) for e, m in top))
+               + o.num * _expand(tuple((e, m - fb.get(e, 0)) for e, m in top)))
+        # over the common denominator a factor whose exponents differ divides
+        # exactly one summand's complement, so only equal exponents can cancel
+        return QFunction._of(self.ipow, num, top, {e for e in fa if fa[e] == fb.get(e)})
 
     def __neg__(self):
-        return QFunction(self.ipow + 2, self.num, self.den)
+        return QFunction._of(self.ipow + 2, self.num, self.fac)
 
     def __sub__(self, o):
         return self + (-o)
 
-    def __pow__(self, k: int) -> "QFunction":
-        if k < 0:
-            return QFunction.const(1) / (self ** (-k))
-        out = QFunction.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def scale(self, v) -> "QFunction":
-        return QFunction(self.ipow, self.num.scale(v), self.den)
-
-    def mul_u_power(self, k: int) -> "QFunction":
-        return QFunction(self.ipow, self.num.shift(k), self.den)
+        return QFunction._of(self.ipow, self.num.scale(v), self.fac)
 
     # -- expansion ---------------------------------------------------------------
     def to_lambda(self, trunc: int) -> LambdaSeries:
         """Expansion at u = e^{i lambda/2}, truncated at order ``trunc``."""
         if not self.num:
             return LambdaSeries(0, [])
-        # the vanishing order of den at u=1 is at most its degree span
-        span = self.den.max_exp() - self.den.min_exp()
-        probe = self.den.subs_q_to_lambda(max(trunc, span + 2, 2)).pruned()
-        if probe.valuation() is None:
-            raise UsageError("denominator expands to zero through the truncation")
-        v = probe.valuation()
-        margin = trunc + 2 * v + 2
-        num_s = self.num.subs_q_to_lambda(margin)
-        den_s = self.den.subs_q_to_lambda(margin)
-        out = num_s.div(den_s)
-        phase = neg_i_power(self.ipow)
-        out = out.scale(phase)
+        # den vanishes at u = 1 (lambda = 0) only through Phi_1 = u - 1
+        margin = trunc + 2 * dict(self.fac).get(1, 0) + 2
+        out = self.num.subs_q_to_lambda(margin).div(self.den.subs_q_to_lambda(margin))
+        out = out.scale(neg_i_power(self.ipow))
         if out.trunc > trunc:
             out = LambdaSeries(out.floor, out.co[: trunc - out.floor])
         return out.pruned()
 
     def q_series(self, order: int) -> List[Fraction]:
-        """q-expansion through q^order; requires ipow == 0 and u-even value."""
-        if self.ipow:
-            raise InternalError("q-expansion of a value with a residual phase")
-        den = self.den.q_series(order)
-        num = [_F0] * (order + 1)
-        for k, v in self.num.c.items():
-            if k % 2:
-                raise InternalError("odd u-power where a q-expansion was requested")
-            if k < 0:
-                raise InternalError("negative u-power in q-expansion")
-            if k // 2 <= order:
-                num[k // 2] = v
-        if not den[0]:
-            raise InternalError("denominator not invertible as a q-series")
+        """q-expansion through q^order; requires ipow == 0 and a u-even value."""
+        num, den = self.num.c, self.den.c
+        if self.ipow or any(k % 2 or k < 0 for k in (*num, *den)):
+            raise InternalError("q-expansion needs ipow 0 and even nonnegative u-powers")
+        num, den = ([p.get(2 * k, _F0) for k in range(order + 1)] for p in (num, den))
         return dense.mul(num, dense.inv(den, order + 1), order + 1)
 
     def __repr__(self):
         return f"(-i)^{self.ipow} * ({self.num}) / ({self.den})"
+
+
+def sum_of_products(terms: Iterable[Tuple[Sequence[QFunction], int]]) -> QFunction:
+    """sum of u^shift * prod(factors) over ``terms`` = ((factors, shift), ...).
+
+    The unreduced products are grouped by (phase, denominator) and each
+    group's numerators summed, so one QFunction is reduced per group.
+    """
+    groups: Dict[Tuple[int, Factors], ULaurent] = {}
+    for factors, shift in terms:
+        ipow, num, fac = 0, ULaurent.mono(shift), Counter()
+        for f in factors:
+            ipow += f.ipow
+            num = num * f.num
+            fac.update(dict(f.fac))
+        key = (ipow % 4, tuple(sorted(fac.items())))
+        groups[key] = groups[key] + num if key in groups else num
+    acc = QFunction.zero()
+    for (ipow, fac), num in groups.items():
+        acc = acc + QFunction._of(ipow, num, fac, dict(fac))
+    return acc

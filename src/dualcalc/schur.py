@@ -10,7 +10,7 @@ from functools import lru_cache
 from typing import Tuple
 
 from .partitions import Partition, contains, length
-from .qfunc import QFunction, ULaurent
+from .qfunc import QFunction, ULaurent, sum_of_products
 
 
 @lru_cache(maxsize=None)
@@ -39,18 +39,11 @@ def skew_schur_principal(mu: Partition, rho: Partition = ()) -> QFunction:
 
 
 def _det(rows: Tuple[int, ...], cols: Tuple[int, ...], entries) -> QFunction:
+    """Laplace expansion along the first row."""
     if not rows:
         return QFunction.const(1)
-    i = rows[0]
-    rest = rows[1:]
-    acc = QFunction.zero()
-    for t, j in enumerate(cols):
-        e = entries[i][j]
-        if not e:
-            continue
-        minor = _det(rest, cols[:t] + cols[t + 1:], entries)
-        term = e * minor
-        if t % 2:
-            term = -term
-        acc = acc + term
-    return acc
+    i, rest = rows[0], rows[1:]
+    return sum_of_products(
+        ((-entries[i][j] if t % 2 else entries[i][j],
+          _det(rest, cols[:t] + cols[t + 1:], entries)), 0)
+        for t, j in enumerate(cols) if entries[i][j])

@@ -13,6 +13,7 @@ from itertools import product
 from typing import Callable, Dict, Optional, Tuple
 
 from . import hodge, hurwitz, intersections, mirror, vertex
+from .chern_simons import check_pair_reduction
 from .partitions import enumerate_partitions, length, size
 
 Detail = dict
@@ -149,6 +150,8 @@ def check_witten(profile: str) -> Tuple[bool, Detail]:
 
 def check_vertex(profile: str) -> Tuple[bool, Detail]:
     d_max, g_max = (3, 2) if profile == "full" else (2, 1)
+    if not all(check_pair_reduction(nu) for nu in ((1,), (2,), (1, 1))):
+        return False, {"failed": "pair-reduction"}
     n_table = vertex.extract_gw(d_max, g_max)
     gv = vertex.gv_invert(n_table, d_max, g_max)
     fwd = vertex.gv_forward(gv, d_max, g_max)

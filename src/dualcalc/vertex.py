@@ -21,14 +21,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .chern_simons import w_pair
 from .dense import graded_log
 from .errors import InternalError, UsageError, VerificationFailure
 from .partitions import compositions, enumerate_partitions, kappa
-from .qfunc import QFunction
+from .qfunc import QFunction, sum_of_products
 from .series import LambdaSeries, sin_expand
 
 Frac = Fraction
@@ -43,25 +44,27 @@ def local_p2_z(d_max: int) -> Tuple[QFunction, ...]:
         raise UsageError("degree must be nonnegative")
     out: List[QFunction] = []
     for d in range(d_max + 1):
-        acc = QFunction.zero()
-        for a in range(d + 1):
-            for b in range(d + 1 - a):
-                c = d - a - b
-                for nu1 in enumerate_partitions(a):
-                    for nu2 in enumerate_partitions(b):
-                        for nu3 in enumerate_partitions(c):
-                            ks = kappa(nu1) + kappa(nu2) + kappa(nu3)
-                            if ks % 2:
-                                raise InternalError("odd kappa sum in vertex term")
-                            term = (w_pair(nu1, nu2) * w_pair(nu2, nu3)
-                                    * w_pair(nu3, nu1)).mul_u_power(ks)
-                            acc = acc + term
+        acc = sum_of_products(_vertex_terms(d))
         if d % 2:
             acc = -acc
         if d == 0 and acc != QFunction.const(1):
             raise InternalError("degree-0 vertex slice must be 1")
         out.append(acc)
     return tuple(out)
+
+
+def _vertex_terms(d: int) -> Iterator[Tuple[Tuple[QFunction, ...], int]]:
+    """The factors W(nu1,nu2) W(nu2,nu3) W(nu3,nu1) and u-power sum kappa_i
+    of each partition triple of total size d."""
+    for a in range(d + 1):
+        for b in range(d + 1 - a):
+            for nus in product(enumerate_partitions(a), enumerate_partitions(b),
+                               enumerate_partitions(d - a - b)):
+                ks = sum(map(kappa, nus))
+                if ks % 2:
+                    raise InternalError("odd kappa sum in vertex term")
+                nu1, nu2, nu3 = nus
+                yield (w_pair(nu1, nu2), w_pair(nu2, nu3), w_pair(nu3, nu1)), ks
 
 
 @lru_cache(maxsize=None)

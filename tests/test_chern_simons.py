@@ -46,7 +46,8 @@ def test_w_pair_basics():
     # mu=nu=(1): q*(1/(1-q)^2 + q^{-1})
     one_minus_q = ULaurent.const(1) - ULaurent.mono(2)
     s11 = QFunction(0, ULaurent.const(1), one_minus_q * one_minus_q)
-    expect11 = (s11 + QFunction.u_mono(-2)).mul_u_power(2)
+    expect11 = (s11 + QFunction(0, ULaurent.mono(-2), ULaurent.const(1))) * QFunction(
+        0, ULaurent.mono(2), ULaurent.const(1))
     assert w_pair((1,), (1,)) == expect11
 
 
@@ -68,3 +69,24 @@ def test_w_pair_lambda_cached():
     a = w_pair_lambda((2, 1), (1,), 4)
     b = w_pair_lambda((2, 1), (1,), 4)
     assert a is b
+
+
+def test_pair_reduction_failure_is_a_verdict(monkeypatch):
+    from dualcalc import verify
+
+    monkeypatch.setattr(verify, "check_pair_reduction", lambda nu: False)
+    assert verify.check_vertex("quick") == (False, {"failed": "pair-reduction"})
+
+
+def test_import_computes_no_w_value():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import dualcalc.chern_simons as c; "
+            "print(c.w_pair.cache_info().currsize, c.w_one.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.split() == ["0", "0"]

@@ -160,6 +160,8 @@ VACUOUS = {
     "hodge-negative-genus": ["mv", "hodge", "--genus", "-1", "--partition", "1"],
     "lambda-g-order-1": ["mv", "--check", "lambda-g", "--degree", "1", "--order", "1"],
     "lambda-g-order-3": ["mv", "--check", "lambda-g", "--degree", "2", "--order", "3"],
+    "w-expand-negative": ["w", "--mu", "1", "--expand", "-2"],
+    "w-expand-zero": ["w", "--mu", "1", "--expand", "0"],
 }
 
 
@@ -228,6 +230,7 @@ def test_grassmannian_verify():
     ("vertex", ["vertex", "local-p2", "--max-degree", "2", "--max-genus", "1", "--gv"]),
     ("quintic", ["mirror", "quintic", "--max-degree", "3"]),
     ("mv-dump", ["mv", "--dump", "connected", "--degree", "3", "--order", "7"]),
+    ("w-pair-expand", ["w", "--mu", "2,1", "--nu", "2,1", "--expand", "4"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)

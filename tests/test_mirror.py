@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualcalc.errors import UsageError, VerificationFailure
 from dualcalc.laurent import Laurent
@@ -175,3 +176,34 @@ def test_hori_vafa_k1_is_projective_series():
 
 def test_gr23_matches_p2():
     assert gr23_matches_p2(2)
+
+
+def _all_pairs_product(a, b):
+    # reference: every key pair, kept when the x-degrees fit under the cap
+    c = {}
+    for k1, v1 in a.c.items():
+        for k2, v2 in b.c.items():
+            if sum(k1[: a.k]) + sum(k2[: a.k]) > a.cap:
+                continue
+            key = tuple(x + y for x, y in zip(k1, k2))
+            c[key] = c.get(key, Laurent()) + v1 * v2
+    return XPoly(a.k, a.cap, c)
+
+
+@st.composite
+def _xpoly_pair(draw):
+    k = draw(st.integers(1, 3))
+    cap = draw(st.integers(1, 4))
+    coeff = st.dictionaries(st.integers(-2, 2),
+                            st.fractions(min_value=-3, max_value=3, max_denominator=2),
+                            min_size=1, max_size=2).map(Laurent)
+    key = st.tuples(*[st.integers(0, cap)] * k, st.integers(0, 2), st.integers(0, 2))
+    poly = st.dictionaries(key, coeff, max_size=8).map(lambda c: XPoly(k, cap, c))
+    return draw(poly), draw(poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_xpoly_pair())
+def test_bucketed_xpoly_product_matches_all_pairs(pair):
+    a, b = pair
+    assert a * b == _all_pairs_product(a, b)

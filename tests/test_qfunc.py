@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualcalc.errors import UsageError
-from dualcalc.qfunc import QFunction, ULaurent
+from dualcalc.qfunc import QFunction, ULaurent, sum_of_products
 from dualcalc.scalars import GaussianRational
 from dualcalc.series import LambdaSeries, sin_expand
 
@@ -70,10 +70,23 @@ upoly = st.dictionaries(st.integers(-3, 3), small_frac, max_size=3).map(ULaurent
 nonzero_upoly = upoly.filter(bool)
 
 
+def _den_from(c, k, brackets, geoms):
+    den = ULaurent.mono(k, c)
+    for m in brackets:
+        den = den * ULaurent.bracket(m)
+    for i in geoms:
+        den = den * (ULaurent.const(1) - ULaurent.mono(2 * i))
+    return den
+
+
+# the constructor's domain: c * u^k * products of brackets u^m - u^-m and of 1 - u^(2i)
+den_poly = st.builds(_den_from, small_frac.filter(bool), st.integers(-3, 3),
+                     st.lists(st.integers(1, 4), max_size=3),
+                     st.lists(st.integers(1, 3), max_size=2))
+
+
 @settings(max_examples=100, deadline=None)
-@given(nonzero_upoly, nonzero_upoly, st.dictionaries(st.integers(-2, 2), small_frac,
-                                                     min_size=1, max_size=2).map(ULaurent).filter(bool),
-       st.dictionaries(st.integers(-2, 2), small_frac, min_size=1, max_size=2).map(ULaurent).filter(bool))
+@given(nonzero_upoly, nonzero_upoly, den_poly, den_poly)
 def test_to_lambda_is_ring_hom(n1, n2, d1, d2):
     f = QFunction(0, n1, d1)
     g = QFunction(0, n2, d2)
@@ -92,3 +105,70 @@ def test_qfunction_mul_assoc(a, b, c):
     fb = QFunction(0, b, ULaurent.const(1))
     fc = QFunction(1, c, ULaurent.const(1))
     assert (fa * fb) * fc == fa * (fb * fc)
+
+
+# bracket-denominator values: c * u^k * num / (products of u^m - u^-m and 1 - u^(2i))
+bracket_value = st.builds(lambda n, d, ipow: QFunction(ipow, n, d),
+                          nonzero_upoly, den_poly, st.integers(0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracket_value, bracket_value)
+def test_factored_sum_and_product_match_expansions(f, g):
+    trunc = 5
+    fs, gs = f.to_lambda(trunc), g.to_lambda(trunc)
+    prod = (f * g).to_lambda(trunc)
+    expect = fs * gs
+    lo, hi = prod.window_with(expect)
+    assert hi <= lo or prod.eq_through(expect, lo, hi)
+    if f.ipow == g.ipow:
+        total = (f + g).to_lambda(trunc)
+        expect = fs + gs
+        lo, hi = total.window_with(expect)
+        assert hi <= lo or total.eq_through(expect, lo, hi)
+
+
+def test_factored_denominator_is_cyclotomic_product():
+    # u^3 - u^-3 = u^-3 (u - 1)(u + 1)(u^2 + u + 1)(u^2 - u + 1)
+    f = QFunction(0, ULaurent.const(1), ULaurent.bracket(3))
+    assert f.fac == ((1, 1), (2, 1), (3, 1), (6, 1))
+    assert f.num == ULaurent.mono(3)
+    assert f.den == ULaurent({6: 1, 0: -1})
+    # a shared factor cancels: (1 + u) / (1 - u^2) = 1 / (1 - u)
+    g = QFunction(0, ULaurent({0: 1, 1: 1}), ULaurent({0: 1, 2: -1}))
+    assert g.fac == ((1, 1),) and g.num == ULaurent.const(-1)
+
+
+def test_non_cyclotomic_denominator_is_a_usage_error():
+    with pytest.raises(UsageError):
+        QFunction(0, ULaurent.const(1), ULaurent({0: 2, 1: 1}))
+    with pytest.raises(UsageError):
+        QFunction(0, ULaurent.const(1), ULaurent({0: 1, 1: 1, 3: 1}))
+
+
+def test_sums_and_products_cancel_shared_factors():
+    one_minus_u = ULaurent({0: 1, 1: -1})
+    a = QFunction(0, ULaurent.const(1), one_minus_u)
+    b = QFunction(0, ULaurent.mono(1, -1), one_minus_u)
+    assert a + b == QFunction.const(1)                 # (1 - u)/(1 - u)
+    assert a * QFunction(0, one_minus_u, ULaurent.const(1)) == QFunction.const(1)
+    # 1/(u - u^-1) + 1/(u^2 - u^-2) over the common denominator, then reduced
+    c = QFunction(1, ULaurent.const(1), ULaurent.bracket(1))
+    d = QFunction(1, ULaurent.const(1), ULaurent.bracket(2))
+    assert c + d == QFunction(1, ULaurent({3: 1, 1: 1, 2: 1}), ULaurent({4: 1, 0: -1}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(bracket_value, min_size=1, max_size=3),
+                          st.integers(-3, 3)), max_size=5))
+def test_sum_of_products_matches_term_by_term_sum(terms):
+    # phases of a sum must agree: keep terms whose total phase parity matches the first
+    parity = [sum(f.ipow for f in fs) % 2 for fs, _ in terms]
+    terms = [t for t, p in zip(terms, parity) if p == parity[0]]
+    expect = QFunction.zero()
+    for factors, shift in terms:
+        term = QFunction(0, ULaurent.mono(shift), ULaurent.const(1))
+        for f in factors:
+            term = term * f
+        expect = expect + term
+    assert sum_of_products(terms) == expect

@@ -5,7 +5,7 @@ import pytest
 from dualcalc.chern_simons import w_pair
 from dualcalc.errors import UsageError, VerificationFailure
 from dualcalc.partitions import kappa
-from dualcalc.qfunc import QFunction
+from dualcalc.qfunc import QFunction, ULaurent
 from dualcalc.vertex import (extract_gw, gv_forward, gv_invert,
                              local_p2_free_energy, local_p2_z,
                              rebuild_partition_function)
@@ -81,3 +81,23 @@ def test_u_exponent_integrality():
 def test_extract_gw_rejects_empty_table(d_max, g_max):
     with pytest.raises(UsageError):
         extract_gw(d_max, g_max)
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_grouped_slice_matches_term_by_term_sum(d):
+    # reference: one QFunction addition per partition triple
+    from dualcalc.partitions import enumerate_partitions
+
+    acc = QFunction.zero()
+    for a in range(d + 1):
+        for b in range(d + 1 - a):
+            for nu1 in enumerate_partitions(a):
+                for nu2 in enumerate_partitions(b):
+                    for nu3 in enumerate_partitions(d - a - b):
+                        ks = kappa(nu1) + kappa(nu2) + kappa(nu3)
+                        u_ks = QFunction(0, ULaurent.mono(ks), ULaurent.const(1))
+                        acc = acc + (w_pair(nu1, nu2) * w_pair(nu2, nu3)
+                                     * w_pair(nu3, nu1)) * u_ks
+    if d % 2:
+        acc = -acc
+    assert local_p2_z(4)[d] == acc
