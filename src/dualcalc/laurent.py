@@ -4,8 +4,8 @@
 over the class attribute ``ring`` (``Fraction`` by default).  The same ring
 appears three times in the package: polynomials in the framing tau
 (``series.TauLaurent``, over ``GaussianRational``), rational functions in
-u = q^(1/2) (``qfunc.ULaurent``) and Laurent polynomials in the equivariant
-weight alpha (the mirror series).  Subclasses set ``ring`` and add only
+u = q^(1/2) (``qfunc.ULaurent``) and the coefficients in the equivariant
+weight alpha that the mirror series reads and prints.  Subclasses set ``ring`` and add only
 their own operations; every result keeps the class of its left operand.
 """
 from __future__ import annotations

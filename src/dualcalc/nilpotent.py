@@ -1,170 +1,190 @@
 """Truncated polynomial ring for the mirror module.
 
-``XPoly``: polynomials in Chern roots x_1..x_k plus the formal symbols P
-(the pi sqrt(-1)/alpha bookkeeping unit) and t, with coefficients that are
-``laurent.Laurent`` polynomials in the equivariant weight alpha, truncated
-at a total x-degree cap.  Division by the Vandermonde works degree slice by
-degree slice, which keeps truncated inputs exact.
+``XPoly``: polynomials in Chern roots x_1..x_k, the formal symbols P (the
+pi sqrt(-1)/alpha bookkeeping unit) and t, and the equivariant weight alpha
+(any integer power), truncated at a total x-degree cap.  A value holds
+integer numerators keyed by (x_1..x_k, P, t, alpha) exponents over one
+positive common denominator coprime to their content, so the form is
+canonical and arithmetic runs on integers; ``laurent.Laurent``
+coefficients in alpha appear only at the boundary (the constructor, the
+``c`` view and ``schur_components``).  Division by the Vandermonde works
+degree slice by degree slice, which keeps truncated inputs exact.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from operator import add
 from typing import Dict, Optional, Tuple
 
 from .errors import InternalError, UsageError
 from .laurent import Laurent
 
-Frac = Fraction
-AL_ONE = Laurent.const(1)
-
 
 class XPoly:
-    """Keys are (x_1..x_k exponents, P exponent, t exponent) -> Laurent in alpha."""
+    """Numerators ``num`` keyed by (x_1..x_k, P, t, alpha) exponents over ``den``."""
 
-    __slots__ = ("k", "cap", "c")
+    __slots__ = ("k", "cap", "num", "den")
 
     def __init__(self, k: int, cap: int,
                  c: Optional[Dict[Tuple[int, ...], Laurent]] = None):
-        self.k = k
-        self.cap = cap
-        self.c: Dict[Tuple[int, ...], Laurent] = {}
-        if c:
-            for key, v in c.items():
-                if len(key) != k + 2:
-                    raise UsageError("exponent tuple must cover x vars, P and t")
-                if sum(key[:k]) <= cap and v:
-                    self.c[key] = v
+        """From {(x_1..x_k, P, t) exponents: Laurent in alpha}."""
+        terms = {}
+        for key, v in (c or {}).items():
+            if len(key) != k + 2:
+                raise UsageError("exponent tuple must cover x vars, P and t")
+            for e, f in v.c.items():
+                terms[key + (e,)] = f
+        self._fill(k, cap, terms)
+
+    def _fill(self, k: int, cap: int, terms) -> None:
+        terms = {key: f for key, f in terms.items() if f and sum(key[:k]) <= cap}
+        # reduced fractions over their lcm leave numerators coprime to den
+        den = lcm(*(f.denominator for f in terms.values()))
+        self.k, self.cap, self.den = k, cap, den
+        self.num = {key: f.numerator * (den // f.denominator)
+                    for key, f in terms.items()}
+
+    @staticmethod
+    def _make(k: int, cap: int, num: Dict[Tuple[int, ...], int], den: int) -> "XPoly":
+        """From nonzero integer numerators over den > 0, reduced by their content."""
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {key: v // g for key, v in num.items()}
+            den //= g
+        out = object.__new__(XPoly)
+        out.k, out.cap, out.num, out.den = k, cap, num, den
+        return out
+
+    def _like(self, num, den: Optional[int] = None) -> "XPoly":
+        return XPoly._make(self.k, self.cap, num, self.den if den is None else den)
+
+    @property
+    def c(self) -> Dict[Tuple[int, ...], Laurent]:
+        """Read-only view {(x_1..x_k, P, t): Laurent in alpha}."""
+        rows: Dict[Tuple[int, ...], dict] = {}
+        for key, v in self.num.items():
+            rows.setdefault(key[:-1], {})[key[-1]] = Fraction(v, self.den)
+        return {key: Laurent(row) for key, row in rows.items()}
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def const(k: int, cap: int, v) -> "XPoly":
-        al = v if isinstance(v, Laurent) else Laurent.const(v)
-        return XPoly(k, cap, {(0,) * (k + 2): al})
+    def of_terms(k: int, cap: int, terms) -> "XPoly":
+        """From {(x_1..x_k, P, t, alpha) exponents: int or Fraction}."""
+        out = object.__new__(XPoly)
+        out._fill(k, cap, terms)
+        return out
+
+    @staticmethod
+    def const(k: int, cap: int, v, a: int = 0) -> "XPoly":
+        """The constant v * alpha^a (v an int or a Fraction)."""
+        return XPoly.of_terms(k, cap, {(0,) * (k + 2) + (a,): v})
 
     @staticmethod
     def x_var(k: int, cap: int, i: int) -> "XPoly":
-        key = [0] * (k + 2)
-        key[i] = 1
-        return XPoly(k, cap, {tuple(key): AL_ONE})
-
-    def _like(self, c) -> "XPoly":
-        return XPoly(self.k, self.cap, c)
+        return XPoly.of_terms(k, cap, {tuple(int(j == i) for j in range(k + 3)): 1})
 
     # -- arithmetic -----------------------------------------------------------
-    def __add__(self, o: "XPoly") -> "XPoly":
+    def __add__(self, o: "XPoly", sign: int = 1) -> "XPoly":
         if self.k != o.k or self.cap != o.cap:
             raise UsageError("XPoly shape mismatch")
-        c = dict(self.c)
-        for key, v in o.c.items():
-            s = c.get(key)
-            s = v if s is None else s + v
+        den = lcm(self.den, o.den)
+        m1, m2 = den // self.den, sign * (den // o.den)
+        num = {key: v * m1 for key, v in self.num.items()}
+        for key, v in o.num.items():
+            s = num.get(key, 0) + v * m2
             if s:
-                c[key] = s
-            elif key in c:
-                del c[key]
-        return self._like(c)
+                num[key] = s
+            else:
+                del num[key]
+        return self._like(num, den)
 
     def __neg__(self):
-        return self._like({k: -v for k, v in self.c.items()})
+        return self._like({k: -v for k, v in self.num.items()})
 
     def __sub__(self, o):
-        return self + (-o)
+        return self.__add__(o, -1)
 
     def __mul__(self, o: "XPoly") -> "XPoly":
         if self.k != o.k or self.cap != o.cap:
             raise UsageError("XPoly shape mismatch")
         # the right operand grouped by x-degree, lowest first, so each left
-        # key stops at the room cap - deg(k1) left under the cap; alpha
-        # coefficients accumulate per key before any Laurent is formed
+        # key stops at the room cap - deg(k1) left under the cap
+        k = self.k
         by_deg: Dict[int, list] = {}
-        for k2, v2 in o.c.items():
-            by_deg.setdefault(sum(k2[: self.k]), []).append((k2, v2.c.items()))
+        for k2, v2 in o.num.items():
+            by_deg.setdefault(sum(k2[:k]), []).append((k2, v2))
         buckets = sorted(by_deg.items())
-        acc: Dict[Tuple[int, ...], dict] = {}
-        for k1, v1 in self.c.items():
-            room = self.cap - sum(k1[: self.k])
-            a1 = v1.c.items()
+        acc: Dict[Tuple[int, ...], int] = defaultdict(int)
+        for k1, v1 in self.num.items():
+            room = self.cap - sum(k1[:k])
             for d2, terms in buckets:
                 if d2 > room:
                     break
-                for k2, a2 in terms:
-                    key = tuple(map(add, k1, k2))
-                    row = acc.setdefault(key, {})
-                    for e1, f1 in a1:
-                        for e2, f2 in a2:
-                            e = e1 + e2
-                            row[e] = row[e] + f1 * f2 if e in row else f1 * f2
-        return self._like({key: Laurent(row) for key, row in acc.items()})
+                for k2, v2 in terms:
+                    acc[tuple(map(add, k1, k2))] += v1 * v2
+        return self._like({key: v for key, v in acc.items() if v}, self.den * o.den)
 
     def scale(self, v) -> "XPoly":
-        al = v if isinstance(v, Laurent) else Laurent.const(v)
-        return self._like({k: w * al for k, w in self.c.items()})
+        """Times an int, a Fraction, or a Laurent in alpha term by term."""
+        terms = v.c if isinstance(v, Laurent) else {0: v}
+        den = lcm(*(f.denominator for f in terms.values()))
+        num: Dict[Tuple[int, ...], int] = defaultdict(int)
+        for e, f in terms.items():
+            m = f.numerator * (den // f.denominator)
+            for key, w in self.num.items():
+                num[key[:-1] + (key[-1] + e,)] += w * m
+        return self._like({key: w for key, w in num.items() if w}, self.den * den)
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.num)
 
     def __eq__(self, o):
-        return isinstance(o, XPoly) and self.k == o.k and self.c == o.c
+        return (isinstance(o, XPoly) and self.k == o.k and self.den == o.den
+                and self.num == o.num)
 
     # -- calculus -------------------------------------------------------------
     def dt(self) -> "XPoly":
         """Derivative in the t variable (exact: t-degrees are fully stored)."""
-        c: Dict[Tuple[int, ...], Laurent] = {}
         tpos = self.k + 1
-        for key, v in self.c.items():
-            e = key[tpos]
-            if not e:
-                continue
-            nk = key[:tpos] + (e - 1,)
-            piece = v.scale(e)
-            s = c.get(nk)
-            c[nk] = piece if s is None else s + piece
-        return self._like(c)
+        return self._like({key[:tpos] + (key[tpos] - 1, key[-1]): v * key[tpos]
+                           for key, v in self.num.items() if key[tpos]})
 
     # -- substitutions ------------------------------------------------------------
     def subs_t_plus_p_alpha(self) -> "XPoly":
         """t -> t + P alpha (each dropped t-power becomes a P with an alpha)."""
-        c: Dict[Tuple[int, ...], Laurent] = {}
-        tpos = self.k + 1
+        num: Dict[Tuple[int, ...], int] = defaultdict(int)
         ppos = self.k
-        for key, v in self.c.items():
-            m = key[tpos]
+        for key, v in self.num.items():
+            pe, m, a = key[ppos:]
             for r in range(m + 1):
-                nk = list(key)
-                nk[tpos] = r
-                nk[ppos] = key[ppos] + (m - r)
-                coeff = v.shift(m - r).scale(comb(m, r))
-                nkt = tuple(nk)
-                s = c.get(nkt)
-                c[nkt] = coeff if s is None else s + coeff
-        return self._like({k: v for k, v in c.items() if v})
+                num[key[:ppos] + (pe + m - r, r, a + m - r)] += v * comb(m, r)
+        return self._like({k: v for k, v in num.items() if v})
 
     def embed(self, k_total: int, pos: int, cap: int) -> "XPoly":
         """Embed a one-variable polynomial as variable ``pos`` of k_total."""
         if self.k != 1:
             raise UsageError("embed expects a one-variable polynomial")
-        c: Dict[Tuple[int, ...], Laurent] = {}
-        for (xe, pe, te), v in self.c.items():
-            key = [0] * (k_total + 2)
-            key[pos] = xe
-            key[k_total] = pe
-            key[k_total + 1] = te
-            c[tuple(key)] = v
-        return XPoly(k_total, cap, c)
+        num: Dict[Tuple[int, ...], int] = {}
+        for (xe, *rest), v in self.num.items():
+            if xe <= cap:
+                key = [0] * k_total + rest
+                key[pos] = xe
+                num[tuple(key)] = v
+        return XPoly._make(k_total, cap, num, self.den)
 
     def negate_alpha(self) -> "XPoly":
-        return self._like({k: v.negate_var() for k, v in self.c.items()})
+        return self._like({k: (-v if k[-1] % 2 else v) for k, v in self.num.items()})
 
     def p_free(self) -> bool:
-        return all(not key[self.k] or not v for key, v in self.c.items())
+        return not any(key[self.k] for key in self.num)
 
     def is_symmetric(self) -> bool:
-        for key, v in self.c.items():
+        for key, v in self.num.items():
             xs = key[: self.k]
             canon = tuple(sorted(xs, reverse=True)) + key[self.k:]
-            if self.c.get(canon) != v:
+            if self.num.get(canon) != v:
                 return False
         return True
 
@@ -172,25 +192,26 @@ class XPoly:
         from itertools import permutations
 
         idx = list(range(self.k))
-        for key, v in self.c.items():
+        for key, v in self.num.items():
             xs = key[: self.k]
             for perm in permutations(idx):
-                sign = _perm_sign(perm)
                 pk = tuple(xs[p] for p in perm) + key[self.k:]
-                w = self.c.get(pk, Laurent())
-                if w != (v if sign > 0 else -v):
+                if self.num.get(pk, 0) != _perm_sign(perm) * v:
                     return False
         return True
 
     # -- Vandermonde ---------------------------------------------------------------
     def divide_linear(self, i: int, j: int) -> "XPoly":
-        """Exact division by (x_i - x_j), one homogeneous x-slice at a time."""
-        slices: Dict[int, Dict[Tuple[int, ...], Laurent]] = {}
-        for key, v in self.c.items():
+        """Exact division by (x_i - x_j), one homogeneous x-slice at a time.
+
+        The divisor is monic, so the quotient stays over the same denominator.
+        """
+        slices: Dict[int, Dict[Tuple[int, ...], int]] = {}
+        for key, v in self.num.items():
             slices.setdefault(sum(key[: self.k]), {})[key] = v
-        out: Dict[Tuple[int, ...], Laurent] = {}
+        out: Dict[Tuple[int, ...], int] = defaultdict(int)
         for deg, terms in slices.items():
-            work = dict(terms)
+            work = defaultdict(int, terms)
             maxe = max((key[i] for key in work), default=0)
             for e in range(maxe, 0, -1):
                 batch = [key for key in list(work) if key[i] == e]
@@ -199,15 +220,11 @@ class XPoly:
                     if not v:
                         continue
                     qk = key[:i] + (e - 1,) + key[i + 1:]
-                    s = out.get(qk)
-                    out[qk] = v if s is None else s + v
+                    out[qk] += v
                     # compensation: + x_j * q-term stays in the slice
-                    ck = qk[:j] + (qk[j] + 1,) + qk[j + 1:]
-                    s = work.get(ck)
-                    work[ck] = v if s is None else s + v
-            for key, v in work.items():
-                if v:
-                    raise InternalError("Vandermonde division leaves a remainder")
+                    work[qk[:j] + (qk[j] + 1,) + qk[j + 1:]] += v
+            if any(work.values()):
+                raise InternalError("Vandermonde division leaves a remainder")
         return self._like({k: v for k, v in out.items() if v})
 
     def vandermonde_divide(self) -> "XPoly":
@@ -235,11 +252,12 @@ class XPoly:
         """
         if not self.is_symmetric():
             raise InternalError("Schur expansion of a non-symmetric polynomial")
-        bumped = XPoly(self.k, self.cap + self.k * (self.k - 1) // 2, dict(self.c))
+        bumped = XPoly._make(self.k, self.cap + self.k * (self.k - 1) // 2,
+                             self.num, self.den)
         anti = bumped.vandermonde_multiply()
-        out: Dict[Tuple[Tuple[int, ...], int, int], Laurent] = {}
+        rows: Dict[Tuple[Tuple[int, ...], int, int], dict] = {}
         delta = tuple(self.k - 1 - i for i in range(self.k))
-        for key, v in anti.c.items():
+        for key, v in anti.num.items():
             xs = key[: self.k]
             if any(xs[i] <= xs[i + 1] for i in range(self.k - 1)):
                 continue
@@ -247,8 +265,9 @@ class XPoly:
             if any(lam[i] < lam[i + 1] for i in range(self.k - 1)) or lam[-1] < 0:
                 raise InternalError("bad Schur exponent bookkeeping")
             lam = tuple(p for p in lam if p)
-            out[(lam, key[self.k], key[self.k + 1])] = v
-        return out
+            row = rows.setdefault((lam, key[self.k], key[self.k + 1]), {})
+            row[key[-1]] = Fraction(v, anti.den)
+        return {key: Laurent(row) for key, row in rows.items()}
 
 
 def _perm_sign(perm) -> int:
@@ -267,15 +286,13 @@ def exp_x_times(k: int, cap: int, var: int, sym_var: str, sign: int) -> XPoly:
 
     sym_var 'P': e^{sign * P x_var};  sym_var 't': e^{sign * t x_var / alpha}.
     """
-    c: Dict[Tuple[int, ...], Laurent] = {}
+    terms = {}
     for j in range(cap + 1):
-        key = [0] * (k + 2)
+        key = [0] * (k + 3)
         key[var] = j
         if sym_var == "P":
             key[k] = j
-            al = Laurent.mono(0, Frac(sign ** j, factorial(j)))
         else:
-            key[k + 1] = j
-            al = Laurent.mono(-j, Frac(sign ** j, factorial(j)))
-        c[tuple(key)] = al
-    return XPoly(k, cap, c)
+            key[k + 1], key[k + 2] = j, -j
+        terms[tuple(key)] = Fraction(sign ** j, factorial(j))
+    return XPoly.of_terms(k, cap, terms)

@@ -231,6 +231,8 @@ def test_grassmannian_verify():
     ("quintic", ["mirror", "quintic", "--max-degree", "3"]),
     ("mv-dump", ["mv", "--dump", "connected", "--degree", "3", "--order", "7"]),
     ("w-pair-expand", ["w", "--mu", "2,1", "--nu", "2,1", "--expand", "4"]),
+    ("grassmannian", ["mirror", "grassmannian", "-k", "3", "-n", "5",
+                      "--max-degree", "1", "--verify"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)

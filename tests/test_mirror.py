@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualcalc.errors import UsageError, VerificationFailure
 from dualcalc.laurent import Laurent
-from dualcalc.nilpotent import AL_ONE, XPoly
+from dualcalc import mirror
+from dualcalc.nilpotent import XPoly
 from dualcalc.mirror import (candelas, gr23_matches_p2, gr_loc_sum,
                              hg_projective, hori_vafa_series,
                              mirror_map_round_trip, multiple_cover_forward,
@@ -13,6 +15,7 @@ from dualcalc.mirror import (candelas, gr23_matches_p2, gr_loc_sum,
                              toric_b_series, _inv_linear_power)
 
 F = Fraction
+AL_ONE = Laurent.const(1)
 
 
 # -- quintic ------------------------------------------------------------------
@@ -190,15 +193,17 @@ def _all_pairs_product(a, b):
     return XPoly(a.k, a.cap, c)
 
 
+_alpha_coeff = st.dictionaries(
+    st.integers(-2, 2), st.fractions(min_value=-3, max_value=3, max_denominator=2),
+    min_size=1, max_size=2).map(Laurent)
+
+
 @st.composite
 def _xpoly_pair(draw):
     k = draw(st.integers(1, 3))
     cap = draw(st.integers(1, 4))
-    coeff = st.dictionaries(st.integers(-2, 2),
-                            st.fractions(min_value=-3, max_value=3, max_denominator=2),
-                            min_size=1, max_size=2).map(Laurent)
     key = st.tuples(*[st.integers(0, cap)] * k, st.integers(0, 2), st.integers(0, 2))
-    poly = st.dictionaries(key, coeff, max_size=8).map(lambda c: XPoly(k, cap, c))
+    poly = st.dictionaries(key, _alpha_coeff, max_size=8).map(lambda c: XPoly(k, cap, c))
     return draw(poly), draw(poly)
 
 
@@ -207,3 +212,132 @@ def _xpoly_pair(draw):
 def test_bucketed_xpoly_product_matches_all_pairs(pair):
     a, b = pair
     assert a * b == _all_pairs_product(a, b)
+
+
+# -- integer-numerator XPoly against a Laurent-valued reference ---------------
+# The references work on the {(x_1..x_k, P, t): Laurent in alpha} view, the
+# way XPoly computed before its coefficients became integers over one
+# common denominator.
+
+def _ref_sum(a, b, sign=1):
+    c = dict(a.c)
+    for key, v in b.c.items():
+        c[key] = c.get(key, Laurent()) + (v if sign > 0 else -v)
+    return XPoly(a.k, a.cap, c)
+
+
+def _ref_scale(a, v):
+    al = v if isinstance(v, Laurent) else Laurent.const(v)
+    return XPoly(a.k, a.cap, {key: w * al for key, w in a.c.items()})
+
+
+def _ref_dt(a):
+    c = {}
+    for key, v in a.c.items():
+        e = key[-1]
+        if e:
+            nk = key[:-1] + (e - 1,)
+            c[nk] = c.get(nk, Laurent()) + v.scale(e)
+    return XPoly(a.k, a.cap, c)
+
+
+def _ref_subs_t_plus_p_alpha(a):
+    c = {}
+    for key, v in a.c.items():
+        m = key[-1]
+        for r in range(m + 1):
+            nk = key[:-2] + (key[-2] + m - r, r)
+            c[nk] = c.get(nk, Laurent()) + v.shift(m - r).scale(comb(m, r))
+    return XPoly(a.k, a.cap, c)
+
+
+def _ref_negate_alpha(a):
+    return XPoly(a.k, a.cap, {key: v.negate_var() for key, v in a.c.items()})
+
+
+def _ref_divide_linear(a, i, j):
+    slices = {}
+    for key, v in a.c.items():
+        slices.setdefault(sum(key[: a.k]), {})[key] = v
+    out = {}
+    for terms in slices.values():
+        work = dict(terms)
+        for e in range(max(key[i] for key in work), 0, -1):
+            for key in [key for key in work if key[i] == e]:
+                v = work.pop(key)
+                qk = key[:i] + (e - 1,) + key[i + 1:]
+                out[qk] = out.get(qk, Laurent()) + v
+                ck = qk[:j] + (qk[j] + 1,) + qk[j + 1:]
+                work[ck] = work.get(ck, Laurent()) + v
+        assert not any(work.values())
+    return XPoly(a.k, a.cap, out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_xpoly_pair(),
+       st.fractions(min_value=-5, max_value=5, max_denominator=6),
+       st.dictionaries(st.integers(-2, 2),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                       min_size=2, max_size=3).map(Laurent))
+def test_xpoly_arithmetic_matches_laurent_reference(pair, frac, laurent):
+    a, b = pair
+    assert a + b == _ref_sum(a, b)
+    assert a - b == _ref_sum(a, b, -1)
+    assert a.scale(frac) == _ref_scale(a, frac)
+    assert a.scale(laurent) == _ref_scale(a, laurent)
+    assert a.dt() == _ref_dt(a)
+    assert a.subs_t_plus_p_alpha() == _ref_subs_t_plus_p_alpha(a)
+    assert a.negate_alpha() == _ref_negate_alpha(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_xpoly_pair(), st.data())
+def test_xpoly_divide_linear_matches_laurent_reference(pair, data):
+    a, _ = pair
+    if a.k < 2:
+        return
+    i, j = sorted(data.draw(st.lists(st.integers(0, a.k - 1), min_size=2,
+                                     max_size=2, unique=True)))
+    prod = a * (XPoly.x_var(a.k, a.cap, i) - XPoly.x_var(a.k, a.cap, j))
+    quo = prod.divide_linear(i, j)
+    assert quo == _ref_divide_linear(prod, i, j)
+    # the top x-slice of a falls out of the truncated product
+    assert quo == XPoly(a.k, a.cap, {key: v for key, v in a.c.items()
+                                     if sum(key[: a.k]) < a.cap})
+
+
+def test_xpoly_canonical_form():
+    half = XPoly(1, 2, {(0, 0, 0): Laurent.const(F(1, 2))})
+    assert XPoly(1, 2, {(0, 0, 0): Laurent.const(F(2, 4))}) == half
+    assert half.num == {(0, 0, 0, 0): 1} and half.den == 2
+    # the content is taken out after products, sums and scaling
+    by_scale = XPoly.const(1, 2, F(1, 4)).scale(2)
+    by_sum = XPoly.const(1, 2, F(1, 6)) + XPoly.const(1, 2, F(1, 3))
+    by_mul = XPoly.const(1, 2, F(2, 3)) * XPoly.const(1, 2, F(3, 4))
+    for p in (by_scale, by_sum, by_mul):
+        assert p == half and p.den == 2 and p.num == half.num
+    neg = XPoly.const(1, 2, F(-3, 4))
+    assert neg.den == 4 and neg.num == {(0, 0, 0, 0): -3}
+    zero = half - half
+    assert not zero and zero.den == 1 and zero == XPoly(1, 2)
+
+
+def test_non_monomial_alpha_coefficients_round_trip():
+    c = {(1, 0, 0, 2): Laurent({-1: F(1, 3), 2: F(-5, 2)}),
+         (0, 1, 1, 0): Laurent({0: 2, 1: F(1, 6)})}
+    p = XPoly(2, 3, c)
+    assert p.c == c
+    assert p.den == 6
+    assert len(p.num) == 4
+
+
+@pytest.mark.parametrize("k,n", [(1, 2), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)])
+def test_hori_vafa_equality_degree_one(k, n):
+    hv = hori_vafa_series(k, n, 1)
+    assert hv["equal"] is True
+    assert hv["operator"][1] and hv["localization"][1]
+
+
+def test_empty_comparison_is_not_equal(monkeypatch):
+    monkeypatch.setattr(mirror, "_schur_by_t", lambda *args: {})
+    assert hori_vafa_series(2, 3, 1)["equal"] is False
