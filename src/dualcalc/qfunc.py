@@ -9,23 +9,25 @@ u^(-m) prod_{e | 2m} Phi_e and the principal-specialization factors
 a sum takes the largest exponent of each factor, and reduction is a trial
 exact division of the numerator by each Phi_e present (Phi_e is irreducible
 over Q).  Keeping the phase separate leaves all polynomial arithmetic inside
-Q(u); the phase is recombined only when a value is expanded as a
-lambda-series through ``to_lambda`` (u = e^{sqrt(-1) lambda/2}, so
-q = e^{sqrt(-1) lambda}).
+Q(u).  ``to_lambda`` expands a value at u = e^{sqrt(-1) lambda/2} (so
+q = e^{sqrt(-1) lambda}): num and den become rational series in
+x = sqrt(-1) lambda, their quotient comes from the ``dense`` kernel, and
+the phase joins only as each lambda^e coefficient is stored.  The vertex's
+multi-cover kernel is expanded the same way.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import dense
 from .errors import InternalError, UsageError
 from .laurent import Laurent
-from .scalars import GR_I, GaussianRational, neg_i_power
-from .series import LambdaSeries, TauLaurent
+from .scalars import GaussianRational
+from .series import LambdaSeries
 
 Factors = Tuple[Tuple[int, int], ...]
 
@@ -43,31 +45,20 @@ class ULaurent(Laurent):
             return ULaurent()
         return ULaurent({m: Fraction(1), -m: Fraction(-1)})
 
-    def subs_q_to_lambda(self, trunc: int) -> LambdaSeries:
-        """Substitute u = e^{i lambda/2}, truncated at ``trunc``."""
-        out: Dict[int, GaussianRational] = {}
-        for m, v in self.c.items():
-            e = _exp_iu(m, trunc)
-            for j, g in enumerate(e):
-                out[j] = out.get(j, _GR0) + g * v
-        return LambdaSeries.from_map({k: TauLaurent.const(v) for k, v in out.items() if v},
-                                     trunc)
-
 
 _F0 = Fraction(0)
-_GR0 = GaussianRational(0)
 
 
-@lru_cache(maxsize=None)
-def _exp_iu(m: int, trunc: int) -> Tuple[GaussianRational, ...]:
-    """Coefficients of e^{i m lambda / 2} through lambda^(trunc-1)."""
-    half = GR_I * Fraction(m, 2)
-    out = []
-    p = GaussianRational(1)
-    for j in range(trunc):
-        out.append(p * Fraction(1, factorial(j)))
-        p = p * half
-    return tuple(out)
+def _x_series(p: ULaurent, n: int) -> List[Fraction]:
+    """p(e^{x/2}) through x^(n-1): the x^j coefficient is sum_m p_m (m/2)^j / j!."""
+    c = lcm(*(v.denominator for v in p.c.values()))
+    terms = [(m, v.numerator * (c // v.denominator)) for m, v in p.c.items()]
+    out: List[Fraction] = []
+    for j in range(n):
+        out.append(Fraction(sum(v for _m, v in terms), c))
+        terms = [(m, v * m) for m, v in terms]
+        c *= 2 * (j + 1)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -229,16 +220,30 @@ class QFunction:
 
     # -- expansion ---------------------------------------------------------------
     def to_lambda(self, trunc: int) -> LambdaSeries:
-        """Expansion at u = e^{i lambda/2}, truncated at order ``trunc``."""
+        """Expansion at u = e^{i lambda/2}, truncated at order ``trunc``.
+
+        num and den are expanded as Fraction series in x = i lambda; den
+        vanishes at x = 0 only through Phi_1 = u - 1, so its x-valuation is
+        the exponent of Phi_1.  The quotient comes from the dense kernel, and
+        the phase i^e (-i)^ipow joins each lambda^e coefficient as it is stored.
+        """
         if not self.num:
             return LambdaSeries(0, [])
-        # den vanishes at u = 1 (lambda = 0) only through Phi_1 = u - 1
-        margin = trunc + 2 * dict(self.fac).get(1, 0) + 2
-        out = self.num.subs_q_to_lambda(margin).div(self.den.subs_q_to_lambda(margin))
-        out = out.scale(neg_i_power(self.ipow))
-        if out.trunc > trunc:
-            out = LambdaSeries(out.floor, out.co[: trunc - out.floor])
-        return out.pruned()
+        v = dict(self.fac).get(1, 0)
+        num = _x_series(self.num, trunc + v)
+        lo = next((j for j, c in enumerate(num) if c), None)
+        if lo is None:
+            # the value's valuation lies at or beyond the window
+            return LambdaSeries.from_map({}, trunc)
+        n = trunc + v - lo
+        den = _x_series(self.den, v + n)
+        if any(den[:v]) or not den[v]:
+            raise InternalError("denominator x-valuation differs from its Phi_1 exponent")
+        quo = dense.mul(num[lo:], dense.inv(den[v:], n), n)
+        lo -= v
+        return LambdaSeries.from_map(
+            {lo + j: GaussianRational.i_power(lo + j - self.ipow) * c
+             for j, c in enumerate(quo) if c}, trunc)
 
     def q_series(self, order: int) -> List[Fraction]:
         """q-expansion through q^order; requires ipow == 0 and a u-even value."""

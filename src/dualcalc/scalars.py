@@ -138,11 +138,6 @@ GR_I = GaussianRational(0, 1)
 _I_POW = (GR_ONE, GR_I, GaussianRational(-1), GaussianRational(0, -1))
 
 
-def neg_i_power(k: int) -> GaussianRational:
-    """(-sqrt(-1))**k for any integer k."""
-    return _I_POW[(-k) % 4]
-
-
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with B_1 = -1/2 (so B_2 = 1/6, B_4 = -1/30)."""

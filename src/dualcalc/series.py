@@ -9,7 +9,10 @@ Two layers:
   are ``TauLaurent`` values.  Every series carries an explicit window
   ``[floor, trunc)``; arithmetic narrows windows so that no operation ever
   claims coefficients it has not actually computed.  A series with an empty
-  coefficient list is an *exact* zero (valid to every order).
+  coefficient list is an *exact* zero (valid to every order);
+  ``from_map({}, trunc)`` is zero only through its window.  There is no
+  series division: a rational function of q reaches this type through
+  ``QFunction.to_lambda``, and ``inverse`` serves the Hodge solve.
 """
 from __future__ import annotations
 
@@ -209,35 +212,6 @@ class LambdaSeries:
                     acc = acc + a.co[j] * out[m - j]
             out.append((-acc) * lead_inv if acc else TL_ZERO)
         return LambdaSeries(-v, out)
-
-    def div(self, other: "LambdaSeries") -> "LambdaSeries":
-        """Division, exact through the common window.
-
-        The leading coefficient of ``other`` must divide exactly at every
-        step (monomial leads always do); otherwise InternalError signals a
-        nonzero remainder.
-        """
-        a, b = self.pruned(), other.pruned()
-        if not b.co:
-            raise ZeroDivisionError("series division by exact zero")
-        if not b.co[0]:
-            raise UsageError("division by series with zero leading coefficient")
-        if not a.co:
-            return LambdaSeries(0, [])
-        v = b.floor
-        lead = b.co[0]
-        n = min(len(a.co), len(b.co))
-        qfloor = a.floor - v
-        q: List[TauLaurent] = []
-        rem = list(a.co[:n])
-        for m in range(n):
-            qm = rem[m].divexact(lead) if rem[m] else TL_ZERO
-            q.append(qm)
-            if qm:
-                for j in range(1, n - m):
-                    if j < len(b.co) and b.co[j]:
-                        rem[m + j] = rem[m + j] - qm * b.co[j]
-        return LambdaSeries(qfloor, q)
 
     # -- tau plumbing ----------------------------------------------------------
     def map_coeffs(self, f: Callable[[int, TauLaurent], TauLaurent]) -> "LambdaSeries":

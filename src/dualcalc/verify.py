@@ -14,6 +14,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from . import hodge, hurwitz, intersections, mirror, vertex
 from .chern_simons import check_pair_reduction
+from .errors import UsageError
 from .partitions import enumerate_partitions, length, size
 
 Detail = dict
@@ -218,9 +219,9 @@ TIME_BOUNDS = {
 
 def run_all(profile: str = "quick", inject_fault: Optional[str] = None) -> dict:
     if profile not in ("quick", "full"):
-        from .errors import UsageError
-
         raise UsageError(f"unknown profile {profile!r}")
+    if inject_fault is not None and inject_fault not in CHECKS:
+        raise UsageError(f"unknown check {inject_fault!r}")
 
     def run_one(name: str) -> dict:
         t0 = time.monotonic()

@@ -29,8 +29,8 @@ from .chern_simons import w_pair
 from .dense import graded_log
 from .errors import InternalError, UsageError, VerificationFailure
 from .partitions import compositions, enumerate_partitions, kappa
-from .qfunc import QFunction, sum_of_products
-from .series import LambdaSeries, sin_expand
+from .qfunc import QFunction, ULaurent, sum_of_products
+from .series import LambdaSeries
 
 Frac = Fraction
 NTable = Dict[Tuple[int, int], Frac]
@@ -130,21 +130,12 @@ def extract_gw(d_max: int, g_max: int, trunc: Optional[int] = None) -> NTable:
 
 @lru_cache(maxsize=None)
 def _kernel(g: int, k: int, trunc: int) -> LambdaSeries:
-    """(1/k) (2 sin(k lambda / 2))^{2g-2}."""
-    s = sin_expand(k, trunc + 2 * max(1, k) + 2)
-    if g == 0:
-        base = s.inverse()
-        out = base * base
-    elif g == 1:
-        out = LambdaSeries.one(trunc)
-    else:
-        out = s
-        for _ in range(2 * g - 3):
-            out = out * s
-    out = out.scale(Frac(1, k))
-    if out.trunc > trunc:
-        out = LambdaSeries(out.floor, out.co[: trunc - out.floor])
-    return out
+    """(1/k) (2 sin(k lambda / 2))^{2g-2}, with 2 sin(k lambda/2) = (-i)[k]."""
+    power = ULaurent.const(1)
+    for _ in range(abs(2 * g - 2)):
+        power = power * ULaurent.bracket(k)
+    num, den = (ULaurent.const(1), power) if g == 0 else (power, ULaurent.const(1))
+    return QFunction(2 * g - 2, num.scale(Frac(1, k)), den).to_lambda(trunc)
 
 
 def gv_invert(n_table: NTable, d_max: int, g_max: int) -> GVTable:
@@ -185,7 +176,6 @@ def gv_forward(gv: GVTable, d_max: int, g_max: int) -> NTable:
     """Multi-cover resummation of an integer table back to a GW table."""
     trunc = 2 * g_max + 1
     out: NTable = {}
-    slices: Dict[int, LambdaSeries] = {}
     for d in range(1, d_max + 1):
         acc = LambdaSeries.from_map({}, trunc)
         for k in range(1, d + 1):
@@ -196,7 +186,6 @@ def gv_forward(gv: GVTable, d_max: int, g_max: int) -> NTable:
                 cv = gv.get((g, dp), 0)
                 if cv:
                     acc = acc + _kernel(g, k, trunc).scale(cv)
-        slices[d] = acc
         for g in range(g_max + 1):
             out[(g, d)] = acc.coeff(2 * g - 2).as_scalar().re
     return out

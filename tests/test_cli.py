@@ -162,6 +162,7 @@ VACUOUS = {
     "lambda-g-order-3": ["mv", "--check", "lambda-g", "--degree", "2", "--order", "3"],
     "w-expand-negative": ["w", "--mu", "1", "--expand", "-2"],
     "w-expand-zero": ["w", "--mu", "1", "--expand", "0"],
+    "inject-unknown-check": ["verify-all", "--inject-fault", "no-such-check"],
 }
 
 
@@ -233,6 +234,9 @@ def test_grassmannian_verify():
     ("w-pair-expand", ["w", "--mu", "2,1", "--nu", "2,1", "--expand", "4"]),
     ("grassmannian", ["mirror", "grassmannian", "-k", "3", "-n", "5",
                       "--max-degree", "1", "--verify"]),
+    ("w-expand-321", ["w", "--mu", "3,2,1", "--expand", "10"]),
+    ("w-pair-expand-31-22", ["w", "--mu", "3,1", "--nu", "2,2", "--expand", "8"]),
+    ("vertex-d4-g3", ["vertex", "local-p2", "--max-degree", "4", "--max-genus", "3", "--gv"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)
@@ -247,7 +251,7 @@ OP_COVERAGE = {
     "series_arith": ["w", "--mu", "1", "--expand", "6"],
     "series_exp_log": ["mv", "--check", "pde", "--degree", "2", "--order", "7"],
     "bernoulli": ["mv", "--check", "lambda-g", "--degree", "1", "--order", "9"],
-    "sin_expand": ["vertex", "local-p2", "--max-degree", "1", "--max-genus", "1", "--gv"],
+    "gv_kernel": ["vertex", "local-p2", "--max-degree", "1", "--max-genus", "1", "--gv"],
     "qfun_to_lambda": ["w", "--mu", "2", "--expand", "6"],
     # partition engine
     "enumerate_partitions": ["hurwitz", "--genus", "0", "--partition", "3"],

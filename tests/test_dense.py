@@ -2,9 +2,11 @@
 from fractions import Fraction
 from math import factorial
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualcalc import dense
+from dualcalc.errors import UsageError
 
 small_frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 series = st.lists(small_frac, min_size=1, max_size=6)
@@ -15,6 +17,11 @@ lengths = st.integers(1, 6)
 @given(series.filter(lambda a: a[0] != 0), lengths)
 def test_inverse_times_series_is_one(a, n):
     assert dense.mul(a, dense.inv(a, n), n) == [1] + [0] * (n - 1)
+
+
+def test_inverse_needs_nonzero_constant_term():
+    with pytest.raises(UsageError):
+        dense.inv([Fraction(0), Fraction(1)], 3)
 
 
 @settings(max_examples=80, deadline=None)

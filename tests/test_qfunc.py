@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dualcalc.errors import UsageError
 from dualcalc.qfunc import QFunction, ULaurent, sum_of_products
 from dualcalc.scalars import GaussianRational
-from dualcalc.series import LambdaSeries, sin_expand
+from dualcalc.series import LambdaSeries, TauLaurent, sin_expand
 
 
 def q(num, den, ipow=0):
@@ -172,3 +173,49 @@ def test_sum_of_products_matches_term_by_term_sum(terms):
             term = term * f
         expect = expect + term
     assert sum_of_products(terms) == expect
+
+
+def test_window_at_or_below_valuation_is_zero_through_window():
+    # (u - u^-1)^2 = (2i sin(lambda/2))^2 = -lambda^2 + ...: zero below lambda^2,
+    # not the exact zero
+    sq = QFunction(0, ULaurent.bracket(1) * ULaurent.bracket(1), ULaurent.const(1))
+    for trunc in (-2, 0, 1, 2):
+        s = sq.to_lambda(trunc)
+        assert not s.is_exact_zero() and s.trunc == trunc and s.is_zero_through()
+    assert sq.to_lambda(3).scalar_coeff(2) == GaussianRational(-1)
+    # 1/(2 sin(lambda/2)) = 1/lambda + ...; trunc + (Phi_1 exponent) <= 0 is not an IndexError
+    inv = QFunction(-1, ULaurent.const(1), ULaurent.bracket(1))
+    for trunc in (-4, -1):
+        s = inv.to_lambda(trunc)
+        assert not s.is_exact_zero() and s.trunc == trunc and s.is_zero_through()
+    assert inv.to_lambda(0).scalar_coeff(-1) == GaussianRational(1)
+
+
+def _direct(ipow, p: ULaurent, j: int) -> GaussianRational:
+    """The lambda^j coefficient of (-i)^ipow p(e^{i lambda/2}), summed directly:
+    (-i)^ipow sum_m p_m (i m/2)^j / j!."""
+    acc = GaussianRational(0)
+    for m, v in p.c.items():
+        acc = acc + (GaussianRational(0, Fraction(m, 2)) ** j) * v
+    return acc * GaussianRational(0, -1) ** ipow / factorial(j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonzero_upoly, st.integers(0, 3), st.integers(-2, 7))
+def test_to_lambda_of_polynomial_is_direct_sum(p, ipow, trunc):
+    f = QFunction(ipow, p, ULaurent.const(1))
+    s = f.to_lambda(trunc)
+    assert s.trunc == trunc
+    for j in range(min(s.floor, 0), trunc):
+        assert s.coeff(j) == TauLaurent.const(_direct(ipow, p, j) if j >= 0 else 0), j
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracket_value, st.integers(1, 5))
+def test_to_lambda_times_denominator_is_numerator(f, extra):
+    v = dict(f.fac).get(1, 0)
+    trunc = v + extra
+    prod = f.to_lambda(trunc) * QFunction(0, f.den, ULaurent.const(1)).to_lambda(trunc)
+    assert prod.trunc >= extra
+    for j in range(prod.trunc):
+        assert prod.coeff(j) == TauLaurent.const(_direct(f.ipow, f.num, j)), j

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from dualcalc.scalars import GR_I, GR_ONE, GaussianRational, bernoulli, neg_i_power
+from dualcalc.scalars import GR_I, GR_ONE, GaussianRational, bernoulli
 
 
 def test_i_squared():
@@ -17,15 +17,6 @@ def test_field_ops():
     assert (a + b) - b == a
     assert (a * b) / b == a
     assert a * a.inverse() == GR_ONE
-
-
-def test_neg_i_power_cycle():
-    vals = [neg_i_power(k) for k in range(4)]
-    assert vals[0] == GR_ONE
-    assert vals[1] == GaussianRational(0, -1)
-    assert vals[2] == GaussianRational(-1)
-    assert vals[3] == GR_I
-    assert neg_i_power(-1) == GR_I
 
 
 small = st.fractions(min_value=-50, max_value=50, max_denominator=10)

@@ -47,12 +47,6 @@ def test_monomial_shift_product():
     assert (a * b).eq_through(LambdaSeries.from_map({0: 1, 1: 1}, 6), -1, 6)
 
 
-def test_div_identity():
-    a = LambdaSeries.from_map({0: 1, 1: 1}, 8)
-    q = a.div(a)
-    assert q.eq_through(LambdaSeries.one(8), 0, 8)
-
-
 def test_geometric_series_oracle():
     # sum_k L^k times (1 - L) = 1, checked by direct convolution
     trunc = 8
@@ -67,13 +61,6 @@ def test_inverse_of_unit():
     a = LambdaSeries.from_map({0: 1, 1: Fraction(1, 2), 3: -2}, 9)
     prod = a * a.inverse()
     assert prod.eq_through(LambdaSeries.one(prod.trunc), 0, prod.trunc)
-
-
-def test_div_requires_invertible_lead():
-    a = LambdaSeries.one(6)
-    b = LambdaSeries(0, [])
-    with pytest.raises(ZeroDivisionError):
-        a.div(b)
 
 
 def test_sin_expand_values():

@@ -101,3 +101,21 @@ def test_grouped_slice_matches_term_by_term_sum(d):
     if d % 2:
         acc = -acc
     assert local_p2_z(4)[d] == acc
+
+
+@pytest.mark.parametrize("g", range(4))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_kernel_matches_sine_powers(g, k):
+    # oracle: (1/k) (2 sin(k lambda/2))^{2g-2} from sin_expand by series products
+    from dualcalc.series import LambdaSeries, sin_expand
+    from dualcalc.vertex import _kernel
+
+    trunc = 2 * g + 5
+    s = sin_expand(k, trunc + 4)
+    base = s.inverse() if g == 0 else s
+    expect = LambdaSeries.one(trunc + 4)
+    for _ in range(abs(2 * g - 2)):
+        expect = expect * base
+    got = _kernel(g, k, trunc)
+    assert (got.floor, got.trunc) == (2 * g - 2, trunc)
+    assert got.eq_through(expect.scale(Fraction(1, k)), 2 * g - 2, trunc)
