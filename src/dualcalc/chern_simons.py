@@ -17,7 +17,7 @@ from functools import lru_cache
 from .errors import InternalError
 from .partitions import (Partition, intersection, kappa, length, size,
                          sub_diagrams)
-from .qfunc import QFunction, ULaurent, sum_of_products
+from .qfunc import QFunction, ULaurent, bracket_quotient, sum_of_products
 from .schur import skew_schur_principal
 from .series import LambdaSeries
 
@@ -32,23 +32,22 @@ def w_one(mu: Partition) -> QFunction:
     vanishes.
     """
     l = length(mu)
-    num = ULaurent.const(1)
-    den = ULaurent.const(1)
+    tops, bottoms = [], []
     for a in range(l):
         for b in range(a + 1, l):
             m = mu[a] - mu[b] + (b + 1) - (a + 1)
             n = (b + 1) - (a + 1)
             if m <= 0 or n <= 0:
                 raise InternalError(f"nonpositive bracket argument in w_one({mu})")
-            num = num * ULaurent.bracket(m)
-            den = den * ULaurent.bracket(n)
+            tops.append(m)
+            bottoms.append(n)
     for i in range(1, l + 1):
         for v in range(1, mu[i - 1] + 1):
             arg = v - i + l
             if arg <= 0:
                 raise InternalError(f"vanishing sine factor in w_one({mu})")
-            den = den * ULaurent.bracket(arg)
-    return QFunction(-size(mu), num, den)
+            bottoms.append(arg)
+    return bracket_quotient(-size(mu), tops, bottoms)
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from . import hodge, hurwitz, intersections, mirror, vertex, verify
 from .chern_simons import w_one, w_pair
 from .errors import InternalError, UsageError, VerificationFailure
-from .partitions import format_partition, parse_partition
+from .partitions import format_partition, length, parse_partition
 from .qfunc import QFunction
 from .scalars import GaussianRational
 from .series import LambdaSeries, TauLaurent
@@ -215,7 +215,11 @@ def _cmd_mv(args) -> dict:
     cap, trunc = args.degree, args.order
     if args.check == "pde":
         fs = hodge.build_series(cap, trunc)
-        ok = hodge.pde_residual(fs).is_zero_through_windows()
+        res = hodge.pde_residual(fs)
+        # every window must reach the genus-0 power lambda^{l(mu)-2}
+        if not hodge.residual_window_ok(res, lambda key: length(key[0]) - 1):
+            raise UsageError(f"order {trunc} leaves a residual window below its genus-0 term")
+        ok = res.is_zero_through_windows()
         checks.append({"name": "pde-residual-zero", "pass": ok})
         result = {"residual_zero": ok, "degree": cap, "order": trunc}
     elif args.check == "initial":

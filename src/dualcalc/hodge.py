@@ -20,6 +20,15 @@ A(tau), and the cut-and-join evolution all carry it consistently, and any
 attempt to remove it by rescaling p_d breaks the evolution equation.  The
 initial-value check therefore pins the phase exactly and verifies the
 identity in this documented normalization.
+
+Where the phase lives.  Every coefficient of these series is phase-pure:
+the p_mu lambda^e coefficient of the one-family series is real exactly
+when |mu| + e is even, and that of the two-family series exactly when e is
+even.  So ``series.TauLaurent`` holds each one as i^ph times an integer
+tau-polynomial over one denominator, the framing exponentials are built
+with their phase i, and the cut-and-join, log and residual arithmetic runs
+on integers; a ``GaussianRational`` appears only where a coefficient is
+read out or compared with an oracle.
 """
 from __future__ import annotations
 
@@ -65,8 +74,8 @@ class FramedSeries:
 def _one_family_term(nu: Partition, trunc: int) -> LambdaSeries:
     t = trunc + size(nu)
     # e^{i (tau + 1/2) kappa lambda / 2}
-    framing = exp_monomial(TauLaurent({0: GR_I * Frac(kappa(nu), 4),
-                                       1: GR_I * Frac(kappa(nu), 2)}), 1, t)
+    framing = exp_monomial(TauLaurent.phased(1, {0: Frac(kappa(nu), 4),
+                                                 1: Frac(kappa(nu), 2)}), 1, t)
     return framing * w_one_lambda(nu, t)
 
 
@@ -74,8 +83,8 @@ def _one_family_term(nu: Partition, trunc: int) -> LambdaSeries:
 def _two_family_term(nup: Partition, num: Partition, trunc: int) -> LambdaSeries:
     t = trunc + size(nup) + size(num)
     # e^{i (kappa+ tau + kappa- / tau) lambda / 2}
-    framing = exp_monomial(TauLaurent({1: GR_I * Frac(kappa(nup), 2),
-                                       -1: GR_I * Frac(kappa(num), 2)}), 1, t)
+    framing = exp_monomial(TauLaurent.phased(1, {1: Frac(kappa(nup), 2),
+                                                 -1: Frac(kappa(num), 2)}), 1, t)
     return framing * w_pair_lambda(nup, num, t)
 
 
@@ -276,9 +285,9 @@ def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> List[Frac]:
     deg = quotient.max_exp() if quotient else 0
     if deg > 2 * g:
         raise InternalError(f"tau-degree {deg} exceeds 2g for (g={g}, mu={mu})")
-    out = []
+    out, qc = [], quotient.c
     for j in range(deg + 1):
-        v = quotient.c.get(j)
+        v = qc.get(j)
         if v is None:
             out.append(Frac(0))
         else:

@@ -1,12 +1,11 @@
-"""Sparse Laurent polynomials in one variable.
+"""Sparse Laurent polynomials in one variable over the rationals.
 
-``Laurent`` stores ``{exponent: coefficient}`` with no zero coefficients
-over the class attribute ``ring`` (``Fraction`` by default).  The same ring
-appears three times in the package: polynomials in the framing tau
-(``series.TauLaurent``, over ``GaussianRational``), rational functions in
-u = q^(1/2) (``qfunc.ULaurent``) and the coefficients in the equivariant
-weight alpha that the mirror series reads and prints.  Subclasses set ``ring`` and add only
-their own operations; every result keeps the class of its left operand.
+``Laurent`` stores ``{exponent: Fraction}`` with no zero coefficients.  The
+same kernel serves rational functions in u = q^(1/2) (``qfunc.ULaurent``),
+the coefficients in the equivariant weight alpha that the mirror series
+reads and prints, and the exact division of ``series.TauLaurent``
+numerators.  Subclasses add only their own operations; every result keeps
+the class of its left operand.
 """
 from __future__ import annotations
 
@@ -17,18 +16,16 @@ from .errors import InternalError
 
 
 class Laurent:
-    """Finite Laurent polynomial in one variable over ``ring``."""
+    """Finite Laurent polynomial in one variable over Fraction."""
 
     __slots__ = ("c",)
-    ring = Fraction
     var = "x"
 
     def __init__(self, coeffs: Optional[Dict[int, object]] = None):
-        ring = self.ring
         c = {}
         if coeffs:
             for k, v in coeffs.items():
-                f = v if isinstance(v, ring) else ring(v)
+                f = v if isinstance(v, Fraction) else Fraction(v)
                 if f:
                     c[k] = f
         self.c = c
@@ -38,10 +35,6 @@ class Laurent:
         out = object.__new__(type(self))
         out.c = c
         return out
-
-    @staticmethod
-    def _recip(v):
-        return 1 / v
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -61,9 +54,6 @@ class Laurent:
 
     def max_exp(self) -> int:
         return max(self.c)
-
-    def is_monomial(self) -> bool:
-        return len(self.c) == 1
 
     # -- arithmetic -------------------------------------------------------------
     def __add__(self, o: "Laurent") -> "Laurent":
@@ -102,7 +92,7 @@ class Laurent:
         return self._new(c)
 
     def scale(self, v) -> "Laurent":
-        f = v if isinstance(v, self.ring) else self.ring(v)
+        f = v if isinstance(v, Fraction) else Fraction(v)
         return self._new({k: w * f for k, w in self.c.items()} if f else {})
 
     def shift(self, d: int) -> "Laurent":
@@ -127,15 +117,15 @@ class Laurent:
             return self._new({})
         if len(o.c) == 1:
             (k, v), = o.c.items()
-            inv = self._recip(v)
+            inv = 1 / v
             return self._new({kk - k: vv * inv for kk, vv in self.c.items()})
         # dense long division from the top; divisor zeros are skipped
         sa, sb = self.min_exp(), o.min_exp()
-        rem = [self.ring(0)] * (self.max_exp() - sa + 1)
+        rem = [Fraction(0)] * (self.max_exp() - sa + 1)
         for k, v in self.c.items():
             rem[k - sa] = v
         db = o.max_exp() - sb
-        lead_inv = self._recip(o.c[db + sb])
+        lead_inv = 1 / o.c[db + sb]
         tail = [(k - sb, v) for k, v in o.c.items() if k - sb != db]
         q = {}
         for da in range(len(rem) - 1, db - 1, -1):

@@ -26,8 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from . import dense
 from .errors import InternalError, UsageError
 from .laurent import Laurent
-from .scalars import GaussianRational
-from .series import LambdaSeries
+from .series import LambdaSeries, TauLaurent
 
 Factors = Tuple[Tuple[int, int], ...]
 
@@ -242,7 +241,7 @@ class QFunction:
         quo = dense.mul(num[lo:], dense.inv(den[v:], n), n)
         lo -= v
         return LambdaSeries.from_map(
-            {lo + j: GaussianRational.i_power(lo + j - self.ipow) * c
+            {lo + j: TauLaurent.phased(lo + j - self.ipow, {0: c})
              for j, c in enumerate(quo) if c}, trunc)
 
     def q_series(self, order: int) -> List[Fraction]:
@@ -255,6 +254,23 @@ class QFunction:
 
     def __repr__(self):
         return f"(-i)^{self.ipow} * ({self.num}) / ({self.den})"
+
+
+def bracket_quotient(ipow: int, tops: Iterable[int], bottoms: Iterable[int]) -> QFunction:
+    """(-sqrt(-1))**ipow * prod [m] / prod [n] over m in ``tops``, n in ``bottoms``.
+
+    Each bracket is [m] = u^m - u^(-m) = u^(-m) prod_{e | 2m} Phi_e for m > 0,
+    so the Phi_e multisets cancel and the value comes out canonical by unique
+    factorization, with no trial division.
+    """
+    mult: Counter = Counter()
+    shift = 0
+    for sign, args in ((1, tops), (-1, bottoms)):
+        for m in args:
+            shift -= sign * m
+            mult.update({e: sign for e in range(1, 2 * m + 1) if 2 * m % e == 0})
+    num = _expand(tuple(sorted((e, a) for e, a in mult.items() if a > 0))).shift(shift)
+    return QFunction._of(ipow, num, tuple(sorted((e, -a) for e, a in mult.items() if a < 0)))
 
 
 def sum_of_products(terms: Iterable[Tuple[Sequence[QFunction], int]]) -> QFunction:

@@ -1,8 +1,13 @@
 """Gaussian-rational scalars and Bernoulli numbers.
 
-Every other module computes over ``GaussianRational``: a complex number
-with arbitrary-precision rational real and imaginary parts.  There is no
-floating point anywhere in the package.
+``GaussianRational`` is a complex number with arbitrary-precision rational
+real and imaginary parts.  It is the package's boundary type for complex
+values: the arithmetic itself keeps the phase apart (``series.TauLaurent``
+as i^ph times integers over one denominator, ``qfunc.QFunction`` as a power
+of -i times a rational function), and a ``GaussianRational`` appears where a
+coefficient is built from or read out as one complex number, and in the
+oracles that compare against one.  There is no floating point anywhere in
+the package.
 """
 from __future__ import annotations
 

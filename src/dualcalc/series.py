@@ -2,9 +2,10 @@
 
 Two layers:
 
-* ``TauLaurent`` -- the sparse ``laurent.Laurent`` in the framing parameter
-  tau over ``GaussianRational``, plus scalar extraction, evaluation and the
-  monomial inverse.
+* ``TauLaurent`` -- finite Laurent polynomials in the framing parameter tau,
+  held as i^ph times an integer polynomial over one positive denominator:
+  products are integer convolutions, sums run over the lcm of the
+  denominators, and ``GaussianRational`` appears only at the boundary.
 * ``LambdaSeries`` -- truncated Laurent series in lambda whose coefficients
   are ``TauLaurent`` values.  Every series carries an explicit window
   ``[floor, trunc)``; arithmetic narrows windows so that no operation ever
@@ -17,7 +18,7 @@ Two layers:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InternalError, UsageError
@@ -25,48 +26,179 @@ from .laurent import Laurent
 from .scalars import GR_ZERO, GaussianRational
 
 
-def _gr(x) -> GaussianRational:
-    return x if isinstance(x, GaussianRational) else GaussianRational.coerce(x)
+def _split(v) -> Tuple[int, int, int]:
+    """(ph, p, q) with v = i^ph p/q, q > 0, for an int, Fraction or phase-pure
+    GaussianRational v."""
+    if isinstance(v, GaussianRational):
+        if v.im:
+            if v.re:
+                raise UsageError(f"coefficient {v} mixes real and imaginary parts")
+            return 1, v.im.numerator, v.im.denominator
+        v = v.re
+    return 0, v.numerator, v.denominator
 
 
-class TauLaurent(Laurent):
-    """Finite Laurent polynomial in tau over GaussianRational."""
+def _canon(ph: int, num: Dict[int, int], den: int) -> "TauLaurent":
+    """The canonical value i^ph * num / den for any integer ph (bit 1 of ph
+    is the sign i^2 = -1, bit 0 the phase kept); num has no zero entries."""
+    if not num:
+        return TL_ZERO
+    if ph & 2:
+        num = {k: -v for k, v in num.items()}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: v // g for k, v in num.items()}
+            den //= g
+    out = object.__new__(TauLaurent)
+    out.ph, out.num, out.den = ph & 1, num, den
+    return out
 
-    __slots__ = ()
-    ring = GaussianRational
-    var = "tau"
-    _recip = staticmethod(GaussianRational.inverse)
 
+class TauLaurent:
+    """Finite Laurent polynomial in tau: i^ph * sum num[k] tau^k / den.
+
+    Canonical form: ph in {0, 1}; ``num`` maps exponents to nonzero ints;
+    ``den`` is positive and coprime to the content of ``num``; zero is
+    (0, {}, 1).  Every value the package forms is phase-pure, so one integer
+    plane and a phase hold it; building a value from real and imaginary
+    parts at once, or adding two nonzero values of different phase, raises
+    ``UsageError``.  ``GaussianRational`` meets this type only at the
+    boundary: the constructor, ``scale``, ``eval``, ``as_scalar`` and the
+    read-only view ``c``.
+    """
+
+    __slots__ = ("ph", "num", "den")
+
+    def __init__(self, coeffs: Optional[Dict[int, object]] = None):
+        parts = [(k, *_split(v)) for k, v in (coeffs or {}).items() if v]
+        if len({p for _k, p, _a, _b in parts}) > 1:
+            raise UsageError("tau-polynomial mixes real and imaginary coefficients")
+        # den = lcm of reduced denominators is already coprime to the content
+        den = lcm(*(b for *_x, b in parts))
+        self.ph = parts[0][1] if parts else 0
+        self.num = {k: a * (den // b) for k, _p, a, b in parts}
+        self.den = den
+
+    @staticmethod
+    def phased(ph: int, coeffs: Dict[int, object]) -> "TauLaurent":
+        """i^ph * sum coeffs[k] tau^k for rational coefficients."""
+        t = TauLaurent(coeffs)
+        return _canon(t.ph + ph, t.num, t.den)
+
+    @classmethod
+    def const(cls, v) -> "TauLaurent":
+        return cls({0: v})
+
+    @property
+    def c(self) -> Dict[int, GaussianRational]:
+        """The coefficients as ``GaussianRational`` values (a fresh dict)."""
+        den, ph = self.den, self.ph
+        return {k: GaussianRational(0, Fraction(v, den)) if ph
+                else GaussianRational(Fraction(v, den)) for k, v in self.num.items()}
+
+    # -- structure -----------------------------------------------------------
+    def __bool__(self):
+        return bool(self.num)
+
+    def min_exp(self) -> int:
+        return min(self.num)
+
+    def max_exp(self) -> int:
+        return max(self.num)
+
+    # -- arithmetic -------------------------------------------------------------
+    def __add__(self, o: "TauLaurent") -> "TauLaurent":
+        b = o.num
+        if not b:
+            return self
+        a = self.num
+        if not a:
+            return o
+        if self.ph != o.ph:
+            raise UsageError("adding tau-polynomials of different phase")
+        # over lcm(da, db): a takes the factor ma, b the factor mb
+        da, db = self.den, o.den
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        c = {k: v * ma for k, v in a.items()} if ma != 1 else dict(a)
+        for k, v in b.items():
+            c[k] = c.get(k, 0) + v * mb
+        return _canon(self.ph, {k: v for k, v in c.items() if v}, da * ma)
+
+    def __neg__(self):
+        return _canon(self.ph + 2, self.num, self.den)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o: "TauLaurent") -> "TauLaurent":
+        a, b = self.num, o.num
+        if not a or not b:
+            return TL_ZERO
+        c: Dict[int, int] = {}
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
+                k = k1 + k2
+                c[k] = c.get(k, 0) + v1 * v2
+        if len(a) > 1 and len(b) > 1:
+            c = {k: v for k, v in c.items() if v}
+        return _canon(self.ph + o.ph, c, self.den * o.den)
+
+    def scale(self, v) -> "TauLaurent":
+        ph, p, q = _split(v)
+        if not p or not self.num:
+            return TL_ZERO
+        return _canon(self.ph + ph, {k: w * p for k, w in self.num.items()}, self.den * q)
+
+    def shift(self, d: int) -> "TauLaurent":
+        return _canon(self.ph, {k + d: v for k, v in self.num.items()}, self.den)
+
+    def deriv(self) -> "TauLaurent":
+        return _canon(self.ph, {k - 1: v * k for k, v in self.num.items() if k}, self.den)
+
+    def subs_inverse(self) -> "TauLaurent":
+        """tau -> 1/tau."""
+        return _canon(self.ph, {-k: v for k, v in self.num.items()}, self.den)
+
+    def divexact(self, o: "TauLaurent") -> "TauLaurent":
+        """Exact division; raises InternalError on a remainder."""
+        if not o.num:
+            raise ZeroDivisionError("tau-polynomial division by zero")
+        q = Laurent(self.num).divexact(Laurent(o.num)).scale(Fraction(o.den, self.den))
+        return TauLaurent.phased(self.ph - o.ph, q.c)
+
+    def inverse(self) -> "TauLaurent":
+        if len(self.num) != 1:
+            raise InternalError("only monomial TauLaurent values are invertible")
+        (k, v), = self.num.items()
+        return TauLaurent.phased(-self.ph, {-k: Fraction(self.den, v)})
+
+    # -- scalars --------------------------------------------------------------
     def as_scalar(self) -> GaussianRational:
-        if not self.c:
+        if not self.num:
             return GR_ZERO
-        if set(self.c) != {0}:
+        if set(self.num) != {0}:
             raise InternalError(f"tau-dependent where scalar expected: {self}")
         return self.c[0]
 
     def eval(self, x) -> GaussianRational:
-        g = _gr(x)
-        if not self.c:
-            return GR_ZERO
-        pows: Dict[int, GaussianRational] = {}
-
-        def p(k: int) -> GaussianRational:
-            v = pows.get(k)
-            if v is None:
-                v = g ** k
-                pows[k] = v
-            return v
-
+        g = GaussianRational.coerce(x)
         acc = GR_ZERO
-        for k, v in self.c.items():
-            acc = acc + v * p(k)
-        return acc
+        for k, v in self.num.items():
+            acc = acc + g ** k * v
+        return acc * GaussianRational.i_power(self.ph) / self.den
 
-    def inverse(self) -> "TauLaurent":
-        if not self.is_monomial():
-            raise InternalError("only monomial TauLaurent values are invertible")
-        (k, v), = self.c.items()
-        return TauLaurent({-k: v.inverse()})
+    # -- comparison ---------------------------------------------------------------
+    def __eq__(self, o):
+        return (isinstance(o, TauLaurent) and self.ph == o.ph and self.den == o.den
+                and self.num == o.num)
+
+    def __repr__(self):
+        if not self.num:
+            return "0"
+        return " + ".join(f"({v})*tau^{k}" if k else f"({v})"
+                          for k, v in sorted(self.c.items()))
 
 
 TL_ZERO = TauLaurent()
@@ -189,10 +321,9 @@ class LambdaSeries:
         return LambdaSeries(floor, out)
 
     def scale(self, v) -> "LambdaSeries":
-        g = _gr(v)
-        if not g:
+        if not v:
             return LambdaSeries(0, [])
-        return LambdaSeries(self.floor, [c.scale(g) for c in self.co])
+        return LambdaSeries(self.floor, [c.scale(v) for c in self.co])
 
     def shift(self, d: int) -> "LambdaSeries":
         return LambdaSeries(self.floor + d, list(self.co))
@@ -222,15 +353,14 @@ class LambdaSeries:
         return self.map_coeffs(lambda e, c: c.deriv())
 
     def tau_eval(self, x) -> "LambdaSeries":
-        g = _gr(x)
-        return self.map_coeffs(lambda e, c: TauLaurent.const(c.eval(g)))
+        return self.map_coeffs(lambda e, c: TauLaurent.const(c.eval(x)))
 
     def tau_inverse(self) -> "LambdaSeries":
         return self.map_coeffs(lambda e, c: c.subs_inverse())
 
     def subst_scale(self, c) -> "LambdaSeries":
         """lambda -> c*lambda for an invertible scalar c."""
-        g = _gr(c)
+        g = GaussianRational.coerce(c)
         return self.map_coeffs(lambda e, t: t.scale(g ** e))
 
     # -- comparisons -------------------------------------------------------------

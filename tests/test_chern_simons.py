@@ -22,6 +22,30 @@ def test_w_one_two_cells():
     assert w_one((1, 1)) == expect  # ratio part is 1 for (1,1)
 
 
+def _w_one_by_constructor(mu):
+    """w_one as the QFunction constructor reduces it: the bracket products
+    multiplied out and the denominator factored by trial division."""
+    l = len(mu)
+    num, den = ULaurent.const(1), ULaurent.const(1)
+    for a in range(l):
+        for b in range(a + 1, l):
+            num = num * ULaurent.bracket(mu[a] - mu[b] + b - a)
+            den = den * ULaurent.bracket(b - a)
+    for i in range(1, l + 1):
+        for v in range(1, mu[i - 1] + 1):
+            den = den * ULaurent.bracket(v - i + l)
+    return QFunction(-size(mu), num, den)
+
+
+def test_w_one_factored_matches_constructor():
+    # w_one cancels the cyclotomic factor multisets of the brackets directly
+    for n in range(8):
+        for mu in enumerate_partitions(n):
+            got, expect = w_one(mu), _w_one_by_constructor(mu)
+            assert got == expect, mu
+            assert (got.ipow, got.num.c, got.fac) == (expect.ipow, expect.num.c, expect.fac)
+
+
 def test_w_one_floor():
     for n in range(0, 7):
         for mu in enumerate_partitions(n):

@@ -163,6 +163,7 @@ VACUOUS = {
     "w-expand-negative": ["w", "--mu", "1", "--expand", "-2"],
     "w-expand-zero": ["w", "--mu", "1", "--expand", "0"],
     "inject-unknown-check": ["verify-all", "--inject-fault", "no-such-check"],
+    "mv-pde-order-too-small": ["mv", "--check", "pde", "--degree", "4", "--order", "1"],
 }
 
 
@@ -237,6 +238,10 @@ def test_grassmannian_verify():
     ("w-expand-321", ["w", "--mu", "3,2,1", "--expand", "10"]),
     ("w-pair-expand-31-22", ["w", "--mu", "3,1", "--nu", "2,2", "--expand", "8"]),
     ("vertex-d4-g3", ["vertex", "local-p2", "--max-degree", "4", "--max-genus", "3", "--gv"]),
+    ("mv-dump-disconnected-d4", ["mv", "--dump", "disconnected", "--degree", "4",
+                                 "--order", "9"]),
+    ("mv-hodge-g2-21", ["mv", "hodge", "--genus", "2", "--partition", "2,1"]),
+    ("mv-initial-d3", ["mv", "--check", "initial", "--degree", "3", "--order", "9"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +32,181 @@ def test_tau_divexact_laurent_shift():
     a = TauLaurent({-1: 2, 0: 2})
     b = TauLaurent({-1: 1})
     assert a.divexact(b) == TauLaurent({0: 2, 1: 2})
+
+
+# phase-pure coefficients i^ph * q, against a {k: GaussianRational} dict model
+I_POW = [GaussianRational.i_power(k) for k in range(4)]
+small_q = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+phases = st.integers(0, 3)
+
+
+def models(ph, min_size=0, max_size=4):
+    return st.dictionaries(st.integers(-3, 3), small_q.filter(bool), min_size=min_size,
+                           max_size=max_size).map(
+        lambda d: {k: I_POW[ph] * v for k, v in d.items()})
+
+
+def phased_models(min_size=0, max_size=4):
+    return phases.flatmap(lambda ph: models(ph, min_size, max_size))
+
+
+def same_phase_pair():
+    return phases.flatmap(lambda ph: st.tuples(models(ph), models(ph)))
+
+
+def scalars():
+    return st.one_of(st.integers(-5, 5), small_q,
+                     st.tuples(phases, small_q).map(lambda pq: I_POW[pq[0]] * pq[1]))
+
+
+def _clean(d):
+    return {k: v for k, v in d.items() if v}
+
+
+def _add(a, b):
+    return _clean({k: a.get(k, 0) + b.get(k, 0) for k in {*a, *b}})
+
+
+def _mul(a, b):
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
+    return _clean(out)
+
+
+def _canonical(t):
+    assert t.ph in (0, 1) and t.den > 0 and all(t.num.values())
+    assert gcd(t.den, *t.num.values()) == 1
+    if not t:
+        assert (t.ph, t.num, t.den) == (0, {}, 1)
+    return t
+
+
+def check(t, model):
+    _canonical(t)
+    assert t.c == model
+    return t
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_phase_pair())
+def test_sum_and_difference_match_model(ab):
+    a, b = ab
+    ta, tb = TauLaurent(a), TauLaurent(b)
+    check(ta + tb, _add(a, b))
+    check(ta - tb, _add(a, {k: -v for k, v in b.items()}))
+    check(-ta, {k: -v for k, v in a.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(phased_models(), phased_models())
+def test_product_matches_model(a, b):
+    check(TauLaurent(a) * TauLaurent(b), _mul(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(phased_models(), scalars())
+def test_scale_matches_model(a, v):
+    check(TauLaurent(a).scale(v), _clean({k: w * v for k, w in a.items()}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(phased_models(), st.integers(-3, 3))
+def test_key_operations_match_model(a, d):
+    t = TauLaurent(a)
+    check(t.shift(d), {k + d: v for k, v in a.items()})
+    check(t.deriv(), _clean({k - 1: v * k for k, v in a.items()}))
+    check(t.subs_inverse(), {-k: v for k, v in a.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(phased_models(), st.one_of(small_q.filter(bool),
+                                  st.tuples(phases, small_q.filter(bool)).map(
+                                      lambda pq: I_POW[pq[0]] * pq[1])))
+def test_eval_matches_model(a, x):
+    g = GaussianRational.coerce(x)
+    expect = GaussianRational(0)
+    for k, v in a.items():
+        expect = expect + v * g ** k
+    assert TauLaurent(a).eval(x) == expect
+
+
+@settings(max_examples=150, deadline=None)
+@given(phased_models(), phased_models(min_size=1))
+def test_product_divides_back(a, b):
+    check(TauLaurent(_mul(a, b)).divexact(TauLaurent(b)), a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(phases, phases, st.data())
+def test_non_multiple_raises(pa, pb, data):
+    # a non-monomial b divides no nonzero monomial, so a*b + v tau^k has a
+    # remainder; the monomial takes the product's phase, so the sum is phase-pure
+    a, b = data.draw(models(pa)), data.draw(models(pb, min_size=2))
+    k, v = data.draw(st.integers(-4, 4)), data.draw(small_q.filter(bool))
+    with pytest.raises(InternalError):
+        TauLaurent(_add(_mul(a, b), {k: I_POW[(pa + pb) % 4] * v})).divexact(TauLaurent(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(phases, st.integers(-3, 3), small_q.filter(bool))
+def test_monomial_inverse_matches_model(ph, k, v):
+    g = I_POW[ph] * v
+    check(TauLaurent({k: g}).inverse(), {-k: g.inverse()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(phased_models(), st.integers(-3, 3))
+def test_involutions(a, d):
+    t = TauLaurent(a)
+    assert t.subs_inverse().subs_inverse() == t
+    assert -(-t) == t
+    assert t.shift(d).shift(-d) == t
+
+
+@settings(max_examples=150, deadline=None)
+@given(phased_models())
+def test_view_round_trip(a):
+    t = check(TauLaurent(a), a)
+    assert TauLaurent(t.c) == t
+    assert TauLaurent({k: v.re if v.im == 0 else v for k, v in a.items()}) == t
+
+
+def test_canonical_form_pin():
+    half = TauLaurent({0: Fraction(1, 2), 1: Fraction(-3, 4)})
+    assert (half.ph, half.num, half.den) == (0, {0: 2, 1: -3}, 4)
+    # the content cancels against den, in sums, products and scaling
+    assert _canonical(half + half).den == 2
+    assert (half.scale(4).num, half.scale(4).den) == ({0: 2, 1: -3}, 1)
+    assert _canonical(half * TauLaurent({0: 4})).den == 1
+    # i^2 = -1 folds into the numerator; i^3 = -i keeps phase 1
+    i = GaussianRational(0, 1)
+    t = TauLaurent({2: Fraction(2, 3)}).scale(i).scale(i)
+    assert (t.ph, t.num, t.den) == (0, {2: -2}, 3)
+    t = TauLaurent({0: i * 5}).scale(i * i)
+    assert (t.ph, t.num, t.den) == (1, {0: -5}, 1)
+    # zero is unique whatever produced it
+    for z in (TauLaurent(), half - half, TauLaurent({0: i}) - TauLaurent({0: i}),
+              half.scale(0), TauLaurent({0: 1}).deriv(),
+              TauLaurent({0: 0, 1: GaussianRational(0)})):
+        assert (z.ph, z.num, z.den) == (0, {}, 1) and z == TauLaurent()
+
+
+def test_mixed_phase_raises():
+    i = GaussianRational(0, 1)
+    with pytest.raises(UsageError):
+        TauLaurent({0: 1, 1: i})
+    with pytest.raises(UsageError):
+        TauLaurent({0: GaussianRational(1, 1)})
+    with pytest.raises(UsageError):
+        TauLaurent({0: 1}) + TauLaurent({1: i})
+    with pytest.raises(UsageError):
+        TauLaurent({0: 1}) - TauLaurent({0: i})
+    with pytest.raises(UsageError):
+        TauLaurent({0: 1}).scale(GaussianRational(1, 1))
+    # adding zero of any phase is fine
+    assert TauLaurent({0: i}) + TauLaurent() == TauLaurent({0: i})
 
 
 # -- LambdaSeries -------------------------------------------------------------

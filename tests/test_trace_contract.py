@@ -2,9 +2,10 @@
 
 ``perfbench/child.py`` wraps dualcalc callables by name and its observers
 read fields of their arguments and results (``hodge.build_series`` reads the
-numerators of the series' ``GaussianRational`` coefficients).  A rename or a
-change of representation breaks a traced benchmark run; this test runs a few
-small traced queries through the child's own ``run_queries`` and fails first.
+numerators in the ``GaussianRational`` view ``c`` of the series'
+coefficients).  A rename or a change of representation breaks a traced
+benchmark run; this test runs a few small traced queries through the child's
+own ``run_queries`` and fails first.
 """
 import json
 import sys
@@ -35,6 +36,6 @@ def test_traced_queries_feed_the_observers():
         assert stdout.count("\n") == 1, argv
         json.loads(stdout)
     counters = out["trace"]["counters"]
-    for name in ("hodge.build_series.coeffs", "hurwitz.solve.rows_tried",
-                 "pseries.cut_join_nonlinear.formed"):
+    for name in ("hodge.build_series.coeffs", "hodge.build_series.max_num_bits",
+                 "hurwitz.solve.rows_tried", "pseries.cut_join_nonlinear.formed"):
         assert counters.get(name, 0) > 0, name
