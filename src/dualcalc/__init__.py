@@ -8,8 +8,9 @@ quantum-dimension W values (``chern_simons``), the partition-indexed series
 ring with cut-and-join operators (``pseries``), Hurwitz and ELSV
 (``hurwitz``), the framed triple-Hodge series (``hodge``), the local-P2 vertex
 with GV inversion (``vertex``), psi-intersections and Virasoro
-(``intersections``), mirror hypergeometrics with the integer-numerator
-``XPoly`` ring (``nilpotent``, ``mirror``), and the acceptance registry
+(``intersections``), mirror hypergeometrics with the one-variable
+integer-numerator ``XPoly`` ring and Grassmannian Schur coefficients read
+as determinants (``nilpotent``, ``mirror``), and the acceptance registry
 (``verify``) behind the ``dualcalc`` CLI (``cli``).
 """
 

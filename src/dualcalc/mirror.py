@@ -7,7 +7,13 @@ k^{-3} multiple-cover inversion.
 Grassmannian side: the product-of-projective-spaces series, the
 antisymmetrizing derivative operator with its pi sqrt(-1) bookkeeping symbol
 P, the composition-sum localization formula, and the equality test between
-the two after reduction to the Schur basis of H*(Gr(k,n)).
+the two in the Schur basis of H*(Gr(k,n)).  Both sides are sums over
+compositions of a determinant whose row i depends on the Chern root x_i
+alone, so by the bialternant formula s_lambda = a_{lambda+delta} / a_delta
+the s_lambda coefficient is the x^{lambda+delta} coefficient of that sum,
+read from one-variable rows without any Vandermonde division.  Two guards
+hold on every coefficient read: it is free of P, and it changes sign when
+two adjacent exponents are swapped.
 
 Sign conventions: the projective-space displays use (x - m alpha) while the
 composition sum uses (x_i + l alpha); the bridge, validated by the equality
@@ -17,14 +23,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dense
 from .errors import InternalError, UsageError, VerificationFailure
 from .laurent import Laurent
-from .nilpotent import XPoly, _perm_sign, exp_x_times
+from .nilpotent import XPoly, exp_x_times
 from .partitions import compositions
 
 Frac = Fraction
@@ -327,82 +333,114 @@ def hg_projective(n: int, d_max: int, cap: Optional[int] = None) -> Tuple[XPoly,
         raise UsageError("need projective space of dimension >= 1")
     if cap is None:
         cap = n - 1
-    pre = exp_x_times(1, cap, 0, "t", -1)
+    pre = exp_x_times(cap, "t", -1)
     out: List[XPoly] = []
     for d in range(d_max + 1):
-        slice_d = XPoly.const(1, cap, 1)
+        slice_d = XPoly.const(cap, 1)
         for m in range(1, d + 1):
-            slice_d = slice_d * _inv_linear_power(1, cap, 0, -m, n)
+            slice_d = slice_d * _inv_linear_power(cap, -m, n)
         out.append(pre * slice_d)
     return tuple(out)
 
 
-def _inv_linear_power(k: int, cap: int, var: int, mcoef: int, power: int) -> XPoly:
-    """(x_var + mcoef*alpha)^{-power} as a truncated x-series."""
+def _inv_linear_power(cap: int, mcoef: int, power: int) -> XPoly:
+    """(x + mcoef*alpha)^{-power} as a truncated x-series."""
     if mcoef == 0:
         raise UsageError("non-invertible linear factor")
-    terms = {}
-    for j in range(cap + 1):
-        key = [0] * (k + 3)
-        key[var] = j
-        key[-1] = -(power + j)
-        terms[tuple(key)] = Frac(comb(power - 1 + j, j) * (-1) ** j, mcoef ** (power + j))
-    return XPoly.of_terms(k, cap, terms)
+    return XPoly.of_terms(cap, {
+        (j, 0, 0, -(power + j)): Frac(comb(power - 1 + j, j) * (-1) ** j,
+                                      mcoef ** (power + j))
+        for j in range(cap + 1)})
 
 
-def _loc_raw(k: int, n: int, d: int, cap: int) -> XPoly:
-    """Composition sum after Vandermonde division, with the printed sign."""
-    total = XPoly(k, cap)
-    for compn in compositions(d, k):
-        term = XPoly.const(k, cap, 1)
-        for i in range(k):
-            for j in range(i + 1, k):
-                diff = (XPoly.x_var(k, cap, i) - XPoly.x_var(k, cap, j)
-                        + XPoly.const(k, cap, compn[i] - compn[j], 1))
-                term = term * diff
-        for i in range(k):
-            for l in range(1, compn[i] + 1):
-                term = term * _inv_linear_power(k, cap, i, l, n)
-        total = total + term
-    if not total.is_antisymmetric():
-        raise InternalError("composition sum is not antisymmetric")
-    quo = total.vandermonde_divide()
-    if not quo.is_symmetric():
-        raise InternalError("composition sum divided by Vandermonde is not symmetric")
-    if ((k - 1) * d) % 2:
-        quo = -quo
-    return quo
+def _gr_cap(k: int, n: int) -> int:
+    """x-degree cap of the Grassmannian rows: above every lambda + delta
+    with lambda in the k x (n-k) box."""
+    return k * (n - k) + k * (k - 1) // 2 + 2
 
 
-def gr_loc_sum(k: int, n: int, d: int,
-               cap: Optional[int] = None) -> Dict[Tuple[int, ...], Laurent]:
+def _loc_rows(k: int, n: int, d_max: int, cap: int) -> Dict[Tuple[int, int], XPoly]:
+    """Entries of the composition-sum determinant, keyed (part c, column j).
+
+    (x + c alpha)^{k-1-j} prod_{l=1}^{c} (x + l alpha)^{-n} with the row
+    sign (-1)^{(k-1)c}: row i of composition c is the entries (c_i, j) in
+    x_i, and prod_{i<j} (x_i - x_j + (c_i - c_j) alpha) is the Vandermonde
+    determinant in the x_i + c_i alpha.
+    """
+    out: Dict[Tuple[int, int], XPoly] = {}
+    for c in range(d_max + 1):
+        base = XPoly.const(cap, (-1) ** ((k - 1) * c))
+        for l in range(1, c + 1):
+            base = base * _inv_linear_power(cap, l, n)
+        for j in range(k):
+            m = k - 1 - j
+            shifted = XPoly.of_terms(cap, {(i, 0, 0, m - i): comb(m, i) * c ** (m - i)
+                                           for i in range(m + 1)})
+            out[(c, j)] = shifted * base
+    return out
+
+
+def _bialternant(rows: Dict[Tuple[int, int], XPoly], k: int, n: int, d: int,
+                 cap: int) -> Dict[int, Dict[Tuple[int, ...], Laurent]]:
+    """Schur coefficients of sum_c det[rows[c_i, j](x_i)] / a_delta, by t-exponent.
+
+    The sum runs over the compositions c of d into k parts.  By the
+    bialternant formula s_lambda = a_{lambda+delta} / a_delta, the s_lambda
+    coefficient is the x^{lambda+delta} coefficient of the determinant sum:
+    a Leibniz sum of products of one-variable coefficients.  Every strictly
+    decreasing exponent tuple with total <= cap is read, and each must be
+    P-free and change sign under every adjacent swap.  Only the Schur
+    classes of H*(Gr(k,n)) are kept: partitions inside the k x (n-k) box.
+    """
+    coeffs = {key: row.x_coefficients() for key, row in rows.items() if key[0] <= d}
+    comps = compositions(d, k)
+    # each permutation with its sign, (-1)^{number of inversions}
+    perms = [((-1) ** sum(a > b for a, b in combinations(sigma, 2)), sigma)
+             for sigma in permutations(range(k))]
+
+    def at(e: Tuple[int, ...]) -> XPoly:
+        terms = []
+        for compn in comps:
+            for sign, sigma in perms:
+                term = None
+                for i in range(k):
+                    f = coeffs[(compn[i], sigma[i])].get(e[i])
+                    if f is None:
+                        break
+                    term = f if term is None else term * f
+                else:
+                    terms.append((sign, term))
+        return XPoly.lincomb(cap, terms)
+
+    by_t: Dict[int, Dict[Tuple[int, ...], Laurent]] = {}
+    for e in combinations(range(cap, -1, -1), k):
+        if sum(e) > cap:
+            continue
+        v = at(e)
+        if not v.p_free():
+            raise InternalError("surviving P-dependence in a Schur coefficient")
+        for i in range(k - 1):
+            if at(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != -v:
+                raise InternalError("determinant sum is not antisymmetric")
+        lam = tuple(p for p in (x - (k - 1 - i) for i, x in enumerate(e)) if p)
+        if lam and lam[0] > n - k:
+            continue
+        for (_x, _p, te), coef in v.c.items():
+            by_t.setdefault(te, {})[lam] = coef
+    return by_t
+
+
+def gr_loc_sum(k: int, n: int, d: int) -> Dict[Tuple[int, ...], Laurent]:
     """Localization-sum class in the Schur basis of H*(Gr(k,n))."""
     if not (1 <= k < n):
         raise UsageError("need 1 <= k < n")
-    if cap is None:
-        cap = k * (n - k) + k * (k - 1) // 2 + 2
-    by_t = _schur_by_t(_loc_raw(k, n, d, cap), k, n)
+    if d < 0:
+        raise UsageError("degree must be nonnegative")
+    cap = _gr_cap(k, n)
+    by_t = _bialternant(_loc_rows(k, n, d, cap), k, n, d, cap)
     if set(by_t) - {0}:
         raise InternalError("unexpected symbol in the localization sum")
     return by_t.get(0, {})
-
-
-def _schur_by_t(xpoly: XPoly, k: int, n: int) -> Dict[int, Dict[Tuple[int, ...], Laurent]]:
-    """Schur components of a P-free symmetric ``xpoly`` grouped by t-exponent.
-
-    Only the Schur classes of H*(Gr(k,n)) are kept: partitions inside the
-    k x (n-k) box.
-    """
-    by_t: Dict[int, Dict[Tuple[int, ...], Laurent]] = {}
-    for (lam, pe, te), v in xpoly.schur_components().items():
-        if pe:
-            raise InternalError("surviving P-dependence after Schur reduction")
-        if lam and lam[0] > n - k:
-            continue
-        if sum(lam) > k * (n - k):
-            continue
-        by_t.setdefault(te, {})[lam] = v
-    return by_t
 
 
 def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
@@ -416,52 +454,30 @@ def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
         raise UsageError("need 1 <= k < n")
     if d_max < 0:
         raise UsageError("degree must be nonnegative")
-    cap = k * (n - k) + k * (k - 1) // 2 + 2
+    cap = _gr_cap(k, n)
     slices = hg_projective(n, d_max, cap=cap)
 
-    # per-copy powers of (alpha d/dt_i), acting on slice * e^{d t_i} as
-    # (d + d/dt); framed-substituted, with the copy sign from e^{d t_i}
-    der: Dict[Tuple[int, int], XPoly] = {}
-    for d in range(d_max + 1):
-        cur = slices[d]
-        for r2 in range(k):
-            if r2:
-                cur = cur.scale(d) + cur.dt()
-            sub = cur.subs_t_plus_p_alpha()
-            if ((k - 1) * d) % 2:
-                sub = -sub
-            der[(d, r2)] = sub
+    # operator entries: column j carries (alpha d/dt)^r, r = k-1-j, acting
+    # on slice * e^{c t} as alpha^r (c + d/dt)^r, framed-substituted and
+    # times e^{P x}.  The sign (-1)^r gathers to the Vandermonde orientation
+    # sign (-1)^{k(k-1)/2}; (-1)^{(k-1)c} is the copy sign from e^{c t}.
+    e_p = exp_x_times(cap, "P", 1)
+    op_rows: Dict[Tuple[int, int], XPoly] = {}
+    for c in range(d_max + 1):
+        cur = slices[c]
+        for r in range(k):
+            if r:
+                cur = cur.scale(c) + cur.dt()
+            factor = Laurent.mono(r, (-1) ** (r + (k - 1) * c))
+            op_rows[(c, k - 1 - r)] = cur.subs_t_plus_p_alpha().scale(factor) * e_p
 
-    # alpha^{k(k-1)/2} from the operator factors, and the Vandermonde
-    # orientation sign relating the determinant expansion to the prefactor
-    # denominator (for k = 1 both are empty products)
-    half = k * (k - 1) // 2
-    prefactor = XPoly.const(k, cap, (-1) ** half, half)
-    for i in range(k):
-        prefactor = prefactor * exp_x_times(k, cap, i, "P", 1)
-    operator_out: Dict[int, Dict[int, Dict[Tuple[int, ...], Laurent]]] = {}
-    for d in range(d_max + 1):
-        total = XPoly(k, cap)
-        for compn in compositions(d, k):
-            for sigma in permutations(range(1, k + 1)):
-                sign = _perm_sign(tuple(s - 1 for s in sigma))
-                term = der[(compn[0], k - sigma[0])].embed(k, 0, cap)
-                for i in range(1, k):
-                    term = term * der[(compn[i], k - sigma[i])].embed(k, i, cap)
-                total = total + term if sign > 0 else total - term
-        total = total * prefactor
-        if not total.p_free():
-            raise InternalError("surviving P-dependence in the operator formula")
-        operator_out[d] = _schur_by_t(total.vandermonde_divide(), k, n)
+    # localization side: e^{-t x_i/alpha} times each row, alpha flipped first
+    pre_t = exp_x_times(cap, "t", -1)
+    loc_rows = {key: pre_t * row.negate_alpha()
+                for key, row in _loc_rows(k, n, d_max, cap).items()}
 
-    # localization side: e^{-t sigma/alpha} sum_d L_d e^{dt}, alpha flipped in L_d
-    pre_t = XPoly.const(k, cap, 1)
-    for i in range(k):
-        pre_t = pre_t * exp_x_times(k, cap, i, "t", -1)
-    loc_out: Dict[int, Dict[int, Dict[Tuple[int, ...], Laurent]]] = {}
-    for d in range(d_max + 1):
-        loc_out[d] = _schur_by_t(pre_t * _loc_raw(k, n, d, cap).negate_alpha(), k, n)
-
+    operator_out = {d: _bialternant(op_rows, k, n, d, cap) for d in range(d_max + 1)}
+    loc_out = {d: _bialternant(loc_rows, k, n, d, cap) for d in range(d_max + 1)}
     equal = _reduced_equal(operator_out, loc_out)
     return {"operator": operator_out, "localization": loc_out, "equal": equal}
 
@@ -483,20 +499,9 @@ def _reduced_equal(a, b) -> bool:
 
 def gr23_matches_p2(d_max: int = 2) -> bool:
     """The (2,3) operator output equals the P^2 series under s_1 <-> x."""
-    hv = hori_vafa_series(2, 3, d_max)
-    p2 = hg_projective(3, d_max)
     lam_of_deg = {0: (), 1: (1,), 2: (1, 1)}
-    for d in range(d_max + 1):
-        got = hv["operator"].get(d, {})
-        expect: Dict[int, Dict[Tuple[int, ...], Laurent]] = {}
-        for (xe, pe, te), v in p2[d].c.items():
-            if xe > 2 or not v:
-                continue
-            expect.setdefault(te, {})[lam_of_deg[xe]] = v
-        norm_got = {(te, lam): v for te, lams in got.items()
-                    for lam, v in lams.items() if v}
-        norm_exp = {(te, lam): v for te, lams in expect.items()
-                    for lam, v in lams.items() if v}
-        if norm_got != norm_exp:
-            return False
-    return True
+    expect: Dict[int, Dict[int, Dict[Tuple[int, ...], Laurent]]] = {}
+    for d, slice_d in enumerate(hg_projective(3, d_max)):
+        for (xe, _pe, te), v in slice_d.c.items():
+            expect.setdefault(d, {}).setdefault(te, {})[lam_of_deg[xe]] = v
+    return _reduced_equal(hori_vafa_series(2, 3, d_max)["operator"], expect)

@@ -242,6 +242,12 @@ def test_grassmannian_verify():
                                  "--order", "9"]),
     ("mv-hodge-g2-21", ["mv", "hodge", "--genus", "2", "--partition", "2,1"]),
     ("mv-initial-d3", ["mv", "--check", "initial", "--degree", "3", "--order", "9"]),
+    ("grassmannian-k2-n4-d2", ["mirror", "grassmannian", "-k", "2", "-n", "4",
+                               "--max-degree", "2", "--verify"]),
+    ("grassmannian-k2-n5-d3", ["mirror", "grassmannian", "-k", "2", "-n", "5",
+                               "--max-degree", "3", "--verify"]),
+    ("grassmannian-k3-n6-d1", ["mirror", "grassmannian", "-k", "3", "-n", "6",
+                               "--max-degree", "1", "--verify"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)

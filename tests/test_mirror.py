@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualcalc.errors import UsageError, VerificationFailure
+from dualcalc.errors import InternalError, UsageError, VerificationFailure
 from dualcalc.laurent import Laurent
 from dualcalc import mirror
 from dualcalc.nilpotent import XPoly
@@ -120,6 +120,13 @@ def test_hg_projective_alpha_homogeneity():
 def test_gr_loc_sum_degree_zero():
     assert gr_loc_sum(2, 4, 0) == {(): AL_ONE}
     assert gr_loc_sum(1, 2, 0) == {(): AL_ONE}
+    assert gr_loc_sum(1, 3, 0) == {(): AL_ONE}
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 4)])
+def test_gr_loc_sum_negative_degree_raises(k, n):
+    with pytest.raises(UsageError):
+        gr_loc_sum(k, n, -1)
 
 
 def test_gr_loc_sum_k1_shape():
@@ -127,33 +134,19 @@ def test_gr_loc_sum_k1_shape():
     for n in (2, 3):
         for d in (1, 2):
             got = gr_loc_sum(1, n, d)
-            direct = _inv_linear_power(1, n - 1, 0, 1, n)
+            direct = _inv_linear_power(n - 1, 1, n)
             for l in range(2, d + 1):
-                direct = direct * _inv_linear_power(1, n - 1, 0, l, n)
+                direct = direct * _inv_linear_power(n - 1, l, n)
             for (xe, pe, te), v in direct.c.items():
                 lam = (xe,) if xe else ()
                 assert got.get(lam, Laurent()) == v
 
 
 def test_gr_loc_sum_symmetry_witness():
-    # the (2,4) degree-1 class exists and was built from a symmetric quotient
+    # the (2,4) degree-1 class exists and is indexed by partitions in the box
     got = gr_loc_sum(2, 4, 1)
     assert got and all(lam == tuple(sorted(lam, reverse=True)) for lam in got)
     assert all((not lam or lam[0] <= 2) for lam in got)
-
-
-def test_vandermonde_divide_round_trip():
-    g = XPoly(2, 6, {
-        (1, 0, 0, 0): Laurent.mono(1, 3),
-        (0, 1, 0, 0): Laurent.mono(1, 3),
-        (2, 1, 0, 1): AL_ONE,
-        (1, 2, 0, 1): AL_ONE,
-        (0, 0, 0, 0): Laurent.const(F(1, 2)),
-    })
-    assert g.is_symmetric()
-    anti = g.vandermonde_multiply()
-    assert anti.is_antisymmetric()
-    assert anti.vandermonde_divide() == g
 
 
 @pytest.mark.parametrize("k,n,dm", [(1, 2, 3), (2, 3, 2), (2, 4, 2)])
@@ -186,11 +179,11 @@ def _all_pairs_product(a, b):
     c = {}
     for k1, v1 in a.c.items():
         for k2, v2 in b.c.items():
-            if sum(k1[: a.k]) + sum(k2[: a.k]) > a.cap:
+            if k1[0] + k2[0] > a.cap:
                 continue
             key = tuple(x + y for x, y in zip(k1, k2))
             c[key] = c.get(key, Laurent()) + v1 * v2
-    return XPoly(a.k, a.cap, c)
+    return XPoly(a.cap, c)
 
 
 _alpha_coeff = st.dictionaries(
@@ -200,10 +193,9 @@ _alpha_coeff = st.dictionaries(
 
 @st.composite
 def _xpoly_pair(draw):
-    k = draw(st.integers(1, 3))
     cap = draw(st.integers(1, 4))
-    key = st.tuples(*[st.integers(0, cap)] * k, st.integers(0, 2), st.integers(0, 2))
-    poly = st.dictionaries(key, _alpha_coeff, max_size=8).map(lambda c: XPoly(k, cap, c))
+    key = st.tuples(st.integers(0, cap), st.integers(0, 2), st.integers(0, 2))
+    poly = st.dictionaries(key, _alpha_coeff, max_size=8).map(lambda c: XPoly(cap, c))
     return draw(poly), draw(poly)
 
 
@@ -215,7 +207,7 @@ def test_bucketed_xpoly_product_matches_all_pairs(pair):
 
 
 # -- integer-numerator XPoly against a Laurent-valued reference ---------------
-# The references work on the {(x_1..x_k, P, t): Laurent in alpha} view, the
+# The references work on the {(x, P, t): Laurent in alpha} view, the
 # way XPoly computed before its coefficients became integers over one
 # common denominator.
 
@@ -223,12 +215,12 @@ def _ref_sum(a, b, sign=1):
     c = dict(a.c)
     for key, v in b.c.items():
         c[key] = c.get(key, Laurent()) + (v if sign > 0 else -v)
-    return XPoly(a.k, a.cap, c)
+    return XPoly(a.cap, c)
 
 
 def _ref_scale(a, v):
     al = v if isinstance(v, Laurent) else Laurent.const(v)
-    return XPoly(a.k, a.cap, {key: w * al for key, w in a.c.items()})
+    return XPoly(a.cap, {key: w * al for key, w in a.c.items()})
 
 
 def _ref_dt(a):
@@ -238,7 +230,7 @@ def _ref_dt(a):
         if e:
             nk = key[:-1] + (e - 1,)
             c[nk] = c.get(nk, Laurent()) + v.scale(e)
-    return XPoly(a.k, a.cap, c)
+    return XPoly(a.cap, c)
 
 
 def _ref_subs_t_plus_p_alpha(a):
@@ -248,29 +240,11 @@ def _ref_subs_t_plus_p_alpha(a):
         for r in range(m + 1):
             nk = key[:-2] + (key[-2] + m - r, r)
             c[nk] = c.get(nk, Laurent()) + v.shift(m - r).scale(comb(m, r))
-    return XPoly(a.k, a.cap, c)
+    return XPoly(a.cap, c)
 
 
 def _ref_negate_alpha(a):
-    return XPoly(a.k, a.cap, {key: v.negate_var() for key, v in a.c.items()})
-
-
-def _ref_divide_linear(a, i, j):
-    slices = {}
-    for key, v in a.c.items():
-        slices.setdefault(sum(key[: a.k]), {})[key] = v
-    out = {}
-    for terms in slices.values():
-        work = dict(terms)
-        for e in range(max(key[i] for key in work), 0, -1):
-            for key in [key for key in work if key[i] == e]:
-                v = work.pop(key)
-                qk = key[:i] + (e - 1,) + key[i + 1:]
-                out[qk] = out.get(qk, Laurent()) + v
-                ck = qk[:j] + (qk[j] + 1,) + qk[j + 1:]
-                work[ck] = work.get(ck, Laurent()) + v
-        assert not any(work.values())
-    return XPoly(a.k, a.cap, out)
+    return XPoly(a.cap, {key: v.negate_var() for key, v in a.c.items()})
 
 
 @settings(max_examples=150, deadline=None)
@@ -282,7 +256,7 @@ def _ref_divide_linear(a, i, j):
 def test_xpoly_arithmetic_matches_laurent_reference(pair, frac, laurent):
     a, b = pair
     assert a + b == _ref_sum(a, b)
-    assert a - b == _ref_sum(a, b, -1)
+    assert XPoly.lincomb(a.cap, ((1, a), (-1, b))) == _ref_sum(a, b, -1)
     assert a.scale(frac) == _ref_scale(a, frac)
     assert a.scale(laurent) == _ref_scale(a, laurent)
     assert a.dt() == _ref_dt(a)
@@ -290,42 +264,26 @@ def test_xpoly_arithmetic_matches_laurent_reference(pair, frac, laurent):
     assert a.negate_alpha() == _ref_negate_alpha(a)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_xpoly_pair(), st.data())
-def test_xpoly_divide_linear_matches_laurent_reference(pair, data):
-    a, _ = pair
-    if a.k < 2:
-        return
-    i, j = sorted(data.draw(st.lists(st.integers(0, a.k - 1), min_size=2,
-                                     max_size=2, unique=True)))
-    prod = a * (XPoly.x_var(a.k, a.cap, i) - XPoly.x_var(a.k, a.cap, j))
-    quo = prod.divide_linear(i, j)
-    assert quo == _ref_divide_linear(prod, i, j)
-    # the top x-slice of a falls out of the truncated product
-    assert quo == XPoly(a.k, a.cap, {key: v for key, v in a.c.items()
-                                     if sum(key[: a.k]) < a.cap})
-
-
 def test_xpoly_canonical_form():
-    half = XPoly(1, 2, {(0, 0, 0): Laurent.const(F(1, 2))})
-    assert XPoly(1, 2, {(0, 0, 0): Laurent.const(F(2, 4))}) == half
+    half = XPoly(2, {(0, 0, 0): Laurent.const(F(1, 2))})
+    assert XPoly(2, {(0, 0, 0): Laurent.const(F(2, 4))}) == half
     assert half.num == {(0, 0, 0, 0): 1} and half.den == 2
     # the content is taken out after products, sums and scaling
-    by_scale = XPoly.const(1, 2, F(1, 4)).scale(2)
-    by_sum = XPoly.const(1, 2, F(1, 6)) + XPoly.const(1, 2, F(1, 3))
-    by_mul = XPoly.const(1, 2, F(2, 3)) * XPoly.const(1, 2, F(3, 4))
+    by_scale = XPoly.const(2, F(1, 4)).scale(2)
+    by_sum = XPoly.const(2, F(1, 6)) + XPoly.const(2, F(1, 3))
+    by_mul = XPoly.const(2, F(2, 3)) * XPoly.const(2, F(3, 4))
     for p in (by_scale, by_sum, by_mul):
         assert p == half and p.den == 2 and p.num == half.num
-    neg = XPoly.const(1, 2, F(-3, 4))
+    neg = XPoly.const(2, F(-3, 4))
     assert neg.den == 4 and neg.num == {(0, 0, 0, 0): -3}
-    zero = half - half
-    assert not zero and zero.den == 1 and zero == XPoly(1, 2)
+    zero = half + -half
+    assert not zero and zero.den == 1 and zero == XPoly(2)
 
 
 def test_non_monomial_alpha_coefficients_round_trip():
-    c = {(1, 0, 0, 2): Laurent({-1: F(1, 3), 2: F(-5, 2)}),
-         (0, 1, 1, 0): Laurent({0: 2, 1: F(1, 6)})}
-    p = XPoly(2, 3, c)
+    c = {(1, 0, 2): Laurent({-1: F(1, 3), 2: F(-5, 2)}),
+         (0, 1, 1): Laurent({0: 2, 1: F(1, 6)})}
+    p = XPoly(3, c)
     assert p.c == c
     assert p.den == 6
     assert len(p.num) == 4
@@ -339,5 +297,21 @@ def test_hori_vafa_equality_degree_one(k, n):
 
 
 def test_empty_comparison_is_not_equal(monkeypatch):
-    monkeypatch.setattr(mirror, "_schur_by_t", lambda *args: {})
+    monkeypatch.setattr(mirror, "_bialternant", lambda *args: {})
     assert hori_vafa_series(2, 3, 1)["equal"] is False
+
+
+def test_surviving_p_in_an_operator_row_raises(monkeypatch):
+    # e^{2Px} in place of e^{Px}: the P-dependence no longer cancels
+    real = mirror.exp_x_times
+    monkeypatch.setattr(mirror, "exp_x_times", lambda cap, var, sign: real(
+        cap, var, 2 * sign if var == "P" else sign))
+    with pytest.raises(InternalError, match="P-dependence"):
+        hori_vafa_series(2, 3, 1)
+
+
+def test_dropped_composition_breaks_antisymmetry(monkeypatch):
+    real = mirror.compositions
+    monkeypatch.setattr(mirror, "compositions", lambda d, k: real(d, k)[:-1])
+    with pytest.raises(InternalError, match="antisymmetric"):
+        gr_loc_sum(2, 4, 1)
