@@ -238,6 +238,7 @@ def test_grassmannian_verify():
     ("w-expand-321", ["w", "--mu", "3,2,1", "--expand", "10"]),
     ("w-pair-expand-31-22", ["w", "--mu", "3,1", "--nu", "2,2", "--expand", "8"]),
     ("vertex-d4-g3", ["vertex", "local-p2", "--max-degree", "4", "--max-genus", "3", "--gv"]),
+    ("vertex-d6-g1", ["vertex", "local-p2", "--max-degree", "6", "--max-genus", "1", "--gv"]),
     ("mv-dump-disconnected-d4", ["mv", "--dump", "disconnected", "--degree", "4",
                                  "--order", "9"]),
     ("mv-hodge-g2-21", ["mv", "hodge", "--genus", "2", "--partition", "2,1"]),
