@@ -1,17 +1,18 @@
 """dualcalc: exact computation of both sides of enumerative string-duality
 identities, with the connecting checks.
 
-Subsystems: Gaussian-rational scalars, the sparse Laurent type, dense and
-lambda-truncated series (``scalars``, ``laurent``, ``dense``, ``series``,
-``qfunc``), partition and character data (``partitions``, ``schur``),
-quantum-dimension W values (``chern_simons``), the partition-indexed series
-ring with cut-and-join operators (``pseries``), Hurwitz and ELSV
-(``hurwitz``), the framed triple-Hodge series (``hodge``), the local-P2 vertex
-with GV inversion (``vertex``), psi-intersections and Virasoro
-(``intersections``), mirror hypergeometrics with the one-variable
-integer-numerator ``XPoly`` ring and Grassmannian Schur coefficients read
-as determinants (``nilpotent``, ``mirror``), and the acceptance registry
-(``verify``) behind the ``dualcalc`` CLI (``cli``).
+Subsystems: Gaussian-rational scalars, the integer polynomial kernel
+behind every Laurent type, dense and lambda-truncated series (``scalars``,
+``laurent``, ``dense``, ``series``, ``qfunc``), partition and character
+data (``partitions``, ``schur``), quantum-dimension W values
+(``chern_simons``), the partition-indexed series ring with cut-and-join
+operators (``pseries``), Hurwitz and ELSV (``hurwitz``), the framed
+triple-Hodge series (``hodge``), the local-P2 vertex with GV inversion
+(``vertex``), psi-intersections and Virasoro (``intersections``), mirror
+hypergeometrics with the one-variable integer-numerator ``XPoly`` ring and
+Grassmannian Schur coefficients read as determinants (``nilpotent``,
+``mirror``), and the acceptance registry (``verify``) behind the
+``dualcalc`` CLI (``cli``).
 """
 
 from .scalars import GaussianRational, bernoulli

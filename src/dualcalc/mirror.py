@@ -347,7 +347,7 @@ def _inv_linear_power(cap: int, mcoef: int, power: int) -> XPoly:
     """(x + mcoef*alpha)^{-power} as a truncated x-series."""
     if mcoef == 0:
         raise UsageError("non-invertible linear factor")
-    return XPoly.of_terms(cap, {
+    return XPoly(cap, {
         (j, 0, 0, -(power + j)): Frac(comb(power - 1 + j, j) * (-1) ** j,
                                       mcoef ** (power + j))
         for j in range(cap + 1)})
@@ -374,8 +374,8 @@ def _loc_rows(k: int, n: int, d_max: int, cap: int) -> Dict[Tuple[int, int], XPo
             base = base * _inv_linear_power(cap, l, n)
         for j in range(k):
             m = k - 1 - j
-            shifted = XPoly.of_terms(cap, {(i, 0, 0, m - i): comb(m, i) * c ** (m - i)
-                                           for i in range(m + 1)})
+            shifted = XPoly(cap, {(i, 0, 0, m - i): comb(m, i) * c ** (m - i)
+                                  for i in range(m + 1)})
             out[(c, j)] = shifted * base
     return out
 

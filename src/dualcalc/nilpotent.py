@@ -2,85 +2,57 @@
 
 ``XPoly``: polynomials in one Chern root x, the formal symbols P (the
 pi sqrt(-1)/alpha bookkeeping unit) and t, and the equivariant weight alpha
-(any integer power), truncated at an x-degree cap.  A value holds integer
-numerators keyed by (x, P, t, alpha) exponents over one positive common
-denominator coprime to their content, so the form is canonical and
-arithmetic runs on integers; ``laurent.Laurent`` coefficients in alpha
-appear only at the boundary (the constructor and the ``c`` view).  The
-Grassmannian formulas need no several-variable polynomial: each row of
-their determinants depends on one Chern root, and ``x_coefficients`` hands
-out the x^e coefficients those determinants are read from.
+(any integer power), truncated at an x-degree cap.  It is the integer
+kernel of ``laurent.Poly`` with numerators keyed by (x, P, t, alpha)
+exponents, so sums, scaling, equality and the content reduction come from
+there; this module adds the cap, the truncated product, linear
+combinations, d/dt and the substitutions.  ``laurent.Laurent``
+coefficients in alpha appear only at the boundary (``scale`` and the ``c``
+view).  The Grassmannian formulas need no several-variable polynomial: each
+row of their determinants depends on one Chern root, and ``x_coefficients``
+hands out the x^e coefficients those determinants are read from.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from operator import add
 from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import UsageError
-from .laurent import Laurent
+from .laurent import Laurent, Poly
 
 
-class XPoly:
+class XPoly(Poly):
     """Numerators ``num`` keyed by (x, P, t, alpha) exponents over ``den``."""
 
-    __slots__ = ("cap", "num", "den")
+    __slots__ = ("cap",)
 
-    def __init__(self, cap: int,
-                 c: Optional[Dict[Tuple[int, int, int], Laurent]] = None):
-        """From {(x, P, t) exponents: Laurent in alpha}."""
-        terms = {}
-        for key, v in (c or {}).items():
-            if len(key) != 3:
-                raise UsageError("exponent tuple must cover x, P and t")
-            for e, f in v.c.items():
-                terms[key + (e,)] = f
-        self._fill(cap, terms)
+    def __init__(self, cap: int, terms: Optional[Dict[Tuple[int, ...], object]] = None):
+        """From {(x, P, t, alpha) exponents: int or Fraction}, cut at the cap."""
+        Poly.__init__(self, {key: f for key, f in (terms or {}).items() if key[0] <= cap})
+        self.cap = cap
 
-    def _fill(self, cap: int, terms) -> None:
-        terms = {key: f for key, f in terms.items() if f and key[0] <= cap}
-        # reduced fractions over their lcm leave numerators coprime to den
-        den = lcm(*(f.denominator for f in terms.values()))
-        self.cap, self.den = cap, den
-        self.num = {key: f.numerator * (den // f.denominator)
-                    for key, f in terms.items()}
-
-    @staticmethod
-    def _make(cap: int, num: Dict[Tuple[int, ...], int], den: int) -> "XPoly":
-        """From nonzero integer numerators over den > 0, reduced by their content."""
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {key: v // g for key, v in num.items()}
-            den //= g
-        out = object.__new__(XPoly)
-        out.cap, out.num, out.den = cap, num, den
+    def _new(self, num, den: int) -> "XPoly":
+        out = Poly._new(self, num, den)
+        out.cap = self.cap
         return out
-
-    def _like(self, num, den: Optional[int] = None) -> "XPoly":
-        return XPoly._make(self.cap, num, self.den if den is None else den)
 
     @property
     def c(self) -> Dict[Tuple[int, int, int], Laurent]:
         """Read-only view {(x, P, t): Laurent in alpha}."""
-        rows: Dict[Tuple[int, ...], dict] = {}
+        rows: Dict[Tuple[int, ...], Dict[int, int]] = {}
         for key, v in self.num.items():
-            rows.setdefault(key[:-1], {})[key[-1]] = Fraction(v, self.den)
-        return {key: Laurent(row) for key, row in rows.items()}
+            rows.setdefault(key[:-1], {})[key[-1]] = v
+        zero = Laurent()
+        return {key: zero._new(row, self.den) for key, row in rows.items()}
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def of_terms(cap: int, terms) -> "XPoly":
-        """From {(x, P, t, alpha) exponents: int or Fraction}."""
-        out = object.__new__(XPoly)
-        out._fill(cap, terms)
-        return out
-
-    @staticmethod
     def const(cap: int, v) -> "XPoly":
         """The constant v (an int or a Fraction)."""
-        return XPoly.of_terms(cap, {(0, 0, 0, 0): v})
+        return XPoly(cap, {(0, 0, 0, 0): v})
 
     # -- arithmetic -----------------------------------------------------------
     @staticmethod
@@ -95,13 +67,10 @@ class XPoly:
             m *= den // p.den
             for key, v in p.num.items():
                 acc[key] += v * m
-        return XPoly._make(cap, {key: v for key, v in acc.items() if v}, den)
+        return XPoly(cap)._new({key: v for key, v in acc.items() if v}, den)
 
     def __add__(self, o: "XPoly") -> "XPoly":
         return XPoly.lincomb(self.cap, ((1, self), (1, o)))
-
-    def __neg__(self):
-        return self._like({k: -v for k, v in self.num.items()})
 
     def __mul__(self, o: "XPoly") -> "XPoly":
         if self.cap != o.cap:
@@ -120,31 +89,23 @@ class XPoly:
                     break
                 for k2, v2 in terms:
                     acc[tuple(map(add, k1, k2))] += v1 * v2
-        return self._like({key: v for key, v in acc.items() if v}, self.den * o.den)
+        return self._new({key: v for key, v in acc.items() if v}, self.den * o.den)
 
     def scale(self, v) -> "XPoly":
         """Times an int, a Fraction, or a Laurent in alpha term by term."""
-        terms = v.c if isinstance(v, Laurent) else {0: v}
-        den = lcm(*(f.denominator for f in terms.values()))
+        if not isinstance(v, Laurent):
+            return Poly.scale(self, v)
         num: Dict[Tuple[int, ...], int] = defaultdict(int)
-        for e, f in terms.items():
-            m = f.numerator * (den // f.denominator)
+        for e, m in v.num.items():
             for key, w in self.num.items():
                 num[key[:-1] + (key[-1] + e,)] += w * m
-        return self._like({key: w for key, w in num.items() if w}, self.den * den)
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, o):
-        return (isinstance(o, XPoly) and self.den == o.den
-                and self.num == o.num)
+        return self._new({key: w for key, w in num.items() if w}, self.den * v.den)
 
     # -- calculus -------------------------------------------------------------
     def dt(self) -> "XPoly":
         """Derivative in the t variable (exact: t-degrees are fully stored)."""
-        return self._like({(x, p, t - 1, a): v * t
-                           for (x, p, t, a), v in self.num.items() if t})
+        return self._new({(x, p, t - 1, a): v * t
+                          for (x, p, t, a), v in self.num.items() if t}, self.den)
 
     # -- substitutions ------------------------------------------------------------
     def subs_t_plus_p_alpha(self) -> "XPoly":
@@ -153,10 +114,11 @@ class XPoly:
         for (x, pe, m, a), v in self.num.items():
             for r in range(m + 1):
                 num[(x, pe + m - r, r, a + m - r)] += v * comb(m, r)
-        return self._like({k: v for k, v in num.items() if v})
+        return self._new({k: v for k, v in num.items() if v}, self.den)
 
     def negate_alpha(self) -> "XPoly":
-        return self._like({k: (-v if k[-1] % 2 else v) for k, v in self.num.items()})
+        return self._new({k: (-v if k[-1] % 2 else v) for k, v in self.num.items()},
+                         self.den)
 
     def p_free(self) -> bool:
         return not any(key[1] for key in self.num)
@@ -166,7 +128,7 @@ class XPoly:
         rows: Dict[int, Dict[Tuple[int, ...], int]] = {}
         for (x, *rest), v in self.num.items():
             rows.setdefault(x, {})[(0, *rest)] = v
-        return {x: self._like(num) for x, num in rows.items()}
+        return {x: self._new(num, self.den) for x, num in rows.items()}
 
 
 def exp_x_times(cap: int, sym_var: str, sign: int) -> XPoly:
@@ -178,4 +140,4 @@ def exp_x_times(cap: int, sym_var: str, sign: int) -> XPoly:
     for j in range(cap + 1):
         key = (j, j, 0, 0) if sym_var == "P" else (j, 0, j, -j)
         terms[key] = Fraction(sign ** j, factorial(j))
-    return XPoly.of_terms(cap, terms)
+    return XPoly(cap, terms)

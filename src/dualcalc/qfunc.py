@@ -1,26 +1,27 @@
 """Exact rational functions in u = q^(1/2) with a tracked power of (-sqrt(-1)).
 
 A ``QFunction`` stores value = (-sqrt(-1))**ipow * num(u)/den(u) with num a
-Laurent polynomial over the rationals and den a product of cyclotomic
-polynomials Phi_e(u), kept factored as {e: m_e}.  Every denominator the
-package builds has that form: the quantum integers u^m - u^(-m) =
-u^(-m) prod_{e | 2m} Phi_e and the principal-specialization factors
-1 - u^(2i).  So no polynomial gcd is ever taken: a product adds exponents,
-a sum takes the largest exponent of each factor, and reduction is a trial
-exact division of the numerator by each Phi_e present (Phi_e is irreducible
-over Q).  Keeping the phase separate leaves all polynomial arithmetic inside
-Q(u).  ``to_lambda`` expands a value at u = e^{sqrt(-1) lambda/2} (so
+``ULaurent`` (the ``laurent`` kernel: integer numerators over one positive
+denominator) and den a product of cyclotomic polynomials Phi_e(u), kept
+factored as {e: m_e}.  Every denominator the package builds has that form:
+the quantum integers u^m - u^(-m) = u^(-m) prod_{e | 2m} Phi_e and the
+principal-specialization factors 1 - u^(2i).  So no polynomial gcd is ever
+taken: a product adds exponents, a sum takes the largest exponent of each
+factor, and reduction is a trial exact division of the numerator by each
+Phi_e present (Phi_e is irreducible over Q), run on the integer numerators.
+Keeping the phase separate leaves all polynomial arithmetic inside Q(u).
+``to_lambda`` expands a value at u = e^{sqrt(-1) lambda/2} (so
 q = e^{sqrt(-1) lambda}): num and den become rational series in
-x = sqrt(-1) lambda, their quotient comes from the ``dense`` kernel, and
-the phase joins only as each lambda^e coefficient is stored.  The vertex's
-multi-cover kernel is expanded the same way.
+x = sqrt(-1) lambda, summed from the integer numerators, their quotient
+comes from the ``dense`` kernel, and the phase joins only as each lambda^e
+coefficient is stored.  The vertex's multi-cover kernel is expanded the
+same way.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import dense
@@ -32,7 +33,7 @@ Factors = Tuple[Tuple[int, int], ...]
 
 
 class ULaurent(Laurent):
-    """Laurent polynomial in u over Fraction."""
+    """Laurent polynomial in u over the rationals."""
 
     __slots__ = ()
     var = "u"
@@ -42,16 +43,12 @@ class ULaurent(Laurent):
         """u^m - u^(-m)."""
         if m == 0:
             return ULaurent()
-        return ULaurent({m: Fraction(1), -m: Fraction(-1)})
-
-
-_F0 = Fraction(0)
+        return ULaurent({m: 1, -m: -1})
 
 
 def _x_series(p: ULaurent, n: int) -> List[Fraction]:
     """p(e^{x/2}) through x^(n-1): the x^j coefficient is sum_m p_m (m/2)^j / j!."""
-    c = lcm(*(v.denominator for v in p.c.values()))
-    terms = [(m, v.numerator * (c // v.denominator)) for m, v in p.c.items()]
+    c, terms = p.den, list(p.num.items())
     out: List[Fraction] = []
     for j in range(n):
         out.append(Fraction(sum(v for _m, v in terms), c))
@@ -77,11 +74,11 @@ def _strip(f: ULaurent, e: int, m: int) -> Tuple[ULaurent, int]:
     """
     phi = _cyclotomic(e)
     while m and f:
-        r: Dict[int, Fraction] = {}
-        for k, v in f.c.items():
-            r[k % e] = r.get(k % e, _F0) + v
+        r: Dict[int, int] = {}
+        for k, v in f.num.items():
+            r[k % e] = r.get(k % e, 0) + v
         try:
-            ULaurent(r).divexact(phi)
+            f._new({k: v for k, v in r.items() if v}, 1).divexact(phi)
         except InternalError:
             break
         f = f.divexact(phi)
@@ -107,7 +104,7 @@ def _factor(den: ULaurent) -> Tuple[Fraction, int, Factors]:
     """
     if not den:
         raise ZeroDivisionError("QFunction with zero denominator")
-    lo, lead = den.min_exp(), den.c[den.max_exp()]
+    lo, lead = den.min_exp(), Fraction(den.num[den.max_exp()], den.den)
     rest = den.shift(-lo).scale(1 / lead)
     fac = []
     e = 0
@@ -243,14 +240,6 @@ class QFunction:
         return LambdaSeries.from_map(
             {lo + j: TauLaurent.phased(lo + j - self.ipow, {0: c})
              for j, c in enumerate(quo) if c}, trunc)
-
-    def q_series(self, order: int) -> List[Fraction]:
-        """q-expansion through q^order; requires ipow == 0 and a u-even value."""
-        num, den = self.num.c, self.den.c
-        if self.ipow or any(k % 2 or k < 0 for k in (*num, *den)):
-            raise InternalError("q-expansion needs ipow 0 and even nonnegative u-powers")
-        num, den = ([p.get(2 * k, _F0) for k in range(order + 1)] for p in (num, den))
-        return dense.mul(num, dense.inv(den, order + 1), order + 1)
 
     def __repr__(self):
         return f"(-i)^{self.ipow} * ({self.num}) / ({self.den})"

@@ -2,10 +2,11 @@
 
 Two layers:
 
-* ``TauLaurent`` -- finite Laurent polynomials in the framing parameter tau,
-  held as i^ph times an integer polynomial over one positive denominator:
-  products are integer convolutions, sums run over the lcm of the
-  denominators, and ``GaussianRational`` appears only at the boundary.
+* ``TauLaurent`` -- finite Laurent polynomials in the framing parameter tau:
+  a ``laurent.Laurent`` (integer numerators over one positive denominator)
+  with a phase i^ph.  The kernel does the integer arithmetic; this class
+  adds only what involves the phase, and ``GaussianRational`` appears only
+  at its boundary.
 * ``LambdaSeries`` -- truncated Laurent series in lambda whose coefficients
   are ``TauLaurent`` values.  Every series carries an explicit window
   ``[floor, trunc)``; arithmetic narrows windows so that no operation ever
@@ -18,11 +19,11 @@ Two layers:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InternalError, UsageError
-from .laurent import Laurent
+from .laurent import Laurent, convolve
 from .scalars import GR_ZERO, GaussianRational
 
 
@@ -38,37 +39,21 @@ def _split(v) -> Tuple[int, int, int]:
     return 0, v.numerator, v.denominator
 
 
-def _canon(ph: int, num: Dict[int, int], den: int) -> "TauLaurent":
-    """The canonical value i^ph * num / den for any integer ph (bit 1 of ph
-    is the sign i^2 = -1, bit 0 the phase kept); num has no zero entries."""
-    if not num:
-        return TL_ZERO
-    if ph & 2:
-        num = {k: -v for k, v in num.items()}
-    if den != 1:
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {k: v // g for k, v in num.items()}
-            den //= g
-    out = object.__new__(TauLaurent)
-    out.ph, out.num, out.den = ph & 1, num, den
-    return out
-
-
-class TauLaurent:
+class TauLaurent(Laurent):
     """Finite Laurent polynomial in tau: i^ph * sum num[k] tau^k / den.
 
-    Canonical form: ph in {0, 1}; ``num`` maps exponents to nonzero ints;
-    ``den`` is positive and coprime to the content of ``num``; zero is
-    (0, {}, 1).  Every value the package forms is phase-pure, so one integer
-    plane and a phase hold it; building a value from real and imaginary
-    parts at once, or adding two nonzero values of different phase, raises
-    ``UsageError``.  ``GaussianRational`` meets this type only at the
-    boundary: the constructor, ``scale``, ``eval``, ``as_scalar`` and the
-    read-only view ``c``.
+    A ``Laurent`` in tau with a phase ph in {0, 1}; zero has ph 0.  Every
+    value the package forms is phase-pure, so one integer plane and a phase
+    hold it; building a value from real and imaginary parts at once, or
+    adding two nonzero values of different phase, raises ``UsageError``.
+    Shifts, the derivative, tau -> 1/tau and negation keep the phase and
+    come from ``Laurent`` unchanged.  ``GaussianRational`` meets this type
+    only at the boundary: the constructor, ``scale``, ``eval``,
+    ``as_scalar`` and the read-only view ``c``.
     """
 
-    __slots__ = ("ph", "num", "den")
+    __slots__ = ("ph",)
+    var = "tau"
 
     def __init__(self, coeffs: Optional[Dict[int, object]] = None):
         parts = [(k, *_split(v)) for k, v in (coeffs or {}).items() if v]
@@ -80,15 +65,23 @@ class TauLaurent:
         self.num = {k: a * (den // b) for k, _p, a, b in parts}
         self.den = den
 
+    def _new(self, num: Dict[int, int], den: int,
+             ph: Optional[int] = None) -> "TauLaurent":
+        """As ``Poly._new``, times i^ph for any integer ph (bit 1 of ph is the
+        sign i^2 = -1, bit 0 the phase kept); the default keeps self's phase."""
+        if ph is None:
+            ph = self.ph
+        elif ph & 2:
+            num = {k: -v for k, v in num.items()}
+        out = Laurent._new(self, num, den)
+        out.ph = ph & 1 if num else 0
+        return out
+
     @staticmethod
     def phased(ph: int, coeffs: Dict[int, object]) -> "TauLaurent":
         """i^ph * sum coeffs[k] tau^k for rational coefficients."""
         t = TauLaurent(coeffs)
-        return _canon(t.ph + ph, t.num, t.den)
-
-    @classmethod
-    def const(cls, v) -> "TauLaurent":
-        return cls({0: v})
+        return t._new(t.num, t.den, t.ph + ph)
 
     @property
     def c(self) -> Dict[int, GaussianRational]:
@@ -97,82 +90,30 @@ class TauLaurent:
         return {k: GaussianRational(0, Fraction(v, den)) if ph
                 else GaussianRational(Fraction(v, den)) for k, v in self.num.items()}
 
-    # -- structure -----------------------------------------------------------
-    def __bool__(self):
-        return bool(self.num)
-
-    def min_exp(self) -> int:
-        return min(self.num)
-
-    def max_exp(self) -> int:
-        return max(self.num)
-
     # -- arithmetic -------------------------------------------------------------
     def __add__(self, o: "TauLaurent") -> "TauLaurent":
-        b = o.num
-        if not b:
-            return self
-        a = self.num
-        if not a:
-            return o
-        if self.ph != o.ph:
+        if self.ph != o.ph and self.num and o.num:
             raise UsageError("adding tau-polynomials of different phase")
-        # over lcm(da, db): a takes the factor ma, b the factor mb
-        da, db = self.den, o.den
-        g = gcd(da, db)
-        ma, mb = db // g, da // g
-        c = {k: v * ma for k, v in a.items()} if ma != 1 else dict(a)
-        for k, v in b.items():
-            c[k] = c.get(k, 0) + v * mb
-        return _canon(self.ph, {k: v for k, v in c.items() if v}, da * ma)
-
-    def __neg__(self):
-        return _canon(self.ph + 2, self.num, self.den)
-
-    def __sub__(self, o):
-        return self + (-o)
+        return Laurent.__add__(self, o)
 
     def __mul__(self, o: "TauLaurent") -> "TauLaurent":
-        a, b = self.num, o.num
-        if not a or not b:
-            return TL_ZERO
-        c: Dict[int, int] = {}
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = k1 + k2
-                c[k] = c.get(k, 0) + v1 * v2
-        if len(a) > 1 and len(b) > 1:
-            c = {k: v for k, v in c.items() if v}
-        return _canon(self.ph + o.ph, c, self.den * o.den)
+        return self._new(convolve(self.num, o.num), self.den * o.den, self.ph + o.ph)
 
     def scale(self, v) -> "TauLaurent":
         ph, p, q = _split(v)
-        if not p or not self.num:
-            return TL_ZERO
-        return _canon(self.ph + ph, {k: w * p for k, w in self.num.items()}, self.den * q)
-
-    def shift(self, d: int) -> "TauLaurent":
-        return _canon(self.ph, {k + d: v for k, v in self.num.items()}, self.den)
-
-    def deriv(self) -> "TauLaurent":
-        return _canon(self.ph, {k - 1: v * k for k, v in self.num.items() if k}, self.den)
-
-    def subs_inverse(self) -> "TauLaurent":
-        """tau -> 1/tau."""
-        return _canon(self.ph, {-k: v for k, v in self.num.items()}, self.den)
+        return self._new({k: w * p for k, w in self.num.items()} if p else {},
+                         self.den * q, self.ph + ph)
 
     def divexact(self, o: "TauLaurent") -> "TauLaurent":
         """Exact division; raises InternalError on a remainder."""
-        if not o.num:
-            raise ZeroDivisionError("tau-polynomial division by zero")
-        q = Laurent(self.num).divexact(Laurent(o.num)).scale(Fraction(o.den, self.den))
-        return TauLaurent.phased(self.ph - o.ph, q.c)
+        q = Laurent.divexact(self, o)
+        return q._new(q.num, q.den, q.ph - o.ph)
 
     def inverse(self) -> "TauLaurent":
         if len(self.num) != 1:
             raise InternalError("only monomial TauLaurent values are invertible")
         (k, v), = self.num.items()
-        return TauLaurent.phased(-self.ph, {-k: Fraction(self.den, v)})
+        return self._new({-k: self.den if v > 0 else -self.den}, abs(v), -self.ph)
 
     # -- scalars --------------------------------------------------------------
     def as_scalar(self) -> GaussianRational:
@@ -191,14 +132,7 @@ class TauLaurent:
 
     # -- comparison ---------------------------------------------------------------
     def __eq__(self, o):
-        return (isinstance(o, TauLaurent) and self.ph == o.ph and self.den == o.den
-                and self.num == o.num)
-
-    def __repr__(self):
-        if not self.num:
-            return "0"
-        return " + ".join(f"({v})*tau^{k}" if k else f"({v})"
-                          for k, v in sorted(self.c.items()))
+        return isinstance(o, TauLaurent) and self.ph == o.ph and Laurent.__eq__(self, o)
 
 
 TL_ZERO = TauLaurent()
