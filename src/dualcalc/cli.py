@@ -301,7 +301,7 @@ def _cmd_witten(args) -> dict:
             agree = result["value"] == result["psi_asymptotic"]
             checks.append({"name": "dvv-vs-asymptotics", "pass": agree})
     if args.virasoro is not None:
-        r = intersections.virasoro_residual(args.virasoro, args.order)
+        r, _ = intersections.virasoro_residual(args.virasoro, args.order)
         result["virasoro_residual_max"] = frac_str(r)
         checks.append({"name": f"virasoro-L{args.virasoro}", "pass": r == 0})
     return {"result": result, "checks": checks}

@@ -1,8 +1,13 @@
 """Hurwitz numbers two ways, the ELSV normalization, and psi-extraction.
 
-* Burnside route: the connected generating series Phi_mu(lambda) is read off
-  the character sum sum_nu chi_nu(mu)/z_mu e^{kappa_nu lambda/2} dim R_nu/|nu|!
-  by Moebius inversion over set partitions of the parts of mu.
+* Burnside route: the disconnected series of p_mu is the character sum
+  sum_nu chi_nu(mu)/z_mu e^{kappa_nu lambda/2} dim R_nu/|nu|!, held as an
+  integer exponential sum {kappa_nu/2: sum chi_nu(mu) dim R_nu} over the
+  denominator z_mu |mu|!.  The connected series Phi_mu(lambda) comes from
+  the subset recursion on labelled parts (the connected part of a set of
+  parts is its disconnected part minus the splits off the block of part 0),
+  with products of exponential sums adding exponents; the lambda^j
+  coefficient is a power sum over j!.
 * Cut-and-join route: the same numbers are grown order by order from the
   genus-0 degree-1 seed by matching coefficients of the cut-and-join
   evolution d(Phi)/d(lambda) = CJ(Phi) in the series ring.
@@ -22,8 +27,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import InternalError, UsageError, VerificationFailure
 from .partitions import (Partition, aut, character, enumerate_partitions,
-                         hook_product, kappa, length, set_partitions, size,
-                         zmu)
+                         hook_product, kappa, length, size, zmu)
 from .pseries import PSeries
 from .series import LambdaSeries
 
@@ -39,29 +43,35 @@ def ramification_order(g: int, mu: Partition) -> int:
 # Burnside route
 # ---------------------------------------------------------------------------
 
-def _half_kappa_power_sums(n: int, weight, order: int) -> List[int]:
-    """s_j = sum_nu weight(nu) (kappa_nu/2)^j over partitions nu of n, j = 0..order.
-
-    With integer weights, sum_nu weight(nu) e^{kappa_nu L/2} has L^j
-    coefficient s_j / j!.
-    """
+def _exp_sum(n: int, weight) -> Tuple[Tuple[int, int], ...]:
+    """sum_nu weight(nu) e^{kappa_nu L/2} over partitions nu of n, as the
+    integer exponential sum ((kappa_nu/2, summed weight), ...), zeros dropped."""
     by_half_kappa: Dict[int, int] = {}
     for nu in enumerate_partitions(n):
         c = weight(nu)
         if c:
             hk = kappa(nu) // 2
             by_half_kappa[hk] = by_half_kappa.get(hk, 0) + c
-    terms = [(hk, c) for hk, c in by_half_kappa.items() if c]
-    return [sum(c * hk ** j for hk, c in terms) for j in range(order + 1)]
+    return tuple((hk, c) for hk, c in by_half_kappa.items() if c)
+
+
+def _power_sums(terms: Tuple[Tuple[int, int], ...], order: int) -> List[int]:
+    """s_j = sum c h^j over the exponential sum ((h, c), ...), j = 0..order:
+    its L^j coefficient is s_j / j!."""
+    s = [0] * (order + 1)
+    for h, c in terms:
+        for j in range(order + 1):
+            s[j] += c
+            c *= h
+    return s
 
 
 @lru_cache(maxsize=None)
-def _disconnected_coeff(mu: Partition, order: int) -> Tuple[Tuple[int, ...], int]:
-    """sum_nu chi_nu(mu)/z_mu e^{kappa_nu L/2} / hooks, in exponential form.
+def _disconnected_coeff(mu: Partition) -> Tuple[Tuple[int, int], ...]:
+    """sum_nu chi_nu(mu) dim(R_nu) e^{kappa_nu L/2} as an exponential sum.
 
-    Returns (s, D) with integers s_j = sum_nu chi_nu(mu) dim(R_nu)
-    (kappa_nu/2)^j for j = 0..order and D = z_mu |mu|!; the coefficient of
-    L^j is s_j / (D j!).
+    Over z_mu |mu|! it is the disconnected series of p_mu; over
+    prod(mu_i) |mu|! it is the same series for labelled parts.
     """
     nfact = factorial(size(mu))
 
@@ -69,38 +79,41 @@ def _disconnected_coeff(mu: Partition, order: int) -> Tuple[Tuple[int, ...], int
         chi = character(nu, mu)
         return chi * (nfact // hook_product(nu)) if chi else 0
 
-    s = _half_kappa_power_sums(size(mu), weight, order)
-    return tuple(s), zmu(mu) * nfact
+    return _exp_sum(size(mu), weight)
+
+
+@lru_cache(maxsize=None)
+def _connected_sum(mu: Partition) -> Tuple[Tuple[int, int], ...]:
+    """Labelled connected exponential sum C(S) of the parts S of mu.
+
+    With L = ``_disconnected_coeff`` and every sum over prod(mu_i) |mu_S|!,
+    C(S) = L(S) - sum_{T contains 0, T != S} C(|mu_S|, |mu_T|) C(T) L(S - T):
+    2^(l-1) subsets, each one product of exponential sums.  Subsets of a
+    descending profile stay descending, so equal sub-multisets share one
+    cache entry.
+    """
+    total = dict(_disconnected_coeff(mu))
+    n, rest = size(mu), mu[1:]
+    for mask in range(2 ** len(rest) - 1):
+        t = (mu[0],) + tuple(p for i, p in enumerate(rest) if mask >> i & 1)
+        w = comb(n, size(t))
+        outer = _disconnected_coeff(tuple(p for i, p in enumerate(rest) if not mask >> i & 1))
+        for h1, c1 in _connected_sum(t):
+            c1 *= w
+            for h2, c2 in outer:
+                total[h1 + h2] = total.get(h1 + h2, 0) - c1 * c2
+    return tuple((h, c) for h, c in total.items() if c)
 
 
 @lru_cache(maxsize=None)
 def _connected_coeff(mu: Partition, order: int) -> Tuple[Frac, ...]:
-    """Connected coefficient of p_mu, via Moebius inversion on part blocks.
-
-    Block series are multiplied in exponential form: integer numerators
-    combine by the binomial convolution sum_j C(k, j) a_j b_{k-j}, and their
-    denominators D multiply.
-    """
+    """Connected coefficients of p_mu at L^0..L^order: the connected sum's
+    power sums over z_mu |mu|! j!."""
     if not mu:
         raise UsageError("connected series needs a nonempty profile")
-    binom = [[comb(k, j) for j in range(k + 1)] for k in range(order + 1)]
-    total = [Frac(0)] * (order + 1)
-    for block_partition in set_partitions(len(mu)):
-        w = (-1) ** (len(block_partition) - 1) * factorial(len(block_partition) - 1)
-        prod, denom = None, 1
-        for block in block_partition:
-            sub = tuple(sorted((mu[i] for i in block), reverse=True))
-            w *= aut(sub)
-            s, d = _disconnected_coeff(sub, order)
-            denom *= d
-            prod = s if prod is None else [
-                sum(row[j] * prod[j] * s[k - j] for j in range(k + 1))
-                for k, row in enumerate(binom)]
-        for k, x in enumerate(prod):
-            if x:
-                total[k] += Frac(w * x, denom)
-    a = aut(mu)
-    return tuple(t / (a * factorial(k)) for k, t in enumerate(total))
+    d = zmu(mu) * factorial(size(mu))
+    return tuple(Frac(s, d * factorial(j))
+                 for j, s in enumerate(_power_sums(_connected_sum(mu), order)))
 
 
 def burnside_phi(mu: Partition, trunc: int) -> LambdaSeries:
@@ -198,8 +211,8 @@ def double_hurwitz(mu: Partition, nu: Partition, trunc: int) -> LambdaSeries:
     if size(mu) != size(nu):
         raise UsageError("profiles must have equal sizes")
     zz = zmu(mu) * zmu(nu)
-    s = _half_kappa_power_sums(
-        size(mu), lambda eta: character(eta, mu) * character(eta, nu), trunc - 1)
+    s = _power_sums(_exp_sum(size(mu), lambda eta: character(eta, mu) * character(eta, nu)),
+                    trunc - 1)
     return LambdaSeries.from_map(
         {j: Frac(x, zz * factorial(j)) for j, x in enumerate(s) if x}, trunc)
 

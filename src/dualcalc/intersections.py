@@ -10,8 +10,16 @@ index has integer weights:
 
 Seeds: <s_0^3>_0 = 1 and <s_1>_1 = 1/8 (i.e. <tau_1>_1 = 1/24, the value the
 recursion cannot reach; it is fixed by the n = 0 Virasoro constraint and
-frozen here).  Unstable factors vanish.  Plain correlators divide out the
-double factorials.
+frozen here).  Unstable factors vanish.
+
+The recursion runs on integers.  With n insertions, N_g = 2^(4g-3+2n) <...>_g
+is an integer, and the recursion becomes
+
+    N = 4 sum_{k in S} (2k+1) N' + 2 sum_{a+b=n-2} N'' + sum cnt N_1 N_2
+
+with seeds N_0(0,0,0) = 8 and N_1(1) = 1.  In the separating term the
+dimension constraint fixes g1 for each split.  Correlators divide out the
+power of two (and, when plain, the double factorials) once.
 """
 from __future__ import annotations
 
@@ -25,6 +33,7 @@ from .errors import UsageError
 from .partitions import compositions
 
 Frac = Fraction
+Key = Tuple[int, ...]
 
 
 def double_factorial_odd(k: int) -> int:
@@ -35,69 +44,57 @@ def double_factorial_odd(k: int) -> int:
     return out
 
 
-def _sub_multisets(ms: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
-    """(X, Y, count) over labeled splits of the multiset ms."""
-    vals = sorted(set(ms))
-    mult = {v: ms.count(v) for v in vals}
-
-    def rec(i: int):
-        if i == len(vals):
-            yield (), (), 1
-            return
-        v = vals[i]
-        m = mult[v]
-        for x, y, c in rec(i + 1):
-            for take in range(m + 1):
-                yield (v,) * take + x, (v,) * (m - take) + y, c * comb(m, take)
-
-    yield from rec(0)
+def _desc(ks: Key) -> Key:
+    return tuple(sorted(ks, reverse=True))
 
 
 @lru_cache(maxsize=None)
-def _norm(g: int, ks: Tuple[int, ...]) -> Frac:
-    """Normalized correlator <prod s_{k}>_g on a sorted key."""
+def _splits(ms: Key) -> Tuple[Tuple[Key, Key, int, int], ...]:
+    """(X, Y, count, sum(X) - len(X)) over the labelled splits of the
+    descending multiset ms; X and Y stay descending."""
+    out = [((), (), 1)]
+    for v in sorted(set(ms), reverse=True):
+        m = ms.count(v)
+        out = [(x + (v,) * take, y + (v,) * (m - take), c * comb(m, take))
+               for x, y, c in out for take in range(m + 1)]
+    return tuple((x, y, c, sum(x) - len(x)) for x, y, c in out)
+
+
+@lru_cache(maxsize=None)
+def _norm(g: int, ks: Key) -> int:
+    """N_g(ks) = 2^(4g-3+2n) <prod s_k>_g on a descending key of n indices."""
     n = len(ks)
-    if n == 0 or g < 0:
-        return Frac(0)
-    if 2 * g - 2 + n <= 0:
-        return Frac(0)
-    if sum(ks) != 3 * g - 3 + n:
-        return Frac(0)
+    if n == 0 or g < 0 or 2 * g - 2 + n <= 0 or sum(ks) != 3 * g - 3 + n:
+        return 0
     if g == 0 and ks == (0, 0, 0):
-        return Frac(1)
+        return 8
     if g == 1 and ks == (1,):
-        return Frac(1, 8)
-    top = ks[0]
-    rest = ks[1:]
+        return 1
+    top, rest = ks[0], ks[1:]
     if top == 0:
         # all-zero keys are dimension-filtered away except the seed
-        return Frac(0)
-    total = Frac(0)
+        return 0
     # term 1: absorb one of the remaining insertions
-    for idx in range(len(rest)):
-        k = rest[idx]
-        nxt = tuple(sorted(rest[:idx] + rest[idx + 1:] + (top + k - 1,), reverse=True))
-        total += (2 * k + 1) * _norm(g, nxt)
-    # term 2: nonseparating degeneration
-    if g >= 1:
-        for a in range(top - 1):
-            b = top - 2 - a
-            nxt = tuple(sorted(rest + (a, b), reverse=True))
-            total += Frac(1, 2) * _norm(g - 1, nxt)
-    # term 3: separating degenerations
+    absorbed = sum((2 * k + 1) * _norm(g, _desc(rest[:i] + rest[i + 1:] + (top + k - 1,)))
+                   for i, k in enumerate(rest))
+    nonsep = sep = 0
     for a in range(top - 1):
         b = top - 2 - a
-        for x, y, cnt in _sub_multisets(rest):
-            for g1 in range(g + 1):
-                g2 = g - g1
-                left = _norm(g1, tuple(sorted(x + (a,), reverse=True)))
-                if not left:
-                    continue
-                right = _norm(g2, tuple(sorted(y + (b,), reverse=True)))
-                if not right:
-                    continue
-                total += Frac(cnt, 2) * left * right
-    return total
+        # term 2: nonseparating degeneration
+        if g:
+            nonsep += _norm(g - 1, _desc(rest + (a, b)))
+        # term 3: separating degenerations, <s_a X>_{g1} fixes g1
+        for x, y, cnt, excess in _splits(rest):
+            g1, off = divmod(excess + a + 2, 3)
+            if not off and 0 <= g1 <= g:
+                sep += cnt * _norm(g1, _desc(x + (a,))) * _norm(g - g1, _desc(y + (b,)))
+    return 4 * absorbed + 2 * nonsep + sep
+
+
+def _scaled(g: int, ks: Sequence[int], den: int) -> Frac:
+    """N_g(ks) / (2^(4g-3+2n) den)."""
+    v = _norm(g, _desc(ks))
+    return Frac(v, den << (4 * g - 3 + 2 * len(ks))) if v else Frac(0)
 
 
 def dvv(g: int, ks: Sequence[int]) -> Frac:
@@ -109,20 +106,15 @@ def dvv(g: int, ks: Sequence[int]) -> Frac:
         raise UsageError("need at least one insertion")
     if g < 0:
         raise UsageError("genus must be nonnegative")
-    key = tuple(sorted(ks, reverse=True))
-    v = _norm(g, key)
-    if not v:
-        return Frac(0)
     den = 1
     for k in ks:
         den *= double_factorial_odd(k)
-    return v / den
+    return _scaled(g, ks, den)
 
 
 def dvv_normalized(g: int, ks: Sequence[int]) -> Frac:
     """<prod s_{k}>_g with s_k = (2k+1)!! psi^k."""
-    ks = tuple(sorted((int(k) for k in ks), reverse=True))
-    return _norm(g, ks)
+    return _scaled(g, [int(k) for k in ks], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,26 +132,23 @@ def _canon(mono: Tuple[int, ...]) -> Tuple[int, ...]:
 _F0 = Frac(0)
 
 
+@lru_cache(maxsize=None)
 def _free_energy_coeff(mono: Tuple[int, ...]) -> Frac:
     """Coefficient of prod t_k^{mono_k} in sum_g <exp sum t_k s_k>_g.
 
     The genus is fixed by the dimension constraint; the coefficient carries
-    1/prod m_k! from the exponential insertions.
+    1/prod m_k! from the exponential insertions.  Keys are canonical
+    (``_canon``).
     """
     n = sum(mono)
     s = sum(k * m for k, m in enumerate(mono))
     if n == 0 or (s - n) % 3:
         return _F0
-    g = (s - n) // 3 + 1
-    if g < 0:
-        return _F0
-    v = dvv_normalized(g, [k for k, m in enumerate(mono) for _ in range(m)])
-    if not v:
-        return _F0
+    ks = [k for k, m in enumerate(mono) for _ in range(m)]
     sym = 1
     for m in mono:
         sym *= factorial(m)
-    return v / sym
+    return dvv_normalized((s - n) // 3 + 1, ks) / sym
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +168,7 @@ def tau_coefficient(mono: Tuple[int, ...]) -> Frac:
         dj = sum(j)
         if not dj:
             continue
-        f = _free_energy_coeff(j)
+        f = _free_energy_coeff(_canon(j))
         if f:
             rest = _canon(tuple(a - b for a, b in zip(mono, j)))
             total += dj * f * tau_coefficient(rest)
@@ -198,9 +187,10 @@ def _bump(mono: Tuple[int, ...], var: int, by: int) -> Tuple[int, ...]:
     return _canon(tuple(m))
 
 
-def virasoro_residual(n: int, order: int, kmax_check: int = 4) -> Frac:
-    """Max |coefficient| of (L_n tau) through total t-degree ``order`` in
-    the variables t_0..t_{kmax_check}; exact zero expected.
+def virasoro_residual(n: int, order: int, kmax_check: int = 4) -> Tuple[Frac, int]:
+    """(max |coefficient|, coefficients checked) of (L_n tau) through total
+    t-degree ``order`` in the variables t_0..t_{kmax_check}; exact zero
+    expected.
 
     L_n = -(1/2) d/dt_{n+1} + sum_k (k + 1/2) t_k d/dt_{k+n}
           + (1/4) sum_{i=1..n} d^2/dt_{i-1} dt_{n-i}
@@ -215,7 +205,9 @@ def virasoro_residual(n: int, order: int, kmax_check: int = 4) -> Frac:
     if order < 0:
         raise UsageError("Virasoro order must be >= 0")
     worst = _F0
+    checked = 0
     for mono in _monomials(order, kmax_check):
+        checked += 1
         acc = _F0
         # -(1/2) d/dt_{n+1}
         up = _bump(mono, n + 1, 1)
@@ -243,4 +235,4 @@ def virasoro_residual(n: int, order: int, kmax_check: int = 4) -> Frac:
             acc += Frac(1, 16) * tau_coefficient(mono)
         if abs(acc) > worst:
             worst = abs(acc)
-    return worst
+    return worst, checked

@@ -166,21 +166,6 @@ def compositions(total: int, parts: int) -> Tuple[Tuple[int, ...], ...]:
                  for rest in compositions(total - first, parts - 1))
 
 
-@lru_cache(maxsize=None)
-def set_partitions(n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """Set partitions of {0, ..., n-1}; each is a tuple of blocks."""
-    if not n:
-        return ((),)
-    out = []
-    for sub in set_partitions(n - 1):
-        # relabel {0..n-2} as {1..n-1}, then join 0 to each block or alone
-        sub = tuple(tuple(x + 1 for x in block) for block in sub)
-        for i in range(len(sub)):
-            out.append(sub[:i] + ((0,) + sub[i],) + sub[i + 1:])
-        out.append(((0,),) + sub)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # hooks and dimensions
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Helpers shared by the tests: the canonical-form check of the integer
-polynomial kernel in ``dualcalc.laurent`` and a q-expansion oracle."""
+polynomial kernel in ``dualcalc.laurent``, a q-expansion oracle, the
+``Fraction`` DVV recursion and set partitions."""
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import comb, gcd
 
 from dualcalc import dense
 
@@ -32,3 +34,62 @@ def q_series(f, order):
     assert not f.ipow and not any(k % 2 or k < 0 for k in (*num, *den))
     num, den = ([p.get(2 * k, Fraction(0)) for k in range(order + 1)] for p in (num, den))
     return dense.mul(num, dense.inv(den, order + 1), order + 1)
+
+
+def _labelled_splits(ms):
+    """(X, Y, count) over the labelled splits of the multiset ms."""
+    vals = sorted(set(ms))
+    out = [((), (), 1)]
+    for v in vals:
+        m = ms.count(v)
+        out = [((v,) * take + x, (v,) * (m - take) + y, c * comb(m, take))
+               for x, y, c in out for take in range(m + 1)]
+    return out
+
+
+@lru_cache(maxsize=None)
+def fraction_norm(g, ks):
+    """Normalized correlator <prod s_k>_g on a descending key, by the DVV
+    recursion over ``Fraction``s with every genus split tried: the
+    reference for ``dualcalc.intersections``."""
+    n = len(ks)
+    if n == 0 or g < 0 or 2 * g - 2 + n <= 0 or sum(ks) != 3 * g - 3 + n:
+        return Fraction(0)
+    if g == 0 and ks == (0, 0, 0):
+        return Fraction(1)
+    if g == 1 and ks == (1,):
+        return Fraction(1, 8)
+    top, rest = ks[0], ks[1:]
+    if top == 0:
+        return Fraction(0)
+
+    def key(t):
+        return tuple(sorted(t, reverse=True))
+
+    total = Fraction(0)
+    for idx, k in enumerate(rest):
+        total += (2 * k + 1) * fraction_norm(g, key(rest[:idx] + rest[idx + 1:] + (top + k - 1,)))
+    for a in range(top - 1):
+        b = top - 2 - a
+        if g >= 1:
+            total += Fraction(1, 2) * fraction_norm(g - 1, key(rest + (a, b)))
+        for x, y, cnt in _labelled_splits(rest):
+            for g1 in range(g + 1):
+                total += Fraction(cnt, 2) * fraction_norm(g1, key(x + (a,))) \
+                    * fraction_norm(g - g1, key(y + (b,)))
+    return total
+
+
+@lru_cache(maxsize=None)
+def set_partitions(n):
+    """Set partitions of {0, ..., n-1}; each is a tuple of blocks."""
+    if not n:
+        return ((),)
+    out = []
+    for sub in set_partitions(n - 1):
+        # relabel {0..n-2} as {1..n-1}, then join 0 to each block or alone
+        sub = tuple(tuple(x + 1 for x in block) for block in sub)
+        for i in range(len(sub)):
+            out.append(sub[:i] + ((0,) + sub[i],) + sub[i + 1:])
+        out.append(((0,),) + sub)
+    return tuple(out)

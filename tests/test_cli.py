@@ -249,6 +249,13 @@ def test_grassmannian_verify():
     ("grassmannian-k3-n6-d1", ["mirror", "grassmannian", "-k", "3", "-n", "6",
                                "--max-degree", "1", "--verify"]),
     ("vertex-d6-g1", ["vertex", "local-p2", "--max-degree", "6", "--max-genus", "1", "--gv"]),
+    ("witten-psi-g2-32", ["witten", "--correlator", "2:3,2", "--psi", "2:3,2"]),
+    ("witten-psi-g0-111", ["witten", "--correlator", "0:1,1,1,0,0,0",
+                           "--psi", "0:1,1,1,0,0,0"]),
+    ("witten-virasoro-2-o5", ["witten", "--virasoro", "2", "--order", "5"]),
+    ("witten-g8", ["witten", "--correlator", "8:22"]),
+    ("hurwitz-g2-321-elsv", ["hurwitz", "--genus", "2", "--partition", "3,2,1",
+                             "--method", "both", "--elsv"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
@@ -9,9 +11,9 @@ from dualcalc.hurwitz import (_connected_coeff, _sample_points, burnside_phi,
                               double_hurwitz, elsv_I, hurwitz_number,
                               psi_from_asymptotics, ramification_order)
 from dualcalc.partitions import (aut, character, enumerate_partitions,
-                                 hook_product, kappa, length, set_partitions,
-                                 size, zmu)
+                                 hook_product, kappa, length, size, zmu)
 from dualcalc.scalars import GaussianRational
+from oracles import set_partitions
 
 
 def brute_hurwitz(g, mu):
@@ -172,7 +174,10 @@ def test_psi_preconditions():
 
 
 def _reference_connected_coeff(mu, order):
-    """Moebius inversion with Fraction series products, term by term."""
+    """Moebius inversion with Fraction series products over the set
+    partitions of the parts, those with the same block profiles taken
+    together."""
+    @lru_cache(maxsize=None)
     def disconnected(sub):
         out = [Fraction(0)] * (order + 1)
         for nu in enumerate_partitions(size(sub)):
@@ -190,12 +195,14 @@ def _reference_connected_coeff(mu, order):
                 out[i + j] += x * b[j]
         return out
 
+    profiles = Counter(
+        tuple(sorted(tuple(sorted((mu[i] for i in block), reverse=True)) for block in blocks))
+        for blocks in set_partitions(len(mu)))
     total = [Fraction(0)] * (order + 1)
-    for blocks in set_partitions(len(mu)):
-        w = Fraction((-1) ** (len(blocks) - 1) * factorial(len(blocks) - 1))
+    for subs, count in profiles.items():
+        w = Fraction(count * (-1) ** (len(subs) - 1) * factorial(len(subs) - 1))
         prod = [Fraction(1)] + [Fraction(0)] * order
-        for block in blocks:
-            sub = tuple(sorted((mu[i] for i in block), reverse=True))
+        for sub in subs:
             w *= aut(sub)
             prod = mul(prod, disconnected(sub))
         total = [t + w * p for t, p in zip(total, prod)]
@@ -208,6 +215,13 @@ def test_connected_coeff_matches_fraction_reference():
             order = ramification_order(2, mu)
             assert _connected_coeff(mu, order) == \
                 _reference_connected_coeff(mu, order), mu
+    # the subset recursion can only go wrong with many parts
+    many = [mu for n in range(5, 10) for mu in enumerate_partitions(n) if 5 <= len(mu) <= 7]
+    assert len(many) == 23
+    for mu in many:
+        order = ramification_order(1, mu)
+        assert _connected_coeff(mu, order) == \
+            _reference_connected_coeff(mu, order), mu
 
 
 @pytest.mark.parametrize("n,count", [(1, 9), (2, 20), (3, 30), (5, 40)])

@@ -1,14 +1,16 @@
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from dualcalc import intersections, verify
 from dualcalc.errors import UsageError
 from dualcalc.hurwitz import psi_from_asymptotics
 from dualcalc.intersections import (double_factorial_odd, dvv, dvv_normalized,
                                     tau_coefficient, virasoro_residual)
-from dualcalc.partitions import set_partitions
+from dualcalc.partitions import enumerate_partitions
+from oracles import fraction_norm, set_partitions
 
 
 def test_seeds():
@@ -48,6 +50,47 @@ def test_symmetry():
     assert vals == {Fraction(1, 12)}
     vals = {dvv(0, p) for p in permutations((1, 1, 0, 0, 0))}
     assert vals == {Fraction(2)}
+
+
+def _stable_keys(max_dim):
+    """Every stable (g, descending ks) with 3g - 3 + n <= max_dim."""
+    for g in range(max_dim // 3 + 2):
+        for n in range(1, max_dim + 4 - 3 * g):
+            deg = 3 * g - 3 + n
+            if 2 * g - 2 + n <= 0 or not 0 <= deg <= max_dim:
+                continue
+            for rho in enumerate_partitions(deg):
+                if len(rho) <= n:
+                    yield g, tuple(rho) + (0,) * (n - len(rho))
+
+
+def test_integer_recursion_matches_fraction_reference():
+    keys = list(_stable_keys(9))
+    assert len(keys) == 277 and max(g for g, _ in keys) == 3
+    for g, ks in keys:
+        assert dvv_normalized(g, ks) == fraction_norm(g, ks) > 0, (g, ks)
+
+
+def test_one_point_closed_form():
+    # <tau_{3g-2}>_g = 1/(24^g g!)
+    for g in range(1, 9):
+        assert dvv(g, (3 * g - 2,)) == Fraction(1, 24 ** g * factorial(g)), g
+
+
+def test_genus_zero_multinomial():
+    # <prod tau_{k_i}>_0 = (n-3)!/prod k_i! on the shell sum k_i = n - 3
+    for g, ks in _stable_keys(4):
+        if g == 0:
+            expect = Fraction(factorial(len(ks) - 3))
+            for k in ks:
+                expect /= factorial(k)
+            assert dvv(0, ks) == expect, ks
+
+
+def test_genus_one_tau1_powers():
+    # <tau_1^n>_1 = (n-1)!/24
+    for n in range(1, 9):
+        assert dvv(1, (1,) * n) == Fraction(factorial(n - 1), 24), n
 
 
 def test_double_factorial():
@@ -124,7 +167,19 @@ def test_tau_coefficient_matches_set_partition_sum():
 
 @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
 def test_virasoro_residuals(n):
-    assert virasoro_residual(n, 4) == 0
+    # every monomial of degree <= 4 in t_0..t_4 is checked
+    assert virasoro_residual(n, 4) == (0, comb(4 + 5, 5))
+
+
+def test_witten_check_counts_what_it_compared(monkeypatch):
+    ok, detail = verify.check_witten("quick")
+    # five Virasoro constraints through degree 3 in t_0..t_4, plus cross-checks
+    assert ok and detail == {"virasoro_orders": 3, "cross_checked": 5,
+                             "compared": 5 * comb(3 + 5, 5) + 5}
+    monkeypatch.setattr(intersections, "virasoro_residual", lambda n, order: (0, 0))
+    monkeypatch.setattr(verify, "product", lambda *ranges, repeat: iter(()))
+    assert verify.check_witten("quick") == (
+        False, {"virasoro_orders": 3, "cross_checked": 0, "compared": 0})
 
 
 def test_usage_errors():

@@ -8,8 +8,8 @@ from dualcalc.errors import UsageError
 from dualcalc.partitions import (aut, basic_stats, character, compositions,
                                  conjugate, dim, enumerate_partitions,
                                  format_partition, hook_dim, kappa, length,
-                                 parse_partition, set_partitions, size,
-                                 sub_diagrams, zmu)
+                                 parse_partition, size, sub_diagrams, zmu)
+from oracles import set_partitions
 
 
 # independent oracle: Euler's pentagonal-number recurrence for p(n)
