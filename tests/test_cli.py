@@ -256,6 +256,9 @@ def test_grassmannian_verify():
     ("witten-g8", ["witten", "--correlator", "8:22"]),
     ("hurwitz-g2-321-elsv", ["hurwitz", "--genus", "2", "--partition", "3,2,1",
                              "--method", "both", "--elsv"]),
+    ("w-expand-6", ["w", "--mu", "6", "--expand", "8"]),
+    ("w-pair-expand-33-21", ["w", "--mu", "3,3", "--nu", "2,1", "--expand", "6"]),
+    ("w-pair-expand-411-3", ["w", "--mu", "4,1,1", "--nu", "3", "--expand", "7"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)
