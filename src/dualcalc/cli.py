@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from . import hodge, hurwitz, intersections, mirror, vertex, verify
 from .chern_simons import w_one, w_pair
 from .errors import InternalError, UsageError, VerificationFailure
-from .partitions import format_partition, length, parse_partition
+from .partitions import enumerate_partitions, format_partition, length, parse_partition
 from .qfunc import QFunction
 from .scalars import GaussianRational
 from .series import LambdaSeries, TauLaurent
@@ -32,8 +32,7 @@ from .series import LambdaSeries, TauLaurent
 # ---------------------------------------------------------------------------
 
 def frac_str(x) -> str:
-    f = Fraction(x)
-    return str(f)
+    return str(Fraction(x))
 
 
 def gauss_str(x: GaussianRational) -> str:
@@ -72,6 +71,11 @@ def qfun_json(f: QFunction) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# input limits of ``w``, checked before any W value is formed
+W_MAX_EXPAND = 64
+W_MAX_BOXES = 12
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -90,10 +94,10 @@ def build_parser() -> _Parser:
                     help="include the ELSV-normalized values")
 
     w = sub.add_parser("w", help="quantum-dimension W values")
-    w.add_argument("--mu", type=str, required=True)
-    w.add_argument("--nu", type=str, default=None)
+    w.add_argument("--mu", type=str, required=True, help=f"at most {W_MAX_BOXES} boxes")
+    w.add_argument("--nu", type=str, default=None, help=f"at most {W_MAX_BOXES} boxes")
     w.add_argument("--expand", type=int, default=None, metavar="ORDER",
-                   help="also print the lambda-expansion to this order")
+                   help=f"also print the lambda-expansion to this order (1 to {W_MAX_EXPAND})")
 
     mv = sub.add_parser("mv", help="framed triple-Hodge series checks")
     mv.add_argument("action", nargs="?", choices=["hodge"], default=None)
@@ -156,13 +160,10 @@ def _cmd_hurwitz(args) -> dict:
         out["H_burnside"] = frac_str(hurwitz.hurwitz_number(args.genus, mu, "burnside"))
     if args.method in ("cutjoin", "both"):
         out["H_cutjoin"] = frac_str(hurwitz.hurwitz_number(args.genus, mu, "cutjoin"))
+    out["H"] = out.get("H_burnside", out.get("H_cutjoin"))
     if args.method == "both":
-        agree = out["H_burnside"] == out["H_cutjoin"]
-        out["H"] = out["H_burnside"]
-        out["agree"] = agree
-        checks.append({"name": "oracle-agreement", "pass": agree})
-    else:
-        out["H"] = out.get("H_burnside", out.get("H_cutjoin"))
+        out["agree"] = out["H_burnside"] == out["H_cutjoin"]
+        checks.append({"name": "oracle-agreement", "pass": out["agree"]})
     if args.elsv:
         i_val, bare = hurwitz.elsv_I(args.genus, mu)
         out["I"] = frac_str(i_val)
@@ -171,18 +172,17 @@ def _cmd_hurwitz(args) -> dict:
 
 
 def _cmd_w(args) -> dict:
-    if args.expand is not None and args.expand < 1:
-        raise UsageError("--expand needs an order >= 1")
+    if args.expand is not None and not 1 <= args.expand <= W_MAX_EXPAND:
+        raise UsageError(f"--expand needs an order from 1 to {W_MAX_EXPAND}")
     mu = parse_partition(args.mu)
-    if args.nu is None:
-        f = w_one(mu)
-        out = {"kind": "one-partition", "mu": format_partition(mu),
-               "value": qfun_json(f)}
-    else:
-        nu = parse_partition(args.nu)
-        f = w_pair(mu, nu)
-        out = {"kind": "two-partition", "mu": format_partition(mu),
-               "nu": format_partition(nu), "value": qfun_json(f)}
+    nu = None if args.nu is None else parse_partition(args.nu)
+    if max(sum(mu), sum(nu or ())) > W_MAX_BOXES:
+        raise UsageError(f"w partitions are limited to {W_MAX_BOXES} boxes")
+    f = w_one(mu) if nu is None else w_pair(mu, nu)
+    out = {"kind": "one-partition" if nu is None else "two-partition",
+           "mu": format_partition(mu), "value": qfun_json(f)}
+    if nu is not None:
+        out["nu"] = format_partition(nu)
     if args.expand is not None:
         out["lambda_expansion"] = series_json(f.to_lambda(args.expand))
     return {"result": out, "checks": []}
@@ -213,8 +213,8 @@ def _cmd_mv(args) -> dict:
     if args.degree < 1:
         raise UsageError("mv --check needs --degree >= 1")
     cap, trunc = args.degree, args.order
+    fs = hodge.build_series(cap, trunc, families=2 if args.check == "two-partition" else 1)
     if args.check == "pde":
-        fs = hodge.build_series(cap, trunc)
         res = hodge.pde_residual(fs)
         # every window must reach the genus-0 power lambda^{l(mu)-2}
         if not hodge.residual_window_ok(res, lambda key: length(key[0]) - 1):
@@ -223,37 +223,25 @@ def _cmd_mv(args) -> dict:
         checks.append({"name": "pde-residual-zero", "pass": ok})
         result = {"residual_zero": ok, "degree": cap, "order": trunc}
     elif args.check == "initial":
-        fs = hodge.build_series(cap, trunc)
         rep = hodge.initial_value_report(fs)
         checks.append({"name": "initial-value", "pass": rep["ok"]})
         result = rep
     elif args.check == "elsv-limit":
-        fs = hodge.build_series(cap, trunc)
         ok = hodge.elsv_limit_check(fs)
         checks.append({"name": "elsv-limit", "pass": ok})
         result = {"limit_matches": ok}
     elif args.check == "convolution":
-        fs = hodge.build_series(cap, trunc)
         ok = hodge.convolution_check(fs)
         checks.append({"name": "convolution-tau-independence", "pass": ok})
         result = {"tau_independent": ok}
     elif args.check == "lambda-g":
-        fs = hodge.build_series(cap, trunc)
-        cases = {}
-        ok_all = True
-        from .partitions import enumerate_partitions
-        for g in (1, 2):
-            for n in range(1, cap + 1):
-                for mu in enumerate_partitions(n):
-                    ok = hodge.lambda_g_check(fs, g, mu)
-                    ok_all = ok_all and ok
-                    cases[f"{g}:{format_partition(mu)}"] = ok
-        checks.append({"name": "lambda-g", "pass": ok_all})
+        cases = {f"{g}:{format_partition(mu)}": hodge.lambda_g_check(fs, g, mu)
+                 for g in (1, 2) for n in range(1, cap + 1) for mu in enumerate_partitions(n)}
+        checks.append({"name": "lambda-g", "pass": all(cases.values())})
         result = {"cases": cases}
     else:  # two-partition
-        fs2 = hodge.build_series(cap, trunc, families=2)
-        pde_ok = hodge.pde_residual(fs2).is_zero_through_windows()
-        swap_ok = hodge.swap_symmetry_check(fs2)
+        pde_ok = hodge.pde_residual(fs).is_zero_through_windows()
+        swap_ok = hodge.swap_symmetry_check(fs)
         checks.append({"name": "two-family-pde", "pass": pde_ok})
         checks.append({"name": "swap-symmetry", "pass": swap_ok})
         result = {"pde_residual_zero": pde_ok, "swap_symmetric": swap_ok}
@@ -279,11 +267,9 @@ def _cmd_vertex(args) -> dict:
 def _parse_correlator(text: str):
     try:
         gpart, kpart = text.split(":")
-        g = int(gpart)
-        ks = tuple(int(x) for x in kpart.split(","))
+        return int(gpart), tuple(int(x) for x in kpart.split(","))
     except ValueError as exc:
         raise UsageError(f"bad correlator spec {text!r}") from exc
-    return g, ks
 
 
 def _cmd_witten(args) -> dict:
@@ -403,10 +389,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         payload = HANDLERS[args.command](args)
-        params = {k: v for k, v in vars(args).items() if k != "command"}
         doc = {
             "query": args.command,
-            "params": {k: params[k] for k in sorted(params)},
+            "params": {k: v for k, v in vars(args).items() if k != "command"},
             "result": payload["result"],
             "checks": payload["checks"],
         }

@@ -3,9 +3,8 @@
 A series is the list of its coefficients of x^0, x^1, ...; every operation
 takes the number ``n`` of coefficients to keep and returns a list of exactly
 that length.  Inputs may be shorter than ``n`` (missing terms are zero).
-The same kernel serves the quintic nilpotent ring Q[H]/(H^5), the mirror
-map's Q-series and the lambda-expansion of a ``QFunction``, a quotient of
-series in x = sqrt(-1) lambda.
+The same kernel serves the quintic nilpotent ring Q[H]/(H^5) and the mirror
+map's Q-series.
 
 ``graded_log``/``graded_exp`` take the weight slices of a graded series over
 any ring with ``*``, ``+``, ``-`` and ``scale``: ``PSeries`` by key weight,

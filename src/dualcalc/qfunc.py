@@ -11,23 +11,23 @@ factor, and reduction is a trial exact division of the numerator by each
 Phi_e present (Phi_e is irreducible over Q), run on the integer numerators.
 Keeping the phase separate leaves all polynomial arithmetic inside Q(u).
 ``to_lambda`` expands a value at u = e^{sqrt(-1) lambda/2} (so
-q = e^{sqrt(-1) lambda}): num and den become rational series in
-x = sqrt(-1) lambda, summed from the integer numerators, their quotient
-comes from the ``dense`` kernel, and the phase joins only as each lambda^e
-coefficient is stored.  The vertex's multi-cover kernel is expanded the
-same way.
+q = e^{sqrt(-1) lambda}) on integers: num and den become integer series in
+y = sqrt(-1) lambda/2 over one shared factorial, their quotient is taken
+fraction-free against a cached denominator side, and the phase and the
+powers of 2 join only as each lambda^e coefficient is stored.  The vertex's
+multi-cover kernel is expanded the same way.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from . import dense
 from .errors import InternalError, UsageError
 from .laurent import Laurent
-from .series import LambdaSeries, TauLaurent
+from .series import TL_ONE, LambdaSeries
 
 Factors = Tuple[Tuple[int, int], ...]
 
@@ -44,17 +44,6 @@ class ULaurent(Laurent):
         if m == 0:
             return ULaurent()
         return ULaurent({m: 1, -m: -1})
-
-
-def _x_series(p: ULaurent, n: int) -> List[Fraction]:
-    """p(e^{x/2}) through x^(n-1): the x^j coefficient is sum_m p_m (m/2)^j / j!."""
-    c, terms = p.den, list(p.num.items())
-    out: List[Fraction] = []
-    for j in range(n):
-        out.append(Fraction(sum(v for _m, v in terms), c))
-        terms = [(m, v * m) for m, v in terms]
-        c *= 2 * (j + 1)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -94,6 +83,26 @@ def _expand(fac: Factors) -> ULaurent:
         for _ in range(m):
             out = out * _cyclotomic(e)
     return out
+
+
+def _y_series(num: Dict[int, int], n: int, length: int) -> List[int]:
+    """sum_m num[m] e^{m y} through y^(n-1), times (length-1)! for n <= length:
+    the y^j coefficient is (length-1)!/j! sum_m num[m] m^j, an integer."""
+    terms, out = list(num.items()), []
+    for j in range(n):
+        out.append(sum(v for _m, v in terms) * (factorial(length - 1) // factorial(j)))
+        terms = [(m, v * m) for m, v in terms]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _den_series(fac: Factors, n: int, length: int) -> Tuple[List[int], List[int], List[int]]:
+    """For an n-term quotient in ``to_lambda``: b = ``_y_series`` of prod Phi_e^{m_e}
+    through y^(v+n-1), d0^m (m <= n) for d0 = b_v and t = b_(v+j) d0^(j-1) (0 < j < n)."""
+    v = dict(fac).get(1, 0)
+    b = _y_series(_expand(fac).num, v + n, length)
+    pw = [b[v] ** m for m in range(n + 1)]
+    return b, pw, [b[v + j] * pw[j - 1] for j in range(1, n)]
 
 
 def _factor(den: ULaurent) -> Tuple[Fraction, int, Factors]:
@@ -218,28 +227,35 @@ class QFunction:
     def to_lambda(self, trunc: int) -> LambdaSeries:
         """Expansion at u = e^{i lambda/2}, truncated at order ``trunc``.
 
-        num and den are expanded as Fraction series in x = i lambda; den
-        vanishes at x = 0 only through Phi_1 = u - 1, so its x-valuation is
-        the exponent of Phi_1.  The quotient comes from the dense kernel, and
-        the phase i^e (-i)^ipow joins each lambda^e coefficient as it is stored.
+        num and den become integer series a, b in y = i lambda/2; den vanishes
+        at y = 0 only through Phi_1 = u - 1, to order v.  With d0 = b_v,
+        Q'_m = d0^m a_(lo+m) - sum_{0<j<=m} b_(v+j) d0^(j-1) Q'_(m-j) is d0^(m+1)
+        times the y^(lo-v+m) coefficient of the quotient, found fraction-free;
+        it is stored as lambda^e over d0^(m+1) num.den 2^e with phase i^e (-i)^ipow.
         """
         if not self.num:
             return LambdaSeries(0, [])
         v = dict(self.fac).get(1, 0)
-        num = _x_series(self.num, trunc + v)
-        lo = next((j for j, c in enumerate(num) if c), None)
+        length = trunc + 2 * v
+        a = _y_series(self.num.num, trunc + v, length)
+        lo = next((j for j, c in enumerate(a) if c), None)
         if lo is None:
             # the value's valuation lies at or beyond the window
             return LambdaSeries.from_map({}, trunc)
         n = trunc + v - lo
-        den = _x_series(self.den, v + n)
-        if any(den[:v]) or not den[v]:
+        b, pw, t = _den_series(self.fac, n, length)
+        if any(b[:v]) or not b[v]:
             raise InternalError("denominator x-valuation differs from its Phi_1 exponent")
-        quo = dense.mul(num[lo:], dense.inv(den[v:], n), n)
-        lo -= v
-        return LambdaSeries.from_map(
-            {lo + j: TauLaurent.phased(lo + j - self.ipow, {0: c})
-             for j, c in enumerate(quo) if c}, trunc)
+        quo, out = [], {}
+        for m in range(n):
+            c = pw[m] * a[lo + m] - sum(t[j] * quo[m - 1 - j] for j in range(m))
+            quo.append(c)
+            if c:
+                # d0 > 0, a factorial times Phi_e(1) > 0 (e > 1); 2^(-e) is an integer
+                e = lo - v + m
+                out[e] = TL_ONE._new({0: c << -e if e < 0 else c},
+                                     pw[m + 1] * self.num.den << max(e, 0), e - self.ipow)
+        return LambdaSeries.from_map(out, trunc)
 
     def __repr__(self):
         return f"(-i)^{self.ipow} * ({self.num}) / ({self.den})"

@@ -1,11 +1,14 @@
 """Helpers shared by the tests: the canonical-form check of the integer
-polynomial kernel in ``dualcalc.laurent``, a q-expansion oracle, the
-``Fraction`` DVV recursion and set partitions."""
+polynomial kernel in ``dualcalc.laurent``, a q-expansion oracle, a
+``Fraction`` lambda-expansion oracle, the ``Fraction`` DVV recursion and
+set partitions."""
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
 from dualcalc import dense
+from dualcalc.errors import InternalError
+from dualcalc.series import LambdaSeries, TauLaurent
 
 
 def canonical(p):
@@ -34,6 +37,40 @@ def q_series(f, order):
     assert not f.ipow and not any(k % 2 or k < 0 for k in (*num, *den))
     num, den = ([p.get(2 * k, Fraction(0)) for k in range(order + 1)] for p in (num, den))
     return dense.mul(num, dense.inv(den, order + 1), order + 1)
+
+
+def _x_series(p, n):
+    """p(e^{x/2}) through x^(n-1) for a ``ULaurent`` p: the x^j coefficient
+    is sum_m p_m (m/2)^j / j!."""
+    c, terms = p.den, list(p.num.items())
+    out = []
+    for j in range(n):
+        out.append(Fraction(sum(v for _m, v in terms), c))
+        terms = [(m, v * m) for m, v in terms]
+        c *= 2 * (j + 1)
+    return out
+
+
+def to_lambda_reference(f, trunc):
+    """``QFunction.to_lambda`` over ``Fraction`` series in x = sqrt(-1) lambda,
+    divided by ``dense.mul``/``dense.inv``: the reference for the integer
+    quotient."""
+    if not f.num:
+        return LambdaSeries(0, [])
+    v = dict(f.fac).get(1, 0)
+    num = _x_series(f.num, trunc + v)
+    lo = next((j for j, c in enumerate(num) if c), None)
+    if lo is None:
+        return LambdaSeries.from_map({}, trunc)
+    n = trunc + v - lo
+    den = _x_series(f.den, v + n)
+    if any(den[:v]) or not den[v]:
+        raise InternalError("denominator x-valuation differs from its Phi_1 exponent")
+    quo = dense.mul(num[lo:], dense.inv(den[v:], n), n)
+    lo -= v
+    return LambdaSeries.from_map(
+        {lo + j: TauLaurent.phased(lo + j - f.ipow, {0: c})
+         for j, c in enumerate(quo) if c}, trunc)
 
 
 def _labelled_splits(ms):

@@ -185,6 +185,31 @@ def test_bad_input_is_one_usage_document(case, tmp_path):
     assert json.loads(out)["kind"] == "usage"
 
 
+W_LIMITS_ACCEPTED = [["w", "--mu", "1", "--expand", "64"], ["w", "--mu", "12"],
+                     ["w", "--mu", "1", "--nu", "12"]]
+W_LIMITS_REJECTED = [["w", "--mu", "1", "--expand", "65"], ["w", "--mu", "13"],
+                     ["w", "--mu", "1", "--nu", "7,6"]]
+
+
+@pytest.mark.parametrize("argv", W_LIMITS_ACCEPTED)
+def test_w_limits_accept_the_boundary(argv):
+    code, doc = run_json(argv)
+    assert code == 0 and doc["query"] == "w"
+
+
+@pytest.mark.parametrize("argv", W_LIMITS_REJECTED)
+def test_w_limits_reject_before_any_work(argv, monkeypatch):
+    def no_work(*_args):
+        raise AssertionError("a W value was formed past the input limits")
+
+    # a call would end as an internal error, exit 3
+    monkeypatch.setattr(cli, "w_one", no_work)
+    monkeypatch.setattr(cli, "w_pair", no_work)
+    code, out = run(argv)
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out)["kind"] == "usage"
+
+
 def test_gv_integrality_checks_forward_map(monkeypatch):
     from dualcalc import vertex
 

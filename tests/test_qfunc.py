@@ -1,14 +1,21 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualcalc.errors import UsageError
-from dualcalc.qfunc import QFunction, ULaurent, sum_of_products
+from dualcalc import qfunc
+from dualcalc.chern_simons import w_one, w_pair
+from dualcalc.errors import InternalError, UsageError
+from dualcalc.partitions import enumerate_partitions, size
+from dualcalc.qfunc import QFunction, ULaurent, bracket_quotient, sum_of_products
 from dualcalc.scalars import GaussianRational
 from dualcalc.series import LambdaSeries, TauLaurent, sin_expand
-from oracles import q_series
+from oracles import q_series, to_lambda_reference
 
 
 def q(num, den, ipow=0):
@@ -220,3 +227,64 @@ def test_to_lambda_times_denominator_is_numerator(f, extra):
     assert prod.trunc >= extra
     for j in range(prod.trunc):
         assert prod.coeff(j) == TauLaurent.const(_direct(f.ipow, f.num, j)), j
+
+
+def _exact(s):
+    """A lambda-series as its window and its coefficients' (num, den, ph)."""
+    return s.floor, s.trunc, [(c.num, c.den, c.ph) for c in s.co]
+
+
+def test_to_lambda_matches_reference_on_framed_w_values():
+    # the W values and windows that the framed series expand
+    small = [nu for k in range(4) for nu in enumerate_partitions(k)]
+    for k in range(7):
+        for nu in enumerate_partitions(k):
+            f, trunc = w_one(nu), 15 + k
+            assert _exact(f.to_lambda(trunc)) == _exact(to_lambda_reference(f, trunc))
+    for a in small:
+        for b in small:
+            f, trunc = w_pair(a, b), 9 + size(a) + size(b)
+            assert _exact(f.to_lambda(trunc)) == _exact(to_lambda_reference(f, trunc))
+
+
+brackets = st.lists(st.integers(1, 5), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), brackets, brackets, st.integers(-3, 6))
+def test_to_lambda_matches_reference_on_bracket_quotients(ipow, tops, bottoms, above):
+    # each bracket has lambda-valuation 1; windows reach from below the
+    # value's valuation to a few terms above it
+    f = bracket_quotient(ipow, tops, bottoms)
+    trunc = len(tops) - len(bottoms) + above
+    assert _exact(f.to_lambda(trunc)) == _exact(to_lambda_reference(f, trunc))
+
+
+def _drop_phi1(fac, n, length, real=qfunc._den_series):
+    return real(tuple((e, m) for e, m in fac if e != 1), n, length)
+
+
+def test_to_lambda_guard_catches_a_denominator_without_phi1(monkeypatch):
+    monkeypatch.setattr(qfunc, "_den_series", _drop_phi1)
+    with pytest.raises(InternalError, match="Phi_1 exponent"):
+        bracket_quotient(1, [], [1, 2]).to_lambda(4)
+
+
+_GUARD_UNDER_O = """
+from dualcalc import qfunc
+from dualcalc.errors import InternalError
+real = qfunc._den_series
+qfunc._den_series = lambda fac, n, length: real(tuple(f for f in fac if f[0] != 1), n, length)
+try:
+    qfunc.bracket_quotient(1, [], [1, 2]).to_lambda(4)
+except InternalError as exc:
+    print(exc)
+"""
+
+
+def test_to_lambda_guard_holds_under_optimize():
+    src = str(Path(qfunc.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", _GUARD_UNDER_O], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "denominator x-valuation differs from its Phi_1 exponent"
