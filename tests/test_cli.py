@@ -284,6 +284,10 @@ def test_grassmannian_verify():
     ("w-expand-6", ["w", "--mu", "6", "--expand", "8"]),
     ("w-pair-expand-33-21", ["w", "--mu", "3,3", "--nu", "2,1", "--expand", "6"]),
     ("w-pair-expand-411-3", ["w", "--mu", "4,1,1", "--nu", "3", "--expand", "7"]),
+    ("mv-dump-connected-d5-o11", ["mv", "--dump", "connected", "--degree", "5",
+                                  "--order", "11"]),
+    ("mv-dump-disconnected-d5-o11", ["mv", "--dump", "disconnected", "--degree", "5",
+                                     "--order", "11"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)
