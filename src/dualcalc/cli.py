@@ -4,7 +4,8 @@ Every subcommand prints exactly one JSON document on stdout:
 
     {"query": ..., "params": ..., "result": ..., "checks": [{name, pass}]}
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
+A -h/--help request prints {"help": <usage text>, "kind": "help"} and exits
+0.  Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
 inconsistency.  Rationals are serialized as decimal strings "p/q"; partitions
 as comma-separated descending integers; keys are sorted, so output is
 byte-deterministic for fixed inputs apart from the ``seconds`` timings of
@@ -76,9 +77,22 @@ W_MAX_EXPAND = 64
 W_MAX_BOXES = 12
 
 
+class _Help(Exception):
+    """Raised by ``_Parser.print_help``, which argparse's -h/--help action
+    calls, so that the usage text goes into the JSON document."""
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # a fixed width, not the terminal's, keeps the help document byte-deterministic
+        super().__init__(*args, **kwargs,
+                         formatter_class=lambda prog: argparse.HelpFormatter(prog, width=79))
+
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def build_parser() -> _Parser:
@@ -398,6 +412,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(doc, sort_keys=True))
         if any(not c["pass"] for c in payload["checks"]):
             return 2
+        return 0
+    except _Help as req:
+        print(json.dumps({"help": str(req), "kind": "help"}, sort_keys=True))
         return 0
     except UsageError as exc:
         print(json.dumps({"error": str(exc), "kind": "usage"}, sort_keys=True))

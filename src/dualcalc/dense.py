@@ -6,9 +6,9 @@ that length.  Inputs may be shorter than ``n`` (missing terms are zero).
 The same kernel serves the quintic nilpotent ring Q[H]/(H^5) and the mirror
 map's Q-series.
 
-``graded_log``/``graded_exp`` take the weight slices of a graded series over
-any ring with ``*``, ``+``, ``-`` and ``scale``: ``PSeries`` by key weight,
-the local-P2 ``QFunction`` slices by degree.
+``graded_log`` takes the weight slices of a graded series over any ring with
+``*``, ``-`` and ``scale``: ``PSeries`` by key weight, the local-P2
+``QFunction`` slices by degree.
 """
 from __future__ import annotations
 
@@ -85,14 +85,3 @@ def graded_log(z: Sequence[R], zero: R) -> List[R]:
         f.append(acc.scale(Fraction(1, w)))
     return f
 
-
-def graded_exp(f: Sequence[R], one: R) -> List[R]:
-    """Slices one, T_1..T_n of exp F from F_0 (not read), F_1..F_n:
-    w T_w = sum_{0<j<=w} j F_j T_{w-j}."""
-    t = [one]
-    for w in range(1, len(f)):
-        acc = f[1] * t[w - 1]
-        for j in range(2, w + 1):
-            acc = acc + (f[j] * t[w - j]).scale(j)
-        t.append(acc.scale(Fraction(1, w)))
-    return t

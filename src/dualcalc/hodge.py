@@ -46,7 +46,7 @@ from .partitions import (Partition, aut, character, enumerate_partitions,
 from .pseries import PSeries, empty_key
 from .qfunc import QFunction, ULaurent
 from .scalars import GaussianRational, GR_I
-from .series import LambdaSeries, TauLaurent, exp_monomial
+from .series import LambdaSeries, TauLaurent, combine, exp_monomial
 
 Frac = Fraction
 
@@ -100,15 +100,8 @@ def build_series(degree_cap: int, trunc: int, families: int = 1,
             terms = {nu: _one_family_term(nu, trunc) for nu in parts}
             for mu in parts:
                 z = zmu(mu)
-                acc: Optional[LambdaSeries] = None
-                for nu in parts:
-                    chi = character(nu, mu)
-                    if not chi:
-                        continue
-                    piece = terms[nu].scale(Frac(chi, z))
-                    acc = piece if acc is None else acc + piece
-                if acc is not None and not acc.is_exact_zero():
-                    co[(mu,)] = acc
+                co[(mu,)] = combine([(Frac(character(nu, mu), z), terms[nu], None)
+                                     for nu in parts])
         return FramedSeries(1, caps, trunc, PSeries(1, caps, co))
     if families == 2:
         cm = degree_cap if cap_minus is None else cap_minus
@@ -125,19 +118,9 @@ def build_series(degree_cap: int, trunc: int, families: int = 1,
                 for mup in pplus:
                     for mum in pminus:
                         zz = zmu(mup) * zmu(mum)
-                        acc = None
-                        for a in pplus:
-                            ca = character(a, mup)
-                            if not ca:
-                                continue
-                            for b in pminus:
-                                cb = character(b, mum)
-                                if not cb:
-                                    continue
-                                piece = terms[(a, b)].scale(Frac(ca * cb, zz))
-                                acc = piece if acc is None else acc + piece
-                        if acc is not None and not acc.is_exact_zero():
-                            co[(mup, mum)] = acc
+                        co[(mup, mum)] = combine(
+                            [(Frac(character(a, mup) * character(b, mum), zz),
+                              terms[(a, b)], None) for a in pplus for b in pminus])
         return FramedSeries(2, caps, trunc, PSeries(2, caps, co))
     raise UsageError("families must be 1 or 2")
 
@@ -411,12 +394,8 @@ def convolution_check(fs: FramedSeries, tau_solve: int = 1,
         kernel = _series_solve(mat0, vec0)
         for tv in tau_verify:
             mat1, vec1 = matvec(tv)
-            for i, mu in enumerate(parts):
-                acc: Optional[LambdaSeries] = None
-                for j in range(len(parts)):
-                    piece = mat1[i][j] * kernel[j]
-                    acc = piece if acc is None else acc + piece
-                diff = acc - vec1[i]
+            for row, v in zip(mat1, vec1):
+                diff = combine([(1, m, k) for m, k in zip(row, kernel)] + [(-1, v, None)])
                 if not diff.is_zero_through():
                     return False
     return True

@@ -10,19 +10,20 @@ The cut-and-join operators act family by family:
 
 with the sums over ordered pairs and the global 1/2 as displayed; both
 conserve total weight within their family.  The quadratic term forms
-(dF/dp_i)(dF/dp_j) only on keys with room for the part i+j.  ``log`` and
-``exp`` run the Euler recursion of ``dense.graded_log``/``graded_exp`` over
-the slices of equal total key weight.
+(dF/dp_i)(dF/dp_j) only on keys with room for the part i+j.  A product
+sums the coefficient products that land on one key by ``series.combine``,
+and ``log`` runs the Euler recursion of ``dense.graded_log`` over the slices
+of equal total key weight.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .dense import graded_exp, graded_log
+from .dense import graded_log
 from .errors import UsageError
 from .partitions import Partition, add_parts, multiplicities, remove_part
-from .series import LambdaSeries
+from .series import LambdaSeries, combine
 
 Key = Tuple[Partition, ...]
 
@@ -95,15 +96,13 @@ class PSeries:
     # -- multiplication ----------------------------------------------------------
     def __mul__(self, other: "PSeries") -> "PSeries":
         self.check_compatible(other)
-        co: Dict[Key, LambdaSeries] = {}
+        terms: Dict[Key, list] = {}
         for k1, s1 in self.co.items():
             for k2, s2 in other.co.items():
                 key = tuple(add_parts(a, *b) for a, b in zip(k1, k2))
-                if not self._fits(key):
-                    continue
-                prod = s1 * s2
-                co[key] = prod if key not in co else co[key] + prod
-        return self._like(co)
+                if self._fits(key):
+                    terms.setdefault(key, []).append((1, s1, s2))
+        return self._like({key: combine(t) for key, t in terms.items()})
 
     # -- grading -----------------------------------------------------------------
     def _slices(self) -> List["PSeries"]:
@@ -115,14 +114,6 @@ class PSeries:
 
     def _join(self, slices: List["PSeries"]) -> "PSeries":
         return self._like({k: s for piece in slices for k, s in piece.co.items()})
-
-    def exp(self, trunc: int) -> "PSeries":
-        """exp of a series with no constant (empty-key) term."""
-        ek = empty_key(self.fams)
-        if ek in self.co and not self.co[ek].is_zero_through():
-            raise UsageError("exp requires zero constant term")
-        one = self._like({ek: LambdaSeries.one(trunc)})
-        return self._join(graded_exp(self._slices(), one))
 
     def log(self) -> "PSeries":
         """log of a series with constant (empty-key) term 1."""

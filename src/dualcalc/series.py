@@ -15,12 +15,13 @@ Two layers:
   ``from_map({}, trunc)`` is zero only through its window.  There is no
   series division: a rational function of q reaches this type through
   ``QFunction.to_lambda``, and ``inverse`` serves the Hodge solve.
+  ``combine`` forms a sum of products with one reduction per coefficient.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import InternalError, UsageError
 from .laurent import Laurent, convolve
@@ -237,22 +238,7 @@ class LambdaSeries:
         return self + (-other)
 
     def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
-        a, b = self.pruned(), other.pruned()
-        if not a.co or not b.co:
-            return LambdaSeries(0, [])
-        floor = a.floor + b.floor
-        trunc = min(a.floor + b.trunc, b.floor + a.trunc)
-        n = trunc - floor
-        out = [TL_ZERO] * n
-        for i, ca in enumerate(a.co):
-            if not ca:
-                continue
-            jmax = min(len(b.co), n - i)
-            for j in range(jmax):
-                cb = b.co[j]
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-        return LambdaSeries(floor, out)
+        return combine([(1, self, other)])
 
     def scale(self, v) -> "LambdaSeries":
         if not v:
@@ -332,6 +318,81 @@ class LambdaSeries:
         parts = [f"({c})*L^{self.floor + i}" for i, c in enumerate(self.co) if c]
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(L^{self.trunc})"
+
+
+def combine(terms: Iterable[Tuple[object, LambdaSeries, Optional[LambdaSeries]]]
+            ) -> LambdaSeries:
+    """Sum of c*a*b over (c, a, b): c rational, a a ``LambdaSeries``, b one or
+    None for 1, with the windows of a pairwise fold of ``*``, ``scale`` and
+    ``+``: a product is taken on pruned factors, exact zeros drop out, one
+    remaining term comes back unpruned, and two or more are summed over the
+    least floor and trunc and pruned.  The products and scaled coefficients
+    that land on each lambda^e go over the lcm of their denominators and
+    collect as integers in two phase planes (phase 1 times phase 1 lands on
+    plane 0 negated), so each coefficient is reduced once.  Raises
+    ``UsageError`` when both planes of a coefficient are nonzero after the
+    whole sum, in whatever order the terms come.
+    """
+    kept = []
+    for c, a, b in terms:
+        if b is None:
+            lo, hi = a.floor, a.trunc
+        else:
+            a, b = a.pruned(), b.pruned()
+            lo, hi = a.floor + b.floor, min(a.floor + b.trunc, b.floor + a.trunc)
+        if c and a.co and (b is None or b.co):
+            kept.append((c, a, b, lo, hi))
+    if not kept:
+        return LambdaSeries(0, [])
+    floor = min(t[3] for t in kept)
+    trunc = min(t[4] for t in kept)
+    if trunc <= floor:
+        raise InternalError("empty window in series addition")
+    n = trunc - floor
+    # per lambda-power: (denominator, numerator factor, a-coefficient, b-coefficient)
+    slots: List[list] = [[] for _ in range(n)]
+    for c, a, b, lo, _hi in kept:
+        p, q = c.numerator, c.denominator
+        off = lo - floor
+        for i, ca in enumerate(a.co[:max(n - off, 0)]):
+            if not ca.num:
+                continue
+            if b is None:
+                slots[off + i].append((q * ca.den, p, ca, None))
+                continue
+            for j, cb in enumerate(b.co[:n - off - i], off + i):
+                if cb.num:
+                    slots[j].append((q * ca.den * cb.den, p, ca, cb))
+    out = LambdaSeries(floor, [_collect(s) for s in slots])
+    return out if len(kept) == 1 else out.pruned()
+
+
+def _collect(parts: list) -> TauLaurent:
+    """The sum of p ca cb / den (p ca / den when cb is None) over the
+    (den, p, ca, cb) parts of one coefficient of ``combine``."""
+    den = lcm(*(d for d, *_x in parts))
+    planes: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
+    for d, p, ca, cb in parts:
+        m = den // d * p
+        if cb is None:
+            plane = planes[ca.ph]
+            for k, v in ca.num.items():
+                plane[k] = plane.get(k, 0) + v * m
+            continue
+        ph = ca.ph + cb.ph
+        if ph == 2:
+            ph, m = 0, -m
+        plane = planes[ph]
+        y = cb.num.items()
+        for k1, v1 in ca.num.items():
+            v1 *= m
+            for k2, v2 in y:
+                k = k1 + k2
+                plane[k] = plane.get(k, 0) + v1 * v2
+    real, imag = ({k: v for k, v in plane.items() if v} for plane in planes)
+    if real and imag:
+        raise UsageError("adding tau-polynomials of different phase")
+    return TL_ZERO._new(imag, den, 1) if imag else TL_ZERO._new(real, den, 0)
 
 
 def sin_expand(m: int, trunc: int) -> LambdaSeries:

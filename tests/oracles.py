@@ -1,14 +1,16 @@
 """Helpers shared by the tests: the canonical-form check of the integer
 polynomial kernel in ``dualcalc.laurent``, a q-expansion oracle, a
-``Fraction`` lambda-expansion oracle, the ``Fraction`` DVV recursion and
-set partitions."""
+``Fraction`` lambda-expansion oracle, the pairwise fold that
+``series.combine`` replaces, the graded exponential of a ``PSeries``, the
+``Fraction`` DVV recursion and set partitions."""
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
 from dualcalc import dense
-from dualcalc.errors import InternalError
-from dualcalc.series import LambdaSeries, TauLaurent
+from dualcalc.errors import InternalError, UsageError
+from dualcalc.pseries import empty_key
+from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent
 
 
 def canonical(p):
@@ -71,6 +73,69 @@ def to_lambda_reference(f, trunc):
     return LambdaSeries.from_map(
         {lo + j: TauLaurent.phased(lo + j - f.ipow, {0: c})
          for j, c in enumerate(quo) if c}, trunc)
+
+
+def product_reference(x, y):
+    """x * y by one ``TauLaurent`` product and one running sum per pair of
+    coefficients, on pruned factors; the result is not pruned."""
+    a, b = x.pruned(), y.pruned()
+    if not a.co or not b.co:
+        return LambdaSeries(0, [])
+    floor = a.floor + b.floor
+    n = min(a.floor + b.trunc, b.floor + a.trunc) - floor
+    out = [TL_ZERO] * n
+    for i, ca in enumerate(a.co):
+        for j in range(min(len(b.co), n - i)):
+            cb = b.co[j]
+            if ca and cb:
+                out[i + j] = out[i + j] + ca * cb
+    return LambdaSeries(floor, out)
+
+
+def sum_reference(x, y):
+    """x + y coefficient by coefficient over the least floor and trunc,
+    pruned; an exact zero is the identity.  A copy of ``LambdaSeries.__add__``,
+    so that the reference does not run the code under test."""
+    if not y.co:
+        return x
+    if not x.co:
+        return y
+    floor, trunc = min(x.floor, y.floor), min(x.trunc, y.trunc)
+    if trunc <= floor:
+        raise InternalError("empty window in series addition")
+    return LambdaSeries(floor, [x.coeff(e) + y.coeff(e)
+                                for e in range(floor, trunc)]).pruned()
+
+
+def combine_reference(terms):
+    """sum c*a*b over (c, a, b) as a left fold of ``product_reference``,
+    ``scale`` and ``sum_reference``: the reference for ``series.combine``."""
+    acc = LambdaSeries(0, [])
+    for c, a, b in terms:
+        acc = sum_reference(acc, (a if b is None else product_reference(a, b)).scale(c))
+    return acc
+
+
+def graded_exp(f, one):
+    """Slices one, T_1..T_n of exp F from F_0 (not read), F_1..F_n:
+    w T_w = sum_{0<j<=w} j F_j T_{w-j}."""
+    t = [one]
+    for w in range(1, len(f)):
+        acc = f[1] * t[w - 1]
+        for j in range(2, w + 1):
+            acc = acc + (f[j] * t[w - j]).scale(j)
+        t.append(acc.scale(Fraction(1, w)))
+    return t
+
+
+def pseries_exp(f, trunc):
+    """exp of a ``PSeries`` with no constant (empty-key) term, by
+    ``graded_exp`` over its weight slices."""
+    ek = empty_key(f.fams)
+    if ek in f.co and not f.co[ek].is_zero_through():
+        raise UsageError("exp requires zero constant term")
+    one = f._like({ek: LambdaSeries.one(trunc)})
+    return f._join(graded_exp(f._slices(), one))
 
 
 def _labelled_splits(ms):

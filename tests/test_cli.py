@@ -185,6 +185,19 @@ def test_bad_input_is_one_usage_document(case, tmp_path):
     assert json.loads(out)["kind"] == "usage"
 
 
+@pytest.mark.parametrize("argv,usage", [(["-h"], "usage: dualcalc ["),
+                                        (["w", "--help"], "usage: dualcalc w [")])
+def test_help_is_one_json_document(argv, usage, monkeypatch):
+    code, out = run(argv)
+    assert code == 0
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["kind"] == "help" and doc["help"].startswith(usage)
+    # the text does not wrap to the terminal
+    monkeypatch.setenv("COLUMNS", "30")
+    assert run(argv) == (code, out)
+
+
 W_LIMITS_ACCEPTED = [["w", "--mu", "1", "--expand", "64"], ["w", "--mu", "12"],
                      ["w", "--mu", "1", "--nu", "12"]]
 W_LIMITS_REJECTED = [["w", "--mu", "1", "--expand", "65"], ["w", "--mu", "13"],

@@ -1,13 +1,20 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualcalc import series
 from dualcalc.errors import InternalError, UsageError
 from dualcalc.scalars import GaussianRational
-from dualcalc.series import LambdaSeries, TauLaurent, exp_monomial, sin_expand
-from oracles import canonical
+from dualcalc.series import (TL_ZERO, LambdaSeries, TauLaurent, combine, exp_monomial,
+                             sin_expand)
+from oracles import canonical, combine_reference
 
 
 # -- TauLaurent ---------------------------------------------------------------
@@ -336,3 +343,96 @@ def test_series_ring_axioms(a, b, c):
     d2 = a * b + a * c
     lo, hi = d1.window_with(d2)
     assert d1.eq_through(d2, lo, hi)
+
+
+# -- combine against the pairwise fold -----------------------------------------
+
+@st.composite
+def phased_series(draw, ph, alt):
+    """An exact zero, an all-zero sentinel, or a window of random coefficients
+    whose lambda^e coefficient has phase ph + alt*e."""
+    kind = draw(st.sampled_from(["window", "window", "window", "exact-zero", "sentinel"]))
+    if kind == "exact-zero":
+        return LambdaSeries(0, [])
+    floor = draw(st.integers(-3, 2))
+    trunc = draw(st.integers(floor + 1, floor + 6))
+    if kind == "sentinel":
+        return LambdaSeries(trunc - 1, [TL_ZERO])
+    co = []
+    for e in range(floor, trunc):
+        num = draw(st.dictionaries(st.integers(-2, 2), st.integers(-6, 6), max_size=3))
+        den = draw(st.integers(1, 6))
+        co.append(TauLaurent.phased((ph + alt * e) % 2,
+                                    {k: Fraction(v, den) for k, v in num.items()}))
+    return LambdaSeries(floor, co)
+
+
+@st.composite
+def combine_terms(draw):
+    """One to four (c, a, b) terms, plus negated copies of some of them.  Every
+    product or scaled coefficient on lambda^e has phase ph + alt*e, counting a
+    product of two phase-1 values as phase 0, so no order of the pairwise fold
+    mixes phases."""
+    ph, alt = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(st.one_of(st.sampled_from([0, 1, -1]), small_q))
+        if draw(st.booleans()):
+            terms.append((c, draw(phased_series(ph, alt)), None))
+        else:
+            pa = draw(st.integers(0, 1))
+            terms.append((c, draw(phased_series(pa, alt)), draw(phased_series(ph - pa, alt))))
+    for c, a, b in draw(st.lists(st.sampled_from(terms), max_size=2)):
+        terms.append((-c, a, b))
+    return terms
+
+
+def same_series(x, y):
+    """Equal coefficients over equal windows; exact zeros agree whatever their floor."""
+    if not x.co or not y.co:
+        return not x.co and not y.co
+    return x.floor == y.floor and x.co == y.co
+
+
+@settings(max_examples=200, deadline=None)
+@given(combine_terms())
+def test_combine_matches_pairwise_fold(terms):
+    got = combine(terms)
+    assert same_series(got, combine_reference(terms))
+    for c in got.co:
+        canonical(c)
+
+
+_TAU = LambdaSeries.from_map({0: TauLaurent({1: 1})}, 3)
+_ONE = LambdaSeries.one(3)
+_I = LambdaSeries.from_map({0: TauLaurent.phased(1, {0: 1})}, 3)
+
+
+def test_phase_rule_is_order_free():
+    # two real products cancel next to an imaginary one: no order raises
+    for terms in permutations([(1, _ONE, _TAU), (-1, _TAU, _ONE), (1, _I, _TAU)]):
+        assert same_series(combine(terms), _I * _TAU)
+    # both phases survive: every order raises
+    for terms in permutations([(1, _ONE, _TAU), (2, _TAU, _ONE), (1, _I, _TAU)]):
+        with pytest.raises(UsageError, match="different phase"):
+            combine(terms)
+
+
+_PHASE_UNDER_O = """
+from dualcalc.errors import UsageError
+from dualcalc.series import LambdaSeries, TauLaurent, combine
+tau = LambdaSeries.from_map({0: TauLaurent({1: 1})}, 3)
+i = LambdaSeries.from_map({0: TauLaurent.phased(1, {0: 1})}, 3)
+try:
+    combine([(1, LambdaSeries.one(3), tau), (1, i, tau)])
+except UsageError as exc:
+    print(exc)
+"""
+
+
+def test_phase_rule_holds_under_optimize():
+    src = str(Path(series.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", _PHASE_UNDER_O], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "adding tau-polynomials of different phase"
