@@ -301,6 +301,8 @@ def test_grassmannian_verify():
                                   "--order", "11"]),
     ("mv-dump-disconnected-d5-o11", ["mv", "--dump", "disconnected", "--degree", "5",
                                      "--order", "11"]),
+    ("hurwitz-g3-3211", ["hurwitz", "--genus", "3", "--partition", "3,2,1,1",
+                         "--method", "both"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)
