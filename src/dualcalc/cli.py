@@ -6,10 +6,12 @@ Every subcommand prints exactly one JSON document on stdout:
 
 A -h/--help request prints {"help": <usage text>, "kind": "help"} and exits
 0.  Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
-inconsistency.  Rationals are serialized as decimal strings "p/q"; partitions
-as comma-separated descending integers; keys are sorted, so output is
-byte-deterministic for fixed inputs apart from the ``seconds`` timings of
-``verify-all``.
+inconsistency.  When the reader closes stdout early (``dualcalc verify-all |
+head -c 100``), the exit code is still that of the document being written,
+and nothing goes to stderr.  Rationals are serialized as decimal strings
+"p/q"; partitions as comma-separated descending integers; keys are sorted,
+so output is byte-deterministic for fixed inputs apart from the ``seconds``
+timings of ``verify-all``.
 """
 from __future__ import annotations
 
@@ -409,22 +411,22 @@ def main(argv: Optional[List[str]] = None) -> int:
             "result": payload["result"],
             "checks": payload["checks"],
         }
-        print(json.dumps(doc, sort_keys=True))
-        if any(not c["pass"] for c in payload["checks"]):
-            return 2
-        return 0
+        code = 2 if any(not c["pass"] for c in payload["checks"]) else 0
     except _Help as req:
-        print(json.dumps({"help": str(req), "kind": "help"}, sort_keys=True))
-        return 0
+        doc, code = {"help": str(req), "kind": "help"}, 0
     except UsageError as exc:
-        print(json.dumps({"error": str(exc), "kind": "usage"}, sort_keys=True))
-        return 1
+        doc, code = {"error": str(exc), "kind": "usage"}, 1
     except VerificationFailure as exc:
-        print(json.dumps({"error": str(exc), "kind": "verification"}, sort_keys=True))
-        return 2
+        doc, code = {"error": str(exc), "kind": "verification"}, 2
     except (InternalError, AssertionError, ZeroDivisionError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "internal"}, sort_keys=True))
-        return 3
+        doc, code = {"error": str(exc), "kind": "internal"}, 3
+    try:
+        print(json.dumps(doc, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: drop the unwritten rest so that the
+        # exit-time flush stays quiet, and keep the document's exit code
+        sys.stdout = None
+    return code
 
 
 if __name__ == "__main__":

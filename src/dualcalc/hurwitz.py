@@ -10,7 +10,9 @@
   coefficient is a power sum over j!.
 * Cut-and-join route: the same numbers are grown order by order from the
   genus-0 degree-1 seed by matching coefficients of the cut-and-join
-  evolution d(Phi)/d(lambda) = CJ(Phi) in the series ring.
+  evolution d(Phi)/d(lambda) = CJ(Phi), on partition-keyed rationals: each
+  lambda-slice is a {partition: Fraction} dict, and the linear operator is
+  ``pseries.cut_join_terms``, the one the series ring uses.
 * ELSV: I_{g,mu} = H_{g,mu} / r! with r = 2g-2+|mu|+l(mu); the bare linear
   Hodge integral is I scaled by |Aut(mu)| prod(mu_i!/mu_i^mu_i).
 * psi_from_asymptotics: interpolates the bare-integral polynomial in the
@@ -26,9 +28,10 @@ from math import comb, factorial
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import InternalError, UsageError, VerificationFailure
-from .partitions import (Partition, aut, character, enumerate_partitions,
-                         hook_product, kappa, length, size, zmu)
-from .pseries import PSeries
+from .partitions import (Partition, add_parts, aut, character, enumerate_partitions,
+                         hook_product, kappa, length, multiplicities, remove_part,
+                         size, zmu)
+from .pseries import cut_join_terms
 from .series import LambdaSeries
 
 Frac = Fraction
@@ -147,46 +150,51 @@ def _hurwitz_burnside(g: int, mu: Partition) -> Frac:
 # cut-and-join route
 # ---------------------------------------------------------------------------
 
-def _quad_term(da: Dict[int, PSeries], db: Dict[int, PSeries], cap: int) -> PSeries:
-    """(1/2) sum_{ordered i,j} i j p_{i+j} (dA/dp_i)(dB/dp_j), from the derivative dicts."""
-    out = PSeries(1, (cap,), {})
-    for i, ai in da.items():
-        for j, bj in db.items():
-            if i + j <= cap:
-                out = out + (ai * bj).mul_parts(0, i + j).scale(Frac(i * j, 2))
-    return out
-
-
 @lru_cache(maxsize=None)
-def _cutjoin_slice(cap: int, r: int) -> PSeries:
-    """The lambda^r coefficient Phi_r of Phi through weight ``cap``.
+def _cutjoin_slice(cap: int, r: int) -> Dict[Partition, Frac]:
+    """The lambda^r coefficient Phi_r of Phi through weight ``cap``, as
+    {partition: coefficient}.
 
     Grown from the degree-1 seed Phi_0 = p_1 by the cut-and-join evolution
-    r Phi_r = CJ(Phi_{r-1}) + sum_{a+b=r-1} quad(Phi_a, Phi_b); each slice
-    is cached on its own and recurses on the lower ones.
+    r Phi_r = CJ(Phi_{r-1}) + sum_{a+b=r-1} quad(Phi_a, Phi_b), with
+    quad(A, B) = (1/2) sum_{ordered i,j} i j p_{i+j} (dA/dp_i)(dB/dp_j)
+    formed only on pairs of keys with room for the part i+j; each slice is
+    cached on its own and recurses on the lower ones.
     """
     if r == 0:
-        return PSeries(1, (cap,), {((1,),): LambdaSeries.one(1)})
-    rhs = _cutjoin_slice(cap, r - 1).cut_join_linear(0)
+        return {(1,): Frac(1)}
+    rhs: Dict[Partition, Frac] = {}     # 2 r Phi_r
+    for mu, c in _cutjoin_slice(cap, r - 1).items():
+        for nu, w in cut_join_terms(mu):
+            rhs[nu] = rhs.get(nu, 0) + 2 * w * c
     for a in range(r):
-        rhs = rhs + _quad_term(_cutjoin_derivs(cap, a), _cutjoin_derivs(cap, r - 1 - a), cap)
-    return rhs.scale(Frac(1, r))
+        db = _cutjoin_derivs(cap, r - 1 - a)
+        for i, di in _cutjoin_derivs(cap, a).items():
+            for j, dj in db.items():
+                for k1, c1 in di.items():
+                    room, c1 = cap - i - j - size(k1), i * j * c1
+                    for k2, c2 in dj.items():
+                        if size(k2) <= room:
+                            nu = add_parts(k1, i + j, *k2)
+                            rhs[nu] = rhs.get(nu, 0) + c1 * c2
+    return {nu: c / (2 * r) for nu, c in rhs.items() if c}
 
 
 @lru_cache(maxsize=None)
-def _cutjoin_derivs(cap: int, r: int) -> Dict[int, PSeries]:
-    """The nonzero dPhi_r/dp_i, i = 1..cap."""
-    s = _cutjoin_slice(cap, r)
-    derivs = {i: s.pderiv(0, i) for i in range(1, cap + 1)}
-    return {i: d for i, d in derivs.items() if d.co}
+def _cutjoin_derivs(cap: int, r: int) -> Dict[int, Dict[Partition, Frac]]:
+    """The nonzero dPhi_r/dp_i, i = 1..cap, as {i: {partition: coefficient}}."""
+    out: Dict[int, Dict[Partition, Frac]] = {}
+    for mu, c in _cutjoin_slice(cap, r).items():
+        for i, m in multiplicities(mu).items():
+            out.setdefault(i, {})[remove_part(mu, i)] = m * c
+    return out
 
 
 def _hurwitz_cutjoin(g: int, mu: Partition) -> Frac:
     r = ramification_order(g, mu)
     if r < 0:
         return Frac(0)
-    s = _cutjoin_slice(size(mu), r).coeff((mu,))
-    return s.scalar_coeff(0).as_fraction() * factorial(r)
+    return _cutjoin_slice(size(mu), r).get(mu, Frac(0)) * factorial(r)
 
 
 def hurwitz_number(g: int, mu: Partition, method: str = "burnside") -> Frac:

@@ -9,8 +9,10 @@ The cut-and-join operators act family by family:
     nonlinear     linear + (1/2) sum_{i,j} i j p_{i+j} (dF/dp_i)(dF/dp_j)
 
 with the sums over ordered pairs and the global 1/2 as displayed; both
-conserve total weight within their family.  The quadratic term forms
-(dF/dp_i)(dF/dp_j) only on keys with room for the part i+j.  A product
+conserve total weight within their family.  ``cut_join_terms`` holds the
+linear part on one monomial p_mu; the Hurwitz oracle reads it too.  The
+quadratic term forms (dF/dp_i)(dF/dp_j) only on keys with room for the
+part i+j.  A product
 sums the coefficient products that land on one key by ``series.combine``,
 and ``log`` runs the Euler recursion of ``dense.graded_log`` over the slices
 of equal total key weight.
@@ -18,6 +20,7 @@ of equal total key weight.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .dense import graded_log
@@ -34,6 +37,27 @@ def empty_key(fams: int) -> Key:
 
 def key_weight(key: Key) -> int:
     return sum(sum(mu) for mu in key)
+
+
+@lru_cache(maxsize=None)
+def cut_join_terms(mu: Partition) -> Tuple[Tuple[Partition, int], ...]:
+    """The linear cut-and-join operator on p_mu as ((nu, c), ...): p_mu maps to
+    sum c p_nu.  Joins (remove i <= j, add i+j) come first, then cuts (remove
+    s, add i + (s-i) with i <= s/2); every nu occurs once and every c is an
+    integer."""
+    mult = multiplicities(mu)
+    parts = sorted(mult)
+    out = []
+    for ii, i in enumerate(parts):
+        for j in parts[ii:]:
+            c = i * j * mult[i] * mult[j] if i != j else i * i * mult[i] * (mult[i] - 1) // 2
+            if c:
+                out.append((add_parts(remove_part(remove_part(mu, i), j), i + j), c))
+    for sp, m in mult.items():
+        base = remove_part(mu, sp)
+        for i in range(1, sp // 2 + 1):
+            out.append((add_parts(base, i, sp - i), sp * m if 2 * i != sp else i * m))
+    return tuple(out)
 
 
 class PSeries:
@@ -148,39 +172,11 @@ class PSeries:
     # -- cut-and-join --------------------------------------------------------------
     def cut_join_linear(self, fam: int = 0) -> "PSeries":
         co: Dict[Key, LambdaSeries] = {}
-
-        def put(key: Key, s: LambdaSeries):
-            if s.is_exact_zero():
-                return
-            co[key] = s if key not in co else co[key] + s
-
         for k, s in self.co.items():
-            mu = k[fam]
-            mult = multiplicities(mu)
-            parts = sorted(mult)
-            # join: remove i and j, add i+j
-            for ii, i in enumerate(parts):
-                for j in parts[ii:]:
-                    if i == j:
-                        m = mult[i]
-                        if m < 2:
-                            continue
-                        coefficient = Fraction(i * i * m * (m - 1), 2)
-                        nu = add_parts(remove_part(remove_part(mu, i), i), 2 * i)
-                    else:
-                        coefficient = Fraction(i * j * mult[i] * mult[j])
-                        nu = add_parts(remove_part(remove_part(mu, i), j), i + j)
-                    key = k[:fam] + (nu,) + k[fam + 1:]
-                    put(key, s.scale(coefficient))
-            # cut: remove s', add i + j with i + j = s'
-            for sp, m in mult.items():
-                base = remove_part(mu, sp)
-                for i in range(1, sp // 2 + 1):
-                    j = sp - i
-                    coefficient = Fraction(sp * m) if i != j else Fraction(sp * m, 2)
-                    nu = add_parts(base, i, j)
-                    key = k[:fam] + (nu,) + k[fam + 1:]
-                    put(key, s.scale(coefficient))
+            for nu, c in cut_join_terms(k[fam]):
+                key = k[:fam] + (nu,) + k[fam + 1:]
+                piece = s.scale(c)
+                co[key] = piece if key not in co else co[key] + piece
         return self._like(co)
 
     def cut_join_nonlinear(self, fam: int = 0) -> "PSeries":

@@ -55,11 +55,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def as_fraction(self) -> Fraction:
-        if self.im:
-            raise ValueError(f"not real: {self}")
-        return self.re
-
     # -- arithmetic --------------------------------------------------------------
     def __add__(self, other):
         o = GaussianRational.coerce(other)

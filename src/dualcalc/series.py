@@ -125,6 +125,11 @@ class TauLaurent(Laurent):
         return self.c[0]
 
     def eval(self, x) -> GaussianRational:
+        """The value at tau = x; at a nonzero integer x, in integers."""
+        if type(x) is int and x:
+            lo = min((0, *self.num))
+            v = Fraction(sum(w * x ** (k - lo) for k, w in self.num.items()), self.den * x ** -lo)
+            return GaussianRational(0, v) if self.ph else GaussianRational(v)
         g = GaussianRational.coerce(x)
         acc = GR_ZERO
         for k, v in self.num.items():
@@ -214,9 +219,6 @@ class LambdaSeries:
         if e >= self.trunc:
             raise InternalError(f"coefficient lambda^{e} beyond truncation {self.trunc}")
         return self.co[e - self.floor]
-
-    def scalar_coeff(self, e: int) -> GaussianRational:
-        return self.coeff(e).as_scalar()
 
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, other: "LambdaSeries") -> "LambdaSeries":

@@ -2,14 +2,16 @@
 polynomial kernel in ``dualcalc.laurent``, a q-expansion oracle, a
 ``Fraction`` lambda-expansion oracle, the pairwise fold that
 ``series.combine`` replaces, the graded exponential of a ``PSeries``, the
-``Fraction`` DVV recursion and set partitions."""
+``Fraction`` DVV recursion, the cut-and-join Hurwitz recursion on
+``PSeries`` slices, and set partitions."""
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 from dualcalc import dense
 from dualcalc.errors import InternalError, UsageError
-from dualcalc.pseries import empty_key
+from dualcalc.hurwitz import ramification_order
+from dualcalc.pseries import PSeries, empty_key
 from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent
 
 
@@ -180,6 +182,50 @@ def fraction_norm(g, ks):
                 total += Fraction(cnt, 2) * fraction_norm(g1, key(x + (a,))) \
                     * fraction_norm(g - g1, key(y + (b,)))
     return total
+
+
+def _quad_term(da, db, cap):
+    """(1/2) sum_{ordered i,j} i j p_{i+j} (dA/dp_i)(dB/dp_j), from the
+    derivative dicts, every product formed at full weight."""
+    out = PSeries(1, (cap,), {})
+    for i, ai in da.items():
+        for j, bj in db.items():
+            if i + j <= cap:
+                out = out + (ai * bj).mul_parts(0, i + j).scale(Fraction(i * j, 2))
+    return out
+
+
+@lru_cache(maxsize=None)
+def cutjoin_slice_reference(cap, r):
+    """The lambda^r slice Phi_r of the connected Hurwitz series through
+    weight cap as a ``PSeries`` of one-term ``LambdaSeries``:
+    r Phi_r = CJ(Phi_(r-1)) + sum_(a+b=r-1) quad(Phi_a, Phi_b) from
+    Phi_0 = p_1."""
+    if r == 0:
+        return PSeries(1, (cap,), {((1,),): LambdaSeries.one(1)})
+    rhs = cutjoin_slice_reference(cap, r - 1).cut_join_linear(0)
+    for a in range(r):
+        rhs = rhs + _quad_term(_cutjoin_derivs_reference(cap, a),
+                               _cutjoin_derivs_reference(cap, r - 1 - a), cap)
+    return rhs.scale(Fraction(1, r))
+
+
+@lru_cache(maxsize=None)
+def _cutjoin_derivs_reference(cap, r):
+    s = cutjoin_slice_reference(cap, r)
+    derivs = {i: s.pderiv(0, i) for i in range(1, cap + 1)}
+    return {i: d for i, d in derivs.items() if d.co}
+
+
+def hurwitz_cutjoin_reference(g, mu):
+    """H_{g,mu} read off ``cutjoin_slice_reference``: the reference for the
+    partition-keyed cut-and-join route of ``dualcalc.hurwitz``."""
+    r = ramification_order(g, mu)
+    if r < 0:
+        return Fraction(0)
+    v = cutjoin_slice_reference(sum(mu), r).coeff((mu,)).coeff(0).as_scalar()
+    assert not v.im
+    return v.re * factorial(r)
 
 
 @lru_cache(maxsize=None)

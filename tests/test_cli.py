@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -196,6 +198,37 @@ def test_help_is_one_json_document(argv, usage, monkeypatch):
     # the text does not wrap to the terminal
     monkeypatch.setenv("COLUMNS", "30")
     assert run(argv) == (code, out)
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+CLOSED_PIPE_CASES = [(["hurwitz", "--genus", "0", "--partition", "2"], 0),
+                     (["hurwitz", "--genus", "0", "--partition", "x"], 1),
+                     (["verify-all", "--inject-fault", "genus0-closed-form"], 2)]
+
+
+@pytest.mark.parametrize("argv,code", CLOSED_PIPE_CASES)
+def test_closed_stdout_keeps_the_document_exit_code(argv, code, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(argv) == code
+    # the unwritten rest is dropped, so the exit-time flush cannot raise
+    assert sys.stdout is None
+
+
+def test_closed_stdout_prints_no_traceback():
+    # the read end is closed before the child writes, so every write fails
+    argv, code = CLOSED_PIPE_CASES[2]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    child = subprocess.Popen([sys.executable, "-m", "dualcalc", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    assert (child.wait(timeout=120), child.stderr.read()) == (code, b"")
+    child.stderr.close()
 
 
 W_LIMITS_ACCEPTED = [["w", "--mu", "1", "--expand", "64"], ["w", "--mu", "12"],

@@ -7,13 +7,13 @@ from math import factorial
 import pytest
 
 from dualcalc.errors import UsageError
-from dualcalc.hurwitz import (_connected_coeff, _sample_points, burnside_phi,
-                              double_hurwitz, elsv_I, hurwitz_number,
+from dualcalc.hurwitz import (_connected_coeff, _cutjoin_slice, _sample_points,
+                              burnside_phi, double_hurwitz, elsv_I, hurwitz_number,
                               psi_from_asymptotics, ramification_order)
 from dualcalc.partitions import (aut, character, enumerate_partitions,
                                  hook_product, kappa, length, size, zmu)
 from dualcalc.scalars import GaussianRational
-from oracles import set_partitions
+from oracles import cutjoin_slice_reference, hurwitz_cutjoin_reference, set_partitions
 
 
 def brute_hurwitz(g, mu):
@@ -97,11 +97,11 @@ def test_brute_force_small():
 
 def test_phi_structure():
     s = burnside_phi((1,), 6)
-    assert s.scalar_coeff(0) == GaussianRational(1)
+    assert s.coeff(0).as_scalar() == GaussianRational(1)
     assert all(not s.coeff(j) for j in range(1, 6))
     s2 = burnside_phi((2,), 6)
-    assert s2.scalar_coeff(1) == GaussianRational(Fraction(1, 2))
-    assert s2.scalar_coeff(0) == GaussianRational(0)
+    assert s2.coeff(1).as_scalar() == GaussianRational(Fraction(1, 2))
+    assert s2.coeff(0).as_scalar() == GaussianRational(0)
     with pytest.raises(UsageError):
         burnside_phi((1,), 0)
 
@@ -114,6 +114,25 @@ def test_oracle_equivalence_small():
                     hurwitz_number(g, mu, "cutjoin"), (g, mu)
 
 
+def test_cutjoin_matches_pseries_recursion():
+    # the partition-keyed route against the PSeries slices it replaced
+    for n in range(1, 6):
+        for mu in enumerate_partitions(n):
+            for g in range(3):
+                assert hurwitz_number(g, mu, "cutjoin") == \
+                    hurwitz_cutjoin_reference(g, mu), (g, mu)
+    # whole slices, every key below the cap included
+    for cap in range(1, 6):
+        for r in range(2 * cap + 3):
+            ref = cutjoin_slice_reference(cap, r)
+            expect = {}
+            for key, s in ref.co.items():
+                v = s.coeff(0).as_scalar()
+                assert not v.im
+                expect[key[0]] = v.re
+            assert _cutjoin_slice(cap, r) == expect, (cap, r)
+
+
 def test_nonnegative():
     for n in range(1, 6):
         for mu in enumerate_partitions(n):
@@ -123,7 +142,7 @@ def test_nonnegative():
 
 def test_double_hurwitz_basics():
     one = double_hurwitz((1,), (1,), 5)
-    assert one.scalar_coeff(0) == GaussianRational(1)
+    assert one.coeff(0).as_scalar() == GaussianRational(1)
     assert all(not one.coeff(j) for j in range(1, 5))
     # lambda^0 coefficient is delta_{mu nu} / z_mu by column orthogonality
     for n in range(1, 5):
@@ -136,7 +155,7 @@ def test_double_hurwitz_basics():
     s = double_hurwitz((2,), (1, 1), 7)
     for j in range(0, 7, 2):
         assert not s.coeff(j)
-    assert s.scalar_coeff(1) != GaussianRational(0)
+    assert s.coeff(1).as_scalar() != GaussianRational(0)
     with pytest.raises(UsageError):
         double_hurwitz((2,), (1,), 5)
 

@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from dualcalc.errors import UsageError
 from dualcalc.hodge import build_series
 from dualcalc.partitions import add_parts, enumerate_partitions, zmu
-from dualcalc.pseries import PSeries, empty_key, key_weight
+from dualcalc.pseries import PSeries, cut_join_terms, empty_key, key_weight
 from dualcalc.series import LambdaSeries, TauLaurent
 from oracles import product_reference, pseries_exp, sum_reference
 
@@ -37,9 +39,9 @@ def test_square_of_sum():
     f, caps = one_fam()
     s = mono(f, caps, ((1,),)) + mono(f, caps, ((2,),))
     sq = s * s
-    assert sq.coeff(((1, 1),)).scalar_coeff(0) == 1
-    assert sq.coeff(((2, 1),)).scalar_coeff(0) == 2
-    assert sq.coeff(((2, 2),)).scalar_coeff(0) == 1
+    assert sq.coeff(((1, 1),)).coeff(0).as_scalar() == 1
+    assert sq.coeff(((2, 1),)).coeff(0).as_scalar() == 2
+    assert sq.coeff(((2, 2),)).coeff(0).as_scalar() == 1
 
 
 def test_cap_mismatch_raises():
@@ -54,9 +56,9 @@ def test_exp_multinomial():
     s = mono(f, caps, ((1,),)) + mono(f, caps, ((2,),))
     e = pseries_exp(s, TR)
     # coefficient of p_1 p_2 in exp(p_1 + p_2) is 1
-    assert e.coeff(((2, 1),)).scalar_coeff(0) == 1
-    assert e.coeff(((1, 1),)).scalar_coeff(0) == Fraction(1, 2)
-    assert e.coeff(empty_key(1)).scalar_coeff(0) == 1
+    assert e.coeff(((2, 1),)).coeff(0).as_scalar() == 1
+    assert e.coeff(((1, 1),)).coeff(0).as_scalar() == Fraction(1, 2)
+    assert e.coeff(empty_key(1)).coeff(0).as_scalar() == 1
 
 
 def test_exp_log_round_trip():
@@ -91,20 +93,58 @@ def cj_matrix(n):
         out = mono(1, (n,), (mu,)).cut_join_linear(0)
         col = [Fraction(0)] * len(parts)
         for key, s in out.co.items():
-            col[idx[key[0]]] = s.scalar_coeff(0).as_fraction()
+            v = s.coeff(0).as_scalar()
+            assert not v.im
+            col[idx[key[0]]] = v.re
         cols.append(col)
     return parts, cols
 
 
 def test_cut_join_examples():
     f, caps = one_fam()
-    assert mono(f, caps, ((2,),)).cut_join_linear(0).coeff(((1, 1),)).scalar_coeff(0) == 1
-    assert mono(f, caps, ((1, 1),)).cut_join_linear(0).coeff(((2,),)).scalar_coeff(0) == 1
+    assert mono(f, caps, ((2,),)).cut_join_linear(0).coeff(((1, 1),)).coeff(0).as_scalar() == 1
+    assert mono(f, caps, ((1, 1),)).cut_join_linear(0).coeff(((2,),)).coeff(0).as_scalar() == 1
     # ordered pairs (1,2),(2,1) each contribute (1/2)*3*p_1 p_2
     out = mono(f, caps, ((3,),)).cut_join_linear(0)
-    assert out.coeff(((2, 1),)).scalar_coeff(0) == 3
+    assert out.coeff(((2, 1),)).coeff(0).as_scalar() == 3
     # single p_1: nothing cuts or joins
     assert not mono(f, caps, ((1,),)).cut_join_linear(0).co
+
+
+def cycle_type(perm):
+    seen, out = set(), []
+    for start in range(len(perm)):
+        n, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x, n = perm[x], n + 1
+        if n:
+            out.append(n)
+    return tuple(sorted(out, reverse=True))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cut_join_terms_count_products_with_transpositions(n):
+    # p_mu -> sum c p_nu with c = #{transpositions t : sigma t has type nu}
+    # for any one sigma of type mu
+    for mu in enumerate_partitions(n):
+        sigma, start = list(range(n)), 0
+        for part in mu:
+            for x in range(start, start + part):
+                sigma[x] = start + (x - start + 1) % part
+            start += part
+        expect = Counter()
+        for a, b in combinations(range(n), 2):
+            t = list(range(n))
+            t[a], t[b] = b, a
+            expect[cycle_type([sigma[t[x]] for x in range(n)])] += 1
+        terms = cut_join_terms(mu)
+        assert all(type(c) is int and c > 0 for _nu, c in terms), mu
+        assert len({nu for nu, _c in terms}) == len(terms), mu
+        got = Counter()
+        for nu, c in terms:
+            got[nu] += c
+        assert got == expect, mu
 
 
 def test_cut_join_preserves_weight():
@@ -164,18 +204,18 @@ def test_nonlinear_quadratic_piece():
     # the conjugation identity CJ_lin(exp F) = exp(F) CJ_nl(F) requires
     f, caps = one_fam()
     nl3 = mono(f, caps, ((3,),)).cut_join_nonlinear(0)
-    assert nl3.coeff(((2, 1),)).scalar_coeff(0) == 3
-    assert nl3.coeff(((6,),)).scalar_coeff(0) == Fraction(9, 2)
+    assert nl3.coeff(((2, 1),)).coeff(0).as_scalar() == 3
+    assert nl3.coeff(((6,),)).coeff(0).as_scalar() == Fraction(9, 2)
     nl1 = mono(f, caps, ((1,),)).cut_join_nonlinear(0)
     assert list(nl1.co) == [((2,),)]
-    assert nl1.coeff(((2,),)).scalar_coeff(0) == Fraction(1, 2)
+    assert nl1.coeff(((2,),)).coeff(0).as_scalar() == Fraction(1, 2)
 
 
 def test_three_family_support():
     caps = (2, 3, 2)
     s = mono(3, caps, (((1,), (2,), ()))) + mono(3, caps, (((), (1,), (1,))))
     t = s * s
-    assert t.coeff(((1,), (2, 1), (1,))).scalar_coeff(0) == 2
+    assert t.coeff(((1,), (2, 1), (1,))).coeff(0).as_scalar() == 2
     # per-family operators act on their own family only
     cj2 = mono(3, caps, (((), (2,), ()))).cut_join_linear(1)
     assert list(cj2.co) == [((), (1, 1), ())]

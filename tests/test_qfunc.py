@@ -44,9 +44,9 @@ def test_inverse_bracket_expansion():
     f = QFunction(-1, ULaurent.const(1), ULaurent.bracket(1))
     s = f.to_lambda(4)
     assert s.floor == -1
-    assert s.scalar_coeff(-1) == GaussianRational(1)
-    assert s.scalar_coeff(0) == GaussianRational(0)
-    assert s.scalar_coeff(1) == GaussianRational(Fraction(1, 24))
+    assert s.coeff(-1).as_scalar() == GaussianRational(1)
+    assert s.coeff(0).as_scalar() == GaussianRational(0)
+    assert s.coeff(1).as_scalar() == GaussianRational(Fraction(1, 24))
     # independent oracle: series inversion of sin_expand(1, .)
     inv = sin_expand(1, 8).inverse()
     assert s.eq_through(inv, -1, 3)
@@ -190,13 +190,13 @@ def test_window_at_or_below_valuation_is_zero_through_window():
     for trunc in (-2, 0, 1, 2):
         s = sq.to_lambda(trunc)
         assert not s.is_exact_zero() and s.trunc == trunc and s.is_zero_through()
-    assert sq.to_lambda(3).scalar_coeff(2) == GaussianRational(-1)
+    assert sq.to_lambda(3).coeff(2).as_scalar() == GaussianRational(-1)
     # 1/(2 sin(lambda/2)) = 1/lambda + ...; trunc + (Phi_1 exponent) <= 0 is not an IndexError
     inv = QFunction(-1, ULaurent.const(1), ULaurent.bracket(1))
     for trunc in (-4, -1):
         s = inv.to_lambda(trunc)
         assert not s.is_exact_zero() and s.trunc == trunc and s.is_zero_through()
-    assert inv.to_lambda(0).scalar_coeff(-1) == GaussianRational(1)
+    assert inv.to_lambda(0).coeff(-1).as_scalar() == GaussianRational(1)
 
 
 def _direct(ipow, p: ULaurent, j: int) -> GaussianRational:
