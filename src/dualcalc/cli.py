@@ -11,7 +11,10 @@ head -c 100``), the exit code is still that of the document being written,
 and nothing goes to stderr.  Rationals are serialized as decimal strings
 "p/q"; partitions as comma-separated descending integers; keys are sorted,
 so output is byte-deterministic for fixed inputs apart from the ``seconds``
-timings of ``verify-all``.
+timings of ``verify-all``.  A process builds its parser once
+(``build_parser`` is cached) and memoises ``quintic_hg``, ``candelas`` and
+``hori_vafa_series``, unbounded for its life; handlers only read the cached
+results.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 from . import hodge, hurwitz, intersections, mirror, vertex, verify
@@ -97,6 +101,7 @@ class _Parser(argparse.ArgumentParser):
         raise _Help(self.format_help())
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     p = _Parser(prog="dualcalc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -150,41 +150,46 @@ def _hurwitz_burnside(g: int, mu: Partition) -> Frac:
 # cut-and-join route
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _cutjoin_slice(cap: int, r: int) -> Dict[Partition, Frac]:
     """The lambda^r coefficient Phi_r of Phi through weight ``cap``, as
-    {partition: coefficient}.
+    {partition: coefficient}: the weight parts 1..cap, each grown once."""
+    return {mu: c for w in range(1, cap + 1) for mu, c in _cutjoin_part(w, r).items()}
+
+
+@lru_cache(maxsize=None)
+def _cutjoin_part(w: int, r: int) -> Dict[Partition, Frac]:
+    """The weight-w part of Phi_r.
 
     Grown from the degree-1 seed Phi_0 = p_1 by the cut-and-join evolution
     r Phi_r = CJ(Phi_{r-1}) + sum_{a+b=r-1} quad(Phi_a, Phi_b), with
-    quad(A, B) = (1/2) sum_{ordered i,j} i j p_{i+j} (dA/dp_i)(dB/dp_j)
-    formed only on pairs of keys with room for the part i+j; each slice is
-    cached on its own and recurses on the lower ones.
+    quad(A, B) = (1/2) sum_{ordered i,j} i j p_{i+j} (dA/dp_i)(dB/dp_j).
+    CJ keeps the weight and quad adds the weights of its factors, so the
+    weight-w part needs only the parts of lower weight, whatever the cap.
     """
     if r == 0:
-        return {(1,): Frac(1)}
-    rhs: Dict[Partition, Frac] = {}     # 2 r Phi_r
-    for mu, c in _cutjoin_slice(cap, r - 1).items():
-        for nu, w in cut_join_terms(mu):
-            rhs[nu] = rhs.get(nu, 0) + 2 * w * c
+        return {(1,): Frac(1)} if w == 1 else {}
+    rhs: Dict[Partition, Frac] = {}     # 2 r Phi_r at weight w
+    for mu, c in _cutjoin_part(w, r - 1).items():
+        for nu, x in cut_join_terms(mu):
+            rhs[nu] = rhs.get(nu, 0) + 2 * x * c
     for a in range(r):
-        db = _cutjoin_derivs(cap, r - 1 - a)
-        for i, di in _cutjoin_derivs(cap, a).items():
-            for j, dj in db.items():
-                for k1, c1 in di.items():
-                    room, c1 = cap - i - j - size(k1), i * j * c1
-                    for k2, c2 in dj.items():
-                        if size(k2) <= room:
+        for w1 in range(1, w):
+            db = _cutjoin_derivs(w - w1, r - 1 - a)
+            for i, di in _cutjoin_derivs(w1, a).items():
+                for j, dj in db.items():
+                    for k1, c1 in di.items():
+                        c1 = i * j * c1
+                        for k2, c2 in dj.items():
                             nu = add_parts(k1, i + j, *k2)
                             rhs[nu] = rhs.get(nu, 0) + c1 * c2
     return {nu: c / (2 * r) for nu, c in rhs.items() if c}
 
 
 @lru_cache(maxsize=None)
-def _cutjoin_derivs(cap: int, r: int) -> Dict[int, Dict[Partition, Frac]]:
-    """The nonzero dPhi_r/dp_i, i = 1..cap, as {i: {partition: coefficient}}."""
+def _cutjoin_derivs(w: int, r: int) -> Dict[int, Dict[Partition, Frac]]:
+    """The nonzero dPhi_r/dp_i of the weight-w part, as {i: {partition: coefficient}}."""
     out: Dict[int, Dict[Partition, Frac]] = {}
-    for mu, c in _cutjoin_slice(cap, r).items():
+    for mu, c in _cutjoin_part(w, r).items():
         for i, m in multiplicities(mu).items():
             out.setdefault(i, {})[remove_part(mu, i)] = m * c
     return out

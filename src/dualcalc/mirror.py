@@ -76,6 +76,7 @@ def quintic_hg(d_max: int) -> Tuple[Dict[int, List[Frac]], ...]:
     return f
 
 
+@lru_cache(maxsize=None)
 def candelas(d_max: int) -> dict:
     """Mirror map and degree coefficients of the cubic-normalized potential.
 
@@ -443,6 +444,7 @@ def gr_loc_sum(k: int, n: int, d: int) -> Dict[Tuple[int, ...], Laurent]:
     return by_t.get(0, {})
 
 
+@lru_cache(maxsize=None)
 def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
     """Operator-formula series, localization series, and their equality.
 

@@ -125,8 +125,9 @@ class TauLaurent(Laurent):
         return self.c[0]
 
     def eval(self, x) -> GaussianRational:
-        """The value at tau = x; at a nonzero integer x, in integers."""
-        if type(x) is int and x:
+        """The value at tau = x; at an integer x, in integers (at 0, the
+        tau^0 coefficient, and a negative power divides by zero)."""
+        if type(x) is int:
             lo = min((0, *self.num))
             v = Fraction(sum(w * x ** (k - lo) for k, w in self.num.items()), self.den * x ** -lo)
             return GaussianRational(0, v) if self.ph else GaussianRational(v)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -412,3 +413,58 @@ def test_toric_coverage(tmp_path):
 def test_op_reachable_from_cli(op):
     code, _ = run(OP_COVERAGE[op])
     assert code == 0, op
+
+
+# one argv per subcommand and mirror family, a help request, a usage error
+# and an injected verification failure: every exit code the CLI has but 3
+MIXED = [
+    ["hurwitz", "--genus", "1", "--partition", "2,1", "--method", "both", "--elsv"],
+    ["w", "--mu", "2,1", "--nu", "1", "--expand", "3"],
+    ["mv", "--check", "initial", "--degree", "2", "--order", "8"],
+    ["vertex", "local-p2", "--max-degree", "2", "--max-genus", "1", "--gv"],
+    ["witten", "--correlator", "1:1", "--psi", "1:1"],
+    ["mirror", "quintic", "--max-degree", "3"],
+    ["mirror", "grassmannian", "-k", "2", "-n", "3", "--max-degree", "1", "--verify"],
+    ["mirror", "grassmannian", "--help"],
+    ["hurwitz", "--genus", "0", "--partition", "1,3"],
+    ["verify-all", "--profile", "quick", "--inject-fault", "candelas-structure"],
+]
+
+
+def _without_seconds(out):
+    return re.sub(r'"seconds": [0-9.]+', '"seconds": 0', out)
+
+
+def test_repeated_queries_in_one_process_repeat_their_documents():
+    # the first pass computes the mirror series afresh, the second reads them
+    # from the caches: a handler that mutated a cached value, or a parser
+    # that kept state between calls, would change a second-pass document
+    from dualcalc import mirror
+
+    mirror.candelas.cache_clear()
+    mirror.hori_vafa_series.cache_clear()
+    first = [run(argv) for argv in MIXED]
+    second = [run(argv) for argv in MIXED]
+    assert sorted({code for code, _ in first}) == [0, 1, 2]
+    for argv, (code1, out1), (code2, out2) in zip(MIXED, first, second):
+        assert code1 == code2, argv
+        assert _without_seconds(out1) == _without_seconds(out2), argv
+
+
+def test_a_process_builds_one_parser(monkeypatch):
+    built = []
+    real = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    run(MIXED[0])
+    assert built, "the first call builds the parser"
+    built.clear()
+    cheap = [argv for argv in MIXED if argv[0] not in ("mv", "vertex", "verify-all")]
+    for i in range(50):
+        run(cheap[i % len(cheap)])
+    assert built == []
