@@ -12,9 +12,9 @@ and nothing goes to stderr.  Rationals are serialized as decimal strings
 "p/q"; partitions as comma-separated descending integers; keys are sorted,
 so output is byte-deterministic for fixed inputs apart from the ``seconds``
 timings of ``verify-all``.  A process builds its parser once
-(``build_parser`` is cached) and memoises ``quintic_hg``, ``candelas`` and
-``hori_vafa_series``, unbounded for its life; handlers only read the cached
-results.
+(``build_parser`` is cached) and memoises ``quintic_hg``, ``candelas``,
+``hori_vafa_series`` and the framed series ``hodge.build_series``, unbounded
+for its life; handlers only read the cached results.
 """
 from __future__ import annotations
 
@@ -217,13 +217,13 @@ def _cmd_mv(args) -> dict:
         mu = parse_partition(args.partition)
         cap = max(args.degree, sum(mu))
         trunc = max(args.order, 2 * args.genus + len(mu) + sum(mu) + 3)
-        fs = hodge.build_series(cap, trunc)
+        fs = hodge.build_series(cap, trunc, 1)
         poly = hodge.hodge_extract(fs, args.genus, mu)
         return {"result": {"genus": args.genus, "partition": format_partition(mu),
                            "tau_polynomial": [frac_str(c) for c in poly]},
                 "checks": []}
     if args.dump is not None:
-        fs = hodge.build_series(args.degree, args.order)
+        fs = hodge.build_series(args.degree, args.order, 1)
         ps = fs.connected if args.dump == "connected" else fs.disconnected
         dump = [{"key": [format_partition(mu) for mu in key],
                  "value": series_json(s)}
@@ -234,7 +234,7 @@ def _cmd_mv(args) -> dict:
     if args.degree < 1:
         raise UsageError("mv --check needs --degree >= 1")
     cap, trunc = args.degree, args.order
-    fs = hodge.build_series(cap, trunc, families=2 if args.check == "two-partition" else 1)
+    fs = hodge.build_series(cap, trunc, 2 if args.check == "two-partition" else 1)
     if args.check == "pde":
         res = hodge.pde_residual(fs)
         # every window must reach the genus-0 power lambda^{l(mu)-2}

@@ -7,10 +7,13 @@ framing exponentials and the W building blocks:
     two family:  sum   chi chi / (z z) e^{i (kappa+ tau + kappa- / tau) lambda/2}
                  W_{nu+, nu-}
 
-The connected series is its logarithm.  The module verifies the cut-and-join
+The connected series is its logarithm, taken on first read.  A built series
+is cached per (degree cap, order, families) and frozen, so every check and
+query of a process shares one build.  The module verifies the cut-and-join
 evolution in tau, the initial value at tau = 0, the degeneration onto the
-Hurwitz series, the convolution with double Hurwitz numbers, and extracts
-triple Hodge integrals through the framing prefactor.
+Hurwitz series, the convolution with double Hurwitz numbers (its kernel is
+the tau = 0 slice, so no series is ever inverted), and extracts triple Hodge
+integrals through the framing prefactor.
 
 Phase conventions.  With the sine-normalized W, the tau = 0 slice of the
 series equals sum_d i^{d-1} p_d / (2 d sin(d lambda / 2)): each degree-d part
@@ -32,14 +35,14 @@ read out or compared with an oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .chern_simons import w_one_lambda, w_pair_lambda
-from .errors import InternalError, UsageError, VerificationFailure
+from .errors import InternalError, UsageError
 from .hurwitz import burnside_phi, double_hurwitz
 from .partitions import (Partition, aut, character, enumerate_partitions,
                          kappa, length, size, zmu)
@@ -55,19 +58,16 @@ Frac = Fraction
 # series construction
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class FramedSeries:
     families: int
     caps: Tuple[int, ...]
     trunc: int
     disconnected: PSeries
-    _connected: Optional[PSeries] = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def connected(self) -> PSeries:
-        if self._connected is None:
-            self._connected = self.disconnected.log()
-        return self._connected
+        return self.disconnected.log()
 
 
 @lru_cache(maxsize=None)
@@ -88,9 +88,11 @@ def _two_family_term(nup: Partition, num: Partition, trunc: int) -> LambdaSeries
     return framing * w_pair_lambda(nup, num, t)
 
 
-def build_series(degree_cap: int, trunc: int, families: int = 1,
-                 cap_minus: Optional[int] = None) -> FramedSeries:
-    """Assemble the disconnected series through the given caps."""
+@lru_cache(maxsize=None)
+def build_series(degree_cap: int, trunc: int, families: int) -> FramedSeries:
+    """Assemble the disconnected series through the given caps, once per
+    process: ``lru_cache`` keys a keyword and a positional ``families``
+    apart, so the package passes it positionally."""
     if families == 1:
         caps: Tuple[int, ...] = (degree_cap,)
         co: Dict[Tuple[Partition, ...], LambdaSeries] = {
@@ -104,11 +106,10 @@ def build_series(degree_cap: int, trunc: int, families: int = 1,
                                      for nu in parts])
         return FramedSeries(1, caps, trunc, PSeries(1, caps, co))
     if families == 2:
-        cm = degree_cap if cap_minus is None else cap_minus
-        caps = (degree_cap, cm)
+        caps = (degree_cap, degree_cap)
         co = {empty_key(2): LambdaSeries.one(trunc)}
         for npos in range(0, degree_cap + 1):
-            for nneg in range(0, cm + 1):
+            for nneg in range(0, degree_cap + 1):
                 if npos == 0 and nneg == 0:
                     continue
                 pplus = enumerate_partitions(npos)
@@ -344,37 +345,14 @@ def elsv_limit_check(fs: FramedSeries, g_max: int = 2) -> bool:
 # convolution with double Hurwitz numbers
 # ---------------------------------------------------------------------------
 
-def _series_solve(mat: List[List[LambdaSeries]], vec: List[LambdaSeries]) -> List[LambdaSeries]:
-    """Gaussian elimination over truncated series; pivots are unit series."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    v = vec[:]
-    for i in range(n):
-        piv = m[i][i]
-        if piv.pruned().valuation() != 0:
-            raise VerificationFailure("convolution system is singular through truncation")
-        inv = piv.inverse()
-        m[i] = [x * inv for x in m[i]]
-        v[i] = v[i] * inv
-        for r in range(n):
-            if r != i:
-                f = m[r][i]
-                if f.is_exact_zero():
-                    continue
-                m[r] = [a - f * b for a, b in zip(m[r], m[i])]
-                v[r] = v[r] - f * v[i]
-    return v
-
-
-def convolution_check(fs: FramedSeries, tau_solve: int = 1,
-                      tau_verify: Sequence[int] = (2, 3),
-                      max_weight: Optional[int] = None) -> bool:
-    """Solve for the kernel at one framing value, verify at others.
+def convolution_check(fs: FramedSeries, max_weight: Optional[int] = None) -> bool:
+    """Read the kernel off tau = 0 and verify the convolution at tau = 1, 2, 3.
 
     Implemented as G_mu(lambda, tau) = sum_nu Phi2_{mu,nu}(i tau lambda) z_nu K_nu;
     the + sign of the scaled argument is the one that makes the kernel
     framing-independent given the e^{+kappa lambda/2} normalization of the
-    double Hurwitz series.
+    double Hurwitz series.  At tau = 0, Phi2_{mu,nu}(0) z_nu = delta_{mu,nu}
+    by character orthogonality, so K_nu = G_nu(lambda, 0).
     """
     if fs.families != 1:
         raise UsageError("convolution check applies to the one-family series")
@@ -383,20 +361,13 @@ def convolution_check(fs: FramedSeries, tau_solve: int = 1,
     for n in range(1, top + 1):
         parts = list(enumerate_partitions(n))
         phi = {(mu, nu): double_hurwitz(mu, nu, trunc) for mu in parts for nu in parts}
-
-        def matvec(tau_val: int):
-            mat = [[phi[(mu, nu)].subst_scale(GR_I * tau_val).scale(zmu(nu))
-                    for nu in parts] for mu in parts]
-            vec = [fs.disconnected.coeff((mu,)).tau_eval(tau_val) for mu in parts]
-            return mat, vec
-
-        mat0, vec0 = matvec(tau_solve)
-        kernel = _series_solve(mat0, vec0)
-        for tv in tau_verify:
-            mat1, vec1 = matvec(tv)
-            for row, v in zip(mat1, vec1):
-                diff = combine([(1, m, k) for m, k in zip(row, kernel)] + [(-1, v, None)])
-                if not diff.is_zero_through():
+        kernel = [fs.disconnected.coeff((nu,)).tau_eval(0) for nu in parts]
+        for tv in (1, 2, 3):
+            for mu in parts:
+                terms = [(1, phi[(mu, nu)].subst_scale(GR_I * tv).scale(zmu(nu)), k)
+                         for nu, k in zip(parts, kernel)]
+                g = fs.disconnected.coeff((mu,)).tau_eval(tv)
+                if not combine(terms + [(-1, g, None)]).is_zero_through():
                     return False
     return True
 

@@ -187,9 +187,12 @@ def _bump(mono: Tuple[int, ...], var: int, by: int) -> Tuple[int, ...]:
     return _canon(tuple(m))
 
 
-def virasoro_residual(n: int, order: int, kmax_check: int = 4) -> Tuple[Frac, int]:
+VIRASORO_KMAX = 4
+
+
+def virasoro_residual(n: int, order: int) -> Tuple[Frac, int]:
     """(max |coefficient|, coefficients checked) of (L_n tau) through total
-    t-degree ``order`` in the variables t_0..t_{kmax_check}; exact zero
+    t-degree ``order`` in the variables t_0..t_{VIRASORO_KMAX}; exact zero
     expected.
 
     L_n = -(1/2) d/dt_{n+1} + sum_k (k + 1/2) t_k d/dt_{k+n}
@@ -206,7 +209,7 @@ def virasoro_residual(n: int, order: int, kmax_check: int = 4) -> Tuple[Frac, in
         raise UsageError("Virasoro order must be >= 0")
     worst = _F0
     checked = 0
-    for mono in _monomials(order, kmax_check):
+    for mono in _monomials(order, VIRASORO_KMAX):
         checked += 1
         acc = _F0
         # -(1/2) d/dt_{n+1}

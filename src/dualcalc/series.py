@@ -14,7 +14,7 @@ Two layers:
   coefficient list is an *exact* zero (valid to every order);
   ``from_map({}, trunc)`` is zero only through its window.  There is no
   series division: a rational function of q reaches this type through
-  ``QFunction.to_lambda``, and ``inverse`` serves the Hodge solve.
+  ``QFunction.to_lambda``.
   ``combine`` forms a sum of products with one reduction per coefficient.
 """
 from __future__ import annotations
@@ -109,12 +109,6 @@ class TauLaurent(Laurent):
         """Exact division; raises InternalError on a remainder."""
         q = Laurent.divexact(self, o)
         return q._new(q.num, q.den, q.ph - o.ph)
-
-    def inverse(self) -> "TauLaurent":
-        if len(self.num) != 1:
-            raise InternalError("only monomial TauLaurent values are invertible")
-        (k, v), = self.num.items()
-        return self._new({-k: self.den if v > 0 else -self.den}, abs(v), -self.ph)
 
     # -- scalars --------------------------------------------------------------
     def as_scalar(self) -> GaussianRational:
@@ -251,22 +245,6 @@ class LambdaSeries:
     def shift(self, d: int) -> "LambdaSeries":
         return LambdaSeries(self.floor + d, list(self.co))
 
-    def inverse(self) -> "LambdaSeries":
-        a = self.pruned()
-        if not a.co or not a.co[0]:
-            raise UsageError("cannot invert a series with zero leading coefficient")
-        v = a.floor
-        lead_inv = a.co[0].inverse()
-        n = len(a.co)
-        out: List[TauLaurent] = [lead_inv]
-        for m in range(1, n):
-            acc = TL_ZERO
-            for j in range(1, m + 1):
-                if j < len(a.co) and a.co[j] and out[m - j]:
-                    acc = acc + a.co[j] * out[m - j]
-            out.append((-acc) * lead_inv if acc else TL_ZERO)
-        return LambdaSeries(-v, out)
-
     # -- tau plumbing ----------------------------------------------------------
     def map_coeffs(self, f: Callable[[int, TauLaurent], TauLaurent]) -> "LambdaSeries":
         return LambdaSeries(self.floor,
@@ -301,13 +279,8 @@ class LambdaSeries:
             raise UsageError(f"truncation {other.trunc} below requested order {hi}")
         return all(self.coeff(e) == other.coeff(e) for e in range(lo, hi))
 
-    def is_zero_through(self, hi: Optional[int] = None) -> bool:
-        if not self.co:
-            return True
-        hi = self.trunc if hi is None else hi
-        if hi > self.trunc:
-            raise UsageError(f"truncation {self.trunc} below requested order {hi}")
-        return all(not self.coeff(e) for e in range(self.floor, hi))
+    def is_zero_through(self) -> bool:
+        return not any(self.co)
 
     def __eq__(self, other):
         if not isinstance(other, LambdaSeries):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Callable, Dict, Optional, Tuple
 
@@ -19,11 +18,6 @@ from .partitions import enumerate_partitions, length, size
 
 Detail = dict
 CheckFn = Callable[[str], Tuple[bool, Detail]]
-
-
-@lru_cache(maxsize=None)
-def _series(cap: int, trunc: int, families: int = 1) -> hodge.FramedSeries:
-    return hodge.build_series(cap, trunc, families=families)
 
 
 def check_hurwitz_oracles(profile: str) -> Tuple[bool, Detail]:
@@ -58,7 +52,7 @@ def check_genus0_closed_form(profile: str) -> Tuple[bool, Detail]:
 
 def check_mv_pde(profile: str) -> Tuple[bool, Detail]:
     cap, trunc, gmax = (4, 15, 2) if profile == "full" else (2, 8, 1)
-    fs = _series(cap, trunc)
+    fs = hodge.build_series(cap, trunc, 1)
     res = hodge.pde_residual(fs)
     ok = res.is_zero_through_windows()
     cover = hodge.residual_window_ok(res, lambda key: 2 * gmax - 2 + length(key[0]) + 1)
@@ -69,21 +63,21 @@ def check_initial_value(profile: str) -> Tuple[bool, Detail]:
     # "through order 10" needs every window to pass order 10 inclusive,
     # hence the exclusive bound 11 and the taller build
     cap, trunc, through = (4, 15, 11) if profile == "full" else (2, 8, 6)
-    fs = _series(cap, trunc)
+    fs = hodge.build_series(cap, trunc, 1)
     rep = hodge.initial_value_report(fs, through=through)
     return rep["ok"], rep
 
 
 def check_elsv_limit(profile: str) -> Tuple[bool, Detail]:
     cap, trunc, gmax = (4, 15, 2) if profile == "full" else (2, 8, 1)
-    fs = _series(cap, trunc)
+    fs = hodge.build_series(cap, trunc, 1)
     return hodge.elsv_limit_check(fs, g_max=gmax), {"degree_cap": cap, "g_max": gmax}
 
 
 def check_lambda_g(profile: str) -> Tuple[bool, Detail]:
     cap, trunc = (4, 15) if profile == "full" else (2, 8)
     gs = (1, 2) if profile == "full" else (1,)
-    fs = _series(cap, trunc)
+    fs = hodge.build_series(cap, trunc, 1)
     values = {}
     for g in gs:
         for n in range(1, cap + 1):
@@ -97,13 +91,13 @@ def check_lambda_g(profile: str) -> Tuple[bool, Detail]:
 
 def check_two_partition(profile: str) -> Tuple[bool, Detail]:
     cap, trunc = (3, 9) if profile == "full" else (2, 7)
-    fs2 = _series(cap, trunc, families=2)
+    fs2 = hodge.build_series(cap, trunc, 2)
     res = hodge.pde_residual(fs2)
     if not res.is_zero_through_windows():
         return False, {"failed": "pde"}
     if not hodge.swap_symmetry_check(fs2):
         return False, {"failed": "swap"}
-    fs1 = _series(cap, trunc)
+    fs1 = hodge.build_series(cap, trunc, 1)
     if not hodge.slice_reduction_check(fs2, fs1):
         return False, {"failed": "slice-bridge"}
     return True, {"bidegree": (cap, cap), "order": trunc}
@@ -111,13 +105,13 @@ def check_two_partition(profile: str) -> Tuple[bool, Detail]:
 
 def check_convolution(profile: str) -> Tuple[bool, Detail]:
     if profile == "full":
-        fs = _series(4, 15)            # reuses the PDE-check build
+        fs = hodge.build_series(4, 15, 1)  # reuses the PDE-check build
         top = 3
     else:
-        fs = _series(2, 8)
+        fs = hodge.build_series(2, 8, 1)
         top = 2
-    ok = hodge.convolution_check(fs, tau_solve=1, tau_verify=(2, 3), max_weight=top)
-    return ok, {"profiles_through": top, "solved_at": 1, "verified_at": [2, 3]}
+    ok = hodge.convolution_check(fs, max_weight=top)
+    return ok, {"profiles_through": top, "kernel_at": 0, "verified_at": [1, 2, 3]}
 
 
 def check_witten(profile: str) -> Tuple[bool, Detail]:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .chern_simons import w_pair
 from .dense import graded_log
@@ -94,7 +94,7 @@ def rebuild_partition_function(d_max: int) -> bool:
     return True
 
 
-def extract_gw(d_max: int, g_max: int, trunc: Optional[int] = None) -> NTable:
+def extract_gw(d_max: int, g_max: int) -> NTable:
     """N_{g,d} for d <= d_max, g <= g_max from the free-energy slices.
 
     Raises UsageError for d_max < 1 or g_max < 0 (an empty table), and
@@ -105,14 +105,10 @@ def extract_gw(d_max: int, g_max: int, trunc: Optional[int] = None) -> NTable:
         raise UsageError("local P2 needs a maximal degree >= 1")
     if g_max < 0:
         raise UsageError("local P2 needs a maximal genus >= 0")
-    if trunc is None:
-        trunc = 2 * g_max + 2
-    if trunc < 2 * g_max + 2:
-        raise UsageError("truncation too small for the requested genus")
     f = local_p2_free_energy(d_max)
     out: NTable = {}
     for d in range(1, d_max + 1):
-        s = f[d].to_lambda(trunc)
+        s = f[d].to_lambda(2 * g_max + 2)
         if not s.is_exact_zero():
             v = s.valuation()
             if v is not None and v < -2:

@@ -1,7 +1,7 @@
 """Helpers shared by the tests: the canonical-form check of the integer
 polynomial kernel in ``dualcalc.laurent``, a q-expansion oracle, a
-``Fraction`` lambda-expansion oracle, the pairwise fold that
-``series.combine`` replaces, the graded exponential of a ``PSeries``, the
+``Fraction`` lambda-expansion oracle, a series reciprocal, the pairwise fold
+that ``series.combine`` replaces, the graded exponential of a ``PSeries``, the
 ``Fraction`` DVV recursion, the cut-and-join Hurwitz recursion on
 ``PSeries`` slices, and set partitions."""
 from fractions import Fraction
@@ -75,6 +75,18 @@ def to_lambda_reference(f, trunc):
     return LambdaSeries.from_map(
         {lo + j: TauLaurent.phased(lo + j - f.ipow, {0: c})
          for j, c in enumerate(quo) if c}, trunc)
+
+
+def reciprocal(s):
+    """1/s for a ``LambdaSeries`` with rational coefficients, by ``dense.inv``
+    on the coefficients from its lowest nonzero term: 1/s has as many
+    coefficients as s from there, starting at minus its valuation."""
+    s = s.pruned()
+    co = [c.as_scalar() for c in s.co]
+    assert not any(c.im for c in co)
+    inv = dense.inv([c.re for c in co], len(co))
+    return LambdaSeries.from_map({j - s.floor: c for j, c in enumerate(inv) if c},
+                                 len(co) - s.floor)
 
 
 def product_reference(x, y):

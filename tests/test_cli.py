@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -421,6 +422,8 @@ MIXED = [
     ["hurwitz", "--genus", "1", "--partition", "2,1", "--method", "both", "--elsv"],
     ["w", "--mu", "2,1", "--nu", "1", "--expand", "3"],
     ["mv", "--check", "initial", "--degree", "2", "--order", "8"],
+    ["mv", "--check", "lambda-g", "--degree", "2", "--order", "9"],
+    ["mv", "hodge", "--genus", "1", "--partition", "2,1"],
     ["vertex", "local-p2", "--max-degree", "2", "--max-genus", "1", "--gv"],
     ["witten", "--correlator", "1:1", "--psi", "1:1"],
     ["mirror", "quintic", "--max-degree", "3"],
@@ -436,19 +439,23 @@ def _without_seconds(out):
 
 
 def test_repeated_queries_in_one_process_repeat_their_documents():
-    # the first pass computes the mirror series afresh, the second reads them
-    # from the caches: a handler that mutated a cached value, or a parser
-    # that kept state between calls, would change a second-pass document
-    from dualcalc import mirror
+    # the first pass computes the mirror and framed series afresh, the second
+    # reads them from the caches: a handler that mutated a cached value, or a
+    # parser that kept state between calls, would change a second-pass document
+    from dualcalc import hodge, mirror
 
     mirror.candelas.cache_clear()
     mirror.hori_vafa_series.cache_clear()
+    hodge.build_series.cache_clear()
     first = [run(argv) for argv in MIXED]
     second = [run(argv) for argv in MIXED]
     assert sorted({code for code, _ in first}) == [0, 1, 2]
     for argv, (code1, out1), (code2, out2) in zip(MIXED, first, second):
         assert code1 == code2, argv
         assert _without_seconds(out1) == _without_seconds(out2), argv
+    # a cached framed series cannot be changed in place
+    with pytest.raises(FrozenInstanceError):
+        hodge.build_series(2, 9, 1).trunc = 10
 
 
 def test_a_process_builds_one_parser(monkeypatch):

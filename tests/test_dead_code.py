@@ -1,7 +1,14 @@
-"""Dead-code audit: every function or method the package defines is named
-somewhere in the package besides its own ``def``.  A re-export in
-``__init__.py`` counts; a name that only the tests use does not, and
-neither does a function's call to itself."""
+"""Dead-code audits.
+
+Every function or method the package defines is named somewhere in the
+package besides its own ``def``.  A re-export in ``__init__.py`` counts; a
+name that only the tests use does not, and neither does a function's call to
+itself.
+
+Every defaulted parameter is passed, by position or keyword, by some call
+inside the package: a default that no call overrides is a constant dressed
+as an option.  Calls are matched by name, so a call of any function of the
+same name counts."""
 import ast
 import re
 from collections import Counter
@@ -10,6 +17,10 @@ from pathlib import Path
 import dualcalc
 
 PACKAGE = Path(dualcalc.__file__).parent
+
+# defaults that callers outside the package supply: the console script calls
+# main() and argparse's -h/--help action calls print_help()
+OUTSIDE_CALLERS = {("cli.py", "main", "argv"), ("cli.py", "print_help", "file")}
 
 
 def test_every_definition_is_named_elsewhere():
@@ -31,3 +42,51 @@ def test_every_definition_is_named_elsewhere():
         if outside <= per_name[name] - 1:
             unused.append(f"{fname}:{line} {name}")
     assert not unused, f"defined but never named elsewhere: {unused}"
+
+
+def _defaulted(trees):
+    """(file, function, parameter, positional index or None, names a call
+    may use) for each defaulted parameter; the index does not count the self
+    or cls of a method, and a constructor is also called by its class name."""
+    out = []
+    for fname, tree in trees.items():
+        owner = {child: node for node in ast.walk(tree)
+                 for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner[node] if isinstance(owner[node], ast.ClassDef) else None
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            names = {node.name} | ({cls.name} if node.name == "__init__" else set())
+            a = node.args
+            pos = a.posonlyargs + a.args
+            first = len(pos) - len(a.defaults)
+            for i, arg in enumerate(pos[first:], first):
+                out.append((fname, node.name, arg.arg, i - skip, names))
+            for arg, d in zip(a.kwonlyargs, a.kw_defaults):
+                if d is not None:
+                    out.append((fname, node.name, arg.arg, None, names))
+    return out
+
+
+def test_every_default_is_passed_somewhere():
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    calls = [n for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Call)]
+
+    def passes(call, names, param, index):
+        f = call.func
+        if getattr(f, "id", getattr(f, "attr", None)) not in names:
+            return False
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        if any(isinstance(x, ast.Starred) for x in call.args):
+            return True
+        return index is not None and len(call.args) > index
+
+    unpassed = [f"{fname} {func}({param})"
+                for fname, func, param, index, names in _defaulted(trees)
+                if (fname, func, param) not in OUTSIDE_CALLERS
+                and not any(passes(c, names, param, index) for c in calls)]
+    assert not unpassed, f"defaulted parameters no call passes: {unpassed}"

@@ -325,7 +325,7 @@ def test_graded_exp_log_match_power_sums(fams, caps):
 def test_products_match_pairwise_fold_on_framed_slices():
     # each key sums its coefficient products once (series.combine); the
     # reference adds them pairwise in first-seen key order
-    slices = build_series(3, 8).disconnected._slices()
+    slices = build_series(3, 8, 1).disconnected._slices()
     for x in slices:
         for y in slices:
             ref = {}

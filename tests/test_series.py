@@ -159,13 +159,6 @@ def test_non_multiple_raises(pa, pb, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(phases, st.integers(-3, 3), small_q.filter(bool))
-def test_monomial_inverse_matches_model(ph, k, v):
-    g = I_POW[ph] * v
-    check(TauLaurent({k: g}).inverse(), {-k: g.inverse()})
-
-
-@settings(max_examples=150, deadline=None)
 @given(phased_models(), st.integers(-3, 3))
 def test_involutions(a, d):
     t = TauLaurent(a)
@@ -239,12 +232,6 @@ def test_geometric_series_oracle():
     prod = geo * one_minus
     expect = LambdaSeries.one(prod.trunc)
     assert prod.eq_through(expect, 0, prod.trunc)
-
-
-def test_inverse_of_unit():
-    a = LambdaSeries.from_map({0: 1, 1: Fraction(1, 2), 3: -2}, 9)
-    prod = a * a.inverse()
-    assert prod.eq_through(LambdaSeries.one(prod.trunc), 0, prod.trunc)
 
 
 def test_sin_expand_values():

@@ -9,6 +9,7 @@ from dualcalc.qfunc import QFunction, ULaurent
 from dualcalc.vertex import (extract_gw, gv_forward, gv_invert,
                              local_p2_free_energy, local_p2_z,
                              rebuild_partition_function)
+from oracles import reciprocal
 
 
 def test_degree_zero_is_one():
@@ -112,7 +113,7 @@ def test_kernel_matches_sine_powers(g, k):
 
     trunc = 2 * g + 5
     s = sin_expand(k, trunc + 4)
-    base = s.inverse() if g == 0 else s
+    base = reciprocal(s) if g == 0 else s
     expect = LambdaSeries.one(trunc + 4)
     for _ in range(abs(2 * g - 2)):
         expect = expect * base
