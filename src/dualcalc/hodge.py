@@ -1,7 +1,8 @@
 """Framed triple-Hodge generating series (one and two partition families).
 
 The disconnected series is assembled directly from character sums,
-framing exponentials and the W building blocks:
+framing exponentials and the W building blocks, in one loop over the
+family weights (n) or (n+, n-):
 
     one family:  sum_nu chi_nu(mu)/z_mu e^{i (tau+1/2) kappa_nu lambda/2} W_nu
     two family:  sum   chi chi / (z z) e^{i (kappa+ tau + kappa- / tau) lambda/2}
@@ -38,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial
+from itertools import product
+from math import factorial, prod
 from typing import Dict, List, Optional, Tuple
 
 from .chern_simons import w_one_lambda, w_pair_lambda
@@ -93,37 +95,21 @@ def build_series(degree_cap: int, trunc: int, families: int) -> FramedSeries:
     """Assemble the disconnected series through the given caps, once per
     process: ``lru_cache`` keys a keyword and a positional ``families``
     apart, so the package passes it positionally."""
-    if families == 1:
-        caps: Tuple[int, ...] = (degree_cap,)
-        co: Dict[Tuple[Partition, ...], LambdaSeries] = {
-            empty_key(1): LambdaSeries.one(trunc)}
-        for n in range(1, degree_cap + 1):
-            parts = enumerate_partitions(n)
-            terms = {nu: _one_family_term(nu, trunc) for nu in parts}
-            for mu in parts:
-                z = zmu(mu)
-                co[(mu,)] = combine([(Frac(character(nu, mu), z), terms[nu], None)
-                                     for nu in parts])
-        return FramedSeries(1, caps, trunc, PSeries(1, caps, co))
-    if families == 2:
-        caps = (degree_cap, degree_cap)
-        co = {empty_key(2): LambdaSeries.one(trunc)}
-        for npos in range(0, degree_cap + 1):
-            for nneg in range(0, degree_cap + 1):
-                if npos == 0 and nneg == 0:
-                    continue
-                pplus = enumerate_partitions(npos)
-                pminus = enumerate_partitions(nneg)
-                terms = {(a, b): _two_family_term(a, b, trunc)
-                         for a in pplus for b in pminus}
-                for mup in pplus:
-                    for mum in pminus:
-                        zz = zmu(mup) * zmu(mum)
-                        co[(mup, mum)] = combine(
-                            [(Frac(character(a, mup) * character(b, mum), zz),
-                              terms[(a, b)], None) for a in pplus for b in pminus])
-        return FramedSeries(2, caps, trunc, PSeries(2, caps, co))
-    raise UsageError("families must be 1 or 2")
+    if families not in (1, 2):
+        raise UsageError("families must be 1 or 2")
+    family_term = _one_family_term if families == 1 else _two_family_term
+    caps = (degree_cap,) * families
+    co = {empty_key(families): LambdaSeries.one(trunc)}
+    for weights in product(range(degree_cap + 1), repeat=families):
+        if not any(weights):
+            continue
+        keys = list(product(*map(enumerate_partitions, weights)))
+        terms = {nu: family_term(*nu, trunc) for nu in keys}
+        for mu in keys:
+            z = prod(map(zmu, mu))
+            co[mu] = combine([(Frac(prod(map(character, nu, mu)), z), terms[nu], None)
+                              for nu in keys])
+    return FramedSeries(families, caps, trunc, PSeries(families, caps, co))
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +208,7 @@ def initial_value_report(fs: FramedSeries, through: Optional[int] = None) -> dic
 # Hodge-integral extraction
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def framing_prefactor(mu: Partition) -> TauLaurent:
     """A(tau) = -(i)^{|mu|+l} / |Aut mu| [tau(tau+1)]^{l-1} prod prod (mu_i tau + a)/(mu_i - 1)!.
 
@@ -263,7 +250,8 @@ def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> List[Frac]:
     if s.co and e >= s.trunc:
         raise UsageError(f"lambda^{e} lies beyond the series window (order {s.trunc})")
     c = s.coeff(e)
-    quotient = c.divexact(framing_prefactor(mu))
+    a = framing_prefactor(mu)
+    quotient = c.divexact(a)
     if quotient and quotient.min_exp() < 0:
         raise InternalError("prefactor division left tau poles")
     deg = quotient.max_exp() if quotient else 0
@@ -279,7 +267,7 @@ def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> List[Frac]:
                 raise InternalError("imaginary part survived prefactor division")
             out.append(v.re)
     # multiply-back divisibility oracle
-    if TauLaurent({j: v for j, v in enumerate(out)}) * framing_prefactor(mu) != c:
+    if TauLaurent({j: v for j, v in enumerate(out)}) * a != c:
         raise InternalError("prefactor division is not exact")
     return out
 
@@ -382,9 +370,7 @@ def swap_symmetry_check(fs: FramedSeries) -> bool:
         raise UsageError("swap symmetry concerns the two-family series")
     g = fs.disconnected
     for (mup, mum), s in g.co.items():
-        other = g.coeff((mum, mup)).tau_inverse()
-        lo, hi = s.window_with(other)
-        if not s.eq_through(other, lo, hi):
+        if s != g.coeff((mum, mup)).tau_inverse():
             return False
     return True
 
@@ -399,7 +385,6 @@ def slice_reduction_check(fs2: FramedSeries, fs1: FramedSeries) -> bool:
             # bridge factor (-i)^{|mu|} = i^{3|mu|}
             expect = fs1.disconnected.coeff((mu,)).scale(
                 GaussianRational.i_power(3 * size(mu)))
-            lo, hi = got.window_with(expect)
-            if not got.eq_through(expect, lo, hi):
+            if got != expect:
                 return False
     return True

@@ -12,16 +12,16 @@ with the sums over ordered pairs and the global 1/2 as displayed; both
 conserve total weight within their family.  ``cut_join_terms`` holds the
 linear part on one monomial p_mu; the Hurwitz oracle reads it too.  The
 quadratic term forms (dF/dp_i)(dF/dp_j) only on keys with room for the
-part i+j.  A product
-sums the coefficient products that land on one key by ``series.combine``,
-and ``log`` runs the Euler recursion of ``dense.graded_log`` over the slices
-of equal total key weight.
+part i+j.  Every sum (``+``, ``-``, products, derivatives, both operators)
+hands its terms c*a*b p_key to ``_sum``, one ``series.combine`` per key;
+``log`` runs the Euler recursion of ``dense.graded_log`` by weight slice.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .dense import graded_log
 from .errors import UsageError
@@ -29,6 +29,7 @@ from .partitions import Partition, add_parts, multiplicities, remove_part
 from .series import LambdaSeries, combine
 
 Key = Tuple[Partition, ...]
+Term = Tuple[Key, object, LambdaSeries, Optional[LambdaSeries]]   # c*a*b p_key
 
 
 def empty_key(fams: int) -> Key:
@@ -84,6 +85,15 @@ class PSeries:
     def _like(self, co: Dict[Key, LambdaSeries]) -> "PSeries":
         return PSeries(self.fams, self.caps, co)
 
+    def _sum(self, terms: Iterable[Term]) -> "PSeries":
+        """The sum of c*a*b p_key over (key, c, a, b), b None for 1: keys beyond
+        the caps drop out, and each key's terms go to one ``combine``."""
+        groups: Dict[Key, list] = {}
+        for key, c, a, b in terms:
+            if self._fits(key):
+                groups.setdefault(key, []).append((c, a, b))
+        return self._like({key: combine(t) for key, t in groups.items()})
+
     def coeff(self, key: Key) -> LambdaSeries:
         return self.co.get(tuple(tuple(m) for m in key), LambdaSeries.zero())
 
@@ -92,18 +102,20 @@ class PSeries:
             raise UsageError("family count / degree cap mismatch")
 
     # -- linear structure ---------------------------------------------------
+    def _terms(self, c) -> Iterable[Term]:
+        """c times self as ``_sum`` terms."""
+        return ((k, c, s, None) for k, s in self.co.items())
+
     def __add__(self, other: "PSeries") -> "PSeries":
         self.check_compatible(other)
-        co = dict(self.co)
-        for k, s in other.co.items():
-            co[k] = s if k not in co else co[k] + s
-        return self._like(co)
+        return self._sum(chain(self._terms(1), other._terms(1)))
 
     def __neg__(self):
-        return self._like({k: -s for k, s in self.co.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        self.check_compatible(other)
+        return self._sum(chain(self._terms(1), other._terms(-1)))
 
     def scale(self, v) -> "PSeries":
         return self._like({k: s.scale(v) for k, s in self.co.items()})
@@ -120,13 +132,8 @@ class PSeries:
     # -- multiplication ----------------------------------------------------------
     def __mul__(self, other: "PSeries") -> "PSeries":
         self.check_compatible(other)
-        terms: Dict[Key, list] = {}
-        for k1, s1 in self.co.items():
-            for k2, s2 in other.co.items():
-                key = tuple(add_parts(a, *b) for a, b in zip(k1, k2))
-                if self._fits(key):
-                    terms.setdefault(key, []).append((1, s1, s2))
-        return self._like({key: combine(t) for key, t in terms.items()})
+        return self._sum((tuple(add_parts(a, *b) for a, b in zip(k1, k2)), 1, s1, s2)
+                         for k1, s1 in self.co.items() for k2, s2 in other.co.items())
 
     # -- grading -----------------------------------------------------------------
     def _slices(self) -> List["PSeries"]:
@@ -149,38 +156,24 @@ class PSeries:
 
     # -- derivatives and multiplication by variables ------------------------------
     def pderiv(self, fam: int, part: int) -> "PSeries":
-        co: Dict[Key, LambdaSeries] = {}
-        for k, s in self.co.items():
-            mu = k[fam]
-            m = mu.count(part)
-            if not m:
-                continue
-            key = k[:fam] + (remove_part(mu, part),) + k[fam + 1:]
-            piece = s.scale(m)
-            co[key] = piece if key not in co else co[key] + piece
-        return self._like(co)
+        return self._sum((k[:fam] + (remove_part(k[fam], part),) + k[fam + 1:],
+                          k[fam].count(part), s, None)
+                         for k, s in self.co.items() if part in k[fam])
 
     def mul_parts(self, fam: int, *parts: int) -> "PSeries":
-        co: Dict[Key, LambdaSeries] = {}
-        for k, s in self.co.items():
-            key = k[:fam] + (add_parts(k[fam], *parts),) + k[fam + 1:]
-            if not self._fits(key):
-                continue
-            co[key] = s if key not in co else co[key] + s
-        return self._like(co)
+        return self._sum((k[:fam] + (add_parts(k[fam], *parts),) + k[fam + 1:], 1, s, None)
+                         for k, s in self.co.items())
 
     # -- cut-and-join --------------------------------------------------------------
+    def _cut_join_terms(self, fam: int) -> Iterable[Term]:
+        return ((k[:fam] + (nu,) + k[fam + 1:], c, s, None)
+                for k, s in self.co.items() for nu, c in cut_join_terms(k[fam]))
+
     def cut_join_linear(self, fam: int = 0) -> "PSeries":
-        co: Dict[Key, LambdaSeries] = {}
-        for k, s in self.co.items():
-            for nu, c in cut_join_terms(k[fam]):
-                key = k[:fam] + (nu,) + k[fam + 1:]
-                piece = s.scale(c)
-                co[key] = piece if key not in co else co[key] + piece
-        return self._like(co)
+        return self._sum(self._cut_join_terms(fam))
 
     def cut_join_nonlinear(self, fam: int = 0) -> "PSeries":
-        out = self.cut_join_linear(fam)
+        terms = list(self._cut_join_terms(fam))
         cap = self.caps[fam]
         derivs: Dict[int, PSeries] = {}
         for i in range(1, cap + 1):
@@ -196,8 +189,8 @@ class PSeries:
                 prod = PSeries(self.fams, room, di.co) * PSeries(self.fams, room, dj.co)
                 prod = self._like(prod.co).mul_parts(fam, i + j)
                 w = Fraction(i * j) if i != j else Fraction(i * j, 2)
-                out = out + prod.scale(w)
-        return out
+                terms.extend(prod._terms(w))
+        return self._sum(terms)
 
     # -- predicates ---------------------------------------------------------------
     def is_zero_through_windows(self) -> bool:

@@ -15,7 +15,8 @@ Two layers:
   ``from_map({}, trunc)`` is zero only through its window.  There is no
   series division: a rational function of q reaches this type through
   ``QFunction.to_lambda``.
-  ``combine`` forms a sum of products with one reduction per coefficient.
+  ``combine`` is the one sum of series: it forms a sum of products with one
+  reduction per coefficient, and ``+``, ``-`` and ``*`` are calls to it.
 """
 from __future__ import annotations
 
@@ -217,22 +218,13 @@ class LambdaSeries:
 
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, other: "LambdaSeries") -> "LambdaSeries":
-        if not other.co:
-            return self
-        if not self.co:
-            return other
-        floor = min(self.floor, other.floor)
-        trunc = min(self.trunc, other.trunc)
-        if trunc <= floor:
-            raise InternalError("empty window in series addition")
-        co = [self.coeff(e) + other.coeff(e) for e in range(floor, trunc)]
-        return LambdaSeries(floor, co).pruned()
+        return combine([(1, self, None), (1, other, None)])
 
     def __neg__(self):
-        return LambdaSeries(self.floor, [-c for c in self.co])
+        return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return combine([(1, self, None), (-1, other, None)])
 
     def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
         return combine([(1, self, other)])
@@ -299,15 +291,16 @@ class LambdaSeries:
 def combine(terms: Iterable[Tuple[object, LambdaSeries, Optional[LambdaSeries]]]
             ) -> LambdaSeries:
     """Sum of c*a*b over (c, a, b): c rational, a a ``LambdaSeries``, b one or
-    None for 1, with the windows of a pairwise fold of ``*``, ``scale`` and
-    ``+``: a product is taken on pruned factors, exact zeros drop out, one
-    remaining term comes back unpruned, and two or more are summed over the
-    least floor and trunc and pruned.  The products and scaled coefficients
-    that land on each lambda^e go over the lcm of their denominators and
-    collect as integers in two phase planes (phase 1 times phase 1 lands on
-    plane 0 negated), so each coefficient is reduced once.  Raises
-    ``UsageError`` when both planes of a coefficient are nonzero after the
-    whole sum, in whatever order the terms come.
+    None for 1, with the windows of a term-by-term fold: a product is taken
+    on pruned factors, exact zeros drop out, one remaining term comes back
+    unpruned (a lone b-less term as it is, or scaled by c, with no
+    reduction), and two or more are summed over the least floor and trunc
+    and pruned.  The products and scaled coefficients that land on each
+    lambda^e go over the lcm of their denominators and collect as integers
+    in two phase planes (phase 1 times phase 1 lands on plane 0 negated), so
+    each coefficient is reduced once.  Raises ``UsageError`` when both
+    planes of a coefficient are nonzero after the whole sum, in whatever
+    order the terms come.
     """
     kept = []
     for c, a, b in terms:
@@ -320,6 +313,9 @@ def combine(terms: Iterable[Tuple[object, LambdaSeries, Optional[LambdaSeries]]]
             kept.append((c, a, b, lo, hi))
     if not kept:
         return LambdaSeries(0, [])
+    if len(kept) == 1 and kept[0][2] is None:
+        c, a = kept[0][:2]
+        return a if c == 1 else a.scale(c)
     floor = min(t[3] for t in kept)
     trunc = min(t[4] for t in kept)
     if trunc <= floor:

@@ -1,18 +1,23 @@
 """Helpers shared by the tests: the canonical-form check of the integer
 polynomial kernel in ``dualcalc.laurent``, a q-expansion oracle, a
 ``Fraction`` lambda-expansion oracle, a series reciprocal, the pairwise fold
-that ``series.combine`` replaces, the graded exponential of a ``PSeries``, the
-``Fraction`` DVV recursion, the cut-and-join Hurwitz recursion on
-``PSeries`` slices, and set partitions."""
+that ``series.combine`` replaces, the pairwise ``PSeries`` sums and the
+two-branch framed build that ``PSeries._sum`` and the one build loop
+replace, the graded exponential of a ``PSeries``, the ``Fraction`` DVV
+recursion, the cut-and-join Hurwitz recursion on ``PSeries`` slices, and set
+partitions."""
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, factorial, gcd
 
 from dualcalc import dense
 from dualcalc.errors import InternalError, UsageError
+from dualcalc.hodge import FramedSeries, _one_family_term, _two_family_term
 from dualcalc.hurwitz import ramification_order
-from dualcalc.pseries import PSeries, empty_key
-from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent
+from dualcalc.partitions import add_parts, character, enumerate_partitions, remove_part, zmu
+from dualcalc.pseries import PSeries, cut_join_terms, empty_key
+from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine
 
 
 def canonical(p):
@@ -128,6 +133,106 @@ def combine_reference(terms):
     for c, a, b in terms:
         acc = sum_reference(acc, (a if b is None else product_reference(a, b)).scale(c))
     return acc
+
+
+def assert_same_pseries(got, want):
+    """Equal keys in equal order, equal windows and coefficients, every
+    coefficient in canonical form."""
+    assert (got.fams, got.caps) == (want.fams, want.caps)
+    assert list(got.co) == list(want.co)
+    for k, s in got.co.items():
+        assert (s.floor, s.co) == (want.co[k].floor, want.co[k].co), k
+        for c in s.co:
+            canonical(c)
+
+
+def _fold_reference(like, pieces):
+    """A ``PSeries`` with the caps of ``like`` from (key, series) pieces, the
+    pieces on one key added in turn by ``sum_reference``."""
+    co = {}
+    for key, piece in pieces:
+        co[key] = piece if key not in co else sum_reference(co[key], piece)
+    return like._like(co)
+
+
+def add_reference(x, y):
+    """x + y by the pairwise fold: the reference for ``PSeries.__add__``."""
+    return _fold_reference(x, chain(x.co.items(), y.co.items()))
+
+
+def mul_reference(x, y):
+    """x * y as ``product_reference`` per key pair, folded pairwise."""
+    keys = ((tuple(add_parts(a, *b) for a, b in zip(k1, k2)), s1, s2)
+            for k1, s1 in x.co.items() for k2, s2 in y.co.items())
+    return _fold_reference(x, ((key, product_reference(s1, s2))
+                               for key, s1, s2 in keys if x._fits(key)))
+
+
+def pderiv_reference(x, fam, part):
+    pieces = ((k[:fam] + (remove_part(k[fam], part),) + k[fam + 1:], s.scale(k[fam].count(part)))
+              for k, s in x.co.items() if part in k[fam])
+    return _fold_reference(x, pieces)
+
+
+def mul_parts_reference(x, fam, *parts):
+    pieces = ((k[:fam] + (add_parts(k[fam], *parts),) + k[fam + 1:], s) for k, s in x.co.items())
+    return _fold_reference(x, ((k, s) for k, s in pieces if x._fits(k)))
+
+
+def cut_join_linear_reference(x, fam):
+    return _fold_reference(x, ((k[:fam] + (nu,) + k[fam + 1:], s.scale(c))
+                               for k, s in x.co.items() for nu, c in cut_join_terms(k[fam])))
+
+
+def cut_join_nonlinear_reference(x, fam):
+    """The nonlinear cut-and-join operator with every sum a pairwise fold:
+    the reference for ``PSeries.cut_join_nonlinear``."""
+    out = cut_join_linear_reference(x, fam)
+    cap = x.caps[fam]
+    derivs = {i: pderiv_reference(x, fam, i) for i in range(1, cap + 1)}
+    derivs = {i: d for i, d in derivs.items() if d.co}
+    for i, di in derivs.items():
+        for j, dj in derivs.items():
+            if j < i or i + j > cap:
+                continue
+            room = x.caps[:fam] + (cap - i - j,) + x.caps[fam + 1:]
+            prod = mul_reference(PSeries(x.fams, room, di.co), PSeries(x.fams, room, dj.co))
+            prod = mul_parts_reference(x._like(prod.co), fam, i + j)
+            w = Fraction(i * j) if i != j else Fraction(i * j, 2)
+            out = add_reference(out, prod.scale(w))
+    return out
+
+
+def build_series_reference(degree_cap, trunc, families):
+    """The framed series by one branch per family count: the reference for
+    the one build loop of ``hodge.build_series``."""
+    if families == 1:
+        caps = (degree_cap,)
+        co = {empty_key(1): LambdaSeries.one(trunc)}
+        for n in range(1, degree_cap + 1):
+            parts = enumerate_partitions(n)
+            terms = {nu: _one_family_term(nu, trunc) for nu in parts}
+            for mu in parts:
+                z = zmu(mu)
+                co[(mu,)] = combine([(Fraction(character(nu, mu), z), terms[nu], None)
+                                     for nu in parts])
+        return FramedSeries(1, caps, trunc, PSeries(1, caps, co))
+    caps = (degree_cap, degree_cap)
+    co = {empty_key(2): LambdaSeries.one(trunc)}
+    for npos in range(0, degree_cap + 1):
+        for nneg in range(0, degree_cap + 1):
+            if npos == 0 and nneg == 0:
+                continue
+            pplus = enumerate_partitions(npos)
+            pminus = enumerate_partitions(nneg)
+            terms = {(a, b): _two_family_term(a, b, trunc) for a in pplus for b in pminus}
+            for mup in pplus:
+                for mum in pminus:
+                    zz = zmu(mup) * zmu(mum)
+                    co[(mup, mum)] = combine(
+                        [(Fraction(character(a, mup) * character(b, mum), zz),
+                          terms[(a, b)], None) for a in pplus for b in pminus])
+    return FramedSeries(2, caps, trunc, PSeries(2, caps, co))
 
 
 def graded_exp(f, one):

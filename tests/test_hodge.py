@@ -18,6 +18,7 @@ from dualcalc.partitions import enumerate_partitions, length, size
 from dualcalc.pseries import PSeries
 from dualcalc.scalars import GR_I, GaussianRational
 from dualcalc.series import LambdaSeries, TauLaurent
+from oracles import assert_same_pseries, build_series_reference
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,61 @@ def test_two_family_swap(fs2fam):
 def test_two_family_slice_bridge(fs2fam):
     fs1 = build_series(2, 9, 1)
     assert slice_reduction_check(fs2fam, fs1)
+
+
+def _altered(fs, key, e, tau_exp):
+    """A new FramedSeries: fs with tau^tau_exp lambda^e (in the phase of a
+    two-family slot) added to the coefficient of key; fs is left as it is."""
+    co = dict(fs.disconnected.co)
+    s = co[key]
+    co[key] = s + LambdaSeries.mono(e, TauLaurent.phased(e % 2, {tau_exp: 1}), s.trunc)
+    return FramedSeries(fs.families, fs.caps, fs.trunc, PSeries(fs.families, fs.caps, co))
+
+
+@pytest.mark.parametrize("key,e,tau_exp", [(((2,), (1,)), 0, 0), (((1,), (1,)), 1, 1),
+                                           (((1, 1), ()), 2, -1)])
+def test_swap_symmetry_sees_one_altered_coefficient(fs2fam, key, e, tau_exp):
+    assert not swap_symmetry_check(_altered(fs2fam, key, e, tau_exp))
+    assert swap_symmetry_check(fs2fam)
+
+
+@pytest.mark.parametrize("mu,e,tau_exp", [((1,), 0, 0), ((2,), 1, 1), ((1, 1), 3, 0)])
+def test_slice_bridge_sees_one_altered_coefficient(fs2fam, mu, e, tau_exp):
+    fs1 = build_series(2, 9, 1)
+    assert not slice_reduction_check(_altered(fs2fam, (mu, ()), e, tau_exp), fs1)
+    assert slice_reduction_check(fs2fam, fs1)
+
+
+def test_framing_prefactor_is_built_once_per_partition(fs3):
+    cases = [(g, mu) for g in (1, 2) for n in range(1, 4) for mu in enumerate_partitions(n)]
+    partitions = len({mu for _g, mu in cases})
+    framing_prefactor.cache_clear()
+    assert all(lambda_g_check(fs3, g, mu) for g, mu in cases)
+    assert framing_prefactor.cache_info()[:2] == (len(cases) - partitions, partitions)
+    assert all(lambda_g_check(fs3, g, mu) for g, mu in cases)
+    assert framing_prefactor.cache_info()[:2] == (2 * len(cases) - partitions, partitions)
+
+
+@pytest.mark.parametrize("args", [(3, 8, 1), (2, 7, 2), (3, 9, 2)])
+def test_build_matches_two_branch_reference(args):
+    assert_same_pseries(build_series(*args).disconnected,
+                        build_series_reference(*args).disconnected)
+
+
+def test_framed_checks_add_no_tau_polynomials_pairwise(monkeypatch):
+    # every lambda-series sum of the evolution and the log is one
+    # series.combine, so the pairwise TauLaurent sum is never reached
+    builds = [build_series(3, 8, 1), build_series(2, 7, 2)]
+
+    def refuse(self, other):
+        raise AssertionError("pairwise TauLaurent sum")
+
+    monkeypatch.setattr(TauLaurent, "__add__", refuse)
+    for fs in builds:
+        # a new FramedSeries takes its logarithm afresh
+        fresh = FramedSeries(fs.families, fs.caps, fs.trunc, fs.disconnected)
+        assert pde_residual(fresh).is_zero_through_windows()
+        assert fresh.disconnected.log().co
 
 
 def test_family_count_guard(fs3, fs2fam):

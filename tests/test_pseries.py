@@ -7,10 +7,12 @@ import pytest
 
 from dualcalc.errors import UsageError
 from dualcalc.hodge import build_series
-from dualcalc.partitions import add_parts, enumerate_partitions, zmu
+from dualcalc.partitions import enumerate_partitions, zmu
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key, key_weight
 from dualcalc.series import LambdaSeries, TauLaurent
-from oracles import product_reference, pseries_exp, sum_reference
+from oracles import (add_reference, assert_same_pseries, cut_join_linear_reference,
+                     cut_join_nonlinear_reference, mul_parts_reference, mul_reference,
+                     pderiv_reference, pseries_exp)
 
 TR = 6
 
@@ -328,13 +330,21 @@ def test_products_match_pairwise_fold_on_framed_slices():
     slices = build_series(3, 8, 1).disconnected._slices()
     for x in slices:
         for y in slices:
-            ref = {}
-            for k1, s1 in x.co.items():
-                for k2, s2 in y.co.items():
-                    key = tuple(add_parts(a, *b) for a, b in zip(k1, k2))
-                    if x._fits(key):
-                        prod = product_reference(s1, s2)
-                        ref[key] = prod if key not in ref else sum_reference(ref[key], prod)
-            got = x * y
-            assert list(got.co) == list(x._like(ref).co)
-            assert exact(got) == exact(x._like(ref))
+            assert_same_pseries(x * y, mul_reference(x, y))
+
+
+@pytest.mark.parametrize("args", [(3, 8, 1), (2, 7, 2)])
+def test_sums_match_pairwise_fold_on_framed_series(args):
+    # every sum is one series.combine per key; the references add each key's
+    # pieces pairwise, as the operators did before
+    fs = build_series(*args)
+    x, y = fs.disconnected, fs.connected
+    assert_same_pseries(x + y, add_reference(x, y))
+    assert_same_pseries(x - y, add_reference(x, y.scale(-1)))
+    for fam in range(fs.families):
+        for part in range(1, fs.caps[fam] + 1):
+            assert_same_pseries(y.pderiv(fam, part), pderiv_reference(y, fam, part))
+            assert_same_pseries(x.mul_parts(fam, part, 1), mul_parts_reference(x, fam, part, 1))
+        for z in (x, y):
+            assert_same_pseries(z.cut_join_linear(fam), cut_join_linear_reference(z, fam))
+            assert_same_pseries(z.cut_join_nonlinear(fam), cut_join_nonlinear_reference(z, fam))

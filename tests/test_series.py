@@ -390,8 +390,17 @@ def same_series(x, y):
     return x.floor == y.floor and x.co == y.co
 
 
+# a window with a leading zero, so that a lone term shows whether it was pruned
+_LONE = LambdaSeries(-2, [TL_ZERO, TauLaurent({0: 1, 1: Fraction(1, 2)}), TauLaurent({2: 3})])
+
+
 @settings(max_examples=200, deadline=None)
 @given(combine_terms())
+@example([(1, _LONE, None)])
+@example([(Fraction(-2, 3), _LONE, None)])
+@example([(1, _LONE, None), (0, _LONE, None)])
+@example([(-1, LambdaSeries(0, []), None), (-1, _LONE, None)])
+@example([(1, LambdaSeries(4, [TL_ZERO]), None)])
 def test_combine_matches_pairwise_fold(terms):
     got = combine(terms)
     assert same_series(got, combine_reference(terms))
