@@ -15,17 +15,17 @@
   ``pseries.cut_join_terms``, the one the series ring uses.
 * ELSV: I_{g,mu} = H_{g,mu} / r! with r = 2g-2+|mu|+l(mu); the bare linear
   Hodge integral is I scaled by |Aut(mu)| prod(mu_i!/mu_i^mu_i).
-* psi_from_asymptotics: interpolates the bare-integral polynomial in the
-  ramification profile and reads psi-intersection numbers off its top-degree
-  homogeneous part.
+* psi_from_asymptotics: reads psi-intersection numbers off the top-degree
+  part of the bare-integral polynomial in the ramification profile, as mixed
+  finite differences of the bare integrals.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import product, zip_longest
 from math import comb, factorial
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InternalError, UsageError, VerificationFailure
 from .partitions import (Partition, add_parts, aut, character, enumerate_partitions,
@@ -254,133 +254,50 @@ def elsv_I(g: int, mu: Partition) -> Tuple[Frac, Frac]:
 # psi-class intersections from large-profile asymptotics
 # ---------------------------------------------------------------------------
 
-def _exponent_multisets(total_max: int, n: int) -> List[Partition]:
-    out: List[Partition] = []
-    for m in range(total_max + 1):
-        for rho in enumerate_partitions(m):
-            if len(rho) <= n:
-                out.append(rho)
+@lru_cache(maxsize=None)
+def _bare_polynomial(g: int, n: int) -> Dict[Partition, Frac]:
+    """Top-degree part of the bare-integral polynomial P(mu), as {rho: coefficient}
+    for every partition rho of D = 3g-3+n into at most n parts.
+
+    By ELSV, P is a symmetric polynomial of degree D in the parts, so for k
+    = rho padded with zeros the mixed forward difference
+    sum_{0 <= j <= k} prod_i (-1)^(k_i - j_i) C(k_i, j_i) P(base + j)
+    is k! times the coefficient of mu^k, at any base.  It is taken at base
+    (1, ..., 1) and again at (2, 1, ..., 1); a disagreement means the
+    Hurwitz data is not polynomial of degree D.
+    """
+    deg = 3 * g - 3 + n
+    bare: Dict[Partition, Frac] = {}
+
+    def difference(rho: Partition, base: Tuple[int, ...]) -> Frac:
+        total = Frac(0)
+        for j in product(*(range(r + 1) for r in rho)):
+            mu = tuple(sorted((b + x for b, x in zip_longest(base, j, fillvalue=0)),
+                              reverse=True))
+            if mu not in bare:
+                bare[mu] = elsv_I(g, mu)[1]
+            w = (-1) ** (deg - sum(j))
+            for r, x in zip(rho, j):
+                w *= comb(r, x)
+            total += w * bare[mu]
+        return total
+
+    out: Dict[Partition, Frac] = {}
+    for rho in enumerate_partitions(deg):
+        if len(rho) > n:
+            continue
+        top = difference(rho, (1,) * n)
+        if difference(rho, (2,) + (1,) * (n - 1)) != top:
+            raise VerificationFailure(
+                f"Hurwitz data at g={g}, n={n} is not polynomial of the expected degree")
+        for r in rho:
+            top /= factorial(r)
+        out[rho] = top
     return out
 
 
-def _monomial_symmetric(rho: Partition, point: Sequence[int]) -> Frac:
-    n = len(point)
-    padded = tuple(rho) + (0,) * (n - len(rho))
-    total = 0
-    for perm in set(permutations(padded)):
-        v = 1
-        for x, e in zip(point, perm):
-            v *= x ** e
-        total += v
-    return Frac(total)
-
-
-def _parts_exactly(m: int, n: int, cap: int) -> Iterator[Partition]:
-    """Partitions of m into exactly n parts, each at most cap, ascending."""
-    if n == 0:
-        if m == 0:
-            yield ()
-        return
-    for first in range(-(-m // n), min(cap, m - n + 1) + 1):
-        for rest in _parts_exactly(m - first, n - 1, first):
-            yield (first,) + rest
-
-
-def _sample_points(n: int, count: int) -> List[Tuple[int, ...]]:
-    """Weakly decreasing positive n-tuples, smallest sums first.
-
-    ELSV polynomiality holds for repeated parts too, so the partitions of
-    m = n, n+1, ... into exactly n parts all serve as sample profiles.
-    """
-    out: List[Tuple[int, ...]] = []
-    m = n
-    while len(out) < count:
-        out.extend(_parts_exactly(m, n, m))
-        m += 1
-    return out[:count]
-
-
-@lru_cache(maxsize=None)
-def _bare_polynomial(g: int, n: int) -> Dict[Partition, Frac]:
-    """Interpolated bare-integral polynomial, in the monomial-symmetric basis.
-
-    Sample rows are chosen greedily for rank (consecutive sample profiles
-    alone can be collinear for the quadratic monomials), and only the
-    selected profiles are fed to the Hurwitz evaluation.  Two extra points
-    provide a consistency check on the interpolation degree.
-    """
-    deg = 3 * g - 3 + n
-    basis = _exponent_multisets(deg, n)
-    count = len(basis)
-    candidates = _sample_points(n, 4 * count + 8)
-    pts: List[Tuple[int, ...]] = []
-    rows: List[List[Frac]] = []
-    echelon: List[List[Frac]] = []
-    for pt in candidates:
-        row = [_monomial_symmetric(rho, pt) for rho in basis]
-        if len(pts) < count:
-            if not _adds_rank(echelon, row):
-                continue
-        pts.append(pt)
-        rows.append(row)
-        if len(pts) == count + 2:
-            break
-    if len(pts) < count:
-        raise InternalError("singular interpolation system; add sample points")
-    rhs = [elsv_I(g, tuple(pt))[1] for pt in pts]
-    sol = _solve_overdetermined(rows, rhs, count)
-    return {rho: c for rho, c in zip(basis, sol)}
-
-
-def _adds_rank(echelon: List[List[Frac]], row: Sequence[Frac]) -> bool:
-    work = list(row)
-    for base in echelon:
-        piv = next(i for i, x in enumerate(base) if x)
-        if work[piv]:
-            f = work[piv] / base[piv]
-            work = [x - f * y for x, y in zip(work, base)]
-    if any(work):
-        echelon.append(work)
-        return True
-    return False
-
-
-def _solve_overdetermined(rows: List[List[Frac]], rhs: List[Frac], ncols: int) -> List[Frac]:
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nrows = len(m)
-    pivots = []
-    ri = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(ri, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise InternalError("singular interpolation system; add sample points")
-        m[ri], m[piv] = m[piv], m[ri]
-        pv = m[ri][col]
-        m[ri] = [x / pv for x in m[ri]]
-        for r in range(nrows):
-            if r != ri and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[ri])]
-        pivots.append(col)
-        ri += 1
-        if ri == ncols:
-            break
-    # every leftover row must now be identically zero: consistency check
-    for r in range(ri, nrows):
-        if any(m[r]):
-            raise VerificationFailure("interpolation data is not polynomial of the expected degree")
-    sol = [Frac(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = m[i][ncols]
-    return sol
-
-
 def psi_from_asymptotics(g: int, ks: Sequence[int]) -> Frac:
-    """<tau_{k_1} ... tau_{k_n}>_g via interpolation of Hurwitz data."""
+    """<tau_{k_1} ... tau_{k_n}>_g read off the top degree of the Hurwitz data."""
     ks = tuple(int(k) for k in ks)
     n = len(ks)
     if n < 1:
@@ -391,6 +308,4 @@ def psi_from_asymptotics(g: int, ks: Sequence[int]) -> Frac:
         raise UsageError(f"unstable moduli (g={g}, n={n})")
     if sum(ks) != 3 * g - 3 + n:
         raise UsageError("dimension constraint sum(k) = 3g-3+n violated")
-    poly = _bare_polynomial(g, n)
-    rho = tuple(sorted((k for k in ks if k), reverse=True))
-    return poly.get(rho, Frac(0))
+    return _bare_polynomial(g, n)[tuple(sorted((k for k in ks if k), reverse=True))]

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Dict, Optional, Tuple
 
 from . import hodge, hurwitz, intersections, mirror, vertex
@@ -128,17 +127,12 @@ def check_witten(profile: str) -> Tuple[bool, Detail]:
         for n in range(1, 7):
             if not (0 < 2 * g - 2 + n <= window):
                 continue
-            deg = 3 * g - 3 + n
-            seen = set()
-            for ks in product(range(deg + 1), repeat=n):
-                if sum(ks) != deg:
+            for rho in enumerate_partitions(3 * g - 3 + n):
+                if len(rho) > n:
                     continue
-                key = tuple(sorted(ks, reverse=True))
-                if key in seen:
-                    continue
-                seen.add(key)
-                if intersections.dvv(g, key) != hurwitz.psi_from_asymptotics(g, key):
-                    return False, {"g": g, "ks": key}
+                ks = rho + (0,) * (n - len(rho))
+                if intersections.dvv(g, ks) != hurwitz.psi_from_asymptotics(g, ks):
+                    return False, {"g": g, "ks": ks}
                 cross += 1
     seeds_ok = (intersections.dvv(0, (0, 0, 0)) == 1
                 and intersections.dvv(1, (1,)) == Fraction(1, 24))

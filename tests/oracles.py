@@ -4,17 +4,18 @@ polynomial kernel in ``dualcalc.laurent``, a q-expansion oracle, a
 that ``series.combine`` replaces, the pairwise ``PSeries`` sums and the
 two-branch framed build that ``PSeries._sum`` and the one build loop
 replace, the graded exponential of a ``PSeries``, the ``Fraction`` DVV
-recursion, the cut-and-join Hurwitz recursion on ``PSeries`` slices, and set
+recursion, the cut-and-join Hurwitz recursion on ``PSeries`` slices, the
+interpolation that the finite-difference psi-extraction replaces, and set
 partitions."""
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, permutations
 from math import comb, factorial, gcd
 
 from dualcalc import dense
-from dualcalc.errors import InternalError, UsageError
+from dualcalc.errors import InternalError, UsageError, VerificationFailure
 from dualcalc.hodge import FramedSeries, _one_family_term, _two_family_term
-from dualcalc.hurwitz import ramification_order
+from dualcalc.hurwitz import elsv_I, ramification_order
 from dualcalc.partitions import add_parts, character, enumerate_partitions, remove_part, zmu
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key
 from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine
@@ -343,6 +344,116 @@ def hurwitz_cutjoin_reference(g, mu):
     v = cutjoin_slice_reference(sum(mu), r).coeff((mu,)).coeff(0).as_scalar()
     assert not v.im
     return v.re * factorial(r)
+
+
+def _exponent_multisets(total_max, n):
+    return [rho for m in range(total_max + 1) for rho in enumerate_partitions(m)
+            if len(rho) <= n]
+
+
+def _monomial_symmetric(rho, point):
+    padded = tuple(rho) + (0,) * (len(point) - len(rho))
+    total = 0
+    for perm in set(permutations(padded)):
+        v = 1
+        for x, e in zip(point, perm):
+            v *= x ** e
+        total += v
+    return Fraction(total)
+
+
+def _parts_exactly(m, n, cap):
+    """Partitions of m into exactly n parts, each at most cap, ascending."""
+    if n == 0:
+        if m == 0:
+            yield ()
+        return
+    for first in range(-(-m // n), min(cap, m - n + 1) + 1):
+        for rest in _parts_exactly(m - first, n - 1, first):
+            yield (first,) + rest
+
+
+def _sample_points(n, count):
+    """Weakly decreasing positive n-tuples, smallest sums first."""
+    out = []
+    m = n
+    while len(out) < count:
+        out.extend(_parts_exactly(m, n, m))
+        m += 1
+    return out[:count]
+
+
+def _adds_rank(echelon, row):
+    work = list(row)
+    for base in echelon:
+        piv = next(i for i, x in enumerate(base) if x)
+        if work[piv]:
+            f = work[piv] / base[piv]
+            work = [x - f * y for x, y in zip(work, base)]
+    if any(work):
+        echelon.append(work)
+        return True
+    return False
+
+
+def _solve_overdetermined(rows, rhs, ncols):
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    nrows = len(m)
+    pivots = []
+    ri = 0
+    for col in range(ncols):
+        piv = next((r for r in range(ri, nrows) if m[r][col]), None)
+        if piv is None:
+            raise InternalError("singular interpolation system; add sample points")
+        m[ri], m[piv] = m[piv], m[ri]
+        pv = m[ri][col]
+        m[ri] = [x / pv for x in m[ri]]
+        for r in range(nrows):
+            if r != ri and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[ri])]
+        pivots.append(col)
+        ri += 1
+        if ri == ncols:
+            break
+    # every leftover row must now be identically zero: consistency check
+    for r in range(ri, nrows):
+        if any(m[r]):
+            raise VerificationFailure("interpolation data is not polynomial of the expected degree")
+    sol = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        sol[col] = m[i][ncols]
+    return sol
+
+
+@lru_cache(maxsize=None)
+def _interpolated_bare_polynomial(g, n):
+    """The whole bare-integral polynomial in the monomial-symmetric basis,
+    interpolated through sample profiles chosen greedily for rank, with two
+    extra points as a consistency check on the degree."""
+    basis = _exponent_multisets(3 * g - 3 + n, n)
+    count = len(basis)
+    echelon, pts, rows = [], [], []
+    for pt in _sample_points(n, 4 * count + 8):
+        row = [_monomial_symmetric(rho, pt) for rho in basis]
+        if len(pts) < count and not _adds_rank(echelon, row):
+            continue
+        pts.append(pt)
+        rows.append(row)
+        if len(pts) == count + 2:
+            break
+    if len(pts) < count:
+        raise InternalError("singular interpolation system; add sample points")
+    sol = _solve_overdetermined(rows, [elsv_I(g, pt)[1] for pt in pts], count)
+    return dict(zip(basis, sol))
+
+
+def psi_interpolation_reference(g, ks):
+    """<tau_{k_1} ... tau_{k_n}>_g as the coefficient of m_rho in the
+    interpolated bare-integral polynomial: the reference for the
+    finite-difference reading of ``dualcalc.hurwitz.psi_from_asymptotics``."""
+    rho = tuple(sorted((k for k in ks if k), reverse=True))
+    return _interpolated_bare_polynomial(g, len(ks)).get(rho, Fraction(0))
 
 
 @lru_cache(maxsize=None)

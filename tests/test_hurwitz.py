@@ -1,19 +1,27 @@
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from dualcalc.errors import UsageError
-from dualcalc.hurwitz import (_connected_coeff, _cutjoin_slice, _sample_points,
-                              burnside_phi, double_hurwitz, elsv_I, hurwitz_number,
-                              psi_from_asymptotics, ramification_order)
+from dualcalc import cli, hurwitz
+from dualcalc.errors import UsageError, VerificationFailure
+from dualcalc.hurwitz import (_connected_coeff, _cutjoin_slice, burnside_phi, double_hurwitz,
+                              elsv_I, hurwitz_number, psi_from_asymptotics,
+                              ramification_order)
+from dualcalc.intersections import dvv
 from dualcalc.partitions import (aut, character, enumerate_partitions,
                                  hook_product, kappa, length, size, zmu)
 from dualcalc.scalars import GaussianRational
-from oracles import cutjoin_slice_reference, hurwitz_cutjoin_reference, set_partitions
+from oracles import (cutjoin_slice_reference, hurwitz_cutjoin_reference,
+                     psi_interpolation_reference, set_partitions)
 
 
 def brute_hurwitz(g, mu):
@@ -243,17 +251,60 @@ def test_connected_coeff_matches_fraction_reference():
             _reference_connected_coeff(mu, order), mu
 
 
-@pytest.mark.parametrize("n,count", [(1, 9), (2, 20), (3, 30), (5, 40)])
-def test_sample_points_weakly_decreasing(n, count):
-    pts = _sample_points(n, count)
-    assert len(pts) == count == len(set(pts))
-    assert all(len(p) == n and p[-1] >= 1 for p in pts)
-    assert all(p[i] >= p[i + 1] for p in pts for i in range(n - 1))
-    sums = [sum(p) for p in pts]
-    assert sums == sorted(sums) and sums[0] == n
-    # every partition of each completed sum into n parts is present
-    for m in range(n, sums[-1]):
-        expect = {mu for mu in enumerate_partitions(m) if len(mu) == n}
-        assert expect == {p for p in pts if sum(p) == m}
-    if n > 1:
-        assert any(p[0] == p[1] for p in pts)
+def test_psi_differences_match_interpolation_and_dvv():
+    cases = [(2, (3, 2, 1)), (2, (2, 2, 2, 1))]
+    for g in range(3):
+        for n in range(1, 7):
+            if 0 < 2 * g - 2 + n <= 4:
+                cases += [(g, rho + (0,) * (n - len(rho)))
+                          for rho in enumerate_partitions(3 * g - 3 + n) if len(rho) <= n]
+    assert len(cases) == 22 + 2
+    for g, ks in cases:
+        value = psi_from_asymptotics(g, ks)
+        assert value == psi_interpolation_reference(g, ks) == dvv(g, ks), (g, ks)
+
+
+def _elsv_with_degree_three(g, mu):
+    """elsv_I with max(mu)^(D+1) added to the bare integral, for (g, n) = (1, 2)."""
+    i_val, bare = elsv_I(g, mu)
+    return i_val, bare + max(mu) ** 3
+
+
+@pytest.fixture
+def non_polynomial_data(monkeypatch):
+    hurwitz._bare_polynomial.cache_clear()
+    monkeypatch.setattr(hurwitz, "elsv_I", _elsv_with_degree_three)
+    yield
+    hurwitz._bare_polynomial.cache_clear()
+
+
+def test_psi_guard_rejects_a_term_above_the_degree(non_polynomial_data):
+    with pytest.raises(VerificationFailure, match="not polynomial of the expected degree"):
+        psi_from_asymptotics(1, (1, 1))
+
+
+def test_psi_guard_is_one_verification_document(non_polynomial_data, capsys):
+    assert cli.main(["witten", "--psi", "1:1,1"]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out)["kind"] == "verification"
+
+
+_GUARD_UNDER_O = """
+import sys
+from dualcalc import cli, hurwitz
+real = hurwitz.elsv_I
+hurwitz.elsv_I = lambda g, mu: (real(g, mu)[0], real(g, mu)[1] + max(mu) ** 3)
+sys.exit(cli.main(["witten", "--psi", "1:1,1"]))
+"""
+
+
+def test_psi_guard_holds_under_optimize():
+    src = str(Path(hurwitz.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", _GUARD_UNDER_O], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 2
+    assert out.stdout.count("\n") == 1
+    doc = json.loads(out.stdout)
+    assert doc["kind"] == "verification"
+    assert "not polynomial of the expected degree" in doc["error"]

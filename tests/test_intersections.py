@@ -177,7 +177,7 @@ def test_witten_check_counts_what_it_compared(monkeypatch):
     assert ok and detail == {"virasoro_orders": 3, "cross_checked": 5,
                              "compared": 5 * comb(3 + 5, 5) + 5}
     monkeypatch.setattr(intersections, "virasoro_residual", lambda n, order: (0, 0))
-    monkeypatch.setattr(verify, "product", lambda *ranges, repeat: iter(()))
+    monkeypatch.setattr(verify, "enumerate_partitions", lambda n: ())
     assert verify.check_witten("quick") == (
         False, {"virasoro_orders": 3, "cross_checked": 0, "compared": 0})
 

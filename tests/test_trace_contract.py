@@ -28,7 +28,7 @@ QUERIES = [
 
 
 def test_traced_queries_feed_the_observers():
-    # the interpolation is cached; start it cold so its rows are counted
+    # the psi extraction is cached; start it cold so its Hurwitz samples are counted
     hurwitz._bare_polynomial.cache_clear()
     out = run_queries({"queries": QUERIES, "trace": 1})
     for argv, (code, _ms, stdout) in zip(QUERIES, out["results"]):
@@ -37,5 +37,5 @@ def test_traced_queries_feed_the_observers():
         json.loads(stdout)
     counters = out["trace"]["counters"]
     for name in ("hodge.build_series.coeffs", "hodge.build_series.max_num_bits",
-                 "hurwitz.solve.rows_tried", "pseries.cut_join_nonlinear.formed"):
+                 "hurwitz.max_sample_size", "pseries.cut_join_nonlinear.formed"):
         assert counters.get(name, 0) > 0, name
