@@ -338,9 +338,22 @@ def test_grassmannian_verify():
                                      "--order", "11"]),
     ("hurwitz-g3-3211", ["hurwitz", "--genus", "3", "--partition", "3,2,1,1",
                          "--method", "both"]),
+    ("quintic-d20", ["mirror", "quintic", "--max-degree", "20"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+# the spec path is echoed in params, so the run reads it relative to GOLDEN
+@pytest.mark.parametrize("name,spec,degree", [
+    ("toric-p4-d3", "toric-p4-spec.json", 3),
+    ("toric-p1xp1-d2", "toric-p1xp1-spec.json", 2),
+])
+def test_toric_golden(name, spec, degree, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out = run(["mirror", "toric", "--spec", spec, "--max-degree", str(degree)])
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
 
