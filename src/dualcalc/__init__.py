@@ -16,10 +16,9 @@ Grassmannian Schur coefficients read as determinants (``nilpotent``,
 """
 
 from .scalars import GaussianRational, bernoulli
-from .series import LambdaSeries, TauLaurent, sin_expand
+from .series import LambdaSeries, TauLaurent
 from .qfunc import QFunction, ULaurent
-from .partitions import (basic_stats, character, enumerate_partitions,
-                         hook_dim, parse_partition)
+from .partitions import character, enumerate_partitions, parse_partition
 from .schur import skew_schur_principal
 from .chern_simons import w_one, w_pair
 from .pseries import PSeries
@@ -30,7 +29,7 @@ from .hodge import (FramedSeries, build_series, convolution_check,
                     lambda_g_check, pde_residual)
 from .vertex import extract_gw, gv_invert, local_p2_z
 from .intersections import dvv, virasoro_residual
-from .mirror import (candelas, gr_loc_sum, hg_projective, hori_vafa_series,
-                     multiple_cover_invert, quintic_hg, toric_b_series)
+from .mirror import (candelas, hg_projective, hori_vafa_series,
+                     multiple_cover_invert, toric_b_series)
 
 __version__ = "0.1.0"

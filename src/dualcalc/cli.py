@@ -12,7 +12,7 @@ and nothing goes to stderr.  Rationals are serialized as decimal strings
 "p/q"; partitions as comma-separated descending integers; keys are sorted,
 so output is byte-deterministic for fixed inputs apart from the ``seconds``
 timings of ``verify-all``.  A process builds its parser once
-(``build_parser`` is cached) and memoises ``quintic_hg``, ``candelas``,
+(``build_parser`` is cached) and memoises ``candelas``,
 ``hori_vafa_series`` and the framed series ``hodge.build_series``, unbounded
 for its life; handlers only read the cached results.
 """

@@ -1,10 +1,11 @@
-"""Truncated power series as dense lists of ``Fraction``.
+"""Truncated power series over Q as ``laurent.Laurent`` values.
 
-A series is the list of its coefficients of x^0, x^1, ...; every operation
-takes the number ``n`` of coefficients to keep and returns a list of exactly
-that length.  Inputs may be shorter than ``n`` (missing terms are zero).
-The same kernel serves the quintic nilpotent ring Q[H]/(H^5) and the mirror
-map's Q-series.
+A series is a ``Laurent`` in x with no negative exponents.  Every operation
+takes the number ``n`` of coefficients to keep, reads its inputs through
+x^(n-1) and returns a ``Laurent`` with no term of x^n or above.  The loops
+run on the integer numerators over the one denominator, and each result is
+built by one ``_new``, the one content reduction.  The kernel serves the
+quintic mirror map's Q-series (``mirror.candelas``).
 
 ``graded_log`` takes the weight slices of a graded series over any ring with
 ``*``, ``-`` and ``scale``: ``PSeries`` by key weight, the local-P2
@@ -13,65 +14,92 @@ map's Q-series.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, gcd
 from typing import List, Sequence, TypeVar
 
 from .errors import UsageError
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from .laurent import Laurent
 
 R = TypeVar("R")
 
 
-def mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> List[Fraction]:
-    out = [_F0] * n
+def _ints(a: Laurent, n: int) -> List[int]:
+    """The numerators of a through x^(n-1), as a dense list."""
+    return [a.num.get(k, 0) for k in range(n)]
+
+
+def _conv(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
+    """The product of two dense int lists through x^(n-1)."""
+    out = [0] * n
     for i, x in enumerate(a[:n]):
-        if not x:
-            continue
-        for j, y in enumerate(b[:n - i]):
-            if y:
-                out[i + j] += x * y
+        if x:
+            for j, y in enumerate(b[:n - i], i):
+                if y:
+                    out[j] += x * y
     return out
 
 
-def inv(a: Sequence[Fraction], n: int) -> List[Fraction]:
-    if not a[0]:
+def _series(like: Laurent, num: Sequence[int], den: int) -> Laurent:
+    return like._new({k: v for k, v in enumerate(num) if v}, den)
+
+
+def mul(a: Laurent, b: Laurent, n: int) -> Laurent:
+    return _series(a, _conv(_ints(a, n), _ints(b, n), n), a.den * b.den)
+
+
+def inv(a: Laurent, n: int) -> Laurent:
+    """1/a.  With a = g A / D, A primitive and A_0 > 0, the numbers
+    c_m = A_0^(m+1) [x^m] 1/A are integers: c_0 = 1 and
+    c_m = -sum_{j=1}^{m} A_j A_0^(j-1) c_{m-j}."""
+    num = _ints(a, n)
+    if not num[0]:
         raise UsageError("series with zero constant term is not invertible")
-    out = [_F0] * n
-    out[0] = _F1 / a[0]
+    g = gcd(*num) if num[0] > 0 else -gcd(*num)
+    num = [v // g for v in num]
+    pw = [num[0] ** k for k in range(n + 1)]
+    terms = [(j, num[j] * pw[j - 1]) for j in range(1, n) if num[j]]
+    c = [1] * n
     for m in range(1, n):
-        acc = _F0
-        for j in range(1, min(m + 1, len(a))):
-            if a[j]:
-                acc += a[j] * out[m - j]
-        out[m] = -acc / a[0]
-    return out
+        c[m] = -sum(v * c[m - j] for j, v in terms if j <= m)
+    # 1/a = D / (g A), over the denominator |g| A_0^n
+    top = a.den if g > 0 else -a.den
+    return _series(a, [top * cm * pw[n - 1 - m] for m, cm in enumerate(c)], abs(g) * pw[n])
 
 
-def exp(a: Sequence[Fraction], n: int) -> List[Fraction]:
-    if a[0]:
+def exp(a: Laurent, n: int) -> Laurent:
+    """e^a.  With a = A / D, the numbers E_m = (n-1)! D^m [x^m] e^a are
+    integers (the denominator of [x^m] e^a divides m! D^m), and
+    m e_m = sum_k k a_k e_{m-k} gives m E_m = sum_{k=1}^{m} k A_k D^(k-1) E_{m-k}."""
+    num = _ints(a, n)
+    if num[0]:
         raise UsageError("exp needs zero constant term")
-    out = [_F1] + [_F0] * (n - 1)
-    term = list(out)
+    dp = [a.den ** k for k in range(n + 1)]
+    terms = [(k, k * num[k] * dp[k - 1]) for k in range(1, n) if num[k]]
+    e = [factorial(n - 1)] * n
     for m in range(1, n):
-        term = [x / m for x in mul(term, a, n)]
-        out = [x + y for x, y in zip(out, term)]
-    return out
+        e[m] = sum(v * e[m - k] for k, v in terms if k <= m) // m
+    return _series(a, [em * dp[n - 1 - m] for m, em in enumerate(e)], e[0] * dp[n - 1])
 
 
-def compose(outer: Sequence[Fraction], inner: Sequence[Fraction], n: int) -> List[Fraction]:
-    """outer(inner(x)) with inner(0) = 0."""
-    if inner[0]:
+def compose(outer: Laurent, inner: Laurent, n: int) -> Laurent:
+    """outer(inner(x)) with inner(0) = 0, by Horner from the top term.
+
+    inner^m vanishes below x^m, so the step that adds outer_m keeps n - m
+    coefficients.  With inner = I / D the integer Horner sum is
+    sum_m outer_m I^m D^(top-m), over outer's denominator times D^top.
+    """
+    inner_num = _ints(inner, n)
+    if inner_num[0]:
         raise UsageError("composition needs zero constant inner term")
-    out = [_F0] * n
-    out[0] = outer[0] if outer else _F0
-    power = [_F1] + [_F0] * (n - 1)
-    # inner^m has valuation >= m, so powers from n on vanish
-    for m in range(1, min(len(outer), n)):
-        power = mul(power, inner, n)
-        if outer[m]:
-            out = [x + outer[m] * y for x, y in zip(out, power)]
-    return out
+    outer_num = _ints(outer, n)
+    top = max((m for m, v in enumerate(outer_num) if v), default=0)
+    acc = [outer_num[top]]
+    scale = 1
+    for m in range(top - 1, -1, -1):
+        scale *= inner.den
+        acc = _conv(acc, inner_num, n - m)
+        acc[0] += outer_num[m] * scale
+    return _series(outer, acc, outer.den * scale)
 
 
 def graded_log(z: Sequence[R], zero: R) -> List[R]:

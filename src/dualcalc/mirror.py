@@ -1,8 +1,12 @@
 """Mirror hypergeometric engine.
 
-Quintic side: the degree-5 hypersurface series in Q[H]/(H^5), the mirror-map
-change of variables and the cubic-normalized potential, plus the classical
-k^{-3} multiple-cover inversion.
+Quintic side: the bracket coefficients read off the toric series of the
+quintic spec, the mirror-map change of variables and the cubic-normalized
+potential on ``dense`` Q-series, plus the classical k^{-3} multiple-cover
+inversion.
+
+Toric side: the convex-case series of a toric spec in the truncated ring
+Q[G_1..G_r]/(G_i^{n_i}), held as ``Poly`` values keyed by exponent tuples.
 
 Grassmannian side: the product-of-projective-spaces series, the
 antisymmetrizing derivative operator with its pi sqrt(-1) bookkeeping symbol
@@ -25,11 +29,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
+from operator import add, lt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dense
 from .errors import InternalError, UsageError, VerificationFailure
-from .laurent import Laurent
+from .laurent import Laurent, Poly
 from .nilpotent import XPoly, exp_x_times
 from .partitions import compositions
 
@@ -41,139 +46,93 @@ Frac = Fraction
 # ===========================================================================
 
 @lru_cache(maxsize=None)
-def quintic_hg(d_max: int) -> Tuple[Dict[int, List[Frac]], ...]:
-    """Bracket coefficients (f0, f1, f2, f3) of the quintic series.
-
-    Each f_i maps degree d to the t-polynomial coefficient list of e^{dt}.
-    The m = 0 factor keeps the overall 5; downstream ratios are insensitive.
-    """
-    if d_max < 1:
-        raise UsageError("need at least degree 1")
-    nilp = 5
-    f: Tuple[Dict[int, List[Frac]], ...] = tuple({} for _ in range(4))
-    for d in range(d_max + 1):
-        num = [Frac(1)]
-        for m in range(0, 5 * d + 1):
-            num = dense.mul(num, [Frac(m), Frac(5)], nilp)
-        den = [Frac(1)]
-        for m in range(1, d + 1):
-            lin = [Frac(m), Frac(1)]
-            for _ in range(5):
-                den = dense.mul(den, lin, nilp)
-        slice_d = dense.mul(num, dense.inv(den, nilp), nilp)
-        if slice_d[0]:
-            raise InternalError("quintic slice not divisible by the hyperplane class")
-        # multiply by e^{Ht} and read off coefficients of H^{i+1}
-        for i in range(4):
-            tpoly = [Frac(0)] * (i + 2)
-            for j in range(i + 2):
-                h = i + 1 - j
-                if h < nilp and slice_d[h]:
-                    tpoly[j] = slice_d[h] / factorial(j)
-            while tpoly and not tpoly[-1]:
-                tpoly.pop()
-            f[i][d] = tpoly
-    return f
-
-
-@lru_cache(maxsize=None)
 def candelas(d_max: int) -> dict:
     """Mirror map and degree coefficients of the cubic-normalized potential.
 
-    Returns {"K": [K_1..K_dmax], "mirror_map": u-series, "cubic": 5/6,
-    "inverse_map": B-series with Q = Qt * B(Qt)}.
+    The bracket coefficients are the toric series of the quintic spec: the
+    degree-5 line bundle on P^4.  Returns {"K": [K_1..K_dmax], "mirror_map":
+    u-series, "cubic": 5/6, "inverse_map": B-series with Q = Qt * B(Qt),
+    "q_of_qt": Qt * B(Qt)}, each series the list of its Fraction
+    coefficients of Q^0..Q^dmax.
     """
     if d_max < 1:
         raise UsageError("need at least degree 1")
-    f = quintic_hg(d_max)
     n = d_max + 1
-
-    def tq(fi: Dict[int, List[Frac]]) -> Dict[int, List[Frac]]:
-        out: Dict[int, List[Frac]] = {}
-        for d, tpoly in fi.items():
-            for j, c in enumerate(tpoly):
-                if c:
-                    out.setdefault(j, [Frac(0)] * n)[d] = c
-        return out
-
-    F = [tq(fi) for fi in f]
+    zero = Laurent()
+    # F[i][j]: the Q-series of H^(i+1) t^j.  H -> -H sends the toric slices
+    # to minus the quintic's, each t^j/j! of e^{-Ht} to that of e^{Ht}:
+    # [H^h t^j] of degree d is -(-1)^h b[(d,)][((h,), (j,))].  The k = 0
+    # numerator factor keeps the overall 5; downstream ratios are insensitive.
+    by_j: List[Dict[int, Dict[int, Frac]]] = [{} for _ in range(4)]
+    for (d,), coeffs in toric_b_series([("H", 5)], [[5]], [[1]] * 5, d_max).items():
+        for ((h,), (j,)), v in coeffs.items():
+            if not h:
+                raise InternalError("quintic slice not divisible by the hyperplane class")
+            by_j[h - 1].setdefault(j, {})[d] = v if h % 2 else -v
+    F = [{j: Laurent(qs) for j, qs in fi.items()} for fi in by_j]
     # peel the e^{Ht}-injected t-powers: f_k = sum_j t^j/j! S_{k-j}
-    S: List[List[Frac]] = []
+    S: List[Laurent] = []
     for k in range(4):
-        Sk = list(F[k].get(0, [Frac(0)] * n))
         for j in range(1, k + 1):
-            expect = [c / factorial(j) for c in S[k - j]]
-            got = F[k].get(j, [Frac(0)] * n)
-            if got != expect:
+            if F[k].get(j, zero) != S[k - j].scale(Frac(1, factorial(j))):
                 raise InternalError("bracket coefficients violate the e^{Ht} structure")
-        S.append(Sk)
+        S.append(F[k].get(0, zero))
     s0 = S[0]
-    if s0[0] != 5:
+    if Frac(s0.num.get(0, 0), s0.den) != 5:
         raise InternalError("unexpected overall normalization of the quintic series")
-    u = dense.mul(S[1], dense.inv(s0, n), n)       # mirror map: T = t + u(Q)
-    if u[0]:
+    inv0 = dense.inv(s0, n)
+    u = dense.mul(S[1], inv0, n)       # mirror map: T = t + u(Q)
+    if 0 in u.num:
         raise InternalError("mirror map must fix the log term")
     # inverse map: Q = Qt B(Qt) with Qt = Q e^{u(Q)}
     e_u = dense.exp(u, n)
-    B = [Frac(1)] + [Frac(0)] * (n - 1)
+    B = Laurent.const(1)
     for _ in range(n):
-        inner = dense.mul([Frac(0), Frac(1)], B, n)      # Qt * B
-        B = dense.inv(dense.compose(e_u, inner, n), n)
-    q_of_qt = dense.mul([Frac(0), Frac(1)], B, n)
+        B = dense.inv(dense.compose(e_u, B.shift(1), n), n)
+    q_of_qt = B.shift(1)
 
-    # potential as a t-polynomial with Q-series coefficients
-    inv0 = dense.inv(s0, n)
+    # potential as a t-polynomial with Q-series coefficients:
+    # 5/2 (f1 f2 / s0^2 - f3 / s0)
     inv0sq = dense.mul(inv0, inv0, n)
-
-    def fprod(a: Dict[int, List[Frac]], b: Dict[int, List[Frac]]) -> Dict[int, List[Frac]]:
-        out: Dict[int, List[Frac]] = {}
-        for j1, c1 in a.items():
-            for j2, c2 in b.items():
-                cur = out.setdefault(j1 + j2, [Frac(0)] * n)
-                prod = dense.mul(c1, c2, n)
-                out[j1 + j2] = [x + y for x, y in zip(cur, prod)]
-        return out
-
-    def fscale(a: Dict[int, List[Frac]], qs: List[Frac]) -> Dict[int, List[Frac]]:
-        return {j: dense.mul(c, qs, n) for j, c in a.items()}
-
-    pot = fscale(fprod(F[1], F[2]), inv0sq)
-    f3s = fscale(F[3], inv0)
-    potential: Dict[int, List[Frac]] = {}
-    for j in set(pot) | set(f3s):
-        a = pot.get(j, [Frac(0)] * n)
-        b = f3s.get(j, [Frac(0)] * n)
-        potential[j] = [Frac(5, 2) * (x - y) for x, y in zip(a, b)]
+    f12: Dict[int, Laurent] = {}
+    for j1, c1 in F[1].items():
+        for j2, c2 in F[2].items():
+            f12[j1 + j2] = f12.get(j1 + j2, zero) + dense.mul(c1, c2, n)
+    potential = {j: dense.mul(c, inv0sq, n) for j, c in f12.items()}
+    for j, c in F[3].items():
+        potential[j] = potential.get(j, zero) - dense.mul(c, inv0, n)
 
     # substitute t = T - u(Q), then Q = Q(Qt)
-    minus_u_pow = {0: [Frac(1)] + [Frac(0)] * (n - 1)}
-    for j in range(1, max(potential) + 1):
-        minus_u_pow[j] = dense.mul(minus_u_pow[j - 1], [-c for c in u], n)
-    in_T: Dict[int, List[Frac]] = {}
+    minus_u_pow = [Laurent.const(1)]
+    for _ in range(max(potential)):
+        minus_u_pow.append(dense.mul(minus_u_pow[-1], -u, n))
+    in_T: Dict[int, Laurent] = {}
     for j, qs in potential.items():
         for r in range(j + 1):
-            w = comb(j, r)
-            piece = dense.mul(qs, minus_u_pow[j - r], n)
-            cur = in_T.setdefault(r, [Frac(0)] * n)
-            in_T[r] = [x + w * y for x, y in zip(cur, piece)]
-    for r in in_T:
-        in_T[r] = dense.compose(in_T[r], q_of_qt, n)
+            piece = dense.mul(qs, minus_u_pow[j - r], n).scale(Frac(5, 2) * comb(j, r))
+            in_T[r] = in_T.get(r, zero) + piece
+    in_T = {r: dense.compose(qs, q_of_qt, n) for r, qs in in_T.items()}
 
-    cubic = in_T.get(3, [Frac(0)] * n)
-    if cubic[0] != Frac(5, 6) or any(cubic[1:]):
+    cubic = in_T.get(3, zero)
+    if cubic != Laurent.const(Frac(5, 6)):
         raise VerificationFailure("cubic coefficient of the potential is not 5/6")
     for r in (1, 2):
-        if any(in_T.get(r, [])):
+        if in_T.get(r, zero):
             raise VerificationFailure(f"T^{r} coefficient of the potential survives")
-    k_series = in_T.get(0, [Frac(0)] * n)
-    if k_series[0]:
+    k_series = in_T.get(0, zero)
+    if 0 in k_series.num:
         raise VerificationFailure("constant term of the potential survives")
+
+    def fracs(qs: Laurent) -> List[Frac]:
+        c = qs.c
+        return [c.get(k, Frac(0)) for k in range(n)]
+
     return {
-        "K": k_series[1:],
-        "mirror_map": u,
-        "inverse_map": B,
-        "cubic": cubic[0],
-        "q_of_qt": q_of_qt,
+        "K": fracs(k_series)[1:],
+        "mirror_map": fracs(u),
+        "inverse_map": fracs(B),
+        "cubic": fracs(cubic)[0],
+        "q_of_qt": fracs(q_of_qt),
     }
 
 
@@ -181,10 +140,9 @@ def mirror_map_round_trip(d_max: int) -> bool:
     """t(T(t)) = t through e^{d_max t}: Q(Qt(Q)) = Q as series."""
     data = candelas(d_max)
     n = d_max + 1
-    e_u = dense.exp(data["mirror_map"], n)
-    qt_of_q = dense.mul([Frac(0), Frac(1)], e_u, n)
-    round_trip = dense.compose(data["q_of_qt"], qt_of_q, n)
-    return round_trip == [Frac(0), Frac(1)] + [Frac(0)] * (n - 2)
+    u, q_of_qt = (Laurent(dict(enumerate(data[key]))) for key in ("mirror_map", "q_of_qt"))
+    qt_of_q = dense.exp(u, n).shift(1)
+    return dense.compose(q_of_qt, qt_of_q, n) == Laurent.mono(1)
 
 
 def multiple_cover_invert(k_list: Sequence[Frac]) -> List[int]:
@@ -225,75 +183,63 @@ def toric_b_series(generators: Sequence[Tuple[str, int]],
     Classes are integer vectors in the generator basis; the pairing of a
     class with a multidegree d is the dot product (generators dual to the
     degree basis).  Output: {d: {(gen exps, t exps): coefficient}} including
-    the e^{-H t} factor.
+    the e^{-H t} factor.  Ring values are ``Poly`` keyed by the generator
+    exponents followed by the t exponents.
     """
     r = len(generators)
     nilps = tuple(n for _, n in generators)
+    if d_max < 0:
+        raise UsageError("degree must be nonnegative")
+    if not r:
+        raise UsageError("need at least one generator")
+    if min(nilps) < 1:
+        raise UsageError("nilpotency must be at least 1")
     if any(len(v) != r for v in line_bundles) or any(len(v) != r for v in divisors):
         raise UsageError("class vectors must match the generator count")
+    zero = (0,) * (2 * r)
+    units = [tuple(int(k == i) for k in range(2 * r)) for i in range(r)]
+    one = Poly({zero: 1})
 
-    def ring_mul(a, b):
-        out: Dict[Tuple[int, ...], Frac] = {}
-        for e1, v1 in a.items():
-            for e2, v2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if any(e[i] >= nilps[i] for i in range(r)):
-                    continue
-                out[e] = out.get(e, Frac(0)) + v1 * v2
-        return {k: v for k, v in out.items() if v}
+    def ring_mul(a: Poly, b: Poly) -> Poly:
+        # truncated to the nilpotency box; zip stops before the t exponents
+        out: Dict[Tuple[int, ...], int] = {}
+        for e1, v1 in a.num.items():
+            for e2, v2 in b.num.items():
+                e = tuple(map(add, e1, e2))
+                if all(map(lt, e, nilps)):
+                    out[e] = out.get(e, 0) + v1 * v2
+        return a._new({k: v for k, v in out.items() if v}, a.den * b.den)
 
-    def lin(vec, const) -> Dict[Tuple[int, ...], Frac]:
-        out = {(0,) * r: Frac(const)} if const else {}
-        for i, c in enumerate(vec):
-            if c:
-                e = tuple(1 if j == i else 0 for j in range(r))
-                out[e] = out.get(e, Frac(0)) + c
-        return out
+    def lin(vec: Sequence[int], const: int) -> Poly:
+        return Poly({zero: const, **dict(zip(units, vec))})
 
-    def ring_inv(a):
-        # (c0 + N)^{-1} = sum_m (-1)^m N^m / c0^{m+1} with N nilpotent
-        c0 = a.get((0,) * r, Frac(0))
+    def ring_inv(a: Poly) -> Poly:
+        # (c0 + N)^{-1} = c0^{-1} sum_m (-N/c0)^m with N nilpotent, by Horner
+        c0 = Frac(a.num.get(zero, 0), a.den)
         if not c0:
             raise UsageError("non-invertible denominator factor")
-        nil = {k: v for k, v in a.items() if any(k)}
-        max_steps = sum(nn - 1 for nn in nilps)
-        out: Dict[Tuple[int, ...], Frac] = {}
-        power = {(0,) * r: Frac(1)}
-        for m in range(max_steps + 1):
-            for kk, v in power.items():
-                out[kk] = out.get(kk, Frac(0)) + ((-1) ** m) * v / c0 ** (m + 1)
-            power = ring_mul(power, nil)
-            if not power:
-                break
-        return {k: v for k, v in out.items() if v}
+        step = (a - Poly({zero: c0})).scale(-1 / c0)
+        out = one
+        for _ in range(sum(nilps) - r):
+            out = one + ring_mul(step, out)
+        return out.scale(1 / c0)
 
     # e^{-H t} = prod_j e^{-G_j t_j}
-    expfac: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Frac] = {}
-    base = [((0,) * r, (0,) * r, Frac(1))]
-    for j in range(r):
-        new = []
-        for ge, te, v in base:
-            for m in range(nilps[j]):
-                ge2 = tuple(ge[i] + (m if i == j else 0) for i in range(r))
-                if any(ge2[i] >= nilps[i] for i in range(r)):
-                    continue
-                te2 = tuple(te[i] + (m if i == j else 0) for i in range(r))
-                new.append((ge2, te2, v * Frac((-1) ** m, factorial(m))))
-        base = new
-    for ge, te, v in base:
-        expfac[(ge, te)] = expfac.get((ge, te), Frac(0)) + v
+    expfac = one
+    for j, nilp in enumerate(nilps):
+        expfac = ring_mul(expfac, Poly({tuple(m * (i % r == j) for i in range(2 * r)):
+                                        Frac((-1) ** m, factorial(m)) for m in range(nilp)}))
 
-    degrees = [d for s in range(d_max + 1) for d in compositions(s, r)]
     out: Dict[Tuple[int, ...], Dict] = {}
-    for d in degrees:
-        num = {(0,) * r: Frac(1)}
+    for d in (d for s in range(d_max + 1) for d in compositions(s, r)):
+        num = one
         for vec in line_bundles:
             pair = sum(c * dd for c, dd in zip(vec, d))
             if pair < 0:
                 raise UsageError("negative line-bundle pairing: outside the convex case")
             for k in range(0, pair + 1):
                 num = ring_mul(num, lin(vec, -k))
-        den = {(0,) * r: Frac(1)}
+        den = one
         for vec in divisors:
             pair = sum(c * dd for c, dd in zip(vec, d))
             if pair < 0:
@@ -302,20 +248,8 @@ def toric_b_series(generators: Sequence[Tuple[str, int]],
             else:
                 for k in range(1, pair + 1):
                     den = ring_mul(den, lin(vec, -k))
-        slice_d = ring_mul(num, ring_inv(den))
-        full: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Frac] = {}
-        for (ge, te), v in expfac.items():
-            for e2, v2 in slice_d.items():
-                e = tuple(x + y for x, y in zip(ge, e2))
-                if any(e[i] >= nilps[i] for i in range(r)):
-                    continue
-                key = (e, te)
-                s = full.get(key, Frac(0)) + v * v2
-                if s:
-                    full[key] = s
-                elif key in full:
-                    del full[key]
-        out[d] = full
+        full = ring_mul(expfac, ring_mul(num, ring_inv(den)))
+        out[d] = {(e[:r], e[r:]): v for e, v in full.c.items()}
     return out
 
 
@@ -429,19 +363,6 @@ def _bialternant(rows: Dict[Tuple[int, int], XPoly], k: int, n: int, d: int,
         for (_x, _p, te), coef in v.c.items():
             by_t.setdefault(te, {})[lam] = coef
     return by_t
-
-
-def gr_loc_sum(k: int, n: int, d: int) -> Dict[Tuple[int, ...], Laurent]:
-    """Localization-sum class in the Schur basis of H*(Gr(k,n))."""
-    if not (1 <= k < n):
-        raise UsageError("need 1 <= k < n")
-    if d < 0:
-        raise UsageError("degree must be nonnegative")
-    cap = _gr_cap(k, n)
-    by_t = _bialternant(_loc_rows(k, n, d, cap), k, n, d, cap)
-    if set(by_t) - {0}:
-        raise InternalError("unexpected symbol in the localization sum")
-    return by_t.get(0, {})
 
 
 @lru_cache(maxsize=None)

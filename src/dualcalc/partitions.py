@@ -7,7 +7,6 @@ of their keys, so concurrent use only ever repeats idempotent inserts.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterator, List, Tuple
@@ -186,11 +185,6 @@ def hook_product(nu: Partition) -> int:
     return out
 
 
-def hook_dim(nu: Partition) -> Fraction:
-    """dim R_nu / |nu|! = 1/prod of hook lengths."""
-    return Fraction(1, hook_product(nu))
-
-
 def dim(nu: Partition) -> int:
     d, r = divmod(factorial(size(nu)), hook_product(nu))
     if r:
@@ -247,7 +241,3 @@ def _mn(nu: Partition, mu: Partition) -> int:
     _char_cache[key] = total
     return total
 
-
-def basic_stats(mu: Partition) -> Tuple[int, int, int]:
-    """(z_mu, |Aut(mu)|, kappa_mu)."""
-    return zmu(mu), aut(mu), kappa(mu)

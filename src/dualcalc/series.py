@@ -367,21 +367,6 @@ def _collect(parts: list) -> TauLaurent:
     return TL_ZERO._new(imag, den, 1) if imag else TL_ZERO._new(real, den, 0)
 
 
-def sin_expand(m: int, trunc: int) -> LambdaSeries:
-    """2*sin(m*lambda/2) as a series with rational coefficients, to order ``trunc``."""
-    if trunc <= 1:
-        raise UsageError("truncation order must exceed 1")
-    if m == 0:
-        return LambdaSeries(0, [])
-    half = Fraction(m, 2)
-    coeffs: Dict[int, object] = {}
-    k = 1
-    while k < trunc:
-        coeffs[k] = 2 * (-1) ** ((k - 1) // 2) * half ** k / factorial(k)
-        k += 2
-    return LambdaSeries.from_map(coeffs, trunc)
-
-
 def exp_monomial(coeff, exp: int, trunc: int) -> LambdaSeries:
     """exp(coeff * lambda^exp) for exp >= 1, truncated at ``trunc``.
 

@@ -5,18 +5,24 @@ that ``series.combine`` replaces, the pairwise ``PSeries`` sums and the
 two-branch framed build that ``PSeries._sum`` and the one build loop
 replace, the graded exponential of a ``PSeries``, the ``Fraction`` DVV
 recursion, the cut-and-join Hurwitz recursion on ``PSeries`` slices, the
-interpolation that the finite-difference psi-extraction replaces, and set
-partitions."""
+interpolation that the finite-difference psi-extraction replaces, set
+partitions, the ``Fraction``-list dense kernels, the ``Fraction``-dict toric
+ring, the quintic bracket series built on its own (``mirror.candelas`` reads
+it off the toric series), the 2 sin(m lambda/2) expansion, and the
+localization-sum class of a Grassmannian read through the live ``mirror``
+row kernels."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations
 from math import comb, factorial, gcd
 
-from dualcalc import dense
+from dualcalc import mirror
 from dualcalc.errors import InternalError, UsageError, VerificationFailure
 from dualcalc.hodge import FramedSeries, _one_family_term, _two_family_term
 from dualcalc.hurwitz import elsv_I, ramification_order
-from dualcalc.partitions import add_parts, character, enumerate_partitions, remove_part, zmu
+from dualcalc.laurent import Laurent
+from dualcalc.partitions import (add_parts, character, compositions, enumerate_partitions,
+                                 remove_part, zmu)
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key
 from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine
 
@@ -46,7 +52,7 @@ def q_series(f, order):
     num, den = f.num.c, f.den.c
     assert not f.ipow and not any(k % 2 or k < 0 for k in (*num, *den))
     num, den = ([p.get(2 * k, Fraction(0)) for k in range(order + 1)] for p in (num, den))
-    return dense.mul(num, dense.inv(den, order + 1), order + 1)
+    return dense_mul(num, dense_inv(den, order + 1), order + 1)
 
 
 def _x_series(p, n):
@@ -63,7 +69,7 @@ def _x_series(p, n):
 
 def to_lambda_reference(f, trunc):
     """``QFunction.to_lambda`` over ``Fraction`` series in x = sqrt(-1) lambda,
-    divided by ``dense.mul``/``dense.inv``: the reference for the integer
+    divided by ``dense_mul``/``dense_inv``: the reference for the integer
     quotient."""
     if not f.num:
         return LambdaSeries(0, [])
@@ -76,7 +82,7 @@ def to_lambda_reference(f, trunc):
     den = _x_series(f.den, v + n)
     if any(den[:v]) or not den[v]:
         raise InternalError("denominator x-valuation differs from its Phi_1 exponent")
-    quo = dense.mul(num[lo:], dense.inv(den[v:], n), n)
+    quo = dense_mul(num[lo:], dense_inv(den[v:], n), n)
     lo -= v
     return LambdaSeries.from_map(
         {lo + j: TauLaurent.phased(lo + j - f.ipow, {0: c})
@@ -84,13 +90,13 @@ def to_lambda_reference(f, trunc):
 
 
 def reciprocal(s):
-    """1/s for a ``LambdaSeries`` with rational coefficients, by ``dense.inv``
+    """1/s for a ``LambdaSeries`` with rational coefficients, by ``dense_inv``
     on the coefficients from its lowest nonzero term: 1/s has as many
     coefficients as s from there, starting at minus its valuation."""
     s = s.pruned()
     co = [c.as_scalar() for c in s.co]
     assert not any(c.im for c in co)
-    inv = dense.inv([c.re for c in co], len(co))
+    inv = dense_inv([c.re for c in co], len(co))
     return LambdaSeries.from_map({j - s.floor: c for j, c in enumerate(inv) if c},
                                  len(co) - s.floor)
 
@@ -469,3 +475,193 @@ def set_partitions(n):
             out.append(sub[:i] + ((0,) + sub[i],) + sub[i + 1:])
         out.append(((0,),) + sub)
     return tuple(out)
+
+
+# -- dense series over Fraction lists -------------------------------------------
+# A series is the list of its coefficients of x^0, x^1, ...; each kernel
+# returns exactly n of them, and shorter inputs are padded with zeros.
+
+def dense_mul(a, b, n):
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        if not x:
+            continue
+        for j, y in enumerate(b[:n - i]):
+            if y:
+                out[i + j] += x * y
+    return out
+
+
+def dense_inv(a, n):
+    if not a[0]:
+        raise UsageError("series with zero constant term is not invertible")
+    out = [Fraction(0)] * n
+    out[0] = 1 / Fraction(a[0])
+    for m in range(1, n):
+        acc = Fraction(0)
+        for j in range(1, min(m + 1, len(a))):
+            if a[j]:
+                acc += a[j] * out[m - j]
+        out[m] = -acc / a[0]
+    return out
+
+
+def dense_exp(a, n):
+    if a[0]:
+        raise UsageError("exp needs zero constant term")
+    out = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    term = list(out)
+    for m in range(1, n):
+        term = [x / m for x in dense_mul(term, a, n)]
+        out = [x + y for x, y in zip(out, term)]
+    return out
+
+
+def dense_compose(outer, inner, n):
+    """outer(inner(x)) with inner(0) = 0, by running powers of inner."""
+    if inner[0]:
+        raise UsageError("composition needs zero constant inner term")
+    out = [Fraction(0)] * n
+    out[0] = outer[0] if outer else Fraction(0)
+    power = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for m in range(1, min(len(outer), n)):
+        power = dense_mul(power, inner, n)
+        if outer[m]:
+            out = [x + outer[m] * y for x, y in zip(out, power)]
+    return out
+
+
+def as_list(p, n):
+    """The coefficients of x^0..x^(n-1) of a ``Laurent`` series."""
+    c = p.c
+    return [c.get(k, Fraction(0)) for k in range(n)]
+
+
+def as_laurent(a):
+    return Laurent(dict(enumerate(a)))
+
+
+# -- mirror series on Fraction -----------------------------------------------------
+
+def quintic_hg_reference(d_max):
+    """Bracket coefficients (f0, f1, f2, f3) of the quintic series, built on
+    its own: each f_i maps degree d to the t-polynomial coefficient list of
+    e^{dt} at H^(i+1), in Q[H]/(H^5).  The m = 0 factor keeps the overall 5."""
+    nilp = 5
+    f = tuple({} for _ in range(4))
+    for d in range(d_max + 1):
+        num = [Fraction(1)]
+        for m in range(0, 5 * d + 1):
+            num = dense_mul(num, [Fraction(m), Fraction(5)], nilp)
+        den = [Fraction(1)]
+        for m in range(1, d + 1):
+            for _ in range(5):
+                den = dense_mul(den, [Fraction(m), Fraction(1)], nilp)
+        slice_d = dense_mul(num, dense_inv(den, nilp), nilp)
+        assert not slice_d[0]
+        # multiply by e^{Ht} and read off the coefficients of H^(i+1)
+        for i in range(4):
+            tpoly = [slice_d[i + 1 - j] / factorial(j) for j in range(i + 2)]
+            while tpoly and not tpoly[-1]:
+                tpoly.pop()
+            f[i][d] = tpoly
+    return f
+
+
+def toric_b_series_reference(generators, line_bundles, divisors, d_max):
+    """``mirror.toric_b_series`` on a ``Fraction``-dict ring keyed by
+    generator exponents, with the inverse as a Neumann series of powers."""
+    r = len(generators)
+    nilps = tuple(n for _, n in generators)
+    zero = (0,) * r
+
+    def ring_mul(a, b):
+        out = {}
+        for e1, v1 in a.items():
+            for e2, v2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                if all(x < n for x, n in zip(e, nilps)):
+                    out[e] = out.get(e, Fraction(0)) + v1 * v2
+        return {k: v for k, v in out.items() if v}
+
+    def lin(vec, const):
+        out = {zero: Fraction(const)} if const else {}
+        for i, c in enumerate(vec):
+            if c:
+                out[tuple(int(j == i) for j in range(r))] = Fraction(c)
+        return out
+
+    def ring_inv(a):
+        # (c0 + N)^{-1} = sum_m (-1)^m N^m / c0^{m+1} with N nilpotent
+        c0 = a[zero]
+        nil = {k: v for k, v in a.items() if k != zero}
+        out, power, m = {}, {zero: Fraction(1)}, 0
+        while power:
+            for k, v in power.items():
+                out[k] = out.get(k, Fraction(0)) + (-1) ** m * v / c0 ** (m + 1)
+            power, m = ring_mul(power, nil), m + 1
+        return {k: v for k, v in out.items() if v}
+
+    # e^{-H t}, keyed (generator exponents, t exponents)
+    expfac = [(zero, zero, Fraction(1))]
+    for j in range(r):
+        expfac = [(tuple(x + m * (i == j) for i, x in enumerate(ge)),
+                   tuple(x + m * (i == j) for i, x in enumerate(te)),
+                   v * Fraction((-1) ** m, factorial(m)))
+                  for ge, te, v in expfac for m in range(nilps[j])]
+    out = {}
+    for d in (d for s in range(d_max + 1) for d in compositions(s, r)):
+        num, den = {zero: Fraction(1)}, {zero: Fraction(1)}
+        for vec in line_bundles:
+            pair = sum(c * dd for c, dd in zip(vec, d))
+            for k in range(pair + 1):
+                num = ring_mul(num, lin(vec, -k))
+        for vec in divisors:
+            pair = sum(c * dd for c, dd in zip(vec, d))
+            if pair < 0:
+                for k in range(-pair):
+                    num = ring_mul(num, lin(vec, k))
+            else:
+                for k in range(1, pair + 1):
+                    den = ring_mul(den, lin(vec, -k))
+        slice_d = ring_mul(num, ring_inv(den))
+        full = {}
+        for ge, te, v in expfac:
+            for e2, v2 in slice_d.items():
+                e = tuple(x + y for x, y in zip(ge, e2))
+                if all(x < n for x, n in zip(e, nilps)):
+                    full[(e, te)] = full.get((e, te), Fraction(0)) + v * v2
+        out[d] = {k: v for k, v in full.items() if v}
+    return out
+
+
+def gr_loc_sum(k, n, d):
+    """Localization-sum class in the Schur basis of H*(Gr(k,n)): the degree-d
+    composition sum of ``mirror._loc_rows`` read by ``mirror._bialternant``,
+    with no e^{-tx/alpha} factor and no alpha flip."""
+    if not (1 <= k < n):
+        raise UsageError("need 1 <= k < n")
+    if d < 0:
+        raise UsageError("degree must be nonnegative")
+    cap = mirror._gr_cap(k, n)
+    by_t = mirror._bialternant(mirror._loc_rows(k, n, d, cap), k, n, d, cap)
+    if set(by_t) - {0}:
+        raise InternalError("unexpected symbol in the localization sum")
+    return by_t.get(0, {})
+
+
+# -- lambda series ------------------------------------------------------------------
+
+def sin_expand(m: int, trunc: int) -> LambdaSeries:
+    """2*sin(m*lambda/2) as a series with rational coefficients, to order ``trunc``."""
+    if trunc <= 1:
+        raise UsageError("truncation order must exceed 1")
+    if m == 0:
+        return LambdaSeries(0, [])
+    half = Fraction(m, 2)
+    coeffs = {}
+    k = 1
+    while k < trunc:
+        coeffs[k] = 2 * (-1) ** ((k - 1) // 2) * half ** k / factorial(k)
+        k += 2
+    return LambdaSeries.from_map(coeffs, trunc)

@@ -5,8 +5,7 @@ from dualcalc.chern_simons import (check_pair_reduction, w_one, w_one_lambda,
 from dualcalc.partitions import enumerate_partitions, size
 from dualcalc.qfunc import QFunction, ULaurent
 from dualcalc.scalars import GaussianRational
-from dualcalc.series import sin_expand
-from oracles import reciprocal
+from oracles import reciprocal, sin_expand
 
 
 def test_w_one_empty_and_single():

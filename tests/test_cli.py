@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import io
 import json
 import os
@@ -13,6 +15,7 @@ import pytest
 from dualcalc import cli, verify
 
 GOLDEN = Path(__file__).parent / "golden"
+P4_SPEC = str(GOLDEN / "toric-p4-spec.json")
 
 
 def run(argv):
@@ -168,6 +171,13 @@ VACUOUS = {
     "w-expand-zero": ["w", "--mu", "1", "--expand", "0"],
     "inject-unknown-check": ["verify-all", "--inject-fault", "no-such-check"],
     "mv-pde-order-too-small": ["mv", "--check", "pde", "--degree", "4", "--order", "1"],
+    # a dict stands for a toric spec file with that content
+    "toric-negative-degree": ["mirror", "toric", "--spec", P4_SPEC, "--max-degree", "-1"],
+    "toric-no-generators": ["mirror", "toric", "--spec",
+                            {"generators": [], "line_bundles": [], "divisors": []}],
+    "toric-nilpotency-zero": ["mirror", "toric", "--spec",
+                              {"generators": [{"name": "H", "nilpotency": 0}],
+                               "line_bundles": [[1]], "divisors": [[1]]}],
 }
 
 
@@ -177,6 +187,10 @@ VACUOUS = {
 def test_bad_input_is_one_usage_document(case, tmp_path):
     spec = tmp_path / "spec.json"
     argv = VACUOUS.get(case, ["mirror", "toric", "--spec", str(spec)])
+    for a in argv:
+        if isinstance(a, dict):
+            spec.write_text(json.dumps(a))
+    argv = [str(spec) if isinstance(a, dict) else a for a in argv]
     if case == "non-integer-part":
         argv = ["hurwitz", "--genus", "0", "--partition", "a,b"]
     elif case == "malformed-spec":
@@ -358,60 +372,102 @@ def test_toric_golden(name, spec, degree, monkeypatch):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
-# every operation of every module is reachable from some subcommand;
-# the mapping below is the audit, and each invocation must succeed
+# every operation of every module is reachable from some subcommand: each
+# row names the function it claims, and the command must call it
 OP_COVERAGE = {
     # exact core
-    "series_arith": ["w", "--mu", "1", "--expand", "6"],
-    "series_exp_log": ["mv", "--check", "pde", "--degree", "2", "--order", "7"],
-    "bernoulli": ["mv", "--check", "lambda-g", "--degree", "1", "--order", "9"],
-    "gv_kernel": ["vertex", "local-p2", "--max-degree", "1", "--max-genus", "1", "--gv"],
-    "qfun_to_lambda": ["w", "--mu", "2", "--expand", "6"],
+    "series_arith": ("series.combine", ["vertex", "local-p2", "--max-degree", "1",
+                                        "--max-genus", "1", "--gv"]),
+    "series_exp_log": ("dense.graded_log",
+                       ["mv", "--check", "pde", "--degree", "2", "--order", "7"]),
+    "bernoulli": ("scalars.bernoulli",
+                  ["mv", "--check", "lambda-g", "--degree", "1", "--order", "9"]),
+    "gv_kernel": ("vertex._kernel", ["vertex", "local-p2", "--max-degree", "1",
+                                     "--max-genus", "1", "--gv"]),
+    "qfun_to_lambda": ("qfunc.QFunction.to_lambda", ["w", "--mu", "2", "--expand", "6"]),
     # partition engine
-    "enumerate_partitions": ["hurwitz", "--genus", "0", "--partition", "3"],
-    "basic_stats": ["hurwitz", "--genus", "0", "--partition", "2,1"],
-    "character": ["hurwitz", "--genus", "1", "--partition", "2"],
-    "hook_dim": ["hurwitz", "--genus", "0", "--partition", "2", "--elsv"],
-    "skew_schur_principal": ["w", "--mu", "2,1", "--nu", "1"],
+    "enumerate_partitions": ("partitions.enumerate_partitions",
+                             ["hurwitz", "--genus", "0", "--partition", "3"]),
+    "character": ("partitions.character", ["hurwitz", "--genus", "1", "--partition", "2"]),
+    "skew_schur_principal": ("schur.skew_schur_principal", ["w", "--mu", "2,1", "--nu", "1"]),
     # chern-simons
-    "w_one": ["w", "--mu", "2,1"],
-    "w_pair": ["w", "--mu", "2", "--nu", "1,1"],
+    "w_one": ("chern_simons.w_one", ["w", "--mu", "2,1"]),
+    "w_pair": ("chern_simons.w_pair", ["w", "--mu", "2", "--nu", "1,1"]),
     # series ring
-    "pseries_mul": ["mv", "--check", "pde", "--degree", "2", "--order", "7"],
-    "cut_join_linear": ["hurwitz", "--genus", "0", "--partition", "2,1", "--method", "cutjoin"],
-    "cut_join_nonlinear": ["mv", "--check", "pde", "--degree", "2", "--order", "7"],
+    "pseries_mul": ("pseries.PSeries.__mul__",
+                    ["mv", "--check", "pde", "--degree", "2", "--order", "7"]),
+    "cut_join_linear": ("pseries.cut_join_terms", ["hurwitz", "--genus", "0", "--partition",
+                                                   "2,1", "--method", "cutjoin"]),
+    "cut_join_nonlinear": ("pseries.PSeries.cut_join_nonlinear",
+                           ["mv", "--check", "pde", "--degree", "2", "--order", "7"]),
     # hurwitz / elsv
-    "burnside_phi": ["hurwitz", "--genus", "1", "--partition", "2,1", "--method", "burnside"],
-    "hurwitz_number": ["hurwitz", "--genus", "1", "--partition", "2,1"],
-    "double_hurwitz": ["mv", "--check", "convolution", "--degree", "2", "--order", "8"],
-    "elsv_I": ["hurwitz", "--genus", "0", "--partition", "1,1,1", "--elsv"],
-    "psi_from_asymptotics": ["witten", "--psi", "1:1"],
+    "burnside_phi": ("hurwitz.burnside_phi",
+                     ["mv", "--check", "elsv-limit", "--degree", "2", "--order", "8"]),
+    "hurwitz_number": ("hurwitz.hurwitz_number",
+                       ["hurwitz", "--genus", "1", "--partition", "2,1"]),
+    "double_hurwitz": ("hurwitz.double_hurwitz",
+                       ["mv", "--check", "convolution", "--degree", "2", "--order", "8"]),
+    "elsv_I": ("hurwitz.elsv_I", ["hurwitz", "--genus", "0", "--partition", "1,1,1", "--elsv"]),
+    "psi_from_asymptotics": ("hurwitz.psi_from_asymptotics", ["witten", "--psi", "1:1"]),
     # framed series
-    "mv_R": ["mv", "--check", "initial", "--degree", "2", "--order", "8"],
-    "mv_pde_residual": ["mv", "--check", "pde", "--degree", "2", "--order", "7"],
-    "mv_initial_value_check": ["mv", "--check", "initial", "--degree", "2", "--order", "8"],
-    "mv_hodge_extract": ["mv", "hodge", "--genus", "0", "--partition", "1,1,1"],
-    "lambda_g_check": ["mv", "--check", "lambda-g", "--degree", "1", "--order", "9"],
-    "mv_to_elsv_limit": ["mv", "--check", "elsv-limit", "--degree", "2", "--order", "8"],
-    "convolution_check": ["mv", "--check", "convolution", "--degree", "2", "--order", "8"],
-    "two_family_structure": ["mv", "--check", "two-partition", "--degree", "2", "--order", "7"],
+    "mv_R": ("hodge.build_series", ["mv", "--check", "initial", "--degree", "2", "--order", "8"]),
+    "mv_pde_residual": ("hodge.pde_residual",
+                        ["mv", "--check", "pde", "--degree", "2", "--order", "7"]),
+    "mv_initial_value_check": ("hodge.initial_value_report",
+                               ["mv", "--check", "initial", "--degree", "2", "--order", "8"]),
+    "mv_hodge_extract": ("hodge.hodge_extract",
+                         ["mv", "hodge", "--genus", "0", "--partition", "1,1,1"]),
+    "lambda_g_check": ("hodge.lambda_g_check",
+                       ["mv", "--check", "lambda-g", "--degree", "1", "--order", "9"]),
+    "mv_to_elsv_limit": ("hodge.elsv_limit_check",
+                         ["mv", "--check", "elsv-limit", "--degree", "2", "--order", "8"]),
+    "convolution_check": ("hodge.convolution_check",
+                          ["mv", "--check", "convolution", "--degree", "2", "--order", "8"]),
+    "two_family_structure": ("hodge._two_family_term", ["mv", "--check", "two-partition",
+                                                        "--degree", "2", "--order", "7"]),
     # vertex / gv
-    "local_p2_z": ["vertex", "local-p2", "--max-degree", "1", "--max-genus", "1"],
-    "extract_gw": ["vertex", "local-p2", "--max-degree", "1", "--max-genus", "1"],
-    "gv_invert": ["vertex", "local-p2", "--max-degree", "1", "--max-genus", "1", "--gv"],
+    "local_p2_z": ("vertex.local_p2_z",
+                   ["vertex", "local-p2", "--max-degree", "1", "--max-genus", "1"]),
+    "extract_gw": ("vertex.extract_gw",
+                   ["vertex", "local-p2", "--max-degree", "1", "--max-genus", "1"]),
+    "gv_invert": ("vertex.gv_invert", ["vertex", "local-p2", "--max-degree", "1",
+                                       "--max-genus", "1", "--gv"]),
     # witten
-    "dvv": ["witten", "--correlator", "0:0,0,0"],
-    "virasoro_residual": ["witten", "--virasoro", "1", "--order", "3"],
+    "dvv": ("intersections.dvv", ["witten", "--correlator", "0:0,0,0"]),
+    "virasoro_residual": ("intersections.virasoro_residual",
+                          ["witten", "--virasoro", "1", "--order", "3"]),
     # mirror
-    "quintic_hg": ["mirror", "quintic", "--max-degree", "2"],
-    "candelas": ["mirror", "quintic", "--max-degree", "2"],
-    "multiple_cover_invert": ["mirror", "quintic", "--max-degree", "2"],
-    "hg_projective": ["mirror", "grassmannian", "-k", "1", "-n", "2", "--max-degree", "1", "--verify"],
-    "gr_loc_sum": ["mirror", "grassmannian", "-k", "1", "-n", "2", "--max-degree", "1", "--verify"],
-    "hori_vafa_series": ["mirror", "grassmannian", "-k", "2", "-n", "3", "--max-degree", "1", "--verify"],
+    "toric_b_series": ("mirror.toric_b_series", ["mirror", "quintic", "--max-degree", "2"]),
+    "candelas": ("mirror.candelas", ["mirror", "quintic", "--max-degree", "2"]),
+    "multiple_cover_invert": ("mirror.multiple_cover_invert",
+                              ["mirror", "quintic", "--max-degree", "2"]),
+    "hg_projective": ("mirror.hg_projective", ["mirror", "grassmannian", "-k", "1", "-n", "2",
+                                               "--max-degree", "1", "--verify"]),
+    "hori_vafa_series": ("mirror.hori_vafa_series", ["mirror", "grassmannian", "-k", "2",
+                                                     "-n", "3", "--max-degree", "1", "--verify"]),
     # cli itself
-    "verify_all": ["verify-all", "--profile", "quick"],
+    "verify_all": ("verify.run_all", ["verify-all", "--profile", "quick"]),
 }
+
+
+def _code(target):
+    """The code object of a "module.function" or "module.Class.method" target,
+    under any ``lru_cache``."""
+    module, *path = target.split(".")
+    obj = importlib.import_module(f"dualcalc.{module}")
+    for name in path:
+        obj = getattr(obj, name)
+    return inspect.unwrap(obj).__code__
+
+
+def _clear_caches():
+    """Empty every ``lru_cache`` of the package, so that a call that an
+    earlier test cached is made again."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dualcalc."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
 
 
 def test_toric_coverage(tmp_path):
@@ -425,8 +481,22 @@ def test_toric_coverage(tmp_path):
 
 @pytest.mark.parametrize("op", sorted(OP_COVERAGE))
 def test_op_reachable_from_cli(op):
-    code, _ = run(OP_COVERAGE[op])
+    target, argv = OP_COVERAGE[op]
+    want = _code(target)
+    called = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    _clear_caches()
+    sys.setprofile(profile)
+    try:
+        code, _ = run(argv)
+    finally:
+        sys.setprofile(None)
     assert code == 0, op
+    assert want in called, f"{' '.join(argv)} does not call {target}"
 
 
 # one argv per subcommand and mirror family, a help request, a usage error

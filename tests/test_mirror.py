@@ -8,12 +8,12 @@ from dualcalc.errors import InternalError, UsageError, VerificationFailure
 from dualcalc.laurent import Laurent
 from dualcalc import mirror
 from dualcalc.nilpotent import XPoly
-from dualcalc.mirror import (candelas, gr23_matches_p2, gr_loc_sum,
-                             hg_projective, hori_vafa_series,
-                             mirror_map_round_trip, multiple_cover_forward,
-                             multiple_cover_invert, quintic_hg,
+from dualcalc.mirror import (candelas, gr23_matches_p2, hg_projective,
+                             hori_vafa_series, mirror_map_round_trip,
+                             multiple_cover_forward, multiple_cover_invert,
                              toric_b_series, _inv_linear_power)
-from oracles import canonical
+from oracles import (canonical, gr_loc_sum, quintic_hg_reference,
+                     toric_b_series_reference)
 
 F = Fraction
 AL_ONE = Laurent.const(1)
@@ -22,13 +22,14 @@ AL_ONE = Laurent.const(1)
 # -- quintic ------------------------------------------------------------------
 
 def test_quintic_leading_values():
-    f = quintic_hg(2)
-    # d = 0: the m = 0 factor keeps the overall 5
-    assert f[0][0] == [F(5)]
+    # read through the H -> -H bridge: [H^h t^j] of f_{h-1} is -(-1)^h b
+    b = quintic_toric(1)
+    # d = 0: the k = 0 factor keeps the overall 5
+    assert b[(0,)][((1,), (0,))] == 5
     # coefficient of e^t in f0: 5 * 5! = 600
-    assert f[0][1][0] == 600
-    # all d = 0 log-dependence comes from e^{Ht}: f1 - f0 t vanishes at d=0
-    assert f[1][0] == [F(0), F(5)][:2] or f[1][0] == [0, F(5)]
+    assert b[(1,)][((1,), (0,))] == 600
+    # all d = 0 log-dependence comes from e^{Ht}: f1 = 5 t at d = 0
+    assert -b[(0,)][((2,), (1,))] == 5 and ((2,), (0,)) not in b[(0,)]
 
 
 def test_candelas_structure():
@@ -55,23 +56,48 @@ def test_multiple_cover_inversion():
 
 # -- toric --------------------------------------------------------------------
 
-def quintic_toric():
-    return toric_b_series([("H", 5)], [[5]], [[1]] * 5, 2)
+def quintic_toric(d_max):
+    return toric_b_series([("H", 5)], [[5]], [[1]] * 5, d_max)
 
 
 def test_toric_specializes_to_quintic():
     # flipping the generator sign sends the toric series to minus the
-    # quintic series (the e^{+-Ht} convention bridge)
-    b = quintic_toric()
-    f = quintic_hg(2)
-    for d in range(3):
-        got = b[(d,)]
-        for i in range(4):
-            tpoly = f[i][d]
-            for j, c in enumerate(tpoly):
-                h = i + 1
-                flipped = (-1) ** h * got.get(((h,), (j,)), F(0))
-                assert flipped == -c, (d, h, j)
+    # quintic series (the e^{+-Ht} convention bridge), term for term
+    b = quintic_toric(10)
+    f = quintic_hg_reference(10)
+    assert sorted(b) == [(d,) for d in range(11)]
+    for d in range(11):
+        flipped = {((h,), (j,)): -(-1) ** h * c
+                   for h in range(1, 5) for j, c in enumerate(f[h - 1][d]) if c}
+        assert b[(d,)] == flipped, d
+
+
+# two generators; the second spec has a divisor with a negative pairing,
+# so some factors move from the denominator to the numerator
+TWO_GENERATOR_SPECS = [
+    ([("H1", 2), ("H2", 2)], [[2, 2]], [[1, 0], [1, 0], [0, 1], [0, 1]], 3),
+    ([("H1", 3), ("H2", 2)], [[1, 1]], [[1, 0], [1, -1], [0, 1], [0, 1]], 3),
+]
+
+
+@pytest.mark.parametrize("gens,bundles,divisors,d_max", TWO_GENERATOR_SPECS)
+def test_two_generator_toric_matches_reference(gens, bundles, divisors, d_max):
+    got = toric_b_series(gens, bundles, divisors, d_max)
+    assert got == toric_b_series_reference(gens, bundles, divisors, d_max)
+    assert len(got) == (d_max + 1) * (d_max + 2) // 2
+    assert all(got.values())
+
+
+@pytest.mark.parametrize("gens,d_max", [([("H", 5)], -1), ([], 1), ([("H", 0)], 1),
+                                         ([("H1", 2), ("H2", 0)], 1)])
+def test_toric_degenerate_input_raises_before_any_work(gens, d_max, monkeypatch):
+    def no_work(*_args):
+        raise AssertionError("a degree was enumerated")
+
+    monkeypatch.setattr(mirror, "compositions", no_work)
+    vec = [1] * len(gens)
+    with pytest.raises(UsageError):
+        toric_b_series(gens, [vec], [vec], d_max)
 
 
 def test_toric_p1_degree_one():
@@ -330,8 +356,8 @@ def test_surviving_p_in_an_operator_row_raises(monkeypatch, uncached_hori_vafa):
         hori_vafa_series(2, 3, 1)
 
 
-def test_dropped_composition_breaks_antisymmetry(monkeypatch):
+def test_dropped_composition_breaks_antisymmetry(monkeypatch, uncached_hori_vafa):
     real = mirror.compositions
     monkeypatch.setattr(mirror, "compositions", lambda d, k: real(d, k)[:-1])
     with pytest.raises(InternalError, match="antisymmetric"):
-        gr_loc_sum(2, 4, 1)
+        hori_vafa_series(2, 4, 1)

@@ -14,8 +14,8 @@ from dualcalc.errors import InternalError, UsageError
 from dualcalc.partitions import enumerate_partitions, size
 from dualcalc.qfunc import QFunction, ULaurent, bracket_quotient, sum_of_products
 from dualcalc.scalars import GaussianRational
-from dualcalc.series import LambdaSeries, TauLaurent, sin_expand
-from oracles import q_series, reciprocal, to_lambda_reference
+from dualcalc.series import LambdaSeries, TauLaurent
+from oracles import q_series, reciprocal, sin_expand, to_lambda_reference
 
 
 def q(num, den, ipow=0):

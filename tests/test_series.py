@@ -12,9 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from dualcalc import series
 from dualcalc.errors import InternalError, UsageError
 from dualcalc.scalars import GaussianRational
-from dualcalc.series import (TL_ZERO, LambdaSeries, TauLaurent, combine, exp_monomial,
-                             sin_expand)
-from oracles import canonical, combine_reference
+from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine, exp_monomial
+from oracles import canonical, combine_reference, sin_expand
 
 
 # -- TauLaurent ---------------------------------------------------------------

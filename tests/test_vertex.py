@@ -9,7 +9,7 @@ from dualcalc.qfunc import QFunction, ULaurent
 from dualcalc.vertex import (extract_gw, gv_forward, gv_invert,
                              local_p2_free_energy, local_p2_z,
                              rebuild_partition_function)
-from oracles import reciprocal
+from oracles import reciprocal, sin_expand
 
 
 def test_degree_zero_is_one():
@@ -108,7 +108,7 @@ def test_grouped_slice_matches_term_by_term_sum(d):
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_kernel_matches_sine_powers(g, k):
     # oracle: (1/k) (2 sin(k lambda/2))^{2g-2} from sin_expand by series products
-    from dualcalc.series import LambdaSeries, sin_expand
+    from dualcalc.series import LambdaSeries
     from dualcalc.vertex import _kernel
 
     trunc = 2 * g + 5
