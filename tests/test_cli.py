@@ -353,6 +353,7 @@ def test_grassmannian_verify():
     ("hurwitz-g3-3211", ["hurwitz", "--genus", "3", "--partition", "3,2,1,1",
                          "--method", "both"]),
     ("quintic-d20", ["mirror", "quintic", "--max-degree", "20"]),
+    ("vertex-d8-g2", ["vertex", "local-p2", "--max-degree", "8", "--max-genus", "2", "--gv"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)
