@@ -23,7 +23,6 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional
 
 from . import hodge, hurwitz, intersections, mirror, vertex, verify
 from .chern_simons import w_one, w_pair
@@ -51,7 +50,7 @@ def gauss_str(x: GaussianRational) -> str:
     return f"{frac_str(x.re)}{sign}{frac_str(abs(x.im))}*i"
 
 
-def tau_json(t: TauLaurent) -> Dict[str, str]:
+def tau_json(t: TauLaurent) -> dict[str, str]:
     return {str(k): gauss_str(v) for k, v in sorted(t.c.items())}
 
 
@@ -78,9 +77,10 @@ def qfun_json(f: QFunction) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# input limits of ``w``, checked before any W value is formed
+# input limits, checked before any W value or mirror series is formed
 W_MAX_EXPAND = 64
 W_MAX_BOXES = 12
+MIRROR_MAX_DEGREE = 50
 
 
 class _Help(Exception):
@@ -151,11 +151,11 @@ def build_parser() -> _Parser:
     mr = sub.add_parser("mirror", help="mirror hypergeometric series")
     mrsub = mr.add_subparsers(dest="geometry", required=True)
     q = mrsub.add_parser("quintic")
-    q.add_argument("--max-degree", type=int, default=5)
+    q.add_argument("--max-degree", type=int, default=5, help=f"at most {MIRROR_MAX_DEGREE}")
     tor = mrsub.add_parser("toric")
     tor.add_argument("--spec", type=str, required=True,
                      help="JSON file with generators / line_bundles / divisors")
-    tor.add_argument("--max-degree", type=int, default=3)
+    tor.add_argument("--max-degree", type=int, default=3, help=f"at most {MIRROR_MAX_DEGREE}")
     gr = mrsub.add_parser("grassmannian")
     gr.add_argument("-k", type=int, required=True)
     gr.add_argument("-n", type=int, required=True)
@@ -210,7 +210,7 @@ def _cmd_w(args) -> dict:
 
 
 def _cmd_mv(args) -> dict:
-    checks: List[dict] = []
+    checks: list[dict] = []
     if args.action == "hodge":
         if args.genus is None or args.partition is None:
             raise UsageError("mv hodge needs --genus and --partition")
@@ -314,12 +314,14 @@ def _cmd_witten(args) -> dict:
     return {"result": result, "checks": checks}
 
 
-def _alpha_json(v) -> Dict[str, str]:
+def _alpha_json(v) -> dict[str, str]:
     return {str(k): frac_str(c) for k, c in sorted(v.c.items())}
 
 
 def _cmd_mirror(args) -> dict:
     checks = []
+    if args.geometry != "grassmannian" and args.max_degree > MIRROR_MAX_DEGREE:
+        raise UsageError(f"mirror {args.geometry} is limited to --max-degree {MIRROR_MAX_DEGREE}")
     if args.geometry == "quintic":
         data = mirror.candelas(args.max_degree)
         n_list = mirror.multiple_cover_invert(data["K"])
@@ -404,7 +406,7 @@ HANDLERS = {
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:

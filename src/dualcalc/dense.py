@@ -13,22 +13,20 @@ quintic mirror map's Q-series (``mirror.candelas``).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial, gcd
-from typing import List, Sequence, TypeVar
 
 from .errors import UsageError
 from .laurent import Laurent
 
-R = TypeVar("R")
 
-
-def _ints(a: Laurent, n: int) -> List[int]:
+def _ints(a: Laurent, n: int) -> list[int]:
     """The numerators of a through x^(n-1), as a dense list."""
     return [a.num.get(k, 0) for k in range(n)]
 
 
-def _conv(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
+def _conv(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """The product of two dense int lists through x^(n-1)."""
     out = [0] * n
     for i, x in enumerate(a[:n]):
@@ -102,7 +100,7 @@ def compose(outer: Laurent, inner: Laurent, n: int) -> Laurent:
     return _series(outer, acc, outer.den * scale)
 
 
-def graded_log(z: Sequence[R], zero: R) -> List[R]:
+def graded_log(z: Sequence, zero) -> list:
     """Slices zero, F_1..F_n of log Z from Z_0 = 1 (not read), Z_1..Z_n:
     w F_w = w Z_w - sum_{0<j<w} j F_j Z_{w-j}."""
     f = [zero]

@@ -9,12 +9,12 @@ family weights (n) or (n+, n-):
                  W_{nu+, nu-}
 
 The connected series is its logarithm, taken on first read.  A built series
-is cached per (degree cap, order, families) and frozen, so every check and
-query of a process shares one build.  The module verifies the cut-and-join
-evolution in tau, the initial value at tau = 0, the degeneration onto the
-Hurwitz series, the convolution with double Hurwitz numbers (its kernel is
-the tau = 0 slice, so no series is ever inverted), and extracts triple Hodge
-integrals through the framing prefactor.
+is a read-only named tuple, cached per (degree cap, order, families), so
+every check and query of a process shares one build.  The module verifies
+the cut-and-join evolution in tau, the initial value at tau = 0, the
+degeneration onto the Hurwitz series, the convolution with double Hurwitz
+numbers (its kernel is the tau = 0 slice, so no series is ever inverted),
+and extracts triple Hodge integrals through the framing prefactor.
 
 Phase conventions.  With the sine-normalized W, the tau = 0 slice of the
 series equals sum_d i^{d-1} p_d / (2 d sin(d lambda / 2)): each degree-d part
@@ -36,12 +36,11 @@ read out or compared with an oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial, prod
-from typing import Dict, List, Optional, Tuple
 
 from .chern_simons import w_one_lambda, w_pair_lambda
 from .errors import InternalError, UsageError
@@ -60,12 +59,11 @@ Frac = Fraction
 # series construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FramedSeries:
-    families: int
-    caps: Tuple[int, ...]
-    trunc: int
-    disconnected: PSeries
+class FramedSeries(namedtuple("FramedSeries", "families caps trunc disconnected")):
+    """families: int, caps: one degree cap per family, trunc: int, disconnected: PSeries."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a FramedSeries is read-only: cannot set {name!r}")
 
     @cached_property
     def connected(self) -> PSeries:
@@ -164,7 +162,7 @@ def ov_term(d: int) -> QFunction:
     return QFunction(-1, ULaurent.const(Frac(1, d)), ULaurent.bracket(d))
 
 
-def initial_value_report(fs: FramedSeries, through: Optional[int] = None) -> dict:
+def initial_value_report(fs: FramedSeries, through: int | None = None) -> dict:
     """Check the tau = 0 slice of the connected series.
 
     Multi-part coefficients must vanish identically; the p_d coefficient
@@ -179,7 +177,7 @@ def initial_value_report(fs: FramedSeries, through: Optional[int] = None) -> dic
     multi_ok = True
     single_ok = True
     window_ok = True
-    phases: Dict[int, str] = {}
+    phases: dict[int, str] = {}
     for key, s in r0.co.items():
         mu = key[0]
         if through is not None and s.trunc < through:
@@ -233,7 +231,7 @@ def framing_prefactor(mu: Partition) -> TauLaurent:
     return poly
 
 
-def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> List[Frac]:
+def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> list[Frac]:
     """Triple Hodge integral as a tau-polynomial (coefficient list).
 
     Reads the p_mu lambda^{2g-2+l(mu)} coefficient of the connected series
@@ -311,7 +309,7 @@ def elsv_limit_check(fs: FramedSeries, g_max: int = 2) -> bool:
         if not mu:
             continue
         w = size(mu)
-        limit: Dict[int, GaussianRational] = {}
+        limit: dict[int, GaussianRational] = {}
         for e in range(s.floor, s.trunc):
             c = s.coeff(e)
             if c and c.max_exp() > e + w:
@@ -333,7 +331,7 @@ def elsv_limit_check(fs: FramedSeries, g_max: int = 2) -> bool:
 # convolution with double Hurwitz numbers
 # ---------------------------------------------------------------------------
 
-def convolution_check(fs: FramedSeries, max_weight: Optional[int] = None) -> bool:
+def convolution_check(fs: FramedSeries, max_weight: int | None = None) -> bool:
     """Read the kernel off tau = 0 and verify the convolution at tau = 1, 2, 3.
 
     Implemented as G_mu(lambda, tau) = sum_nu Phi2_{mu,nu}(i tau lambda) z_nu K_nu;

@@ -21,11 +21,11 @@
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
 from math import comb, factorial
-from typing import Dict, List, Sequence, Tuple
 
 from .errors import InternalError, UsageError, VerificationFailure
 from .partitions import (Partition, add_parts, aut, character, enumerate_partitions,
@@ -46,10 +46,10 @@ def ramification_order(g: int, mu: Partition) -> int:
 # Burnside route
 # ---------------------------------------------------------------------------
 
-def _exp_sum(n: int, weight) -> Tuple[Tuple[int, int], ...]:
+def _exp_sum(n: int, weight) -> tuple[tuple[int, int], ...]:
     """sum_nu weight(nu) e^{kappa_nu L/2} over partitions nu of n, as the
     integer exponential sum ((kappa_nu/2, summed weight), ...), zeros dropped."""
-    by_half_kappa: Dict[int, int] = {}
+    by_half_kappa: dict[int, int] = {}
     for nu in enumerate_partitions(n):
         c = weight(nu)
         if c:
@@ -58,7 +58,7 @@ def _exp_sum(n: int, weight) -> Tuple[Tuple[int, int], ...]:
     return tuple((hk, c) for hk, c in by_half_kappa.items() if c)
 
 
-def _power_sums(terms: Tuple[Tuple[int, int], ...], order: int) -> List[int]:
+def _power_sums(terms: tuple[tuple[int, int], ...], order: int) -> list[int]:
     """s_j = sum c h^j over the exponential sum ((h, c), ...), j = 0..order:
     its L^j coefficient is s_j / j!."""
     s = [0] * (order + 1)
@@ -70,7 +70,7 @@ def _power_sums(terms: Tuple[Tuple[int, int], ...], order: int) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def _disconnected_coeff(mu: Partition) -> Tuple[Tuple[int, int], ...]:
+def _disconnected_coeff(mu: Partition) -> tuple[tuple[int, int], ...]:
     """sum_nu chi_nu(mu) dim(R_nu) e^{kappa_nu L/2} as an exponential sum.
 
     Over z_mu |mu|! it is the disconnected series of p_mu; over
@@ -86,7 +86,7 @@ def _disconnected_coeff(mu: Partition) -> Tuple[Tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _connected_sum(mu: Partition) -> Tuple[Tuple[int, int], ...]:
+def _connected_sum(mu: Partition) -> tuple[tuple[int, int], ...]:
     """Labelled connected exponential sum C(S) of the parts S of mu.
 
     With L = ``_disconnected_coeff`` and every sum over prod(mu_i) |mu_S|!,
@@ -109,7 +109,7 @@ def _connected_sum(mu: Partition) -> Tuple[Tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _connected_coeff(mu: Partition, order: int) -> Tuple[Frac, ...]:
+def _connected_coeff(mu: Partition, order: int) -> tuple[Frac, ...]:
     """Connected coefficients of p_mu at L^0..L^order: the connected sum's
     power sums over z_mu |mu|! j!."""
     if not mu:
@@ -150,14 +150,14 @@ def _hurwitz_burnside(g: int, mu: Partition) -> Frac:
 # cut-and-join route
 # ---------------------------------------------------------------------------
 
-def _cutjoin_slice(cap: int, r: int) -> Dict[Partition, Frac]:
+def _cutjoin_slice(cap: int, r: int) -> dict[Partition, Frac]:
     """The lambda^r coefficient Phi_r of Phi through weight ``cap``, as
     {partition: coefficient}: the weight parts 1..cap, each grown once."""
     return {mu: c for w in range(1, cap + 1) for mu, c in _cutjoin_part(w, r).items()}
 
 
 @lru_cache(maxsize=None)
-def _cutjoin_part(w: int, r: int) -> Dict[Partition, Frac]:
+def _cutjoin_part(w: int, r: int) -> dict[Partition, Frac]:
     """The weight-w part of Phi_r.
 
     Grown from the degree-1 seed Phi_0 = p_1 by the cut-and-join evolution
@@ -168,7 +168,7 @@ def _cutjoin_part(w: int, r: int) -> Dict[Partition, Frac]:
     """
     if r == 0:
         return {(1,): Frac(1)} if w == 1 else {}
-    rhs: Dict[Partition, Frac] = {}     # 2 r Phi_r at weight w
+    rhs: dict[Partition, Frac] = {}     # 2 r Phi_r at weight w
     for mu, c in _cutjoin_part(w, r - 1).items():
         for nu, x in cut_join_terms(mu):
             rhs[nu] = rhs.get(nu, 0) + 2 * x * c
@@ -186,9 +186,9 @@ def _cutjoin_part(w: int, r: int) -> Dict[Partition, Frac]:
 
 
 @lru_cache(maxsize=None)
-def _cutjoin_derivs(w: int, r: int) -> Dict[int, Dict[Partition, Frac]]:
+def _cutjoin_derivs(w: int, r: int) -> dict[int, dict[Partition, Frac]]:
     """The nonzero dPhi_r/dp_i of the weight-w part, as {i: {partition: coefficient}}."""
-    out: Dict[int, Dict[Partition, Frac]] = {}
+    out: dict[int, dict[Partition, Frac]] = {}
     for mu, c in _cutjoin_part(w, r).items():
         for i, m in multiplicities(mu).items():
             out.setdefault(i, {})[remove_part(mu, i)] = m * c
@@ -234,7 +234,7 @@ def double_hurwitz(mu: Partition, nu: Partition, trunc: int) -> LambdaSeries:
 # ELSV normalization
 # ---------------------------------------------------------------------------
 
-def elsv_I(g: int, mu: Partition) -> Tuple[Frac, Frac]:
+def elsv_I(g: int, mu: Partition) -> tuple[Frac, Frac]:
     """(I_{g,mu}, bare linear Hodge integral).
 
     I = H / r!; bare = I * |Aut(mu)| * prod(mu_i! / mu_i^{mu_i}).
@@ -255,7 +255,7 @@ def elsv_I(g: int, mu: Partition) -> Tuple[Frac, Frac]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _bare_polynomial(g: int, n: int) -> Dict[Partition, Frac]:
+def _bare_polynomial(g: int, n: int) -> dict[Partition, Frac]:
     """Top-degree part of the bare-integral polynomial P(mu), as {rho: coefficient}
     for every partition rho of D = 3g-3+n into at most n parts.
 
@@ -267,9 +267,9 @@ def _bare_polynomial(g: int, n: int) -> Dict[Partition, Frac]:
     Hurwitz data is not polynomial of degree D.
     """
     deg = 3 * g - 3 + n
-    bare: Dict[Partition, Frac] = {}
+    bare: dict[Partition, Frac] = {}
 
-    def difference(rho: Partition, base: Tuple[int, ...]) -> Frac:
+    def difference(rho: Partition, base: tuple[int, ...]) -> Frac:
         total = Frac(0)
         for j in product(*(range(r + 1) for r in rho)):
             mu = tuple(sorted((b + x for b, x in zip_longest(base, j, fillvalue=0)),
@@ -282,7 +282,7 @@ def _bare_polynomial(g: int, n: int) -> Dict[Partition, Frac]:
             total += w * bare[mu]
         return total
 
-    out: Dict[Partition, Frac] = {}
+    out: dict[Partition, Frac] = {}
     for rho in enumerate_partitions(deg):
         if len(rho) > n:
             continue

@@ -23,17 +23,17 @@ power of two (and, when plain, the double factorials) once.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
-from typing import Iterator, Sequence, Tuple
 
 from .errors import UsageError
 from .partitions import compositions
 
 Frac = Fraction
-Key = Tuple[int, ...]
+Key = tuple[int, ...]
 
 
 def double_factorial_odd(k: int) -> int:
@@ -49,7 +49,7 @@ def _desc(ks: Key) -> Key:
 
 
 @lru_cache(maxsize=None)
-def _splits(ms: Key) -> Tuple[Tuple[Key, Key, int, int], ...]:
+def _splits(ms: Key) -> tuple[tuple[Key, Key, int, int], ...]:
     """(X, Y, count, sum(X) - len(X)) over the labelled splits of the
     descending multiset ms; X and Y stay descending."""
     out = [((), (), 1)]
@@ -121,7 +121,7 @@ def dvv_normalized(g: int, ks: Sequence[int]) -> Frac:
 # Virasoro constraints on the partition function
 # ---------------------------------------------------------------------------
 
-def _canon(mono: Tuple[int, ...]) -> Tuple[int, ...]:
+def _canon(mono: tuple[int, ...]) -> tuple[int, ...]:
     """Drop trailing zero exponents."""
     m = list(mono)
     while m and not m[-1]:
@@ -133,7 +133,7 @@ _F0 = Frac(0)
 
 
 @lru_cache(maxsize=None)
-def _free_energy_coeff(mono: Tuple[int, ...]) -> Frac:
+def _free_energy_coeff(mono: tuple[int, ...]) -> Frac:
     """Coefficient of prod t_k^{mono_k} in sum_g <exp sum t_k s_k>_g.
 
     The genus is fixed by the dimension constraint; the coefficient carries
@@ -152,7 +152,7 @@ def _free_energy_coeff(mono: Tuple[int, ...]) -> Frac:
 
 
 @lru_cache(maxsize=None)
-def tau_coefficient(mono: Tuple[int, ...]) -> Frac:
+def tau_coefficient(mono: tuple[int, ...]) -> Frac:
     """Coefficient of prod t_k^{mono_k} in tau = exp(free energy).
 
     Computed by the graded exponential formula: the Euler operator
@@ -175,13 +175,13 @@ def tau_coefficient(mono: Tuple[int, ...]) -> Frac:
     return total / deg
 
 
-def _monomials(order: int, kmax: int) -> Iterator[Tuple[int, ...]]:
+def _monomials(order: int, kmax: int) -> Iterator[tuple[int, ...]]:
     """Exponent vectors in t_0..t_kmax of total degree <= order."""
     for mono in compositions(order, kmax + 2):
         yield _canon(mono[:-1])
 
 
-def _bump(mono: Tuple[int, ...], var: int, by: int) -> Tuple[int, ...]:
+def _bump(mono: tuple[int, ...], var: int, by: int) -> tuple[int, ...]:
     m = list(mono) + [0] * (var + 1 - len(mono))
     m[var] += by
     return _canon(tuple(m))
@@ -190,7 +190,7 @@ def _bump(mono: Tuple[int, ...], var: int, by: int) -> Tuple[int, ...]:
 VIRASORO_KMAX = 4
 
 
-def virasoro_residual(n: int, order: int) -> Tuple[Frac, int]:
+def virasoro_residual(n: int, order: int) -> tuple[Frac, int]:
     """(max |coefficient|, coefficients checked) of (L_n tau) through total
     t-degree ``order`` in the variables t_0..t_{VIRASORO_KMAX}; exact zero
     expected.

@@ -20,16 +20,16 @@ and the extra slots of its left operand.
 """
 from __future__ import annotations
 
+from collections.abc import Hashable
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Hashable, Optional
 
 from .errors import InternalError
 
 
-def convolve(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+def convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """The product of two {exponent: nonzero int} numerators, without zeros."""
-    c: Dict[int, int] = {}
+    c: dict[int, int] = {}
     for k1, v1 in a.items():
         for k2, v2 in b.items():
             k = k1 + k2
@@ -45,7 +45,7 @@ class Poly:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, coeffs: Optional[Dict[Hashable, object]] = None):
+    def __init__(self, coeffs: dict[Hashable, object] | None = None):
         """From {key: int or Fraction}; zero coefficients are dropped."""
         terms = [(k, v) for k, v in (coeffs or {}).items() if v]
         # reduced fractions over their lcm leave numerators coprime to den
@@ -68,7 +68,7 @@ class Poly:
         return out
 
     @property
-    def c(self) -> Dict[Hashable, Fraction]:
+    def c(self) -> dict[Hashable, Fraction]:
         """The coefficients as ``Fraction`` values (a fresh dict)."""
         den = self.den
         return {k: Fraction(v, den) for k, v in self.num.items()}

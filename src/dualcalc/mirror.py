@@ -25,12 +25,12 @@ test, is alpha -> -alpha inside the composition sum.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 from operator import add, lt
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dense
 from .errors import InternalError, UsageError, VerificationFailure
@@ -63,7 +63,7 @@ def candelas(d_max: int) -> dict:
     # to minus the quintic's, each t^j/j! of e^{-Ht} to that of e^{Ht}:
     # [H^h t^j] of degree d is -(-1)^h b[(d,)][((h,), (j,))].  The k = 0
     # numerator factor keeps the overall 5; downstream ratios are insensitive.
-    by_j: List[Dict[int, Dict[int, Frac]]] = [{} for _ in range(4)]
+    by_j: list[dict[int, dict[int, Frac]]] = [{} for _ in range(4)]
     for (d,), coeffs in toric_b_series([("H", 5)], [[5]], [[1]] * 5, d_max).items():
         for ((h,), (j,)), v in coeffs.items():
             if not h:
@@ -71,7 +71,7 @@ def candelas(d_max: int) -> dict:
             by_j[h - 1].setdefault(j, {})[d] = v if h % 2 else -v
     F = [{j: Laurent(qs) for j, qs in fi.items()} for fi in by_j]
     # peel the e^{Ht}-injected t-powers: f_k = sum_j t^j/j! S_{k-j}
-    S: List[Laurent] = []
+    S: list[Laurent] = []
     for k in range(4):
         for j in range(1, k + 1):
             if F[k].get(j, zero) != S[k - j].scale(Frac(1, factorial(j))):
@@ -94,7 +94,7 @@ def candelas(d_max: int) -> dict:
     # potential as a t-polynomial with Q-series coefficients:
     # 5/2 (f1 f2 / s0^2 - f3 / s0)
     inv0sq = dense.mul(inv0, inv0, n)
-    f12: Dict[int, Laurent] = {}
+    f12: dict[int, Laurent] = {}
     for j1, c1 in F[1].items():
         for j2, c2 in F[2].items():
             f12[j1 + j2] = f12.get(j1 + j2, zero) + dense.mul(c1, c2, n)
@@ -106,7 +106,7 @@ def candelas(d_max: int) -> dict:
     minus_u_pow = [Laurent.const(1)]
     for _ in range(max(potential)):
         minus_u_pow.append(dense.mul(minus_u_pow[-1], -u, n))
-    in_T: Dict[int, Laurent] = {}
+    in_T: dict[int, Laurent] = {}
     for j, qs in potential.items():
         for r in range(j + 1):
             piece = dense.mul(qs, minus_u_pow[j - r], n).scale(Frac(5, 2) * comb(j, r))
@@ -123,7 +123,7 @@ def candelas(d_max: int) -> dict:
     if 0 in k_series.num:
         raise VerificationFailure("constant term of the potential survives")
 
-    def fracs(qs: Laurent) -> List[Frac]:
+    def fracs(qs: Laurent) -> list[Frac]:
         c = qs.c
         return [c.get(k, Frac(0)) for k in range(n)]
 
@@ -145,9 +145,9 @@ def mirror_map_round_trip(d_max: int) -> bool:
     return dense.compose(q_of_qt, qt_of_q, n) == Laurent.mono(1)
 
 
-def multiple_cover_invert(k_list: Sequence[Frac]) -> List[int]:
+def multiple_cover_invert(k_list: Sequence[Frac]) -> list[int]:
     """K_d = sum_{k | d} n_{d/k} / k^3, solved triangularly; entries must be integers."""
-    out: List[int] = []
+    out: list[int] = []
     for d in range(1, len(k_list) + 1):
         v = Frac(k_list[d - 1])
         for k in range(2, d + 1):
@@ -159,7 +159,7 @@ def multiple_cover_invert(k_list: Sequence[Frac]) -> List[int]:
     return out
 
 
-def multiple_cover_forward(n_list: Sequence[int]) -> List[Frac]:
+def multiple_cover_forward(n_list: Sequence[int]) -> list[Frac]:
     out = []
     for d in range(1, len(n_list) + 1):
         v = Frac(0)
@@ -174,10 +174,10 @@ def multiple_cover_forward(n_list: Sequence[int]) -> List[Frac]:
 # general convex toric series
 # ===========================================================================
 
-def toric_b_series(generators: Sequence[Tuple[str, int]],
+def toric_b_series(generators: Sequence[tuple[str, int]],
                    line_bundles: Sequence[Sequence[int]],
                    divisors: Sequence[Sequence[int]],
-                   d_max: int) -> Dict[Tuple[int, ...], Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Frac]]:
+                   d_max: int) -> dict[tuple[int, ...], dict[tuple[tuple[int, ...], tuple[int, ...]], Frac]]:
     """Degree slices of the convex-case toric series.
 
     Classes are integer vectors in the generator basis; the pairing of a
@@ -194,6 +194,8 @@ def toric_b_series(generators: Sequence[Tuple[str, int]],
         raise UsageError("need at least one generator")
     if min(nilps) < 1:
         raise UsageError("nilpotency must be at least 1")
+    if not line_bundles and not divisors:
+        raise UsageError("need at least one line bundle or divisor")
     if any(len(v) != r for v in line_bundles) or any(len(v) != r for v in divisors):
         raise UsageError("class vectors must match the generator count")
     zero = (0,) * (2 * r)
@@ -202,7 +204,7 @@ def toric_b_series(generators: Sequence[Tuple[str, int]],
 
     def ring_mul(a: Poly, b: Poly) -> Poly:
         # truncated to the nilpotency box; zip stops before the t exponents
-        out: Dict[Tuple[int, ...], int] = {}
+        out: dict[tuple[int, ...], int] = {}
         for e1, v1 in a.num.items():
             for e2, v2 in b.num.items():
                 e = tuple(map(add, e1, e2))
@@ -230,7 +232,7 @@ def toric_b_series(generators: Sequence[Tuple[str, int]],
         expfac = ring_mul(expfac, Poly({tuple(m * (i % r == j) for i in range(2 * r)):
                                         Frac((-1) ** m, factorial(m)) for m in range(nilp)}))
 
-    out: Dict[Tuple[int, ...], Dict] = {}
+    out: dict[tuple[int, ...], dict] = {}
     for d in (d for s in range(d_max + 1) for d in compositions(s, r)):
         num = one
         for vec in line_bundles:
@@ -258,7 +260,7 @@ def toric_b_series(generators: Sequence[Tuple[str, int]],
 # ===========================================================================
 
 @lru_cache(maxsize=None)
-def hg_projective(n: int, d_max: int, cap: Optional[int] = None) -> Tuple[XPoly, ...]:
+def hg_projective(n: int, d_max: int, cap: int | None = None) -> tuple[XPoly, ...]:
     """Degree slices of the fundamental series of P^{n-1}.
 
     Slice d: e^{-t x / alpha} / prod_{m=1}^{d} (x - m alpha)^n, expanded in x
@@ -269,7 +271,7 @@ def hg_projective(n: int, d_max: int, cap: Optional[int] = None) -> Tuple[XPoly,
     if cap is None:
         cap = n - 1
     pre = exp_x_times(cap, "t", -1)
-    out: List[XPoly] = []
+    out: list[XPoly] = []
     for d in range(d_max + 1):
         slice_d = XPoly.const(cap, 1)
         for m in range(1, d + 1):
@@ -294,7 +296,7 @@ def _gr_cap(k: int, n: int) -> int:
     return k * (n - k) + k * (k - 1) // 2 + 2
 
 
-def _loc_rows(k: int, n: int, d_max: int, cap: int) -> Dict[Tuple[int, int], XPoly]:
+def _loc_rows(k: int, n: int, d_max: int, cap: int) -> dict[tuple[int, int], XPoly]:
     """Entries of the composition-sum determinant, keyed (part c, column j).
 
     (x + c alpha)^{k-1-j} prod_{l=1}^{c} (x + l alpha)^{-n} with the row
@@ -302,7 +304,7 @@ def _loc_rows(k: int, n: int, d_max: int, cap: int) -> Dict[Tuple[int, int], XPo
     x_i, and prod_{i<j} (x_i - x_j + (c_i - c_j) alpha) is the Vandermonde
     determinant in the x_i + c_i alpha.
     """
-    out: Dict[Tuple[int, int], XPoly] = {}
+    out: dict[tuple[int, int], XPoly] = {}
     for c in range(d_max + 1):
         base = XPoly.const(cap, (-1) ** ((k - 1) * c))
         for l in range(1, c + 1):
@@ -315,8 +317,8 @@ def _loc_rows(k: int, n: int, d_max: int, cap: int) -> Dict[Tuple[int, int], XPo
     return out
 
 
-def _bialternant(rows: Dict[Tuple[int, int], XPoly], k: int, n: int, d: int,
-                 cap: int) -> Dict[int, Dict[Tuple[int, ...], Laurent]]:
+def _bialternant(rows: dict[tuple[int, int], XPoly], k: int, n: int, d: int,
+                 cap: int) -> dict[int, dict[tuple[int, ...], Laurent]]:
     """Schur coefficients of sum_c det[rows[c_i, j](x_i)] / a_delta, by t-exponent.
 
     The sum runs over the compositions c of d into k parts.  By the
@@ -333,7 +335,7 @@ def _bialternant(rows: Dict[Tuple[int, int], XPoly], k: int, n: int, d: int,
     perms = [((-1) ** sum(a > b for a, b in combinations(sigma, 2)), sigma)
              for sigma in permutations(range(k))]
 
-    def at(e: Tuple[int, ...]) -> XPoly:
+    def at(e: tuple[int, ...]) -> XPoly:
         terms = []
         for compn in comps:
             for sign, sigma in perms:
@@ -347,7 +349,7 @@ def _bialternant(rows: Dict[Tuple[int, int], XPoly], k: int, n: int, d: int,
                     terms.append((sign, term))
         return XPoly.lincomb(cap, terms)
 
-    by_t: Dict[int, Dict[Tuple[int, ...], Laurent]] = {}
+    by_t: dict[int, dict[tuple[int, ...], Laurent]] = {}
     for e in combinations(range(cap, -1, -1), k):
         if sum(e) > cap:
             continue
@@ -385,7 +387,7 @@ def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
     # times e^{P x}.  The sign (-1)^r gathers to the Vandermonde orientation
     # sign (-1)^{k(k-1)/2}; (-1)^{(k-1)c} is the copy sign from e^{c t}.
     e_p = exp_x_times(cap, "P", 1)
-    op_rows: Dict[Tuple[int, int], XPoly] = {}
+    op_rows: dict[tuple[int, int], XPoly] = {}
     for c in range(d_max + 1):
         cur = slices[c]
         for r in range(k):
@@ -423,7 +425,7 @@ def _reduced_equal(a, b) -> bool:
 def gr23_matches_p2(d_max: int = 2) -> bool:
     """The (2,3) operator output equals the P^2 series under s_1 <-> x."""
     lam_of_deg = {0: (), 1: (1,), 2: (1, 1)}
-    expect: Dict[int, Dict[int, Dict[Tuple[int, ...], Laurent]]] = {}
+    expect: dict[int, dict[int, dict[tuple[int, ...], Laurent]]] = {}
     for d, slice_d in enumerate(hg_projective(3, d_max)):
         for (xe, _pe, te), v in slice_d.c.items():
             expect.setdefault(d, {}).setdefault(te, {})[lam_of_deg[xe]] = v

@@ -15,10 +15,10 @@ hands out the x^e coefficients those determinants are read from.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import add
-from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import UsageError
 from .laurent import Laurent, Poly
@@ -29,7 +29,7 @@ class XPoly(Poly):
 
     __slots__ = ("cap",)
 
-    def __init__(self, cap: int, terms: Optional[Dict[Tuple[int, ...], object]] = None):
+    def __init__(self, cap: int, terms: dict[tuple[int, ...], object] | None = None):
         """From {(x, P, t, alpha) exponents: int or Fraction}, cut at the cap."""
         Poly.__init__(self, {key: f for key, f in (terms or {}).items() if key[0] <= cap})
         self.cap = cap
@@ -40,9 +40,9 @@ class XPoly(Poly):
         return out
 
     @property
-    def c(self) -> Dict[Tuple[int, int, int], Laurent]:
+    def c(self) -> dict[tuple[int, int, int], Laurent]:
         """Read-only view {(x, P, t): Laurent in alpha}."""
-        rows: Dict[Tuple[int, ...], Dict[int, int]] = {}
+        rows: dict[tuple[int, ...], dict[int, int]] = {}
         for key, v in self.num.items():
             rows.setdefault(key[:-1], {})[key[-1]] = v
         zero = Laurent()
@@ -56,13 +56,13 @@ class XPoly(Poly):
 
     # -- arithmetic -----------------------------------------------------------
     @staticmethod
-    def lincomb(cap: int, terms: Iterable[Tuple[int, "XPoly"]]) -> "XPoly":
+    def lincomb(cap: int, terms: Iterable[tuple[int, "XPoly"]]) -> "XPoly":
         """The sum of m * p over (m, p) in terms (m an int), built in one dict."""
         terms = list(terms)
         if any(p.cap != cap for _m, p in terms):
             raise UsageError("XPoly shape mismatch")
         den = lcm(*(p.den for _m, p in terms))
-        acc: Dict[Tuple[int, ...], int] = defaultdict(int)
+        acc: dict[tuple[int, ...], int] = defaultdict(int)
         for m, p in terms:
             m *= den // p.den
             for key, v in p.num.items():
@@ -77,11 +77,11 @@ class XPoly(Poly):
             raise UsageError("XPoly shape mismatch")
         # the right operand grouped by x-degree, lowest first, so each left
         # key stops at the room cap - deg(k1) left under the cap
-        by_deg: Dict[int, list] = {}
+        by_deg: dict[int, list] = {}
         for k2, v2 in o.num.items():
             by_deg.setdefault(k2[0], []).append((k2, v2))
         buckets = sorted(by_deg.items())
-        acc: Dict[Tuple[int, ...], int] = defaultdict(int)
+        acc: dict[tuple[int, ...], int] = defaultdict(int)
         for k1, v1 in self.num.items():
             room = self.cap - k1[0]
             for d2, terms in buckets:
@@ -95,7 +95,7 @@ class XPoly(Poly):
         """Times an int, a Fraction, or a Laurent in alpha term by term."""
         if not isinstance(v, Laurent):
             return Poly.scale(self, v)
-        num: Dict[Tuple[int, ...], int] = defaultdict(int)
+        num: dict[tuple[int, ...], int] = defaultdict(int)
         for e, m in v.num.items():
             for key, w in self.num.items():
                 num[key[:-1] + (key[-1] + e,)] += w * m
@@ -110,7 +110,7 @@ class XPoly(Poly):
     # -- substitutions ------------------------------------------------------------
     def subs_t_plus_p_alpha(self) -> "XPoly":
         """t -> t + P alpha (each dropped t-power becomes a P with an alpha)."""
-        num: Dict[Tuple[int, ...], int] = defaultdict(int)
+        num: dict[tuple[int, ...], int] = defaultdict(int)
         for (x, pe, m, a), v in self.num.items():
             for r in range(m + 1):
                 num[(x, pe + m - r, r, a + m - r)] += v * comb(m, r)
@@ -123,9 +123,9 @@ class XPoly(Poly):
     def p_free(self) -> bool:
         return not any(key[1] for key in self.num)
 
-    def x_coefficients(self) -> Dict[int, "XPoly"]:
+    def x_coefficients(self) -> dict[int, "XPoly"]:
         """{e: the x^e coefficient}, each a polynomial in P, t and alpha alone."""
-        rows: Dict[int, Dict[Tuple[int, ...], int]] = {}
+        rows: dict[int, dict[tuple[int, ...], int]] = {}
         for (x, *rest), v in self.num.items():
             rows.setdefault(x, {})[(0, *rest)] = v
         return {x: self._new(num, self.den) for x, num in rows.items()}

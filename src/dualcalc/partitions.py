@@ -7,13 +7,13 @@ of their keys, so concurrent use only ever repeats idempotent inserts.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from math import factorial
-from typing import Dict, Iterator, List, Tuple
 
 from .errors import InternalError, UsageError
 
-Partition = Tuple[int, ...]
+Partition = tuple[int, ...]
 
 
 def check_partition(mu) -> Partition:
@@ -51,7 +51,7 @@ def length(mu: Partition) -> int:
 def aut(mu: Partition) -> int:
     """|Aut(mu)|: product of factorials of part multiplicities."""
     out = 1
-    mult: Dict[int, int] = {}
+    mult: dict[int, int] = {}
     for p in mu:
         mult[p] = mult.get(p, 0) + 1
     for m in mult.values():
@@ -102,7 +102,7 @@ def sub_diagrams(mu: Partition) -> Iterator[Partition]:
         yield ()
         return
 
-    def rec(i: int, prev: int) -> Iterator[Tuple[int, ...]]:
+    def rec(i: int, prev: int) -> Iterator[tuple[int, ...]]:
         if i == len(mu):
             yield ()
             return
@@ -118,7 +118,7 @@ def sub_diagrams(mu: Partition) -> Iterator[Partition]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_partitions(n: int) -> Tuple[Partition, ...]:
+def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, reverse-lexicographic: (n) first, (1,...,1) last."""
     if n < 0:
         raise UsageError("cannot partition a negative integer")
@@ -136,8 +136,8 @@ def enumerate_partitions(n: int) -> Tuple[Partition, ...]:
     return tuple(gen(n, n))
 
 
-def multiplicities(mu: Partition) -> Dict[int, int]:
-    out: Dict[int, int] = {}
+def multiplicities(mu: Partition) -> dict[int, int]:
+    out: dict[int, int] = {}
     for p in mu:
         out[p] = out.get(p, 0) + 1
     return out
@@ -154,7 +154,7 @@ def add_parts(mu: Partition, *parts: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def compositions(total: int, parts: int) -> Tuple[Tuple[int, ...], ...]:
+def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """Weak compositions of total into ``parts`` nonnegative parts, in
     lexicographic order."""
     if parts == 0:
@@ -169,7 +169,7 @@ def compositions(total: int, parts: int) -> Tuple[Tuple[int, ...], ...]:
 # hooks and dimensions
 # ---------------------------------------------------------------------------
 
-def hook_lengths(nu: Partition) -> List[int]:
+def hook_lengths(nu: Partition) -> list[int]:
     conj = conjugate(nu)
     out = []
     for i, row in enumerate(nu):
@@ -196,19 +196,19 @@ def dim(nu: Partition) -> int:
 # Murnaghan-Nakayama characters
 # ---------------------------------------------------------------------------
 
-def _beta_set(nu: Partition) -> Tuple[int, ...]:
+def _beta_set(nu: Partition) -> tuple[int, ...]:
     l = len(nu)
     return tuple(nu[i] + l - 1 - i for i in range(l))
 
 
-def _shape_from_beta(beta: List[int]) -> Partition:
+def _shape_from_beta(beta: list[int]) -> Partition:
     beta = sorted(beta, reverse=True)
     l = len(beta)
     sh = tuple(beta[i] - (l - 1 - i) for i in range(l))
     return tuple(p for p in sh if p > 0)
 
 
-_char_cache: Dict[Tuple[Partition, Partition], int] = {}
+_char_cache: dict[tuple[Partition, Partition], int] = {}
 
 
 def character(nu: Partition, mu: Partition) -> int:

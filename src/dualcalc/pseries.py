@@ -18,18 +18,18 @@ hands its terms c*a*b p_key to ``_sum``, one ``series.combine`` per key;
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .dense import graded_log
 from .errors import UsageError
 from .partitions import Partition, add_parts, multiplicities, remove_part
 from .series import LambdaSeries, combine
 
-Key = Tuple[Partition, ...]
-Term = Tuple[Key, object, LambdaSeries, Optional[LambdaSeries]]   # c*a*b p_key
+Key = tuple[Partition, ...]
+Term = tuple[Key, object, LambdaSeries, LambdaSeries | None]   # c*a*b p_key
 
 
 def empty_key(fams: int) -> Key:
@@ -41,7 +41,7 @@ def key_weight(key: Key) -> int:
 
 
 @lru_cache(maxsize=None)
-def cut_join_terms(mu: Partition) -> Tuple[Tuple[Partition, int], ...]:
+def cut_join_terms(mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """The linear cut-and-join operator on p_mu as ((nu, c), ...): p_mu maps to
     sum c p_nu.  Joins (remove i <= j, add i+j) come first, then cuts (remove
     s, add i + (s-i) with i <= s/2); every nu occurs once and every c is an
@@ -64,8 +64,8 @@ def cut_join_terms(mu: Partition) -> Tuple[Tuple[Partition, int], ...]:
 class PSeries:
     __slots__ = ("fams", "caps", "co")
 
-    def __init__(self, fams: int, caps: Tuple[int, ...],
-                 co: Optional[Dict[Key, LambdaSeries]] = None):
+    def __init__(self, fams: int, caps: tuple[int, ...],
+                 co: dict[Key, LambdaSeries] | None = None):
         if fams not in (1, 2, 3):
             raise UsageError("1 to 3 families supported")
         if len(caps) != fams or any(c < 0 for c in caps):
@@ -82,13 +82,13 @@ class PSeries:
     def _fits(self, key: Key) -> bool:
         return all(sum(mu) <= cap for mu, cap in zip(key, self.caps))
 
-    def _like(self, co: Dict[Key, LambdaSeries]) -> "PSeries":
+    def _like(self, co: dict[Key, LambdaSeries]) -> "PSeries":
         return PSeries(self.fams, self.caps, co)
 
     def _sum(self, terms: Iterable[Term]) -> "PSeries":
         """The sum of c*a*b p_key over (key, c, a, b), b None for 1: keys beyond
         the caps drop out, and each key's terms go to one ``combine``."""
-        groups: Dict[Key, list] = {}
+        groups: dict[Key, list] = {}
         for key, c, a, b in terms:
             if self._fits(key):
                 groups.setdefault(key, []).append((c, a, b))
@@ -136,14 +136,14 @@ class PSeries:
                          for k1, s1 in self.co.items() for k2, s2 in other.co.items())
 
     # -- grading -----------------------------------------------------------------
-    def _slices(self) -> List["PSeries"]:
+    def _slices(self) -> list["PSeries"]:
         """The weight slices 0..sum(caps): slice w holds the keys of total weight w."""
-        co: List[Dict[Key, LambdaSeries]] = [{} for _ in range(sum(self.caps) + 1)]
+        co: list[dict[Key, LambdaSeries]] = [{} for _ in range(sum(self.caps) + 1)]
         for k, s in self.co.items():
             co[key_weight(k)][k] = s
         return [self._like(c) for c in co]
 
-    def _join(self, slices: List["PSeries"]) -> "PSeries":
+    def _join(self, slices: list["PSeries"]) -> "PSeries":
         return self._like({k: s for piece in slices for k, s in piece.co.items()})
 
     def log(self) -> "PSeries":
@@ -175,7 +175,7 @@ class PSeries:
     def cut_join_nonlinear(self, fam: int = 0) -> "PSeries":
         terms = list(self._cut_join_terms(fam))
         cap = self.caps[fam]
-        derivs: Dict[int, PSeries] = {}
+        derivs: dict[int, PSeries] = {}
         for i in range(1, cap + 1):
             d = self.pderiv(fam, i)
             if d.co:

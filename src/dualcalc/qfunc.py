@@ -20,16 +20,16 @@ multi-cover kernel is expanded the same way.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import InternalError, UsageError
 from .laurent import Laurent
 from .series import TL_ONE, LambdaSeries
 
-Factors = Tuple[Tuple[int, int], ...]
+Factors = tuple[tuple[int, int], ...]
 
 
 class ULaurent(Laurent):
@@ -56,14 +56,14 @@ def _cyclotomic(e: int) -> ULaurent:
     return p
 
 
-def _strip(f: ULaurent, e: int, m: int) -> Tuple[ULaurent, int]:
+def _strip(f: ULaurent, e: int, m: int) -> tuple[ULaurent, int]:
     """Divide Phi_e out of f up to m times; return the quotient and what is left of m.
 
     Each division is tried first on f folded modulo u^e - 1, a multiple of Phi_e.
     """
     phi = _cyclotomic(e)
     while m and f:
-        r: Dict[int, int] = {}
+        r: dict[int, int] = {}
         for k, v in f.num.items():
             r[k % e] = r.get(k % e, 0) + v
         try:
@@ -85,7 +85,7 @@ def _expand(fac: Factors) -> ULaurent:
     return out
 
 
-def _y_series(num: Dict[int, int], n: int, length: int) -> List[int]:
+def _y_series(num: dict[int, int], n: int, length: int) -> list[int]:
     """sum_m num[m] e^{m y} through y^(n-1), times (length-1)! for n <= length:
     the y^j coefficient is (length-1)!/j! sum_m num[m] m^j, an integer."""
     terms, out = list(num.items()), []
@@ -96,7 +96,7 @@ def _y_series(num: Dict[int, int], n: int, length: int) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def _den_series(fac: Factors, n: int, length: int) -> Tuple[List[int], List[int], List[int]]:
+def _den_series(fac: Factors, n: int, length: int) -> tuple[list[int], list[int], list[int]]:
     """For an n-term quotient in ``to_lambda``: b = ``_y_series`` of prod Phi_e^{m_e}
     through y^(v+n-1), d0^m (m <= n) for d0 = b_v and t = b_(v+j) d0^(j-1) (0 < j < n)."""
     v = dict(fac).get(1, 0)
@@ -105,7 +105,7 @@ def _den_series(fac: Factors, n: int, length: int) -> Tuple[List[int], List[int]
     return b, pw, [b[v + j] * pw[j - 1] for j in range(1, n)]
 
 
-def _factor(den: ULaurent) -> Tuple[Fraction, int, Factors]:
+def _factor(den: ULaurent) -> tuple[Fraction, int, Factors]:
     """den = c * u^k * prod Phi_e^{m_e}, found by trial division.
 
     Raises UsageError for a denominator with any other factor.  A factor
@@ -278,13 +278,13 @@ def bracket_quotient(ipow: int, tops: Iterable[int], bottoms: Iterable[int]) -> 
     return QFunction._of(ipow, num, tuple(sorted((e, -a) for e, a in mult.items() if a < 0)))
 
 
-def sum_of_products(terms: Iterable[Tuple[Sequence[QFunction], int]]) -> QFunction:
+def sum_of_products(terms: Iterable[tuple[Sequence[QFunction], int]]) -> QFunction:
     """sum of u^shift * prod(factors) over ``terms`` = ((factors, shift), ...).
 
     The unreduced products are grouped by (phase, denominator) and each
     group's numerators summed, so one QFunction is reduced per group.
     """
-    groups: Dict[Tuple[int, Factors], ULaurent] = {}
+    groups: dict[tuple[int, Factors], ULaurent] = {}
     for factors, shift in terms:
         ipow, num, fac = 0, ULaurent.mono(shift), Counter()
         for f in factors:

@@ -7,7 +7,6 @@ Everything lives in Q(u) with q = u^2.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
 
 from .partitions import Partition, contains, length
 from .qfunc import QFunction, ULaurent, sum_of_products
@@ -38,7 +37,7 @@ def skew_schur_principal(mu: Partition, rho: Partition = ()) -> QFunction:
     return _det(tuple(range(n)), tuple(range(n)), entries)
 
 
-def _det(rows: Tuple[int, ...], cols: Tuple[int, ...], entries) -> QFunction:
+def _det(rows: tuple[int, ...], cols: tuple[int, ...], entries) -> QFunction:
     """Laplace expansion along the first row."""
     if not rows:
         return QFunction.const(1)

@@ -20,16 +20,16 @@ Two layers:
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import InternalError, UsageError
 from .laurent import Laurent, convolve
 from .scalars import GR_ZERO, GaussianRational
 
 
-def _split(v) -> Tuple[int, int, int]:
+def _split(v) -> tuple[int, int, int]:
     """(ph, p, q) with v = i^ph p/q, q > 0, for an int, Fraction or phase-pure
     GaussianRational v."""
     if isinstance(v, GaussianRational):
@@ -57,7 +57,7 @@ class TauLaurent(Laurent):
     __slots__ = ("ph",)
     var = "tau"
 
-    def __init__(self, coeffs: Optional[Dict[int, object]] = None):
+    def __init__(self, coeffs: dict[int, object] | None = None):
         parts = [(k, *_split(v)) for k, v in (coeffs or {}).items() if v]
         if len({p for _k, p, _a, _b in parts}) > 1:
             raise UsageError("tau-polynomial mixes real and imaginary coefficients")
@@ -67,8 +67,8 @@ class TauLaurent(Laurent):
         self.num = {k: a * (den // b) for k, _p, a, b in parts}
         self.den = den
 
-    def _new(self, num: Dict[int, int], den: int,
-             ph: Optional[int] = None) -> "TauLaurent":
+    def _new(self, num: dict[int, int], den: int,
+             ph: int | None = None) -> "TauLaurent":
         """As ``Poly._new``, times i^ph for any integer ph (bit 1 of ph is the
         sign i^2 = -1, bit 0 the phase kept); the default keeps self's phase."""
         if ph is None:
@@ -80,13 +80,13 @@ class TauLaurent(Laurent):
         return out
 
     @staticmethod
-    def phased(ph: int, coeffs: Dict[int, object]) -> "TauLaurent":
+    def phased(ph: int, coeffs: dict[int, object]) -> "TauLaurent":
         """i^ph * sum coeffs[k] tau^k for rational coefficients."""
         t = TauLaurent(coeffs)
         return t._new(t.num, t.den, t.ph + ph)
 
     @property
-    def c(self) -> Dict[int, GaussianRational]:
+    def c(self) -> dict[int, GaussianRational]:
         """The coefficients as ``GaussianRational`` values (a fresh dict)."""
         den, ph = self.den, self.ph
         return {k: GaussianRational(0, Fraction(v, den)) if ph
@@ -151,7 +151,7 @@ class LambdaSeries:
 
     __slots__ = ("floor", "co")
 
-    def __init__(self, floor: int, co: List[TauLaurent]):
+    def __init__(self, floor: int, co: list[TauLaurent]):
         self.floor = floor
         self.co = co
 
@@ -161,7 +161,7 @@ class LambdaSeries:
         return LambdaSeries(0, [])
 
     @staticmethod
-    def from_map(m: Dict[int, object], trunc: int) -> "LambdaSeries":
+    def from_map(m: dict[int, object], trunc: int) -> "LambdaSeries":
         items = {k: (v if isinstance(v, TauLaurent) else TauLaurent.const(v))
                  for k, v in m.items()}
         items = {k: v for k, v in items.items() if v}
@@ -201,7 +201,7 @@ class LambdaSeries:
             return LambdaSeries(self.trunc - 1, [TL_ZERO])
         return LambdaSeries(self.floor + i, self.co[i:])
 
-    def valuation(self) -> Optional[int]:
+    def valuation(self) -> int | None:
         for i, c in enumerate(self.co):
             if c:
                 return self.floor + i
@@ -257,7 +257,7 @@ class LambdaSeries:
         return self.map_coeffs(lambda e, t: t.scale(g ** e))
 
     # -- comparisons -------------------------------------------------------------
-    def window_with(self, other: "LambdaSeries") -> Tuple[int, int]:
+    def window_with(self, other: "LambdaSeries") -> tuple[int, int]:
         if not self.co:
             return (other.floor, other.trunc) if other.co else (0, 0)
         if not other.co:
@@ -288,7 +288,7 @@ class LambdaSeries:
         return f"{body} + O(L^{self.trunc})"
 
 
-def combine(terms: Iterable[Tuple[object, LambdaSeries, Optional[LambdaSeries]]]
+def combine(terms: Iterable[tuple[object, LambdaSeries, LambdaSeries | None]]
             ) -> LambdaSeries:
     """Sum of c*a*b over (c, a, b): c rational, a a ``LambdaSeries``, b one or
     None for 1, with the windows of a term-by-term fold: a product is taken
@@ -322,7 +322,7 @@ def combine(terms: Iterable[Tuple[object, LambdaSeries, Optional[LambdaSeries]]]
         raise InternalError("empty window in series addition")
     n = trunc - floor
     # per lambda-power: (denominator, numerator factor, a-coefficient, b-coefficient)
-    slots: List[list] = [[] for _ in range(n)]
+    slots: list[list] = [[] for _ in range(n)]
     for c, a, b, lo, _hi in kept:
         p, q = c.numerator, c.denominator
         off = lo - floor
@@ -343,7 +343,7 @@ def _collect(parts: list) -> TauLaurent:
     """The sum of p ca cb / den (p ca / den when cb is None) over the
     (den, p, ca, cb) parts of one coefficient of ``combine``."""
     den = lcm(*(d for d, *_x in parts))
-    planes: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
+    planes: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for d, p, ca, cb in parts:
         m = den // d * p
         if cb is None:
@@ -377,7 +377,7 @@ def exp_monomial(coeff, exp: int, trunc: int) -> LambdaSeries:
     if exp < 1:
         raise UsageError("exp_monomial requires exponent >= 1")
     c = coeff if isinstance(coeff, TauLaurent) else TauLaurent.const(coeff)
-    m: Dict[int, TauLaurent] = {}
+    m: dict[int, TauLaurent] = {}
     p = TL_ONE
     k = 0
     while k * exp < trunc:

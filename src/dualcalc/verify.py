@@ -7,8 +7,8 @@ another in registry order, in the calling thread.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
 
 from . import hodge, hurwitz, intersections, mirror, vertex
 from .chern_simons import check_pair_reduction
@@ -16,10 +16,10 @@ from .errors import UsageError
 from .partitions import enumerate_partitions, length, size
 
 Detail = dict
-CheckFn = Callable[[str], Tuple[bool, Detail]]
+CheckFn = Callable[[str], tuple[bool, Detail]]
 
 
-def check_hurwitz_oracles(profile: str) -> Tuple[bool, Detail]:
+def check_hurwitz_oracles(profile: str) -> tuple[bool, Detail]:
     nmax, gmax = (6, 2) if profile == "full" else (4, 1)
     compared = 0
     for n in range(1, nmax + 1):
@@ -35,7 +35,7 @@ def check_hurwitz_oracles(profile: str) -> Tuple[bool, Detail]:
     return True, {"compared": compared, "seed": str(hurwitz.hurwitz_number(0, (1,)))}
 
 
-def check_genus0_closed_form(profile: str) -> Tuple[bool, Detail]:
+def check_genus0_closed_form(profile: str) -> tuple[bool, Detail]:
     nmax = 7 if profile == "full" else 5
     checked = 0
     for n in range(3, nmax + 1):
@@ -49,7 +49,7 @@ def check_genus0_closed_form(profile: str) -> Tuple[bool, Detail]:
     return True, {"profiles": checked}
 
 
-def check_mv_pde(profile: str) -> Tuple[bool, Detail]:
+def check_mv_pde(profile: str) -> tuple[bool, Detail]:
     cap, trunc, gmax = (4, 15, 2) if profile == "full" else (2, 8, 1)
     fs = hodge.build_series(cap, trunc, 1)
     res = hodge.pde_residual(fs)
@@ -58,7 +58,7 @@ def check_mv_pde(profile: str) -> Tuple[bool, Detail]:
     return ok and cover, {"degree_cap": cap, "order": trunc, "window_covers_g": gmax}
 
 
-def check_initial_value(profile: str) -> Tuple[bool, Detail]:
+def check_initial_value(profile: str) -> tuple[bool, Detail]:
     # "through order 10" needs every window to pass order 10 inclusive,
     # hence the exclusive bound 11 and the taller build
     cap, trunc, through = (4, 15, 11) if profile == "full" else (2, 8, 6)
@@ -67,13 +67,13 @@ def check_initial_value(profile: str) -> Tuple[bool, Detail]:
     return rep["ok"], rep
 
 
-def check_elsv_limit(profile: str) -> Tuple[bool, Detail]:
+def check_elsv_limit(profile: str) -> tuple[bool, Detail]:
     cap, trunc, gmax = (4, 15, 2) if profile == "full" else (2, 8, 1)
     fs = hodge.build_series(cap, trunc, 1)
     return hodge.elsv_limit_check(fs, g_max=gmax), {"degree_cap": cap, "g_max": gmax}
 
 
-def check_lambda_g(profile: str) -> Tuple[bool, Detail]:
+def check_lambda_g(profile: str) -> tuple[bool, Detail]:
     cap, trunc = (4, 15) if profile == "full" else (2, 8)
     gs = (1, 2) if profile == "full" else (1,)
     fs = hodge.build_series(cap, trunc, 1)
@@ -88,7 +88,7 @@ def check_lambda_g(profile: str) -> Tuple[bool, Detail]:
                   "b1": str(hodge.b_constant(1)), "b2": str(hodge.b_constant(2))}
 
 
-def check_two_partition(profile: str) -> Tuple[bool, Detail]:
+def check_two_partition(profile: str) -> tuple[bool, Detail]:
     cap, trunc = (3, 9) if profile == "full" else (2, 7)
     fs2 = hodge.build_series(cap, trunc, 2)
     res = hodge.pde_residual(fs2)
@@ -102,7 +102,7 @@ def check_two_partition(profile: str) -> Tuple[bool, Detail]:
     return True, {"bidegree": (cap, cap), "order": trunc}
 
 
-def check_convolution(profile: str) -> Tuple[bool, Detail]:
+def check_convolution(profile: str) -> tuple[bool, Detail]:
     if profile == "full":
         fs = hodge.build_series(4, 15, 1)  # reuses the PDE-check build
         top = 3
@@ -113,7 +113,7 @@ def check_convolution(profile: str) -> Tuple[bool, Detail]:
     return ok, {"profiles_through": top, "kernel_at": 0, "verified_at": [1, 2, 3]}
 
 
-def check_witten(profile: str) -> Tuple[bool, Detail]:
+def check_witten(profile: str) -> tuple[bool, Detail]:
     order = 4 if profile == "full" else 3
     compared = 0
     for n in range(-1, 4):
@@ -141,7 +141,7 @@ def check_witten(profile: str) -> Tuple[bool, Detail]:
         "virasoro_orders": order, "cross_checked": cross, "compared": compared}
 
 
-def check_vertex(profile: str) -> Tuple[bool, Detail]:
+def check_vertex(profile: str) -> tuple[bool, Detail]:
     d_max, g_max = (3, 2) if profile == "full" else (2, 1)
     if not all(check_pair_reduction(nu) for nu in ((1,), (2,), (1, 1))):
         return False, {"failed": "pair-reduction"}
@@ -160,7 +160,7 @@ def check_vertex(profile: str) -> Tuple[bool, Detail]:
                   "integral": True}
 
 
-def check_candelas(profile: str) -> Tuple[bool, Detail]:
+def check_candelas(profile: str) -> tuple[bool, Detail]:
     d_max = 5 if profile == "full" else 3
     data = mirror.candelas(d_max)
     if data["cubic"] != Fraction(5, 6):
@@ -173,7 +173,7 @@ def check_candelas(profile: str) -> Tuple[bool, Detail]:
     return True, {"cubic": "5/6", "degrees": d_max}
 
 
-def check_hori_vafa(profile: str) -> Tuple[bool, Detail]:
+def check_hori_vafa(profile: str) -> tuple[bool, Detail]:
     cases = [(1, 2, 2), (2, 3, 2), (2, 4, 2)] if profile == "full" else [(1, 2, 2), (2, 3, 1)]
     for (k, n, dm) in cases:
         hv = mirror.hori_vafa_series(k, n, dm)
@@ -184,7 +184,7 @@ def check_hori_vafa(profile: str) -> Tuple[bool, Detail]:
     return True, {"cases": [f"Gr({k},{n}) d<={dm}" for (k, n, dm) in cases]}
 
 
-CHECKS: Dict[str, CheckFn] = {
+CHECKS: dict[str, CheckFn] = {
     "hurwitz-oracle-equivalence": check_hurwitz_oracles,
     "genus0-closed-form": check_genus0_closed_form,
     "mv-pde-one-family": check_mv_pde,
@@ -209,7 +209,7 @@ TIME_BOUNDS = {
 }
 
 
-def run_all(profile: str = "quick", inject_fault: Optional[str] = None) -> dict:
+def run_all(profile: str = "quick", inject_fault: str | None = None) -> dict:
     if profile not in ("quick", "full"):
         raise UsageError(f"unknown profile {profile!r}")
     if inject_fault is not None and inject_fault not in CHECKS:

@@ -19,11 +19,11 @@ the reading under which the inverted numbers are the proven-integral ones).
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
-from typing import Dict, Iterator, List, Tuple
 
 from .chern_simons import w_pair
 from .dense import graded_log
@@ -33,16 +33,16 @@ from .qfunc import QFunction, ULaurent, sum_of_products
 from .series import LambdaSeries
 
 Frac = Fraction
-NTable = Dict[Tuple[int, int], Frac]
-GVTable = Dict[Tuple[int, int], int]
+NTable = dict[tuple[int, int], Frac]
+GVTable = dict[tuple[int, int], int]
 
 
 @lru_cache(maxsize=None)
-def local_p2_z(d_max: int) -> Tuple[QFunction, ...]:
+def local_p2_z(d_max: int) -> tuple[QFunction, ...]:
     """Degree slices Z_0..Z_{d_max} of the local-P2 partition function."""
     if d_max < 0:
         raise UsageError("degree must be nonnegative")
-    out: List[QFunction] = []
+    out: list[QFunction] = []
     for d in range(d_max + 1):
         acc = sum_of_products(_vertex_terms(d))
         if d % 2:
@@ -53,7 +53,7 @@ def local_p2_z(d_max: int) -> Tuple[QFunction, ...]:
     return tuple(out)
 
 
-def _vertex_terms(d: int) -> Iterator[Tuple[Tuple[QFunction, ...], int]]:
+def _vertex_terms(d: int) -> Iterator[tuple[tuple[QFunction, ...], int]]:
     """The factors W(nu1,nu2) W(nu2,nu3) W(nu3,nu1) and u-power sum kappa_i
     of each partition triple of total size d."""
     for a in range(d + 1):
@@ -68,7 +68,7 @@ def _vertex_terms(d: int) -> Iterator[Tuple[Tuple[QFunction, ...], int]]:
 
 
 @lru_cache(maxsize=None)
-def local_p2_free_energy(d_max: int) -> Tuple[QFunction, ...]:
+def local_p2_free_energy(d_max: int) -> tuple[QFunction, ...]:
     """Connected slices F_1..F_{d_max}: the degree-graded log of Z.
 
     d F_d = d Z_d - sum_{j<d} j F_j Z_{d-j}.

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
-from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -178,6 +177,9 @@ VACUOUS = {
     "toric-nilpotency-zero": ["mirror", "toric", "--spec",
                               {"generators": [{"name": "H", "nilpotency": 0}],
                                "line_bundles": [[1]], "divisors": [[1]]}],
+    "toric-empty-spec": ["mirror", "toric", "--spec",
+                         {"generators": [{"name": "H", "nilpotency": 2}],
+                          "line_bundles": [], "divisors": []}],
 }
 
 
@@ -270,6 +272,39 @@ def test_w_limits_reject_before_any_work(argv, monkeypatch):
     code, out = run(argv)
     assert code == 1 and out.count("\n") == 1
     assert json.loads(out)["kind"] == "usage"
+
+
+MIRROR_LIMITS = [(["mirror", "quintic"], "candelas"),
+                 (["mirror", "toric", "--spec", P4_SPEC], "toric_b_series")]
+
+
+def _mirror_limit_run(argv, worker, degree, monkeypatch):
+    from dualcalc import mirror
+    from dualcalc.errors import InternalError
+
+    def started(*_args):
+        raise InternalError("the mirror series was started")
+
+    # the worker fails, so no degree is computed: a document of kind
+    # "internal" (exit 3) means the limit let the query through
+    monkeypatch.setattr(mirror, worker, started)
+    code, out = run([*argv, "--max-degree", str(degree)])
+    assert out.count("\n") == 1
+    return code, json.loads(out)["kind"]
+
+
+@pytest.mark.parametrize("argv,worker", MIRROR_LIMITS)
+def test_mirror_limits_accept_the_boundary(argv, worker, monkeypatch):
+    # the limit admits the degree-40 quintic, about 0.5 s cold
+    assert cli.MIRROR_MAX_DEGREE >= 40
+    assert _mirror_limit_run(argv, worker, cli.MIRROR_MAX_DEGREE, monkeypatch) == (3, "internal")
+    _, doc = run_json([*argv[:2], "--help"])
+    assert f"at most {cli.MIRROR_MAX_DEGREE}" in doc["help"]
+
+
+@pytest.mark.parametrize("argv,worker", MIRROR_LIMITS)
+def test_mirror_limits_reject_before_any_work(argv, worker, monkeypatch):
+    assert _mirror_limit_run(argv, worker, cli.MIRROR_MAX_DEGREE + 1, monkeypatch) == (1, "usage")
 
 
 def test_gv_integrality_checks_forward_map(monkeypatch):
@@ -537,9 +572,25 @@ def test_repeated_queries_in_one_process_repeat_their_documents():
     for argv, (code1, out1), (code2, out2) in zip(MIXED, first, second):
         assert code1 == code2, argv
         assert _without_seconds(out1) == _without_seconds(out2), argv
-    # a cached framed series cannot be changed in place
-    with pytest.raises(FrozenInstanceError):
-        hodge.build_series(2, 9, 1).trunc = 10
+    # a cached framed series cannot be changed in place, and its connected
+    # series is computed once
+    fs = hodge.build_series(2, 9, 1)
+    for field in ("families", "caps", "trunc", "disconnected", "connected"):
+        with pytest.raises(AttributeError):
+            setattr(fs, field, getattr(fs, field))
+    assert fs.connected is fs.connected
+
+
+def test_a_cold_process_loads_no_typing_or_dataclasses():
+    # every cold command pays for what ``import dualcalc.cli`` loads; these
+    # modules come in only through annotations or a dataclass decorator
+    heavy = ["ast", "dataclasses", "dis", "inspect", "tokenize", "typing"]
+    code = ("import sys, dualcalc.cli; dualcalc.cli.build_parser(); import dualcalc; "
+            f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stdout) == (0, "[]\n"), child.stderr
 
 
 def test_a_process_builds_one_parser(monkeypatch):
