@@ -389,6 +389,10 @@ def test_grassmannian_verify():
                          "--method", "both"]),
     ("quintic-d20", ["mirror", "quintic", "--max-degree", "20"]),
     ("vertex-d8-g2", ["vertex", "local-p2", "--max-degree", "8", "--max-genus", "2", "--gv"]),
+    ("grassmannian-k3-n6-d2", ["mirror", "grassmannian", "-k", "3", "-n", "6",
+                               "--max-degree", "2", "--verify"]),
+    ("grassmannian-k4-n7-d1", ["mirror", "grassmannian", "-k", "4", "-n", "7",
+                               "--max-degree", "1", "--verify"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)
