@@ -23,6 +23,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, prod
 
 from . import hodge, hurwitz, intersections, mirror, vertex, verify
 from .chern_simons import w_one, w_pair
@@ -81,6 +82,13 @@ def qfun_json(f: QFunction) -> dict:
 W_MAX_EXPAND = 64
 W_MAX_BOXES = 12
 MIRROR_MAX_DEGREE = 50
+# mirror toric: multidegree slices times the ring dimension prod n_i
+MIRROR_MAX_TORIC_SIZE = 256
+# mirror grassmannian: k, n, the degree, and k(n-k)(max_degree+1)
+GR_MAX_K = 4
+GR_MAX_N = 8
+GR_MAX_DEGREE = 4
+GR_MAX_SIZE = 32
 
 
 class _Help(Exception):
@@ -155,11 +163,14 @@ def build_parser() -> _Parser:
     tor = mrsub.add_parser("toric")
     tor.add_argument("--spec", type=str, required=True,
                      help="JSON file with generators / line_bundles / divisors")
-    tor.add_argument("--max-degree", type=int, default=3, help=f"at most {MIRROR_MAX_DEGREE}")
+    tor.add_argument("--max-degree", type=int, default=3,
+                     help=f"at most {MIRROR_MAX_DEGREE}; the multidegree slices times the "
+                          f"ring dimension at most {MIRROR_MAX_TORIC_SIZE}")
     gr = mrsub.add_parser("grassmannian")
-    gr.add_argument("-k", type=int, required=True)
-    gr.add_argument("-n", type=int, required=True)
-    gr.add_argument("--max-degree", type=int, default=2)
+    gr.add_argument("-k", type=int, required=True, help=f"at most {GR_MAX_K}")
+    gr.add_argument("-n", type=int, required=True, help=f"k < n <= {GR_MAX_N}")
+    gr.add_argument("--max-degree", type=int, default=2,
+                    help=f"at most {GR_MAX_DEGREE}, with k(n-k)(max-degree+1) at most {GR_MAX_SIZE}")
     gr.add_argument("--verify", action="store_true")
 
     va = sub.add_parser("verify-all", help="run the acceptance checks")
@@ -336,6 +347,11 @@ def _cmd_mirror(args) -> dict:
         }
     elif args.geometry == "toric":
         gens, bundles, divisors = _read_toric_spec(args.spec)
+        # the multidegrees of total at most d in r generators: comb(d + r, r)
+        if (args.max_degree >= 0 and comb(args.max_degree + len(gens), len(gens))
+                * prod(n for _name, n in gens) > MIRROR_MAX_TORIC_SIZE):
+            raise UsageError("mirror toric is limited to multidegree slices times ring "
+                             f"dimension {MIRROR_MAX_TORIC_SIZE}")
         b = mirror.toric_b_series(gens, bundles, divisors, args.max_degree)
         result = {"slices": {
             ",".join(map(str, d)): {
@@ -344,7 +360,13 @@ def _cmd_mirror(args) -> dict:
                 for (ge, te), v in sorted(coeffs.items())}
             for d, coeffs in sorted(b.items())}}
     else:  # grassmannian
-        hv = mirror.hori_vafa_series(args.k, args.n, args.max_degree)
+        k, n = args.k, args.n
+        if not (1 <= k <= GR_MAX_K and k < n <= GR_MAX_N):
+            raise UsageError(f"mirror grassmannian needs 1 <= k <= {GR_MAX_K} and k < n <= {GR_MAX_N}")
+        if args.max_degree > GR_MAX_DEGREE or k * (n - k) * (args.max_degree + 1) > GR_MAX_SIZE:
+            raise UsageError(f"mirror grassmannian is limited to --max-degree {GR_MAX_DEGREE} "
+                             f"and k(n-k)(max-degree+1) {GR_MAX_SIZE}")
+        hv = mirror.hori_vafa_series(k, n, args.max_degree)
         result = {"operator": _reduced_json(hv["operator"]),
                   "localization": _reduced_json(hv["localization"])}
         if args.verify:

@@ -10,14 +10,14 @@ Q[G_1..G_r]/(G_i^{n_i}), held as ``Poly`` values keyed by exponent tuples.
 
 Grassmannian side: the product-of-projective-spaces series, the
 antisymmetrizing derivative operator with its pi sqrt(-1) bookkeeping symbol
-P, the composition-sum localization formula, and the equality test between
-the two in the Schur basis of H*(Gr(k,n)).  Both sides are sums over
-compositions of a determinant whose row i depends on the Chern root x_i
-alone, so by the bialternant formula s_lambda = a_{lambda+delta} / a_delta
-the s_lambda coefficient is the x^{lambda+delta} coefficient of that sum,
-read from one-variable rows without any Vandermonde division.  Two guards
-hold on every coefficient read: it is free of P, and it changes sign when
-two adjacent exponents are swapped.
+P, the composition-sum localization formula, and their equality in the Schur
+basis of H*(Gr(k,n)).  Both sides sum, over compositions, a determinant whose
+row i depends on the Chern root x_i alone, so by the bialternant formula
+s_lambda = a_{lambda+delta} / a_delta the s_lambda coefficient is its
+x^{lambda+delta} coefficient: one pass builds the Leibniz sum row by row, for
+every degree at once, over (used-column mask, degree) states memoised on the
+row prefix.  Each read must be P-free and change sign under adjacent swaps.
+The CLI bounds k, n and the degree (``cli.GR_MAX_*``).
 
 Sign conventions: the projective-space displays use (x - m alpha) while the
 composition sum uses (x_i + l alpha); the bridge, validated by the equality
@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, factorial
 from operator import add, lt
 
@@ -317,94 +317,94 @@ def _loc_rows(k: int, n: int, d_max: int, cap: int) -> dict[tuple[int, int], XPo
     return out
 
 
-def _bialternant(rows: dict[tuple[int, int], XPoly], k: int, n: int, d: int,
-                 cap: int) -> dict[int, dict[tuple[int, ...], Laurent]]:
-    """Schur coefficients of sum_c det[rows[c_i, j](x_i)] / a_delta, by t-exponent.
+def _row_step(states: dict, at_x: dict[int, list], d_max: int, cap: int) -> dict:
+    """One more row of the Leibniz sum, on {(used-column mask, degree so far): signed
+    product sum, None if empty}: an unused column j, a part c of at_x[j] within d_max,
+    sign (-1)^{used columns above j}.  Zero sums drop; a lone +1 product is not summed."""
+    out: dict[tuple[int, int], list] = {}
+    for (mask, s), v in states.items():
+        for j, pairs in at_x.items():
+            if not mask >> j & 1:
+                sign = -1 if (mask >> j).bit_count() & 1 else 1
+                for c, f in pairs:
+                    if s + c <= d_max:
+                        out.setdefault((mask | 1 << j, s + c), []).append(
+                            (sign, f if v is None else v * f))
+    return {key: p for key, t in out.items()
+            if (p := t[0][1] if len(t) == 1 and t[0][0] == 1 else XPoly.lincomb(cap, t))}
 
-    The sum runs over the compositions c of d into k parts.  By the
-    bialternant formula s_lambda = a_{lambda+delta} / a_delta, the s_lambda
-    coefficient is the x^{lambda+delta} coefficient of the determinant sum:
-    a Leibniz sum of products of one-variable coefficients.  Every strictly
-    decreasing exponent tuple with total <= cap is read, and each must be
-    P-free and change sign under every adjacent swap.  Only the Schur
-    classes of H*(Gr(k,n)) are kept: partitions inside the k x (n-k) box.
-    """
-    coeffs = {key: row.x_coefficients() for key, row in rows.items() if key[0] <= d}
-    comps = compositions(d, k)
-    # each permutation with its sign, (-1)^{number of inversions}
-    perms = [((-1) ** sum(a > b for a, b in combinations(sigma, 2)), sigma)
-             for sigma in permutations(range(k))]
 
-    def at(e: tuple[int, ...]) -> XPoly:
-        terms = []
-        for compn in comps:
-            for sign, sigma in perms:
-                term = None
-                for i in range(k):
-                    f = coeffs[(compn[i], sigma[i])].get(e[i])
-                    if f is None:
-                        break
-                    term = f if term is None else term * f
-                else:
-                    terms.append((sign, term))
-        return XPoly.lincomb(cap, terms)
+def _bialternant(rows: dict[tuple[int, int], XPoly], k: int, n: int, d_max: int,
+                 cap: int) -> dict[int, dict[int, dict[tuple[int, ...], Laurent]]]:
+    """Schur coefficients of sum_c det[rows[c_i, j](x_i)] / a_delta by |c| <= d_max and
+    t-exponent, all degrees in one pass: by s_lambda = a_{lambda+delta} / a_delta, the
+    x^{lambda+delta} coefficients, each P-free and changing sign under every adjacent
+    swap.  Every decreasing e with total <= cap is checked; the k x (n-k) box is kept."""
+    cols: dict[int, dict] = {x: {} for x in range(cap + 1)}  # x -> j -> [(c, rows[c, j] at x^x)]
+    for (c, j), row in rows.items():
+        for x, f in row.x_coefficients().items():
+            cols[x].setdefault(j, []).append((c, f))
+    memo: list[dict] = [{(): {(0, 0): None}}] + [{} for _ in range(k - 1)]  # by prefix length
 
-    by_t: dict[int, dict[tuple[int, ...], Laurent]] = {}
-    for e in combinations(range(cap, -1, -1), k):
-        if sum(e) > cap:
-            continue
+    def at(e: tuple[int, ...]) -> dict[tuple[int, int], XPoly]:
+        for i in range(1, k):
+            if e[:i] not in memo[i]:
+                memo[i][e[:i]] = _row_step(memo[i - 1][e[:i - 1]], cols[e[i - 1]], d_max, cap)
+        return _row_step(memo[k - 1][e[:-1]], cols[e[-1]], d_max, cap)
+
+    by_d: dict[int, dict[int, dict[tuple[int, ...], Laurent]]] = {d: {} for d in range(d_max + 1)}
+    es = [e for e in combinations(range(cap, -1, -1), k) if sum(e) <= cap]
+    for prev, e in zip([(-1,) * k] + es, es):
+        # lexicographic order: no later e reaches a prefix 2 rows past the one shared with prev
+        for level in memo[next(i for i in range(k) if e[i] != prev[i]) + 2:]:
+            level.clear()
         v = at(e)
-        if not v.p_free():
+        if not all(p.p_free() for p in v.values()):
             raise InternalError("surviving P-dependence in a Schur coefficient")
         for i in range(k - 1):
-            if at(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != -v:
+            if at(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != {key: -p for key, p in v.items()}:
                 raise InternalError("determinant sum is not antisymmetric")
         lam = tuple(p for p in (x - (k - 1 - i) for i, x in enumerate(e)) if p)
-        if lam and lam[0] > n - k:
-            continue
-        for (_x, _p, te), coef in v.c.items():
-            by_t.setdefault(te, {})[lam] = coef
-    return by_t
+        if not lam or lam[0] <= n - k:
+            for (_mask, d), p in v.items():
+                for (_x, _p, te), coef in p.c.items():
+                    by_d[d].setdefault(te, {})[lam] = coef
+    return by_d
 
 
 @lru_cache(maxsize=None)
 def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
-    """Operator-formula series, localization series, and their equality.
-
-    Output: {"operator": {d: {t_exp: {lam: Laurent}}}, "localization":
-    same shape, "equal": bool}.  The alpha -> -alpha bridge between the two
-    printed conventions is applied to the composition sum.
-    """
+    """Operator-formula series, localization series, and their equality:
+    {"operator": {d: {t_exp: {lam: Laurent}}}, "localization": same shape,
+    "equal": bool}.  The alpha -> -alpha bridge between the two printed
+    conventions is applied to the composition sum."""
     if not (1 <= k < n):
         raise UsageError("need 1 <= k < n")
     if d_max < 0:
         raise UsageError("degree must be nonnegative")
     cap = _gr_cap(k, n)
-    slices = hg_projective(n, d_max, cap=cap)
 
-    # operator entries: column j carries (alpha d/dt)^r, r = k-1-j, acting
-    # on slice * e^{c t} as alpha^r (c + d/dt)^r, framed-substituted and
-    # times e^{P x}.  The sign (-1)^r gathers to the Vandermonde orientation
-    # sign (-1)^{k(k-1)/2}; (-1)^{(k-1)c} is the copy sign from e^{c t}.
+    # operator entries: column j carries (alpha d/dt)^r, r = k-1-j, acting on
+    # slice * e^{c t} as alpha^r (c + d/dt)^r, framed-substituted, times e^{P x}
+    # (t-free, so taken into the slice first).  The sign (-1)^r gathers to the
+    # Vandermonde orientation sign (-1)^{k(k-1)/2}; (-1)^{(k-1)c} is the copy sign.
     e_p = exp_x_times(cap, "P", 1)
     op_rows: dict[tuple[int, int], XPoly] = {}
-    for c in range(d_max + 1):
-        cur = slices[c]
+    for c, cur in enumerate(s * e_p for s in hg_projective(n, d_max, cap=cap)):
         for r in range(k):
             if r:
                 cur = cur.scale(c) + cur.dt()
             factor = Laurent.mono(r, (-1) ** (r + (k - 1) * c))
-            op_rows[(c, k - 1 - r)] = cur.subs_t_plus_p_alpha().scale(factor) * e_p
+            op_rows[(c, k - 1 - r)] = cur.subs_t_plus_p_alpha().scale(factor)
 
     # localization side: e^{-t x_i/alpha} times each row, alpha flipped first
     pre_t = exp_x_times(cap, "t", -1)
     loc_rows = {key: pre_t * row.negate_alpha()
                 for key, row in _loc_rows(k, n, d_max, cap).items()}
 
-    operator_out = {d: _bialternant(op_rows, k, n, d, cap) for d in range(d_max + 1)}
-    loc_out = {d: _bialternant(loc_rows, k, n, d, cap) for d in range(d_max + 1)}
-    equal = _reduced_equal(operator_out, loc_out)
-    return {"operator": operator_out, "localization": loc_out, "equal": equal}
+    operator_out, loc_out = (_bialternant(rows, k, n, d_max, cap) for rows in (op_rows, loc_rows))
+    return {"operator": operator_out, "localization": loc_out,
+            "equal": _reduced_equal(operator_out, loc_out)}
 
 
 def _reduced_equal(a, b) -> bool:

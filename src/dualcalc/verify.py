@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import hodge, hurwitz, intersections, mirror, vertex
 from .chern_simons import check_pair_reduction
-from .errors import UsageError
+from .errors import UsageError, VerificationFailure
 from .partitions import enumerate_partitions, length, size
 
 Detail = dict
@@ -160,6 +160,10 @@ def check_vertex(profile: str) -> tuple[bool, Detail]:
                   "integral": True}
 
 
+# the quintic's genus-0 instanton numbers n_1..n_5 (Candelas-de la Ossa-Green-Parkes)
+QUINTIC_N = (2875, 609250, 317206375, 242467530000, 229305888887625)
+
+
 def check_candelas(profile: str) -> tuple[bool, Detail]:
     d_max = 5 if profile == "full" else 3
     data = mirror.candelas(d_max)
@@ -170,6 +174,12 @@ def check_candelas(profile: str) -> tuple[bool, Detail]:
     synth = [3, -14, 0, 27]
     if mirror.multiple_cover_invert(mirror.multiple_cover_forward(synth)) != synth:
         return False, {"failed": "multiple-cover-round-trip"}
+    try:
+        n_list = mirror.multiple_cover_invert(data["K"])
+    except VerificationFailure as exc:
+        return False, {"failed": "instanton-integrality", "error": str(exc)}
+    if n_list != list(QUINTIC_N[:d_max]):
+        return False, {"failed": "instanton-numbers", "n": n_list}
     return True, {"cubic": "5/6", "degrees": d_max}
 
 

@@ -8,12 +8,13 @@ recursion, the cut-and-join Hurwitz recursion on ``PSeries`` slices, the
 interpolation that the finite-difference psi-extraction replaces, set
 partitions, the ``Fraction``-list dense kernels, the ``Fraction``-dict toric
 ring, the quintic bracket series built on its own (``mirror.candelas`` reads
-it off the toric series), the 2 sin(m lambda/2) expansion, and the
-localization-sum class of a Grassmannian read through the live ``mirror``
-row kernels."""
+it off the toric series), the 2 sin(m lambda/2) expansion, the
+composition-by-permutation Schur reader that the row-by-row pass of
+``mirror._bialternant`` replaces, and the localization-sum class of a
+Grassmannian read through the live ``mirror`` row kernels."""
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from math import comb, factorial, gcd
 
 from dualcalc import mirror
@@ -21,6 +22,7 @@ from dualcalc.errors import InternalError, UsageError, VerificationFailure
 from dualcalc.hodge import FramedSeries, _one_family_term, _two_family_term
 from dualcalc.hurwitz import elsv_I, ramification_order
 from dualcalc.laurent import Laurent
+from dualcalc.nilpotent import XPoly
 from dualcalc.partitions import (add_parts, character, compositions, enumerate_partitions,
                                  remove_part, zmu)
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key
@@ -635,6 +637,49 @@ def toric_b_series_reference(generators, line_bundles, divisors, d_max):
     return out
 
 
+def bialternant_reference(rows, k, n, d, cap):
+    """The degree-d Schur coefficients that ``mirror._bialternant`` reads for
+    every degree in one row-by-row pass, summed here one degree at a time over
+    the compositions c of d into k parts and all k! permutations, with both
+    guards re-evaluating every swapped tuple in full."""
+    coeffs = {key: row.x_coefficients() for key, row in rows.items() if key[0] <= d}
+    comps = compositions(d, k)
+    # each permutation with its sign, (-1)^{number of inversions}
+    perms = [((-1) ** sum(a > b for a, b in combinations(sigma, 2)), sigma)
+             for sigma in permutations(range(k))]
+
+    def at(e):
+        terms = []
+        for compn in comps:
+            for sign, sigma in perms:
+                term = None
+                for i in range(k):
+                    f = coeffs[(compn[i], sigma[i])].get(e[i])
+                    if f is None:
+                        break
+                    term = f if term is None else term * f
+                else:
+                    terms.append((sign, term))
+        return XPoly.lincomb(cap, terms)
+
+    by_t = {}
+    for e in combinations(range(cap, -1, -1), k):
+        if sum(e) > cap:
+            continue
+        v = at(e)
+        if not v.p_free():
+            raise InternalError("surviving P-dependence in a Schur coefficient")
+        for i in range(k - 1):
+            if at(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != -v:
+                raise InternalError("determinant sum is not antisymmetric")
+        lam = tuple(p for p in (x - (k - 1 - i) for i, x in enumerate(e)) if p)
+        if lam and lam[0] > n - k:
+            continue
+        for (_x, _p, te), coef in v.c.items():
+            by_t.setdefault(te, {})[lam] = coef
+    return by_t
+
+
 def gr_loc_sum(k, n, d):
     """Localization-sum class in the Schur basis of H*(Gr(k,n)): the degree-d
     composition sum of ``mirror._loc_rows`` read by ``mirror._bialternant``,
@@ -644,7 +689,7 @@ def gr_loc_sum(k, n, d):
     if d < 0:
         raise UsageError("degree must be nonnegative")
     cap = mirror._gr_cap(k, n)
-    by_t = mirror._bialternant(mirror._loc_rows(k, n, d, cap), k, n, d, cap)
+    by_t = mirror._bialternant(mirror._loc_rows(k, n, d, cap), k, n, d, cap)[d]
     if set(by_t) - {0}:
         raise InternalError("unexpected symbol in the localization sum")
     return by_t.get(0, {})

@@ -307,6 +307,61 @@ def test_mirror_limits_reject_before_any_work(argv, worker, monkeypatch):
     assert _mirror_limit_run(argv, worker, cli.MIRROR_MAX_DEGREE + 1, monkeypatch) == (1, "usage")
 
 
+def _p1_power(r):
+    return {"generators": [{"name": f"H{i}", "nilpotency": 2} for i in range(r)],
+            "line_bundles": [[2] * r],
+            "divisors": [[int(i == j) for i in range(r)] for j in range(r) for _ in (0, 1)]}
+
+
+def _one_generator(nilpotency):
+    return {"generators": [{"name": "H", "nilpotency": nilpotency}],
+            "line_bundles": [[1]], "divisors": [[1]]}
+
+
+# (spec, degree) at the bound on multidegree slices times ring dimension,
+# comb(degree + r, r) * prod n_i <= 256, and one step past it; every slice
+# of the degree-50 quintic (51 * 5) stays inside
+TORIC_SIZE_ACCEPTED = [(_p1_power(2), 9), (_p1_power(3), 3), (_one_generator(128), 1),
+                       (_one_generator(256), 0)]
+TORIC_SIZE_REJECTED = [(_p1_power(2), 10), (_p1_power(3), 4), (_one_generator(129), 1),
+                       (_one_generator(257), 0)]
+
+
+@pytest.mark.parametrize("accepted,cases", [(True, TORIC_SIZE_ACCEPTED),
+                                            (False, TORIC_SIZE_REJECTED)])
+def test_toric_size_limit_at_its_boundary(accepted, cases, tmp_path, monkeypatch):
+    assert cli.MIRROR_MAX_TORIC_SIZE == 256
+    path = tmp_path / "spec.json"
+    for spec, degree in cases:
+        path.write_text(json.dumps(spec))
+        got = _mirror_limit_run(["mirror", "toric", "--spec", str(path)], "toric_b_series",
+                                degree, monkeypatch)
+        assert got == ((3, "internal") if accepted else (1, "usage")), (spec, degree)
+    _, doc = run_json(["mirror", "toric", "--help"])
+    assert f"ring dimension at most {cli.MIRROR_MAX_TORIC_SIZE}" in " ".join(doc["help"].split())
+
+
+# (k, n, degree) at the Grassmannian limits: k <= 4, k < n <= 8, degree <= 4
+# and k(n-k)(degree+1) <= 32, and one step past each; the admitted boundary
+# cases take at most about 3 s cold, Gr(4,6) to degree 3 and Gr(4,8) to 1
+GR_LIMITS_ACCEPTED = [(4, 8, 1), (4, 6, 3), (4, 5, 4), (1, 8, 3), (2, 3, 4), (3, 8, 1)]
+GR_LIMITS_REJECTED = [(5, 6, 0), (1, 9, 0), (2, 3, 5), (4, 8, 2), (4, 6, 4), (3, 6, 3),
+                      (0, 2, 1), (3, 3, 1)]
+
+
+@pytest.mark.parametrize("accepted,cases", [(True, GR_LIMITS_ACCEPTED),
+                                            (False, GR_LIMITS_REJECTED)])
+def test_grassmannian_limits_at_their_boundary(accepted, cases, monkeypatch):
+    assert (cli.GR_MAX_K, cli.GR_MAX_N, cli.GR_MAX_DEGREE, cli.GR_MAX_SIZE) == (4, 8, 4, 32)
+    for k, n, degree in cases:
+        argv = ["mirror", "grassmannian", "-k", str(k), "-n", str(n), "--verify"]
+        got = _mirror_limit_run(argv, "hori_vafa_series", degree, monkeypatch)
+        assert got == ((3, "internal") if accepted else (1, "usage")), (k, n, degree)
+    _, doc = run_json(["mirror", "grassmannian", "--help"])
+    for text in ("at most 4", "k < n <= 8", "k(n-k)(max-degree+1) at most 32"):
+        assert text in " ".join(doc["help"].split())
+
+
 def test_gv_integrality_checks_forward_map(monkeypatch):
     from dualcalc import vertex
 

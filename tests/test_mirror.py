@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from dualcalc.errors import InternalError, UsageError, VerificationFailure
 from dualcalc.laurent import Laurent
-from dualcalc import mirror
+from dualcalc import mirror, verify
 from dualcalc.nilpotent import XPoly
 from dualcalc.mirror import (candelas, gr23_matches_p2, hg_projective,
                              hori_vafa_series, mirror_map_round_trip,
                              multiple_cover_forward, multiple_cover_invert,
                              toric_b_series, _inv_linear_power)
-from oracles import (canonical, gr_loc_sum, quintic_hg_reference,
+from oracles import (bialternant_reference, canonical, gr_loc_sum, quintic_hg_reference,
                      toric_b_series_reference)
 
 F = Fraction
@@ -39,6 +39,34 @@ def test_candelas_structure():
     # the inversion of the computed coefficients is integral
     n = multiple_cover_invert(data["K"])
     assert all(isinstance(v, int) for v in n)
+
+
+def _perturbed_k(monkeypatch, index, delta):
+    real = mirror.candelas
+
+    def perturbed(d_max):
+        data = dict(real(d_max))
+        data["K"] = [v + delta if i == index else v for i, v in enumerate(data["K"])]
+        return data
+
+    monkeypatch.setattr(mirror, "candelas", perturbed)
+
+
+def test_candelas_check_compares_the_instanton_numbers(monkeypatch):
+    assert verify.check_candelas("full") == (True, {"cubic": "5/6", "degrees": 5})
+    assert verify.check_candelas("quick") == (True, {"cubic": "5/6", "degrees": 3})
+    # K_5 + 1 inverts to n_5 + 1 (5 is prime): integral, but not the published count
+    _perturbed_k(monkeypatch, 4, 1)
+    assert verify.check_candelas("full") == (False, {
+        "failed": "instanton-numbers",
+        "n": [2875, 609250, 317206375, 242467530000, 229305888887626]})
+
+
+def test_candelas_check_requires_integral_instanton_numbers(monkeypatch):
+    _perturbed_k(monkeypatch, 2, F(1, 2))
+    ok, detail = verify.check_candelas("quick")
+    assert not ok and detail["failed"] == "instanton-integrality"
+    assert "n_3" in detail["error"]
 
 
 def test_mirror_map_round_trip():
@@ -357,7 +385,44 @@ def test_surviving_p_in_an_operator_row_raises(monkeypatch, uncached_hori_vafa):
 
 
 def test_dropped_composition_breaks_antisymmetry(monkeypatch, uncached_hori_vafa):
-    real = mirror.compositions
-    monkeypatch.setattr(mirror, "compositions", lambda d, k: real(d, k)[:-1])
+    # the first row never takes part 1 in column 0, so each composition whose
+    # first part is 1 loses its terms with column 0 first; a bad entry of the
+    # row table would not do, since every row reads the same (c, j) table
+    real = mirror._row_step
+
+    def faulty(states, *args):
+        out = real(states, *args)
+        if (0, 0) in states:
+            out.pop((0b1, 1), None)
+        return out
+
+    monkeypatch.setattr(mirror, "_row_step", faulty)
     with pytest.raises(InternalError, match="antisymmetric"):
         hori_vafa_series(2, 4, 1)
+
+
+def _gr_rows(k, n, d_max, monkeypatch):
+    """The operator and localization rows that hori_vafa_series reads."""
+    seen = []
+    real = mirror._bialternant
+    monkeypatch.setattr(mirror, "_bialternant", lambda rows, *args: seen.append(rows) or real(rows, *args))
+    assert hori_vafa_series(k, n, d_max)["equal"]
+    return seen
+
+
+# every 1 <= k < n <= 6, at degree 2 where the reference's k! permutations
+# per composition stay cheap: Gr(3,6) at degree 1, k = 4 at degree 1 and
+# Gr(5,6) at degree 0
+BIALTERNANT_CASES = ([(k, n, 2) for n in range(2, 7) for k in range(1, min(n, 4))
+                      if (k, n) != (3, 6)]
+                     + [(3, 6, 1), (4, 5, 1), (4, 6, 1), (5, 6, 0)])
+
+
+@pytest.mark.parametrize("k,n,d_max", BIALTERNANT_CASES)
+def test_bialternant_matches_composition_reference(k, n, d_max, monkeypatch, uncached_hori_vafa):
+    real, cap = mirror._bialternant, mirror._gr_cap(k, n)
+    for rows in _gr_rows(k, n, d_max, monkeypatch):
+        got = real(rows, k, n, d_max, cap)
+        assert sorted(got) == list(range(d_max + 1))
+        for d in range(d_max + 1):
+            assert got[d] == bialternant_reference(rows, k, n, d, cap), d
