@@ -9,10 +9,10 @@ data (``partitions``, ``schur``), quantum-dimension W values
 operators (``pseries``), Hurwitz and ELSV (``hurwitz``), the framed
 triple-Hodge series (``hodge``), the local-P2 vertex with GV inversion
 (``vertex``), psi-intersections and Virasoro (``intersections``), mirror
-hypergeometrics with the one-variable integer-numerator ``XPoly`` ring and
-Grassmannian Schur coefficients read as determinants (``nilpotent``,
-``mirror``), and the acceptance registry (``verify``) behind the
-``dualcalc`` CLI (``cli``).
+hypergeometrics with the one-variable integer-numerator ``XPoly`` ring that
+builds the Grassmannian determinant rows, whose Schur coefficients are read
+on plain integers (``nilpotent``, ``mirror``), and the acceptance registry
+(``verify``) behind the ``dualcalc`` CLI (``cli``).
 """
 
 from .scalars import GaussianRational, bernoulli

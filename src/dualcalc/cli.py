@@ -82,8 +82,10 @@ def qfun_json(f: QFunction) -> dict:
 W_MAX_EXPAND = 64
 W_MAX_BOXES = 12
 MIRROR_MAX_DEGREE = 50
-# mirror toric: multidegree slices times the ring dimension prod n_i
+# mirror toric: multidegree slices times the ring dimension prod n_i, and the sum over
+# classes of their largest |pairing| (degree times largest |entry|) times that dimension
 MIRROR_MAX_TORIC_SIZE = 256
+MIRROR_MAX_TORIC_PAIRING = 2500
 # mirror grassmannian: k, n, the degree, and k(n-k)(max_degree+1)
 GR_MAX_K = 4
 GR_MAX_N = 8
@@ -165,7 +167,8 @@ def build_parser() -> _Parser:
                      help="JSON file with generators / line_bundles / divisors")
     tor.add_argument("--max-degree", type=int, default=3,
                      help=f"at most {MIRROR_MAX_DEGREE}; the multidegree slices times the "
-                          f"ring dimension at most {MIRROR_MAX_TORIC_SIZE}")
+                          f"ring dimension at most {MIRROR_MAX_TORIC_SIZE}, and the summed "
+                          f"class pairings times it at most {MIRROR_MAX_TORIC_PAIRING}")
     gr = mrsub.add_parser("grassmannian")
     gr.add_argument("-k", type=int, required=True, help=f"at most {GR_MAX_K}")
     gr.add_argument("-n", type=int, required=True, help=f"k < n <= {GR_MAX_N}")
@@ -347,11 +350,14 @@ def _cmd_mirror(args) -> dict:
         }
     elif args.geometry == "toric":
         gens, bundles, divisors = _read_toric_spec(args.spec)
-        # the multidegrees of total at most d in r generators: comb(d + r, r)
-        if (args.max_degree >= 0 and comb(args.max_degree + len(gens), len(gens))
-                * prod(n for _name, n in gens) > MIRROR_MAX_TORIC_SIZE):
+        # the multidegrees of total at most deg in r generators: comb(deg + r, r)
+        deg, dim = args.max_degree, prod(n for _name, n in gens)
+        if deg >= 0 and comb(deg + len(gens), len(gens)) * dim > MIRROR_MAX_TORIC_SIZE:
             raise UsageError("mirror toric is limited to multidegree slices times ring "
                              f"dimension {MIRROR_MAX_TORIC_SIZE}")
+        if deg * sum(max(map(abs, v), default=0) for v in bundles + divisors) * dim > MIRROR_MAX_TORIC_PAIRING:
+            raise UsageError("mirror toric is limited to summed class pairings times ring "
+                             f"dimension {MIRROR_MAX_TORIC_PAIRING}")
         b = mirror.toric_b_series(gens, bundles, divisors, args.max_degree)
         result = {"slices": {
             ",".join(map(str, d)): {

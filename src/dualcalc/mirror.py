@@ -14,9 +14,9 @@ P, the composition-sum localization formula, and their equality in the Schur
 basis of H*(Gr(k,n)).  Both sides sum, over compositions, a determinant whose
 row i depends on the Chern root x_i alone, so by the bialternant formula
 s_lambda = a_{lambda+delta} / a_delta the s_lambda coefficient is its
-x^{lambda+delta} coefficient: one pass builds the Leibniz sum row by row, for
-every degree at once, over (used-column mask, degree) states memoised on the
-row prefix.  Each read must be P-free and change sign under adjacent swaps.
+x^{lambda+delta} coefficient: one pass builds the Leibniz sum row by row on
+integers, for every degree at once, over (used-column mask, degree) states
+memoised on the row prefix.  Each read is P-free and flips under adjacent swaps.
 The CLI bounds k, n and the degree (``cli.GR_MAX_*``).
 
 Sign conventions: the projective-space displays use (x - m alpha) while the
@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 from operator import add, lt
 
 from . import dense
@@ -317,21 +317,24 @@ def _loc_rows(k: int, n: int, d_max: int, cap: int) -> dict[tuple[int, int], XPo
     return out
 
 
-def _row_step(states: dict, at_x: dict[int, list], d_max: int, cap: int) -> dict:
-    """One more row of the Leibniz sum, on {(used-column mask, degree so far): signed
-    product sum, None if empty}: an unused column j, a part c of at_x[j] within d_max,
-    sign (-1)^{used columns above j}.  Zero sums drop; a lone +1 product is not summed."""
-    out: dict[tuple[int, int], list] = {}
+def _row_step(states: dict, at_x: dict[int, list], d_max: int) -> dict:
+    """One more row of the Leibniz sum, on {(used-column mask, degree so far): {(P, t, alpha)
+    exponents: integer numerator}}: an unused column j, a part c of at_x[j] within d_max, sign
+    (-1)^{used columns above j}.  The numerators share one denominator: products add as integers."""
+    out: dict[tuple[int, int], dict] = {}
     for (mask, s), v in states.items():
         for j, pairs in at_x.items():
             if not mask >> j & 1:
                 sign = -1 if (mask >> j).bit_count() & 1 else 1
                 for c, f in pairs:
                     if s + c <= d_max:
-                        out.setdefault((mask | 1 << j, s + c), []).append(
-                            (sign, f if v is None else v * f))
-    return {key: p for key, t in out.items()
-            if (p := t[0][1] if len(t) == 1 and t[0][0] == 1 else XPoly.lincomb(cap, t))}
+                        acc = out.setdefault((mask | 1 << j, s + c), {})
+                        for (p1, t1, a1), w1 in v.items():
+                            w1 *= sign
+                            for (p2, t2, a2), w2 in f.items():
+                                key = (p1 + p2, t1 + t2, a1 + a2)
+                                acc[key] = acc.get(key, 0) + w1 * w2
+    return {key: acc for key, t in out.items() if (acc := {m: w for m, w in t.items() if w})}
 
 
 def _bialternant(rows: dict[tuple[int, int], XPoly], k: int, n: int, d_max: int,
@@ -339,18 +342,21 @@ def _bialternant(rows: dict[tuple[int, int], XPoly], k: int, n: int, d_max: int,
     """Schur coefficients of sum_c det[rows[c_i, j](x_i)] / a_delta by |c| <= d_max and
     t-exponent, all degrees in one pass: by s_lambda = a_{lambda+delta} / a_delta, the
     x^{lambda+delta} coefficients, each P-free and changing sign under every adjacent
-    swap.  Every decreasing e with total <= cap is checked; the k x (n-k) box is kept."""
-    cols: dict[int, dict] = {x: {} for x in range(cap + 1)}  # x -> j -> [(c, rows[c, j] at x^x)]
-    for (c, j), row in rows.items():
-        for x, f in row.x_coefficients().items():
-            cols[x].setdefault(j, []).append((c, f))
-    memo: list[dict] = [{(): {(0, 0): None}}] + [{} for _ in range(k - 1)]  # by prefix length
+    swap.  Every decreasing e with total <= cap is checked; the k x (n-k) box is kept.  With
+    integer numerators over one dens[x] per x^x, e and its swaps share prod dens[e_i]."""
+    slices = {(c, j, x): f for (c, j), row in rows.items() for x, f in row.x_coefficients().items()}
+    dens = [lcm(*(f.den for (_c, _j, y), f in slices.items() if y == x)) for x in range(cap + 1)]
+    cols: list[dict] = [{} for _ in range(cap + 1)]  # x -> j -> [(c, numerators at x^x)]
+    for (c, j, x), f in slices.items():
+        num = {key[1:]: w * (dens[x] // f.den) for key, w in f.num.items()}
+        cols[x].setdefault(j, []).append((c, num))
+    memo = [{(): {(0, 0): {(0, 0, 0): 1}}}] + [{} for _ in range(k - 1)]  # by prefix length
 
-    def at(e: tuple[int, ...]) -> dict[tuple[int, int], XPoly]:
+    def at(e: tuple[int, ...]) -> dict[tuple[int, int], dict]:
         for i in range(1, k):
             if e[:i] not in memo[i]:
-                memo[i][e[:i]] = _row_step(memo[i - 1][e[:i - 1]], cols[e[i - 1]], d_max, cap)
-        return _row_step(memo[k - 1][e[:-1]], cols[e[-1]], d_max, cap)
+                memo[i][e[:i]] = _row_step(memo[i - 1][e[:i - 1]], cols[e[i - 1]], d_max)
+        return _row_step(memo[k - 1][e[:-1]], cols[e[-1]], d_max)
 
     by_d: dict[int, dict[int, dict[tuple[int, ...], Laurent]]] = {d: {} for d in range(d_max + 1)}
     es = [e for e in combinations(range(cap, -1, -1), k) if sum(e) <= cap]
@@ -359,16 +365,18 @@ def _bialternant(rows: dict[tuple[int, int], XPoly], k: int, n: int, d_max: int,
         for level in memo[next(i for i in range(k) if e[i] != prev[i]) + 2:]:
             level.clear()
         v = at(e)
-        if not all(p.p_free() for p in v.values()):
+        if any(m[0] for p in v.values() for m in p):
             raise InternalError("surviving P-dependence in a Schur coefficient")
+        neg = {key: {m: -w for m, w in p.items()} for key, p in v.items()}
         for i in range(k - 1):
-            if at(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != {key: -p for key, p in v.items()}:
+            if at(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != neg:
                 raise InternalError("determinant sum is not antisymmetric")
         lam = tuple(p for p in (x - (k - 1 - i) for i, x in enumerate(e)) if p)
         if not lam or lam[0] <= n - k:
             for (_mask, d), p in v.items():
-                for (_x, _p, te), coef in p.c.items():
-                    by_d[d].setdefault(te, {})[lam] = coef
+                for te in {te for _p, te, _a in p}:
+                    num = {a: w for (_p, t, a), w in p.items() if t == te}
+                    by_d[d].setdefault(te, {})[lam] = Laurent()._new(num, prod(dens[x] for x in e))
     return by_d
 
 

@@ -10,7 +10,8 @@ combinations, d/dt and the substitutions.  ``laurent.Laurent``
 coefficients in alpha appear only at the boundary (``scale`` and the ``c``
 view).  The Grassmannian formulas need no several-variable polynomial: each
 row of their determinants depends on one Chern root, and ``x_coefficients``
-hands out the x^e coefficients those determinants are read from.
+hands out the x^e coefficients whose numerators ``mirror._bialternant``
+multiplies and sums as plain integers.
 """
 from __future__ import annotations
 
@@ -119,9 +120,6 @@ class XPoly(Poly):
     def negate_alpha(self) -> "XPoly":
         return self._new({k: (-v if k[-1] % 2 else v) for k, v in self.num.items()},
                          self.den)
-
-    def p_free(self) -> bool:
-        return not any(key[1] for key in self.num)
 
     def x_coefficients(self) -> dict[int, "XPoly"]:
         """{e: the x^e coefficient}, each a polynomial in P, t and alpha alone."""

@@ -252,9 +252,12 @@ class LambdaSeries:
         return self.map_coeffs(lambda e, c: c.subs_inverse())
 
     def subst_scale(self, c) -> "LambdaSeries":
-        """lambda -> c*lambda for an invertible scalar c."""
-        g = GaussianRational.coerce(c)
-        return self.map_coeffs(lambda e, t: t.scale(g ** e))
+        """lambda -> c*lambda for an invertible c = i^ph p/q, on integers (a sign of p is i^2)."""
+        ph, p, q = _split(c)
+        ph, pq = ph + 2 * (p < 0), (abs(p), q)
+        return self.map_coeffs(lambda e, t: t._new(
+            {k: w * pq[e < 0] ** abs(e) for k, w in t.num.items()}, t.den * pq[e >= 0] ** abs(e),
+            t.ph + ph * e))
 
     # -- comparisons -------------------------------------------------------------
     def window_with(self, other: "LambdaSeries") -> tuple[int, int]:

@@ -637,6 +637,11 @@ def toric_b_series_reference(generators, line_bundles, divisors, d_max):
     return out
 
 
+def p_free(p):
+    """Whether the ``XPoly`` p has no term with a positive power of P."""
+    return not any(key[1] for key in p.num)
+
+
 def bialternant_reference(rows, k, n, d, cap):
     """The degree-d Schur coefficients that ``mirror._bialternant`` reads for
     every degree in one row-by-row pass, summed here one degree at a time over
@@ -667,7 +672,7 @@ def bialternant_reference(rows, k, n, d, cap):
         if sum(e) > cap:
             continue
         v = at(e)
-        if not v.p_free():
+        if not p_free(v):
             raise InternalError("surviving P-dependence in a Schur coefficient")
         for i in range(k - 1):
             if at(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != -v:

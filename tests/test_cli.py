@@ -341,6 +341,39 @@ def test_toric_size_limit_at_its_boundary(accepted, cases, tmp_path, monkeypatch
     assert f"ring dimension at most {cli.MIRROR_MAX_TORIC_SIZE}" in " ".join(doc["help"].split())
 
 
+def _spec(nilpotency, bundles, divisors):
+    return {"generators": [{"name": "H", "nilpotency": nilpotency}],
+            "line_bundles": bundles, "divisors": divisors}
+
+
+QUINTIC_SPEC = _spec(5, [[5]], [[1]] * 5)
+
+# (spec, degree) at the bound on the classes' largest |pairings| with the
+# multidegrees, summed, times the ring dimension, and past it: the quintic
+# spec at degree 50 is (250 + 5 * 50) * 5, and the last rejected spec has
+# coefficients past Python's 4300-digit int-to-str limit at degree 1
+TORIC_PAIRING_ACCEPTED = [(QUINTIC_SPEC, 50), (_spec(2, [], [[1250]]), 1),
+                          (_spec(2, [[625]], [[-625]]), 1), (_spec(1, [[2500]], []), 1)]
+TORIC_PAIRING_REJECTED = [(_spec(5, [[5]], [[1]] * 6), 50),
+                          (_spec(2, [], [[1251]]), 1), (_spec(2, [[625]], [[-626]]), 1),
+                          (_spec(1, [[2501]], []), 1), (_spec(5, [[2000]], [[1]]), 1)]
+
+
+@pytest.mark.parametrize("accepted,cases", [(True, TORIC_PAIRING_ACCEPTED),
+                                            (False, TORIC_PAIRING_REJECTED)])
+def test_toric_pairing_limit_at_its_boundary(accepted, cases, tmp_path, monkeypatch):
+    assert cli.MIRROR_MAX_TORIC_PAIRING == 2500
+    path = tmp_path / "spec.json"
+    for spec, degree in cases:
+        path.write_text(json.dumps(spec))
+        got = _mirror_limit_run(["mirror", "toric", "--spec", str(path)], "toric_b_series",
+                                degree, monkeypatch)
+        assert got == ((3, "internal") if accepted else (1, "usage")), (spec, degree)
+    _, doc = run_json(["mirror", "toric", "--help"])
+    assert (f"class pairings times it at most {cli.MIRROR_MAX_TORIC_PAIRING}"
+            in " ".join(doc["help"].split()))
+
+
 # (k, n, degree) at the Grassmannian limits: k <= 4, k < n <= 8, degree <= 4
 # and k(n-k)(degree+1) <= 32, and one step past each; the admitted boundary
 # cases take at most about 3 s cold, Gr(4,6) to degree 3 and Gr(4,8) to 1

@@ -426,3 +426,18 @@ def test_bialternant_matches_composition_reference(k, n, d_max, monkeypatch, unc
         assert sorted(got) == list(range(d_max + 1))
         for d in range(d_max + 1):
             assert got[d] == bialternant_reference(rows, k, n, d, cap), d
+
+
+@pytest.mark.parametrize("k,n,d_max", [(2, 4, 2), (3, 5, 1), (4, 6, 1)])
+def test_bialternant_forms_no_xpoly_product_or_sum(k, n, d_max, monkeypatch, uncached_hori_vafa):
+    # the rows are XPoly values; the reader multiplies and adds their numerators as integers
+    real, cap = mirror._bialternant, mirror._gr_cap(k, n)
+    rows_seen = _gr_rows(k, n, d_max, monkeypatch)
+    expected = [real(rows, k, n, d_max, cap) for rows in rows_seen]
+
+    def forbidden(*_args):
+        raise AssertionError("the Schur reader formed an XPoly product or sum")
+
+    monkeypatch.setattr(XPoly, "__mul__", forbidden)
+    monkeypatch.setattr(XPoly, "lincomb", forbidden)
+    assert [real(rows, k, n, d_max, cap) for rows in rows_seen] == expected

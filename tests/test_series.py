@@ -440,3 +440,31 @@ def test_phase_rule_holds_under_optimize():
                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
                          timeout=120)
     assert out.stdout.strip() == "adding tau-polynomials of different phase"
+
+
+# -- lambda -> c*lambda against GaussianRational powers -------------------------
+
+def _subst_scale_reference(s, c):
+    """lambda -> c*lambda through GaussianRational powers, negative ones included."""
+    g = GaussianRational.coerce(c)
+    return s.map_coeffs(lambda e, t: t.scale(g ** e))
+
+
+SCALES = [GaussianRational(0, 3), Fraction(-2, 3), GaussianRational(0, Fraction(-1, 2))]
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_subst_scale_matches_gaussian_powers(c):
+    s = LambdaSeries(-3, [TauLaurent({-1: Fraction(1, 3), 2: 5}), TauLaurent({0: 2}), TL_ZERO,
+                          TauLaurent.phased(1, {1: Fraction(-7, 2)}), TauLaurent({3: 1, 0: -4})])
+    got, want = s.subst_scale(c), _subst_scale_reference(s, c)
+    assert (got.floor, got.trunc, got.co) == (want.floor, want.trunc, want.co)
+    for t in got.co:
+        canonical(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SCALES), phased_series(0, 0) | phased_series(1, 1))
+def test_subst_scale_matches_gaussian_powers_on_random_windows(c, s):
+    got, want = s.subst_scale(c), _subst_scale_reference(s, c)
+    assert (got.floor, got.trunc, got.co) == (want.floor, want.trunc, want.co)
