@@ -82,10 +82,8 @@ def qfun_json(f: QFunction) -> dict:
 W_MAX_EXPAND = 64
 W_MAX_BOXES = 12
 MIRROR_MAX_DEGREE = 50
-# mirror toric: multidegree slices times the ring dimension prod n_i, and the sum over
-# classes of their largest |pairing| (degree times largest |entry|) times that dimension
-MIRROR_MAX_TORIC_SIZE = 256
-MIRROR_MAX_TORIC_PAIRING = 2500
+MIRROR_MAX_TORIC_SIZE = 256  # mirror toric: multidegree slices times ring dimension prod n_i
+MIRROR_MAX_TORIC_PAIRING = 2500  # summed largest |pairing| per class times max(dimension, 2)
 # mirror grassmannian: k, n, the degree, and k(n-k)(max_degree+1)
 GR_MAX_K = 4
 GR_MAX_N = 8
@@ -167,8 +165,8 @@ def build_parser() -> _Parser:
                      help="JSON file with generators / line_bundles / divisors")
     tor.add_argument("--max-degree", type=int, default=3,
                      help=f"at most {MIRROR_MAX_DEGREE}; the multidegree slices times the "
-                          f"ring dimension at most {MIRROR_MAX_TORIC_SIZE}, and the summed "
-                          f"class pairings times it at most {MIRROR_MAX_TORIC_PAIRING}")
+                          f"ring dimension at most {MIRROR_MAX_TORIC_SIZE}, and the summed class "
+                          f"pairings times max(dimension, 2) at most {MIRROR_MAX_TORIC_PAIRING}")
     gr = mrsub.add_parser("grassmannian")
     gr.add_argument("-k", type=int, required=True, help=f"at most {GR_MAX_K}")
     gr.add_argument("-n", type=int, required=True, help=f"k < n <= {GR_MAX_N}")
@@ -355,9 +353,9 @@ def _cmd_mirror(args) -> dict:
         if deg >= 0 and comb(deg + len(gens), len(gens)) * dim > MIRROR_MAX_TORIC_SIZE:
             raise UsageError("mirror toric is limited to multidegree slices times ring "
                              f"dimension {MIRROR_MAX_TORIC_SIZE}")
-        if deg * sum(max(map(abs, v), default=0) for v in bundles + divisors) * dim > MIRROR_MAX_TORIC_PAIRING:
-            raise UsageError("mirror toric is limited to summed class pairings times ring "
-                             f"dimension {MIRROR_MAX_TORIC_PAIRING}")
+        if deg * sum(max(map(abs, v), default=0) for v in bundles + divisors) * max(dim, 2) > MIRROR_MAX_TORIC_PAIRING:
+            raise UsageError("mirror toric is limited to summed class pairings times "
+                             f"max(ring dimension, 2) {MIRROR_MAX_TORIC_PAIRING}")
         b = mirror.toric_b_series(gens, bundles, divisors, args.max_degree)
         result = {"slices": {
             ",".join(map(str, d)): {

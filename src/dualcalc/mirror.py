@@ -348,8 +348,7 @@ def _bialternant(rows: dict[tuple[int, int], XPoly], k: int, n: int, d_max: int,
     dens = [lcm(*(f.den for (_c, _j, y), f in slices.items() if y == x)) for x in range(cap + 1)]
     cols: list[dict] = [{} for _ in range(cap + 1)]  # x -> j -> [(c, numerators at x^x)]
     for (c, j, x), f in slices.items():
-        num = {key[1:]: w * (dens[x] // f.den) for key, w in f.num.items()}
-        cols[x].setdefault(j, []).append((c, num))
+        cols[x].setdefault(j, []).append((c, {m: w * (dens[x] // f.den) for m, w in f.num.items()}))
     memo = [{(): {(0, 0): {(0, 0, 0): 1}}}] + [{} for _ in range(k - 1)]  # by prefix length
 
     def at(e: tuple[int, ...]) -> dict[tuple[int, int], dict]:
@@ -365,7 +364,7 @@ def _bialternant(rows: dict[tuple[int, int], XPoly], k: int, n: int, d_max: int,
         for level in memo[next(i for i in range(k) if e[i] != prev[i]) + 2:]:
             level.clear()
         v = at(e)
-        if any(m[0] for p in v.values() for m in p):
+        if any(pe for p in v.values() for pe, _t, _a in p):
             raise InternalError("surviving P-dependence in a Schur coefficient")
         neg = {key: {m: -w for m, w in p.items()} for key, p in v.items()}
         for i in range(k - 1):
@@ -374,8 +373,10 @@ def _bialternant(rows: dict[tuple[int, int], XPoly], k: int, n: int, d_max: int,
         lam = tuple(p for p in (x - (k - 1 - i) for i, x in enumerate(e)) if p)
         if not lam or lam[0] <= n - k:
             for (_mask, d), p in v.items():
-                for te in {te for _p, te, _a in p}:
-                    num = {a: w for (_p, t, a), w in p.items() if t == te}
+                by_t: dict[int, dict[int, int]] = {}
+                for (_p, te, a), w in p.items():
+                    by_t.setdefault(te, {})[a] = w
+                for te, num in by_t.items():
                     by_d[d].setdefault(te, {})[lam] = Laurent()._new(num, prod(dens[x] for x in e))
     return by_d
 

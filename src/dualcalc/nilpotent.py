@@ -10,8 +10,8 @@ combinations, d/dt and the substitutions.  ``laurent.Laurent``
 coefficients in alpha appear only at the boundary (``scale`` and the ``c``
 view).  The Grassmannian formulas need no several-variable polynomial: each
 row of their determinants depends on one Chern root, and ``x_coefficients``
-hands out the x^e coefficients whose numerators ``mirror._bialternant``
-multiplies and sums as plain integers.
+hands out the x^e coefficients as integer numerators keyed by (P, t, alpha)
+exponents, which ``mirror._bialternant`` multiplies and sums as plain integers.
 """
 from __future__ import annotations
 
@@ -121,12 +121,13 @@ class XPoly(Poly):
         return self._new({k: (-v if k[-1] % 2 else v) for k, v in self.num.items()},
                          self.den)
 
-    def x_coefficients(self) -> dict[int, "XPoly"]:
-        """{e: the x^e coefficient}, each a polynomial in P, t and alpha alone."""
+    def x_coefficients(self) -> dict[int, Poly]:
+        """{e: the x^e coefficient}, each a ``Poly`` keyed by (P, t, alpha) exponents."""
         rows: dict[int, dict[tuple[int, ...], int]] = {}
-        for (x, *rest), v in self.num.items():
-            rows.setdefault(x, {})[(0, *rest)] = v
-        return {x: self._new(num, self.den) for x, num in rows.items()}
+        for key, v in self.num.items():
+            rows.setdefault(key[0], {})[key[1:]] = v
+        zero = Poly()
+        return {x: zero._new(num, self.den) for x, num in rows.items()}
 
 
 def exp_x_times(cap: int, sym_var: str, sign: int) -> XPoly:

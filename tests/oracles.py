@@ -639,7 +639,17 @@ def toric_b_series_reference(generators, line_bundles, divisors, d_max):
 
 def p_free(p):
     """Whether the ``XPoly`` p has no term with a positive power of P."""
-    return not any(key[1] for key in p.num)
+    return not any(pe for _x, pe, _t in p.c)
+
+
+def x_slices(row):
+    """{e: the x^e coefficient of the ``XPoly`` row, as an ``XPoly`` with no x},
+    read through the ``c`` view."""
+    terms = {}
+    for (x, pe, te), coef in row.c.items():
+        for a, v in coef.c.items():
+            terms.setdefault(x, {})[(0, pe, te, a)] = v
+    return {x: XPoly(row.cap, t) for x, t in terms.items()}
 
 
 def bialternant_reference(rows, k, n, d, cap):
@@ -647,7 +657,7 @@ def bialternant_reference(rows, k, n, d, cap):
     every degree in one row-by-row pass, summed here one degree at a time over
     the compositions c of d into k parts and all k! permutations, with both
     guards re-evaluating every swapped tuple in full."""
-    coeffs = {key: row.x_coefficients() for key, row in rows.items() if key[0] <= d}
+    coeffs = {key: x_slices(row) for key, row in rows.items() if key[0] <= d}
     comps = compositions(d, k)
     # each permutation with its sign, (-1)^{number of inversions}
     perms = [((-1) ** sum(a > b for a, b in combinations(sigma, 2)), sigma)

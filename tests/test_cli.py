@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -349,14 +350,17 @@ def _spec(nilpotency, bundles, divisors):
 QUINTIC_SPEC = _spec(5, [[5]], [[1]] * 5)
 
 # (spec, degree) at the bound on the classes' largest |pairings| with the
-# multidegrees, summed, times the ring dimension, and past it: the quintic
-# spec at degree 50 is (250 + 5 * 50) * 5, and the last rejected spec has
-# coefficients past Python's 4300-digit int-to-str limit at degree 1
+# multidegrees, summed, times max(ring dimension, 2), and past it: the quintic
+# spec at degree 50 is (250 + 5 * 50) * 5; a divisor [m] on a ring of
+# dimension 1 prints 1/m!, past Python's 4300-digit int-to-str limit at
+# m = 2500, and the last rejected spec passes that limit at degree 1 too
 TORIC_PAIRING_ACCEPTED = [(QUINTIC_SPEC, 50), (_spec(2, [], [[1250]]), 1),
-                          (_spec(2, [[625]], [[-625]]), 1), (_spec(1, [[2500]], []), 1)]
+                          (_spec(2, [[625]], [[-625]]), 1), (_spec(1, [], [[1250]]), 1),
+                          (_spec(1, [[1250]], []), 1)]
 TORIC_PAIRING_REJECTED = [(_spec(5, [[5]], [[1]] * 6), 50),
                           (_spec(2, [], [[1251]]), 1), (_spec(2, [[625]], [[-626]]), 1),
-                          (_spec(1, [[2501]], []), 1), (_spec(5, [[2000]], [[1]]), 1)]
+                          (_spec(1, [], [[1251]]), 1), (_spec(1, [], [[2500]]), 1),
+                          (_spec(1, [[1251]], []), 1), (_spec(5, [[2000]], [[1]]), 1)]
 
 
 @pytest.mark.parametrize("accepted,cases", [(True, TORIC_PAIRING_ACCEPTED),
@@ -370,8 +374,19 @@ def test_toric_pairing_limit_at_its_boundary(accepted, cases, tmp_path, monkeypa
                                 degree, monkeypatch)
         assert got == ((3, "internal") if accepted else (1, "usage")), (spec, degree)
     _, doc = run_json(["mirror", "toric", "--help"])
-    assert (f"class pairings times it at most {cli.MIRROR_MAX_TORIC_PAIRING}"
+    assert (f"pairings times max(dimension, 2) at most {cli.MIRROR_MAX_TORIC_PAIRING}"
             in " ".join(doc["help"].split()))
+
+
+def test_toric_pairing_limit_admits_printable_coefficients(tmp_path):
+    # the largest admitted divisor on a ring of dimension 1 prints 1/1250!,
+    # about 3,300 digits, in one document
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_spec(1, [], [[1250]])))
+    code, doc = run_json(["mirror", "toric", "--spec", str(path), "--max-degree", "1"])
+    assert code == 0
+    (coef,) = doc["result"]["slices"]["1"].values()
+    assert coef == f"1/{factorial(1250)}"
 
 
 # (k, n, degree) at the Grassmannian limits: k <= 4, k < n <= 8, degree <= 4

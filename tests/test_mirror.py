@@ -325,8 +325,9 @@ def test_xpoly_arithmetic_matches_laurent_reference(pair, frac, laurent):
     assert canonical(a.subs_t_plus_p_alpha()) == _ref_subs_t_plus_p_alpha(a)
     assert canonical(a.negate_alpha()) == _ref_negate_alpha(a)
     for e, row in a.x_coefficients().items():
-        assert canonical(row).c == {(0, *key[1:]): v for key, v in a.c.items()
-                                    if key[0] == e}
+        assert canonical(row).c == {(pe, te, al): v for (x, pe, te), coef in a.c.items()
+                                    if x == e for al, v in coef.c.items()}
+    assert set(a.x_coefficients()) == {x for x, _pe, _te in a.c}
 
 
 def test_xpoly_canonical_form():
