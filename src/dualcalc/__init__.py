@@ -7,7 +7,8 @@ behind every Laurent type, dense and lambda-truncated series (``scalars``,
 data (``partitions``, ``schur``), quantum-dimension W values
 (``chern_simons``), the partition-indexed series ring with cut-and-join
 operators (``pseries``), Hurwitz and ELSV (``hurwitz``), the framed
-triple-Hodge series (``hodge``), the local-P2 vertex with GV inversion
+triple-Hodge series (``hodge``), the local-P2 vertex with the one
+Gopakumar-Vafa inversion, whose genus-0 case also inverts the quintic
 (``vertex``), psi-intersections and Virasoro (``intersections``), mirror
 hypergeometrics with the one-variable integer-numerator ``XPoly`` ring that
 builds the Grassmannian determinant rows, whose Schur coefficients are read
@@ -29,7 +30,6 @@ from .hodge import (FramedSeries, build_series, convolution_check,
                     lambda_g_check, pde_residual)
 from .vertex import extract_gw, gv_invert, local_p2_z
 from .intersections import dvv, virasoro_residual
-from .mirror import (candelas, hg_projective, hori_vafa_series,
-                     multiple_cover_invert, toric_b_series)
+from .mirror import candelas, hg_projective, hori_vafa_series, toric_b_series
 
 __version__ = "0.1.0"

@@ -78,9 +78,11 @@ def qfun_json(f: QFunction) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# input limits, checked before any W value or mirror series is formed
+# input limits, checked before any W value, vertex sum or mirror series is formed
 W_MAX_EXPAND = 64
 W_MAX_BOXES = 12
+VERTEX_MAX_DEGREE = 9  # local P2 to degree 9 takes about 2.4 s cold, degree 10 about 10 s
+VERTEX_MAX_GENUS = 24
 MIRROR_MAX_DEGREE = 50
 MIRROR_MAX_TORIC_SIZE = 256  # mirror toric: multidegree slices times ring dimension prod n_i
 MIRROR_MAX_TORIC_PAIRING = 2500  # summed largest |pairing| per class times max(dimension, 2)
@@ -143,8 +145,8 @@ def build_parser() -> _Parser:
 
     vx = sub.add_parser("vertex", help="topological-vertex partition function")
     vx.add_argument("geometry", choices=["local-p2"])
-    vx.add_argument("--max-degree", type=int, default=3)
-    vx.add_argument("--max-genus", type=int, default=2)
+    vx.add_argument("--max-degree", type=int, default=3, help=f"at most {VERTEX_MAX_DEGREE}")
+    vx.add_argument("--max-genus", type=int, default=2, help=f"at most {VERTEX_MAX_GENUS}")
     vx.add_argument("--gv", action="store_true",
                     help="invert to integer multi-cover counts")
 
@@ -283,6 +285,9 @@ def _cmd_mv(args) -> dict:
 
 def _cmd_vertex(args) -> dict:
     d_max, g_max = args.max_degree, args.max_genus
+    if d_max > VERTEX_MAX_DEGREE or g_max > VERTEX_MAX_GENUS:
+        raise UsageError(f"vertex local-p2 is limited to --max-degree {VERTEX_MAX_DEGREE} "
+                         f"and --max-genus {VERTEX_MAX_GENUS}")
     n_table = vertex.extract_gw(d_max, g_max)
     result = {"N": [[frac_str(n_table[(g, d)]) for d in range(1, d_max + 1)]
                     for g in range(g_max + 1)]}
@@ -335,14 +340,16 @@ def _cmd_mirror(args) -> dict:
     if args.geometry != "grassmannian" and args.max_degree > MIRROR_MAX_DEGREE:
         raise UsageError(f"mirror {args.geometry} is limited to --max-degree {MIRROR_MAX_DEGREE}")
     if args.geometry == "quintic":
-        data = mirror.candelas(args.max_degree)
-        n_list = mirror.multiple_cover_invert(data["K"])
+        d_max = args.max_degree
+        data = mirror.candelas(d_max)
+        k_table = {(0, d): k for d, k in enumerate(data["K"], 1)}
+        gv = vertex.gv_invert(k_table, d_max, 0)
         checks.append({"name": "cubic-5/6", "pass": data["cubic"] == Fraction(5, 6)})
         checks.append({"name": "multiple-cover-integrality",
-                       "pass": mirror.multiple_cover_forward(n_list) == data["K"]})
+                       "pass": vertex.gv_forward(gv, d_max, 0) == k_table})
         result = {
             "K": [frac_str(k) for k in data["K"]],
-            "n": n_list,
+            "n": [gv[(0, d)] for d in range(1, d_max + 1)],
             "cubic": frac_str(data["cubic"]),
             "mirror_map": [frac_str(c) for c in data["mirror_map"]],
         }

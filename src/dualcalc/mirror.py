@@ -2,8 +2,8 @@
 
 Quintic side: the bracket coefficients read off the toric series of the
 quintic spec, the mirror-map change of variables and the cubic-normalized
-potential on ``dense`` Q-series, plus the classical k^{-3} multiple-cover
-inversion.
+potential on ``dense`` Q-series.  The instanton numbers come from its
+degree coefficients by the genus-0 case of ``vertex.gv_invert``.
 
 Toric side: the convex-case series of a toric spec in the truncated ring
 Q[G_1..G_r]/(G_i^{n_i}), held as ``Poly`` values keyed by exponent tuples.
@@ -145,31 +145,6 @@ def mirror_map_round_trip(d_max: int) -> bool:
     return dense.compose(q_of_qt, qt_of_q, n) == Laurent.mono(1)
 
 
-def multiple_cover_invert(k_list: Sequence[Frac]) -> list[int]:
-    """K_d = sum_{k | d} n_{d/k} / k^3, solved triangularly; entries must be integers."""
-    out: list[int] = []
-    for d in range(1, len(k_list) + 1):
-        v = Frac(k_list[d - 1])
-        for k in range(2, d + 1):
-            if d % k == 0:
-                v -= Frac(out[d // k - 1], k ** 3)
-        if v.denominator != 1:
-            raise VerificationFailure(f"multiple-cover count n_{d} = {v} is not an integer")
-        out.append(int(v))
-    return out
-
-
-def multiple_cover_forward(n_list: Sequence[int]) -> list[Frac]:
-    out = []
-    for d in range(1, len(n_list) + 1):
-        v = Frac(0)
-        for k in range(1, d + 1):
-            if d % k == 0:
-                v += Frac(n_list[d // k - 1], k ** 3)
-        out.append(v)
-    return out
-
-
 # ===========================================================================
 # general convex toric series
 # ===========================================================================
@@ -272,10 +247,10 @@ def hg_projective(n: int, d_max: int, cap: int | None = None) -> tuple[XPoly, ..
         cap = n - 1
     pre = exp_x_times(cap, "t", -1)
     out: list[XPoly] = []
+    slice_d = XPoly.const(cap, 1)
     for d in range(d_max + 1):
-        slice_d = XPoly.const(cap, 1)
-        for m in range(1, d + 1):
-            slice_d = slice_d * _inv_linear_power(cap, -m, n)
+        if d:
+            slice_d = slice_d * _inv_linear_power(cap, -d, n)
         out.append(pre * slice_d)
     return tuple(out)
 
@@ -305,10 +280,11 @@ def _loc_rows(k: int, n: int, d_max: int, cap: int) -> dict[tuple[int, int], XPo
     determinant in the x_i + c_i alpha.
     """
     out: dict[tuple[int, int], XPoly] = {}
+    inv_prod = XPoly.const(cap, 1)
     for c in range(d_max + 1):
-        base = XPoly.const(cap, (-1) ** ((k - 1) * c))
-        for l in range(1, c + 1):
-            base = base * _inv_linear_power(cap, l, n)
+        if c:
+            inv_prod = inv_prod * _inv_linear_power(cap, c, n)
+        base = inv_prod.scale((-1) ** ((k - 1) * c))
         for j in range(k):
             m = k - 1 - j
             shifted = XPoly(cap, {(i, 0, 0, m - i): comb(m, i) * c ** (m - i)

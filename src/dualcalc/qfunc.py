@@ -14,8 +14,7 @@ Keeping the phase separate leaves all polynomial arithmetic inside Q(u).
 q = e^{sqrt(-1) lambda}) on integers: num and den become integer series in
 y = sqrt(-1) lambda/2 over one shared factorial, their quotient is taken
 fraction-free against a cached denominator side, and the phase and the
-powers of 2 join only as each lambda^e coefficient is stored.  The vertex's
-multi-cover kernel is expanded the same way.
+powers of 2 join only as each lambda^e coefficient is stored.
 """
 from __future__ import annotations
 

@@ -171,13 +171,14 @@ def check_candelas(profile: str) -> tuple[bool, Detail]:
         return False, {"cubic": str(data["cubic"])}
     if not mirror.mirror_map_round_trip(3):
         return False, {"failed": "mirror-map-round-trip"}
-    synth = [3, -14, 0, 27]
-    if mirror.multiple_cover_invert(mirror.multiple_cover_forward(synth)) != synth:
+    synth = {(0, d): n for d, n in enumerate([3, -14, 0, 27], 1)}
+    if vertex.gv_invert(vertex.gv_forward(synth, 4, 0), 4, 0) != synth:
         return False, {"failed": "multiple-cover-round-trip"}
     try:
-        n_list = mirror.multiple_cover_invert(data["K"])
+        gv = vertex.gv_invert({(0, d): k for d, k in enumerate(data["K"], 1)}, d_max, 0)
     except VerificationFailure as exc:
         return False, {"failed": "instanton-integrality", "error": str(exc)}
+    n_list = [gv[(0, d)] for d in range(1, d_max + 1)]
     if n_list != list(QUINTIC_N[:d_max]):
         return False, {"failed": "instanton-numbers", "n": n_list}
     return True, {"cubic": "5/6", "degrees": d_max}

@@ -10,12 +10,15 @@ because kappa is even).  The connected free energy is the degree-graded log;
 its degree-d slice expands as a lambda-Laurent series with floor >= -2 and
 even exponents only, and N_{g,d} is the lambda^{2g-2} coefficient.
 
-GV inversion uses the multi-cover kernel
+GV inversion is the Gopakumar-Vafa resummation
 
-    contribution of (g, d, k):   n_d^g (1/k) (2 sin(k lambda/2))^{2g-2} Q^{kd}
+    N_{g,d} = sum_{k | d} sum_{h <= g} n^h_{d/k} [lambda^{2g-2}] (1/k) (2 sin(k lambda/2))^{2h-2}
 
 (the standard resummation; the printed source mixes its indices, and this is
 the reading under which the inverted numbers are the proven-integral ones).
+The k-fold cover scales as k^{2g-3} c(g, h), c(g, h) = [lambda^{2g-2}]
+(2 sin(lambda/2))^{2h-2}, so one rational table per g_max serves every k.
+At g_max = 0 it is the Aspinwall-Morrison k^{-3} inversion of the quintic.
 """
 from __future__ import annotations
 
@@ -25,12 +28,12 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
+from . import dense
 from .chern_simons import w_pair
-from .dense import graded_log
 from .errors import InternalError, UsageError, VerificationFailure
+from .laurent import Laurent
 from .partitions import compositions, enumerate_partitions, kappa
-from .qfunc import QFunction, ULaurent, sum_of_products
-from .series import LambdaSeries
+from .qfunc import QFunction, sum_of_products
 
 Frac = Fraction
 NTable = dict[tuple[int, int], Frac]
@@ -73,7 +76,7 @@ def local_p2_free_energy(d_max: int) -> tuple[QFunction, ...]:
 
     d F_d = d Z_d - sum_{j<d} j F_j Z_{d-j}.
     """
-    return tuple(graded_log(local_p2_z(d_max), QFunction.zero()))
+    return tuple(dense.graded_log(local_p2_z(d_max), QFunction.zero()))
 
 
 def rebuild_partition_function(d_max: int) -> bool:
@@ -125,63 +128,43 @@ def extract_gw(d_max: int, g_max: int) -> NTable:
 
 
 @lru_cache(maxsize=None)
-def _kernel(g: int, k: int, trunc: int) -> LambdaSeries:
-    """(1/k) (2 sin(k lambda / 2))^{2g-2}, with 2 sin(k lambda/2) = (-i)[k]."""
-    power = ULaurent.const(1)
-    for _ in range(abs(2 * g - 2)):
-        power = power * ULaurent.bracket(k)
-    num, den = (ULaurent.const(1), power) if g == 0 else (power, ULaurent.const(1))
-    return QFunction(2 * g - 2, num.scale(Frac(1, k)), den).to_lambda(trunc)
+def cover_table(g_max: int) -> tuple[tuple[Frac, ...], ...]:
+    """c[g][h] = [lambda^{2g-2}] (2 sin(lambda/2))^{2h-2}, h <= g <= g_max: the x^{g-h}
+    coefficient of s^{2h-2}, s = 2 sin(lambda/2)/lambda as a series in x = lambda^2."""
+    n = g_max + 1
+    s = Laurent({j: Frac((-1) ** j, 4 ** j * factorial(2 * j + 1)) for j in range(n)})
+    s2 = dense.mul(s, s, n)
+    powers = [dense.inv(s2, n)]
+    for _ in range(g_max):
+        powers.append(dense.mul(powers[-1], s2, n))
+    table = tuple(tuple(powers[h].c.get(g - h, Frac(0)) for h in range(g + 1)) for g in range(n))
+    if any(row[-1] != 1 for row in table):
+        raise InternalError("cover table diagonal is not 1: gv_invert cannot solve for n^g_d")
+    return table
+
+
+def _cover_sum(gv: GVTable, d: int, g: int, c: tuple[tuple[Frac, ...], ...]) -> Frac:
+    """sum_{k | d} sum_{h <= g} n^h_{d/k} k^{2g-3} c[g][h], absent n^h read as 0."""
+    return sum((Frac(k) ** (2 * g - 3) * sum(gv.get((h, d // k), 0) * c[g][h] for h in range(g + 1))
+                for k in range(1, d + 1) if not d % k), Frac(0))
 
 
 def gv_invert(n_table: NTable, d_max: int, g_max: int) -> GVTable:
-    """Solve for integer n_d^g from the Gromov-Witten table, degree by degree."""
-    trunc = 2 * g_max + 1
+    """Solve N_{g,d} = sum_{k | d} sum_{h <= g} n^h_{d/k} k^{2g-3} c[g][h] for
+    integer n^g_d, degree by degree and genus by genus: every term but
+    (k, h) = (1, g), whose weight is 1, is known when n^g_d is read."""
+    c = cover_table(g_max)
     gv: GVTable = {}
     for d in range(1, d_max + 1):
-        rem = LambdaSeries.from_map(
-            {2 * g - 2: n_table[(g, d)] for g in range(g_max + 1)}, trunc)
-        # subtract known multi-cover contributions (k >= 2, k | d)
-        for k in range(2, d + 1):
-            if d % k:
-                continue
-            dp = d // k
-            for g in range(g_max + 1):
-                cv = gv.get((g, dp), 0)
-                if cv:
-                    rem = rem - _kernel(g, k, trunc).scale(cv)
-        # peel n_d^g off the k = 1 kernels, lowest genus first
         for g in range(g_max + 1):
-            c = rem.coeff(2 * g - 2).as_scalar()
-            if c.im:
-                raise InternalError("imaginary GV coefficient")
-            v = c.re
+            v = n_table[(g, d)] - _cover_sum(gv, d, g, c)
             if v.denominator != 1:
-                raise VerificationFailure(
-                    f"n_{d}^{g} = {v} is not an integer")
+                raise VerificationFailure(f"n_{d}^{g} = {v} is not an integer")
             gv[(g, d)] = int(v)
-            if v:
-                rem = rem - _kernel(g, 1, trunc).scale(v)
-        # matched orders must now vanish (higher orders belong to g > g_max)
-        if not all(not rem.coeff(e) for e in range(rem.floor, 2 * g_max - 1)):
-            raise InternalError("GV peeling left a nonzero remainder in-window")
     return gv
 
 
 def gv_forward(gv: GVTable, d_max: int, g_max: int) -> NTable:
     """Multi-cover resummation of an integer table back to a GW table."""
-    trunc = 2 * g_max + 1
-    out: NTable = {}
-    for d in range(1, d_max + 1):
-        acc = LambdaSeries.from_map({}, trunc)
-        for k in range(1, d + 1):
-            if d % k:
-                continue
-            dp = d // k
-            for g in range(g_max + 1):
-                cv = gv.get((g, dp), 0)
-                if cv:
-                    acc = acc + _kernel(g, k, trunc).scale(cv)
-        for g in range(g_max + 1):
-            out[(g, d)] = acc.coeff(2 * g - 2).as_scalar().re
-    return out
+    c = cover_table(g_max)
+    return {(g, d): _cover_sum(gv, d, g, c) for d in range(1, d_max + 1) for g in range(g_max + 1)}

@@ -10,8 +10,9 @@ partitions, the ``Fraction``-list dense kernels, the ``Fraction``-dict toric
 ring, the quintic bracket series built on its own (``mirror.candelas`` reads
 it off the toric series), the 2 sin(m lambda/2) expansion, the
 composition-by-permutation Schur reader that the row-by-row pass of
-``mirror._bialternant`` replaces, and the localization-sum class of a
-Grassmannian read through the live ``mirror`` row kernels."""
+``mirror._bialternant`` replaces, the localization-sum class of a
+Grassmannian read through the live ``mirror`` row kernels, and the
+lambda-series multi-cover resummation that ``vertex.gv_forward`` replaces."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations
@@ -26,6 +27,7 @@ from dualcalc.nilpotent import XPoly
 from dualcalc.partitions import (add_parts, character, compositions, enumerate_partitions,
                                  remove_part, zmu)
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key
+from dualcalc.qfunc import QFunction, ULaurent
 from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine
 
 
@@ -725,3 +727,34 @@ def sin_expand(m: int, trunc: int) -> LambdaSeries:
         coeffs[k] = 2 * (-1) ** ((k - 1) // 2) * half ** k / factorial(k)
         k += 2
     return LambdaSeries.from_map(coeffs, trunc)
+
+
+@lru_cache(maxsize=None)
+def _gv_kernel(g: int, k: int, trunc: int) -> LambdaSeries:
+    """(1/k) (2 sin(k lambda / 2))^{2g-2}, with 2 sin(k lambda/2) = (-i)[k]."""
+    power = ULaurent.const(1)
+    for _ in range(abs(2 * g - 2)):
+        power = power * ULaurent.bracket(k)
+    num, den = (ULaurent.const(1), power) if g == 0 else (power, ULaurent.const(1))
+    return QFunction(2 * g - 2, num.scale(Fraction(1, k)), den).to_lambda(trunc)
+
+
+def gv_forward_reference(gv, d_max, g_max):
+    """The multi-cover resummation summed as lambda-series of q-brackets, one
+    kernel per (genus, cover degree), read through ``GaussianRational``: the
+    sum that ``vertex.gv_forward`` reads off one rational cover table."""
+    trunc = 2 * g_max + 1
+    out = {}
+    for d in range(1, d_max + 1):
+        acc = LambdaSeries.from_map({}, trunc)
+        for k in range(1, d + 1):
+            if d % k:
+                continue
+            dp = d // k
+            for g in range(g_max + 1):
+                cv = gv.get((g, dp), 0)
+                if cv:
+                    acc = acc + _gv_kernel(g, k, trunc).scale(cv)
+        for g in range(g_max + 1):
+            out[(g, d)] = acc.coeff(2 * g - 2).as_scalar().re
+    return out

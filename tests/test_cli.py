@@ -308,6 +308,34 @@ def test_mirror_limits_reject_before_any_work(argv, worker, monkeypatch):
     assert _mirror_limit_run(argv, worker, cli.MIRROR_MAX_DEGREE + 1, monkeypatch) == (1, "usage")
 
 
+def _vertex_limit_run(degree, genus, monkeypatch):
+    from dualcalc import vertex
+    from dualcalc.errors import InternalError
+
+    def started(*_args):
+        raise InternalError("the vertex sum was started")
+
+    # as for the mirror limits: "internal" (exit 3) means the limit let the query through
+    monkeypatch.setattr(vertex, "extract_gw", started)
+    code, out = run(["vertex", "local-p2", "--max-degree", str(degree),
+                     "--max-genus", str(genus), "--gv"])
+    assert out.count("\n") == 1
+    return code, json.loads(out)["kind"]
+
+
+def test_vertex_limits_accept_the_boundary(monkeypatch):
+    # the limits admit degree 9, about 2.4 s cold; degree 10 takes about 10 s
+    assert (cli.VERTEX_MAX_DEGREE, cli.VERTEX_MAX_GENUS) == (9, 24)
+    assert _vertex_limit_run(9, 24, monkeypatch) == (3, "internal")
+    _, doc = run_json(["vertex", "--help"])
+    assert "at most 9" in doc["help"] and "at most 24" in doc["help"]
+
+
+@pytest.mark.parametrize("degree,genus", [(10, 0), (1, 25)])
+def test_vertex_limits_reject_before_any_work(degree, genus, monkeypatch):
+    assert _vertex_limit_run(degree, genus, monkeypatch) == (1, "usage")
+
+
 def _p1_power(r):
     return {"generators": [{"name": f"H{i}", "nilpotency": 2} for i in range(r)],
             "line_bundles": [[2] * r],
@@ -428,16 +456,16 @@ def test_gv_integrality_checks_forward_map(monkeypatch):
 
 
 def test_multiple_cover_integrality_checks_forward_map(monkeypatch):
-    from dualcalc import mirror
+    from dualcalc import vertex
 
-    real = mirror.multiple_cover_forward
+    real = vertex.gv_forward
 
-    def off_by_one(n_list):
-        out = real(n_list)
-        out[-1] += 1
+    def off_by_one(gv, d_max, g_max):
+        out = real(gv, d_max, g_max)
+        out[(0, d_max)] += 1
         return out
 
-    monkeypatch.setattr(mirror, "multiple_cover_forward", off_by_one)
+    monkeypatch.setattr(vertex, "gv_forward", off_by_one)
     code, doc = run_json(["mirror", "quintic", "--max-degree", "3"])
     assert code == 2
     assert {"name": "multiple-cover-integrality", "pass": False} in doc["checks"]
@@ -519,14 +547,14 @@ def test_toric_golden(name, spec, degree, monkeypatch):
 # row names the function it claims, and the command must call it
 OP_COVERAGE = {
     # exact core
-    "series_arith": ("series.combine", ["vertex", "local-p2", "--max-degree", "1",
-                                        "--max-genus", "1", "--gv"]),
+    "series_arith": ("series.combine",
+                     ["mv", "--check", "pde", "--degree", "2", "--order", "7"]),
     "series_exp_log": ("dense.graded_log",
                        ["mv", "--check", "pde", "--degree", "2", "--order", "7"]),
     "bernoulli": ("scalars.bernoulli",
                   ["mv", "--check", "lambda-g", "--degree", "1", "--order", "9"]),
-    "gv_kernel": ("vertex._kernel", ["vertex", "local-p2", "--max-degree", "1",
-                                     "--max-genus", "1", "--gv"]),
+    "gv_kernel": ("vertex.cover_table", ["vertex", "local-p2", "--max-degree", "1",
+                                         "--max-genus", "1", "--gv"]),
     "qfun_to_lambda": ("qfunc.QFunction.to_lambda", ["w", "--mu", "2", "--expand", "6"]),
     # partition engine
     "enumerate_partitions": ("partitions.enumerate_partitions",
@@ -582,8 +610,7 @@ OP_COVERAGE = {
     # mirror
     "toric_b_series": ("mirror.toric_b_series", ["mirror", "quintic", "--max-degree", "2"]),
     "candelas": ("mirror.candelas", ["mirror", "quintic", "--max-degree", "2"]),
-    "multiple_cover_invert": ("mirror.multiple_cover_invert",
-                              ["mirror", "quintic", "--max-degree", "2"]),
+    "multiple_cover_invert": ("vertex.gv_invert", ["mirror", "quintic", "--max-degree", "2"]),
     "hg_projective": ("mirror.hg_projective", ["mirror", "grassmannian", "-k", "1", "-n", "2",
                                                "--max-degree", "1", "--verify"]),
     "hori_vafa_series": ("mirror.hori_vafa_series", ["mirror", "grassmannian", "-k", "2",

@@ -10,8 +10,8 @@ from dualcalc import mirror, verify
 from dualcalc.nilpotent import XPoly
 from dualcalc.mirror import (candelas, gr23_matches_p2, hg_projective,
                              hori_vafa_series, mirror_map_round_trip,
-                             multiple_cover_forward, multiple_cover_invert,
                              toric_b_series, _inv_linear_power)
+from dualcalc.vertex import gv_forward, gv_invert
 from oracles import (bialternant_reference, canonical, gr_loc_sum, quintic_hg_reference,
                      toric_b_series_reference)
 
@@ -32,13 +32,18 @@ def test_quintic_leading_values():
     assert -b[(0,)][((2,), (1,))] == 5 and ((2,), (0,)) not in b[(0,)]
 
 
+def _genus0(values):
+    """{(0, d): v_d} for the genus-0 case of the GV inversion."""
+    return {(0, d): v for d, v in enumerate(values, 1)}
+
+
 def test_candelas_structure():
     data = candelas(4)
     assert data["cubic"] == F(5, 6)
     assert len(data["K"]) == 4
-    # the inversion of the computed coefficients is integral
-    n = multiple_cover_invert(data["K"])
-    assert all(isinstance(v, int) for v in n)
+    # the genus-0 inversion of the computed coefficients is integral
+    n = gv_invert(_genus0(data["K"]), 4, 0)
+    assert all(isinstance(v, int) for v in n.values())
 
 
 def _perturbed_k(monkeypatch, index, delta):
@@ -74,12 +79,13 @@ def test_mirror_map_round_trip():
 
 
 def test_multiple_cover_inversion():
-    assert multiple_cover_invert([F(7)]) == [7]
-    assert multiple_cover_invert([F(0), F(0), F(0)]) == [0, 0, 0]
-    synth = [4, -9, 11, 0, 2, 31]
-    assert multiple_cover_invert(multiple_cover_forward(synth)) == synth
+    # genus 0 of the GV resummation: K_d = sum_{k | d} n_{d/k} / k^3
+    assert gv_invert(_genus0([F(7)]), 1, 0) == _genus0([7])
+    assert gv_invert(_genus0([F(0), F(0), F(0)]), 3, 0) == _genus0([0, 0, 0])
+    synth = _genus0([4, -9, 11, 0, 2, 31])
+    assert gv_invert(gv_forward(synth, 6, 0), 6, 0) == synth
     with pytest.raises(VerificationFailure):
-        multiple_cover_invert([F(1, 2)])
+        gv_invert(_genus0([F(1, 2)]), 1, 0)
 
 
 # -- toric --------------------------------------------------------------------

@@ -1,15 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualcalc.chern_simons import w_pair
 from dualcalc.errors import UsageError, VerificationFailure
 from dualcalc.partitions import kappa
 from dualcalc.qfunc import QFunction, ULaurent
-from dualcalc.vertex import (extract_gw, gv_forward, gv_invert,
+from dualcalc.series import LambdaSeries
+from dualcalc.vertex import (cover_table, extract_gw, gv_forward, gv_invert,
                              local_p2_free_energy, local_p2_z,
                              rebuild_partition_function)
-from oracles import reciprocal, sin_expand
+from oracles import gv_forward_reference, reciprocal, sin_expand
 
 
 def test_degree_zero_is_one():
@@ -107,16 +109,29 @@ def test_grouped_slice_matches_term_by_term_sum(d):
 @pytest.mark.parametrize("g", range(4))
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_kernel_matches_sine_powers(g, k):
-    # oracle: (1/k) (2 sin(k lambda/2))^{2g-2} from sin_expand by series products
-    from dualcalc.series import LambdaSeries
-    from dualcalc.vertex import _kernel
-
+    # oracle: (1/k) (2 sin(k lambda/2))^{2h-2} from sin_expand by series products;
+    # its lambda^{2g-2} coefficient is the k-fold cover weight k^{2g-3} c[g][h]
+    c = cover_table(g)
     trunc = 2 * g + 5
     s = sin_expand(k, trunc + 4)
-    base = reciprocal(s) if g == 0 else s
-    expect = LambdaSeries.one(trunc + 4)
-    for _ in range(abs(2 * g - 2)):
-        expect = expect * base
-    got = _kernel(g, k, trunc)
-    assert (got.floor, got.trunc) == (2 * g - 2, trunc)
-    assert got.eq_through(expect.scale(Fraction(1, k)), 2 * g - 2, trunc)
+    for h in range(g + 1):
+        expect = LambdaSeries.one(trunc + 4)
+        for _ in range(abs(2 * h - 2)):
+            expect = expect * (reciprocal(s) if h == 0 else s)
+        want = expect.coeff(2 * g - 2).as_scalar()
+        assert not want.im
+        assert Fraction(k) ** (2 * g - 3) * c[g][h] == want.re / k, (h, k)
+
+
+gv_tables = st.integers(1, 6).flatmap(lambda d: st.integers(0, 3).flatmap(
+    lambda g: st.tuples(st.just(d), st.just(g), st.fixed_dictionaries(
+        {(h, e): st.integers(-10 ** 6, 10 ** 6) for h in range(g + 1) for e in range(1, d + 1)}))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gv_tables)
+def test_gv_resummation_matches_lambda_series_reference(case):
+    d_max, g_max, table = case
+    n_table = gv_forward(table, d_max, g_max)
+    assert n_table == gv_forward_reference(table, d_max, g_max)
+    assert gv_invert(n_table, d_max, g_max) == table
