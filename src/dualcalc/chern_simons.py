@@ -17,8 +17,8 @@ from functools import lru_cache
 from .errors import InternalError
 from .partitions import (Partition, intersection, kappa, length, size,
                          sub_diagrams)
-from .qfunc import QFunction, ULaurent, bracket_quotient, sum_of_products
-from .schur import skew_schur_principal
+from .qfunc import QFunction, ULaurent, bracket_quotient
+from .schur import pochhammer_factors, skew_numerator
 from .series import LambdaSeries
 
 
@@ -56,18 +56,19 @@ def w_pair(mu: Partition, nu: Partition) -> QFunction:
 
     (-1)^{|mu|+|nu|} q^{(kappa_mu + kappa_nu + |mu| + |nu|)/2}
     sum_rho q^{-|rho|} s_{mu/rho}(1,q,..) s_{nu/rho}(1,q,..),
-    with rho running over diagrams contained in both mu and nu.
+    with rho running over diagrams contained in both mu and nu.  Over
+    P_n = prod_{i<=n} (u^{2i} - 1), (-1)^{|mu/rho|} s_{mu/rho} has the integer
+    numerator ``skew_numerator(mu, rho, |mu|)``, so the signs cancel and W is
+    one integer numerator over P_{|mu|} P_{|nu|}, reduced once.
     """
     u_exp = kappa(mu) + kappa(nu) + size(mu) + size(nu)
     # kappa is even, so the u-exponent is an integer; assert the bookkeeping
     if (kappa(mu) + kappa(nu)) % 2:
         raise InternalError("odd kappa sum in w_pair")
-    out = sum_of_products(((skew_schur_principal(mu, rho), skew_schur_principal(nu, rho)),
-                           u_exp - 2 * size(rho))
-                          for rho in sub_diagrams(intersection(mu, nu)))
-    if (size(mu) + size(nu)) % 2:
-        out = -out
-    return out
+    num = sum(((skew_numerator(mu, rho, size(mu)) * skew_numerator(nu, rho, size(nu)))
+               .shift(u_exp - 2 * size(rho)) for rho in sub_diagrams(intersection(mu, nu))),
+              ULaurent())
+    return QFunction.from_factors(0, num, pochhammer_factors(size(mu), size(nu)))
 
 
 @lru_cache(maxsize=None)

@@ -81,7 +81,7 @@ def qfun_json(f: QFunction) -> dict:
 # input limits, checked before any W value, vertex sum or mirror series is formed
 W_MAX_EXPAND = 64
 W_MAX_BOXES = 12
-VERTEX_MAX_DEGREE = 9  # local P2 to degree 9 takes about 2.4 s cold, degree 10 about 10 s
+VERTEX_MAX_DEGREE = 9  # degree 9: about 0.65 s cold; 10 (about 1.5 s) needs a mirror-side check
 VERTEX_MAX_GENUS = 24
 MIRROR_MAX_DEGREE = 50
 MIRROR_MAX_TORIC_SIZE = 256  # mirror toric: multidegree slices times ring dimension prod n_i

@@ -173,6 +173,11 @@ class QFunction:
     def zero() -> "QFunction":
         return QFunction._of(0, ULaurent(), ())
 
+    @staticmethod
+    def from_factors(ipow: int, num: ULaurent, fac: Factors) -> "QFunction":
+        """(-sqrt(-1))**ipow * num / prod Phi_e^{m_e} over ``fac``, sorted by e, reduced."""
+        return QFunction._of(ipow, num, fac, dict(fac))
+
     @property
     def den(self) -> ULaurent:
         return _expand(self.fac)
@@ -280,8 +285,10 @@ def bracket_quotient(ipow: int, tops: Iterable[int], bottoms: Iterable[int]) -> 
 def sum_of_products(terms: Iterable[tuple[Sequence[QFunction], int]]) -> QFunction:
     """sum of u^shift * prod(factors) over ``terms`` = ((factors, shift), ...).
 
-    The unreduced products are grouped by (phase, denominator) and each
-    group's numerators summed, so one QFunction is reduced per group.
+    The unreduced products are summed per (phase, denominator), a phase 2 read
+    as a negated numerator; the nonzero sums go over the largest exponent of
+    each Phi_e, and their integer numerators are added and reduced once.
+    Raises UsageError when two phases differ by 1, as ``+`` does.
     """
     groups: dict[tuple[int, Factors], ULaurent] = {}
     for factors, shift in terms:
@@ -290,9 +297,15 @@ def sum_of_products(terms: Iterable[tuple[Sequence[QFunction], int]]) -> QFuncti
             ipow += f.ipow
             num = num * f.num
             fac.update(dict(f.fac))
-        key = (ipow % 4, tuple(sorted(fac.items())))
+        key = (ipow % 2, tuple(sorted(fac.items())))
+        num = -num if ipow % 4 >= 2 else num
         groups[key] = groups[key] + num if key in groups else num
-    acc = QFunction.zero()
-    for (ipow, fac), num in groups.items():
-        acc = acc + QFunction._of(ipow, num, fac, dict(fac))
-    return acc
+    live = {key: num for key, num in groups.items() if num}
+    if len({ipow for ipow, _fac in live}) > 1:
+        raise UsageError("adding QFunctions with incompatible phases")
+    top: Counter = Counter()
+    for _ipow, fac in live:
+        top |= Counter(dict(fac))
+    total = sum((num * _expand(tuple(sorted((top - Counter(dict(fac))).items())))
+                 for (_ipow, fac), num in live.items()), ULaurent())
+    return QFunction.from_factors(min(live, default=(0,))[0], total, tuple(sorted(top.items())))

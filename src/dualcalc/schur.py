@@ -1,48 +1,65 @@
 """Principal specializations of skew Schur functions, as exact q-functions.
 
-s_{mu/rho}(1, q, q^2, ...) via the Jacobi-Trudi determinant
-det( h_{mu_i - rho_j - i + j} ) with h_k(1, q, ...) = 1/prod_{i<=k}(1 - q^i).
-Everything lives in Q(u) with q = u^2.
+Stanley (EC2, Prop. 7.19.11): s_{mu/rho}(1, q, q^2, ...) = f_{mu/rho}(q)/(q;q)_n,
+n = |mu/rho|, with f the Jacobi-Trudi determinant det(h_{mu_i - rho_j - i + j}),
+h_k = 1/(q;q)_k, on integers: each minor on rows i.. is taken times (q;q)_m, m the
+sum of its h-indices, so a Laplace step is a Gaussian binomial times a smaller
+integer minor.  With q = u^2, (q;q)_n = (-1)^n prod_{i<=n} prod_{e | 2i} Phi_e(u)
+comes factored, so each value is reduced once.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import Partition, contains, length
-from .qfunc import QFunction, ULaurent, sum_of_products
+from .partitions import Partition, contains, length, size
+from .qfunc import Factors, QFunction, ULaurent, bracket_quotient
 
 
 @lru_cache(maxsize=None)
-def h_principal(k: int) -> QFunction:
-    """Complete homogeneous h_k at (1, q, q^2, ...)."""
-    if k < 0:
-        return QFunction.zero()
-    den = ULaurent.const(1)
-    for i in range(1, k + 1):
-        den = den * (ULaurent.const(1) - ULaurent.mono(2 * i))
-    return QFunction(0, ULaurent.const(1), den)
+def _gaussian(m: int, k: int) -> ULaurent:
+    """The Gaussian binomial [m, k]_q for 0 <= k <= m."""
+    if k in (0, m):
+        return ULaurent.const(1)
+    return _gaussian(m - 1, k - 1) + _gaussian(m - 1, k).shift(2 * k)
 
 
 @lru_cache(maxsize=None)
-def skew_schur_principal(mu: Partition, rho: Partition = ()) -> QFunction:
-    """s_{mu/rho}(1, q, q^2, ...); zero when rho is not contained in mu."""
+def pochhammer_factors(*ns: int) -> Factors:
+    """The cyclotomic factors of prod_{n in ns} prod_{i<=n} (u^{2i} - 1), u^{2i} - 1 = u^i [i]."""
+    return bracket_quotient(0, [], [i for n in ns for i in range(1, n + 1)]).fac
+
+
+@lru_cache(maxsize=None)
+def skew_numerator(mu: Partition, rho: Partition, top: int) -> ULaurent:
+    """f_{mu/rho} prod_{n<i<=top} (u^{2i} - 1), n = |mu/rho| <= top: the integer numerator
+    of (-1)^n s_{mu/rho} over prod_{i<=top} (u^{2i} - 1); zero unless rho is in mu."""
     if not contains(mu, rho):
-        return QFunction.zero()
+        return ULaurent()
     n = length(mu)
-    if n == 0:
-        return QFunction.const(1)
-    rho_p = rho + (0,) * (n - len(rho))
-    entries = [[h_principal(mu[i] - rho_p[j] - i + j) for j in range(n)]
-               for i in range(n)]
-    return _det(tuple(range(n)), tuple(range(n)), entries)
+    rho = rho + (0,) * (n - len(rho))
+    minors = {(): ULaurent.const(1)}
+
+    def minor(cols: tuple[int, ...], m: int) -> ULaurent:
+        """(q;q)_m times the minor on rows n - len(cols).., columns cols; m sums its h-indices."""
+        if cols not in minors:
+            i = n - len(cols)
+            acc = ULaurent()
+            for t, j in enumerate(cols):
+                a = mu[i] - rho[j] - i + j
+                if 0 <= a <= m:
+                    term = _gaussian(m, a) * minor(cols[:t] + cols[t + 1:], m - a)
+                    acc = acc - term if t % 2 else acc + term
+            minors[cols] = acc
+        return minors[cols]
+
+    out = minor(tuple(range(n)), size(mu) - size(rho))
+    for i in range(size(mu) - size(rho) + 1, top + 1):
+        out = out * ULaurent({2 * i: 1, 0: -1})
+    return out
 
 
-def _det(rows: tuple[int, ...], cols: tuple[int, ...], entries) -> QFunction:
-    """Laplace expansion along the first row."""
-    if not rows:
-        return QFunction.const(1)
-    i, rest = rows[0], rows[1:]
-    return sum_of_products(
-        ((-entries[i][j] if t % 2 else entries[i][j],
-          _det(rest, cols[:t] + cols[t + 1:], entries)), 0)
-        for t, j in enumerate(cols) if entries[i][j])
+@lru_cache(maxsize=None)
+def skew_schur_principal(mu: Partition, rho: Partition) -> QFunction:
+    """s_{mu/rho}(1, q, q^2, ...) = f_{mu/rho}/(q;q)_{|mu/rho|}; zero unless rho is in mu."""
+    n = size(mu) - size(rho)
+    return QFunction.from_factors(2 * n, skew_numerator(mu, rho, n), pochhammer_factors(n))

@@ -6,9 +6,11 @@ over partition triples with total size d:
     Z_d = sum W(nu1,nu2) W(nu2,nu3) W(nu3,nu1) (-1)^d q^{(sum kappa_i)/2}
 
 kept as an exact rational function of u (q^{kappa/2} is an integral u-power
-because kappa is even).  The connected free energy is the degree-graded log;
-its degree-d slice expands as a lambda-Laurent series with floor >= -2 and
-even exponents only, and N_{g,d} is the lambda^{2g-2} coefficient.
+because kappa is even): ``sum_of_products`` adds the products of the reduced
+W values as integer numerators and reduces each slice once.  The connected
+free energy is the degree-graded log; its degree-d slice expands as a
+lambda-Laurent series with floor >= -2 and even exponents only, and N_{g,d}
+is the lambda^{2g-2} coefficient.
 
 GV inversion is the Gopakumar-Vafa resummation
 
@@ -45,15 +47,10 @@ def local_p2_z(d_max: int) -> tuple[QFunction, ...]:
     """Degree slices Z_0..Z_{d_max} of the local-P2 partition function."""
     if d_max < 0:
         raise UsageError("degree must be nonnegative")
-    out: list[QFunction] = []
-    for d in range(d_max + 1):
-        acc = sum_of_products(_vertex_terms(d))
-        if d % 2:
-            acc = -acc
-        if d == 0 and acc != QFunction.const(1):
-            raise InternalError("degree-0 vertex slice must be 1")
-        out.append(acc)
-    return tuple(out)
+    out = tuple(sum_of_products(_vertex_terms(d)).scale((-1) ** d) for d in range(d_max + 1))
+    if out[0] != QFunction.const(1):
+        raise InternalError("degree-0 vertex slice must be 1")
+    return out
 
 
 def _vertex_terms(d: int) -> Iterator[tuple[tuple[QFunction, ...], int]]:

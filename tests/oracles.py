@@ -11,8 +11,12 @@ ring, the quintic bracket series built on its own (``mirror.candelas`` reads
 it off the toric series), the 2 sin(m lambda/2) expansion, the
 composition-by-permutation Schur reader that the row-by-row pass of
 ``mirror._bialternant`` replaces, the localization-sum class of a
-Grassmannian read through the live ``mirror`` row kernels, and the
-lambda-series multi-cover resummation that ``vertex.gv_forward`` replaces."""
+Grassmannian read through the live ``mirror`` row kernels, the
+lambda-series multi-cover resummation that ``vertex.gv_forward`` replaces,
+the Jacobi-Trudi expansion over reduced ``QFunction`` entries that the
+fraction-free ``schur`` determinant replaces, the reduced-product W pair that
+``chern_simons.w_pair`` replaces, and the pairwise fold that
+``qfunc.sum_of_products`` replaces."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations
@@ -25,7 +29,7 @@ from dualcalc.hurwitz import elsv_I, ramification_order
 from dualcalc.laurent import Laurent
 from dualcalc.nilpotent import XPoly
 from dualcalc.partitions import (add_parts, character, compositions, enumerate_partitions,
-                                 remove_part, zmu)
+                                 intersection, kappa, remove_part, sub_diagrams, zmu)
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key
 from dualcalc.qfunc import QFunction, ULaurent
 from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine
@@ -758,3 +762,67 @@ def gv_forward_reference(gv, d_max, g_max):
         for g in range(g_max + 1):
             out[(g, d)] = acc.coeff(2 * g - 2).as_scalar().re
     return out
+
+
+# -- skew Schur values and W pairs ------------------------------------------------
+
+@lru_cache(maxsize=None)
+def h_principal_reference(k):
+    """Complete homogeneous h_k at (1, q, q^2, ...): 1/prod_{i<=k}(1 - q^i)."""
+    if k < 0:
+        return QFunction.zero()
+    den = ULaurent.const(1)
+    for i in range(1, k + 1):
+        den = den * (ULaurent.const(1) - ULaurent.mono(2 * i))
+    return QFunction(0, ULaurent.const(1), den)
+
+
+def _jt_det(rows, cols, entries):
+    """Laplace expansion along the first row, summed as reduced ``QFunction``s."""
+    if not rows:
+        return QFunction.const(1)
+    i, rest = rows[0], rows[1:]
+    acc = QFunction.zero()
+    for t, j in enumerate(cols):
+        if entries[i][j]:
+            term = entries[i][j] * _jt_det(rest, cols[:t] + cols[t + 1:], entries)
+            acc = acc + (-term if t % 2 else term)
+    return acc
+
+
+def skew_schur_reference(mu, rho):
+    """s_{mu/rho}(1, q, q^2, ...) as det(h_{mu_i - rho_j - i + j}) over reduced
+    ``QFunction`` entries: the expansion that ``schur.skew_schur_principal``'s
+    fraction-free determinant replaces."""
+    if len(rho) > len(mu) or any(r > m for r, m in zip(rho, mu)):
+        return QFunction.zero()
+    n = len(mu)
+    rho_p = tuple(rho) + (0,) * (n - len(rho))
+    entries = [[h_principal_reference(mu[i] - rho_p[j] - i + j) for j in range(n)]
+               for i in range(n)]
+    return _jt_det(tuple(range(n)), tuple(range(n)), entries)
+
+
+def w_pair_reference(mu, nu):
+    """(-1)^{|mu|+|nu|} q^{(kappa_mu + kappa_nu + |mu| + |nu|)/2}
+    sum_rho q^{-|rho|} s_{mu/rho} s_{nu/rho}, folded over reduced products of
+    ``skew_schur_reference`` values: the sum that ``chern_simons.w_pair``
+    builds on one integer numerator."""
+    u_exp = kappa(mu) + kappa(nu) + sum(mu) + sum(nu)
+    acc = QFunction.zero()
+    for rho in sub_diagrams(intersection(mu, nu)):
+        shift = QFunction(0, ULaurent.mono(u_exp - 2 * sum(rho)), ULaurent.const(1))
+        acc = acc + shift * skew_schur_reference(mu, rho) * skew_schur_reference(nu, rho)
+    return -acc if (sum(mu) + sum(nu)) % 2 else acc
+
+
+def sum_of_products_reference(terms):
+    """sum of u^shift * prod(factors) over ``terms``, as the pairwise
+    ``QFunction.__add__`` fold of reduced products."""
+    acc = QFunction.zero()
+    for factors, shift in terms:
+        term = QFunction(0, ULaurent.mono(shift), ULaurent.const(1))
+        for f in factors:
+            term = term * f
+        acc = acc + term
+    return acc

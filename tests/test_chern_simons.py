@@ -5,7 +5,7 @@ from dualcalc.chern_simons import (check_pair_reduction, w_one, w_one_lambda,
 from dualcalc.partitions import enumerate_partitions, size
 from dualcalc.qfunc import QFunction, ULaurent
 from dualcalc.scalars import GaussianRational
-from oracles import reciprocal, sin_expand
+from oracles import reciprocal, sin_expand, w_pair_reference
 
 
 def test_w_one_empty_and_single():
@@ -114,3 +114,12 @@ def test_import_computes_no_w_value():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     assert out.split() == ["0", "0"]
+
+
+def test_w_pair_matches_reduced_product_reference():
+    # one integer numerator per W against the fold of reduced skew-Schur products
+    small = [mu for n in range(6) for mu in enumerate_partitions(n)]
+    for mu in small:
+        for nu in small:
+            got, want = w_pair(mu, nu), w_pair_reference(mu, nu)
+            assert (got.ipow, got.num, got.fac) == (want.ipow, want.num, want.fac), (mu, nu)

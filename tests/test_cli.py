@@ -524,6 +524,7 @@ def test_grassmannian_verify():
                                "--max-degree", "2", "--verify"]),
     ("grassmannian-k4-n7-d1", ["mirror", "grassmannian", "-k", "4", "-n", "7",
                                "--max-degree", "1", "--verify"]),
+    ("vertex-d9-g2", ["vertex", "local-p2", "--max-degree", "9", "--max-genus", "2", "--gv"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)
@@ -560,7 +561,7 @@ OP_COVERAGE = {
     "enumerate_partitions": ("partitions.enumerate_partitions",
                              ["hurwitz", "--genus", "0", "--partition", "3"]),
     "character": ("partitions.character", ["hurwitz", "--genus", "1", "--partition", "2"]),
-    "skew_schur_principal": ("schur.skew_schur_principal", ["w", "--mu", "2,1", "--nu", "1"]),
+    "skew_schur_principal": ("schur.skew_numerator", ["w", "--mu", "2,1", "--nu", "1"]),
     # chern-simons
     "w_one": ("chern_simons.w_one", ["w", "--mu", "2,1"]),
     "w_pair": ("chern_simons.w_pair", ["w", "--mu", "2", "--nu", "1,1"]),

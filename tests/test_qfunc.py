@@ -15,7 +15,8 @@ from dualcalc.partitions import enumerate_partitions, size
 from dualcalc.qfunc import QFunction, ULaurent, bracket_quotient, sum_of_products
 from dualcalc.scalars import GaussianRational
 from dualcalc.series import LambdaSeries, TauLaurent
-from oracles import q_series, reciprocal, sin_expand, to_lambda_reference
+from oracles import (q_series, reciprocal, sin_expand, sum_of_products_reference,
+                     to_lambda_reference)
 
 
 def q(num, den, ipow=0):
@@ -174,13 +175,63 @@ def test_sum_of_products_matches_term_by_term_sum(terms):
     # phases of a sum must agree: keep terms whose total phase parity matches the first
     parity = [sum(f.ipow for f in fs) % 2 for fs, _ in terms]
     terms = [t for t, p in zip(terms, parity) if p == parity[0]]
-    expect = QFunction.zero()
-    for factors, shift in terms:
-        term = QFunction(0, ULaurent.mono(shift), ULaurent.const(1))
-        for f in factors:
-            term = term * f
-        expect = expect + term
-    assert sum_of_products(terms) == expect
+    assert sum_of_products(terms) == sum_of_products_reference(terms)
+
+
+def test_sum_of_products_phase_two_is_a_negated_numerator():
+    # phases 1 and 3 (and 0 and 2) differ by a sign; the sum is the fold's value
+    a = QFunction(1, ULaurent({2: 1, 0: 3}), ULaurent.bracket(2))
+    b = QFunction(3, ULaurent.const(5), ULaurent.bracket(3))
+    c = QFunction(0, ULaurent.mono(1), ULaurent.bracket(1))
+    terms = [((a,), 1), ((b,), 0), ((c, c, a), -2), ((a, c, c), 3)]
+    got = sum_of_products(terms)
+    assert got == sum_of_products_reference(terms)
+    assert got.ipow == 1
+    assert sum_of_products([((a,), 0), ((-a,), 0)]) == QFunction.zero()
+
+
+def test_sum_of_products_mismatched_phases_is_a_usage_error():
+    a = QFunction(1, ULaurent.const(1), ULaurent.bracket(1))
+    b = QFunction(0, ULaurent.const(1), ULaurent.bracket(2))
+    with pytest.raises(UsageError, match="incompatible phases"):
+        sum_of_products([((a,), 0), ((b,), 0)])
+    with pytest.raises(UsageError, match="incompatible phases"):
+        sum_of_products([((a, b), 0), ((-b, b), 1)])
+
+
+def test_sum_of_products_all_cancelling_is_zero():
+    a = QFunction(1, ULaurent({3: 1, 0: -2}), ULaurent.bracket(2) * ULaurent.bracket(3))
+    b = QFunction(0, ULaurent.const(7), ULaurent.bracket(1))
+    got = sum_of_products([((a, b), 1), ((b, -a), 1), ((a,), 0), ((-a,), 0)])
+    assert got == QFunction.zero()
+    assert (got.ipow, got.num, got.fac) == (0, ULaurent(), ())
+    assert sum_of_products([]) == QFunction.zero()
+
+
+def _cyclotomic_value(ipow, num, fac):
+    den = ULaurent.const(1)
+    for e, m in fac:
+        for _ in range(m):
+            den = den * qfunc._cyclotomic(e)
+    return QFunction(ipow, num, den)
+
+
+# values over random products of cyclotomic polynomials Phi_e, with any phase
+cyclotomic_value = st.builds(
+    _cyclotomic_value, st.integers(0, 3), nonzero_upoly,
+    st.dictionaries(st.integers(1, 10), st.integers(1, 2), max_size=3).map(
+        lambda d: tuple(sorted(d.items()))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1), st.lists(st.tuples(st.lists(cyclotomic_value, min_size=1, max_size=3),
+                                             st.integers(-4, 4)), max_size=6))
+def test_sum_of_products_matches_pairwise_fold(parity, terms):
+    # one reduction over the largest exponent of each Phi_e against the fold of
+    # reduced values; the fold needs every term's phase to share one parity
+    terms = [(fs, k) for fs, k in terms if sum(f.ipow for f in fs) % 2 == parity]
+    got, want = sum_of_products(terms), sum_of_products_reference(terms)
+    assert (got.ipow, got.num, got.fac) == (want.ipow, want.num, want.fac)
 
 
 def test_window_at_or_below_valuation_is_zero_through_window():

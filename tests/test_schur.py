@@ -1,10 +1,10 @@
 from fractions import Fraction
-
+from functools import lru_cache
 
 from dualcalc.partitions import enumerate_partitions, sub_diagrams
-from dualcalc.qfunc import QFunction, ULaurent
-from dualcalc.schur import h_principal, skew_schur_principal
-from oracles import q_series
+from dualcalc.qfunc import QFunction, ULaurent, bracket_quotient
+from dualcalc.schur import skew_numerator, skew_schur_principal
+from oracles import h_principal_reference, q_series, skew_schur_reference
 
 
 def geom_den(ks):
@@ -71,4 +71,49 @@ def test_skew_matches_tableaux_enumeration():
 
 def test_h_matches_schur_row():
     for k in range(5):
-        assert h_principal(k) == skew_schur_principal((k,) if k else (), ())
+        assert h_principal_reference(k) == skew_schur_principal((k,) if k else (), ())
+
+
+def test_skew_schur_matches_laplace_expansion_reference():
+    # the fraction-free determinant against the expansion over reduced entries
+    for n in range(9):
+        for mu in enumerate_partitions(n):
+            for rho in sub_diagrams(mu):
+                got, want = skew_schur_principal(mu, rho), skew_schur_reference(mu, rho)
+                assert (got.ipow, got.num, got.fac) == (want.ipow, want.num, want.fac), (mu, rho)
+    assert not skew_schur_principal((2, 1), (1, 1, 1))
+
+
+@lru_cache(maxsize=None)
+def _standard_tableaux(mu, rho):
+    """Standard Young tableaux of mu/rho, counted by removing the cell that
+    holds the largest entry: a corner of mu outside rho."""
+    if mu == rho:
+        return 1
+    total = 0
+    for i, row in enumerate(mu):
+        if (i + 1 == len(mu) or mu[i + 1] < row) and row > (rho[i] if i < len(rho) else 0):
+            rest = mu[:i] + (row - 1,) + mu[i + 1:]
+            total += _standard_tableaux(tuple(p for p in rest if p), rho)
+    return total
+
+
+def test_stanley_numerator_at_one_counts_standard_tableaux():
+    # EC2 7.19.11: f_{mu/rho}(q) = (q;q)_n s_{mu/rho}(1, q, ...) has f(1) = f^{mu/rho}
+    for n in range(9):
+        for mu in enumerate_partitions(n):
+            for rho in sub_diagrams(mu):
+                f = skew_numerator(mu, rho, n - sum(rho))
+                assert f.den == 1
+                assert sum(f.num.values()) == _standard_tableaux(mu, rho), (mu, rho)
+
+
+def test_straight_shape_is_hook_formula():
+    # s_mu(1, q, ...) = q^{n(mu)} / prod_cells (1 - q^h), with 1 - q^h = -u^h [h]
+    for n in range(9):
+        for mu in enumerate_partitions(n):
+            conj = [sum(1 for row in mu if row > j) for j in range(mu[0] if mu else 0)]
+            hooks = [row - j + conj[j] - i - 1 for i, row in enumerate(mu) for j in range(row)]
+            n_mu = sum(i * row for i, row in enumerate(mu))
+            shift = QFunction(0, ULaurent.mono(2 * n_mu - sum(hooks)), ULaurent.const(1))
+            assert skew_schur_principal(mu, ()) == shift * bracket_quotient(2 * n, [], hooks)
