@@ -91,6 +91,13 @@ GR_MAX_K = 4
 GR_MAX_N = 8
 GR_MAX_DEGREE = 4
 GR_MAX_SIZE = 32
+# witten, each about 0.9 s cold at its worst: the moduli dimension 3g-3+n and
+# index sum of --correlator, the largest Hurwitz degree 3g-2+2n that --psi
+# interpolates over, and the --virasoro index and --order
+WITTEN_MAX_DIMENSION = 40
+WITTEN_MAX_PSI_DEGREE = 15
+WITTEN_MAX_VIRASORO = 6
+WITTEN_MAX_ORDER = 7
 
 
 class _Help(Exception):
@@ -151,12 +158,14 @@ def build_parser() -> _Parser:
                     help="invert to integer multi-cover counts")
 
     wt = sub.add_parser("witten", help="psi-class intersection numbers")
-    wt.add_argument("--correlator", type=str, default=None,
-                    metavar="g:k1,k2,...")
+    wt.add_argument("--correlator", type=str, default=None, metavar="g:k1,k2,...",
+                    help=f"3g-3+n and k1+...+kn at most {WITTEN_MAX_DIMENSION}")
     wt.add_argument("--psi", type=str, default=None, metavar="g:k1,k2,...",
-                    help="the same correlator via Hurwitz asymptotics")
-    wt.add_argument("--virasoro", type=int, default=None, metavar="N")
-    wt.add_argument("--order", type=int, default=4)
+                    help="the same correlator via Hurwitz asymptotics, "
+                         f"with 3g-2+2n at most {WITTEN_MAX_PSI_DEGREE}")
+    wt.add_argument("--virasoro", type=int, default=None, metavar="N",
+                    help=f"at most {WITTEN_MAX_VIRASORO}")
+    wt.add_argument("--order", type=int, default=4, help=f"at most {WITTEN_MAX_ORDER}")
 
     mr = sub.add_parser("mirror", help="mirror hypergeometric series")
     mrsub = mr.add_subparsers(dest="geometry", required=True)
@@ -313,14 +322,23 @@ def _parse_correlator(text: str):
 def _cmd_witten(args) -> dict:
     if args.correlator is None and args.virasoro is None and args.psi is None:
         raise UsageError("witten needs --correlator, --psi or --virasoro")
+    corr, psi = (None if a is None else _parse_correlator(a)
+                 for a in (args.correlator, args.psi))
+    if corr and max(3 * corr[0] - 3 + len(corr[1]), sum(corr[1])) > WITTEN_MAX_DIMENSION:
+        raise UsageError("witten --correlator is limited to 3g-3+n and k1+...+kn "
+                         f"{WITTEN_MAX_DIMENSION}")
+    if psi and 3 * psi[0] - 2 + 2 * len(psi[1]) > WITTEN_MAX_PSI_DEGREE:
+        raise UsageError(f"witten --psi is limited to 3g-2+2n {WITTEN_MAX_PSI_DEGREE}")
+    if args.virasoro is not None and (args.virasoro > WITTEN_MAX_VIRASORO
+                                      or args.order > WITTEN_MAX_ORDER):
+        raise UsageError(f"witten is limited to --virasoro {WITTEN_MAX_VIRASORO} "
+                         f"and --order {WITTEN_MAX_ORDER}")
     result: dict = {}
     checks = []
-    if args.correlator is not None:
-        g, ks = _parse_correlator(args.correlator)
-        result["value"] = frac_str(intersections.dvv(g, ks))
-    if args.psi is not None:
-        g, ks = _parse_correlator(args.psi)
-        result["psi_asymptotic"] = frac_str(hurwitz.psi_from_asymptotics(g, ks))
+    if corr:
+        result["value"] = frac_str(intersections.dvv(*corr))
+    if psi:
+        result["psi_asymptotic"] = frac_str(hurwitz.psi_from_asymptotics(*psi))
         if "value" in result:
             agree = result["value"] == result["psi_asymptotic"]
             checks.append({"name": "dvv-vs-asymptotics", "pass": agree})

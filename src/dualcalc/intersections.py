@@ -18,8 +18,20 @@ is an integer, and the recursion becomes
     N = 4 sum_{k in S} (2k+1) N' + 2 sum_{a+b=n-2} N'' + sum cnt N_1 N_2
 
 with seeds N_0(0,0,0) = 8 and N_1(1) = 1.  In the separating term the
-dimension constraint fixes g1 for each split.  Correlators divide out the
-power of two (and, when plain, the double factorials) once.
+dimension constraint fixes g1 for each split.  Only keys with every index
+>= 2 take this step: Witten's string and dilaton equations remove an s_0 or
+an s_1 first,
+
+    N(ks, 0) = 4 sum_{k_i >= 1} (2k_i+1) N(..., k_i - 1, ...)
+    N(ks, 1) = 12 (2g-3+n) N(ks)          (n counts the s_1)
+
+Correlators divide out the power of two (and, when plain, the double
+factorials) once.
+
+tau = exp F is graded: F, hence tau, is zero off the shell
+sum_k (k-1) m_k = 0 (mod 3), so tau_coefficient does no work there.  The
+Virasoro residuals weigh each tau-coefficient by 16 times its operator
+coefficient (all integers) and divide by 16 once per nonzero sum.
 """
 from __future__ import annotations
 
@@ -70,10 +82,15 @@ def _norm(g: int, ks: Key) -> int:
         return 8
     if g == 1 and ks == (1,):
         return 1
+    if ks[-1] == 0:
+        # string equation: remove the s_0, lower one other index
+        rest = ks[:-1]
+        return 4 * sum((2 * k + 1) * _norm(g, _desc(rest[:i] + (k - 1,) + rest[i + 1:]))
+                       for i, k in enumerate(rest) if k)
+    if ks[-1] == 1:
+        # dilaton equation: remove the s_1
+        return 12 * (2 * g - 3 + n) * _norm(g, ks[:-1])
     top, rest = ks[0], ks[1:]
-    if top == 0:
-        # all-zero keys are dimension-filtered away except the seed
-        return 0
     # term 1: absorb one of the remaining insertions
     absorbed = sum((2 * k + 1) * _norm(g, _desc(rest[:i] + rest[i + 1:] + (top + k - 1,)))
                    for i, k in enumerate(rest))
@@ -163,15 +180,14 @@ def tau_coefficient(mono: tuple[int, ...]) -> Frac:
     deg = sum(mono)
     if not deg:
         return Frac(1)
+    if sum((k - 1) * m for k, m in enumerate(mono)) % 3:
+        return _F0
     total = _F0
     for j in product(*(range(m + 1) for m in mono)):
-        dj = sum(j)
-        if not dj:
-            continue
         f = _free_energy_coeff(_canon(j))
         if f:
             rest = _canon(tuple(a - b for a, b in zip(mono, j)))
-            total += dj * f * tau_coefficient(rest)
+            total += sum(j) * f * tau_coefficient(rest)
     return total / deg
 
 
@@ -185,6 +201,29 @@ def _bump(mono: tuple[int, ...], var: int, by: int) -> tuple[int, ...]:
     m = list(mono) + [0] * (var + 1 - len(mono))
     m[var] += by
     return _canon(tuple(m))
+
+
+def _l_terms(n: int, mono: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(16 * weight, monomial) of each tau-coefficient in the coefficient of
+    prod t_k^{mono_k} in L_n tau."""
+    # -(1/2) d/dt_{n+1}
+    up = _bump(mono, n + 1, 1)
+    yield -8 * up[n + 1], up
+    # sum_k (k+1/2) t_k d/dt_{k+n}
+    for k in range(len(mono)):
+        if mono[k] and k + n >= 0:
+            src = _bump(_bump(mono, k, -1), k + n, 1)
+            yield 8 * (2 * k + 1) * src[k + n], src
+    # (1/4) sum_{i=1..n} d^2/dt_{i-1} dt_{n-i}
+    for i in range(1, max(n, 0) + 1):
+        a, b = i - 1, n - i
+        src = _bump(_bump(mono, a, 1), b, 1)
+        yield 4 * src[a] * (src[b] - (a == b)), src
+    # (1/4) t_0^2 at n = -1, 1/16 at n = 0
+    if n == -1 and len(mono) > 0 and mono[0] >= 2:
+        yield 4, _bump(mono, 0, -2)
+    if n == 0:
+        yield 1, mono
 
 
 VIRASORO_KMAX = 4
@@ -211,31 +250,11 @@ def virasoro_residual(n: int, order: int) -> tuple[Frac, int]:
     checked = 0
     for mono in _monomials(order, VIRASORO_KMAX):
         checked += 1
-        acc = _F0
-        # -(1/2) d/dt_{n+1}
-        up = _bump(mono, n + 1, 1)
-        acc -= Frac(up[n + 1], 2) * tau_coefficient(up)
-        # sum_k (k+1/2) t_k d/dt_{k+n}
-        for k in range(len(mono)):
-            if not mono[k] or k + n < 0:
-                continue
-            src = _bump(_bump(mono, k, -1), k + n, 1)
-            acc += Frac(2 * k + 1, 2) * src[k + n] * tau_coefficient(src)
-        # (1/4) sum_{i=1..n} d^2/dt_{i-1} dt_{n-i}
-        for i in range(1, max(n, 0) + 1):
-            a, b = i - 1, n - i
-            if a == b:
-                src = _bump(mono, a, 2)
-                acc += Frac(src[a] * (src[a] - 1), 4) * tau_coefficient(src)
-            else:
-                src = _bump(_bump(mono, a, 1), b, 1)
-                acc += Frac(src[a] * src[b], 4) * tau_coefficient(src)
-        # (1/4) t_0^2 at n = -1
-        if n == -1 and len(mono) > 0 and mono[0] >= 2:
-            acc += Frac(1, 4) * tau_coefficient(_bump(mono, 0, -2))
-        # 1/16 at n = 0
-        if n == 0:
-            acc += Frac(1, 16) * tau_coefficient(mono)
-        if abs(acc) > worst:
-            worst = abs(acc)
+        acc = 0
+        for w, src in _l_terms(n, mono):
+            t = tau_coefficient(src)
+            if t:
+                acc += w * t
+        if acc:
+            worst = max(worst, abs(acc) / 16)
     return worst, checked

@@ -6,8 +6,9 @@ two-branch framed build that ``PSeries._sum`` and the one build loop
 replace, the graded exponential of a ``PSeries``, the ``Fraction`` DVV
 recursion, the cut-and-join Hurwitz recursion on ``PSeries`` slices, the
 interpolation that the finite-difference psi-extraction replaces, set
-partitions, the ``Fraction``-list dense kernels, the ``Fraction``-dict toric
-ring, the quintic bracket series built on its own (``mirror.candelas`` reads
+partitions, the ``Fraction`` assembly of the Virasoro residuals that the
+integer-weighted one replaces, the ``Fraction``-list dense kernels, the
+``Fraction``-dict toric ring, the quintic bracket series built on its own (``mirror.candelas`` reads
 it off the toric series), the 2 sin(m lambda/2) expansion, the
 composition-by-permutation Schur reader that the row-by-row pass of
 ``mirror._bialternant`` replaces, the localization-sum class of a
@@ -22,7 +23,7 @@ from functools import lru_cache
 from itertools import chain, combinations, permutations
 from math import comb, factorial, gcd
 
-from dualcalc import mirror
+from dualcalc import intersections, mirror
 from dualcalc.errors import InternalError, UsageError, VerificationFailure
 from dualcalc.hodge import FramedSeries, _one_family_term, _two_family_term
 from dualcalc.hurwitz import elsv_I, ramification_order
@@ -314,6 +315,38 @@ def fraction_norm(g, ks):
                 total += Fraction(cnt, 2) * fraction_norm(g1, key(x + (a,))) \
                     * fraction_norm(g - g1, key(y + (b,)))
     return total
+
+
+def virasoro_residual_reference(n, order):
+    """(max |coefficient|, coefficients checked) of L_n tau through total
+    t-degree ``order``, each term a ``Fraction`` operator coefficient times
+    ``intersections.tau_coefficient`` (read at call time, so a test can
+    perturb it): the reference for ``intersections.virasoro_residual``."""
+    tau, bump = intersections.tau_coefficient, intersections._bump
+    worst = Fraction(0)
+    checked = 0
+    for mono in intersections._monomials(order, intersections.VIRASORO_KMAX):
+        checked += 1
+        up = bump(mono, n + 1, 1)
+        acc = -Fraction(up[n + 1], 2) * tau(up)
+        for k in range(len(mono)):
+            if mono[k] and k + n >= 0:
+                src = bump(bump(mono, k, -1), k + n, 1)
+                acc += Fraction(2 * k + 1, 2) * src[k + n] * tau(src)
+        for i in range(1, max(n, 0) + 1):
+            a, b = i - 1, n - i
+            if a == b:
+                src = bump(mono, a, 2)
+                acc += Fraction(src[a] * (src[a] - 1), 4) * tau(src)
+            else:
+                src = bump(bump(mono, a, 1), b, 1)
+                acc += Fraction(src[a] * src[b], 4) * tau(src)
+        if n == -1 and len(mono) > 0 and mono[0] >= 2:
+            acc += Fraction(1, 4) * tau(bump(mono, 0, -2))
+        if n == 0:
+            acc += Fraction(1, 16) * tau(mono)
+        worst = max(worst, abs(acc))
+    return worst, checked
 
 
 def _quad_term(da, db, cap):

@@ -336,6 +336,50 @@ def test_vertex_limits_reject_before_any_work(degree, genus, monkeypatch):
     assert _vertex_limit_run(degree, genus, monkeypatch) == (1, "usage")
 
 
+# (argv, worker) at the witten limits: 3g-3+n and k1+...+kn <= 40 for
+# --correlator, 3g-2+2n <= 15 for --psi, --virasoro <= 6 and --order <= 7
+WITTEN_LIMITS_ACCEPTED = [
+    (["--correlator", "14:40"], ("intersections", "dvv")),
+    (["--correlator", "0:40" + ",0" * 42], ("intersections", "dvv")),
+    (["--psi", "1:7" + ",0" * 6], ("hurwitz", "psi_from_asymptotics")),
+    (["--virasoro", "6", "--order", "7"], ("intersections", "virasoro_residual")),
+]
+WITTEN_LIMITS_REJECTED = [
+    (["--correlator", "14:41"], ("intersections", "dvv")),
+    (["--correlator", "0:40" + ",0" * 43], ("intersections", "dvv")),
+    (["--psi", "0:6" + ",0" * 8], ("hurwitz", "psi_from_asymptotics")),
+    (["--virasoro", "7", "--order", "7"], ("intersections", "virasoro_residual")),
+    (["--virasoro", "6", "--order", "8"], ("intersections", "virasoro_residual")),
+]
+
+
+def _witten_limit_run(argv, worker, monkeypatch):
+    from dualcalc.errors import InternalError
+
+    def started(*_args):
+        raise InternalError("the witten computation was started")
+
+    # as for the mirror limits: "internal" (exit 3) means the limit let the query through
+    monkeypatch.setattr(getattr(cli, worker[0]), worker[1], started)
+    code, out = run(["witten", *argv])
+    assert out.count("\n") == 1
+    return code, json.loads(out)["kind"]
+
+
+@pytest.mark.parametrize("argv,worker", WITTEN_LIMITS_ACCEPTED)
+def test_witten_limits_accept_the_boundary(argv, worker, monkeypatch):
+    assert (cli.WITTEN_MAX_DIMENSION, cli.WITTEN_MAX_PSI_DEGREE,
+            cli.WITTEN_MAX_VIRASORO, cli.WITTEN_MAX_ORDER) == (40, 15, 6, 7)
+    assert _witten_limit_run(argv, worker, monkeypatch) == (3, "internal")
+    _, doc = run_json(["witten", "--help"])
+    assert all(f"at most {v}" in doc["help"] for v in (40, 15, 6, 7))
+
+
+@pytest.mark.parametrize("argv,worker", WITTEN_LIMITS_REJECTED)
+def test_witten_limits_reject_before_any_work(argv, worker, monkeypatch):
+    assert _witten_limit_run(argv, worker, monkeypatch) == (1, "usage")
+
+
 def _p1_power(r):
     return {"generators": [{"name": f"H{i}", "nilpotency": 2} for i in range(r)],
             "line_bundles": [[2] * r],

@@ -10,7 +10,7 @@ from dualcalc.hurwitz import psi_from_asymptotics
 from dualcalc.intersections import (double_factorial_odd, dvv, dvv_normalized,
                                     tau_coefficient, virasoro_residual)
 from dualcalc.partitions import enumerate_partitions
-from oracles import fraction_norm, set_partitions
+from oracles import fraction_norm, set_partitions, virasoro_residual_reference
 
 
 def test_seeds():
@@ -65,8 +65,9 @@ def _stable_keys(max_dim):
 
 
 def test_integer_recursion_matches_fraction_reference():
-    keys = list(_stable_keys(9))
-    assert len(keys) == 277 and max(g for g, _ in keys) == 3
+    # the string and dilaton steps against the full DVV recursion
+    keys = list(_stable_keys(12))
+    assert len(keys) == 934 and max(g for g, _ in keys) == 4
     for g, ks in keys:
         assert dvv_normalized(g, ks) == fraction_norm(g, ks) > 0, (g, ks)
 
@@ -163,6 +164,43 @@ def test_tau_coefficient_matches_set_partition_sum():
         assert tau_coefficient(tuple(key)) == _tau_by_set_partitions(mono), mono
         checked += 1
     assert checked == 462
+
+
+def _on_shell(mono):
+    return sum((k - 1) * m for k, m in enumerate(mono)) % 3 == 0
+
+
+def _residual_reads():
+    """Every monomial whose tau-coefficient virasoro_residual(n, 4) reads,
+    n = -1..3."""
+    return {src for n in range(-1, 4)
+            for mono in intersections._monomials(4, intersections.VIRASORO_KMAX)
+            for _w, src in intersections._l_terms(n, mono)}
+
+
+def test_tau_coefficient_on_every_monomial_the_residuals_read():
+    reads = _residual_reads()
+    # t_0..t_7, 379 of them off the dimension shell
+    assert len(reads) == 575 and max(map(len, reads)) == 8
+    assert sum(not _on_shell(m) for m in reads) == 379
+    for mono in reads:
+        tau = tau_coefficient(mono)
+        assert tau == _tau_by_set_partitions(mono), mono
+        if not _on_shell(mono):
+            assert tau == 0, mono
+
+
+def test_residual_matches_fraction_assembly_under_a_perturbed_tau(monkeypatch):
+    for n in range(-1, 4):
+        # also fills the tau cache, so the perturbed function never recurses
+        assert virasoro_residual(n, 4) == virasoro_residual_reference(n, 4) == (0, 126)
+    real, target = intersections.tau_coefficient, (0, 0, 0, 0, 1)
+    assert _on_shell(target) and real(target) != 0
+    monkeypatch.setattr(intersections, "tau_coefficient",
+                        lambda mono: real(mono) + Fraction(1, 7) * (mono == target))
+    for n in range(-1, 4):
+        got = virasoro_residual(n, 4)
+        assert got == virasoro_residual_reference(n, 4) and got[0] != 0, n
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
