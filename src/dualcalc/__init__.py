@@ -10,9 +10,9 @@ operators (``pseries``), Hurwitz and ELSV (``hurwitz``), the framed
 triple-Hodge series (``hodge``), the local-P2 vertex with the one
 Gopakumar-Vafa inversion, whose genus-0 case also inverts the quintic
 (``vertex``), psi-intersections and Virasoro (``intersections``), mirror
-hypergeometrics with the one-variable integer-numerator ``XPoly`` ring that
-builds the Grassmannian determinant rows, whose Schur coefficients are read
-on plain integers (``nilpotent``, ``mirror``), and the acceptance registry
+hypergeometrics with one truncated product for the toric ring and the
+Grassmannian determinant rows, whose Schur coefficients are read on plain
+integers (``nilpotent``, ``mirror``), and the acceptance registry
 (``verify``) behind the ``dualcalc`` CLI (``cli``).
 """
 

@@ -123,6 +123,8 @@ def dvv(g: int, ks: Sequence[int]) -> Frac:
         raise UsageError("need at least one insertion")
     if g < 0:
         raise UsageError("genus must be nonnegative")
+    if sum(ks) != 3 * g - 3 + len(ks):
+        return Frac(0)  # off the dimension shell, before any double factorial
     den = 1
     for k in ks:
         den *= double_factorial_odd(k)

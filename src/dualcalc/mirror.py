@@ -6,18 +6,23 @@ potential on ``dense`` Q-series.  The instanton numbers come from its
 degree coefficients by the genus-0 case of ``vertex.gv_invert``.
 
 Toric side: the convex-case series of a toric spec in the truncated ring
-Q[G_1..G_r]/(G_i^{n_i}), held as ``Poly`` values keyed by exponent tuples.
+Q[G_1..G_r]/(G_i^{n_i}), held as ``Poly`` values keyed by exponent tuples
+and multiplied by ``nilpotent.mul`` in the nilpotency box.
 
 Grassmannian side: the product-of-projective-spaces series, the
 antisymmetrizing derivative operator with its pi sqrt(-1) bookkeeping symbol
 P, the composition-sum localization formula, and their equality in the Schur
 basis of H*(Gr(k,n)).  Both sides sum, over compositions, a determinant whose
-row i depends on the Chern root x_i alone, so by the bialternant formula
-s_lambda = a_{lambda+delta} / a_delta the s_lambda coefficient is its
+row i depends on the Chern root x_i alone; each row entry is a ``Poly`` keyed
+by (x, P, t, alpha) exponents and cut at an x-degree cap.  The two sides' row
+entries agree one by one, which is what the equality compares: (alpha d/dt +
+c alpha)^r e^{-t x/alpha} = (c alpha - x)^r e^{-t x/alpha}, and t -> t + P
+alpha cancels e^{P x} exactly below the cap.  By the bialternant formula
+s_lambda = a_{lambda+delta} / a_delta the s_lambda coefficient is the
 x^{lambda+delta} coefficient: one pass builds the Leibniz sum row by row on
 integers, for every degree at once, over (used-column mask, degree) states
-memoised on the row prefix.  Each read is P-free and flips under adjacent swaps.
-The CLI bounds k, n and the degree (``cli.GR_MAX_*``).
+memoised on the row prefix.  Each read is P-free and flips under adjacent
+swaps.  The CLI bounds k, n and the degree (``cli.GR_MAX_*``).
 
 Sign conventions: the projective-space displays use (x - m alpha) while the
 composition sum uses (x_i + l alpha); the bridge, validated by the equality
@@ -29,13 +34,11 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, lcm, prod
-from operator import add, lt
+from math import comb, factorial, gcd, lcm, prod
 
-from . import dense
+from . import dense, nilpotent
 from .errors import InternalError, UsageError, VerificationFailure
 from .laurent import Laurent, Poly
-from .nilpotent import XPoly, exp_x_times
 from .partitions import compositions
 
 Frac = Fraction
@@ -176,16 +179,7 @@ def toric_b_series(generators: Sequence[tuple[str, int]],
     zero = (0,) * (2 * r)
     units = [tuple(int(k == i) for k in range(2 * r)) for i in range(r)]
     one = Poly({zero: 1})
-
-    def ring_mul(a: Poly, b: Poly) -> Poly:
-        # truncated to the nilpotency box; zip stops before the t exponents
-        out: dict[tuple[int, ...], int] = {}
-        for e1, v1 in a.num.items():
-            for e2, v2 in b.num.items():
-                e = tuple(map(add, e1, e2))
-                if all(map(lt, e, nilps)):
-                    out[e] = out.get(e, 0) + v1 * v2
-        return a._new({k: v for k, v in out.items() if v}, a.den * b.den)
+    box = tuple(n - 1 for n in nilps)  # the truncation of every ring product
 
     def lin(vec: Sequence[int], const: int) -> Poly:
         return Poly({zero: const, **dict(zip(units, vec))})
@@ -198,14 +192,14 @@ def toric_b_series(generators: Sequence[tuple[str, int]],
         step = (a - Poly({zero: c0})).scale(-1 / c0)
         out = one
         for _ in range(sum(nilps) - r):
-            out = one + ring_mul(step, out)
+            out = one + nilpotent.mul(step, out, box)
         return out.scale(1 / c0)
 
     # e^{-H t} = prod_j e^{-G_j t_j}
     expfac = one
     for j, nilp in enumerate(nilps):
-        expfac = ring_mul(expfac, Poly({tuple(m * (i % r == j) for i in range(2 * r)):
-                                        Frac((-1) ** m, factorial(m)) for m in range(nilp)}))
+        expfac = nilpotent.mul(expfac, Poly({tuple(m * (i % r == j) for i in range(2 * r)):
+                                             Frac((-1) ** m, factorial(m)) for m in range(nilp)}), box)
 
     out: dict[tuple[int, ...], dict] = {}
     for d in (d for s in range(d_max + 1) for d in compositions(s, r)):
@@ -215,17 +209,17 @@ def toric_b_series(generators: Sequence[tuple[str, int]],
             if pair < 0:
                 raise UsageError("negative line-bundle pairing: outside the convex case")
             for k in range(0, pair + 1):
-                num = ring_mul(num, lin(vec, -k))
+                num = nilpotent.mul(num, lin(vec, -k), box)
         den = one
         for vec in divisors:
             pair = sum(c * dd for c, dd in zip(vec, d))
             if pair < 0:
                 for k in range(0, -pair):
-                    num = ring_mul(num, lin(vec, k))
+                    num = nilpotent.mul(num, lin(vec, k), box)
             else:
                 for k in range(1, pair + 1):
-                    den = ring_mul(den, lin(vec, -k))
-        full = ring_mul(expfac, ring_mul(num, ring_inv(den)))
+                    den = nilpotent.mul(den, lin(vec, -k), box)
+        full = nilpotent.mul(expfac, nilpotent.mul(num, ring_inv(den), box), box)
         out[d] = {(e[:r], e[r:]): v for e, v in full.c.items()}
     return out
 
@@ -235,34 +229,35 @@ def toric_b_series(generators: Sequence[tuple[str, int]],
 # ===========================================================================
 
 @lru_cache(maxsize=None)
-def hg_projective(n: int, d_max: int, cap: int | None = None) -> tuple[XPoly, ...]:
+def hg_projective(n: int, d_max: int, cap: int | None = None) -> tuple[Poly, ...]:
     """Degree slices of the fundamental series of P^{n-1}.
 
     Slice d: e^{-t x / alpha} / prod_{m=1}^{d} (x - m alpha)^n, expanded in x
-    through the cap (default n-1, the nilpotency order).
+    through the cap (default n-1, the nilpotency order), as a ``Poly`` keyed
+    by (x, P, t, alpha) exponents.
     """
     if n < 2:
         raise UsageError("need projective space of dimension >= 1")
     if cap is None:
         cap = n - 1
-    pre = exp_x_times(cap, "t", -1)
-    out: list[XPoly] = []
-    slice_d = XPoly.const(cap, 1)
+    caps = (cap,)
+    pre = nilpotent.exp_x_times(cap, "t", -1)
+    out: list[Poly] = []
+    slice_d = Poly({(0, 0, 0, 0): 1})
     for d in range(d_max + 1):
         if d:
-            slice_d = slice_d * _inv_linear_power(cap, -d, n)
-        out.append(pre * slice_d)
+            slice_d = nilpotent.mul(slice_d, _inv_linear_power(cap, -d, n), caps)
+        out.append(nilpotent.mul(pre, slice_d, caps))
     return tuple(out)
 
 
-def _inv_linear_power(cap: int, mcoef: int, power: int) -> XPoly:
+def _inv_linear_power(cap: int, mcoef: int, power: int) -> Poly:
     """(x + mcoef*alpha)^{-power} as a truncated x-series."""
     if mcoef == 0:
         raise UsageError("non-invertible linear factor")
-    return XPoly(cap, {
-        (j, 0, 0, -(power + j)): Frac(comb(power - 1 + j, j) * (-1) ** j,
-                                      mcoef ** (power + j))
-        for j in range(cap + 1)})
+    return Poly({(j, 0, 0, -(power + j)): Frac(comb(power - 1 + j, j) * (-1) ** j,
+                                              mcoef ** (power + j))
+                 for j in range(cap + 1)})
 
 
 def _gr_cap(k: int, n: int) -> int:
@@ -271,25 +266,48 @@ def _gr_cap(k: int, n: int) -> int:
     return k * (n - k) + k * (k - 1) // 2 + 2
 
 
-def _loc_rows(k: int, n: int, d_max: int, cap: int) -> dict[tuple[int, int], XPoly]:
+def _op_rows(k: int, n: int, d_max: int, cap: int) -> dict[tuple[int, int], Poly]:
+    """Entries of the operator-formula determinant, keyed (part c, column j).
+
+    Column j carries (alpha d/dt)^r, r = k-1-j, acting on slice * e^{c t} as
+    alpha^r (c + d/dt)^r, framed-substituted, times e^{P x} (t-free, so taken
+    into the slice first).  The sign (-1)^r gathers to the Vandermonde
+    orientation sign (-1)^{k(k-1)/2}; (-1)^{(k-1)c} is the copy sign.
+    """
+    caps = (cap,)
+    e_p = nilpotent.exp_x_times(cap, "P", 1)
+    out: dict[tuple[int, int], Poly] = {}
+    for c, s in enumerate(hg_projective(n, d_max, cap=cap)):
+        cur = nilpotent.mul(s, e_p, caps)
+        for r in range(k):
+            if r:
+                cur = cur.scale(c) + nilpotent.dt(cur)
+            factor = Poly({(0, 0, 0, r): (-1) ** (r + (k - 1) * c)})
+            out[(c, k - 1 - r)] = nilpotent.mul(nilpotent.subs_t_plus_p_alpha(cur), factor, caps)
+    return out
+
+
+def _loc_rows(k: int, n: int, d_max: int, cap: int) -> dict[tuple[int, int], Poly]:
     """Entries of the composition-sum determinant, keyed (part c, column j).
 
-    (x + c alpha)^{k-1-j} prod_{l=1}^{c} (x + l alpha)^{-n} with the row
-    sign (-1)^{(k-1)c}: row i of composition c is the entries (c_i, j) in
-    x_i, and prod_{i<j} (x_i - x_j + (c_i - c_j) alpha) is the Vandermonde
-    determinant in the x_i + c_i alpha.
+    e^{-t x/alpha} times (x + c alpha)^{k-1-j} prod_{l=1}^{c} (x + l alpha)^{-n}
+    with alpha -> -alpha and the row sign (-1)^{(k-1)c}: row i of composition
+    c is the entries (c_i, j) in x_i, and prod_{i<j} (x_i - x_j + (c_i - c_j)
+    alpha) is the Vandermonde determinant in the x_i + c_i alpha.
     """
-    out: dict[tuple[int, int], XPoly] = {}
-    inv_prod = XPoly.const(cap, 1)
+    caps = (cap,)
+    pre_t = nilpotent.exp_x_times(cap, "t", -1)
+    out: dict[tuple[int, int], Poly] = {}
+    inv_prod = Poly({(0, 0, 0, 0): 1})
     for c in range(d_max + 1):
         if c:
-            inv_prod = inv_prod * _inv_linear_power(cap, c, n)
+            inv_prod = nilpotent.mul(inv_prod, _inv_linear_power(cap, c, n), caps)
         base = inv_prod.scale((-1) ** ((k - 1) * c))
         for j in range(k):
             m = k - 1 - j
-            shifted = XPoly(cap, {(i, 0, 0, m - i): comb(m, i) * c ** (m - i)
-                                  for i in range(m + 1)})
-            out[(c, j)] = shifted * base
+            shifted = Poly({(i, 0, 0, m - i): comb(m, i) * c ** (m - i) for i in range(m + 1)})
+            row = nilpotent.negate_alpha(nilpotent.mul(shifted, base, caps))
+            out[(c, j)] = nilpotent.mul(pre_t, row, caps)
     return out
 
 
@@ -313,18 +331,26 @@ def _row_step(states: dict, at_x: dict[int, list], d_max: int) -> dict:
     return {key: acc for key, t in out.items() if (acc := {m: w for m, w in t.items() if w})}
 
 
-def _bialternant(rows: dict[tuple[int, int], XPoly], k: int, n: int, d_max: int,
+def _bialternant(rows: dict[tuple[int, int], Poly], k: int, n: int, d_max: int,
                  cap: int) -> dict[int, dict[int, dict[tuple[int, ...], Laurent]]]:
     """Schur coefficients of sum_c det[rows[c_i, j](x_i)] / a_delta by |c| <= d_max and
     t-exponent, all degrees in one pass: by s_lambda = a_{lambda+delta} / a_delta, the
     x^{lambda+delta} coefficients, each P-free and changing sign under every adjacent
-    swap.  Every decreasing e with total <= cap is checked; the k x (n-k) box is kept.  With
-    integer numerators over one dens[x] per x^x, e and its swaps share prod dens[e_i]."""
-    slices = {(c, j, x): f for (c, j), row in rows.items() for x, f in row.x_coefficients().items()}
-    dens = [lcm(*(f.den for (_c, _j, y), f in slices.items() if y == x)) for x in range(cap + 1)]
+    swap.  Every decreasing e with total <= cap is checked; the k x (n-k) box is kept.  Each
+    row is split by x into (P, t, alpha) numerators over that slice's reduced denominator,
+    and every slice at x^x is put over one dens[x]: e and its swaps share prod dens[e_i]."""
+    slices = []  # (c, j, x, numerators, reduced denominator)
+    for (c, j), row in rows.items():
+        by_x: dict[int, dict] = {}
+        for key, w in row.num.items():
+            by_x.setdefault(key[0], {})[key[1:]] = w
+        for x, num in by_x.items():
+            g = gcd(row.den, *num.values())
+            slices.append((c, j, x, {m: w // g for m, w in num.items()}, row.den // g))
+    dens = [lcm(*(den for _c, _j, y, _num, den in slices if y == x)) for x in range(cap + 1)]
     cols: list[dict] = [{} for _ in range(cap + 1)]  # x -> j -> [(c, numerators at x^x)]
-    for (c, j, x), f in slices.items():
-        cols[x].setdefault(j, []).append((c, {m: w * (dens[x] // f.den) for m, w in f.num.items()}))
+    for c, j, x, num, den in slices:
+        cols[x].setdefault(j, []).append((c, {m: w * (dens[x] // den) for m, w in num.items()}))
     memo = [{(): {(0, 0): {(0, 0, 0): 1}}}] + [{} for _ in range(k - 1)]  # by prefix length
 
     def at(e: tuple[int, ...]) -> dict[tuple[int, int], dict]:
@@ -361,57 +387,36 @@ def _bialternant(rows: dict[tuple[int, int], XPoly], k: int, n: int, d_max: int,
 def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
     """Operator-formula series, localization series, and their equality:
     {"operator": {d: {t_exp: {lam: Laurent}}}, "localization": same shape,
-    "equal": bool}.  The alpha -> -alpha bridge between the two printed
-    conventions is applied to the composition sum."""
+    "equal": bool}.  "equal" is the entry-by-entry equality of the two sides'
+    rows on a nonempty read; the localization rows are read on their own only
+    when they differ."""
     if not (1 <= k < n):
         raise UsageError("need 1 <= k < n")
     if d_max < 0:
         raise UsageError("degree must be nonnegative")
     cap = _gr_cap(k, n)
-
-    # operator entries: column j carries (alpha d/dt)^r, r = k-1-j, acting on
-    # slice * e^{c t} as alpha^r (c + d/dt)^r, framed-substituted, times e^{P x}
-    # (t-free, so taken into the slice first).  The sign (-1)^r gathers to the
-    # Vandermonde orientation sign (-1)^{k(k-1)/2}; (-1)^{(k-1)c} is the copy sign.
-    e_p = exp_x_times(cap, "P", 1)
-    op_rows: dict[tuple[int, int], XPoly] = {}
-    for c, cur in enumerate(s * e_p for s in hg_projective(n, d_max, cap=cap)):
-        for r in range(k):
-            if r:
-                cur = cur.scale(c) + cur.dt()
-            factor = Laurent.mono(r, (-1) ** (r + (k - 1) * c))
-            op_rows[(c, k - 1 - r)] = cur.subs_t_plus_p_alpha().scale(factor)
-
-    # localization side: e^{-t x_i/alpha} times each row, alpha flipped first
-    pre_t = exp_x_times(cap, "t", -1)
-    loc_rows = {key: pre_t * row.negate_alpha()
-                for key, row in _loc_rows(k, n, d_max, cap).items()}
-
-    operator_out, loc_out = (_bialternant(rows, k, n, d_max, cap) for rows in (op_rows, loc_rows))
+    op_rows, loc_rows = _op_rows(k, n, d_max, cap), _loc_rows(k, n, d_max, cap)
+    operator_out = _bialternant(op_rows, k, n, d_max, cap)
+    same = op_rows == loc_rows
+    loc_out = operator_out if same else _bialternant(loc_rows, k, n, d_max, cap)
     return {"operator": operator_out, "localization": loc_out,
-            "equal": _reduced_equal(operator_out, loc_out)}
+            "equal": same and any(operator_out.values())}
 
 
-def _reduced_equal(a, b) -> bool:
-    """Coefficient-wise equality over (d, t, lambda); false if none compared."""
-    def norm(side):
-        out = {}
-        for d, by_t in side.items():
-            for te, lams in by_t.items():
-                for lam, v in lams.items():
-                    if v:
-                        out[(d, te, lam)] = v
-        return out
-
-    compared = norm(a)
-    return len(compared) > 0 and compared == norm(b)
+def _reduced_equal(read, flat) -> bool:
+    """Coefficient-wise equality of a {d: {t: {lambda: v}}} read and a flat
+    {(d, t, lambda): v}; false if none compared."""
+    compared = {(d, te, lam): v for d, by_t in read.items() for te, lams in by_t.items()
+                for lam, v in lams.items() if v}
+    return len(compared) > 0 and compared == flat
 
 
 def gr23_matches_p2(d_max: int = 2) -> bool:
     """The (2,3) operator output equals the P^2 series under s_1 <-> x."""
     lam_of_deg = {0: (), 1: (1,), 2: (1, 1)}
-    expect: dict[int, dict[int, dict[tuple[int, ...], Laurent]]] = {}
+    expect: dict[tuple, dict[int, Frac]] = {}
     for d, slice_d in enumerate(hg_projective(3, d_max)):
-        for (xe, _pe, te), v in slice_d.c.items():
-            expect.setdefault(d, {}).setdefault(te, {})[lam_of_deg[xe]] = v
-    return _reduced_equal(hori_vafa_series(2, 3, d_max)["operator"], expect)
+        for (xe, _pe, te, a), v in slice_d.c.items():
+            expect.setdefault((d, te, lam_of_deg[xe]), {})[a] = v
+    return _reduced_equal(hori_vafa_series(2, 3, d_max)["operator"],
+                          {key: Laurent(c) for key, c in expect.items()})

@@ -3,7 +3,7 @@
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 partition is ``()``.  Characters are computed by the Murnaghan-Nakayama
 ribbon recursion with a shared memo cache; cached values are pure functions
-of their keys, so concurrent use only ever repeats idempotent inserts.
+of their keys.
 """
 from __future__ import annotations
 

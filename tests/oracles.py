@@ -23,12 +23,11 @@ from functools import lru_cache
 from itertools import chain, combinations, permutations
 from math import comb, factorial, gcd
 
-from dualcalc import intersections, mirror
+from dualcalc import intersections, mirror, nilpotent
 from dualcalc.errors import InternalError, UsageError, VerificationFailure
 from dualcalc.hodge import FramedSeries, _one_family_term, _two_family_term
 from dualcalc.hurwitz import elsv_I, ramification_order
-from dualcalc.laurent import Laurent
-from dualcalc.nilpotent import XPoly
+from dualcalc.laurent import Laurent, Poly
 from dualcalc.partitions import (add_parts, character, compositions, enumerate_partitions,
                                  intersection, kappa, remove_part, sub_diagrams, zmu)
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key
@@ -37,7 +36,7 @@ from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine
 
 
 def canonical(p):
-    """Assert that p (a ``Laurent``, ``TauLaurent`` or ``XPoly``) is in the
+    """Assert that p (a ``Poly``, ``Laurent`` or ``TauLaurent``) is in the
     kernel's canonical form, and return it.
 
     ``den`` is positive and coprime to the content of ``num``, ``num`` holds
@@ -677,18 +676,18 @@ def toric_b_series_reference(generators, line_bundles, divisors, d_max):
 
 
 def p_free(p):
-    """Whether the ``XPoly`` p has no term with a positive power of P."""
-    return not any(pe for _x, pe, _t in p.c)
+    """Whether the row p, a ``Poly`` keyed by (x, P, t, alpha) exponents, has no
+    term with a positive power of P."""
+    return not any(pe for _x, pe, _t, _a in p.num)
 
 
 def x_slices(row):
-    """{e: the x^e coefficient of the ``XPoly`` row, as an ``XPoly`` with no x},
-    read through the ``c`` view."""
+    """{e: the x^e coefficient of the row, as a ``Poly`` with no x}, read
+    through the ``c`` view."""
     terms = {}
-    for (x, pe, te), coef in row.c.items():
-        for a, v in coef.c.items():
-            terms.setdefault(x, {})[(0, pe, te, a)] = v
-    return {x: XPoly(row.cap, t) for x, t in terms.items()}
+    for (x, pe, te, a), v in row.c.items():
+        terms.setdefault(x, {})[(0, pe, te, a)] = v
+    return {x: Poly(t) for x, t in terms.items()}
 
 
 def bialternant_reference(rows, k, n, d, cap):
@@ -703,7 +702,7 @@ def bialternant_reference(rows, k, n, d, cap):
              for sigma in permutations(range(k))]
 
     def at(e):
-        terms = []
+        total = Poly()
         for compn in comps:
             for sign, sigma in perms:
                 term = None
@@ -711,10 +710,10 @@ def bialternant_reference(rows, k, n, d, cap):
                     f = coeffs[(compn[i], sigma[i])].get(e[i])
                     if f is None:
                         break
-                    term = f if term is None else term * f
+                    term = f if term is None else nilpotent.mul(term, f, (cap,))
                 else:
-                    terms.append((sign, term))
-        return XPoly.lincomb(cap, terms)
+                    total = total + term.scale(sign)
+        return total
 
     by_t = {}
     for e in combinations(range(cap, -1, -1), k):
@@ -729,24 +728,23 @@ def bialternant_reference(rows, k, n, d, cap):
         lam = tuple(p for p in (x - (k - 1 - i) for i, x in enumerate(e)) if p)
         if lam and lam[0] > n - k:
             continue
-        for (_x, _p, te), coef in v.c.items():
-            by_t.setdefault(te, {})[lam] = coef
-    return by_t
+        for (_x, _p, te, a), f in v.c.items():
+            by_t.setdefault(te, {}).setdefault(lam, {})[a] = f
+    return {te: {lam: Laurent(c) for lam, c in lams.items()} for te, lams in by_t.items()}
 
 
 def gr_loc_sum(k, n, d):
     """Localization-sum class in the Schur basis of H*(Gr(k,n)): the degree-d
     composition sum of ``mirror._loc_rows`` read by ``mirror._bialternant``,
-    with no e^{-tx/alpha} factor and no alpha flip."""
+    without the rows' e^{-tx/alpha} factor (the t^0 part) and alpha flip."""
     if not (1 <= k < n):
         raise UsageError("need 1 <= k < n")
     if d < 0:
         raise UsageError("degree must be nonnegative")
     cap = mirror._gr_cap(k, n)
     by_t = mirror._bialternant(mirror._loc_rows(k, n, d, cap), k, n, d, cap)[d]
-    if set(by_t) - {0}:
-        raise InternalError("unexpected symbol in the localization sum")
-    return by_t.get(0, {})
+    return {lam: Laurent({a: -f if a % 2 else f for a, f in v.c.items()})
+            for lam, v in by_t.get(0, {}).items()}
 
 
 # -- lambda series ------------------------------------------------------------------

@@ -660,6 +660,10 @@ OP_COVERAGE = {
                                                "--max-degree", "1", "--verify"]),
     "hori_vafa_series": ("mirror.hori_vafa_series", ["mirror", "grassmannian", "-k", "2",
                                                      "-n", "3", "--max-degree", "1", "--verify"]),
+    # the one truncated product serves both nilpotent rings
+    "truncated_mul_toric": ("nilpotent.mul", ["mirror", "quintic", "--max-degree", "2"]),
+    "truncated_mul_grassmannian": ("nilpotent.mul", ["mirror", "grassmannian", "-k", "2", "-n",
+                                                     "3", "--max-degree", "1", "--verify"]),
     # cli itself
     "verify_all": ("verify.run_all", ["verify-all", "--profile", "quick"]),
 }

@@ -45,6 +45,14 @@ def test_dimension_filter():
                 assert dvv(g, ks) == 0
 
 
+def test_off_shell_key_forms_no_double_factorial(monkeypatch):
+    def no_work(_k):
+        raise AssertionError("a double factorial was formed")
+
+    monkeypatch.setattr(intersections, "double_factorial_odd", no_work)
+    assert dvv(1, (3,)) == 0 and dvv(0, (1, 1, 1)) == 0 and dvv(2, (7, 1)) == 0
+
+
 def test_symmetry():
     vals = {dvv(1, p) for p in permutations((2, 1, 0))}
     assert vals == {Fraction(1, 12)}

@@ -2,9 +2,9 @@
 
 ``Laurent`` holds integer numerators over one denominator; it is checked
 here against a plain {exponent: Fraction} dict model, and every result is
-checked to be in canonical form.  ``TauLaurent`` and ``XPoly`` share the
-kernel; their model tests live in ``tests/test_series.py`` and
-``tests/test_mirror.py``.
+checked to be in canonical form.  ``TauLaurent`` and the mirror module's
+nilpotent rings share the kernel; their model tests live in
+``tests/test_series.py`` and ``tests/test_mirror.py``.
 """
 from fractions import Fraction
 
@@ -95,7 +95,7 @@ def test_divexact_values(a, b, q):
 def test_non_multiple_raises(a, b, k, v):
     # a non-monomial b divides no nonzero monomial, so a*b + v x^k has a remainder
     with pytest.raises(InternalError):
-        (a * b + Laurent.mono(k, v)).divexact(b)
+        (a * b + Laurent({k: v})).divexact(b)
 
 
 @settings(max_examples=80, deadline=None)

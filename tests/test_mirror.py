@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualcalc.errors import InternalError, UsageError, VerificationFailure
-from dualcalc.laurent import Laurent
-from dualcalc import mirror, verify
-from dualcalc.nilpotent import XPoly
+from dualcalc.laurent import Laurent, Poly
+from dualcalc import cli, mirror, nilpotent, verify
 from dualcalc.mirror import (candelas, gr23_matches_p2, hg_projective,
                              hori_vafa_series, mirror_map_round_trip,
                              toric_b_series, _inv_linear_power)
@@ -154,16 +153,14 @@ def test_toric_convexity_guard():
 def test_hg_projective_degree_zero():
     p = hg_projective(3, 1)
     # pure e^{-tx/alpha}: coefficient of x^j t^j is (-1)^j/j! alpha^{-j}
-    assert p[0].c[(0, 0, 0)] == AL_ONE
-    assert p[0].c[(1, 0, 1)] == Laurent.mono(-1, -1)
-    assert p[0].c[(2, 0, 2)] == Laurent.mono(-2, F(1, 2))
+    assert p[0].c == {(0, 0, 0, 0): 1, (1, 0, 1, -1): -1, (2, 0, 2, -2): F(1, 2)}
 
 
 def test_hg_projective_p1_degree_one():
     # 1/(x - alpha)^2 = alpha^{-2} (1 + 2x/alpha + ...) with x^2 = 0
     p = hg_projective(2, 1)
-    assert p[1].c[(0, 0, 0)] == Laurent.mono(-2)
-    assert p[1].c[(1, 0, 0)] == Laurent.mono(-3, 2)
+    assert p[1].c[(0, 0, 0, -2)] == 1
+    assert p[1].c[(1, 0, 0, -3)] == 2
 
 
 def test_hg_projective_alpha_homogeneity():
@@ -171,11 +168,10 @@ def test_hg_projective_alpha_homogeneity():
     for n in (2, 3):
         p = hg_projective(n, 2)
         for d in range(3):
-            for (xe, pe, te), v in p[d].c.items():
+            for (xe, pe, te, aexp) in p[d].c:
                 assert pe == 0
                 # joint (x, alpha)-degree is -n d; t carries degree 0
-                for aexp in v.c:
-                    assert aexp == -(n * d) - xe
+                assert aexp == -(n * d) - xe
 
 
 def test_gr_loc_sum_degree_zero():
@@ -197,8 +193,8 @@ def test_gr_loc_sum_k1_shape():
             got = gr_loc_sum(1, n, d)
             direct = _inv_linear_power(n - 1, 1, n)
             for l in range(2, d + 1):
-                direct = direct * _inv_linear_power(n - 1, l, n)
-            for (xe, pe, te), v in direct.c.items():
+                direct = nilpotent.mul(direct, _inv_linear_power(n - 1, l, n), (n - 1,))
+            for (xe, _pe, _te), v in _view(direct).items():
                 lam = (xe,) if xe else ()
                 assert got.get(lam, Laurent()) == v
 
@@ -222,10 +218,8 @@ def test_hori_vafa_k1_is_projective_series():
     hv = hori_vafa_series(1, 3, 2)
     p = hg_projective(3, 2, cap=1 * 2 + 0 + 2)
     for d in range(3):
-        flat = {}
-        for (xe, pe, te), v in p[d].c.items():
-            if xe <= 2 and v:
-                flat[(te, (xe,) if xe else ())] = v
+        flat = {(te, (xe,) if xe else ()): v
+                for (xe, pe, te), v in _view(p[d]).items() if xe <= 2}
         got = {(te, lam): v for te, lams in hv["operator"][d].items()
                for lam, v in lams.items() if v}
         assert got == flat
@@ -235,21 +229,33 @@ def test_gr23_matches_p2():
     assert gr23_matches_p2(2)
 
 
-def _of_rows(cap, c):
-    """The XPoly with the view c = {(x, P, t): Laurent in alpha}."""
-    return XPoly(cap, {key + (e,): f for key, v in c.items() for e, f in v.c.items()})
+# -- the nilpotent kernels against Laurent-valued references ------------------
+# The references work on the {(x, P, t): Laurent in alpha} view of a row, the
+# way the rows were computed before their coefficients became integers over
+# one common denominator.
+
+def _of_rows(c):
+    """The row, a ``Poly`` keyed by (x, P, t, alpha), with the view c."""
+    return Poly({key + (e,): f for key, v in c.items() for e, f in v.c.items()})
 
 
-def _all_pairs_product(a, b):
-    # reference: every key pair, kept when the x-degrees fit under the cap
+def _view(p):
+    """The view {(x, P, t): Laurent in alpha} of the row p."""
+    rows = {}
+    for (x, pe, t, a), f in p.c.items():
+        rows.setdefault((x, pe, t), {})[a] = f
+    return {key: Laurent(row) for key, row in rows.items()}
+
+
+def _all_pairs_product(a, b, caps):
+    # reference: every key pair, kept when each leading entry fits under its cap
     c = {}
-    for k1, v1 in a.c.items():
-        for k2, v2 in b.c.items():
-            if k1[0] + k2[0] > a.cap:
-                continue
+    for k1, v1 in _view(a).items():
+        for k2, v2 in _view(b).items():
             key = tuple(x + y for x, y in zip(k1, k2))
-            c[key] = c.get(key, Laurent()) + v1 * v2
-    return _of_rows(a.cap, c)
+            if all(x <= m for x, m in zip(key, caps)):
+                c[key] = c.get(key, Laurent()) + v1 * v2
+    return _of_rows(c)
 
 
 _alpha_coeff = st.dictionaries(
@@ -259,59 +265,66 @@ _alpha_coeff = st.dictionaries(
 
 @st.composite
 def _xpoly_pair(draw):
+    """(caps, a, b): one x-degree cap, or a box on the leading two or three
+    entries as in a ring with several generators."""
     cap = draw(st.integers(1, 4))
+    caps = (cap,) + tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
     key = st.tuples(st.integers(0, cap), st.integers(0, 2), st.integers(0, 2))
-    poly = st.dictionaries(key, _alpha_coeff, max_size=8).map(lambda c: _of_rows(cap, c))
-    return draw(poly), draw(poly)
+    poly = st.dictionaries(key, _alpha_coeff, max_size=8).map(_of_rows)
+    return caps, draw(poly), draw(poly)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_xpoly_pair())
 def test_bucketed_xpoly_product_matches_all_pairs(pair):
-    a, b = pair
-    assert canonical(a * b) == _all_pairs_product(a, b)
+    caps, a, b = pair
+    assert canonical(nilpotent.mul(a, b, caps)) == _all_pairs_product(a, b, caps)
 
 
-# -- integer-numerator XPoly against a Laurent-valued reference ---------------
-# The references work on the {(x, P, t): Laurent in alpha} view, the
-# way XPoly computed before its coefficients became integers over one
-# common denominator.
+def test_truncated_product_cuts_every_generator_of_a_box():
+    # Q[G1, G2]/(G1^2, G2^3) keyed (G1, G2, t1, t2): (1 + G1 + G2 t2)(G1 + G2^2)
+    # loses G1^2 to the first cap and G2^3 t2 to the second
+    a = Poly({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1, (0, 1, 0, 1): 1})
+    b = Poly({(1, 0, 0, 0): 1, (0, 2, 0, 0): 1})
+    assert nilpotent.mul(a, b, (1, 2)).c == {(1, 0, 0, 0): 1, (0, 2, 0, 0): 1,
+                                             (1, 2, 0, 0): 1, (1, 1, 0, 1): 1}
+
 
 def _ref_sum(a, b, sign=1):
-    c = dict(a.c)
-    for key, v in b.c.items():
+    c = _view(a)
+    for key, v in _view(b).items():
         c[key] = c.get(key, Laurent()) + (v if sign > 0 else -v)
-    return _of_rows(a.cap, c)
+    return _of_rows(c)
 
 
 def _ref_scale(a, v):
     al = v if isinstance(v, Laurent) else Laurent.const(v)
-    return _of_rows(a.cap, {key: w * al for key, w in a.c.items()})
+    return _of_rows({key: w * al for key, w in _view(a).items()})
 
 
 def _ref_dt(a):
     c = {}
-    for key, v in a.c.items():
+    for key, v in _view(a).items():
         e = key[-1]
         if e:
             nk = key[:-1] + (e - 1,)
             c[nk] = c.get(nk, Laurent()) + v.scale(e)
-    return _of_rows(a.cap, c)
+    return _of_rows(c)
 
 
 def _ref_subs_t_plus_p_alpha(a):
     c = {}
-    for key, v in a.c.items():
+    for key, v in _view(a).items():
         m = key[-1]
         for r in range(m + 1):
             nk = key[:-2] + (key[-2] + m - r, r)
             c[nk] = c.get(nk, Laurent()) + v.shift(m - r).scale(comb(m, r))
-    return _of_rows(a.cap, c)
+    return _of_rows(c)
 
 
 def _ref_negate_alpha(a):
-    return _of_rows(a.cap, {key: Laurent({e: -f if e % 2 else f for e, f in v.c.items()})
-                            for key, v in a.c.items()})
+    return _of_rows({key: Laurent({e: -f if e % 2 else f for e, f in v.c.items()})
+                     for key, v in _view(a).items()})
 
 
 @settings(max_examples=150, deadline=None)
@@ -321,42 +334,46 @@ def _ref_negate_alpha(a):
                        st.fractions(min_value=-3, max_value=3, max_denominator=3),
                        min_size=2, max_size=3).map(Laurent))
 def test_xpoly_arithmetic_matches_laurent_reference(pair, frac, laurent):
-    a, b = pair
+    caps, a, b = pair
     assert canonical(a + b) == _ref_sum(a, b)
-    assert canonical(XPoly.lincomb(a.cap, ((1, a), (-1, b)))) == _ref_sum(a, b, -1)
+    assert canonical(a - b) == _ref_sum(a, b, -1)
     assert canonical(-a) == _ref_scale(a, -1)
     assert canonical(a.scale(frac)) == _ref_scale(a, frac)
-    assert canonical(a.scale(laurent)) == _ref_scale(a, laurent)
-    assert canonical(a.dt()) == _ref_dt(a)
-    assert canonical(a.subs_t_plus_p_alpha()) == _ref_subs_t_plus_p_alpha(a)
-    assert canonical(a.negate_alpha()) == _ref_negate_alpha(a)
-    for e, row in a.x_coefficients().items():
-        assert canonical(row).c == {(pe, te, al): v for (x, pe, te), coef in a.c.items()
-                                    if x == e for al, v in coef.c.items()}
-    assert set(a.x_coefficients()) == {x for x, _pe, _te in a.c}
+    by_laurent = nilpotent.mul(a, _of_rows({(0, 0, 0): laurent}), caps[:1])
+    assert canonical(by_laurent) == _ref_scale(a, laurent)
+    assert canonical(nilpotent.dt(a)) == _ref_dt(a)
+    assert canonical(nilpotent.subs_t_plus_p_alpha(a)) == _ref_subs_t_plus_p_alpha(a)
+    assert canonical(nilpotent.negate_alpha(a)) == _ref_negate_alpha(a)
 
 
 def test_xpoly_canonical_form():
-    half = _of_rows(2, {(0, 0, 0): Laurent.const(F(1, 2))})
-    assert _of_rows(2, {(0, 0, 0): Laurent.const(F(2, 4))}) == half
+    half = _of_rows({(0, 0, 0): Laurent.const(F(1, 2))})
+    assert _of_rows({(0, 0, 0): Laurent.const(F(2, 4))}) == half
     assert half.num == {(0, 0, 0, 0): 1} and half.den == 2
+
+    def const(v):
+        return Poly({(0, 0, 0, 0): v})
+
     # the content is taken out after products, sums and scaling
-    by_scale = XPoly.const(2, F(1, 4)).scale(2)
-    by_sum = XPoly.const(2, F(1, 6)) + XPoly.const(2, F(1, 3))
-    by_mul = XPoly.const(2, F(2, 3)) * XPoly.const(2, F(3, 4))
+    by_scale = const(F(1, 4)).scale(2)
+    by_sum = const(F(1, 6)) + const(F(1, 3))
+    by_mul = nilpotent.mul(const(F(2, 3)), const(F(3, 4)), (2,))
     for p in (by_scale, by_sum, by_mul):
         assert p == half and p.den == 2 and p.num == half.num
-    neg = XPoly.const(2, F(-3, 4))
+    # d/dt of t^2/4 is 2t/4 = t/2
+    by_dt = nilpotent.dt(Poly({(0, 0, 2, 0): F(1, 4)}))
+    assert by_dt.num == {(0, 0, 1, 0): 1} and by_dt.den == 2
+    neg = const(F(-3, 4))
     assert neg.den == 4 and neg.num == {(0, 0, 0, 0): -3}
     zero = half + -half
-    assert not zero and zero.den == 1 and zero == XPoly(2)
+    assert not zero and zero.den == 1 and zero == Poly()
 
 
 def test_non_monomial_alpha_coefficients_round_trip():
     c = {(1, 0, 2): Laurent({-1: F(1, 3), 2: F(-5, 2)}),
          (0, 1, 1): Laurent({0: 2, 1: F(1, 6)})}
-    p = _of_rows(3, c)
-    assert p.c == c
+    p = _of_rows(c)
+    assert _view(p) == c
     assert p.den == 6
     assert len(p.num) == 4
 
@@ -378,14 +395,53 @@ def uncached_hori_vafa():
 
 
 def test_empty_comparison_is_not_equal(monkeypatch, uncached_hori_vafa):
-    monkeypatch.setattr(mirror, "_bialternant", lambda *args: {})
-    assert hori_vafa_series(2, 3, 1)["equal"] is False
+    # both sides' rows zero: they agree entry by entry, but the read is empty
+    for name in ("_op_rows", "_loc_rows"):
+        real = getattr(mirror, name)
+        monkeypatch.setattr(mirror, name, lambda *args, real=real: {key: Poly() for key in real(*args)})
+    hv = hori_vafa_series(2, 3, 1)
+    assert hv["operator"] == hv["localization"] == {0: {}, 1: {}}
+    assert hv["equal"] is False
+
+
+# every (k, n, d) that `mirror grassmannian` accepts
+GR_CLI_CASES = [(k, n, d) for k in range(1, cli.GR_MAX_K + 1) for n in range(k + 1, cli.GR_MAX_N + 1)
+                for d in range(cli.GR_MAX_DEGREE + 1) if k * (n - k) * (d + 1) <= cli.GR_MAX_SIZE]
+
+
+def test_operator_rows_equal_localization_rows_on_every_cli_case():
+    # (alpha d/dt + c alpha)^r e^{-tx/alpha} = (c alpha - x)^r e^{-tx/alpha}, and
+    # t -> t + P alpha cancels e^{Px} below x^{cap+1}: no read is needed
+    assert len(GR_CLI_CASES) == 88
+    for k, n, d in GR_CLI_CASES:
+        cap = mirror._gr_cap(k, n)
+        op_rows = mirror._op_rows(k, n, d, cap)
+        assert len(op_rows) == k * (d + 1) and all(op_rows.values())
+        assert op_rows == mirror._loc_rows(k, n, d, cap), (k, n, d)
+
+
+def test_perturbed_localization_entry_is_read_and_not_equal(monkeypatch, uncached_hori_vafa):
+    real_rows, real_read = mirror._loc_rows, mirror._bialternant
+
+    def perturbed(*args):
+        rows = real_rows(*args)
+        rows[(1, 0)] = rows[(1, 0)].scale(2)
+        return rows
+
+    reads = []
+    monkeypatch.setattr(mirror, "_loc_rows", perturbed)
+    monkeypatch.setattr(mirror, "_bialternant", lambda rows, *args: reads.append(rows) or real_read(rows, *args))
+    hv = hori_vafa_series(2, 3, 1)
+    cap = mirror._gr_cap(2, 3)
+    assert hv["equal"] is False
+    assert reads == [mirror._op_rows(2, 3, 1, cap), perturbed(2, 3, 1, cap)]
+    assert hv["localization"] == real_read(reads[1], 2, 3, 1, cap) != hv["operator"]
 
 
 def test_surviving_p_in_an_operator_row_raises(monkeypatch, uncached_hori_vafa):
     # e^{2Px} in place of e^{Px}: the P-dependence no longer cancels
-    real = mirror.exp_x_times
-    monkeypatch.setattr(mirror, "exp_x_times", lambda cap, var, sign: real(
+    real = nilpotent.exp_x_times
+    monkeypatch.setattr(nilpotent, "exp_x_times", lambda cap, var, sign: real(
         cap, var, 2 * sign if var == "P" else sign))
     with pytest.raises(InternalError, match="P-dependence"):
         hori_vafa_series(2, 3, 1)
@@ -409,11 +465,13 @@ def test_dropped_composition_breaks_antisymmetry(monkeypatch, uncached_hori_vafa
 
 
 def _gr_rows(k, n, d_max, monkeypatch):
-    """The operator and localization rows that hori_vafa_series reads."""
+    """The rows that hori_vafa_series reads: the operator rows, read once,
+    since the localization rows equal them."""
     seen = []
     real = mirror._bialternant
     monkeypatch.setattr(mirror, "_bialternant", lambda rows, *args: seen.append(rows) or real(rows, *args))
     assert hori_vafa_series(k, n, d_max)["equal"]
+    assert len(seen) == 1
     return seen
 
 
@@ -437,14 +495,16 @@ def test_bialternant_matches_composition_reference(k, n, d_max, monkeypatch, unc
 
 @pytest.mark.parametrize("k,n,d_max", [(2, 4, 2), (3, 5, 1), (4, 6, 1)])
 def test_bialternant_forms_no_xpoly_product_or_sum(k, n, d_max, monkeypatch, uncached_hori_vafa):
-    # the rows are XPoly values; the reader multiplies and adds their numerators as integers
+    # the rows are x-polynomials; the reader splits them by x and multiplies and adds
+    # their numerators as integers, with no row product, sum or term map
     real, cap = mirror._bialternant, mirror._gr_cap(k, n)
     rows_seen = _gr_rows(k, n, d_max, monkeypatch)
     expected = [real(rows, k, n, d_max, cap) for rows in rows_seen]
 
     def forbidden(*_args):
-        raise AssertionError("the Schur reader formed an XPoly product or sum")
+        raise AssertionError("the Schur reader formed a row product, sum or term map")
 
-    monkeypatch.setattr(XPoly, "__mul__", forbidden)
-    monkeypatch.setattr(XPoly, "lincomb", forbidden)
+    for name in ("mul", "dt", "subs_t_plus_p_alpha", "negate_alpha", "exp_x_times"):
+        monkeypatch.setattr(nilpotent, name, forbidden)
+    monkeypatch.setattr(Poly, "__add__", forbidden)
     assert [real(rows, k, n, d_max, cap) for rows in rows_seen] == expected

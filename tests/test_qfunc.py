@@ -81,7 +81,7 @@ nonzero_upoly = upoly.filter(bool)
 
 
 def _den_from(c, k, brackets, geoms):
-    den = ULaurent.mono(k, c)
+    den = ULaurent({k: c})
     for m in brackets:
         den = den * ULaurent.bracket(m)
     for i in geoms:
@@ -159,7 +159,7 @@ def test_non_cyclotomic_denominator_is_a_usage_error():
 def test_sums_and_products_cancel_shared_factors():
     one_minus_u = ULaurent({0: 1, 1: -1})
     a = QFunction(0, ULaurent.const(1), one_minus_u)
-    b = QFunction(0, ULaurent.mono(1, -1), one_minus_u)
+    b = QFunction(0, ULaurent({1: -1}), one_minus_u)
     assert a + b == QFunction.const(1)                 # (1 - u)/(1 - u)
     assert a * QFunction(0, one_minus_u, ULaurent.const(1)) == QFunction.const(1)
     # 1/(u - u^-1) + 1/(u^2 - u^-2) over the common denominator, then reduced
