@@ -1,8 +1,8 @@
 """dualcalc: exact computation of both sides of enumerative string-duality
 identities, with the connecting checks.
 
-Subsystems: Gaussian-rational scalars, the integer polynomial kernel
-behind every Laurent type, dense and lambda-truncated series (``scalars``,
+Subsystems: Bernoulli numbers and the Gaussian-rational view type, the
+integer polynomial kernel behind every Laurent type, dense and lambda-truncated series (``scalars``,
 ``laurent``, ``dense``, ``series``, ``qfunc``), partition and character
 data (``partitions``, ``schur``), quantum-dimension W values
 (``chern_simons``), the partition-indexed series ring with cut-and-join

@@ -9,10 +9,11 @@ A -h/--help request prints {"help": <usage text>, "kind": "help"} and exits
 inconsistency.  When the reader closes stdout early (``dualcalc verify-all |
 head -c 100``), the exit code is still that of the document being written,
 and nothing goes to stderr.  Rationals are serialized as decimal strings
-"p/q"; partitions as comma-separated descending integers; keys are sorted,
-so output is byte-deterministic for fixed inputs apart from the ``seconds``
-timings of ``verify-all``.  A process builds its parser once
-(``build_parser`` is cached) and memoises ``candelas``,
+"p/q", a framed-series coefficient i^ph p/q as "p/q" or "p/q*i" (read from
+its phase and rational), partitions as comma-separated descending
+integers; keys are sorted, so output is byte-deterministic for fixed inputs
+apart from the ``seconds`` timings of ``verify-all``.  A process builds its
+parser once (``build_parser`` is cached) and memoises ``candelas``,
 ``hori_vafa_series`` and the framed series ``hodge.build_series``, unbounded
 for its life; handlers only read the cached results.
 """
@@ -30,7 +31,6 @@ from .chern_simons import w_one, w_pair
 from .errors import InternalError, UsageError, VerificationFailure
 from .partitions import enumerate_partitions, format_partition, length, parse_partition
 from .qfunc import QFunction
-from .scalars import GaussianRational
 from .series import LambdaSeries, TauLaurent
 
 
@@ -42,17 +42,9 @@ def frac_str(x) -> str:
     return str(Fraction(x))
 
 
-def gauss_str(x: GaussianRational) -> str:
-    if not x.im:
-        return frac_str(x.re)
-    if not x.re:
-        return f"{frac_str(x.im)}*i"
-    sign = "+" if x.im > 0 else "-"
-    return f"{frac_str(x.re)}{sign}{frac_str(abs(x.im))}*i"
-
-
 def tau_json(t: TauLaurent) -> dict[str, str]:
-    return {str(k): gauss_str(v) for k, v in sorted(t.c.items())}
+    # every coefficient is i^ph times a rational: "p/q", or "p/q*i" at phase 1
+    return {str(k): frac_str(Fraction(v, t.den)) + "*i" * t.ph for k, v in sorted(t.num.items())}
 
 
 def series_json(s: LambdaSeries) -> dict:

@@ -31,8 +31,10 @@ when |mu| + e is even, and that of the two-family series exactly when e is
 even.  So ``series.TauLaurent`` holds each one as i^ph times an integer
 tau-polynomial over one denominator, the framing exponentials are built
 with their phase i, and the cut-and-join, log and residual arithmetic runs
-on integers; a ``GaussianRational`` appears only where a coefficient is
-read out or compared with an oracle.
+on integers.  Every other power of i -- the i lambda of the evolution, the
+phases i^{d-1}, i^{|mu|+l} and (-i)^{|mu|}, and lambda -> i c lambda -- is
+an integer phase passed to ``scale`` or ``subst_scale``, so no check forms
+a complex scalar.
 """
 from __future__ import annotations
 
@@ -49,7 +51,6 @@ from .partitions import (Partition, aut, character, enumerate_partitions,
                          kappa, length, size, zmu)
 from .pseries import PSeries, empty_key
 from .qfunc import QFunction, ULaurent
-from .scalars import GaussianRational, GR_I
 from .series import LambdaSeries, TauLaurent, combine, exp_monomial
 
 Frac = Fraction
@@ -114,8 +115,8 @@ def build_series(degree_cap: int, trunc: int, families: int) -> FramedSeries:
 # cut-and-join evolution
 # ---------------------------------------------------------------------------
 
-def _shift_scale(ps: PSeries, k: int, v) -> PSeries:
-    return ps.map_coeffs(lambda key, s: s.shift(k).scale(v))
+def _times_i_lambda(ps: PSeries) -> PSeries:
+    return ps.map_coeffs(lambda key, s: s.shift(1).scale(1, 1))
 
 
 def pde_residual(fs: FramedSeries) -> PSeries:
@@ -132,12 +133,12 @@ def pde_residual(fs: FramedSeries) -> PSeries:
     if fs.families == 1:
         r = fs.connected
         lhs = r.tau_deriv()
-        rhs = _shift_scale(r.cut_join_nonlinear(0), 1, GR_I)
+        rhs = _times_i_lambda(r.cut_join_nonlinear(0))
         return lhs - rhs
     g = fs.disconnected
     lhs = g.tau_deriv()
-    plus = _shift_scale(g.cut_join_linear(0), 1, GR_I)
-    minus = _shift_scale(g.cut_join_linear(1), 1, GR_I)
+    plus = _times_i_lambda(g.cut_join_linear(0))
+    minus = _times_i_lambda(g.cut_join_linear(1))
     minus = minus.map_coeffs(lambda key, s: s.map_coeffs(lambda e, t: t.shift(-2)))
     return lhs - plus + minus
 
@@ -188,7 +189,7 @@ def initial_value_report(fs: FramedSeries, through: int | None = None) -> dict:
                 multi_ok = False
         else:
             d = mu[0]
-            expect = ov_term(d).to_lambda(s.trunc).scale(GaussianRational.i_power(d - 1))
+            expect = ov_term(d).to_lambda(s.trunc).scale(1, d - 1)
             lo, _ = s.window_with(expect)
             if not s.eq_through(expect, lo, hi):
                 single_ok = False
@@ -224,8 +225,7 @@ def framing_prefactor(mu: Partition) -> TauLaurent:
         for a in range(1, p):
             poly = poly * TauLaurent({0: a, 1: p})
         denom *= factorial(p - 1)
-    lead = GaussianRational.i_power(size(mu) + l) * Frac(-1, aut(mu) * denom)
-    poly = poly.scale(lead)
+    poly = poly.scale(Frac(-1, aut(mu) * denom), size(mu) + l)
     if poly.max_exp() - 0 != size(mu) + l - 2 or poly.min_exp() != l - 1:
         raise InternalError("framing prefactor degree bookkeeping is off")
     return poly
@@ -255,15 +255,9 @@ def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> list[Frac]:
     deg = quotient.max_exp() if quotient else 0
     if deg > 2 * g:
         raise InternalError(f"tau-degree {deg} exceeds 2g for (g={g}, mu={mu})")
-    out, qc = [], quotient.c
-    for j in range(deg + 1):
-        v = qc.get(j)
-        if v is None:
-            out.append(Frac(0))
-        else:
-            if v.im:
-                raise InternalError("imaginary part survived prefactor division")
-            out.append(v.re)
+    if quotient.ph:
+        raise InternalError("imaginary part survived prefactor division")
+    out = [Frac(quotient.num.get(j, 0), quotient.den) for j in range(deg + 1)]
     # multiply-back divisibility oracle
     if TauLaurent({j: v for j, v in enumerate(out)}) * a != c:
         raise InternalError("prefactor division is not exact")
@@ -309,16 +303,16 @@ def elsv_limit_check(fs: FramedSeries, g_max: int = 2) -> bool:
         if not mu:
             continue
         w = size(mu)
-        limit: dict[int, GaussianRational] = {}
+        limit: dict[int, TauLaurent] = {}
         for e in range(s.floor, s.trunc):
             c = s.coeff(e)
             if c and c.max_exp() > e + w:
                 raise InternalError(
                     f"negative tau-power survives the degeneration at p_{mu} lambda^{e}")
-            limit[e + w] = c.c.get(e + w, GaussianRational(0)) if c else GaussianRational(0)
-        got = LambdaSeries.from_map(
-            {o: TauLaurent.const(v) for o, v in limit.items() if v}, s.trunc + w)
-        expect = burnside_phi(mu, s.trunc + w).subst_scale(GR_I)
+            if v := c.num.get(e + w):
+                limit[e + w] = TauLaurent.phased(c.ph, {0: Frac(v, c.den)})
+        got = LambdaSeries.from_map(limit, s.trunc + w)
+        expect = burnside_phi(mu, s.trunc + w).subst_scale(1, 1)
         need = 2 * g_max - 2 + w + length(mu) + 1
         lo = min(got.floor, expect.floor)
         hi = min(min(got.trunc, expect.trunc), max(need, lo))
@@ -350,7 +344,7 @@ def convolution_check(fs: FramedSeries, max_weight: int | None = None) -> bool:
         kernel = [fs.disconnected.coeff((nu,)).tau_eval(0) for nu in parts]
         for tv in (1, 2, 3):
             for mu in parts:
-                terms = [(1, phi[(mu, nu)].subst_scale(GR_I * tv).scale(zmu(nu)), k)
+                terms = [(1, phi[(mu, nu)].subst_scale(tv, 1).scale(zmu(nu)), k)
                          for nu, k in zip(parts, kernel)]
                 g = fs.disconnected.coeff((mu,)).tau_eval(tv)
                 if not combine(terms + [(-1, g, None)]).is_zero_through():
@@ -381,8 +375,7 @@ def slice_reduction_check(fs2: FramedSeries, fs1: FramedSeries) -> bool:
         for mu in enumerate_partitions(n):
             got = fs2.disconnected.coeff((mu, ()))
             # bridge factor (-i)^{|mu|} = i^{3|mu|}
-            expect = fs1.disconnected.coeff((mu,)).scale(
-                GaussianRational.i_power(3 * size(mu)))
+            expect = fs1.disconnected.coeff((mu,)).scale(1, 3 * size(mu))
             if got != expect:
                 return False
     return True

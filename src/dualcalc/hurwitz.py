@@ -28,9 +28,8 @@ from itertools import product, zip_longest
 from math import comb, factorial
 
 from .errors import InternalError, UsageError, VerificationFailure
-from .partitions import (Partition, add_parts, aut, character, enumerate_partitions,
-                         hook_product, kappa, length, multiplicities, remove_part,
-                         size, zmu)
+from .partitions import (Partition, add_parts, aut, character, dim, enumerate_partitions,
+                         kappa, length, multiplicities, remove_part, size, zmu)
 from .pseries import cut_join_terms
 from .series import LambdaSeries
 
@@ -76,11 +75,9 @@ def _disconnected_coeff(mu: Partition) -> tuple[tuple[int, int], ...]:
     Over z_mu |mu|! it is the disconnected series of p_mu; over
     prod(mu_i) |mu|! it is the same series for labelled parts.
     """
-    nfact = factorial(size(mu))
-
     def weight(nu: Partition) -> int:
         chi = character(nu, mu)
-        return chi * (nfact // hook_product(nu)) if chi else 0
+        return chi * dim(nu) if chi else 0
 
     return _exp_sum(size(mu), weight)
 
@@ -150,12 +147,6 @@ def _hurwitz_burnside(g: int, mu: Partition) -> Frac:
 # cut-and-join route
 # ---------------------------------------------------------------------------
 
-def _cutjoin_slice(cap: int, r: int) -> dict[Partition, Frac]:
-    """The lambda^r coefficient Phi_r of Phi through weight ``cap``, as
-    {partition: coefficient}: the weight parts 1..cap, each grown once."""
-    return {mu: c for w in range(1, cap + 1) for mu, c in _cutjoin_part(w, r).items()}
-
-
 @lru_cache(maxsize=None)
 def _cutjoin_part(w: int, r: int) -> dict[Partition, Frac]:
     """The weight-w part of Phi_r.
@@ -199,7 +190,7 @@ def _hurwitz_cutjoin(g: int, mu: Partition) -> Frac:
     r = ramification_order(g, mu)
     if r < 0:
         return Frac(0)
-    return _cutjoin_slice(size(mu), r).get(mu, Frac(0)) * factorial(r)
+    return _cutjoin_part(size(mu), r).get(mu, Frac(0)) * factorial(r)
 
 
 def hurwitz_number(g: int, mu: Partition, method: str = "burnside") -> Frac:

@@ -241,7 +241,7 @@ def hg_projective(n: int, d_max: int, cap: int | None = None) -> tuple[Poly, ...
     if cap is None:
         cap = n - 1
     caps = (cap,)
-    pre = nilpotent.exp_x_times(cap, "t", -1)
+    pre = nilpotent.exp_x_times(cap, "t")
     out: list[Poly] = []
     slice_d = Poly({(0, 0, 0, 0): 1})
     for d in range(d_max + 1):
@@ -275,7 +275,7 @@ def _op_rows(k: int, n: int, d_max: int, cap: int) -> dict[tuple[int, int], Poly
     orientation sign (-1)^{k(k-1)/2}; (-1)^{(k-1)c} is the copy sign.
     """
     caps = (cap,)
-    e_p = nilpotent.exp_x_times(cap, "P", 1)
+    e_p = nilpotent.exp_x_times(cap, "P")
     out: dict[tuple[int, int], Poly] = {}
     for c, s in enumerate(hg_projective(n, d_max, cap=cap)):
         cur = nilpotent.mul(s, e_p, caps)
@@ -296,7 +296,7 @@ def _loc_rows(k: int, n: int, d_max: int, cap: int) -> dict[tuple[int, int], Pol
     alpha) is the Vandermonde determinant in the x_i + c_i alpha.
     """
     caps = (cap,)
-    pre_t = nilpotent.exp_x_times(cap, "t", -1)
+    pre_t = nilpotent.exp_x_times(cap, "t")
     out: dict[tuple[int, int], Poly] = {}
     inv_prod = Poly({(0, 0, 0, 0): 1})
     for c in range(d_max + 1):

@@ -61,13 +61,11 @@ def negate_alpha(p: Poly) -> Poly:
     return p._new({key: (-v if key[-1] % 2 else v) for key, v in p.num.items()}, p.den)
 
 
-def exp_x_times(cap: int, sym_var: str, sign: int) -> Poly:
+def exp_x_times(cap: int, sym_var: str) -> Poly:
     """The exponentials of the Grassmannian rows, through x^cap.
 
-    sym_var 'P': e^{sign * P x};  sym_var 't': e^{sign * t x / alpha}.
+    sym_var 'P': e^{P x};  sym_var 't': e^{-t x / alpha}.
     """
-    terms = {}
-    for j in range(cap + 1):
-        key = (j, j, 0, 0) if sym_var == "P" else (j, 0, j, -j)
-        terms[key] = Fraction(sign ** j, factorial(j))
-    return Poly(terms)
+    if sym_var == "P":
+        return Poly({(j, j, 0, 0): Fraction(1, factorial(j)) for j in range(cap + 1)})
+    return Poly({(j, 0, j, -j): Fraction((-1) ** j, factorial(j)) for j in range(cap + 1)})

@@ -1,13 +1,14 @@
 """Gaussian-rational scalars and Bernoulli numbers.
 
 ``GaussianRational`` is a complex number with arbitrary-precision rational
-real and imaginary parts.  It is the package's boundary type for complex
-values: the arithmetic itself keeps the phase apart (``series.TauLaurent``
-as i^ph times integers over one denominator, ``qfunc.QFunction`` as a power
-of -i times a rational function), and a ``GaussianRational`` appears where a
-coefficient is built from or read out as one complex number, and in the
-oracles that compare against one.  There is no floating point anywhere in
-the package.
+real and imaginary parts.  No computation of the package forms one: the
+arithmetic keeps the phase apart as an integer power of i
+(``series.TauLaurent`` as i^ph times integers over one denominator,
+``qfunc.QFunction`` as a power of -i times a rational function).  It is the
+type of the read-only views ``TauLaurent.c`` and ``TauLaurent.as_scalar``,
+which read a coefficient out as one complex number, and of the test oracles
+that compare against one.  There is no floating point anywhere in the
+package.
 """
 from __future__ import annotations
 
@@ -45,11 +46,6 @@ class GaussianRational:
         if isinstance(x, GaussianRational):
             return x
         return GaussianRational(_frac(x))
-
-    @staticmethod
-    def i_power(k: int) -> "GaussianRational":
-        """sqrt(-1) raised to any integer power."""
-        return _I_POW[k % 4]
 
     # -- predicates ------------------------------------------------------------
     def __bool__(self) -> bool:
@@ -135,7 +131,6 @@ class GaussianRational:
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
-_I_POW = (GR_ONE, GR_I, GaussianRational(-1), GaussianRational(0, -1))
 
 
 @lru_cache(maxsize=None)

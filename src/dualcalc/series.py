@@ -5,8 +5,10 @@ Two layers:
 * ``TauLaurent`` -- finite Laurent polynomials in the framing parameter tau:
   a ``laurent.Laurent`` (integer numerators over one positive denominator)
   with a phase i^ph.  The kernel does the integer arithmetic; this class
-  adds only what involves the phase, and ``GaussianRational`` appears only
-  at its boundary.
+  adds only what involves the phase.  A value is built from rationals, and
+  a phase enters only as an integer power of i (``phased``, ``scale``,
+  ``LambdaSeries.subst_scale``); ``GaussianRational`` is only the type of
+  the read-only views ``c`` and ``as_scalar``.
 * ``LambdaSeries`` -- truncated Laurent series in lambda whose coefficients
   are ``TauLaurent`` values.  Every series carries an explicit window
   ``[floor, trunc)``; arithmetic narrows windows so that no operation ever
@@ -29,43 +31,25 @@ from .laurent import Laurent, convolve
 from .scalars import GR_ZERO, GaussianRational
 
 
-def _split(v) -> tuple[int, int, int]:
-    """(ph, p, q) with v = i^ph p/q, q > 0, for an int, Fraction or phase-pure
-    GaussianRational v."""
-    if isinstance(v, GaussianRational):
-        if v.im:
-            if v.re:
-                raise UsageError(f"coefficient {v} mixes real and imaginary parts")
-            return 1, v.im.numerator, v.im.denominator
-        v = v.re
-    return 0, v.numerator, v.denominator
-
-
 class TauLaurent(Laurent):
     """Finite Laurent polynomial in tau: i^ph * sum num[k] tau^k / den.
 
     A ``Laurent`` in tau with a phase ph in {0, 1}; zero has ph 0.  Every
     value the package forms is phase-pure, so one integer plane and a phase
-    hold it; building a value from real and imaginary parts at once, or
-    adding two nonzero values of different phase, raises ``UsageError``.
-    Shifts, the derivative, tau -> 1/tau and negation keep the phase and
-    come from ``Laurent`` unchanged.  ``GaussianRational`` meets this type
-    only at the boundary: the constructor, ``scale``, ``eval``,
-    ``as_scalar`` and the read-only view ``c``.
+    hold it; adding two nonzero values of different phase raises
+    ``UsageError``.  The constructor takes rational coefficients (phase 0);
+    ``phased`` and ``scale`` multiply by an integer power of i.  Shifts, the
+    derivative, tau -> 1/tau and negation keep the phase and come from
+    ``Laurent`` unchanged.  ``GaussianRational`` is only the type of the
+    read-only views ``c`` and ``as_scalar``.
     """
 
     __slots__ = ("ph",)
     var = "tau"
 
     def __init__(self, coeffs: dict[int, object] | None = None):
-        parts = [(k, *_split(v)) for k, v in (coeffs or {}).items() if v]
-        if len({p for _k, p, _a, _b in parts}) > 1:
-            raise UsageError("tau-polynomial mixes real and imaginary coefficients")
-        # den = lcm of reduced denominators is already coprime to the content
-        den = lcm(*(b for *_x, b in parts))
-        self.ph = parts[0][1] if parts else 0
-        self.num = {k: a * (den // b) for k, _p, a, b in parts}
-        self.den = den
+        Laurent.__init__(self, coeffs)
+        self.ph = 0
 
     def _new(self, num: dict[int, int], den: int,
              ph: int | None = None) -> "TauLaurent":
@@ -83,7 +67,7 @@ class TauLaurent(Laurent):
     def phased(ph: int, coeffs: dict[int, object]) -> "TauLaurent":
         """i^ph * sum coeffs[k] tau^k for rational coefficients."""
         t = TauLaurent(coeffs)
-        return t._new(t.num, t.den, t.ph + ph)
+        return t._new(t.num, t.den, ph)
 
     @property
     def c(self) -> dict[int, GaussianRational]:
@@ -101,10 +85,11 @@ class TauLaurent(Laurent):
     def __mul__(self, o: "TauLaurent") -> "TauLaurent":
         return self._new(convolve(self.num, o.num), self.den * o.den, self.ph + o.ph)
 
-    def scale(self, v) -> "TauLaurent":
-        ph, p, q = _split(v)
+    def scale(self, v, ph: int = 0) -> "TauLaurent":
+        """Times i^ph v for an int or Fraction v."""
+        p = v.numerator
         return self._new({k: w * p for k, w in self.num.items()} if p else {},
-                         self.den * q, self.ph + ph)
+                         self.den * v.denominator, self.ph + ph)
 
     def divexact(self, o: "TauLaurent") -> "TauLaurent":
         """Exact division; raises InternalError on a remainder."""
@@ -119,18 +104,20 @@ class TauLaurent(Laurent):
             raise InternalError(f"tau-dependent where scalar expected: {self}")
         return self.c[0]
 
-    def eval(self, x) -> GaussianRational:
-        """The value at tau = x; at an integer x, in integers (at 0, the
-        tau^0 coefficient, and a negative power divides by zero)."""
-        if type(x) is int:
-            lo = min((0, *self.num))
-            v = Fraction(sum(w * x ** (k - lo) for k, w in self.num.items()), self.den * x ** -lo)
-            return GaussianRational(0, v) if self.ph else GaussianRational(v)
-        g = GaussianRational.coerce(x)
-        acc = GR_ZERO
-        for k, v in self.num.items():
-            acc = acc + g ** k * v
-        return acc * GaussianRational.i_power(self.ph) / self.den
+    def eval(self, x) -> "TauLaurent":
+        """The value at tau = x for an int or Fraction x = a/b, as a constant
+        with self's phase, in integers: the sum of num[k] a^(k-lo) b^(hi-k)
+        over den a^-lo b^hi, with lo <= 0 <= hi the exponent range (at 0 a
+        negative power divides by zero)."""
+        a, b = x.numerator, x.denominator
+        lo, hi = min((0, *self.num)), max((0, *self.num))
+        den = self.den * a ** -lo * b ** hi
+        if not den:
+            raise ZeroDivisionError("a negative power of tau at tau = 0")
+        v = sum(w * a ** (k - lo) * b ** (hi - k) for k, w in self.num.items())
+        if den < 0:
+            v, den = -v, -den
+        return self._new({0: v} if v else {}, den)
 
     # -- comparison ---------------------------------------------------------------
     def __eq__(self, o):
@@ -176,10 +163,6 @@ class LambdaSeries:
     @staticmethod
     def one(trunc: int) -> "LambdaSeries":
         return LambdaSeries.from_map({0: 1}, trunc)
-
-    @staticmethod
-    def mono(exp: int, v, trunc: int) -> "LambdaSeries":
-        return LambdaSeries.from_map({exp: v}, trunc)
 
     # -- structure ---------------------------------------------------------------
     @property
@@ -229,10 +212,11 @@ class LambdaSeries:
     def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
         return combine([(1, self, other)])
 
-    def scale(self, v) -> "LambdaSeries":
+    def scale(self, v, ph: int = 0) -> "LambdaSeries":
+        """Times i^ph v for an int or Fraction v."""
         if not v:
             return LambdaSeries(0, [])
-        return LambdaSeries(self.floor, [c.scale(v) for c in self.co])
+        return LambdaSeries(self.floor, [c.scale(v, ph) for c in self.co])
 
     def shift(self, d: int) -> "LambdaSeries":
         return LambdaSeries(self.floor + d, list(self.co))
@@ -246,15 +230,15 @@ class LambdaSeries:
         return self.map_coeffs(lambda e, c: c.deriv())
 
     def tau_eval(self, x) -> "LambdaSeries":
-        return self.map_coeffs(lambda e, c: TauLaurent.const(c.eval(x)))
+        return self.map_coeffs(lambda e, c: c.eval(x))
 
     def tau_inverse(self) -> "LambdaSeries":
         return self.map_coeffs(lambda e, c: c.subs_inverse())
 
-    def subst_scale(self, c) -> "LambdaSeries":
-        """lambda -> c*lambda for an invertible c = i^ph p/q, on integers (a sign of p is i^2)."""
-        ph, p, q = _split(c)
-        ph, pq = ph + 2 * (p < 0), (abs(p), q)
+    def subst_scale(self, c, ph: int) -> "LambdaSeries":
+        """lambda -> i^ph c lambda for a nonzero int or Fraction c, on integers
+        (a sign of c is i^2)."""
+        ph, pq = ph + 2 * (c < 0), (abs(c.numerator), c.denominator)
         return self.map_coeffs(lambda e, t: t._new(
             {k: w * pq[e < 0] ** abs(e) for k, w in t.num.items()}, t.den * pq[e >= 0] ** abs(e),
             t.ph + ph * e))

@@ -1,5 +1,6 @@
 """Helpers shared by the tests: the canonical-form check of the integer
-polynomial kernel in ``dualcalc.laurent``, a q-expansion oracle, a
+polynomial kernel in ``dualcalc.laurent``, the converter from a
+``GaussianRational`` model to a phased ``TauLaurent``, a q-expansion oracle, a
 ``Fraction`` lambda-expansion oracle, a series reciprocal, the pairwise fold
 that ``series.combine`` replaces, the pairwise ``PSeries`` sums and the
 two-branch framed build that ``PSeries._sum`` and the one build loop
@@ -32,6 +33,7 @@ from dualcalc.partitions import (add_parts, character, compositions, enumerate_p
                                  intersection, kappa, remove_part, sub_diagrams, zmu)
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key
 from dualcalc.qfunc import QFunction, ULaurent
+from dualcalc.scalars import GaussianRational
 from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine
 
 
@@ -50,6 +52,17 @@ def canonical(p):
     if not p.num:
         assert (p.num, p.den, ph) == ({}, 1, 0)
     return p
+
+
+def tau_from_model(model):
+    """The ``TauLaurent`` of a phase-pure {exponent: GaussianRational} model
+    (int and ``Fraction`` values are real): its rational parts, times i^ph
+    by ``TauLaurent.phased``."""
+    model = {k: GaussianRational.coerce(v) for k, v in model.items() if v}
+    phases = {int(bool(v.im)) for v in model.values()}
+    assert len(phases) <= 1 and not any(v.re and v.im for v in model.values()), model
+    ph = phases.pop() if phases else 0
+    return TauLaurent.phased(ph, {k: v.im if ph else v.re for k, v in model.items()})
 
 
 def q_series(f, order):

@@ -793,3 +793,54 @@ def test_a_process_builds_one_parser(monkeypatch):
     for i in range(50):
         run(cheap[i % len(cheap)])
     assert built == []
+
+
+# a fresh process whose GaussianRational constructor fails: the framed series
+# commands and the W expansions keep their phase as an integer power of i
+_NO_GAUSSIAN_RATIONAL = """
+import io, json, sys
+from contextlib import redirect_stdout
+from dualcalc import cli, scalars
+
+def refuse(self, *args):
+    raise AssertionError("a GaussianRational was formed")
+
+scalars.GaussianRational.__init__ = refuse
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(argv)
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+PHASE_PURE_COMMANDS = [
+    ("mv-check-pde-d3", ["mv", "--check", "pde", "--degree", "3", "--order", "9"]),
+    ("mv-initial-d3", ["mv", "--check", "initial", "--degree", "3", "--order", "9"]),
+    ("mv-check-elsv-limit-d3", ["mv", "--check", "elsv-limit", "--degree", "3",
+                                "--order", "9"]),
+    ("mv-check-convolution-d3", ["mv", "--check", "convolution", "--degree", "3",
+                                 "--order", "9"]),
+    ("mv-check-lambda-g-d3", ["mv", "--check", "lambda-g", "--degree", "3", "--order", "9"]),
+    ("mv-check-two-partition-d2", ["mv", "--check", "two-partition", "--degree", "2",
+                                   "--order", "7"]),
+    ("mv-dump", ["mv", "--dump", "connected", "--degree", "3", "--order", "7"]),
+    ("mv-dump-disconnected-d4", ["mv", "--dump", "disconnected", "--degree", "4",
+                                 "--order", "9"]),
+    ("mv-hodge-g2-21", ["mv", "hodge", "--genus", "2", "--partition", "2,1"]),
+    ("w-expand-321", ["w", "--mu", "3,2,1", "--expand", "10"]),
+    ("w-pair-expand-31-22", ["w", "--mu", "3,1", "--nu", "2,2", "--expand", "8"]),
+]
+
+
+def test_framed_and_w_commands_form_no_gaussian_rational():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argvs = json.dumps([argv for _name, argv in PHASE_PURE_COMMANDS])
+    child = subprocess.run([sys.executable, "-c", _NO_GAUSSIAN_RATIONAL, argvs], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    for (name, _argv), (code, out) in zip(PHASE_PURE_COMMANDS, json.loads(child.stdout),
+                                          strict=True):
+        assert code == 0, (name, out)
+        assert out == (GOLDEN / f"{name}.json").read_text(), name

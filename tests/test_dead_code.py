@@ -1,9 +1,14 @@
 """Dead-code audits.
 
 Every function or method the package defines is named somewhere in the
-package besides its own ``def``.  A re-export in ``__init__.py`` counts; a
-name that only the tests use does not, and neither does a function's call to
-itself.
+package besides its own ``def``.  A module-level function counts as named
+only when some package module imports it from its module (a re-export in
+``__init__.py`` counts), reads it as that module's attribute, or reads it in
+its own module outside its ``def``; so a local variable of the same name
+elsewhere does not keep it alive.  A method or nested function counts as
+named when its name appears anywhere in the package outside its ``def``.  A
+name that only the tests use does not count, and neither does a function's
+call to itself.
 
 Every defaulted parameter is passed, by position or keyword, by some call
 inside the package: a default that no call overrides is a constant dressed
@@ -23,24 +28,50 @@ PACKAGE = Path(dualcalc.__file__).parent
 OUTSIDE_CALLERS = {("cli.py", "main", "argv"), ("cli.py", "print_help", "file")}
 
 
+def _module_level_reads(trees):
+    """The (module, name) pairs that some module imports from that module or
+    reads as its attribute, and per (module, name) the lines on which the
+    module reads the bare name."""
+    imported, reads = set(), {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                imported.update((node.module, a.name) for a in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                imported.add((node.value.id, node.attr))
+            elif isinstance(node, ast.Name):
+                reads.setdefault((path.stem, node.id), []).append(node.lineno)
+    return imported, reads
+
+
 def test_every_definition_is_named_elsewhere():
-    texts = {p: p.read_text() for p in PACKAGE.glob("*.py")}
+    texts = {p: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    trees = {p: ast.parse(t, str(p)) for p, t in texts.items()}
+    imported, reads = _module_level_reads(trees)
     defs = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path, tree in trees.items():
         lines = texts[path].splitlines()
-        for node in ast.walk(ast.parse(texts[path], str(path))):
+        top = set(map(id, tree.body))
+        for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not (node.name.startswith("__") and node.name.endswith("__"))):
                 body = "\n".join(lines[node.lineno - 1:node.end_lineno])
-                defs.append((path.name, node.lineno, node.name, body))
-    per_name = Counter(name for _f, _l, name, _b in defs)
+                defs.append((path, node, id(node) in top, body))
+    per_name = Counter(node.name for _p, node, _t, _b in defs)
     unused = []
-    for fname, line, name, body in defs:
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        # namings outside this definition, less the other definitions' own lines
-        outside = sum(len(word.findall(t)) for t in texts.values()) - len(word.findall(body))
-        if outside <= per_name[name] - 1:
-            unused.append(f"{fname}:{line} {name}")
+    for path, node, top, body in defs:
+        name = node.name
+        if top:
+            named = (path.stem, name) in imported or any(
+                not node.lineno <= line <= node.end_lineno
+                for line in reads.get((path.stem, name), ()))
+        else:
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            # namings outside this definition, less the other definitions' own lines
+            outside = sum(len(word.findall(t)) for t in texts.values()) - len(word.findall(body))
+            named = outside > per_name[name] - 1
+        if not named:
+            unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"defined but never named elsewhere: {unused}"
 
 

@@ -16,7 +16,6 @@ from dualcalc.hodge import (FramedSeries, b_constant, build_series,
                             slice_reduction_check, swap_symmetry_check)
 from dualcalc.partitions import enumerate_partitions, length, size
 from dualcalc.pseries import PSeries
-from dualcalc.scalars import GR_I, GaussianRational
 from dualcalc.series import LambdaSeries, TauLaurent
 from oracles import assert_same_pseries, build_series_reference
 
@@ -143,7 +142,7 @@ def test_convolution_sees_a_framing_dependent_term(fs3, mu, e):
     co = dict(fs3.disconnected.co)
     s = co[(mu,)]
     tau = TauLaurent.phased((size(mu) + e) % 2, {1: 1})
-    co[(mu,)] = s + LambdaSeries.mono(e, tau, s.trunc)
+    co[(mu,)] = s + LambdaSeries.from_map({e: tau}, s.trunc)
     bad = FramedSeries(1, fs3.caps, fs3.trunc, PSeries(1, fs3.caps, co))
     assert not convolution_check(bad)
     assert convolution_check(fs3)
@@ -168,7 +167,7 @@ def _altered(fs, key, e, tau_exp):
     two-family slot) added to the coefficient of key; fs is left as it is."""
     co = dict(fs.disconnected.co)
     s = co[key]
-    co[key] = s + LambdaSeries.mono(e, TauLaurent.phased(e % 2, {tau_exp: 1}), s.trunc)
+    co[key] = s + LambdaSeries.from_map({e: TauLaurent.phased(e % 2, {tau_exp: 1})}, s.trunc)
     return FramedSeries(fs.families, fs.caps, fs.trunc, PSeries(fs.families, fs.caps, co))
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from dualcalc import cli, hurwitz
 from dualcalc.errors import UsageError, VerificationFailure
-from dualcalc.hurwitz import (_connected_coeff, _cutjoin_slice, burnside_phi, double_hurwitz,
+from dualcalc.hurwitz import (_connected_coeff, _cutjoin_part, burnside_phi, double_hurwitz,
                               elsv_I, hurwitz_number, psi_from_asymptotics,
                               ramification_order)
 from dualcalc.intersections import dvv
@@ -138,7 +138,8 @@ def test_cutjoin_matches_pseries_recursion():
                 v = s.coeff(0).as_scalar()
                 assert not v.im
                 expect[key[0]] = v.re
-            assert _cutjoin_slice(cap, r) == expect, (cap, r)
+            got = {mu: c for w in range(1, cap + 1) for mu, c in _cutjoin_part(w, r).items()}
+            assert got == expect, (cap, r)
 
 
 def test_nonnegative():

@@ -441,8 +441,12 @@ def test_perturbed_localization_entry_is_read_and_not_equal(monkeypatch, uncache
 def test_surviving_p_in_an_operator_row_raises(monkeypatch, uncached_hori_vafa):
     # e^{2Px} in place of e^{Px}: the P-dependence no longer cancels
     real = nilpotent.exp_x_times
-    monkeypatch.setattr(nilpotent, "exp_x_times", lambda cap, var, sign: real(
-        cap, var, 2 * sign if var == "P" else sign))
+
+    def doubled_p(cap, var):
+        e = real(cap, var)
+        return Poly({k: Fraction(v * 2 ** k[1], e.den) for k, v in e.num.items()})
+
+    monkeypatch.setattr(nilpotent, "exp_x_times", doubled_p)
     with pytest.raises(InternalError, match="P-dependence"):
         hori_vafa_series(2, 3, 1)
 

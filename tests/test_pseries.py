@@ -18,7 +18,7 @@ TR = 6
 
 
 def mono(fams, caps, key, val=1, trunc=TR):
-    return PSeries(fams, caps, {key: LambdaSeries.mono(0, val, trunc)})
+    return PSeries(fams, caps, {key: LambdaSeries.from_map({0: val}, trunc)})
 
 
 def one_fam(caps=6):
@@ -67,14 +67,14 @@ def test_exp_log_round_trip():
     f, caps = 1, (5,)
     s = mono(f, caps, ((1,),), val=Fraction(1, 2)) \
         + mono(f, caps, ((2, 1),), val=-2) \
-        + PSeries(f, caps, {((3,),): LambdaSeries.mono(1, Fraction(1, 3), TR)})
+        + PSeries(f, caps, {((3,),): LambdaSeries.from_map({1: Fraction(1, 3)}, TR)})
     assert (pseries_exp(s, TR).log() - s).is_zero_through_windows()
 
 
 def test_log_of_exp_lambda_monomial():
     # log(exp(L p_1)) = L p_1
     f, caps = one_fam()
-    s = PSeries(f, caps, {((1,),): LambdaSeries.mono(1, 1, TR)})
+    s = PSeries(f, caps, {((1,),): LambdaSeries.from_map({1: 1}, TR)})
     assert (pseries_exp(s, TR).log() - s).is_zero_through_windows()
 
 
@@ -191,9 +191,8 @@ def test_nonlinear_conjugation_identity():
         for n in range(1, 5):
             for mu in enumerate_partitions(n):
                 if rng.random() < 0.4:
-                    co[(mu,)] = LambdaSeries.mono(rng.randint(0, 1),
-                                                  Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                                                  TR)
+                    co[(mu,)] = LambdaSeries.from_map(
+                        {rng.randint(0, 1): Fraction(rng.randint(-3, 3), rng.randint(1, 3))}, TR)
         f = PSeries(1, caps, co)
         ef = pseries_exp(f, TR)
         lhs = ef.cut_join_linear(0)

@@ -14,9 +14,9 @@ from dualcalc.errors import InternalError, UsageError
 from dualcalc.partitions import enumerate_partitions, size
 from dualcalc.qfunc import QFunction, ULaurent, bracket_quotient, sum_of_products
 from dualcalc.scalars import GaussianRational
-from dualcalc.series import LambdaSeries, TauLaurent
+from dualcalc.series import LambdaSeries
 from oracles import (q_series, reciprocal, sin_expand, sum_of_products_reference,
-                     to_lambda_reference)
+                     tau_from_model, to_lambda_reference)
 
 
 def q(num, den, ipow=0):
@@ -266,7 +266,7 @@ def test_to_lambda_of_polynomial_is_direct_sum(p, ipow, trunc):
     s = f.to_lambda(trunc)
     assert s.trunc == trunc
     for j in range(min(s.floor, 0), trunc):
-        assert s.coeff(j) == TauLaurent.const(_direct(ipow, p, j) if j >= 0 else 0), j
+        assert s.coeff(j) == tau_from_model({0: _direct(ipow, p, j) if j >= 0 else 0}), j
 
 
 @settings(max_examples=100, deadline=None)
@@ -277,7 +277,7 @@ def test_to_lambda_times_denominator_is_numerator(f, extra):
     prod = f.to_lambda(trunc) * QFunction(0, f.den, ULaurent.const(1)).to_lambda(trunc)
     assert prod.trunc >= extra
     for j in range(prod.trunc):
-        assert prod.coeff(j) == TauLaurent.const(_direct(f.ipow, f.num, j)), j
+        assert prod.coeff(j) == tau_from_model({0: _direct(f.ipow, f.num, j)}), j
 
 
 def _exact(s):
