@@ -569,6 +569,7 @@ def test_grassmannian_verify():
     ("grassmannian-k4-n7-d1", ["mirror", "grassmannian", "-k", "4", "-n", "7",
                                "--max-degree", "1", "--verify"]),
     ("vertex-d9-g2", ["vertex", "local-p2", "--max-degree", "9", "--max-genus", "2", "--gv"]),
+    ("quintic-d50", ["mirror", "quintic", "--max-degree", "50"]),
 ])
 def test_golden(name, argv):
     code, out = run(argv)
@@ -580,6 +581,7 @@ def test_golden(name, argv):
 @pytest.mark.parametrize("name,spec,degree", [
     ("toric-p4-d3", "toric-p4-spec.json", 3),
     ("toric-p1xp1-d2", "toric-p1xp1-spec.json", 2),
+    ("toric-kp2-d6", "toric-kp2-spec.json", 6),
 ])
 def test_toric_golden(name, spec, degree, monkeypatch):
     monkeypatch.chdir(GOLDEN)
