@@ -74,7 +74,7 @@ def w_pair(mu: Partition, nu: Partition) -> QFunction:
 @lru_cache(maxsize=None)
 def pair_reduction_factor(nu: Partition) -> QFunction:
     """Monomial relating the two W normalizations on an empty second slot."""
-    return QFunction(size(nu), ULaurent.mono(kappa(nu) // 2), ULaurent.const(1))
+    return QFunction.from_factors(size(nu), ULaurent.mono(kappa(nu) // 2), ())
 
 
 def check_pair_reduction(nu: Partition) -> bool:

@@ -5,7 +5,8 @@ takes the number ``n`` of coefficients to keep, reads its inputs through
 x^(n-1) and returns a ``Laurent`` with no term of x^n or above.  The loops
 run on the integer numerators over the one denominator, and each result is
 built by one ``_new``, the one content reduction.  The kernel serves the
-quintic mirror map's Q-series (``mirror.candelas``).
+quintic mirror map's Q-series: ``lagrange`` inverts and substitutes it in
+``mirror.candelas``, and ``compose`` substitutes for the round-trip check.
 
 ``graded_log`` takes the weight slices of a graded series over any ring with
 ``*``, ``-`` and ``scale``: ``PSeries`` by key weight, the local-P2
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .errors import UsageError
 from .laurent import Laurent
@@ -98,6 +99,31 @@ def compose(outer: Laurent, inner: Laurent, n: int) -> Laurent:
         acc = _conv(acc, inner_num, n - m)
         acc[0] += outer_num[m] * scale
     return _series(outer, acc, outer.den * scale)
+
+
+def lagrange(hs: Sequence[Laurent], u: Laurent, n: int) -> list[Laurent]:
+    """Each h(Q(x)), with Q(x) the inverse of x = Q e^{u(Q)} and u(0) = 0.
+
+    By Lagrange-Buermann (Stanley, EC2 5.4.2), for m >= 1
+    m [x^m] h(Q(x)) = [Q^(m-1)] h'(Q) e^{-m u(Q)}.  With e^{-u} = A / D the
+    powers A^m come from one running product; with h = H / h.den, each
+    coefficient is the integer dot product of the k H_k with A^m over
+    m h.den D^m, and goes over lcm(1..n-1) h.den D^(n-1).
+    """
+    if 0 in u.num:
+        raise UsageError("Lagrange inversion needs zero constant term")
+    e = exp(-u, n)
+    a = _ints(e, n - 1)
+    top = lcm(*range(1, n)) * e.den ** (n - 1)
+    nums = [[h.num.get(0, 0) * top] for h in hs]
+    derivs = [[k * h.num.get(k, 0) for k in range(1, n)] for h in hs]
+    power = [1]
+    for m in range(1, n):
+        power = _conv(power, a, n - 1)
+        rev, scale = power[m - 1::-1], top // (m * e.den ** m)
+        for num, dnum in zip(nums, derivs):
+            num.append(sum(x * y for x, y in zip(dnum, rev)) * scale)
+    return [_series(h, num, h.den * top) for h, num in zip(hs, nums)]
 
 
 def graded_log(z: Sequence, zero) -> list:

@@ -50,7 +50,7 @@ from .hurwitz import burnside_phi, double_hurwitz
 from .partitions import (Partition, aut, character, enumerate_partitions,
                          kappa, length, size, zmu)
 from .pseries import PSeries, empty_key
-from .qfunc import QFunction, ULaurent
+from .qfunc import QFunction, bracket_quotient
 from .series import LambdaSeries, TauLaurent, combine, exp_monomial
 
 Frac = Fraction
@@ -160,7 +160,7 @@ def ov_term(d: int) -> QFunction:
 
     2 sin(d lambda/2) = (-i)(u^d - u^{-d}), so the 2 lives in the bracket.
     """
-    return QFunction(-1, ULaurent.const(Frac(1, d)), ULaurent.bracket(d))
+    return bracket_quotient(-1, (), (d,)).scale(Frac(1, d))
 
 
 def initial_value_report(fs: FramedSeries, through: int | None = None) -> dict:

@@ -1,13 +1,15 @@
 """Mirror hypergeometric engine.
 
 Quintic side: the bracket coefficients read off the toric series of the
-quintic spec, the mirror-map change of variables and the cubic-normalized
-potential on ``dense`` Q-series.  The instanton numbers come from its
-degree coefficients by the genus-0 case of ``vertex.gv_invert``.
+quintic spec, the cubic-normalized potential on ``dense`` Q-series and the
+mirror-map change of variables, one ``dense.lagrange`` pass.  The instanton
+numbers come from its degree coefficients by the genus-0 case of
+``vertex.gv_invert``.
 
 Toric side: the convex-case series of a toric spec in the truncated ring
 Q[G_1..G_r]/(G_i^{n_i}), held as ``Poly`` values keyed by exponent tuples
-and multiplied by ``nilpotent.mul`` in the nilpotency box.
+and multiplied by ``nilpotent.mul`` in the nilpotency box; each slice
+multiplies one running product of linear factors per class.
 
 Grassmannian side: the product-of-projective-spaces series, the
 antisymmetrizing derivative operator with its pi sqrt(-1) bookkeeping symbol
@@ -54,9 +56,10 @@ def candelas(d_max: int) -> dict:
 
     The bracket coefficients are the toric series of the quintic spec: the
     degree-5 line bundle on P^4.  Returns {"K": [K_1..K_dmax], "mirror_map":
-    u-series, "cubic": 5/6, "inverse_map": B-series with Q = Qt * B(Qt),
-    "q_of_qt": Qt * B(Qt)}, each series the list of its Fraction
-    coefficients of Q^0..Q^dmax.
+    u-series, "cubic": 5/6, "q_of_qt": Q as a series in Qt = Q e^{u(Q)}},
+    each series the list of its Fraction coefficients of Q^0..Q^dmax.  One
+    ``dense.lagrange`` pass gives Q(Qt) and the potential's T-coefficients
+    in Qt.
     """
     if d_max < 1:
         raise UsageError("need at least degree 1")
@@ -87,12 +90,6 @@ def candelas(d_max: int) -> dict:
     u = dense.mul(S[1], inv0, n)       # mirror map: T = t + u(Q)
     if 0 in u.num:
         raise InternalError("mirror map must fix the log term")
-    # inverse map: Q = Qt B(Qt) with Qt = Q e^{u(Q)}
-    e_u = dense.exp(u, n)
-    B = Laurent.const(1)
-    for _ in range(n):
-        B = dense.inv(dense.compose(e_u, B.shift(1), n), n)
-    q_of_qt = B.shift(1)
 
     # potential as a t-polynomial with Q-series coefficients:
     # 5/2 (f1 f2 / s0^2 - f3 / s0)
@@ -105,24 +102,21 @@ def candelas(d_max: int) -> dict:
     for j, c in F[3].items():
         potential[j] = potential.get(j, zero) - dense.mul(c, inv0, n)
 
-    # substitute t = T - u(Q), then Q = Q(Qt)
+    # substitute t = T - u(Q), then Q = Q(Qt), the inverse of Qt = Q e^{u(Q)}
     minus_u_pow = [Laurent.const(1)]
     for _ in range(max(potential)):
         minus_u_pow.append(dense.mul(minus_u_pow[-1], -u, n))
-    in_T: dict[int, Laurent] = {}
+    in_T = [zero] * 4
     for j, qs in potential.items():
         for r in range(j + 1):
-            piece = dense.mul(qs, minus_u_pow[j - r], n).scale(Frac(5, 2) * comb(j, r))
-            in_T[r] = in_T.get(r, zero) + piece
-    in_T = {r: dense.compose(qs, q_of_qt, n) for r, qs in in_T.items()}
+            in_T[r] += dense.mul(qs, minus_u_pow[j - r], n).scale(Frac(5, 2) * comb(j, r))
+    q_of_qt, k_series, *middle, cubic = dense.lagrange([Laurent.mono(1), *in_T], u, n)
 
-    cubic = in_T.get(3, zero)
     if cubic != Laurent.const(Frac(5, 6)):
         raise VerificationFailure("cubic coefficient of the potential is not 5/6")
-    for r in (1, 2):
-        if in_T.get(r, zero):
+    for r, c in enumerate(middle, 1):
+        if c:
             raise VerificationFailure(f"T^{r} coefficient of the potential survives")
-    k_series = in_T.get(0, zero)
     if 0 in k_series.num:
         raise VerificationFailure("constant term of the potential survives")
 
@@ -133,7 +127,6 @@ def candelas(d_max: int) -> dict:
     return {
         "K": fracs(k_series)[1:],
         "mirror_map": fracs(u),
-        "inverse_map": fracs(B),
         "cubic": fracs(cubic)[0],
         "q_of_qt": fracs(q_of_qt),
     }
@@ -201,6 +194,17 @@ def toric_b_series(generators: Sequence[tuple[str, int]],
         expfac = nilpotent.mul(expfac, Poly({tuple(m * (i % r == j) for i in range(2 * r)):
                                              Frac((-1) ** m, factorial(m)) for m in range(nilp)}), box)
 
+    # (class, first k, sign) -> running products of lin(class, sign k) from the
+    # first k on.  No slice comes from a neighbour: where a divisor's pairing
+    # goes from -1 to 0 their ratio is 1/D, and D is nilpotent.
+    tables: dict[tuple, list[Poly]] = {}
+
+    def running(vec: Sequence[int], first: int, count: int, sign: int) -> Poly:
+        table = tables.setdefault((tuple(vec), first, sign), [one])
+        while len(table) <= count:
+            table.append(nilpotent.mul(table[-1], lin(vec, sign * (first + len(table) - 1)), box))
+        return table[count]
+
     out: dict[tuple[int, ...], dict] = {}
     for d in (d for s in range(d_max + 1) for d in compositions(s, r)):
         num = one
@@ -208,17 +212,14 @@ def toric_b_series(generators: Sequence[tuple[str, int]],
             pair = sum(c * dd for c, dd in zip(vec, d))
             if pair < 0:
                 raise UsageError("negative line-bundle pairing: outside the convex case")
-            for k in range(0, pair + 1):
-                num = nilpotent.mul(num, lin(vec, -k), box)
+            num = nilpotent.mul(num, running(vec, 0, pair + 1, -1), box)
         den = one
         for vec in divisors:
             pair = sum(c * dd for c, dd in zip(vec, d))
             if pair < 0:
-                for k in range(0, -pair):
-                    num = nilpotent.mul(num, lin(vec, k), box)
+                num = nilpotent.mul(num, running(vec, 0, -pair, 1), box)
             else:
-                for k in range(1, pair + 1):
-                    den = nilpotent.mul(den, lin(vec, -k), box)
+                den = nilpotent.mul(den, running(vec, 1, pair, -1), box)
         full = nilpotent.mul(expfac, nilpotent.mul(num, ring_inv(den), box), box)
         out[d] = {(e[:r], e[r:]): v for e, v in full.c.items()}
     return out

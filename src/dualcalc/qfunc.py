@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -104,45 +103,18 @@ def _den_series(fac: Factors, n: int, length: int) -> tuple[list[int], list[int]
     return b, pw, [b[v + j] * pw[j - 1] for j in range(1, n)]
 
 
-def _factor(den: ULaurent) -> tuple[Fraction, int, Factors]:
-    """den = c * u^k * prod Phi_e^{m_e}, found by trial division.
-
-    Raises UsageError for a denominator with any other factor.  A factor
-    Phi_e of degree phi(e) <= D has e <= 2 D^2, because phi(e) >= sqrt(e/2).
-    """
-    if not den:
-        raise ZeroDivisionError("QFunction with zero denominator")
-    lo, lead = den.min_exp(), Fraction(den.num[den.max_exp()], den.den)
-    rest = den.shift(-lo).scale(1 / lead)
-    fac = []
-    e = 0
-    while rest.max_exp() and e < 2 * rest.max_exp() ** 2:
-        e += 1
-        m = rest.max_exp()
-        rest, left = _strip(rest, e, m)
-        if left < m:
-            fac.append((e, m - left))
-    if rest != ULaurent.const(1):
-        raise UsageError("denominator is not a u-power times cyclotomic polynomials")
-    return lead, lo, tuple(fac)
-
-
 class QFunction:
     """(-sqrt(-1))**ipow * num(u) / den(u), reduced and canonically normalized.
 
     Canonical form: ipow in {0, 1}; the denominator is the factored product
     ``fac`` = ((e, m_e), ...) of cyclotomic polynomials Phi_e(u)^{m_e},
     sorted by e, so den has valuation 0 and leading coefficient 1; no Phi_e
-    in ``fac`` divides num, so gcd(num, den) = 1.  Zero is (0, 0, ()).  The
-    constructor takes den as a ``ULaurent`` c * u^k * prod Phi_e^{m_e} and
-    factors it; ``den`` expands ``fac`` back to that monic polynomial.
+    in ``fac`` divides num, so gcd(num, den) = 1.  Zero is (0, 0, ()).  Values
+    are built from factors, never from a denominator polynomial; ``den``
+    expands ``fac`` back to its monic polynomial.
     """
 
     __slots__ = ("ipow", "num", "fac")
-
-    def __init__(self, ipow: int, num: ULaurent, den: ULaurent):
-        lead, lo, fac = _factor(den)
-        self._set(ipow, num.shift(-lo).scale(1 / lead), fac, dict(fac))
 
     def _set(self, ipow: int, num: ULaurent, fac: Factors, trial=()) -> None:
         """Store with ipow in {0, 1}, each Phi_e with e in ``trial`` divided

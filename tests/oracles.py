@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import chain, combinations, permutations
 from math import comb, factorial, gcd
 
-from dualcalc import intersections, mirror, nilpotent
+from dualcalc import dense, intersections, mirror, nilpotent
 from dualcalc.errors import InternalError, UsageError, VerificationFailure
 from dualcalc.hodge import FramedSeries, _one_family_term, _two_family_term
 from dualcalc.hurwitz import elsv_I, ramification_order
@@ -32,9 +32,33 @@ from dualcalc.laurent import Laurent, Poly
 from dualcalc.partitions import (add_parts, character, compositions, enumerate_partitions,
                                  intersection, kappa, remove_part, sub_diagrams, zmu)
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key
-from dualcalc.qfunc import QFunction, ULaurent
+from dualcalc.qfunc import QFunction, ULaurent, _strip
 from dualcalc.scalars import GaussianRational
 from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine
+
+
+def qfunction(ipow, num, den):
+    """(-sqrt(-1))**ipow * num / den as a reduced ``QFunction``, for any ``ULaurent``
+    den = c * u^k * prod Phi_e^{m_e}, its factors found by trial division.
+
+    Raises UsageError for a denominator with any other factor.  A factor
+    Phi_e of degree phi(e) <= D has e <= 2 D^2, because phi(e) >= sqrt(e/2).
+    """
+    if not den:
+        raise ZeroDivisionError("QFunction with zero denominator")
+    lo, lead = den.min_exp(), Fraction(den.num[den.max_exp()], den.den)
+    rest = den.shift(-lo).scale(1 / lead)
+    fac = []
+    e = 0
+    while rest.max_exp() and e < 2 * rest.max_exp() ** 2:
+        e += 1
+        m = rest.max_exp()
+        rest, left = _strip(rest, e, m)
+        if left < m:
+            fac.append((e, m - left))
+    if rest != ULaurent.const(1):
+        raise UsageError("denominator is not a u-power times cyclotomic polynomials")
+    return QFunction.from_factors(ipow, num.shift(-lo).scale(1 / lead), tuple(fac))
 
 
 def canonical(p):
@@ -584,6 +608,17 @@ def dense_compose(outer, inner, n):
     return out
 
 
+def fixed_point_inverse(u, n):
+    """Q as a series in x = Q e^{u(Q)} through x^(n-1), u a ``Laurent`` with u(0) = 0, by n
+    rounds of B = 1 / e^{u(x B)} from B = 1, each round one ``dense.compose``
+    and one ``dense.inv``: the inversion that ``dense.lagrange`` replaces."""
+    e_u = dense.exp(u, n)
+    b = Laurent.const(1)
+    for _ in range(n):
+        b = dense.inv(dense.compose(e_u, b.shift(1), n), n)
+    return b.shift(1)
+
+
 def as_list(p, n):
     """The coefficients of x^0..x^(n-1) of a ``Laurent`` series."""
     c = p.c
@@ -784,7 +819,7 @@ def _gv_kernel(g: int, k: int, trunc: int) -> LambdaSeries:
     for _ in range(abs(2 * g - 2)):
         power = power * ULaurent.bracket(k)
     num, den = (ULaurent.const(1), power) if g == 0 else (power, ULaurent.const(1))
-    return QFunction(2 * g - 2, num.scale(Fraction(1, k)), den).to_lambda(trunc)
+    return qfunction(2 * g - 2, num.scale(Fraction(1, k)), den).to_lambda(trunc)
 
 
 def gv_forward_reference(gv, d_max, g_max):
@@ -818,7 +853,7 @@ def h_principal_reference(k):
     den = ULaurent.const(1)
     for i in range(1, k + 1):
         den = den * (ULaurent.const(1) - ULaurent.mono(2 * i))
-    return QFunction(0, ULaurent.const(1), den)
+    return qfunction(0, ULaurent.const(1), den)
 
 
 def _jt_det(rows, cols, entries):
@@ -855,7 +890,7 @@ def w_pair_reference(mu, nu):
     u_exp = kappa(mu) + kappa(nu) + sum(mu) + sum(nu)
     acc = QFunction.zero()
     for rho in sub_diagrams(intersection(mu, nu)):
-        shift = QFunction(0, ULaurent.mono(u_exp - 2 * sum(rho)), ULaurent.const(1))
+        shift = qfunction(0, ULaurent.mono(u_exp - 2 * sum(rho)), ULaurent.const(1))
         acc = acc + shift * skew_schur_reference(mu, rho) * skew_schur_reference(nu, rho)
     return -acc if (sum(mu) + sum(nu)) % 2 else acc
 
@@ -865,7 +900,7 @@ def sum_of_products_reference(terms):
     ``QFunction.__add__`` fold of reduced products."""
     acc = QFunction.zero()
     for factors, shift in terms:
-        term = QFunction(0, ULaurent.mono(shift), ULaurent.const(1))
+        term = qfunction(0, ULaurent.mono(shift), ULaurent.const(1))
         for f in factors:
             term = term * f
         acc = acc + term

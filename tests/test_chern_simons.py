@@ -5,25 +5,25 @@ from dualcalc.chern_simons import (check_pair_reduction, w_one, w_one_lambda,
 from dualcalc.partitions import enumerate_partitions, size
 from dualcalc.qfunc import QFunction, ULaurent
 from dualcalc.scalars import GaussianRational
-from oracles import reciprocal, sin_expand, w_pair_reference
+from oracles import qfunction, reciprocal, sin_expand, w_pair_reference
 
 
 def test_w_one_empty_and_single():
     assert w_one(()) == QFunction.const(1)
     # 1/(2 sin(lambda/2))
-    assert w_one((1,)) == QFunction(-1, ULaurent.const(1), ULaurent.bracket(1))
+    assert w_one((1,)) == qfunction(-1, ULaurent.const(1), ULaurent.bracket(1))
 
 
 def test_w_one_two_cells():
     # 1/(2 sin(lambda/2) 2 sin(lambda))
-    expect = QFunction(-2, ULaurent.const(1),
+    expect = qfunction(-2, ULaurent.const(1),
                        ULaurent.bracket(1) * ULaurent.bracket(2))
     assert w_one((2,)) == expect
     assert w_one((1, 1)) == expect  # ratio part is 1 for (1,1)
 
 
 def _w_one_by_constructor(mu):
-    """w_one as the QFunction constructor reduces it: the bracket products
+    """w_one as ``oracles.qfunction`` reduces it: the bracket products
     multiplied out and the denominator factored by trial division."""
     l = len(mu)
     num, den = ULaurent.const(1), ULaurent.const(1)
@@ -34,7 +34,7 @@ def _w_one_by_constructor(mu):
     for i in range(1, l + 1):
         for v in range(1, mu[i - 1] + 1):
             den = den * ULaurent.bracket(v - i + l)
-    return QFunction(-size(mu), num, den)
+    return qfunction(-size(mu), num, den)
 
 
 def test_w_one_factored_matches_constructor():
@@ -65,12 +65,12 @@ def test_w_one_lambda_inverse_sine():
 def test_w_pair_basics():
     assert w_pair((), ()) == QFunction.const(1)
     # mu=(1), nu=(): -q^{1/2}/(1-q) = -u/(1-u^2)
-    expect = QFunction(2, ULaurent.mono(1), ULaurent.const(1) - ULaurent.mono(2))
+    expect = qfunction(2, ULaurent.mono(1), ULaurent.const(1) - ULaurent.mono(2))
     assert w_pair((1,), ()) == expect
     # mu=nu=(1): q*(1/(1-q)^2 + q^{-1})
     one_minus_q = ULaurent.const(1) - ULaurent.mono(2)
-    s11 = QFunction(0, ULaurent.const(1), one_minus_q * one_minus_q)
-    expect11 = (s11 + QFunction(0, ULaurent.mono(-2), ULaurent.const(1))) * QFunction(
+    s11 = qfunction(0, ULaurent.const(1), one_minus_q * one_minus_q)
+    expect11 = (s11 + qfunction(0, ULaurent.mono(-2), ULaurent.const(1))) * qfunction(
         0, ULaurent.mono(2), ULaurent.const(1))
     assert w_pair((1,), (1,)) == expect11
 

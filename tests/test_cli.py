@@ -657,6 +657,10 @@ OP_COVERAGE = {
     # mirror
     "toric_b_series": ("mirror.toric_b_series", ["mirror", "quintic", "--max-degree", "2"]),
     "candelas": ("mirror.candelas", ["mirror", "quintic", "--max-degree", "2"]),
+    # both substitution paths: the Lagrange pass in candelas, and the
+    # composition that the round-trip check runs on its own
+    "lagrange": ("dense.lagrange", ["mirror", "quintic", "--max-degree", "2"]),
+    "compose": ("dense.compose", ["verify-all", "--profile", "quick"]),
     "multiple_cover_invert": ("vertex.gv_invert", ["mirror", "quintic", "--max-degree", "2"]),
     "hg_projective": ("mirror.hg_projective", ["mirror", "grassmannian", "-k", "1", "-n", "2",
                                                "--max-degree", "1", "--verify"]),

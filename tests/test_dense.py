@@ -10,7 +10,7 @@ from dualcalc import dense
 from dualcalc.errors import UsageError
 from dualcalc.laurent import Laurent
 from oracles import (as_laurent, as_list, canonical, dense_compose, dense_exp,
-                     dense_inv, dense_mul)
+                     dense_inv, dense_mul, fixed_point_inverse)
 
 small_frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 series = st.lists(small_frac, min_size=1, max_size=6)
@@ -94,3 +94,25 @@ def test_kernels_ignore_terms_past_the_truncation():
     assert dense.inv(a, 2) == Laurent({0: 1, 1: Fraction(-1, 2)})
     assert dense.exp(z, 2) == Laurent({0: 1, 1: 1})
     assert dense.compose(a, z, 2) == Laurent({0: 1, 1: Fraction(1, 2)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(series, max_size=3), st.lists(small_frac, max_size=11), st.integers(1, 12))
+@example([[Fraction(1), Fraction(-1, 2), Fraction(3)]], [Fraction(1), Fraction(-2, 3)], 12)
+def test_lagrange_matches_fixed_point_inversion(hs, u, n):
+    # h = Q gives the inverse itself; each other h is composed with it
+    u = as_laurent([Fraction(0)] + u)
+    q = as_list(fixed_point_inverse(u, n), n)
+    hs = [[Fraction(0), Fraction(1)]] + hs
+    got = dense.lagrange([as_laurent(h) for h in hs], u, n)
+    assert len(got) == len(hs)
+    for g, h in zip(got, hs):
+        same(g, dense_compose(h, q, n), n)
+
+
+def test_lagrange_inverts_the_exponential_map():
+    # x = Q e^Q inverts to the Lambert series Q = sum_m (-m)^(m-1) x^m / m!
+    (q,) = dense.lagrange([Laurent.mono(1)], Laurent.mono(1), 8)
+    assert q == Laurent({m: Fraction((-m) ** (m - 1), factorial(m)) for m in range(1, 8)})
+    with pytest.raises(UsageError):
+        dense.lagrange([Laurent.mono(1)], Laurent({0: 1, 1: 1}), 3)

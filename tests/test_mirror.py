@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dualcalc.errors import InternalError, UsageError, VerificationFailure
 from dualcalc.laurent import Laurent, Poly
-from dualcalc import cli, mirror, nilpotent, verify
+from dualcalc import cli, dense, mirror, nilpotent, verify
 from dualcalc.mirror import (candelas, gr23_matches_p2, hg_projective,
                              hori_vafa_series, mirror_map_round_trip,
                              toric_b_series, _inv_linear_power)
@@ -77,6 +77,46 @@ def test_mirror_map_round_trip():
     assert mirror_map_round_trip(3)
 
 
+@pytest.fixture
+def uncached_candelas():
+    """A fresh candelas run, whose result is dropped before the next test."""
+    mirror.candelas.cache_clear()
+    yield
+    mirror.candelas.cache_clear()
+
+
+def test_candelas_inverts_the_mirror_map_without_composing(monkeypatch, uncached_candelas):
+    def forbidden(*_args):
+        raise AssertionError("candelas composed two series")
+
+    inverses = []
+    real_inv = dense.inv
+    monkeypatch.setattr(dense, "compose", forbidden)
+    monkeypatch.setattr(dense, "inv", lambda *args: inverses.append(args) or real_inv(*args))
+    data = candelas(6)
+    # one inverse, of the s0 normalization; no per-round inverse
+    assert len(inverses) == 1
+    assert gv_invert(_genus0(data["K"]), 6, 0)[(0, 6)] == 248249742118022000
+
+
+def test_round_trip_composes_the_lagrange_inverse(monkeypatch):
+    # the round trip substitutes by dense.compose, a path of its own, so a
+    # wrong q_of_qt fails it
+    real_compose, composed = dense.compose, []
+    monkeypatch.setattr(dense, "compose", lambda *args: composed.append(args) or real_compose(*args))
+    assert mirror_map_round_trip(6)
+    assert len(composed) == 1
+    real = mirror.candelas
+
+    def perturbed(d_max):
+        data = dict(real(d_max))
+        data["q_of_qt"] = data["q_of_qt"][:-1] + [data["q_of_qt"][-1] + 1]
+        return data
+
+    monkeypatch.setattr(mirror, "candelas", perturbed)
+    assert not mirror_map_round_trip(6)
+
+
 def test_multiple_cover_inversion():
     # genus 0 of the GV resummation: K_d = sum_{k | d} n_{d/k} / k^3
     assert gv_invert(_genus0([F(7)]), 1, 0) == _genus0([7])
@@ -106,10 +146,14 @@ def test_toric_specializes_to_quintic():
 
 
 # two generators; the second spec has a divisor with a negative pairing,
-# so some factors move from the denominator to the numerator
+# so some factors move from the denominator to the numerator; in the third,
+# with no line bundle, the pairing d2 - d1 runs -1 -> 0 -> 1 along the second
+# generator, where a slice is not its neighbour times linear factors: the
+# ratio across 0 is 1/D, and D is nilpotent
 TWO_GENERATOR_SPECS = [
     ([("H1", 2), ("H2", 2)], [[2, 2]], [[1, 0], [1, 0], [0, 1], [0, 1]], 3),
     ([("H1", 3), ("H2", 2)], [[1, 1]], [[1, 0], [1, -1], [0, 1], [0, 1]], 3),
+    ([("H1", 2), ("H2", 3)], [], [[1, 0], [1, 0], [-1, 1], [0, 1], [0, 1]], 4),
 ]
 
 
@@ -119,6 +163,23 @@ def test_two_generator_toric_matches_reference(gens, bundles, divisors, d_max):
     assert got == toric_b_series_reference(gens, bundles, divisors, d_max)
     assert len(got) == (d_max + 1) * (d_max + 2) // 2
     assert all(got.values())
+
+
+def test_kp2_toric_matches_reference():
+    # divisors only, the concave one [-3] in the numerator at every degree
+    spec = ([("H", 3)], [], [[1], [1], [1], [-3]], 6)
+    got = toric_b_series(*spec)
+    assert got == toric_b_series_reference(*spec)
+    assert sorted(got) == [(d,) for d in range(7)] and all(got.values())
+
+
+def test_toric_builds_each_linear_factor_once(monkeypatch):
+    # one running product per class and direction: the quintic at degree 50
+    # makes 251 + 50 table products and about a dozen per slice
+    real, calls = nilpotent.mul, []
+    monkeypatch.setattr(nilpotent, "mul", lambda *args: calls.append(1) or real(*args))
+    assert quintic_toric(50)[(50,)]
+    assert len(calls) <= 20 * 51
 
 
 @pytest.mark.parametrize("gens,d_max", [([("H", 5)], -1), ([], 1), ([("H", 0)], 1),

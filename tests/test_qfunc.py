@@ -15,12 +15,12 @@ from dualcalc.partitions import enumerate_partitions, size
 from dualcalc.qfunc import QFunction, ULaurent, bracket_quotient, sum_of_products
 from dualcalc.scalars import GaussianRational
 from dualcalc.series import LambdaSeries
-from oracles import (q_series, reciprocal, sin_expand, sum_of_products_reference,
+from oracles import (q_series, qfunction, reciprocal, sin_expand, sum_of_products_reference,
                      tau_from_model, to_lambda_reference)
 
 
 def q(num, den, ipow=0):
-    return QFunction(ipow, ULaurent(num), ULaurent(den))
+    return qfunction(ipow, ULaurent(num), ULaurent(den))
 
 
 def test_reduction_cancels():
@@ -31,7 +31,7 @@ def test_reduction_cancels():
 
 def test_bracket_to_sine():
     # (-i)(u - u^{-1}) = 2 sin(lambda/2)
-    f = QFunction(1, ULaurent.bracket(1), ULaurent.const(1))
+    f = qfunction(1, ULaurent.bracket(1), ULaurent.const(1))
     got = f.to_lambda(8)
     assert got.eq_through(sin_expand(1, 8), 0, 8)
 
@@ -42,7 +42,7 @@ def test_const_expansion():
 
 def test_inverse_bracket_expansion():
     # value = 1/(2 sin(lambda/2)): 1/L + L/24 + 7 L^3 / 5760 + ...
-    f = QFunction(-1, ULaurent.const(1), ULaurent.bracket(1))
+    f = qfunction(-1, ULaurent.const(1), ULaurent.bracket(1))
     s = f.to_lambda(4)
     assert s.floor == -1
     assert s.coeff(-1).as_scalar() == GaussianRational(1)
@@ -89,7 +89,7 @@ def _den_from(c, k, brackets, geoms):
     return den
 
 
-# the constructor's domain: c * u^k * products of brackets u^m - u^-m and of 1 - u^(2i)
+# the domain of oracles.qfunction: c * u^k * products of brackets u^m - u^-m and of 1 - u^(2i)
 den_poly = st.builds(_den_from, small_frac.filter(bool), st.integers(-3, 3),
                      st.lists(st.integers(1, 4), max_size=3),
                      st.lists(st.integers(1, 3), max_size=2))
@@ -98,8 +98,8 @@ den_poly = st.builds(_den_from, small_frac.filter(bool), st.integers(-3, 3),
 @settings(max_examples=100, deadline=None)
 @given(nonzero_upoly, nonzero_upoly, den_poly, den_poly)
 def test_to_lambda_is_ring_hom(n1, n2, d1, d2):
-    f = QFunction(0, n1, d1)
-    g = QFunction(0, n2, d2)
+    f = qfunction(0, n1, d1)
+    g = qfunction(0, n2, d2)
     trunc = 6
     lhs = (f * g).to_lambda(trunc)
     rhs = f.to_lambda(trunc) * g.to_lambda(trunc)
@@ -111,14 +111,14 @@ def test_to_lambda_is_ring_hom(n1, n2, d1, d2):
 @settings(max_examples=60, deadline=None)
 @given(nonzero_upoly, nonzero_upoly, nonzero_upoly)
 def test_qfunction_mul_assoc(a, b, c):
-    fa = QFunction(0, a, ULaurent.const(1))
-    fb = QFunction(0, b, ULaurent.const(1))
-    fc = QFunction(1, c, ULaurent.const(1))
+    fa = qfunction(0, a, ULaurent.const(1))
+    fb = qfunction(0, b, ULaurent.const(1))
+    fc = qfunction(1, c, ULaurent.const(1))
     assert (fa * fb) * fc == fa * (fb * fc)
 
 
 # bracket-denominator values: c * u^k * num / (products of u^m - u^-m and 1 - u^(2i))
-bracket_value = st.builds(lambda n, d, ipow: QFunction(ipow, n, d),
+bracket_value = st.builds(lambda n, d, ipow: qfunction(ipow, n, d),
                           nonzero_upoly, den_poly, st.integers(0, 1))
 
 
@@ -140,32 +140,32 @@ def test_factored_sum_and_product_match_expansions(f, g):
 
 def test_factored_denominator_is_cyclotomic_product():
     # u^3 - u^-3 = u^-3 (u - 1)(u + 1)(u^2 + u + 1)(u^2 - u + 1)
-    f = QFunction(0, ULaurent.const(1), ULaurent.bracket(3))
+    f = qfunction(0, ULaurent.const(1), ULaurent.bracket(3))
     assert f.fac == ((1, 1), (2, 1), (3, 1), (6, 1))
     assert f.num == ULaurent.mono(3)
     assert f.den == ULaurent({6: 1, 0: -1})
     # a shared factor cancels: (1 + u) / (1 - u^2) = 1 / (1 - u)
-    g = QFunction(0, ULaurent({0: 1, 1: 1}), ULaurent({0: 1, 2: -1}))
+    g = qfunction(0, ULaurent({0: 1, 1: 1}), ULaurent({0: 1, 2: -1}))
     assert g.fac == ((1, 1),) and g.num == ULaurent.const(-1)
 
 
 def test_non_cyclotomic_denominator_is_a_usage_error():
     with pytest.raises(UsageError):
-        QFunction(0, ULaurent.const(1), ULaurent({0: 2, 1: 1}))
+        qfunction(0, ULaurent.const(1), ULaurent({0: 2, 1: 1}))
     with pytest.raises(UsageError):
-        QFunction(0, ULaurent.const(1), ULaurent({0: 1, 1: 1, 3: 1}))
+        qfunction(0, ULaurent.const(1), ULaurent({0: 1, 1: 1, 3: 1}))
 
 
 def test_sums_and_products_cancel_shared_factors():
     one_minus_u = ULaurent({0: 1, 1: -1})
-    a = QFunction(0, ULaurent.const(1), one_minus_u)
-    b = QFunction(0, ULaurent({1: -1}), one_minus_u)
+    a = qfunction(0, ULaurent.const(1), one_minus_u)
+    b = qfunction(0, ULaurent({1: -1}), one_minus_u)
     assert a + b == QFunction.const(1)                 # (1 - u)/(1 - u)
-    assert a * QFunction(0, one_minus_u, ULaurent.const(1)) == QFunction.const(1)
+    assert a * qfunction(0, one_minus_u, ULaurent.const(1)) == QFunction.const(1)
     # 1/(u - u^-1) + 1/(u^2 - u^-2) over the common denominator, then reduced
-    c = QFunction(1, ULaurent.const(1), ULaurent.bracket(1))
-    d = QFunction(1, ULaurent.const(1), ULaurent.bracket(2))
-    assert c + d == QFunction(1, ULaurent({3: 1, 1: 1, 2: 1}), ULaurent({4: 1, 0: -1}))
+    c = qfunction(1, ULaurent.const(1), ULaurent.bracket(1))
+    d = qfunction(1, ULaurent.const(1), ULaurent.bracket(2))
+    assert c + d == qfunction(1, ULaurent({3: 1, 1: 1, 2: 1}), ULaurent({4: 1, 0: -1}))
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,9 +180,9 @@ def test_sum_of_products_matches_term_by_term_sum(terms):
 
 def test_sum_of_products_phase_two_is_a_negated_numerator():
     # phases 1 and 3 (and 0 and 2) differ by a sign; the sum is the fold's value
-    a = QFunction(1, ULaurent({2: 1, 0: 3}), ULaurent.bracket(2))
-    b = QFunction(3, ULaurent.const(5), ULaurent.bracket(3))
-    c = QFunction(0, ULaurent.mono(1), ULaurent.bracket(1))
+    a = qfunction(1, ULaurent({2: 1, 0: 3}), ULaurent.bracket(2))
+    b = qfunction(3, ULaurent.const(5), ULaurent.bracket(3))
+    c = qfunction(0, ULaurent.mono(1), ULaurent.bracket(1))
     terms = [((a,), 1), ((b,), 0), ((c, c, a), -2), ((a, c, c), 3)]
     got = sum_of_products(terms)
     assert got == sum_of_products_reference(terms)
@@ -191,8 +191,8 @@ def test_sum_of_products_phase_two_is_a_negated_numerator():
 
 
 def test_sum_of_products_mismatched_phases_is_a_usage_error():
-    a = QFunction(1, ULaurent.const(1), ULaurent.bracket(1))
-    b = QFunction(0, ULaurent.const(1), ULaurent.bracket(2))
+    a = qfunction(1, ULaurent.const(1), ULaurent.bracket(1))
+    b = qfunction(0, ULaurent.const(1), ULaurent.bracket(2))
     with pytest.raises(UsageError, match="incompatible phases"):
         sum_of_products([((a,), 0), ((b,), 0)])
     with pytest.raises(UsageError, match="incompatible phases"):
@@ -200,8 +200,8 @@ def test_sum_of_products_mismatched_phases_is_a_usage_error():
 
 
 def test_sum_of_products_all_cancelling_is_zero():
-    a = QFunction(1, ULaurent({3: 1, 0: -2}), ULaurent.bracket(2) * ULaurent.bracket(3))
-    b = QFunction(0, ULaurent.const(7), ULaurent.bracket(1))
+    a = qfunction(1, ULaurent({3: 1, 0: -2}), ULaurent.bracket(2) * ULaurent.bracket(3))
+    b = qfunction(0, ULaurent.const(7), ULaurent.bracket(1))
     got = sum_of_products([((a, b), 1), ((b, -a), 1), ((a,), 0), ((-a,), 0)])
     assert got == QFunction.zero()
     assert (got.ipow, got.num, got.fac) == (0, ULaurent(), ())
@@ -213,7 +213,7 @@ def _cyclotomic_value(ipow, num, fac):
     for e, m in fac:
         for _ in range(m):
             den = den * qfunc._cyclotomic(e)
-    return QFunction(ipow, num, den)
+    return qfunction(ipow, num, den)
 
 
 # values over random products of cyclotomic polynomials Phi_e, with any phase
@@ -237,13 +237,13 @@ def test_sum_of_products_matches_pairwise_fold(parity, terms):
 def test_window_at_or_below_valuation_is_zero_through_window():
     # (u - u^-1)^2 = (2i sin(lambda/2))^2 = -lambda^2 + ...: zero below lambda^2,
     # not the exact zero
-    sq = QFunction(0, ULaurent.bracket(1) * ULaurent.bracket(1), ULaurent.const(1))
+    sq = qfunction(0, ULaurent.bracket(1) * ULaurent.bracket(1), ULaurent.const(1))
     for trunc in (-2, 0, 1, 2):
         s = sq.to_lambda(trunc)
         assert not s.is_exact_zero() and s.trunc == trunc and s.is_zero_through()
     assert sq.to_lambda(3).coeff(2).as_scalar() == GaussianRational(-1)
     # 1/(2 sin(lambda/2)) = 1/lambda + ...; trunc + (Phi_1 exponent) <= 0 is not an IndexError
-    inv = QFunction(-1, ULaurent.const(1), ULaurent.bracket(1))
+    inv = qfunction(-1, ULaurent.const(1), ULaurent.bracket(1))
     for trunc in (-4, -1):
         s = inv.to_lambda(trunc)
         assert not s.is_exact_zero() and s.trunc == trunc and s.is_zero_through()
@@ -262,7 +262,7 @@ def _direct(ipow, p: ULaurent, j: int) -> GaussianRational:
 @settings(max_examples=100, deadline=None)
 @given(nonzero_upoly, st.integers(0, 3), st.integers(-2, 7))
 def test_to_lambda_of_polynomial_is_direct_sum(p, ipow, trunc):
-    f = QFunction(ipow, p, ULaurent.const(1))
+    f = qfunction(ipow, p, ULaurent.const(1))
     s = f.to_lambda(trunc)
     assert s.trunc == trunc
     for j in range(min(s.floor, 0), trunc):
@@ -274,7 +274,7 @@ def test_to_lambda_of_polynomial_is_direct_sum(p, ipow, trunc):
 def test_to_lambda_times_denominator_is_numerator(f, extra):
     v = dict(f.fac).get(1, 0)
     trunc = v + extra
-    prod = f.to_lambda(trunc) * QFunction(0, f.den, ULaurent.const(1)).to_lambda(trunc)
+    prod = f.to_lambda(trunc) * qfunction(0, f.den, ULaurent.const(1)).to_lambda(trunc)
     assert prod.trunc >= extra
     for j in range(prod.trunc):
         assert prod.coeff(j) == tau_from_model({0: _direct(f.ipow, f.num, j)}), j

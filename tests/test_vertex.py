@@ -11,7 +11,7 @@ from dualcalc.series import LambdaSeries
 from dualcalc.vertex import (cover_table, extract_gw, gv_forward, gv_invert,
                              local_p2_free_energy, local_p2_z,
                              rebuild_partition_function)
-from oracles import gv_forward_reference, reciprocal, sin_expand
+from oracles import gv_forward_reference, qfunction, reciprocal, sin_expand
 
 
 def test_degree_zero_is_one():
@@ -98,7 +98,7 @@ def test_grouped_slice_matches_term_by_term_sum(d):
                 for nu2 in enumerate_partitions(b):
                     for nu3 in enumerate_partitions(d - a - b):
                         ks = kappa(nu1) + kappa(nu2) + kappa(nu3)
-                        u_ks = QFunction(0, ULaurent.mono(ks), ULaurent.const(1))
+                        u_ks = qfunction(0, ULaurent.mono(ks), ULaurent.const(1))
                         acc = acc + (w_pair(nu1, nu2) * w_pair(nu2, nu3)
                                      * w_pair(nu3, nu1)) * u_ks
     if d % 2:
