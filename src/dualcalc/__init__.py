@@ -2,9 +2,11 @@
 identities, with the connecting checks.
 
 Subsystems: Bernoulli numbers and the Gaussian-rational view type, the
-integer polynomial kernel behind every Laurent type, dense and lambda-truncated series (``scalars``,
-``laurent``, ``dense``, ``series``, ``qfunc``), partition and character
-data (``partitions``, ``schur``), quantum-dimension W values
+integer polynomial kernel behind every Laurent type, dense and lambda-truncated
+series and rational functions of q, the last two each summed by one kernel
+(``scalars``, ``laurent``, ``dense``, ``series``, ``qfunc``), partition and
+character data and skew Schur numerators (``partitions``, ``schur``),
+quantum-dimension W values
 (``chern_simons``), the partition-indexed series ring with cut-and-join
 operators (``pseries``), Hurwitz and ELSV (``hurwitz``), the framed
 triple-Hodge series (``hodge``), the local-P2 vertex with the one
@@ -20,7 +22,6 @@ from .scalars import GaussianRational, bernoulli
 from .series import LambdaSeries, TauLaurent
 from .qfunc import QFunction, ULaurent
 from .partitions import character, enumerate_partitions, parse_partition
-from .schur import skew_schur_principal
 from .chern_simons import w_one, w_pair
 from .pseries import PSeries
 from .hurwitz import (burnside_phi, double_hurwitz, elsv_I, hurwitz_number,

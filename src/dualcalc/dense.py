@@ -8,13 +8,16 @@ built by one ``_new``, the one content reduction.  The kernel serves the
 quintic mirror map's Q-series: ``lagrange`` inverts and substitutes it in
 ``mirror.candelas``, and ``compose`` substitutes for the round-trip check.
 
-``graded_log`` takes the weight slices of a graded series over any ring with
-``*``, ``-`` and ``scale``: ``PSeries`` by key weight, the local-P2
-``QFunction`` slices by degree.
+``graded_log`` takes the weight slices of a graded series over any ring
+that has one sum of c*a*b terms: ``PSeries._fold`` by key weight, the
+local-P2 ``QFunction`` slices by degree through ``qfunc.sum_of_products``.
+Each slice of the log is one such sum, so each coefficient is reduced once.
+``power_sums`` gives the moments of an exponential sum, which the Hurwitz
+series and ``QFunction.to_lambda`` expand in.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -126,14 +129,24 @@ def lagrange(hs: Sequence[Laurent], u: Laurent, n: int) -> list[Laurent]:
     return [_series(h, num, h.den * top) for h, num in zip(hs, nums)]
 
 
-def graded_log(z: Sequence, zero) -> list:
-    """Slices zero, F_1..F_n of log Z from Z_0 = 1 (not read), Z_1..Z_n:
-    w F_w = w Z_w - sum_{0<j<w} j F_j Z_{w-j}."""
-    f = [zero]
+def power_sums(terms: Iterable[tuple[int, int]], n: int) -> list[int]:
+    """s_j = sum c h^j over the exponential sum ((h, c), ...), j < n: the x^j
+    coefficient of sum c e^{h x} is s_j / j!."""
+    s = [0] * n
+    for h, c in terms:
+        for j in range(n):
+            s[j] += c
+            c *= h
+    return s
+
+
+def graded_log(z: Sequence, fold: Callable) -> list:
+    """Slices F_0 = 0, F_1..F_n of log Z from Z_0 = 1 (not read), Z_1..Z_n,
+    each one ``fold`` of (c, a, b) terms (b None for 1):
+    F_w = Z_w - sum_{0<j<w} (j/w) F_j Z_{w-j}."""
+    f = [fold([])]
     for w in range(1, len(z)):
-        acc = z[w].scale(w)
-        for j in range(1, w):
-            acc = acc - (f[j] * z[w - j]).scale(j)
-        f.append(acc.scale(Fraction(1, w)))
+        f.append(fold([(1, z[w], None)]
+                      + [(Fraction(-j, w), f[j], z[w - j]) for j in range(1, w)]))
     return f
 

@@ -132,15 +132,13 @@ def pde_residual(fs: FramedSeries) -> PSeries:
     """
     if fs.families == 1:
         r = fs.connected
-        lhs = r.tau_deriv()
-        rhs = _times_i_lambda(r.cut_join_nonlinear(0))
-        return lhs - rhs
+        return r._fold([(1, r.tau_deriv(), None),
+                        (-1, _times_i_lambda(r.cut_join_nonlinear(0)), None)])
     g = fs.disconnected
-    lhs = g.tau_deriv()
     plus = _times_i_lambda(g.cut_join_linear(0))
     minus = _times_i_lambda(g.cut_join_linear(1))
     minus = minus.map_coeffs(lambda key, s: s.map_coeffs(lambda e, t: t.shift(-2)))
-    return lhs - plus + minus
+    return g._fold([(1, g.tau_deriv(), None), (-1, plus, None), (1, minus, None)])
 
 
 def residual_window_ok(res: PSeries, need) -> bool:

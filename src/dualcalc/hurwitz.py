@@ -7,7 +7,7 @@
   the subset recursion on labelled parts (the connected part of a set of
   parts is its disconnected part minus the splits off the block of part 0),
   with products of exponential sums adding exponents; the lambda^j
-  coefficient is a power sum over j!.
+  coefficient is a power sum (``dense.power_sums``) over j!.
 * Cut-and-join route: the same numbers are grown order by order from the
   genus-0 degree-1 seed by matching coefficients of the cut-and-join
   evolution d(Phi)/d(lambda) = CJ(Phi), on partition-keyed rationals: each
@@ -27,6 +27,7 @@ from functools import lru_cache
 from itertools import product, zip_longest
 from math import comb, factorial
 
+from .dense import power_sums
 from .errors import InternalError, UsageError, VerificationFailure
 from .partitions import (Partition, add_parts, aut, character, dim, enumerate_partitions,
                          kappa, length, multiplicities, remove_part, size, zmu)
@@ -55,17 +56,6 @@ def _exp_sum(n: int, weight) -> tuple[tuple[int, int], ...]:
             hk = kappa(nu) // 2
             by_half_kappa[hk] = by_half_kappa.get(hk, 0) + c
     return tuple((hk, c) for hk, c in by_half_kappa.items() if c)
-
-
-def _power_sums(terms: tuple[tuple[int, int], ...], order: int) -> list[int]:
-    """s_j = sum c h^j over the exponential sum ((h, c), ...), j = 0..order:
-    its L^j coefficient is s_j / j!."""
-    s = [0] * (order + 1)
-    for h, c in terms:
-        for j in range(order + 1):
-            s[j] += c
-            c *= h
-    return s
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +103,7 @@ def _connected_coeff(mu: Partition, order: int) -> tuple[Frac, ...]:
         raise UsageError("connected series needs a nonempty profile")
     d = zmu(mu) * factorial(size(mu))
     return tuple(Frac(s, d * factorial(j))
-                 for j, s in enumerate(_power_sums(_connected_sum(mu), order)))
+                 for j, s in enumerate(power_sums(_connected_sum(mu), order + 1)))
 
 
 def burnside_phi(mu: Partition, trunc: int) -> LambdaSeries:
@@ -215,8 +205,8 @@ def double_hurwitz(mu: Partition, nu: Partition, trunc: int) -> LambdaSeries:
     if size(mu) != size(nu):
         raise UsageError("profiles must have equal sizes")
     zz = zmu(mu) * zmu(nu)
-    s = _power_sums(_exp_sum(size(mu), lambda eta: character(eta, mu) * character(eta, nu)),
-                    trunc - 1)
+    s = power_sums(_exp_sum(size(mu), lambda eta: character(eta, mu) * character(eta, nu)),
+                   trunc)
     return LambdaSeries.from_map(
         {j: Frac(x, zz * factorial(j)) for j, x in enumerate(s) if x}, trunc)
 

@@ -12,9 +12,12 @@ with the sums over ordered pairs and the global 1/2 as displayed; both
 conserve total weight within their family.  ``cut_join_terms`` holds the
 linear part on one monomial p_mu; the Hurwitz oracle reads it too.  The
 quadratic term forms (dF/dp_i)(dF/dp_j) only on keys with room for the
-part i+j.  Every sum (``+``, ``-``, products, derivatives, both operators)
-hands its terms c*a*b p_key to ``_sum``, one ``series.combine`` per key;
-``log`` runs the Euler recursion of ``dense.graded_log`` by weight slice.
+part i+j, and hands the products to the operator's one sum.  Every sum hands
+its terms c*a*b p_key to ``_sum``, one ``series.combine`` per key: ``_fold``
+sums c*A*B over whole series (``+``, ``-``, ``*``, each slice of ``log``,
+which runs ``dense.graded_log`` by weight slice, and the PDE residual), and
+both operators sum their terms directly.  A derivative or a product with
+variables moves each key to one other key, so it is a map, not a sum.
 """
 from __future__ import annotations
 
@@ -94,6 +97,19 @@ class PSeries:
                 groups.setdefault(key, []).append((c, a, b))
         return self._like({key: combine(t) for key, t in groups.items()})
 
+    def _fold(self, terms: Iterable[tuple[object, "PSeries", "PSeries | None"]]) -> "PSeries":
+        """The sum of c*A*B over (c, A, B), B None for 1, as one ``_sum``."""
+        return self._sum(chain.from_iterable(self._terms(*t) for t in terms))
+
+    def _terms(self, c, a: "PSeries", b: "PSeries | None" = None) -> Iterable[Term]:
+        """c*a*b as ``_sum`` terms, b None for 1."""
+        self.check_compatible(a)
+        if b is None:
+            return ((k, c, s, None) for k, s in a.co.items())
+        self.check_compatible(b)
+        return ((tuple(add_parts(x, *y) for x, y in zip(k1, k2)), c, s1, s2)
+                for k1, s1 in a.co.items() for k2, s2 in b.co.items())
+
     def coeff(self, key: Key) -> LambdaSeries:
         return self.co.get(tuple(tuple(m) for m in key), LambdaSeries.zero())
 
@@ -101,24 +117,15 @@ class PSeries:
         if self.fams != other.fams or self.caps != other.caps:
             raise UsageError("family count / degree cap mismatch")
 
-    # -- linear structure ---------------------------------------------------
-    def _terms(self, c) -> Iterable[Term]:
-        """c times self as ``_sum`` terms."""
-        return ((k, c, s, None) for k, s in self.co.items())
-
+    # -- ring operations ---------------------------------------------------
     def __add__(self, other: "PSeries") -> "PSeries":
-        self.check_compatible(other)
-        return self._sum(chain(self._terms(1), other._terms(1)))
+        return self._fold([(1, self, None), (1, other, None)])
 
-    def __neg__(self):
-        return self.scale(-1)
+    def __sub__(self, other: "PSeries") -> "PSeries":
+        return self._fold([(1, self, None), (-1, other, None)])
 
-    def __sub__(self, other):
-        self.check_compatible(other)
-        return self._sum(chain(self._terms(1), other._terms(-1)))
-
-    def scale(self, v) -> "PSeries":
-        return self._like({k: s.scale(v) for k, s in self.co.items()})
+    def __mul__(self, other: "PSeries") -> "PSeries":
+        return self._fold([(1, self, other)])
 
     def map_coeffs(self, f: Callable[[Key, LambdaSeries], LambdaSeries]) -> "PSeries":
         return self._like({k: f(k, s) for k, s in self.co.items()})
@@ -128,12 +135,6 @@ class PSeries:
 
     def tau_eval(self, x) -> "PSeries":
         return self.map_coeffs(lambda k, s: s.tau_eval(x))
-
-    # -- multiplication ----------------------------------------------------------
-    def __mul__(self, other: "PSeries") -> "PSeries":
-        self.check_compatible(other)
-        return self._sum((tuple(add_parts(a, *b) for a, b in zip(k1, k2)), 1, s1, s2)
-                         for k1, s1 in self.co.items() for k2, s2 in other.co.items())
 
     # -- grading -----------------------------------------------------------------
     def _slices(self) -> list["PSeries"]:
@@ -150,19 +151,23 @@ class PSeries:
         """log of a series with constant (empty-key) term 1."""
         ek = empty_key(self.fams)
         one = self.co.get(ek)
-        if one is None or not (one - LambdaSeries.one(one.trunc)).is_zero_through():
+        if one is None or one != LambdaSeries.one(one.trunc):
             raise UsageError("log requires constant term exactly 1")
-        return self._join(graded_log(self._slices(), self._like({})))
+        return self._join(graded_log(self._slices(), self._fold))
 
     # -- derivatives and multiplication by variables ------------------------------
     def pderiv(self, fam: int, part: int) -> "PSeries":
-        return self._sum((k[:fam] + (remove_part(k[fam], part),) + k[fam + 1:],
-                          k[fam].count(part), s, None)
-                         for k, s in self.co.items() if part in k[fam])
+        co = {}
+        for k, s in self.co.items():
+            m = k[fam].count(part)
+            if m:
+                key = k[:fam] + (remove_part(k[fam], part),) + k[fam + 1:]
+                co[key] = s if m == 1 else s.scale(m)
+        return self._like(co)
 
     def mul_parts(self, fam: int, *parts: int) -> "PSeries":
-        return self._sum((k[:fam] + (add_parts(k[fam], *parts),) + k[fam + 1:], 1, s, None)
-                         for k, s in self.co.items())
+        return self._like({k[:fam] + (add_parts(k[fam], *parts),) + k[fam + 1:]: s
+                           for k, s in self.co.items()})
 
     # -- cut-and-join --------------------------------------------------------------
     def _cut_join_terms(self, fam: int) -> Iterable[Term]:
@@ -184,12 +189,12 @@ class PSeries:
             for j, dj in derivs.items():
                 if j < i or i + j > cap:
                     continue
-                # only keys with room for the part i+j survive: form no others
+                # only factors with room for the part i+j can give a kept key
                 room = self.caps[:fam] + (cap - i - j,) + self.caps[fam + 1:]
-                prod = PSeries(self.fams, room, di.co) * PSeries(self.fams, room, dj.co)
-                prod = self._like(prod.co).mul_parts(fam, i + j)
+                left = self._like(PSeries(self.fams, room, di.co).co).mul_parts(fam, i + j)
+                right = self._like(PSeries(self.fams, room, dj.co).co)
                 w = Fraction(i * j) if i != j else Fraction(i * j, 2)
-                terms.extend(prod._terms(w))
+                terms.extend(self._terms(w, left, right))
         return self._sum(terms)
 
     # -- predicates ---------------------------------------------------------------

@@ -9,12 +9,15 @@ principal-specialization factors 1 - u^(2i).  So no polynomial gcd is ever
 taken: a product adds exponents, a sum takes the largest exponent of each
 factor, and reduction is a trial exact division of the numerator by each
 Phi_e present (Phi_e is irreducible over Q), run on the integer numerators.
-Keeping the phase separate leaves all polynomial arithmetic inside Q(u).
+``sum_of_products`` is the one sum: c u^k times a product of values, summed
+over terms and reduced once; ``+`` and ``*`` are calls to it.  Keeping the
+phase separate leaves all polynomial arithmetic inside Q(u).
 ``to_lambda`` expands a value at u = e^{sqrt(-1) lambda/2} (so
 q = e^{sqrt(-1) lambda}) on integers: num and den become integer series in
 y = sqrt(-1) lambda/2 over one shared factorial, their quotient is taken
-fraction-free against a cached denominator side, and the phase and the
-powers of 2 join only as each lambda^e coefficient is stored.
+fraction-free against a cached denominator side (both series are power
+sums, ``dense.power_sums``), and the phase and the powers of 2 join only as
+each lambda^e coefficient is stored.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import factorial
 
+from .dense import power_sums
 from .errors import InternalError, UsageError
 from .laurent import Laurent
 from .series import TL_ONE, LambdaSeries
@@ -86,11 +90,8 @@ def _expand(fac: Factors) -> ULaurent:
 def _y_series(num: dict[int, int], n: int, length: int) -> list[int]:
     """sum_m num[m] e^{m y} through y^(n-1), times (length-1)! for n <= length:
     the y^j coefficient is (length-1)!/j! sum_m num[m] m^j, an integer."""
-    terms, out = list(num.items()), []
-    for j in range(n):
-        out.append(sum(v for _m, v in terms) * (factorial(length - 1) // factorial(j)))
-        terms = [(m, v * m) for m, v in terms]
-    return out
+    return [s * (factorial(length - 1) // factorial(j))
+            for j, s in enumerate(power_sums(num.items(), n))]
 
 
 @lru_cache(maxsize=None)
@@ -142,10 +143,6 @@ class QFunction:
         return QFunction._of(0, ULaurent.const(v), ())
 
     @staticmethod
-    def zero() -> "QFunction":
-        return QFunction._of(0, ULaurent(), ())
-
-    @staticmethod
     def from_factors(ipow: int, num: ULaurent, fac: Factors) -> "QFunction":
         """(-sqrt(-1))**ipow * num / prod Phi_e^{m_e} over ``fac``, sorted by e, reduced."""
         return QFunction._of(ipow, num, fac, dict(fac))
@@ -168,33 +165,10 @@ class QFunction:
 
     # -- arithmetic -------------------------------------------------------------
     def __mul__(self, o: "QFunction") -> "QFunction":
-        # each operand is reduced, so only a factor of exactly one
-        # denominator can cancel, against the other operand's numerator
-        fac = Counter(dict(self.fac))
-        fac.update(dict(o.fac))
-        return QFunction._of(self.ipow + o.ipow, self.num * o.num, tuple(sorted(fac.items())),
-                             dict(self.fac).keys() ^ dict(o.fac).keys())
+        return sum_of_products([(1, (self, o), 0)])
 
     def __add__(self, o: "QFunction") -> "QFunction":
-        if not self.num:
-            return o
-        if not o.num:
-            return self
-        if self.ipow != o.ipow:
-            raise UsageError("adding QFunctions with incompatible phases")
-        fa, fb = dict(self.fac), dict(o.fac)
-        top = tuple(sorted((e, max(fa.get(e, 0), fb.get(e, 0))) for e in {**fa, **fb}))
-        num = (self.num * _expand(tuple((e, m - fa.get(e, 0)) for e, m in top))
-               + o.num * _expand(tuple((e, m - fb.get(e, 0)) for e, m in top)))
-        # over the common denominator a factor whose exponents differ divides
-        # exactly one summand's complement, so only equal exponents can cancel
-        return QFunction._of(self.ipow, num, top, {e for e in fa if fa[e] == fb.get(e)})
-
-    def __neg__(self):
-        return QFunction._of(self.ipow + 2, self.num, self.fac)
-
-    def __sub__(self, o):
-        return self + (-o)
+        return sum_of_products([(1, (self,), 0), (1, (o,), 0)])
 
     def scale(self, v) -> "QFunction":
         return QFunction._of(self.ipow, self.num.scale(v), self.fac)
@@ -254,17 +228,18 @@ def bracket_quotient(ipow: int, tops: Iterable[int], bottoms: Iterable[int]) -> 
     return QFunction._of(ipow, num, tuple(sorted((e, -a) for e, a in mult.items() if a < 0)))
 
 
-def sum_of_products(terms: Iterable[tuple[Sequence[QFunction], int]]) -> QFunction:
-    """sum of u^shift * prod(factors) over ``terms`` = ((factors, shift), ...).
+def sum_of_products(terms: Iterable[tuple[object, Sequence[QFunction], int]]) -> QFunction:
+    """sum of c u^shift prod(factors) over ``terms`` = ((c, factors, shift), ...),
+    c rational: the one sum of ``QFunction`` values, behind ``+`` and ``*``.
 
     The unreduced products are summed per (phase, denominator), a phase 2 read
     as a negated numerator; the nonzero sums go over the largest exponent of
     each Phi_e, and their integer numerators are added and reduced once.
-    Raises UsageError when two phases differ by 1, as ``+`` does.
+    Raises UsageError when two live phases differ by 1.
     """
     groups: dict[tuple[int, Factors], ULaurent] = {}
-    for factors, shift in terms:
-        ipow, num, fac = 0, ULaurent.mono(shift), Counter()
+    for c, factors, shift in terms:
+        ipow, num, fac = 0, ULaurent({shift: c}), Counter()
         for f in factors:
             ipow += f.ipow
             num = num * f.num

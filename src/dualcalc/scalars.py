@@ -5,10 +5,9 @@ real and imaginary parts.  No computation of the package forms one: the
 arithmetic keeps the phase apart as an integer power of i
 (``series.TauLaurent`` as i^ph times integers over one denominator,
 ``qfunc.QFunction`` as a power of -i times a rational function).  It is the
-type of the read-only views ``TauLaurent.c`` and ``TauLaurent.as_scalar``,
-which read a coefficient out as one complex number, and of the test oracles
-that compare against one.  There is no floating point anywhere in the
-package.
+type of the read-only view ``TauLaurent.c``, which reads coefficients out
+as complex numbers, and of the test oracles that compare against one.
+There is no floating point anywhere in the package.
 """
 from __future__ import annotations
 
@@ -128,7 +127,6 @@ class GaussianRational:
         return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i)"
 
 
-GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 

@@ -1,18 +1,20 @@
-"""Principal specializations of skew Schur functions, as exact q-functions.
+"""Principal specializations of skew Schur functions, as integer numerators
+over factored denominators.
 
 Stanley (EC2, Prop. 7.19.11): s_{mu/rho}(1, q, q^2, ...) = f_{mu/rho}(q)/(q;q)_n,
 n = |mu/rho|, with f the Jacobi-Trudi determinant det(h_{mu_i - rho_j - i + j}),
 h_k = 1/(q;q)_k, on integers: each minor on rows i.. is taken times (q;q)_m, m the
 sum of its h-indices, so a Laplace step is a Gaussian binomial times a smaller
 integer minor.  With q = u^2, (q;q)_n = (-1)^n prod_{i<=n} prod_{e | 2i} Phi_e(u)
-comes factored, so each value is reduced once.
+comes factored (``pochhammer_factors``), so ``chern_simons.w_pair`` puts its
+sum of numerator products over it and reduces each value once.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 from .partitions import Partition, contains, length, size
-from .qfunc import Factors, QFunction, ULaurent, bracket_quotient
+from .qfunc import Factors, ULaurent, bracket_quotient
 
 
 @lru_cache(maxsize=None)
@@ -56,10 +58,3 @@ def skew_numerator(mu: Partition, rho: Partition, top: int) -> ULaurent:
     for i in range(size(mu) - size(rho) + 1, top + 1):
         out = out * ULaurent({2 * i: 1, 0: -1})
     return out
-
-
-@lru_cache(maxsize=None)
-def skew_schur_principal(mu: Partition, rho: Partition) -> QFunction:
-    """s_{mu/rho}(1, q, q^2, ...) = f_{mu/rho}/(q;q)_{|mu/rho|}; zero unless rho is in mu."""
-    n = size(mu) - size(rho)
-    return QFunction.from_factors(2 * n, skew_numerator(mu, rho, n), pochhammer_factors(n))

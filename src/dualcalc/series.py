@@ -8,7 +8,7 @@ Two layers:
   adds only what involves the phase.  A value is built from rationals, and
   a phase enters only as an integer power of i (``phased``, ``scale``,
   ``LambdaSeries.subst_scale``); ``GaussianRational`` is only the type of
-  the read-only views ``c`` and ``as_scalar``.
+  the read-only view ``c``.
 * ``LambdaSeries`` -- truncated Laurent series in lambda whose coefficients
   are ``TauLaurent`` values.  Every series carries an explicit window
   ``[floor, trunc)``; arithmetic narrows windows so that no operation ever
@@ -28,7 +28,7 @@ from math import factorial, lcm
 
 from .errors import InternalError, UsageError
 from .laurent import Laurent, convolve
-from .scalars import GR_ZERO, GaussianRational
+from .scalars import GaussianRational
 
 
 class TauLaurent(Laurent):
@@ -41,7 +41,7 @@ class TauLaurent(Laurent):
     ``phased`` and ``scale`` multiply by an integer power of i.  Shifts, the
     derivative, tau -> 1/tau and negation keep the phase and come from
     ``Laurent`` unchanged.  ``GaussianRational`` is only the type of the
-    read-only views ``c`` and ``as_scalar``.
+    read-only view ``c``.
     """
 
     __slots__ = ("ph",)
@@ -96,14 +96,7 @@ class TauLaurent(Laurent):
         q = Laurent.divexact(self, o)
         return q._new(q.num, q.den, q.ph - o.ph)
 
-    # -- scalars --------------------------------------------------------------
-    def as_scalar(self) -> GaussianRational:
-        if not self.num:
-            return GR_ZERO
-        if set(self.num) != {0}:
-            raise InternalError(f"tau-dependent where scalar expected: {self}")
-        return self.c[0]
-
+    # -- evaluation -------------------------------------------------------------
     def eval(self, x) -> "TauLaurent":
         """The value at tau = x for an int or Fraction x = a/b, as a constant
         with self's phase, in integers: the sum of num[k] a^(k-lo) b^(hi-k)
@@ -202,9 +195,6 @@ class LambdaSeries:
     # -- arithmetic -----------------------------------------------------------
     def __add__(self, other: "LambdaSeries") -> "LambdaSeries":
         return combine([(1, self, None), (1, other, None)])
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def __sub__(self, other):
         return combine([(1, self, None), (-1, other, None)])

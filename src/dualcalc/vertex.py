@@ -7,10 +7,12 @@ over partition triples with total size d:
 
 kept as an exact rational function of u (q^{kappa/2} is an integral u-power
 because kappa is even): ``sum_of_products`` adds the products of the reduced
-W values as integer numerators and reduces each slice once.  The connected
-free energy is the degree-graded log; its degree-d slice expands as a
-lambda-Laurent series with floor >= -2 and even exponents only, and N_{g,d}
-is the lambda^{2g-2} coefficient.
+W values, the sign (-1)^d as their coefficient, as integer numerators and
+reduces each slice once.  The connected free energy is the degree-graded
+log (``dense.graded_log``), again one ``sum_of_products`` per slice; its
+degree-d slice expands as a lambda-Laurent series with floor >= -2 and even
+exponents only, and N_{g,d} is the lambda^{2g-2} coefficient, read off its
+phase, integer numerator and denominator.
 
 GV inversion is the Gopakumar-Vafa resummation
 
@@ -47,15 +49,16 @@ def local_p2_z(d_max: int) -> tuple[QFunction, ...]:
     """Degree slices Z_0..Z_{d_max} of the local-P2 partition function."""
     if d_max < 0:
         raise UsageError("degree must be nonnegative")
-    out = tuple(sum_of_products(_vertex_terms(d)).scale((-1) ** d) for d in range(d_max + 1))
+    out = tuple(sum_of_products(_vertex_terms(d)) for d in range(d_max + 1))
     if out[0] != QFunction.const(1):
         raise InternalError("degree-0 vertex slice must be 1")
     return out
 
 
-def _vertex_terms(d: int) -> Iterator[tuple[tuple[QFunction, ...], int]]:
-    """The factors W(nu1,nu2) W(nu2,nu3) W(nu3,nu1) and u-power sum kappa_i
-    of each partition triple of total size d."""
+def _vertex_terms(d: int) -> Iterator[tuple[int, tuple[QFunction, ...], int]]:
+    """The sign (-1)^d, the factors W(nu1,nu2) W(nu2,nu3) W(nu3,nu1) and the
+    u-power sum kappa_i of each partition triple of total size d."""
+    sign = (-1) ** d
     for a in range(d + 1):
         for b in range(d + 1 - a):
             for nus in product(enumerate_partitions(a), enumerate_partitions(b),
@@ -64,32 +67,30 @@ def _vertex_terms(d: int) -> Iterator[tuple[tuple[QFunction, ...], int]]:
                 if ks % 2:
                     raise InternalError("odd kappa sum in vertex term")
                 nu1, nu2, nu3 = nus
-                yield (w_pair(nu1, nu2), w_pair(nu2, nu3), w_pair(nu3, nu1)), ks
+                yield sign, (w_pair(nu1, nu2), w_pair(nu2, nu3), w_pair(nu3, nu1)), ks
 
 
 @lru_cache(maxsize=None)
 def local_p2_free_energy(d_max: int) -> tuple[QFunction, ...]:
-    """Connected slices F_1..F_{d_max}: the degree-graded log of Z.
+    """Slices F_0 = 0, F_1..F_{d_max}: the degree-graded log of Z, one
+    ``sum_of_products`` per slice:
 
-    d F_d = d Z_d - sum_{j<d} j F_j Z_{d-j}.
+    F_d = Z_d - sum_{j<d} (j/d) F_j Z_{d-j}.
     """
-    return tuple(dense.graded_log(local_p2_z(d_max), QFunction.zero()))
+    return tuple(dense.graded_log(local_p2_z(d_max), lambda terms: sum_of_products(
+        (c, (a,) if b is None else (a, b), 0) for c, a, b in terms)))
 
 
 def rebuild_partition_function(d_max: int) -> bool:
-    """exp/log round trip at the rational-function level: exp(F) == Z."""
+    """exp/log round trip at the rational-function level: exp(F) == Z, each
+    slice one sum over the compositions of d into m parts >= 1 of
+    prod F_{d_i} / m! (m = 0 gives the 1 of degree 0)."""
     z = local_p2_z(d_max)
     f = local_p2_free_energy(d_max)
     for d in range(d_max + 1):
-        acc = QFunction.const(1) if d == 0 else QFunction.zero()
-        # sum over compositions of d into m parts >= 1 of prod F_{d_i} / m!
-        for m in range(1, d + 1):
-            for comp in compositions(d - m, m):
-                term = QFunction.const(Frac(1, factorial(m)))
-                for part in comp:
-                    term = term * f[part + 1]
-                acc = acc + term
-        if acc != z[d]:
+        exp_f = sum_of_products((Frac(1, factorial(m)), [f[part + 1] for part in comp], 0)
+                                for m in range(d + 1) for comp in compositions(d - m, m))
+        if exp_f != z[d]:
             return False
     return True
 
@@ -117,10 +118,12 @@ def extract_gw(d_max: int, g_max: int) -> NTable:
             if e % 2 and s.coeff(e):
                 raise InternalError(f"odd lambda-power {e} survives at degree {d}")
         for g in range(g_max + 1):
-            c = s.coeff(2 * g - 2).as_scalar()
-            if c.im:
+            c = s.coeff(2 * g - 2)
+            if set(c.num) - {0}:
+                raise InternalError(f"tau-dependent where scalar expected: {c}")
+            if c.ph:
                 raise InternalError("imaginary Gromov-Witten coefficient")
-            out[(g, d)] = c.re
+            out[(g, d)] = Frac(c.num.get(0, 0), c.den)
     return out
 
 

@@ -1,6 +1,8 @@
 """Helpers shared by the tests: the canonical-form check of the integer
 polynomial kernel in ``dualcalc.laurent``, the converter from a
-``GaussianRational`` model to a phased ``TauLaurent``, a q-expansion oracle, a
+``GaussianRational`` model to a phased ``TauLaurent`` and the read of a
+tau-free one as a ``GaussianRational``, ``PSeries`` scaling and ``QFunction``
+negation (the package sums with coefficients instead), a q-expansion oracle, a
 ``Fraction`` lambda-expansion oracle, a series reciprocal, the pairwise fold
 that ``series.combine`` replaces, the pairwise ``PSeries`` sums and the
 two-branch framed build that ``PSeries._sum`` and the one build loop
@@ -17,9 +19,11 @@ Grassmannian read through the live ``mirror`` row kernels, the
 lambda-series multi-cover resummation that ``vertex.gv_forward`` replaces,
 the Jacobi-Trudi expansion over reduced ``QFunction`` entries that the
 fraction-free ``schur`` determinant replaces, the reduced-product W pair that
-``chern_simons.w_pair`` replaces, and the pairwise fold that
-``qfunc.sum_of_products`` replaces."""
+``chern_simons.w_pair`` replaces, the pairwise ``QFunction`` product, sum and
+fold that ``qfunc.sum_of_products`` replaces, and the pairwise graded log
+that the one fold per slice of ``dense.graded_log`` replaces."""
 from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations, permutations
 from math import comb, factorial, gcd
@@ -32,7 +36,7 @@ from dualcalc.laurent import Laurent, Poly
 from dualcalc.partitions import (add_parts, character, compositions, enumerate_partitions,
                                  intersection, kappa, remove_part, sub_diagrams, zmu)
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key
-from dualcalc.qfunc import QFunction, ULaurent, _strip
+from dualcalc.qfunc import QFunction, ULaurent, _expand, _strip
 from dualcalc.scalars import GaussianRational
 from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine
 
@@ -89,6 +93,26 @@ def tau_from_model(model):
     return TauLaurent.phased(ph, {k: v.im if ph else v.re for k, v in model.items()})
 
 
+def as_scalar(t):
+    """A tau-free ``TauLaurent`` as one ``GaussianRational``; raises
+    InternalError when it depends on tau."""
+    if not t.num:
+        return GaussianRational(0)
+    if set(t.num) != {0}:
+        raise InternalError(f"tau-dependent where scalar expected: {t}")
+    return t.c[0]
+
+
+def pscale(x, v):
+    """v times a ``PSeries``, coefficient by coefficient."""
+    return x.map_coeffs(lambda key, s: s.scale(v))
+
+
+def qneg(f):
+    """-f for a ``QFunction``: a phase of 2 more."""
+    return QFunction._of(f.ipow + 2, f.num, f.fac)
+
+
 def q_series(f, order):
     """q-expansion of a ``QFunction`` through q^order, as Fractions.
 
@@ -139,7 +163,7 @@ def reciprocal(s):
     on the coefficients from its lowest nonzero term: 1/s has as many
     coefficients as s from there, starting at minus its valuation."""
     s = s.pruned()
-    co = [c.as_scalar() for c in s.co]
+    co = [as_scalar(c) for c in s.co]
     assert not any(c.im for c in co)
     inv = dense_inv([c.re for c in co], len(co))
     return LambdaSeries.from_map({j - s.floor: c for j, c in enumerate(inv) if c},
@@ -251,7 +275,7 @@ def cut_join_nonlinear_reference(x, fam):
             prod = mul_reference(PSeries(x.fams, room, di.co), PSeries(x.fams, room, dj.co))
             prod = mul_parts_reference(x._like(prod.co), fam, i + j)
             w = Fraction(i * j) if i != j else Fraction(i * j, 2)
-            out = add_reference(out, prod.scale(w))
+            out = add_reference(out, pscale(prod, w))
     return out
 
 
@@ -294,8 +318,8 @@ def graded_exp(f, one):
     for w in range(1, len(f)):
         acc = f[1] * t[w - 1]
         for j in range(2, w + 1):
-            acc = acc + (f[j] * t[w - j]).scale(j)
-        t.append(acc.scale(Fraction(1, w)))
+            acc = acc + pscale(f[j] * t[w - j], j)
+        t.append(pscale(acc, Fraction(1, w)))
     return t
 
 
@@ -392,7 +416,7 @@ def _quad_term(da, db, cap):
     for i, ai in da.items():
         for j, bj in db.items():
             if i + j <= cap:
-                out = out + (ai * bj).mul_parts(0, i + j).scale(Fraction(i * j, 2))
+                out = out + pscale((ai * bj).mul_parts(0, i + j), Fraction(i * j, 2))
     return out
 
 
@@ -408,7 +432,7 @@ def cutjoin_slice_reference(cap, r):
     for a in range(r):
         rhs = rhs + _quad_term(_cutjoin_derivs_reference(cap, a),
                                _cutjoin_derivs_reference(cap, r - 1 - a), cap)
-    return rhs.scale(Fraction(1, r))
+    return pscale(rhs, Fraction(1, r))
 
 
 @lru_cache(maxsize=None)
@@ -424,7 +448,7 @@ def hurwitz_cutjoin_reference(g, mu):
     r = ramification_order(g, mu)
     if r < 0:
         return Fraction(0)
-    v = cutjoin_slice_reference(sum(mu), r).coeff((mu,)).coeff(0).as_scalar()
+    v = as_scalar(cutjoin_slice_reference(sum(mu), r).coeff((mu,)).coeff(0))
     assert not v.im
     return v.re * factorial(r)
 
@@ -839,7 +863,7 @@ def gv_forward_reference(gv, d_max, g_max):
                 if cv:
                     acc = acc + _gv_kernel(g, k, trunc).scale(cv)
         for g in range(g_max + 1):
-            out[(g, d)] = acc.coeff(2 * g - 2).as_scalar().re
+            out[(g, d)] = as_scalar(acc.coeff(2 * g - 2)).re
     return out
 
 
@@ -849,7 +873,7 @@ def gv_forward_reference(gv, d_max, g_max):
 def h_principal_reference(k):
     """Complete homogeneous h_k at (1, q, q^2, ...): 1/prod_{i<=k}(1 - q^i)."""
     if k < 0:
-        return QFunction.zero()
+        return QFunction.const(0)
     den = ULaurent.const(1)
     for i in range(1, k + 1):
         den = den * (ULaurent.const(1) - ULaurent.mono(2 * i))
@@ -861,11 +885,11 @@ def _jt_det(rows, cols, entries):
     if not rows:
         return QFunction.const(1)
     i, rest = rows[0], rows[1:]
-    acc = QFunction.zero()
+    acc = QFunction.const(0)
     for t, j in enumerate(cols):
         if entries[i][j]:
-            term = entries[i][j] * _jt_det(rest, cols[:t] + cols[t + 1:], entries)
-            acc = acc + (-term if t % 2 else term)
+            term = q_mul_reference(entries[i][j], _jt_det(rest, cols[:t] + cols[t + 1:], entries))
+            acc = q_add_reference(acc, qneg(term) if t % 2 else term)
     return acc
 
 
@@ -874,7 +898,7 @@ def skew_schur_reference(mu, rho):
     ``QFunction`` entries: the expansion that ``schur.skew_schur_principal``'s
     fraction-free determinant replaces."""
     if len(rho) > len(mu) or any(r > m for r, m in zip(rho, mu)):
-        return QFunction.zero()
+        return QFunction.const(0)
     n = len(mu)
     rho_p = tuple(rho) + (0,) * (n - len(rho))
     entries = [[h_principal_reference(mu[i] - rho_p[j] - i + j) for j in range(n)]
@@ -888,20 +912,66 @@ def w_pair_reference(mu, nu):
     ``skew_schur_reference`` values: the sum that ``chern_simons.w_pair``
     builds on one integer numerator."""
     u_exp = kappa(mu) + kappa(nu) + sum(mu) + sum(nu)
-    acc = QFunction.zero()
+    acc = QFunction.const(0)
     for rho in sub_diagrams(intersection(mu, nu)):
         shift = qfunction(0, ULaurent.mono(u_exp - 2 * sum(rho)), ULaurent.const(1))
-        acc = acc + shift * skew_schur_reference(mu, rho) * skew_schur_reference(nu, rho)
-    return -acc if (sum(mu) + sum(nu)) % 2 else acc
+        acc = q_add_reference(acc, q_mul_reference(q_mul_reference(
+            shift, skew_schur_reference(mu, rho)), skew_schur_reference(nu, rho)))
+    return qneg(acc) if (sum(mu) + sum(nu)) % 2 else acc
+
+
+def q_mul_reference(a, b):
+    """a * b for reduced ``QFunction`` values, trial-dividing only the factors
+    of exactly one denominator: the pairwise product that
+    ``qfunc.sum_of_products`` replaces."""
+    fac = Counter(dict(a.fac))
+    fac.update(dict(b.fac))
+    return QFunction._of(a.ipow + b.ipow, a.num * b.num, tuple(sorted(fac.items())),
+                         dict(a.fac).keys() ^ dict(b.fac).keys())
+
+
+def q_add_reference(a, b):
+    """a + b for reduced ``QFunction`` values over the largest exponent of
+    each Phi_e, trial-dividing only the factors of equal exponent: the
+    pairwise sum that ``qfunc.sum_of_products`` replaces."""
+    if not a.num:
+        return b
+    if not b.num:
+        return a
+    if a.ipow != b.ipow:
+        raise UsageError("adding QFunctions with incompatible phases")
+    fa, fb = dict(a.fac), dict(b.fac)
+    top = tuple(sorted((e, max(fa.get(e, 0), fb.get(e, 0))) for e in {**fa, **fb}))
+    num = (a.num * _expand(tuple((e, m - fa.get(e, 0)) for e, m in top))
+           + b.num * _expand(tuple((e, m - fb.get(e, 0)) for e, m in top)))
+    return QFunction._of(a.ipow, num, top, {e for e in fa if fa[e] == fb.get(e)})
 
 
 def sum_of_products_reference(terms):
-    """sum of u^shift * prod(factors) over ``terms``, as the pairwise
-    ``QFunction.__add__`` fold of reduced products."""
-    acc = QFunction.zero()
-    for factors, shift in terms:
-        term = qfunction(0, ULaurent.mono(shift), ULaurent.const(1))
+    """sum of c u^shift prod(factors) over ``terms`` = ((c, factors, shift), ...),
+    as the pairwise fold of reduced products and sums."""
+    acc = QFunction.const(0)
+    for c, factors, shift in terms:
+        term = QFunction.from_factors(0, ULaurent({shift: c}), ())
         for f in factors:
-            term = term * f
-        acc = acc + term
+            term = q_mul_reference(term, f)
+        acc = q_add_reference(acc, term)
     return acc
+
+
+def graded_log_reference(z, zero):
+    """Slices zero, F_1..F_n of log Z from Z_0 = 1 (not read), Z_1..Z_n, by
+    the pairwise recursion w F_w = w Z_w - sum_{0<j<w} j F_j Z_{w-j}, each
+    product and sum reduced on its own (``PSeries`` or ``QFunction`` slices):
+    the reference for the one fold per slice of ``dense.graded_log``."""
+    if isinstance(zero, PSeries):
+        add, mul, scale = add_reference, mul_reference, pscale
+    else:
+        add, mul, scale = q_add_reference, q_mul_reference, QFunction.scale
+    f = [zero]
+    for w in range(1, len(z)):
+        acc = scale(z[w], w)
+        for j in range(1, w):
+            acc = add(acc, scale(mul(f[j], z[w - j]), -j))
+        f.append(scale(acc, Fraction(1, w)))
+    return f

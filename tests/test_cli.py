@@ -612,7 +612,8 @@ OP_COVERAGE = {
     "w_one": ("chern_simons.w_one", ["w", "--mu", "2,1"]),
     "w_pair": ("chern_simons.w_pair", ["w", "--mu", "2", "--nu", "1,1"]),
     # series ring
-    "pseries_mul": ("pseries.PSeries.__mul__",
+    # products of series are terms of the one PSeries sum: the log's slices
+    "pseries_mul": ("pseries.PSeries._fold",
                     ["mv", "--check", "pde", "--degree", "2", "--order", "7"]),
     "cut_join_linear": ("pseries.cut_join_terms", ["hurwitz", "--genus", "0", "--partition",
                                                    "2,1", "--method", "cutjoin"]),

@@ -20,7 +20,7 @@ from dualcalc.intersections import dvv
 from dualcalc.partitions import (aut, character, enumerate_partitions,
                                  hook_product, kappa, length, size, zmu)
 from dualcalc.scalars import GaussianRational
-from oracles import (cutjoin_slice_reference, hurwitz_cutjoin_reference,
+from oracles import (as_scalar, cutjoin_slice_reference, hurwitz_cutjoin_reference,
                      psi_interpolation_reference, set_partitions)
 
 
@@ -105,11 +105,11 @@ def test_brute_force_small():
 
 def test_phi_structure():
     s = burnside_phi((1,), 6)
-    assert s.coeff(0).as_scalar() == GaussianRational(1)
+    assert as_scalar(s.coeff(0)) == GaussianRational(1)
     assert all(not s.coeff(j) for j in range(1, 6))
     s2 = burnside_phi((2,), 6)
-    assert s2.coeff(1).as_scalar() == GaussianRational(Fraction(1, 2))
-    assert s2.coeff(0).as_scalar() == GaussianRational(0)
+    assert as_scalar(s2.coeff(1)) == GaussianRational(Fraction(1, 2))
+    assert as_scalar(s2.coeff(0)) == GaussianRational(0)
     with pytest.raises(UsageError):
         burnside_phi((1,), 0)
 
@@ -135,7 +135,7 @@ def test_cutjoin_matches_pseries_recursion():
             ref = cutjoin_slice_reference(cap, r)
             expect = {}
             for key, s in ref.co.items():
-                v = s.coeff(0).as_scalar()
+                v = as_scalar(s.coeff(0))
                 assert not v.im
                 expect[key[0]] = v.re
             got = {mu: c for w in range(1, cap + 1) for mu, c in _cutjoin_part(w, r).items()}
@@ -151,7 +151,7 @@ def test_nonnegative():
 
 def test_double_hurwitz_basics():
     one = double_hurwitz((1,), (1,), 5)
-    assert one.coeff(0).as_scalar() == GaussianRational(1)
+    assert as_scalar(one.coeff(0)) == GaussianRational(1)
     assert all(not one.coeff(j) for j in range(1, 5))
     # lambda^0 coefficient is delta_{mu nu} / z_mu by column orthogonality
     for n in range(1, 5):
@@ -159,12 +159,12 @@ def test_double_hurwitz_basics():
             for nu in enumerate_partitions(n):
                 s = double_hurwitz(mu, nu, 3)
                 expect = Fraction(1, zmu(mu)) if mu == nu else Fraction(0)
-                assert s.coeff(0).as_scalar() == GaussianRational(expect)
+                assert as_scalar(s.coeff(0)) == GaussianRational(expect)
     # kappa parity: mu=(2), nu=(1,1) gives an odd series
     s = double_hurwitz((2,), (1, 1), 7)
     for j in range(0, 7, 2):
         assert not s.coeff(j)
-    assert s.coeff(1).as_scalar() != GaussianRational(0)
+    assert as_scalar(s.coeff(1)) != GaussianRational(0)
     with pytest.raises(UsageError):
         double_hurwitz((2,), (1,), 5)
 

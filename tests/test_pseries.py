@@ -5,14 +5,17 @@ from itertools import combinations
 
 import pytest
 
+from dualcalc import pseries
+from dualcalc.dense import graded_log
 from dualcalc.errors import UsageError
-from dualcalc.hodge import build_series
+from dualcalc.hodge import build_series, pde_residual
 from dualcalc.partitions import enumerate_partitions, zmu
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key, key_weight
 from dualcalc.series import LambdaSeries, TauLaurent
-from oracles import (add_reference, assert_same_pseries, cut_join_linear_reference,
-                     cut_join_nonlinear_reference, mul_parts_reference, mul_reference,
-                     pderiv_reference, pseries_exp)
+from oracles import (add_reference, as_scalar, assert_same_pseries,
+                     cut_join_linear_reference, cut_join_nonlinear_reference,
+                     graded_log_reference, mul_parts_reference, mul_reference,
+                     pderiv_reference, pscale, pseries_exp)
 
 TR = 6
 
@@ -41,9 +44,9 @@ def test_square_of_sum():
     f, caps = one_fam()
     s = mono(f, caps, ((1,),)) + mono(f, caps, ((2,),))
     sq = s * s
-    assert sq.coeff(((1, 1),)).coeff(0).as_scalar() == 1
-    assert sq.coeff(((2, 1),)).coeff(0).as_scalar() == 2
-    assert sq.coeff(((2, 2),)).coeff(0).as_scalar() == 1
+    assert as_scalar(sq.coeff(((1, 1),)).coeff(0)) == 1
+    assert as_scalar(sq.coeff(((2, 1),)).coeff(0)) == 2
+    assert as_scalar(sq.coeff(((2, 2),)).coeff(0)) == 1
 
 
 def test_cap_mismatch_raises():
@@ -58,9 +61,9 @@ def test_exp_multinomial():
     s = mono(f, caps, ((1,),)) + mono(f, caps, ((2,),))
     e = pseries_exp(s, TR)
     # coefficient of p_1 p_2 in exp(p_1 + p_2) is 1
-    assert e.coeff(((2, 1),)).coeff(0).as_scalar() == 1
-    assert e.coeff(((1, 1),)).coeff(0).as_scalar() == Fraction(1, 2)
-    assert e.coeff(empty_key(1)).coeff(0).as_scalar() == 1
+    assert as_scalar(e.coeff(((2, 1),)).coeff(0)) == 1
+    assert as_scalar(e.coeff(((1, 1),)).coeff(0)) == Fraction(1, 2)
+    assert as_scalar(e.coeff(empty_key(1)).coeff(0)) == 1
 
 
 def test_exp_log_round_trip():
@@ -95,7 +98,7 @@ def cj_matrix(n):
         out = mono(1, (n,), (mu,)).cut_join_linear(0)
         col = [Fraction(0)] * len(parts)
         for key, s in out.co.items():
-            v = s.coeff(0).as_scalar()
+            v = as_scalar(s.coeff(0))
             assert not v.im
             col[idx[key[0]]] = v.re
         cols.append(col)
@@ -104,11 +107,11 @@ def cj_matrix(n):
 
 def test_cut_join_examples():
     f, caps = one_fam()
-    assert mono(f, caps, ((2,),)).cut_join_linear(0).coeff(((1, 1),)).coeff(0).as_scalar() == 1
-    assert mono(f, caps, ((1, 1),)).cut_join_linear(0).coeff(((2,),)).coeff(0).as_scalar() == 1
+    assert as_scalar(mono(f, caps, ((2,),)).cut_join_linear(0).coeff(((1, 1),)).coeff(0)) == 1
+    assert as_scalar(mono(f, caps, ((1, 1),)).cut_join_linear(0).coeff(((2,),)).coeff(0)) == 1
     # ordered pairs (1,2),(2,1) each contribute (1/2)*3*p_1 p_2
     out = mono(f, caps, ((3,),)).cut_join_linear(0)
-    assert out.coeff(((2, 1),)).coeff(0).as_scalar() == 3
+    assert as_scalar(out.coeff(((2, 1),)).coeff(0)) == 3
     # single p_1: nothing cuts or joins
     assert not mono(f, caps, ((1,),)).cut_join_linear(0).co
 
@@ -178,7 +181,7 @@ def test_schur_eigenvectors():
                 t = mono(1, (n,), (mu,), val=Fraction(character(nu, mu), zmu(mu)))
                 s = t if s is None else s + t
             lhs = s.cut_join_linear(0)
-            rhs = s.scale(Fraction(kappa(nu), 2))
+            rhs = pscale(s, Fraction(kappa(nu), 2))
             assert (lhs - rhs).is_zero_through_windows()
 
 
@@ -205,18 +208,18 @@ def test_nonlinear_quadratic_piece():
     # the conjugation identity CJ_lin(exp F) = exp(F) CJ_nl(F) requires
     f, caps = one_fam()
     nl3 = mono(f, caps, ((3,),)).cut_join_nonlinear(0)
-    assert nl3.coeff(((2, 1),)).coeff(0).as_scalar() == 3
-    assert nl3.coeff(((6,),)).coeff(0).as_scalar() == Fraction(9, 2)
+    assert as_scalar(nl3.coeff(((2, 1),)).coeff(0)) == 3
+    assert as_scalar(nl3.coeff(((6,),)).coeff(0)) == Fraction(9, 2)
     nl1 = mono(f, caps, ((1,),)).cut_join_nonlinear(0)
     assert list(nl1.co) == [((2,),)]
-    assert nl1.coeff(((2,),)).coeff(0).as_scalar() == Fraction(1, 2)
+    assert as_scalar(nl1.coeff(((2,),)).coeff(0)) == Fraction(1, 2)
 
 
 def test_three_family_support():
     caps = (2, 3, 2)
     s = mono(3, caps, (((1,), (2,), ()))) + mono(3, caps, (((), (1,), (1,))))
     t = s * s
-    assert t.coeff(((1,), (2, 1), (1,))).coeff(0).as_scalar() == 2
+    assert as_scalar(t.coeff(((1,), (2, 1), (1,))).coeff(0)) == 2
     # per-family operators act on their own family only
     cj2 = mono(3, caps, (((), (2,), ()))).cut_join_linear(1)
     assert list(cj2.co) == [((), (1, 1), ())]
@@ -263,7 +266,7 @@ def cut_join_nonlinear_unpruned(f, fam):
                 continue
             prod = (di * dj).mul_parts(fam, i + j)
             w = Fraction(i * j) if i != j else Fraction(i * j, 2)
-            out = out + prod.scale(w)
+            out = out + pscale(prod, w)
     return out
 
 
@@ -272,7 +275,7 @@ def exp_power_sum(f, trunc):
     x = PSeries(f.fams, f.caps, {k: s for k, s in f.co.items() if k != ek})
     out = term = PSeries(f.fams, f.caps, {ek: LambdaSeries.one(trunc)})
     for m in range(1, sum(f.caps) + 1):
-        term = (term * x).scale(Fraction(1, m))
+        term = pscale(term * x, Fraction(1, m))
         out = out + term
     return out
 
@@ -283,7 +286,7 @@ def log_power_sum(z):
     out = term = x
     for m in range(2, sum(z.caps) + 1):
         term = term * x
-        out = out + term.scale(Fraction((-1) ** (m - 1), m))
+        out = out + pscale(term, Fraction((-1) ** (m - 1), m))
     return out
 
 
@@ -339,7 +342,7 @@ def test_sums_match_pairwise_fold_on_framed_series(args):
     fs = build_series(*args)
     x, y = fs.disconnected, fs.connected
     assert_same_pseries(x + y, add_reference(x, y))
-    assert_same_pseries(x - y, add_reference(x, y.scale(-1)))
+    assert_same_pseries(x - y, add_reference(x, pscale(y, -1)))
     for fam in range(fs.families):
         for part in range(1, fs.caps[fam] + 1):
             assert_same_pseries(y.pderiv(fam, part), pderiv_reference(y, fam, part))
@@ -347,3 +350,51 @@ def test_sums_match_pairwise_fold_on_framed_series(args):
         for z in (x, y):
             assert_same_pseries(z.cut_join_linear(fam), cut_join_linear_reference(z, fam))
             assert_same_pseries(z.cut_join_nonlinear(fam), cut_join_nonlinear_reference(z, fam))
+
+
+@pytest.mark.parametrize("args", [(5, 11, 1), (3, 9, 2)])
+def test_graded_log_matches_pairwise_recursion_on_framed_slices(args):
+    # one fold per slice against the recursion that reduces each product and
+    # each partial sum on its own: equal keys, windows and coefficients
+    x = build_series(*args).disconnected
+    got = graded_log(x._slices(), x._fold)
+    want = graded_log_reference(x._slices(), x._like({}))
+    for g, w in zip(got, want, strict=True):
+        assert_same_pseries(g, w)
+    assert_same_pseries(x.log(), x._join(want))
+
+
+def _count_combines(monkeypatch):
+    calls = []
+    real = pseries.combine
+
+    def spy(terms):
+        calls.append(1)
+        return real(terms)
+
+    monkeypatch.setattr(pseries, "combine", spy)
+    return calls
+
+
+@pytest.mark.parametrize("args", [(4, 9, 1), (2, 7, 2)])
+def test_log_and_cut_join_reduce_each_key_once(monkeypatch, args):
+    # every output key of the log and of the nonlinear operator is one
+    # series.combine; the derivatives and p_{i+j} shifts it uses form none
+    x = build_series(*args).disconnected
+    calls = _count_combines(monkeypatch)
+    log = x.log()
+    assert len(calls) == len(log.co) > 0
+    for fam in range(x.fams):
+        calls.clear()
+        out = log.cut_join_nonlinear(fam)
+        assert len(calls) == len(out.co) > 0
+
+
+def test_two_family_residual_is_one_fold(monkeypatch):
+    # dG/dtau - (CJ)+ G + (CJ)- G / tau^2: one combine per key of each
+    # operator and one per key of the residual
+    fs = build_series(2, 7, 2)
+    parts = [fs.disconnected.cut_join_linear(fam) for fam in (0, 1)]
+    calls = _count_combines(monkeypatch)
+    res = pde_residual(fs)
+    assert len(calls) == len(res.co) + sum(len(p.co) for p in parts)

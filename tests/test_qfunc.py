@@ -15,8 +15,8 @@ from dualcalc.partitions import enumerate_partitions, size
 from dualcalc.qfunc import QFunction, ULaurent, bracket_quotient, sum_of_products
 from dualcalc.scalars import GaussianRational
 from dualcalc.series import LambdaSeries
-from oracles import (q_series, qfunction, reciprocal, sin_expand, sum_of_products_reference,
-                     tau_from_model, to_lambda_reference)
+from oracles import (as_scalar, q_series, qfunction, reciprocal, sin_expand,
+                     sum_of_products_reference, tau_from_model, to_lambda_reference)
 
 
 def q(num, den, ipow=0):
@@ -45,9 +45,9 @@ def test_inverse_bracket_expansion():
     f = qfunction(-1, ULaurent.const(1), ULaurent.bracket(1))
     s = f.to_lambda(4)
     assert s.floor == -1
-    assert s.coeff(-1).as_scalar() == GaussianRational(1)
-    assert s.coeff(0).as_scalar() == GaussianRational(0)
-    assert s.coeff(1).as_scalar() == GaussianRational(Fraction(1, 24))
+    assert as_scalar(s.coeff(-1)) == GaussianRational(1)
+    assert as_scalar(s.coeff(0)) == GaussianRational(0)
+    assert as_scalar(s.coeff(1)) == GaussianRational(Fraction(1, 24))
     # independent oracle: series inversion of sin_expand(1, .)
     inv = reciprocal(sin_expand(1, 8))
     assert s.eq_through(inv, -1, 3)
@@ -63,10 +63,12 @@ def test_add_same_phase_and_mismatch():
 
 
 def test_neg_folds_phase():
+    # a coefficient -1 negates the numerator and keeps the phase in {0, 1}
     a = q({1: 1}, {0: 1}, ipow=1)
-    assert (-a).ipow == 1
-    assert (-a).num == ULaurent({1: -1})
-    assert a + (-a) == QFunction.zero()
+    neg = sum_of_products([(-1, (a,), 0)])
+    assert neg.ipow == 1
+    assert neg.num == ULaurent({1: -1})
+    assert a + neg == QFunction.const(0)
 
 
 def test_q_series_matches_geometric():
@@ -76,6 +78,7 @@ def test_q_series_matches_geometric():
 
 
 small_frac = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 upoly = st.dictionaries(st.integers(-3, 3), small_frac, max_size=3).map(ULaurent)
 nonzero_upoly = upoly.filter(bool)
 
@@ -169,11 +172,11 @@ def test_sums_and_products_cancel_shared_factors():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.lists(bracket_value, min_size=1, max_size=3),
+@given(st.lists(st.tuples(coefficient, st.lists(bracket_value, min_size=1, max_size=3),
                           st.integers(-3, 3)), max_size=5))
 def test_sum_of_products_matches_term_by_term_sum(terms):
     # phases of a sum must agree: keep terms whose total phase parity matches the first
-    parity = [sum(f.ipow for f in fs) % 2 for fs, _ in terms]
+    parity = [sum(f.ipow for f in fs) % 2 for _c, fs, _k in terms]
     terms = [t for t, p in zip(terms, parity) if p == parity[0]]
     assert sum_of_products(terms) == sum_of_products_reference(terms)
 
@@ -183,29 +186,32 @@ def test_sum_of_products_phase_two_is_a_negated_numerator():
     a = qfunction(1, ULaurent({2: 1, 0: 3}), ULaurent.bracket(2))
     b = qfunction(3, ULaurent.const(5), ULaurent.bracket(3))
     c = qfunction(0, ULaurent.mono(1), ULaurent.bracket(1))
-    terms = [((a,), 1), ((b,), 0), ((c, c, a), -2), ((a, c, c), 3)]
+    terms = [(1, (a,), 1), (Fraction(-2, 3), (b,), 0), (1, (c, c, a), -2), (3, (a, c, c), 3)]
     got = sum_of_products(terms)
     assert got == sum_of_products_reference(terms)
     assert got.ipow == 1
-    assert sum_of_products([((a,), 0), ((-a,), 0)]) == QFunction.zero()
+    # a * a has phase 2: a negated numerator at phase 0
+    sq = sum_of_products([(1, (a, a), 0)])
+    assert sq.ipow == 0 and sq == sum_of_products_reference([(1, (a, a), 0)])
+    assert sum_of_products([(1, (a, a), 0), (-1, (sq,), 0)]) == QFunction.const(0)
 
 
 def test_sum_of_products_mismatched_phases_is_a_usage_error():
     a = qfunction(1, ULaurent.const(1), ULaurent.bracket(1))
     b = qfunction(0, ULaurent.const(1), ULaurent.bracket(2))
     with pytest.raises(UsageError, match="incompatible phases"):
-        sum_of_products([((a,), 0), ((b,), 0)])
+        sum_of_products([(1, (a,), 0), (1, (b,), 0)])
     with pytest.raises(UsageError, match="incompatible phases"):
-        sum_of_products([((a, b), 0), ((-b, b), 1)])
+        sum_of_products([(1, (a, b), 0), (-1, (b, b), 1)])
 
 
 def test_sum_of_products_all_cancelling_is_zero():
     a = qfunction(1, ULaurent({3: 1, 0: -2}), ULaurent.bracket(2) * ULaurent.bracket(3))
     b = qfunction(0, ULaurent.const(7), ULaurent.bracket(1))
-    got = sum_of_products([((a, b), 1), ((b, -a), 1), ((a,), 0), ((-a,), 0)])
-    assert got == QFunction.zero()
+    got = sum_of_products([(1, (a, b), 1), (-1, (b, a), 1), (1, (a,), 0), (-1, (a,), 0)])
+    assert got == QFunction.const(0)
     assert (got.ipow, got.num, got.fac) == (0, ULaurent(), ())
-    assert sum_of_products([]) == QFunction.zero()
+    assert sum_of_products([]) == QFunction.const(0)
 
 
 def _cyclotomic_value(ipow, num, fac):
@@ -224,12 +230,13 @@ cyclotomic_value = st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 1), st.lists(st.tuples(st.lists(cyclotomic_value, min_size=1, max_size=3),
+@given(st.integers(0, 1), st.lists(st.tuples(coefficient,
+                                             st.lists(cyclotomic_value, min_size=1, max_size=3),
                                              st.integers(-4, 4)), max_size=6))
 def test_sum_of_products_matches_pairwise_fold(parity, terms):
     # one reduction over the largest exponent of each Phi_e against the fold of
     # reduced values; the fold needs every term's phase to share one parity
-    terms = [(fs, k) for fs, k in terms if sum(f.ipow for f in fs) % 2 == parity]
+    terms = [(c, fs, k) for c, fs, k in terms if sum(f.ipow for f in fs) % 2 == parity]
     got, want = sum_of_products(terms), sum_of_products_reference(terms)
     assert (got.ipow, got.num, got.fac) == (want.ipow, want.num, want.fac)
 
@@ -241,13 +248,13 @@ def test_window_at_or_below_valuation_is_zero_through_window():
     for trunc in (-2, 0, 1, 2):
         s = sq.to_lambda(trunc)
         assert not s.is_exact_zero() and s.trunc == trunc and s.is_zero_through()
-    assert sq.to_lambda(3).coeff(2).as_scalar() == GaussianRational(-1)
+    assert as_scalar(sq.to_lambda(3).coeff(2)) == GaussianRational(-1)
     # 1/(2 sin(lambda/2)) = 1/lambda + ...; trunc + (Phi_1 exponent) <= 0 is not an IndexError
     inv = qfunction(-1, ULaurent.const(1), ULaurent.bracket(1))
     for trunc in (-4, -1):
         s = inv.to_lambda(trunc)
         assert not s.is_exact_zero() and s.trunc == trunc and s.is_zero_through()
-    assert inv.to_lambda(0).coeff(-1).as_scalar() == GaussianRational(1)
+    assert as_scalar(inv.to_lambda(0).coeff(-1)) == GaussianRational(1)
 
 
 def _direct(ipow, p: ULaurent, j: int) -> GaussianRational:

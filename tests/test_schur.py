@@ -3,8 +3,16 @@ from functools import lru_cache
 
 from dualcalc.partitions import enumerate_partitions, sub_diagrams
 from dualcalc.qfunc import QFunction, ULaurent, bracket_quotient
-from dualcalc.schur import skew_numerator, skew_schur_principal
+from dualcalc.schur import pochhammer_factors, skew_numerator
 from oracles import h_principal_reference, q_series, qfunction, skew_schur_reference
+
+
+def skew_schur_principal(mu, rho):
+    """s_{mu/rho}(1, q, q^2, ...) = f_{mu/rho}/(q;q)_n, n = |mu/rho|, as the
+    package's integer numerator over its cyclotomic factors: (q;q)_n is
+    (-1)^n prod_{i<=n} (u^{2i} - 1), so the phase is 2n."""
+    n = sum(mu) - sum(rho)
+    return QFunction.from_factors(2 * n, skew_numerator(mu, rho, n), pochhammer_factors(n))
 
 
 def geom_den(ks):

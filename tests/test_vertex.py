@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualcalc import qfunc, vertex
 from dualcalc.chern_simons import w_pair
 from dualcalc.errors import UsageError, VerificationFailure
 from dualcalc.partitions import kappa
@@ -11,7 +12,8 @@ from dualcalc.series import LambdaSeries
 from dualcalc.vertex import (cover_table, extract_gw, gv_forward, gv_invert,
                              local_p2_free_energy, local_p2_z,
                              rebuild_partition_function)
-from oracles import gv_forward_reference, qfunction, reciprocal, sin_expand
+from oracles import (as_scalar, graded_log_reference, gv_forward_reference, q_add_reference,
+                     q_mul_reference, qfunction, qneg, reciprocal, sin_expand)
 
 
 def test_degree_zero_is_one():
@@ -22,8 +24,8 @@ def test_degree_one_slice_explicit():
     # three placements of the single box, each contributing
     # -W((1),0) W(0,0) W(0,(1)) with kappa-prefactor 1
     z1 = local_p2_z(1)[1]
-    single = w_pair((1,), ()) * w_pair((), ()) * w_pair((), (1,))
-    expect = -(single + single + single)
+    single = q_mul_reference(q_mul_reference(w_pair((1,), ()), w_pair((), ())), w_pair((), (1,)))
+    expect = qneg(q_add_reference(q_add_reference(single, single), single))
     assert z1 == expect
 
 
@@ -31,7 +33,7 @@ def test_free_energy_low_degrees():
     z = local_p2_z(3)
     f = local_p2_free_energy(3)
     assert f[1] == z[1]
-    assert f[2] == z[2] - (z[1] * z[1]).scale(Fraction(1, 2))
+    assert f[2] == q_add_reference(z[2], q_mul_reference(z[1], z[1]).scale(Fraction(-1, 2)))
 
 
 def test_gw_values_and_parity():
@@ -88,10 +90,10 @@ def test_extract_gw_rejects_empty_table(d_max, g_max):
 
 @pytest.mark.parametrize("d", range(5))
 def test_grouped_slice_matches_term_by_term_sum(d):
-    # reference: one QFunction addition per partition triple
+    # reference: one reduced QFunction product and sum per partition triple
     from dualcalc.partitions import enumerate_partitions
 
-    acc = QFunction.zero()
+    acc = QFunction.const(0)
     for a in range(d + 1):
         for b in range(d + 1 - a):
             for nu1 in enumerate_partitions(a):
@@ -99,10 +101,11 @@ def test_grouped_slice_matches_term_by_term_sum(d):
                     for nu3 in enumerate_partitions(d - a - b):
                         ks = kappa(nu1) + kappa(nu2) + kappa(nu3)
                         u_ks = qfunction(0, ULaurent.mono(ks), ULaurent.const(1))
-                        acc = acc + (w_pair(nu1, nu2) * w_pair(nu2, nu3)
-                                     * w_pair(nu3, nu1)) * u_ks
+                        term = q_mul_reference(q_mul_reference(
+                            w_pair(nu1, nu2), w_pair(nu2, nu3)), w_pair(nu3, nu1))
+                        acc = q_add_reference(acc, q_mul_reference(term, u_ks))
     if d % 2:
-        acc = -acc
+        acc = qneg(acc)
     assert local_p2_z(4)[d] == acc
 
 
@@ -118,7 +121,7 @@ def test_kernel_matches_sine_powers(g, k):
         expect = LambdaSeries.one(trunc + 4)
         for _ in range(abs(2 * h - 2)):
             expect = expect * (reciprocal(s) if h == 0 else s)
-        want = expect.coeff(2 * g - 2).as_scalar()
+        want = as_scalar(expect.coeff(2 * g - 2))
         assert not want.im
         assert Fraction(k) ** (2 * g - 3) * c[g][h] == want.re / k, (h, k)
 
@@ -135,3 +138,26 @@ def test_gv_resummation_matches_lambda_series_reference(case):
     n_table = gv_forward(table, d_max, g_max)
     assert n_table == gv_forward_reference(table, d_max, g_max)
     assert gv_invert(n_table, d_max, g_max) == table
+
+
+def test_free_energy_matches_pairwise_recursion():
+    # one sum_of_products per slice against the recursion that reduces each
+    # product and each partial sum on its own, in canonical form
+    got = local_p2_free_energy(6)
+    want = graded_log_reference(local_p2_z(6), QFunction.const(0))
+    assert [(f.ipow, f.num, f.fac) for f in got] == [(f.ipow, f.num, f.fac) for f in want]
+
+
+def test_free_energy_is_one_sum_per_slice(monkeypatch):
+    z = local_p2_z(5)
+    calls = []
+    real = qfunc.sum_of_products
+
+    def spy(terms):
+        calls.append(1)
+        return real(terms)
+
+    monkeypatch.setattr(qfunc, "sum_of_products", spy)
+    monkeypatch.setattr(vertex, "sum_of_products", spy)
+    f = local_p2_free_energy.__wrapped__(5)
+    assert len(calls) == len(f) == len(z)
