@@ -9,10 +9,12 @@ A -h/--help request prints {"help": <usage text>, "kind": "help"} and exits
 inconsistency.  When the reader closes stdout early (``dualcalc verify-all |
 head -c 100``), the exit code is still that of the document being written,
 and nothing goes to stderr.  Rationals are serialized as decimal strings
-"p/q", a framed-series coefficient i^ph p/q as "p/q" or "p/q*i" (read from
-its phase and rational), partitions as comma-separated descending
-integers; keys are sorted, so output is byte-deterministic for fixed inputs
-apart from the ``seconds`` timings of ``verify-all``.  A process builds its
+"p/q", and a lambda-series coefficient, a power of i times a rational, as
+"p/q" or "p/q*i": the series are held in lambda' = i lambda with rational
+coefficients, and ``series_json`` puts the powers of i back.  Partitions are
+comma-separated descending integers; keys are sorted, so output is
+byte-deterministic for fixed inputs apart from the ``seconds`` timings of
+``verify-all``.  A process builds its
 parser once (``build_parser`` is cached) and memoises ``candelas``,
 ``hori_vafa_series`` and the framed series ``hodge.build_series``, unbounded
 for its life; handlers only read the cached results.
@@ -42,16 +44,20 @@ def frac_str(x) -> str:
     return str(Fraction(x))
 
 
-def tau_json(t: TauLaurent) -> dict[str, str]:
-    # every coefficient is i^ph times a rational: "p/q", or "p/q*i" at phase 1
-    return {str(k): frac_str(Fraction(v, t.den)) + "*i" * t.ph for k, v in sorted(t.num.items())}
+def tau_json(t: TauLaurent, ph: int) -> dict[str, str]:
+    # i^ph times each rational coefficient: "p/q", or "p/q*i" at an odd ph
+    sign = -1 if ph % 4 >= 2 else 1
+    return {str(k): frac_str(Fraction(sign * v, t.den)) + "*i" * (ph % 2)
+            for k, v in sorted(t.num.items())}
 
 
-def series_json(s: LambdaSeries) -> dict:
+def series_json(s: LambdaSeries, ph: int) -> dict:
+    """i^ph s(i lambda) for a series s in lambda': the lambda^e coefficient
+    is i^(ph+e) s_e."""
     return {
         "floor": s.floor,
         "trunc": s.trunc,
-        "coeffs": {str(s.floor + i): tau_json(c)
+        "coeffs": {str(s.floor + i): tau_json(c, ph + s.floor + i)
                    for i, c in enumerate(s.co) if c},
     }
 
@@ -70,7 +76,17 @@ def qfun_json(f: QFunction) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# input limits, checked before any W value, vertex sum or mirror series is formed
+# input limits, checked before any W value, Hurwitz number, framed series,
+# vertex sum or mirror series is formed
+# hurwitz, about 2 s cold at its worst (twelve parts of size 1 at genus 6)
+HURWITZ_MAX_GENUS = 6
+HURWITZ_MAX_BOXES = 12
+# mv, about 3 s cold at its worst (two-partition at degree 5 and order 19): the
+# built degree cap and order.  mv hodge builds through max(--degree, |mu|) and
+# max(--order, 2g+l+|mu|+3), so its partition and genus are bounded by them.
+MV_MAX_DEGREE = 8
+MV_MAX_TWO_PARTITION_DEGREE = 5
+MV_MAX_ORDER = 19
 W_MAX_EXPAND = 64
 W_MAX_BOXES = 12
 VERTEX_MAX_DEGREE = 9  # degree 9: about 0.65 s cold; 10 (about 1.5 s) needs a mirror-side check
@@ -116,8 +132,9 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     hw = sub.add_parser("hurwitz", help="connected simple Hurwitz numbers")
-    hw.add_argument("--genus", type=int, required=True)
-    hw.add_argument("--partition", type=str, required=True)
+    hw.add_argument("--genus", type=int, required=True, help=f"at most {HURWITZ_MAX_GENUS}")
+    hw.add_argument("--partition", type=str, required=True,
+                    help=f"at most {HURWITZ_MAX_BOXES} boxes")
     hw.add_argument("--method", choices=["burnside", "cutjoin", "both"],
                     default="both")
     hw.add_argument("--elsv", action="store_true",
@@ -135,10 +152,14 @@ def build_parser() -> _Parser:
                     choices=["pde", "initial", "elsv-limit", "convolution",
                              "lambda-g", "two-partition"],
                     default=None)
-    mv.add_argument("--degree", type=int, default=3)
-    mv.add_argument("--order", type=int, default=11)
-    mv.add_argument("--genus", type=int, default=None)
-    mv.add_argument("--partition", type=str, default=None)
+    mv.add_argument("--degree", type=int, default=3,
+                    help=f"at most {MV_MAX_DEGREE}, or {MV_MAX_TWO_PARTITION_DEGREE} "
+                         "for --check two-partition")
+    mv.add_argument("--order", type=int, default=11, help=f"at most {MV_MAX_ORDER}")
+    mv.add_argument("--genus", type=int, default=None,
+                    help=f"mv hodge: 2g+l+|mu|+3 at most {MV_MAX_ORDER}")
+    mv.add_argument("--partition", type=str, default=None,
+                    help=f"mv hodge: at most {MV_MAX_DEGREE} boxes")
     mv.add_argument("--dump", choices=["connected", "disconnected"],
                     default=None, help="debug dump of the built series")
 
@@ -190,6 +211,9 @@ def build_parser() -> _Parser:
 
 def _cmd_hurwitz(args) -> dict:
     mu = parse_partition(args.partition)
+    if args.genus > HURWITZ_MAX_GENUS or sum(mu) > HURWITZ_MAX_BOXES:
+        raise UsageError(f"hurwitz is limited to --genus {HURWITZ_MAX_GENUS} "
+                         f"and {HURWITZ_MAX_BOXES} boxes")
     out: dict = {}
     checks = []
     if args.method in ("burnside", "both"):
@@ -220,11 +244,15 @@ def _cmd_w(args) -> dict:
     if nu is not None:
         out["nu"] = format_partition(nu)
     if args.expand is not None:
-        out["lambda_expansion"] = series_json(f.to_lambda(args.expand))
+        # the value is (-i)^ipow times its lambda' series
+        out["lambda_expansion"] = series_json(f.to_lambda(args.expand), -f.ipow)
     return {"result": out, "checks": []}
 
 
 def _cmd_mv(args) -> dict:
+    top = MV_MAX_TWO_PARTITION_DEGREE if args.check == "two-partition" else MV_MAX_DEGREE
+    if args.degree > top or args.order > MV_MAX_ORDER:
+        raise UsageError(f"mv is limited to --degree {top} and --order {MV_MAX_ORDER}")
     checks: list[dict] = []
     if args.action == "hodge":
         if args.genus is None or args.partition is None:
@@ -232,6 +260,9 @@ def _cmd_mv(args) -> dict:
         mu = parse_partition(args.partition)
         cap = max(args.degree, sum(mu))
         trunc = max(args.order, 2 * args.genus + len(mu) + sum(mu) + 3)
+        if cap > MV_MAX_DEGREE or trunc > MV_MAX_ORDER:
+            raise UsageError(f"mv hodge is limited to {MV_MAX_DEGREE} boxes and "
+                             f"2g+l+|mu|+3 {MV_MAX_ORDER}")
         fs = hodge.build_series(cap, trunc, 1)
         poly = hodge.hodge_extract(fs, args.genus, mu)
         return {"result": {"genus": args.genus, "partition": format_partition(mu),
@@ -240,8 +271,9 @@ def _cmd_mv(args) -> dict:
     if args.dump is not None:
         fs = hodge.build_series(args.degree, args.order, 1)
         ps = fs.connected if args.dump == "connected" else fs.disconnected
+        # the stored S_mu(lambda') is G_mu(lambda) = i^{|mu|} S_mu(i lambda)
         dump = [{"key": [format_partition(mu) for mu in key],
-                 "value": series_json(s)}
+                 "value": series_json(s, sum(key[0]))}
                 for key, s in sorted(ps.co.items())]
         return {"result": {"series": dump}, "checks": []}
     if args.check is None:

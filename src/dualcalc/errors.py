@@ -14,4 +14,4 @@ class VerificationFailure(Exception):
 
 
 class InternalError(AssertionError):
-    """Bookkeeping invariant broken (division remainder, phase leak, ...)."""
+    """Bookkeeping invariant broken (division remainder, odd power of i, ...)."""

@@ -19,22 +19,22 @@ and extracts triple Hodge integrals through the framing prefactor.
 Phase conventions.  With the sine-normalized W, the tau = 0 slice of the
 series equals sum_d i^{d-1} p_d / (2 d sin(d lambda / 2)): each degree-d part
 carries the phase i^{d-1} relative to the all-real form of the initial-value
-display.  The phase is forced: the series itself, the framing prefactor
-A(tau), and the cut-and-join evolution all carry it consistently, and any
-attempt to remove it by rescaling p_d breaks the evolution equation.  The
-initial-value check therefore pins the phase exactly and verifies the
-identity in this documented normalization.
+display.  The series, the framing prefactor A(tau) and the cut-and-join
+evolution all carry it consistently, so the initial-value check pins the
+phase exactly and verifies the identity in this documented normalization.
 
-Where the phase lives.  Every coefficient of these series is phase-pure:
-the p_mu lambda^e coefficient of the one-family series is real exactly
-when |mu| + e is even, and that of the two-family series exactly when e is
-even.  So ``series.TauLaurent`` holds each one as i^ph times an integer
-tau-polynomial over one denominator, the framing exponentials are built
-with their phase i, and the cut-and-join, log and residual arithmetic runs
-on integers.  Every other power of i -- the i lambda of the evolution, the
-phases i^{d-1}, i^{|mu|+l} and (-i)^{|mu|}, and lambda -> i c lambda -- is
-an integer phase passed to ``scale`` or ``subst_scale``, so no check forms
-a complex scalar.
+Where the phase lives: the lambda' convention.  Every series here is stored
+in lambda' = i lambda, where all its coefficients are rational.  A
+one-family value is stored as S_mu with G_mu(lambda) = i^{|mu|} S_mu(lambda'),
+so its p_mu lambda^e coefficient is i^{|mu|+e} S_{mu,e}; a two-family value
+is stored as S(lambda') with no twist.  p_d -> i^d p_d and lambda -> lambda'
+are ring maps that commute with the log and the cut-and-join operators, so
+the framing exponentials are real, the i lambda of the evolution is lambda',
+and the convolution, swap and p- = 0 slice checks compare stored series
+directly.  Powers of i appear only where a value is read in or out: the W
+values (``QFunction.to_lambda`` gives (-i)^ipow times a lambda' series), the
+initial value, and the lambda^{2g-2+l} read of ``hodge_extract``.  Each is
+even, a sign from ``series.i_power``.
 """
 from __future__ import annotations
 
@@ -44,14 +44,14 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial, prod
 
-from .chern_simons import w_one_lambda, w_pair_lambda
+from .chern_simons import w_one, w_one_lambda, w_pair, w_pair_lambda
 from .errors import InternalError, UsageError
 from .hurwitz import burnside_phi, double_hurwitz
 from .partitions import (Partition, aut, character, enumerate_partitions,
                          kappa, length, size, zmu)
 from .pseries import PSeries, empty_key
 from .qfunc import QFunction, bracket_quotient
-from .series import LambdaSeries, TauLaurent, combine, exp_monomial
+from .series import LambdaSeries, TauLaurent, combine, exp_monomial, i_power
 
 Frac = Fraction
 
@@ -74,19 +74,17 @@ class FramedSeries(namedtuple("FramedSeries", "families caps trunc disconnected"
 @lru_cache(maxsize=None)
 def _one_family_term(nu: Partition, trunc: int) -> LambdaSeries:
     t = trunc + size(nu)
-    # e^{i (tau + 1/2) kappa lambda / 2}
-    framing = exp_monomial(TauLaurent.phased(1, {0: Frac(kappa(nu), 4),
-                                                 1: Frac(kappa(nu), 2)}), 1, t)
-    return framing * w_one_lambda(nu, t)
+    # e^{(tau + 1/2) kappa lambda' / 2}, and W_nu(lambda) = i^{|nu|} i^{-|nu|-ipow} W(lambda')
+    framing = exp_monomial(TauLaurent({0: Frac(kappa(nu), 4), 1: Frac(kappa(nu), 2)}), 1, t)
+    return combine([(i_power(-size(nu) - w_one(nu).ipow), framing, w_one_lambda(nu, t))])
 
 
 @lru_cache(maxsize=None)
 def _two_family_term(nup: Partition, num: Partition, trunc: int) -> LambdaSeries:
     t = trunc + size(nup) + size(num)
-    # e^{i (kappa+ tau + kappa- / tau) lambda / 2}
-    framing = exp_monomial(TauLaurent.phased(1, {1: Frac(kappa(nup), 2),
-                                                 -1: Frac(kappa(num), 2)}), 1, t)
-    return framing * w_pair_lambda(nup, num, t)
+    # e^{(kappa+ tau + kappa- / tau) lambda' / 2}
+    framing = exp_monomial(TauLaurent({1: Frac(kappa(nup), 2), -1: Frac(kappa(num), 2)}), 1, t)
+    return combine([(i_power(-w_pair(nup, num).ipow), framing, w_pair_lambda(nup, num, t))])
 
 
 @lru_cache(maxsize=None)
@@ -115,8 +113,8 @@ def build_series(degree_cap: int, trunc: int, families: int) -> FramedSeries:
 # cut-and-join evolution
 # ---------------------------------------------------------------------------
 
-def _times_i_lambda(ps: PSeries) -> PSeries:
-    return ps.map_coeffs(lambda key, s: s.shift(1).scale(1, 1))
+def _times_lambda(ps: PSeries) -> PSeries:
+    return ps.map_coeffs(lambda key, s: s.shift(1))
 
 
 def pde_residual(fs: FramedSeries) -> PSeries:
@@ -128,15 +126,16 @@ def pde_residual(fs: FramedSeries) -> PSeries:
 
     The operators here carry the global 1/2 over ordered index pairs, so the
     displayed prefactor (1/2) i lambda (over a bracket without the half)
-    becomes i lambda against cut_join_nonlinear.
+    becomes i lambda against cut_join_nonlinear; on the stored series it is
+    lambda' (see the module docstring).
     """
     if fs.families == 1:
         r = fs.connected
         return r._fold([(1, r.tau_deriv(), None),
-                        (-1, _times_i_lambda(r.cut_join_nonlinear(0)), None)])
+                        (-1, _times_lambda(r.cut_join_nonlinear(0)), None)])
     g = fs.disconnected
-    plus = _times_i_lambda(g.cut_join_linear(0))
-    minus = _times_i_lambda(g.cut_join_linear(1))
+    plus = _times_lambda(g.cut_join_linear(0))
+    minus = _times_lambda(g.cut_join_linear(1))
     minus = minus.map_coeffs(lambda key, s: s.map_coeffs(lambda e, t: t.shift(-2)))
     return g._fold([(1, g.tau_deriv(), None), (-1, plus, None), (1, minus, None)])
 
@@ -187,7 +186,9 @@ def initial_value_report(fs: FramedSeries, through: int | None = None) -> dict:
                 multi_ok = False
         else:
             d = mu[0]
-            expect = ov_term(d).to_lambda(s.trunc).scale(1, d - 1)
+            # i^{d-1} ov_term(d)(lambda) = i^d (i^{-1-ipow} ov_term(lambda'))
+            ov = ov_term(d)
+            expect = ov.to_lambda(s.trunc).scale(i_power(-1 - ov.ipow))
             lo, _ = s.window_with(expect)
             if not s.eq_through(expect, lo, hi):
                 single_ok = False
@@ -207,9 +208,11 @@ def initial_value_report(fs: FramedSeries, through: int | None = None) -> dict:
 
 @lru_cache(maxsize=None)
 def framing_prefactor(mu: Partition) -> TauLaurent:
-    """A(tau) = -(i)^{|mu|+l} / |Aut mu| [tau(tau+1)]^{l-1} prod prod (mu_i tau + a)/(mu_i - 1)!.
+    """A(tau) = -1 / |Aut mu| [tau(tau+1)]^{l-1} prod prod (mu_i tau + a)/(mu_i - 1)!.
 
-    Its tau-degree is |mu| + l(mu) - 2 and its lowest term has degree l - 1.
+    The prefactor of the p_mu lambda^{2g-2+l} coefficient is i^{|mu|+l} A(tau),
+    whose phase the lambda' convention absorbs (``hodge_extract``).  Its
+    tau-degree is |mu| + l(mu) - 2 and its lowest term has degree l - 1.
     """
     l = length(mu)
     if l == 0:
@@ -223,7 +226,7 @@ def framing_prefactor(mu: Partition) -> TauLaurent:
         for a in range(1, p):
             poly = poly * TauLaurent({0: a, 1: p})
         denom *= factorial(p - 1)
-    poly = poly.scale(Frac(-1, aut(mu) * denom), size(mu) + l)
+    poly = poly.scale(Frac(-1, aut(mu) * denom))
     if poly.max_exp() - 0 != size(mu) + l - 2 or poly.min_exp() != l - 1:
         raise InternalError("framing prefactor degree bookkeeping is off")
     return poly
@@ -232,9 +235,10 @@ def framing_prefactor(mu: Partition) -> TauLaurent:
 def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> list[Frac]:
     """Triple Hodge integral as a tau-polynomial (coefficient list).
 
-    Reads the p_mu lambda^{2g-2+l(mu)} coefficient of the connected series
-    and divides out the framing prefactor; the quotient must be a real
-    polynomial of degree at most 2g.
+    Reads the p_mu lambda^{2g-2+l(mu)} coefficient of the connected series,
+    i^{|mu|+l} (-1)^{g-1} times its stored lambda'^{2g-2+l} coefficient, and
+    divides out the framing prefactor i^{|mu|+l} A(tau); the quotient must be
+    a polynomial of degree at most 2g.
     """
     mu = tuple(mu)
     if g < 0:
@@ -245,7 +249,7 @@ def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> list[Frac]:
     s = fs.connected.coeff((mu,))
     if s.co and e >= s.trunc:
         raise UsageError(f"lambda^{e} lies beyond the series window (order {s.trunc})")
-    c = s.coeff(e)
+    c = s.coeff(e).scale(i_power(2 * g - 2))
     a = framing_prefactor(mu)
     quotient = c.divexact(a)
     if quotient and quotient.min_exp() < 0:
@@ -253,8 +257,6 @@ def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> list[Frac]:
     deg = quotient.max_exp() if quotient else 0
     if deg > 2 * g:
         raise InternalError(f"tau-degree {deg} exceeds 2g for (g={g}, mu={mu})")
-    if quotient.ph:
-        raise InternalError("imaginary part survived prefactor division")
     out = [Frac(quotient.num.get(j, 0), quotient.den) for j in range(deg + 1)]
     # multiply-back divisibility oracle
     if TauLaurent({j: v for j, v in enumerate(out)}) * a != c:
@@ -291,7 +293,8 @@ def lambda_g_check(fs: FramedSeries, g: int, mu: Partition) -> bool:
 
 def elsv_limit_check(fs: FramedSeries, g_max: int = 2) -> bool:
     """Substitute lambda -> lambda tau, tau -> 1/tau, p_d -> (lambda tau)^d p_d,
-    send tau -> 0, and compare with the Burnside series at i lambda.
+    send tau -> 0, and compare with the Burnside series at i lambda: on the
+    stored series, in lambda', with the Burnside series itself.
     """
     if fs.families != 1:
         raise UsageError("the degeneration applies to the one-family series")
@@ -301,16 +304,16 @@ def elsv_limit_check(fs: FramedSeries, g_max: int = 2) -> bool:
         if not mu:
             continue
         w = size(mu)
-        limit: dict[int, TauLaurent] = {}
+        limit: dict[int, Frac] = {}
         for e in range(s.floor, s.trunc):
             c = s.coeff(e)
             if c and c.max_exp() > e + w:
                 raise InternalError(
                     f"negative tau-power survives the degeneration at p_{mu} lambda^{e}")
             if v := c.num.get(e + w):
-                limit[e + w] = TauLaurent.phased(c.ph, {0: Frac(v, c.den)})
+                limit[e + w] = Frac(v, c.den)
         got = LambdaSeries.from_map(limit, s.trunc + w)
-        expect = burnside_phi(mu, s.trunc + w).subst_scale(1, 1)
+        expect = burnside_phi(mu, s.trunc + w)
         need = 2 * g_max - 2 + w + length(mu) + 1
         lo = min(got.floor, expect.floor)
         hi = min(min(got.trunc, expect.trunc), max(need, lo))
@@ -326,8 +329,9 @@ def elsv_limit_check(fs: FramedSeries, g_max: int = 2) -> bool:
 def convolution_check(fs: FramedSeries, max_weight: int | None = None) -> bool:
     """Read the kernel off tau = 0 and verify the convolution at tau = 1, 2, 3.
 
-    Implemented as G_mu(lambda, tau) = sum_nu Phi2_{mu,nu}(i tau lambda) z_nu K_nu;
-    the + sign of the scaled argument is the one that makes the kernel
+    Implemented as G_mu(lambda, tau) = sum_nu Phi2_{mu,nu}(i tau lambda) z_nu K_nu,
+    on the stored series S_mu(lambda', tau) = sum_nu Phi2_{mu,nu}(tau lambda') z_nu
+    S_nu(lambda', 0) (the i^{|mu|} cancels); the + sign of the scaled argument is the one that makes the kernel
     framing-independent given the e^{+kappa lambda/2} normalization of the
     double Hurwitz series.  At tau = 0, Phi2_{mu,nu}(0) z_nu = delta_{mu,nu}
     by character orthogonality, so K_nu = G_nu(lambda, 0).
@@ -342,7 +346,7 @@ def convolution_check(fs: FramedSeries, max_weight: int | None = None) -> bool:
         kernel = [fs.disconnected.coeff((nu,)).tau_eval(0) for nu in parts]
         for tv in (1, 2, 3):
             for mu in parts:
-                terms = [(1, phi[(mu, nu)].subst_scale(tv, 1).scale(zmu(nu)), k)
+                terms = [(zmu(nu), phi[(mu, nu)].subst_scale(tv), k)
                          for nu, k in zip(parts, kernel)]
                 g = fs.disconnected.coeff((mu,)).tau_eval(tv)
                 if not combine(terms + [(-1, g, None)]).is_zero_through():
@@ -366,14 +370,13 @@ def swap_symmetry_check(fs: FramedSeries) -> bool:
 
 
 def slice_reduction_check(fs2: FramedSeries, fs1: FramedSeries) -> bool:
-    """The p- = 0 slice matches the one-family series up to (-i)^{|mu|}."""
+    """The p- = 0 slice matches the one-family series up to (-i)^{|mu|}: on
+    the stored series, where the one-family twist i^{|mu|} cancels it, they
+    are equal."""
     if fs2.families != 2 or fs1.families != 1:
         raise UsageError("need a two-family and a one-family series")
     for n in range(1, min(fs2.caps[0], fs1.caps[0]) + 1):
         for mu in enumerate_partitions(n):
-            got = fs2.disconnected.coeff((mu, ()))
-            # bridge factor (-i)^{|mu|} = i^{3|mu|}
-            expect = fs1.disconnected.coeff((mu,)).scale(1, 3 * size(mu))
-            if got != expect:
+            if fs2.disconnected.coeff((mu, ())) != fs1.disconnected.coeff((mu,)):
                 return False
     return True

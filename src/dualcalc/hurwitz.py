@@ -15,9 +15,10 @@
   ``pseries.cut_join_terms``, the one the series ring uses.
 * ELSV: I_{g,mu} = H_{g,mu} / r! with r = 2g-2+|mu|+l(mu); the bare linear
   Hodge integral is I scaled by |Aut(mu)| prod(mu_i!/mu_i^mu_i).
-* psi_from_asymptotics: reads psi-intersection numbers off the top-degree
-  part of the bare-integral polynomial in the ramification profile, as mixed
-  finite differences of the bare integrals.
+* psi_from_asymptotics: reads a psi-intersection number off the top-degree
+  part of the bare-integral polynomial in the ramification profile, as one
+  mixed finite difference of the bare integrals, formed for that coefficient
+  alone.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .dense import power_sums
 from .errors import InternalError, UsageError, VerificationFailure
@@ -223,11 +224,10 @@ def elsv_I(g: int, mu: Partition) -> tuple[Frac, Frac]:
     r = ramification_order(g, mu)
     if r < 0:
         raise UsageError(f"unstable profile (g={g}, mu={mu})")
-    h = _hurwitz_burnside(g, mu)
-    i_val = h / factorial(r)
-    bare = i_val * aut(mu)
-    for p in mu:
-        bare *= Frac(factorial(p), p ** p)
+    # H / r! is the connected coefficient itself; bare is reduced once
+    i_val = _connected_coeff(mu, r)[r]
+    bare = Frac(i_val.numerator * aut(mu) * prod(map(factorial, mu)),
+                i_val.denominator * prod(p ** p for p in mu))
     return i_val, bare
 
 
@@ -236,9 +236,10 @@ def elsv_I(g: int, mu: Partition) -> tuple[Frac, Frac]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _bare_polynomial(g: int, n: int) -> dict[Partition, Frac]:
-    """Top-degree part of the bare-integral polynomial P(mu), as {rho: coefficient}
-    for every partition rho of D = 3g-3+n into at most n parts.
+def _bare_polynomial(g: int, n: int, rho: Partition) -> Frac:
+    """The coefficient of mu^rho in the top-degree part of the bare-integral
+    polynomial P(mu) for (g, n), rho a partition of D = 3g-3+n into at most n
+    parts; only its own Hurwitz samples are formed.
 
     By ELSV, P is a symmetric polynomial of degree D in the parts, so for k
     = rho padded with zeros the mixed forward difference
@@ -248,33 +249,25 @@ def _bare_polynomial(g: int, n: int) -> dict[Partition, Frac]:
     Hurwitz data is not polynomial of degree D.
     """
     deg = 3 * g - 3 + n
-    bare: dict[Partition, Frac] = {}
 
-    def difference(rho: Partition, base: tuple[int, ...]) -> Frac:
+    def difference(base: tuple[int, ...]) -> Frac:
         total = Frac(0)
         for j in product(*(range(r + 1) for r in rho)):
             mu = tuple(sorted((b + x for b, x in zip_longest(base, j, fillvalue=0)),
                               reverse=True))
-            if mu not in bare:
-                bare[mu] = elsv_I(g, mu)[1]
             w = (-1) ** (deg - sum(j))
             for r, x in zip(rho, j):
                 w *= comb(r, x)
-            total += w * bare[mu]
+            total += w * elsv_I(g, mu)[1]
         return total
 
-    out: dict[Partition, Frac] = {}
-    for rho in enumerate_partitions(deg):
-        if len(rho) > n:
-            continue
-        top = difference(rho, (1,) * n)
-        if difference(rho, (2,) + (1,) * (n - 1)) != top:
-            raise VerificationFailure(
-                f"Hurwitz data at g={g}, n={n} is not polynomial of the expected degree")
-        for r in rho:
-            top /= factorial(r)
-        out[rho] = top
-    return out
+    top = difference((1,) * n)
+    if difference((2,) + (1,) * (n - 1)) != top:
+        raise VerificationFailure(
+            f"Hurwitz data at g={g}, n={n} is not polynomial of the expected degree")
+    for r in rho:
+        top /= factorial(r)
+    return top
 
 
 def psi_from_asymptotics(g: int, ks: Sequence[int]) -> Frac:
@@ -289,4 +282,4 @@ def psi_from_asymptotics(g: int, ks: Sequence[int]) -> Frac:
         raise UsageError(f"unstable moduli (g={g}, n={n})")
     if sum(ks) != 3 * g - 3 + n:
         raise UsageError("dimension constraint sum(k) = 3g-3+n violated")
-    return _bare_polynomial(g, n)[tuple(sorted((k for k in ks if k), reverse=True))]
+    return _bare_polynomial(g, n, tuple(sorted((k for k in ks if k), reverse=True)))

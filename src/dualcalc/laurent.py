@@ -14,9 +14,9 @@ exponents of one variable: products, shifts, the derivative, x -> 1/x and
 exact division.  The kernel holds rational functions in u = q^(1/2)
 (``qfunc.ULaurent``) and the coefficients in the equivariant weight alpha
 that the mirror series reads and prints; ``series.TauLaurent`` is a
-``Laurent`` in tau with a phase.  The mirror module's nilpotent rings are
+``Laurent`` in tau.  The mirror module's nilpotent rings are
 ``Poly`` values keyed by exponent tuples, multiplied by ``nilpotent.mul``.
-Every result keeps the class and the extra slots of its left operand.
+Every result keeps the class of its left operand.
 """
 from __future__ import annotations
 

@@ -12,12 +12,13 @@ Phi_e present (Phi_e is irreducible over Q), run on the integer numerators.
 ``sum_of_products`` is the one sum: c u^k times a product of values, summed
 over terms and reduced once; ``+`` and ``*`` are calls to it.  Keeping the
 phase separate leaves all polynomial arithmetic inside Q(u).
-``to_lambda`` expands a value at u = e^{sqrt(-1) lambda/2} (so
-q = e^{sqrt(-1) lambda}) on integers: num and den become integer series in
-y = sqrt(-1) lambda/2 over one shared factorial, their quotient is taken
-fraction-free against a cached denominator side (both series are power
-sums, ``dense.power_sums``), and the phase and the powers of 2 join only as
-each lambda^e coefficient is stored.
+``to_lambda`` expands num/den at u = e^{lambda'/2} with lambda' =
+sqrt(-1) lambda (so q = e^{sqrt(-1) lambda}) on integers: num and den
+become integer series in y = lambda'/2 over one shared factorial, their
+quotient is taken fraction-free against a cached denominator side (both
+series are power sums, ``dense.power_sums``), and the powers of 2 join only
+as each lambda'^e coefficient is stored.  Every coefficient is rational; the
+value is (-sqrt(-1))**ipow times that series in lambda'.
 """
 from __future__ import annotations
 
@@ -175,13 +176,14 @@ class QFunction:
 
     # -- expansion ---------------------------------------------------------------
     def to_lambda(self, trunc: int) -> LambdaSeries:
-        """Expansion at u = e^{i lambda/2}, truncated at order ``trunc``.
+        """num/den as a series in lambda' = i lambda, truncated at order
+        ``trunc``: the value is (-i)^ipow times it.
 
-        num and den become integer series a, b in y = i lambda/2; den vanishes
+        num and den become integer series a, b in y = lambda'/2; den vanishes
         at y = 0 only through Phi_1 = u - 1, to order v.  With d0 = b_v,
         Q'_m = d0^m a_(lo+m) - sum_{0<j<=m} b_(v+j) d0^(j-1) Q'_(m-j) is d0^(m+1)
         times the y^(lo-v+m) coefficient of the quotient, found fraction-free;
-        it is stored as lambda^e over d0^(m+1) num.den 2^e with phase i^e (-i)^ipow.
+        it is stored as lambda'^e over d0^(m+1) num.den 2^e.
         """
         if not self.num:
             return LambdaSeries(0, [])
@@ -204,7 +206,7 @@ class QFunction:
                 # d0 > 0, a factorial times Phi_e(1) > 0 (e > 1); 2^(-e) is an integer
                 e = lo - v + m
                 out[e] = TL_ONE._new({0: c << -e if e < 0 else c},
-                                     pw[m + 1] * self.num.den << max(e, 0), e - self.ipow)
+                                     pw[m + 1] * self.num.den << max(e, 0))
         return LambdaSeries.from_map(out, trunc)
 
     def __repr__(self):

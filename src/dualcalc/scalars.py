@@ -2,11 +2,11 @@
 
 ``GaussianRational`` is a complex number with arbitrary-precision rational
 real and imaginary parts.  No computation of the package forms one: the
-arithmetic keeps the phase apart as an integer power of i
-(``series.TauLaurent`` as i^ph times integers over one denominator,
-``qfunc.QFunction`` as a power of -i times a rational function).  It is the
-type of the read-only view ``TauLaurent.c``, which reads coefficients out
-as complex numbers, and of the test oracles that compare against one.
+framed series are held in lambda' = i lambda, where every coefficient of a
+``series.TauLaurent`` is rational, and ``qfunc.QFunction`` keeps a power of
+-i apart from a rational function.  It is the type of the read-only view
+``TauLaurent.c``, which reads coefficients out as complex numbers, and of
+the test oracles that compare against one.
 There is no floating point anywhere in the package.
 """
 from __future__ import annotations

@@ -2,13 +2,10 @@
 
 Two layers:
 
-* ``TauLaurent`` -- finite Laurent polynomials in the framing parameter tau:
-  a ``laurent.Laurent`` (integer numerators over one positive denominator)
-  with a phase i^ph.  The kernel does the integer arithmetic; this class
-  adds only what involves the phase.  A value is built from rationals, and
-  a phase enters only as an integer power of i (``phased``, ``scale``,
-  ``LambdaSeries.subst_scale``); ``GaussianRational`` is only the type of
-  the read-only view ``c``.
+* ``TauLaurent`` -- finite Laurent polynomials in the framing parameter tau
+  over the rationals: a ``laurent.Laurent`` (integer numerators over one
+  positive denominator) that can be evaluated at a rational tau.
+  ``GaussianRational`` is only the type of the read-only view ``c``.
 * ``LambdaSeries`` -- truncated Laurent series in lambda whose coefficients
   are ``TauLaurent`` values.  Every series carries an explicit window
   ``[floor, trunc)``; arithmetic narrows windows so that no operation ever
@@ -19,6 +16,11 @@ Two layers:
   ``QFunction.to_lambda``.
   ``combine`` is the one sum of series: it forms a sum of products with one
   reduction per coefficient, and ``+``, ``-`` and ``*`` are calls to it.
+
+The framed series are stored in lambda' = i lambda (see ``hodge``), where
+every coefficient is rational, so no value here carries a power of i.
+``i_power`` turns the even powers of i met where values are read in or out
+into signs.
 """
 from __future__ import annotations
 
@@ -27,81 +29,39 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import InternalError, UsageError
-from .laurent import Laurent, convolve
+from .laurent import Laurent
 from .scalars import GaussianRational
 
 
-class TauLaurent(Laurent):
-    """Finite Laurent polynomial in tau: i^ph * sum num[k] tau^k / den.
+def i_power(n: int) -> int:
+    """i^n for an even n, as the sign (-1)^(n/2); raises ``InternalError`` on
+    an odd n, whose power of i would leave the rationals."""
+    if n % 2:
+        raise InternalError(f"odd power i^{n} where a real value is read")
+    return -1 if n % 4 else 1
 
-    A ``Laurent`` in tau with a phase ph in {0, 1}; zero has ph 0.  Every
-    value the package forms is phase-pure, so one integer plane and a phase
-    hold it; adding two nonzero values of different phase raises
-    ``UsageError``.  The constructor takes rational coefficients (phase 0);
-    ``phased`` and ``scale`` multiply by an integer power of i.  Shifts, the
-    derivative, tau -> 1/tau and negation keep the phase and come from
-    ``Laurent`` unchanged.  ``GaussianRational`` is only the type of the
-    read-only view ``c``.
+
+class TauLaurent(Laurent):
+    """Finite Laurent polynomial in tau: sum num[k] tau^k / den over the rationals.
+
+    Arithmetic, shifts, the derivative, tau -> 1/tau and exact division come
+    from ``Laurent`` unchanged; this class adds the value at a rational tau.
     """
 
-    __slots__ = ("ph",)
+    __slots__ = ()
     var = "tau"
-
-    def __init__(self, coeffs: dict[int, object] | None = None):
-        Laurent.__init__(self, coeffs)
-        self.ph = 0
-
-    def _new(self, num: dict[int, int], den: int,
-             ph: int | None = None) -> "TauLaurent":
-        """As ``Poly._new``, times i^ph for any integer ph (bit 1 of ph is the
-        sign i^2 = -1, bit 0 the phase kept); the default keeps self's phase."""
-        if ph is None:
-            ph = self.ph
-        elif ph & 2:
-            num = {k: -v for k, v in num.items()}
-        out = Laurent._new(self, num, den)
-        out.ph = ph & 1 if num else 0
-        return out
-
-    @staticmethod
-    def phased(ph: int, coeffs: dict[int, object]) -> "TauLaurent":
-        """i^ph * sum coeffs[k] tau^k for rational coefficients."""
-        t = TauLaurent(coeffs)
-        return t._new(t.num, t.den, ph)
 
     @property
     def c(self) -> dict[int, GaussianRational]:
         """The coefficients as ``GaussianRational`` values (a fresh dict)."""
-        den, ph = self.den, self.ph
-        return {k: GaussianRational(0, Fraction(v, den)) if ph
-                else GaussianRational(Fraction(v, den)) for k, v in self.num.items()}
+        den = self.den
+        return {k: GaussianRational(Fraction(v, den)) for k, v in self.num.items()}
 
-    # -- arithmetic -------------------------------------------------------------
-    def __add__(self, o: "TauLaurent") -> "TauLaurent":
-        if self.ph != o.ph and self.num and o.num:
-            raise UsageError("adding tau-polynomials of different phase")
-        return Laurent.__add__(self, o)
-
-    def __mul__(self, o: "TauLaurent") -> "TauLaurent":
-        return self._new(convolve(self.num, o.num), self.den * o.den, self.ph + o.ph)
-
-    def scale(self, v, ph: int = 0) -> "TauLaurent":
-        """Times i^ph v for an int or Fraction v."""
-        p = v.numerator
-        return self._new({k: w * p for k, w in self.num.items()} if p else {},
-                         self.den * v.denominator, self.ph + ph)
-
-    def divexact(self, o: "TauLaurent") -> "TauLaurent":
-        """Exact division; raises InternalError on a remainder."""
-        q = Laurent.divexact(self, o)
-        return q._new(q.num, q.den, q.ph - o.ph)
-
-    # -- evaluation -------------------------------------------------------------
     def eval(self, x) -> "TauLaurent":
-        """The value at tau = x for an int or Fraction x = a/b, as a constant
-        with self's phase, in integers: the sum of num[k] a^(k-lo) b^(hi-k)
-        over den a^-lo b^hi, with lo <= 0 <= hi the exponent range (at 0 a
-        negative power divides by zero)."""
+        """The value at tau = x for an int or Fraction x = a/b, as a constant,
+        in integers: the sum of num[k] a^(k-lo) b^(hi-k) over den a^-lo b^hi,
+        with lo <= 0 <= hi the exponent range (at 0 a negative power divides
+        by zero)."""
         a, b = x.numerator, x.denominator
         lo, hi = min((0, *self.num)), max((0, *self.num))
         den = self.den * a ** -lo * b ** hi
@@ -111,10 +71,6 @@ class TauLaurent(Laurent):
         if den < 0:
             v, den = -v, -den
         return self._new({0: v} if v else {}, den)
-
-    # -- comparison ---------------------------------------------------------------
-    def __eq__(self, o):
-        return isinstance(o, TauLaurent) and self.ph == o.ph and Laurent.__eq__(self, o)
 
 
 TL_ZERO = TauLaurent()
@@ -202,11 +158,11 @@ class LambdaSeries:
     def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
         return combine([(1, self, other)])
 
-    def scale(self, v, ph: int = 0) -> "LambdaSeries":
-        """Times i^ph v for an int or Fraction v."""
+    def scale(self, v) -> "LambdaSeries":
+        """Times an int or Fraction v."""
         if not v:
             return LambdaSeries(0, [])
-        return LambdaSeries(self.floor, [c.scale(v, ph) for c in self.co])
+        return LambdaSeries(self.floor, [c.scale(v) for c in self.co])
 
     def shift(self, d: int) -> "LambdaSeries":
         return LambdaSeries(self.floor + d, list(self.co))
@@ -225,13 +181,15 @@ class LambdaSeries:
     def tau_inverse(self) -> "LambdaSeries":
         return self.map_coeffs(lambda e, c: c.subs_inverse())
 
-    def subst_scale(self, c, ph: int) -> "LambdaSeries":
-        """lambda -> i^ph c lambda for a nonzero int or Fraction c, on integers
-        (a sign of c is i^2)."""
-        ph, pq = ph + 2 * (c < 0), (abs(c.numerator), c.denominator)
+    def subst_scale(self, c) -> "LambdaSeries":
+        """lambda -> c lambda for a nonzero int or Fraction c, on integers; the
+        sign of c goes to the numerators, so every denominator stays positive."""
+        p, q = c.numerator, c.denominator
+        # c^e for e >= 0 is p^e / q^e, and for e < 0 (q sign p)^|e| / |p|^|e|
+        top, bottom = (p, q if p > 0 else -q), (q, abs(p))
         return self.map_coeffs(lambda e, t: t._new(
-            {k: w * pq[e < 0] ** abs(e) for k, w in t.num.items()}, t.den * pq[e >= 0] ** abs(e),
-            t.ph + ph * e))
+            {k: w * top[e < 0] ** abs(e) for k, w in t.num.items()},
+            t.den * bottom[e < 0] ** abs(e)))
 
     # -- comparisons -------------------------------------------------------------
     def window_with(self, other: "LambdaSeries") -> tuple[int, int]:
@@ -274,10 +232,7 @@ def combine(terms: Iterable[tuple[object, LambdaSeries, LambdaSeries | None]]
     reduction), and two or more are summed over the least floor and trunc
     and pruned.  The products and scaled coefficients that land on each
     lambda^e go over the lcm of their denominators and collect as integers
-    in two phase planes (phase 1 times phase 1 lands on plane 0 negated), so
-    each coefficient is reduced once.  Raises ``UsageError`` when both
-    planes of a coefficient are nonzero after the whole sum, in whatever
-    order the terms come.
+    in one accumulator, so each coefficient is reduced once.
     """
     kept = []
     for c, a, b in terms:
@@ -320,28 +275,20 @@ def _collect(parts: list) -> TauLaurent:
     """The sum of p ca cb / den (p ca / den when cb is None) over the
     (den, p, ca, cb) parts of one coefficient of ``combine``."""
     den = lcm(*(d for d, *_x in parts))
-    planes: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    acc: dict[int, int] = {}
     for d, p, ca, cb in parts:
         m = den // d * p
         if cb is None:
-            plane = planes[ca.ph]
             for k, v in ca.num.items():
-                plane[k] = plane.get(k, 0) + v * m
+                acc[k] = acc.get(k, 0) + v * m
             continue
-        ph = ca.ph + cb.ph
-        if ph == 2:
-            ph, m = 0, -m
-        plane = planes[ph]
         y = cb.num.items()
         for k1, v1 in ca.num.items():
             v1 *= m
             for k2, v2 in y:
                 k = k1 + k2
-                plane[k] = plane.get(k, 0) + v1 * v2
-    real, imag = ({k: v for k, v in plane.items() if v} for plane in planes)
-    if real and imag:
-        raise UsageError("adding tau-polynomials of different phase")
-    return TL_ZERO._new(imag, den, 1) if imag else TL_ZERO._new(real, den, 0)
+                acc[k] = acc.get(k, 0) + v1 * v2
+    return TL_ZERO._new({k: v for k, v in acc.items() if v}, den)
 
 
 def exp_monomial(coeff, exp: int, trunc: int) -> LambdaSeries:

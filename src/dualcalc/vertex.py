@@ -10,9 +10,10 @@ because kappa is even): ``sum_of_products`` adds the products of the reduced
 W values, the sign (-1)^d as their coefficient, as integer numerators and
 reduces each slice once.  The connected free energy is the degree-graded
 log (``dense.graded_log``), again one ``sum_of_products`` per slice; its
-degree-d slice expands as a lambda-Laurent series with floor >= -2 and even
-exponents only, and N_{g,d} is the lambda^{2g-2} coefficient, read off its
-phase, integer numerator and denominator.
+degree-d slice expands as a lambda'-Laurent series (lambda' = i lambda,
+``QFunction.to_lambda``) with floor >= -2 and even exponents only, and
+N_{g,d} is the lambda^{2g-2} coefficient: (-1)^{g-1} times the
+lambda'^{2g-2} one, read off its integer numerator and denominator.
 
 GV inversion is the Gopakumar-Vafa resummation
 
@@ -38,6 +39,7 @@ from .errors import InternalError, UsageError, VerificationFailure
 from .laurent import Laurent
 from .partitions import compositions, enumerate_partitions, kappa
 from .qfunc import QFunction, sum_of_products
+from .series import i_power
 
 Frac = Fraction
 NTable = dict[tuple[int, int], Frac]
@@ -100,7 +102,8 @@ def extract_gw(d_max: int, g_max: int) -> NTable:
 
     Raises UsageError for d_max < 1 or g_max < 0 (an empty table), and
     InternalError unless the lambda-floor is >= -2, odd lambda-powers vanish
-    and the values are real.
+    and the values are real: each slice needs ipow 0, so that its
+    lambda^{2g-2} coefficient is i^{2g-2} times the lambda'^{2g-2} one.
     """
     if d_max < 1:
         raise UsageError("local P2 needs a maximal degree >= 1")
@@ -121,9 +124,7 @@ def extract_gw(d_max: int, g_max: int) -> NTable:
             c = s.coeff(2 * g - 2)
             if set(c.num) - {0}:
                 raise InternalError(f"tau-dependent where scalar expected: {c}")
-            if c.ph:
-                raise InternalError("imaginary Gromov-Witten coefficient")
-            out[(g, d)] = Frac(c.num.get(0, 0), c.den)
+            out[(g, d)] = Frac(c.num.get(0, 0), c.den) * i_power(2 * g - 2 - f[d].ipow)
     return out
 
 

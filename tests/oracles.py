@@ -1,7 +1,7 @@
 """Helpers shared by the tests: the canonical-form check of the integer
-polynomial kernel in ``dualcalc.laurent``, the converter from a
-``GaussianRational`` model to a phased ``TauLaurent`` and the read of a
-tau-free one as a ``GaussianRational``, ``PSeries`` scaling and ``QFunction``
+polynomial kernel in ``dualcalc.laurent``, the read of a tau-free
+``TauLaurent`` as a ``GaussianRational``, the complex model of a series in
+lambda' = i lambda read back in lambda, ``PSeries`` scaling and ``QFunction``
 negation (the package sums with coefficients instead), a q-expansion oracle, a
 ``Fraction`` lambda-expansion oracle, a series reciprocal, the pairwise fold
 that ``series.combine`` replaces, the pairwise ``PSeries`` sums and the
@@ -38,7 +38,7 @@ from dualcalc.partitions import (add_parts, character, compositions, enumerate_p
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key
 from dualcalc.qfunc import QFunction, ULaurent, _expand, _strip
 from dualcalc.scalars import GaussianRational
-from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine
+from dualcalc.series import TL_ZERO, LambdaSeries, combine
 
 
 def qfunction(ipow, num, den):
@@ -70,27 +70,33 @@ def canonical(p):
     kernel's canonical form, and return it.
 
     ``den`` is positive and coprime to the content of ``num``, ``num`` holds
-    no zeros, and zero is ({}, 1), with phase 0 for a ``TauLaurent``.
+    no zeros, and zero is ({}, 1).
     """
     assert p.den > 0
     assert gcd(p.den, *p.num.values()) == 1
     assert all(p.num.values())
-    ph = getattr(p, "ph", 0)
-    assert ph in (0, 1)
     if not p.num:
-        assert (p.num, p.den, ph) == ({}, 1, 0)
+        assert (p.num, p.den) == ({}, 1)
     return p
 
 
-def tau_from_model(model):
-    """The ``TauLaurent`` of a phase-pure {exponent: GaussianRational} model
-    (int and ``Fraction`` values are real): its rational parts, times i^ph
-    by ``TauLaurent.phased``."""
-    model = {k: GaussianRational.coerce(v) for k, v in model.items() if v}
-    phases = {int(bool(v.im)) for v in model.values()}
-    assert len(phases) <= 1 and not any(v.re and v.im for v in model.values()), model
-    ph = phases.pop() if phases else 0
-    return TauLaurent.phased(ph, {k: v.im if ph else v.re for k, v in model.items()})
+# i^0, i^1, i^2, i^3
+I_POW = (GaussianRational(1), GaussianRational(0, 1), GaussianRational(-1),
+         GaussianRational(0, -1))
+
+
+def lambda_form(s, ph):
+    """The complex model {e: {k: GaussianRational}} of i^ph s(i lambda) for a
+    series s in lambda' = i lambda: its lambda^e coefficient is i^(ph+e) s_e,
+    the rule ``cli.series_json`` prints.  Zero coefficients are left out."""
+    return {e: {k: I_POW[(ph + e) % 4] * Fraction(v, c.den) for k, v in c.num.items()}
+            for e, c in enumerate(s.co, s.floor) if c}
+
+
+def plain_form(s):
+    """The same model of a series s in lambda itself: its coefficients as they are."""
+    return {e: {k: GaussianRational(Fraction(v, c.den)) for k, v in c.num.items()}
+            for e, c in enumerate(s.co, s.floor) if c}
 
 
 def as_scalar(t):
@@ -137,9 +143,9 @@ def _x_series(p, n):
 
 
 def to_lambda_reference(f, trunc):
-    """``QFunction.to_lambda`` over ``Fraction`` series in x = sqrt(-1) lambda,
-    divided by ``dense_mul``/``dense_inv``: the reference for the integer
-    quotient."""
+    """``QFunction.to_lambda`` over ``Fraction`` series in x = lambda' =
+    sqrt(-1) lambda, divided by ``dense_mul``/``dense_inv``: the reference for
+    the integer quotient, a series in lambda'."""
     if not f.num:
         return LambdaSeries(0, [])
     v = dict(f.fac).get(1, 0)
@@ -153,9 +159,7 @@ def to_lambda_reference(f, trunc):
         raise InternalError("denominator x-valuation differs from its Phi_1 exponent")
     quo = dense_mul(num[lo:], dense_inv(den[v:], n), n)
     lo -= v
-    return LambdaSeries.from_map(
-        {lo + j: TauLaurent.phased(lo + j - f.ipow, {0: c})
-         for j, c in enumerate(quo) if c}, trunc)
+    return LambdaSeries.from_map({lo + j: c for j, c in enumerate(quo) if c}, trunc)
 
 
 def reciprocal(s):
@@ -838,18 +842,22 @@ def sin_expand(m: int, trunc: int) -> LambdaSeries:
 
 @lru_cache(maxsize=None)
 def _gv_kernel(g: int, k: int, trunc: int) -> LambdaSeries:
-    """(1/k) (2 sin(k lambda / 2))^{2g-2}, with 2 sin(k lambda/2) = (-i)[k]."""
+    """(1/k) (2 sin(k lambda / 2))^{2g-2}, with 2 sin(k lambda/2) = (-i)[k], as
+    a series in lambda' = i lambda: an even power of -i has ipow 0."""
     power = ULaurent.const(1)
     for _ in range(abs(2 * g - 2)):
         power = power * ULaurent.bracket(k)
     num, den = (ULaurent.const(1), power) if g == 0 else (power, ULaurent.const(1))
-    return qfunction(2 * g - 2, num.scale(Fraction(1, k)), den).to_lambda(trunc)
+    f = qfunction(2 * g - 2, num.scale(Fraction(1, k)), den)
+    assert f.ipow == 0
+    return f.to_lambda(trunc)
 
 
 def gv_forward_reference(gv, d_max, g_max):
-    """The multi-cover resummation summed as lambda-series of q-brackets, one
-    kernel per (genus, cover degree), read through ``GaussianRational``: the
-    sum that ``vertex.gv_forward`` reads off one rational cover table."""
+    """The multi-cover resummation summed as lambda'-series of q-brackets, one
+    kernel per (genus, cover degree), read back in lambda through
+    ``lambda_form``: the sum that ``vertex.gv_forward`` reads off one rational
+    cover table."""
     trunc = 2 * g_max + 1
     out = {}
     for d in range(1, d_max + 1):
@@ -862,8 +870,11 @@ def gv_forward_reference(gv, d_max, g_max):
                 cv = gv.get((g, dp), 0)
                 if cv:
                     acc = acc + _gv_kernel(g, k, trunc).scale(cv)
+        form = lambda_form(acc, 0)
         for g in range(g_max + 1):
-            out[(g, d)] = as_scalar(acc.coeff(2 * g - 2)).re
+            v = form.get(2 * g - 2, {}).get(0, GaussianRational(0))
+            assert not v.im
+            out[(g, d)] = v.re
     return out
 
 

@@ -7,12 +7,16 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
 import pytest
 
 from dualcalc import cli, verify
+from dualcalc.scalars import GaussianRational
+from dualcalc.series import LambdaSeries, TauLaurent
+from oracles import lambda_form
 
 GOLDEN = Path(__file__).parent / "golden"
 P4_SPEC = str(GOLDEN / "toric-p4-spec.json")
@@ -380,6 +384,72 @@ def test_witten_limits_reject_before_any_work(argv, worker, monkeypatch):
     assert _witten_limit_run(argv, worker, monkeypatch) == (1, "usage")
 
 
+# (argv, worker) at the mv and hurwitz limits: the built degree cap 8 (5 for
+# two families) and order 19, which also bound mv hodge's partition and
+# 2g+l+|mu|+3, and hurwitz's genus 6 and twelve boxes
+MV_LIMITS_ACCEPTED = [
+    ["mv", "--check", "pde", "--degree", "8", "--order", "19"],
+    ["mv", "--check", "two-partition", "--degree", "5", "--order", "19"],
+    ["mv", "--dump", "connected", "--degree", "8", "--order", "19"],
+    ["mv", "hodge", "--genus", "7", "--partition", "1"],
+    ["mv", "hodge", "--genus", "0", "--partition", "8", "--degree", "8"],
+    ["mv", "hodge", "--genus", "4", "--partition", "3,3"],
+]
+MV_LIMITS_REJECTED = [
+    ["mv", "--check", "pde", "--degree", "9", "--order", "19"],
+    ["mv", "--check", "lambda-g", "--degree", "8", "--order", "20"],
+    ["mv", "--check", "two-partition", "--degree", "6", "--order", "13"],
+    ["mv", "--dump", "connected", "--degree", "9", "--order", "7"],
+    ["mv", "hodge", "--genus", "8", "--partition", "1"],
+    ["mv", "hodge", "--genus", "0", "--partition", "9"],
+    ["mv", "hodge", "--genus", "5", "--partition", "3,3"],
+]
+HURWITZ_LIMITS_ACCEPTED = [
+    ["hurwitz", "--genus", "6", "--partition", "1" + ",1" * 11, "--elsv"],
+    ["hurwitz", "--genus", "6", "--partition", "12", "--method", "cutjoin"],
+]
+HURWITZ_LIMITS_REJECTED = [
+    ["hurwitz", "--genus", "7", "--partition", "1"],
+    ["hurwitz", "--genus", "0", "--partition", "1" + ",1" * 12],
+    ["hurwitz", "--genus", "1", "--partition", "7,6", "--method", "burnside"],
+]
+
+
+def _limit_run(argv, worker, monkeypatch):
+    from dualcalc.errors import InternalError
+
+    def started(*_args):
+        raise InternalError(f"the {argv[0]} computation was started")
+
+    # as for the witten limits: "internal" (exit 3) means the limit let the query through
+    monkeypatch.setattr(*worker, started)
+    code, out = run(argv)
+    assert out.count("\n") == 1
+    return code, json.loads(out)["kind"]
+
+
+def _worker(argv):
+    from dualcalc import hodge, hurwitz
+
+    return (hodge, "build_series") if argv[0] == "mv" else (hurwitz, "hurwitz_number")
+
+
+@pytest.mark.parametrize("argv", MV_LIMITS_ACCEPTED + HURWITZ_LIMITS_ACCEPTED)
+def test_mv_and_hurwitz_limits_accept_the_boundary(argv, monkeypatch):
+    assert (cli.MV_MAX_DEGREE, cli.MV_MAX_TWO_PARTITION_DEGREE, cli.MV_MAX_ORDER,
+            cli.HURWITZ_MAX_GENUS, cli.HURWITZ_MAX_BOXES) == (8, 5, 19, 6, 12)
+    assert _limit_run(argv, _worker(argv), monkeypatch) == (3, "internal")
+    _, doc = run_json([argv[0], "--help"])
+    help_text = " ".join(doc["help"].split())
+    limits = (8, 5, 19) if argv[0] == "mv" else (6, 12)
+    assert all(f"at most {v}" in help_text or f"or {v}" in help_text for v in limits)
+
+
+@pytest.mark.parametrize("argv", MV_LIMITS_REJECTED + HURWITZ_LIMITS_REJECTED)
+def test_mv_and_hurwitz_limits_reject_before_any_work(argv, monkeypatch):
+    assert _limit_run(argv, _worker(argv), monkeypatch) == (1, "usage")
+
+
 def _p1_power(r):
     return {"generators": [{"name": f"H{i}", "nilpotency": 2} for i in range(r)],
             "line_bundles": [[2] * r],
@@ -522,7 +592,7 @@ def test_grassmannian_verify():
     assert doc["result"]["equal"] is True
 
 
-@pytest.mark.parametrize("name,argv", [
+GOLDEN_COMMANDS = [
     ("hurwitz", ["hurwitz", "--genus", "1", "--partition", "2,1", "--method", "both"]),
     ("w-expand", ["w", "--mu", "2", "--expand", "4"]),
     ("witten", ["witten", "--correlator", "1:1"]),
@@ -570,22 +640,30 @@ def test_grassmannian_verify():
                                "--max-degree", "1", "--verify"]),
     ("vertex-d9-g2", ["vertex", "local-p2", "--max-degree", "9", "--max-genus", "2", "--gv"]),
     ("quintic-d50", ["mirror", "quintic", "--max-degree", "50"]),
-])
+]
+# the spec path is echoed in params, so these run relative to GOLDEN
+TORIC_GOLDENS = [
+    ("toric-p4-d3", "toric-p4-spec.json", 3),
+    ("toric-p1xp1-d2", "toric-p1xp1-spec.json", 2),
+    ("toric-kp2-d6", "toric-kp2-spec.json", 6),
+]
+
+
+def _toric_argv(spec, degree):
+    return ["mirror", "toric", "--spec", spec, "--max-degree", str(degree)]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_COMMANDS)
 def test_golden(name, argv):
     code, out = run(argv)
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
-# the spec path is echoed in params, so the run reads it relative to GOLDEN
-@pytest.mark.parametrize("name,spec,degree", [
-    ("toric-p4-d3", "toric-p4-spec.json", 3),
-    ("toric-p1xp1-d2", "toric-p1xp1-spec.json", 2),
-    ("toric-kp2-d6", "toric-kp2-spec.json", 6),
-])
+@pytest.mark.parametrize("name,spec,degree", TORIC_GOLDENS)
 def test_toric_golden(name, spec, degree, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    code, out = run(["mirror", "toric", "--spec", spec, "--max-degree", str(degree)])
+    code, out = run(_toric_argv(spec, degree))
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
 
@@ -802,8 +880,10 @@ def test_a_process_builds_one_parser(monkeypatch):
     assert built == []
 
 
-# a fresh process whose GaussianRational constructor fails: the framed series
-# commands and the W expansions keep their phase as an integer power of i
+# a fresh process whose GaussianRational constructor fails: no command forms
+# one, so ``TauLaurent.c`` is the only package code that does; the framed
+# series and the W expansions are held in lambda' = i lambda, with rational
+# coefficients
 _NO_GAUSSIAN_RATIONAL = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -822,9 +902,9 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(out))
 """
 
-PHASE_PURE_COMMANDS = [
+# the goldens that only this guard reads, then every other golden
+NO_GAUSSIAN_RATIONAL_COMMANDS = [
     ("mv-check-pde-d3", ["mv", "--check", "pde", "--degree", "3", "--order", "9"]),
-    ("mv-initial-d3", ["mv", "--check", "initial", "--degree", "3", "--order", "9"]),
     ("mv-check-elsv-limit-d3", ["mv", "--check", "elsv-limit", "--degree", "3",
                                 "--order", "9"]),
     ("mv-check-convolution-d3", ["mv", "--check", "convolution", "--degree", "3",
@@ -832,22 +912,41 @@ PHASE_PURE_COMMANDS = [
     ("mv-check-lambda-g-d3", ["mv", "--check", "lambda-g", "--degree", "3", "--order", "9"]),
     ("mv-check-two-partition-d2", ["mv", "--check", "two-partition", "--degree", "2",
                                    "--order", "7"]),
-    ("mv-dump", ["mv", "--dump", "connected", "--degree", "3", "--order", "7"]),
-    ("mv-dump-disconnected-d4", ["mv", "--dump", "disconnected", "--degree", "4",
-                                 "--order", "9"]),
-    ("mv-hodge-g2-21", ["mv", "hodge", "--genus", "2", "--partition", "2,1"]),
-    ("w-expand-321", ["w", "--mu", "3,2,1", "--expand", "10"]),
-    ("w-pair-expand-31-22", ["w", "--mu", "3,1", "--nu", "2,2", "--expand", "8"]),
+    *GOLDEN_COMMANDS,
+    *((name, _toric_argv(spec, degree)) for name, spec, degree in TORIC_GOLDENS),
 ]
 
 
 def test_framed_and_w_commands_form_no_gaussian_rational():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    argvs = json.dumps([argv for _name, argv in PHASE_PURE_COMMANDS])
-    child = subprocess.run([sys.executable, "-c", _NO_GAUSSIAN_RATIONAL, argvs], env=env,
-                           capture_output=True, text=True, timeout=300)
+    argvs = [argv for _name, argv in NO_GAUSSIAN_RATIONAL_COMMANDS]
+    argvs.append(["verify-all", "--profile", "quick"])
+    child = subprocess.run([sys.executable, "-c", _NO_GAUSSIAN_RATIONAL, json.dumps(argvs)],
+                           env=env, cwd=GOLDEN, capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
-    for (name, _argv), (code, out) in zip(PHASE_PURE_COMMANDS, json.loads(child.stdout),
-                                          strict=True):
+    *goldens, (verdict_code, verdict) = json.loads(child.stdout)
+    for (name, _argv), (code, out) in zip(NO_GAUSSIAN_RATIONAL_COMMANDS, goldens, strict=True):
         assert code == 0, (name, out)
         assert out == (GOLDEN / f"{name}.json").read_text(), name
+    assert verdict_code == 0 and json.loads(verdict)["result"]["all_pass"] is True
+
+
+def _gaussian(text):
+    """A printed coefficient, "p/q" or "p/q*i", as a GaussianRational."""
+    if text.endswith("*i"):
+        return GaussianRational(0, Fraction(text[:-2]))
+    return GaussianRational(Fraction(text))
+
+
+_LAMBDA_PRIME = LambdaSeries(-2, [TauLaurent({0: Fraction(-3, 4), 2: 5}), TauLaurent(),
+                                  TauLaurent({-1: 1}), TauLaurent({1: Fraction(7, 6)}),
+                                  TauLaurent({0: -2, 3: Fraction(1, 3)})])
+
+
+@pytest.mark.parametrize("ph", range(-3, 5))
+def test_series_json_prints_the_lambda_form(ph):
+    doc = cli.series_json(_LAMBDA_PRIME, ph)
+    assert (doc["floor"], doc["trunc"]) == (-2, 3)
+    got = {int(e): {int(k): _gaussian(v) for k, v in c.items()}
+           for e, c in doc["coeffs"].items()}
+    assert got == lambda_form(_LAMBDA_PRIME, ph)

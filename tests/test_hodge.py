@@ -17,7 +17,7 @@ from dualcalc.hodge import (FramedSeries, b_constant, build_series,
 from dualcalc.partitions import enumerate_partitions, length, size
 from dualcalc.pseries import PSeries
 from dualcalc.series import LambdaSeries, TauLaurent
-from oracles import assert_same_pseries, build_series_reference
+from oracles import assert_same_pseries, build_series_reference, lambda_form
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +36,14 @@ def test_empty_key_is_one(fs3):
 
 
 def test_p1_coefficient_is_inverse_sine(fs3):
-    # coefficient of p_1 is tau-independent: 1/(2 sin(lambda/2))
+    # coefficient of p_1 is tau-independent: 1/(2 sin(lambda/2)), read back in
+    # lambda from the stored S_1 (G_1(lambda) = i S_1(i lambda)) and from the
+    # lambda' expansion of ov_term(1) ((-i)^ipow times it)
     s = fs3.disconnected.coeff(((1,),))
-    expect = ov_term(1).to_lambda(s.trunc)
-    assert s.eq_through(expect, -1, s.trunc)
+    ov = ov_term(1)
+    expect = ov.to_lambda(s.trunc)
+    assert (s.floor, s.trunc) == (expect.floor, expect.trunc) == (-1, fs3.trunc)
+    assert lambda_form(s, 1) == lambda_form(expect, -ov.ipow)
 
 
 def test_single_part_floor(fs3):
@@ -137,12 +141,11 @@ def test_convolution(fs3):
 
 @pytest.mark.parametrize("mu,e", [((2,), -1), ((1, 1), 0), ((2,), 5)])
 def test_convolution_sees_a_framing_dependent_term(fs3, mu, e):
-    # tau lambda^e (with the phase of its slot) vanishes at tau = 0, where the
-    # kernel is read, so the kernel cannot absorb it; fs3 is left as it is
+    # tau lambda'^e vanishes at tau = 0, where the kernel is read, so the
+    # kernel cannot absorb it; fs3 is left as it is
     co = dict(fs3.disconnected.co)
     s = co[(mu,)]
-    tau = TauLaurent.phased((size(mu) + e) % 2, {1: 1})
-    co[(mu,)] = s + LambdaSeries.from_map({e: tau}, s.trunc)
+    co[(mu,)] = s + LambdaSeries.from_map({e: TauLaurent({1: 1})}, s.trunc)
     bad = FramedSeries(1, fs3.caps, fs3.trunc, PSeries(1, fs3.caps, co))
     assert not convolution_check(bad)
     assert convolution_check(fs3)
@@ -163,11 +166,11 @@ def test_two_family_slice_bridge(fs2fam):
 
 
 def _altered(fs, key, e, tau_exp):
-    """A new FramedSeries: fs with tau^tau_exp lambda^e (in the phase of a
-    two-family slot) added to the coefficient of key; fs is left as it is."""
+    """A new FramedSeries: fs with tau^tau_exp lambda'^e added to the
+    coefficient of key; fs is left as it is."""
     co = dict(fs.disconnected.co)
     s = co[key]
-    co[key] = s + LambdaSeries.from_map({e: TauLaurent.phased(e % 2, {tau_exp: 1})}, s.trunc)
+    co[key] = s + LambdaSeries.from_map({e: TauLaurent({tau_exp: 1})}, s.trunc)
     return FramedSeries(fs.families, fs.caps, fs.trunc, PSeries(fs.families, fs.caps, co))
 
 

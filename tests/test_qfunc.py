@@ -15,8 +15,8 @@ from dualcalc.partitions import enumerate_partitions, size
 from dualcalc.qfunc import QFunction, ULaurent, bracket_quotient, sum_of_products
 from dualcalc.scalars import GaussianRational
 from dualcalc.series import LambdaSeries
-from oracles import (as_scalar, q_series, qfunction, reciprocal, sin_expand,
-                     sum_of_products_reference, tau_from_model, to_lambda_reference)
+from oracles import (lambda_form, plain_form, q_series, qfunction, reciprocal, sin_expand,
+                     sum_of_products_reference, to_lambda_reference)
 
 
 def q(num, den, ipow=0):
@@ -29,11 +29,17 @@ def test_reduction_cancels():
     assert f == q({1: 1, 0: 1}, {0: 1})
 
 
+def through(form, hi):
+    """A ``lambda_form`` model cut below lambda^hi."""
+    return {e: c for e, c in form.items() if e < hi}
+
+
 def test_bracket_to_sine():
-    # (-i)(u - u^{-1}) = 2 sin(lambda/2)
+    # (-i)(u - u^{-1}) = 2 sin(lambda/2): (-i)^ipow times a series in lambda' = i lambda
     f = qfunction(1, ULaurent.bracket(1), ULaurent.const(1))
     got = f.to_lambda(8)
-    assert got.eq_through(sin_expand(1, 8), 0, 8)
+    assert got.trunc == 8
+    assert lambda_form(got, -f.ipow) == plain_form(sin_expand(1, 8))
 
 
 def test_const_expansion():
@@ -45,12 +51,13 @@ def test_inverse_bracket_expansion():
     f = qfunction(-1, ULaurent.const(1), ULaurent.bracket(1))
     s = f.to_lambda(4)
     assert s.floor == -1
-    assert as_scalar(s.coeff(-1)) == GaussianRational(1)
-    assert as_scalar(s.coeff(0)) == GaussianRational(0)
-    assert as_scalar(s.coeff(1)) == GaussianRational(Fraction(1, 24))
+    form = lambda_form(s, -f.ipow)
+    assert form[-1] == {0: GaussianRational(1)}
+    assert 0 not in form
+    assert form[1] == {0: GaussianRational(Fraction(1, 24))}
     # independent oracle: series inversion of sin_expand(1, .)
     inv = reciprocal(sin_expand(1, 8))
-    assert s.eq_through(inv, -1, 3)
+    assert through(form, 3) == through(plain_form(inv), 3)
 
 
 def test_add_same_phase_and_mismatch():
@@ -128,17 +135,20 @@ bracket_value = st.builds(lambda n, d, ipow: qfunction(ipow, n, d),
 @settings(max_examples=100, deadline=None)
 @given(bracket_value, bracket_value)
 def test_factored_sum_and_product_match_expansions(f, g):
+    # each expansion read back in lambda, over the windows both sides know
+    def agree(got, got_ph, want, want_ph):
+        lo, hi = got.window_with(want)
+        cut = [{e: c for e, c in lambda_form(x, ph).items() if lo <= e < hi}
+               for x, ph in ((got, got_ph), (want, want_ph))]
+        assert cut[0] == cut[1]
+
     trunc = 5
     fs, gs = f.to_lambda(trunc), g.to_lambda(trunc)
-    prod = (f * g).to_lambda(trunc)
-    expect = fs * gs
-    lo, hi = prod.window_with(expect)
-    assert hi <= lo or prod.eq_through(expect, lo, hi)
+    fg = f * g
+    agree(fg.to_lambda(trunc), -fg.ipow, fs * gs, -f.ipow - g.ipow)
     if f.ipow == g.ipow:
-        total = (f + g).to_lambda(trunc)
-        expect = fs + gs
-        lo, hi = total.window_with(expect)
-        assert hi <= lo or total.eq_through(expect, lo, hi)
+        total = f + g
+        agree(total.to_lambda(trunc), -total.ipow, fs + gs, -f.ipow)
 
 
 def test_factored_denominator_is_cyclotomic_product():
@@ -248,13 +258,13 @@ def test_window_at_or_below_valuation_is_zero_through_window():
     for trunc in (-2, 0, 1, 2):
         s = sq.to_lambda(trunc)
         assert not s.is_exact_zero() and s.trunc == trunc and s.is_zero_through()
-    assert as_scalar(sq.to_lambda(3).coeff(2)) == GaussianRational(-1)
+    assert lambda_form(sq.to_lambda(3), -sq.ipow) == {2: {0: GaussianRational(-1)}}
     # 1/(2 sin(lambda/2)) = 1/lambda + ...; trunc + (Phi_1 exponent) <= 0 is not an IndexError
     inv = qfunction(-1, ULaurent.const(1), ULaurent.bracket(1))
     for trunc in (-4, -1):
         s = inv.to_lambda(trunc)
         assert not s.is_exact_zero() and s.trunc == trunc and s.is_zero_through()
-    assert as_scalar(inv.to_lambda(0).coeff(-1)) == GaussianRational(1)
+    assert lambda_form(inv.to_lambda(0), -inv.ipow) == {-1: {0: GaussianRational(1)}}
 
 
 def _direct(ipow, p: ULaurent, j: int) -> GaussianRational:
@@ -271,9 +281,9 @@ def _direct(ipow, p: ULaurent, j: int) -> GaussianRational:
 def test_to_lambda_of_polynomial_is_direct_sum(p, ipow, trunc):
     f = qfunction(ipow, p, ULaurent.const(1))
     s = f.to_lambda(trunc)
-    assert s.trunc == trunc
-    for j in range(min(s.floor, 0), trunc):
-        assert s.coeff(j) == tau_from_model({0: _direct(ipow, p, j) if j >= 0 else 0}), j
+    assert s.trunc == trunc and (s.floor >= 0 or s.is_zero_through())
+    direct = {j: {0: _direct(ipow, p, j)} for j in range(max(trunc, 0))}
+    assert lambda_form(s, -f.ipow) == {j: c for j, c in direct.items() if c[0]}
 
 
 @settings(max_examples=100, deadline=None)
@@ -283,13 +293,15 @@ def test_to_lambda_times_denominator_is_numerator(f, extra):
     trunc = v + extra
     prod = f.to_lambda(trunc) * qfunction(0, f.den, ULaurent.const(1)).to_lambda(trunc)
     assert prod.trunc >= extra
-    for j in range(prod.trunc):
-        assert prod.coeff(j) == tau_from_model({0: _direct(f.ipow, f.num, j)}), j
+    # (-i)^ipow num/den times den is (-i)^ipow num
+    direct = {j: {0: _direct(f.ipow, f.num, j)} for j in range(prod.trunc)}
+    assert through(lambda_form(prod, -f.ipow), prod.trunc) == {
+        j: c for j, c in direct.items() if c[0]}
 
 
 def _exact(s):
-    """A lambda-series as its window and its coefficients' (num, den, ph)."""
-    return s.floor, s.trunc, [(c.num, c.den, c.ph) for c in s.co]
+    """A lambda'-series as its window and its coefficients' (num, den)."""
+    return s.floor, s.trunc, [(c.num, c.den) for c in s.co]
 
 
 def test_to_lambda_matches_reference_on_framed_w_values():
