@@ -33,7 +33,7 @@ from .chern_simons import w_one, w_pair
 from .errors import InternalError, UsageError, VerificationFailure
 from .partitions import enumerate_partitions, format_partition, length, parse_partition
 from .qfunc import QFunction
-from .series import LambdaSeries, TauLaurent
+from .series import LambdaSeries, TauLaurent, i_power
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def frac_str(x) -> str:
 
 def tau_json(t: TauLaurent, ph: int) -> dict[str, str]:
     # i^ph times each rational coefficient: "p/q", or "p/q*i" at an odd ph
-    sign = -1 if ph % 4 >= 2 else 1
+    sign = i_power(ph - ph % 2)
     return {str(k): frac_str(Fraction(sign * v, t.den)) + "*i" * (ph % 2)
             for k, v in sorted(t.num.items())}
 

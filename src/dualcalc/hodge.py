@@ -23,17 +23,13 @@ display.  The series, the framing prefactor A(tau) and the cut-and-join
 evolution all carry it consistently, so the initial-value check pins the
 phase exactly and verifies the identity in this documented normalization.
 
-Where the phase lives: the lambda' convention.  Every series here is stored
-in lambda' = i lambda, where all its coefficients are rational.  A
-one-family value is stored as S_mu with G_mu(lambda) = i^{|mu|} S_mu(lambda'),
-so its p_mu lambda^e coefficient is i^{|mu|+e} S_{mu,e}; a two-family value
-is stored as S(lambda') with no twist.  p_d -> i^d p_d and lambda -> lambda'
-are ring maps that commute with the log and the cut-and-join operators, so
-the framing exponentials are real, the i lambda of the evolution is lambda',
-and the convolution, swap and p- = 0 slice checks compare stored series
-directly.  Powers of i appear only where a value is read in or out: the W
-values (``QFunction.to_lambda`` gives (-i)^ipow times a lambda' series), the
-initial value, and the lambda^{2g-2+l} read of ``hodge_extract``.  Each is
+Where the phase lives: every series here is stored in lambda' = i lambda,
+where its coefficients are rational: a one-family value as S_mu with
+G_mu(lambda) = i^{|mu|} S_mu(lambda'), a two-family value as S(lambda').
+p_d -> i^d p_d and lambda -> lambda' commute with the log and the
+cut-and-join operators, so the framing exponentials are real and the
+evolution's i lambda is lambda'.  Powers of i appear only where a value is
+read in or out (the W values, the initial value, ``hodge_extract``); each is
 even, a sign from ``series.i_power``.
 """
 from __future__ import annotations
@@ -330,8 +326,8 @@ def convolution_check(fs: FramedSeries, max_weight: int | None = None) -> bool:
     """Read the kernel off tau = 0 and verify the convolution at tau = 1, 2, 3.
 
     Implemented as G_mu(lambda, tau) = sum_nu Phi2_{mu,nu}(i tau lambda) z_nu K_nu,
-    on the stored series S_mu(lambda', tau) = sum_nu Phi2_{mu,nu}(tau lambda') z_nu
-    S_nu(lambda', 0) (the i^{|mu|} cancels); the + sign of the scaled argument is the one that makes the kernel
+    on the stored series with argument tau lambda' (the twist i^{|mu|} cancels);
+    the + sign of the scaled argument is the one that makes the kernel
     framing-independent given the e^{+kappa lambda/2} normalization of the
     double Hurwitz series.  At tau = 0, Phi2_{mu,nu}(0) z_nu = delta_{mu,nu}
     by character orthogonality, so K_nu = G_nu(lambda, 0).
@@ -370,9 +366,8 @@ def swap_symmetry_check(fs: FramedSeries) -> bool:
 
 
 def slice_reduction_check(fs2: FramedSeries, fs1: FramedSeries) -> bool:
-    """The p- = 0 slice matches the one-family series up to (-i)^{|mu|}: on
-    the stored series, where the one-family twist i^{|mu|} cancels it, they
-    are equal."""
+    """The p- = 0 slice matches the one-family series up to (-i)^{|mu|}, which
+    the one-family twist i^{|mu|} cancels: the stored series are equal."""
     if fs2.families != 2 or fs1.families != 1:
         raise UsageError("need a two-family and a one-family series")
     for n in range(1, min(fs2.caps[0], fs1.caps[0]) + 1):

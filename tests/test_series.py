@@ -377,7 +377,7 @@ def _subst_scale_reference(s, c):
 SCALES = [3, Fraction(-2, 3), Fraction(-1, 2), Fraction(5, 2), -1]
 
 
-@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("c", SCALES, ids=[f"c{i}" for i in range(len(SCALES))])
 def test_subst_scale_matches_gaussian_powers(c):
     s = LambdaSeries(-3, [TauLaurent({-1: Fraction(1, 3), 2: 5}), TauLaurent({0: 2}), TL_ZERO,
                           TauLaurent({1: Fraction(-7, 2)}), TauLaurent({3: 1, 0: -4})])
