@@ -1,11 +1,12 @@
 """Quantum-dimension building blocks: one- and two-partition W values.
 
-``w_one`` is the sine-product form for a single partition, with each factor
-2 sin(m lambda/2) encoded as (-sqrt(-1)) (u^m - u^{-m}).  ``w_pair`` is the
-two-partition skew-Schur form.  The two normalizations are related by the
-fixed monomial bridge
+Both are real rational functions of u = q^(1/2).  ``w_one`` is the
+bracket quotient behind the sine-product form of a single partition: each
+factor 2 sin(m lambda/2) is -i [m], [m] = u^m - u^{-m}, so the W value is
+W_mu = i^{|mu|} w_one(mu).  ``w_pair`` is the two-partition skew-Schur form,
+already real.  The two normalizations are related by the monomial bridge
 
-    w_pair(nu, ()) = (-sqrt(-1))^{|nu|} u^{kappa_nu / 2} w_one(nu),
+    w_pair(nu, ()) = u^{kappa_nu / 2} w_one(nu),
 
 which ``check_pair_reduction`` tests for one partition (the
 ``local-p2-gv-integrality`` acceptance check runs it on small ones).
@@ -15,39 +16,34 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InternalError
-from .partitions import (Partition, intersection, kappa, length, size,
+from .partitions import (Partition, check_partition, intersection, kappa, length, size,
                          sub_diagrams)
-from .qfunc import QFunction, ULaurent, bracket_quotient
+from .qfunc import QFunction, ULaurent, bracket_quotient, sum_of_products
 from .schur import pochhammer_factors, skew_numerator
 from .series import LambdaSeries
 
 
 @lru_cache(maxsize=None)
 def w_one(mu: Partition) -> QFunction:
-    """Sine-product W value of a single partition.
+    """The real bracket quotient of a single partition, W_mu = i^{|mu|} w_one(mu):
 
-    The trailing product runs over the cells of mu (row index i, column
-    index v) with arguments v - i + l(mu); the printed row bound is read as
-    l(mu).  All arguments are positive for a valid partition, so no factor
-    vanishes.
+        prod_{a<b} [mu_a - mu_b + b - a] / [b - a]  /  prod_{(i, v) in mu} [v - i + l(mu)],
+
+    the trailing product over the cells of mu (row index i, column index v);
+    the printed row bound is read as l(mu).  Every argument is positive for a
+    partition, so no factor vanishes; anything else is a UsageError.
     """
+    check_partition(mu)
     l = length(mu)
     tops, bottoms = [], []
     for a in range(l):
         for b in range(a + 1, l):
-            m = mu[a] - mu[b] + (b + 1) - (a + 1)
-            n = (b + 1) - (a + 1)
-            if m <= 0 or n <= 0:
-                raise InternalError(f"nonpositive bracket argument in w_one({mu})")
-            tops.append(m)
-            bottoms.append(n)
+            tops.append(mu[a] - mu[b] + b - a)
+            bottoms.append(b - a)
     for i in range(1, l + 1):
         for v in range(1, mu[i - 1] + 1):
-            arg = v - i + l
-            if arg <= 0:
-                raise InternalError(f"vanishing sine factor in w_one({mu})")
-            bottoms.append(arg)
-    return bracket_quotient(-size(mu), tops, bottoms)
+            bottoms.append(v - i + l)
+    return bracket_quotient(tops, bottoms)
 
 
 @lru_cache(maxsize=None)
@@ -61,6 +57,8 @@ def w_pair(mu: Partition, nu: Partition) -> QFunction:
     numerator ``skew_numerator(mu, rho, |mu|)``, so the signs cancel and W is
     one integer numerator over P_{|mu|} P_{|nu|}, reduced once.
     """
+    check_partition(mu)
+    check_partition(nu)
     u_exp = kappa(mu) + kappa(nu) + size(mu) + size(nu)
     # kappa is even, so the u-exponent is an integer; assert the bookkeeping
     if (kappa(mu) + kappa(nu)) % 2:
@@ -68,17 +66,11 @@ def w_pair(mu: Partition, nu: Partition) -> QFunction:
     num = sum(((skew_numerator(mu, rho, size(mu)) * skew_numerator(nu, rho, size(nu)))
                .shift(u_exp - 2 * size(rho)) for rho in sub_diagrams(intersection(mu, nu))),
               ULaurent())
-    return QFunction.from_factors(0, num, pochhammer_factors(size(mu), size(nu)))
-
-
-@lru_cache(maxsize=None)
-def pair_reduction_factor(nu: Partition) -> QFunction:
-    """Monomial relating the two W normalizations on an empty second slot."""
-    return QFunction.from_factors(size(nu), ULaurent.mono(kappa(nu) // 2), ())
+    return QFunction.from_factors(num, pochhammer_factors(size(mu), size(nu)))
 
 
 def check_pair_reduction(nu: Partition) -> bool:
-    return w_pair(nu, ()) == pair_reduction_factor(nu) * w_one(nu)
+    return w_pair(nu, ()) == sum_of_products([(1, (w_one(nu),), kappa(nu) // 2)])
 
 
 @lru_cache(maxsize=None)

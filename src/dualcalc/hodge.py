@@ -28,9 +28,12 @@ where its coefficients are rational: a one-family value as S_mu with
 G_mu(lambda) = i^{|mu|} S_mu(lambda'), a two-family value as S(lambda').
 p_d -> i^d p_d and lambda -> lambda' commute with the log and the
 cut-and-join operators, so the framing exponentials are real and the
-evolution's i lambda is lambda'.  Powers of i appear only where a value is
-read in or out (the W values, the initial value, ``hodge_extract``); each is
-even, a sign from ``series.i_power``.
+evolution's i lambda is lambda'.  The twist i^{|nu|} is the phase of
+W_nu = i^{|nu|} w_one(nu), so the one-family terms are built from the real
+``w_one`` and the two-family ones from the real ``w_pair``; the initial value
+i^{d-1} / (2 d sin(d lambda / 2)) is i^d ``ov_term(d)``.  The one power of i
+left is read out by ``hodge_extract``: lambda^{2g-2} is (-1)^{g-1}
+lambda'^{2g-2}.
 """
 from __future__ import annotations
 
@@ -40,14 +43,14 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial, prod
 
-from .chern_simons import w_one, w_one_lambda, w_pair, w_pair_lambda
+from .chern_simons import w_one_lambda, w_pair_lambda
 from .errors import InternalError, UsageError
 from .hurwitz import burnside_phi, double_hurwitz
-from .partitions import (Partition, aut, character, enumerate_partitions,
-                         kappa, length, size, zmu)
+from .partitions import (Partition, aut, character, check_partition,
+                         enumerate_partitions, kappa, length, size, zmu)
 from .pseries import PSeries, empty_key
 from .qfunc import QFunction, bracket_quotient
-from .series import LambdaSeries, TauLaurent, combine, exp_monomial, i_power
+from .series import LambdaSeries, TauLaurent, combine, exp_monomial
 
 Frac = Fraction
 
@@ -70,9 +73,9 @@ class FramedSeries(namedtuple("FramedSeries", "families caps trunc disconnected"
 @lru_cache(maxsize=None)
 def _one_family_term(nu: Partition, trunc: int) -> LambdaSeries:
     t = trunc + size(nu)
-    # e^{(tau + 1/2) kappa lambda' / 2}, and W_nu(lambda) = i^{|nu|} i^{-|nu|-ipow} W(lambda')
+    # e^{(tau + 1/2) kappa lambda' / 2} times w_one(nu), W_nu = i^{|nu|} w_one(nu)
     framing = exp_monomial(TauLaurent({0: Frac(kappa(nu), 4), 1: Frac(kappa(nu), 2)}), 1, t)
-    return combine([(i_power(-size(nu) - w_one(nu).ipow), framing, w_one_lambda(nu, t))])
+    return framing * w_one_lambda(nu, t)
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +83,7 @@ def _two_family_term(nup: Partition, num: Partition, trunc: int) -> LambdaSeries
     t = trunc + size(nup) + size(num)
     # e^{(kappa+ tau + kappa- / tau) lambda' / 2}
     framing = exp_monomial(TauLaurent({1: Frac(kappa(nup), 2), -1: Frac(kappa(num), 2)}), 1, t)
-    return combine([(i_power(-w_pair(nup, num).ipow), framing, w_pair_lambda(nup, num, t))])
+    return framing * w_pair_lambda(nup, num, t)
 
 
 @lru_cache(maxsize=None)
@@ -149,11 +152,9 @@ def residual_window_ok(res: PSeries, need) -> bool:
 # ---------------------------------------------------------------------------
 
 def ov_term(d: int) -> QFunction:
-    """1/(2 d sin(d lambda / 2)) as a q-function.
-
-    2 sin(d lambda/2) = (-i)(u^d - u^{-d}), so the 2 lives in the bracket.
-    """
-    return bracket_quotient(-1, (), (d,)).scale(Frac(1, d))
+    """1/(d [d]), [d] = u^d - u^{-d}: 1/(2 d sin(d lambda / 2)) is i times it,
+    since 2 sin(d lambda/2) = -i [d]."""
+    return bracket_quotient((), (d,)).scale(Frac(1, d))
 
 
 def initial_value_report(fs: FramedSeries, through: int | None = None) -> dict:
@@ -182,9 +183,8 @@ def initial_value_report(fs: FramedSeries, through: int | None = None) -> dict:
                 multi_ok = False
         else:
             d = mu[0]
-            # i^{d-1} ov_term(d)(lambda) = i^d (i^{-1-ipow} ov_term(lambda'))
-            ov = ov_term(d)
-            expect = ov.to_lambda(s.trunc).scale(i_power(-1 - ov.ipow))
+            # i^{d-1} / (2 d sin(d lambda/2)) = i^d ov_term(d), stored as ov_term(d) in lambda'
+            expect = ov_term(d).to_lambda(s.trunc)
             lo, _ = s.window_with(expect)
             if not s.eq_through(expect, lo, hi):
                 single_ok = False
@@ -236,7 +236,7 @@ def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> list[Frac]:
     divides out the framing prefactor i^{|mu|+l} A(tau); the quotient must be
     a polynomial of degree at most 2g.
     """
-    mu = tuple(mu)
+    mu = check_partition(mu)
     if g < 0:
         raise UsageError("genus must be nonnegative")
     if size(mu) > fs.caps[0]:
@@ -245,7 +245,7 @@ def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> list[Frac]:
     s = fs.connected.coeff((mu,))
     if s.co and e >= s.trunc:
         raise UsageError(f"lambda^{e} lies beyond the series window (order {s.trunc})")
-    c = s.coeff(e).scale(i_power(2 * g - 2))
+    c = s.coeff(e).scale(1 if g % 2 else -1)
     a = framing_prefactor(mu)
     quotient = c.divexact(a)
     if quotient and quotient.min_exp() < 0:

@@ -30,8 +30,9 @@ from math import comb, factorial, prod
 
 from .dense import power_sums
 from .errors import InternalError, UsageError, VerificationFailure
-from .partitions import (Partition, add_parts, aut, character, dim, enumerate_partitions,
-                         kappa, length, multiplicities, remove_part, size, zmu)
+from .partitions import (Partition, add_parts, aut, character, check_partition, dim,
+                         enumerate_partitions, kappa, length, multiplicities, remove_part,
+                         size, zmu)
 from .pseries import cut_join_terms
 from .series import LambdaSeries
 
@@ -113,6 +114,7 @@ def burnside_phi(mu: Partition, trunc: int) -> LambdaSeries:
     Only exponents with r = |mu| + l(mu) (mod 2) appear; this parity is
     asserted.
     """
+    mu = check_partition(mu)
     if size(mu) < 1:
         raise UsageError("profile must be nonempty")
     r0 = ramification_order(0, mu)
@@ -186,6 +188,7 @@ def _hurwitz_cutjoin(g: int, mu: Partition) -> Frac:
 
 def hurwitz_number(g: int, mu: Partition, method: str = "burnside") -> Frac:
     """Connected simple Hurwitz number H_{g,mu}."""
+    mu = check_partition(mu)
     if g < 0:
         raise UsageError("genus must be nonnegative")
     if size(mu) < 1:
@@ -203,6 +206,7 @@ def hurwitz_number(g: int, mu: Partition, method: str = "burnside") -> Frac:
 
 def double_hurwitz(mu: Partition, nu: Partition, trunc: int) -> LambdaSeries:
     """Disconnected two-profile series sum_eta chi(mu) chi(nu)/(z z) e^{kappa L/2}."""
+    mu, nu = check_partition(mu), check_partition(nu)
     if size(mu) != size(nu):
         raise UsageError("profiles must have equal sizes")
     zz = zmu(mu) * zmu(nu)
@@ -221,6 +225,7 @@ def elsv_I(g: int, mu: Partition) -> tuple[Frac, Frac]:
 
     I = H / r!; bare = I * |Aut(mu)| * prod(mu_i! / mu_i^{mu_i}).
     """
+    mu = check_partition(mu)
     r = ramification_order(g, mu)
     if r < 0:
         raise UsageError(f"unstable profile (g={g}, mu={mu})")

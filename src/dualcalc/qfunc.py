@@ -1,24 +1,25 @@
-"""Exact rational functions in u = q^(1/2) with a tracked power of (-sqrt(-1)).
+"""Exact rational functions in u = q^(1/2) over the rationals.
 
-A ``QFunction`` stores value = (-sqrt(-1))**ipow * num(u)/den(u) with num a
-``ULaurent`` (the ``laurent`` kernel: integer numerators over one positive
-denominator) and den a product of cyclotomic polynomials Phi_e(u), kept
-factored as {e: m_e}.  Every denominator the package builds has that form:
-the quantum integers u^m - u^(-m) = u^(-m) prod_{e | 2m} Phi_e and the
+A ``QFunction`` stores num(u)/den(u) with num a ``ULaurent`` (the ``laurent``
+kernel: integer numerators over one positive denominator) and den a product
+of cyclotomic polynomials Phi_e(u), kept factored as {e: m_e}.  Every
+denominator the package builds has that form: the quantum integers
+[m] = u^m - u^(-m) = u^(-m) prod_{e | 2m} Phi_e and the
 principal-specialization factors 1 - u^(2i).  So no polynomial gcd is ever
 taken: a product adds exponents, a sum takes the largest exponent of each
 factor, and reduction is a trial exact division of the numerator by each
 Phi_e present (Phi_e is irreducible over Q), run on the integer numerators.
 ``sum_of_products`` is the one sum: c u^k times a product of values, summed
-over terms and reduced once; ``+`` and ``*`` are calls to it.  Keeping the
-phase separate leaves all polynomial arithmetic inside Q(u).
+over terms and reduced once; ``+`` and ``*`` are calls to it.  A value holds
+no power of i: where a W value or 2 sin(d lambda/2) = -i [d] carries one,
+the caller that reads it out supplies it (``chern_simons``, ``hodge``,
+``cli``).
 ``to_lambda`` expands num/den at u = e^{lambda'/2} with lambda' =
 sqrt(-1) lambda (so q = e^{sqrt(-1) lambda}) on integers: num and den
 become integer series in y = lambda'/2 over one shared factorial, their
 quotient is taken fraction-free against a cached denominator side (both
 series are power sums, ``dense.power_sums``), and the powers of 2 join only
-as each lambda'^e coefficient is stored.  Every coefficient is rational; the
-value is (-sqrt(-1))**ipow times that series in lambda'.
+as each lambda'^e coefficient is stored.  Every coefficient is rational.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from functools import lru_cache
 from math import factorial
 
 from .dense import power_sums
-from .errors import InternalError, UsageError
+from .errors import InternalError
 from .laurent import Laurent
 from .series import TL_ONE, LambdaSeries
 
@@ -40,13 +41,6 @@ class ULaurent(Laurent):
 
     __slots__ = ()
     var = "u"
-
-    @staticmethod
-    def bracket(m: int) -> "ULaurent":
-        """u^m - u^(-m)."""
-        if m == 0:
-            return ULaurent()
-        return ULaurent({m: 1, -m: -1})
 
 
 @lru_cache(maxsize=None)
@@ -106,47 +100,41 @@ def _den_series(fac: Factors, n: int, length: int) -> tuple[list[int], list[int]
 
 
 class QFunction:
-    """(-sqrt(-1))**ipow * num(u) / den(u), reduced and canonically normalized.
+    """num(u) / den(u), reduced and canonically normalized.
 
-    Canonical form: ipow in {0, 1}; the denominator is the factored product
-    ``fac`` = ((e, m_e), ...) of cyclotomic polynomials Phi_e(u)^{m_e},
-    sorted by e, so den has valuation 0 and leading coefficient 1; no Phi_e
-    in ``fac`` divides num, so gcd(num, den) = 1.  Zero is (0, 0, ()).  Values
-    are built from factors, never from a denominator polynomial; ``den``
-    expands ``fac`` back to its monic polynomial.
+    Canonical form: the denominator is the factored product ``fac`` =
+    ((e, m_e), ...) of cyclotomic polynomials Phi_e(u)^{m_e}, sorted by e, so
+    den has valuation 0 and leading coefficient 1; no Phi_e in ``fac``
+    divides num, so gcd(num, den) = 1.  Zero is (0, ()).  Values are built
+    from factors, never from a denominator polynomial; ``den`` expands
+    ``fac`` back to its monic polynomial.
     """
 
-    __slots__ = ("ipow", "num", "fac")
+    __slots__ = ("num", "fac")
 
-    def _set(self, ipow: int, num: ULaurent, fac: Factors, trial=()) -> None:
-        """Store with ipow in {0, 1}, each Phi_e with e in ``trial`` divided
-        out of num as often as it divides it and fac allows."""
-        ipow %= 4
-        if ipow >= 2:
-            ipow, num = ipow - 2, -num
+    @staticmethod
+    def _of(num: ULaurent, fac: Factors, trial=()) -> "QFunction":
+        """num / prod Phi_e^{m_e}, each Phi_e with e in ``trial`` divided out
+        of num as often as it divides it and fac allows."""
         kept = []
         for e, m in fac if num else ():
             if e in trial:
                 num, m = _strip(num, e, m)
             if m:
                 kept.append((e, m))
-        self.ipow, self.num, self.fac = ipow if num else 0, num, tuple(kept)
-
-    @staticmethod
-    def _of(ipow: int, num: ULaurent, fac: Factors, trial=()) -> "QFunction":
         out = object.__new__(QFunction)
-        out._set(ipow, num, fac, trial)
+        out.num, out.fac = num, tuple(kept)
         return out
 
     # -- constructors -------------------------------------------------------
     @staticmethod
     def const(v) -> "QFunction":
-        return QFunction._of(0, ULaurent.const(v), ())
+        return QFunction._of(ULaurent.const(v), ())
 
     @staticmethod
-    def from_factors(ipow: int, num: ULaurent, fac: Factors) -> "QFunction":
-        """(-sqrt(-1))**ipow * num / prod Phi_e^{m_e} over ``fac``, sorted by e, reduced."""
-        return QFunction._of(ipow, num, fac, dict(fac))
+    def from_factors(num: ULaurent, fac: Factors) -> "QFunction":
+        """num / prod Phi_e^{m_e} over ``fac``, sorted by e, reduced."""
+        return QFunction._of(num, fac, dict(fac))
 
     @property
     def den(self) -> ULaurent:
@@ -159,10 +147,10 @@ class QFunction:
     def __eq__(self, o):
         if not isinstance(o, QFunction):
             return NotImplemented
-        return self.ipow == o.ipow and self.fac == o.fac and self.num == o.num
+        return self.fac == o.fac and self.num == o.num
 
     def __hash__(self):
-        return hash((self.ipow, self.num, self.fac))
+        return hash((self.num, self.fac))
 
     # -- arithmetic -------------------------------------------------------------
     def __mul__(self, o: "QFunction") -> "QFunction":
@@ -172,12 +160,12 @@ class QFunction:
         return sum_of_products([(1, (self,), 0), (1, (o,), 0)])
 
     def scale(self, v) -> "QFunction":
-        return QFunction._of(self.ipow, self.num.scale(v), self.fac)
+        return QFunction._of(self.num.scale(v), self.fac)
 
     # -- expansion ---------------------------------------------------------------
     def to_lambda(self, trunc: int) -> LambdaSeries:
         """num/den as a series in lambda' = i lambda, truncated at order
-        ``trunc``: the value is (-i)^ipow times it.
+        ``trunc``.
 
         num and den become integer series a, b in y = lambda'/2; den vanishes
         at y = 0 only through Phi_1 = u - 1, to order v.  With d0 = b_v,
@@ -210,11 +198,11 @@ class QFunction:
         return LambdaSeries.from_map(out, trunc)
 
     def __repr__(self):
-        return f"(-i)^{self.ipow} * ({self.num}) / ({self.den})"
+        return f"({self.num}) / ({self.den})"
 
 
-def bracket_quotient(ipow: int, tops: Iterable[int], bottoms: Iterable[int]) -> QFunction:
-    """(-sqrt(-1))**ipow * prod [m] / prod [n] over m in ``tops``, n in ``bottoms``.
+def bracket_quotient(tops: Iterable[int], bottoms: Iterable[int]) -> QFunction:
+    """prod [m] / prod [n] over m in ``tops``, n in ``bottoms``.
 
     Each bracket is [m] = u^m - u^(-m) = u^(-m) prod_{e | 2m} Phi_e for m > 0,
     so the Phi_e multisets cancel and the value comes out canonical by unique
@@ -227,34 +215,29 @@ def bracket_quotient(ipow: int, tops: Iterable[int], bottoms: Iterable[int]) -> 
             shift -= sign * m
             mult.update({e: sign for e in range(1, 2 * m + 1) if 2 * m % e == 0})
     num = _expand(tuple(sorted((e, a) for e, a in mult.items() if a > 0))).shift(shift)
-    return QFunction._of(ipow, num, tuple(sorted((e, -a) for e, a in mult.items() if a < 0)))
+    return QFunction._of(num, tuple(sorted((e, -a) for e, a in mult.items() if a < 0)))
 
 
 def sum_of_products(terms: Iterable[tuple[object, Sequence[QFunction], int]]) -> QFunction:
     """sum of c u^shift prod(factors) over ``terms`` = ((c, factors, shift), ...),
     c rational: the one sum of ``QFunction`` values, behind ``+`` and ``*``.
 
-    The unreduced products are summed per (phase, denominator), a phase 2 read
-    as a negated numerator; the nonzero sums go over the largest exponent of
-    each Phi_e, and their integer numerators are added and reduced once.
-    Raises UsageError when two live phases differ by 1.
+    The unreduced products are summed per denominator; the nonzero sums go
+    over the largest exponent of each Phi_e, and their integer numerators are
+    added and reduced once.
     """
-    groups: dict[tuple[int, Factors], ULaurent] = {}
+    groups: dict[Factors, ULaurent] = {}
     for c, factors, shift in terms:
-        ipow, num, fac = 0, ULaurent({shift: c}), Counter()
+        num, fac = ULaurent({shift: c}), Counter()
         for f in factors:
-            ipow += f.ipow
             num = num * f.num
             fac.update(dict(f.fac))
-        key = (ipow % 2, tuple(sorted(fac.items())))
-        num = -num if ipow % 4 >= 2 else num
+        key = tuple(sorted(fac.items()))
         groups[key] = groups[key] + num if key in groups else num
-    live = {key: num for key, num in groups.items() if num}
-    if len({ipow for ipow, _fac in live}) > 1:
-        raise UsageError("adding QFunctions with incompatible phases")
+    live = {fac: num for fac, num in groups.items() if num}
     top: Counter = Counter()
-    for _ipow, fac in live:
+    for fac in live:
         top |= Counter(dict(fac))
     total = sum((num * _expand(tuple(sorted((top - Counter(dict(fac))).items())))
-                 for (_ipow, fac), num in live.items()), ULaurent())
-    return QFunction.from_factors(min(live, default=(0,))[0], total, tuple(sorted(top.items())))
+                 for fac, num in live.items()), ULaurent())
+    return QFunction.from_factors(total, tuple(sorted(top.items())))

@@ -28,7 +28,7 @@ def _gaussian(m: int, k: int) -> ULaurent:
 @lru_cache(maxsize=None)
 def pochhammer_factors(*ns: int) -> Factors:
     """The cyclotomic factors of prod_{n in ns} prod_{i<=n} (u^{2i} - 1), u^{2i} - 1 = u^i [i]."""
-    return bracket_quotient(0, [], [i for n in ns for i in range(1, n + 1)]).fac
+    return bracket_quotient([], [i for n in ns for i in range(1, n + 1)]).fac
 
 
 @lru_cache(maxsize=None)

@@ -19,8 +19,6 @@ Two layers:
 
 The framed series are stored in lambda' = i lambda (see ``hodge``), where
 every coefficient is rational, so no value here carries a power of i.
-``i_power`` turns the even powers of i met where values are read in or out
-into signs.
 """
 from __future__ import annotations
 
@@ -31,14 +29,6 @@ from math import factorial, lcm
 from .errors import InternalError, UsageError
 from .laurent import Laurent
 from .scalars import GaussianRational
-
-
-def i_power(n: int) -> int:
-    """i^n for an even n, as the sign (-1)^(n/2); raises ``InternalError`` on
-    an odd n, whose power of i would leave the rationals."""
-    if n % 2:
-        raise InternalError(f"odd power i^{n} where a real value is read")
-    return -1 if n % 4 else 1
 
 
 class TauLaurent(Laurent):

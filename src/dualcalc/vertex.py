@@ -39,7 +39,6 @@ from .errors import InternalError, UsageError, VerificationFailure
 from .laurent import Laurent
 from .partitions import compositions, enumerate_partitions, kappa
 from .qfunc import QFunction, sum_of_products
-from .series import i_power
 
 Frac = Fraction
 NTable = dict[tuple[int, int], Frac]
@@ -101,9 +100,9 @@ def extract_gw(d_max: int, g_max: int) -> NTable:
     """N_{g,d} for d <= d_max, g <= g_max from the free-energy slices.
 
     Raises UsageError for d_max < 1 or g_max < 0 (an empty table), and
-    InternalError unless the lambda-floor is >= -2, odd lambda-powers vanish
-    and the values are real: each slice needs ipow 0, so that its
-    lambda^{2g-2} coefficient is i^{2g-2} times the lambda'^{2g-2} one.
+    InternalError unless the lambda-floor is >= -2 and odd lambda-powers
+    vanish.  The lambda^{2g-2} coefficient is (-1)^{g-1} times the
+    lambda'^{2g-2} one.
     """
     if d_max < 1:
         raise UsageError("local P2 needs a maximal degree >= 1")
@@ -124,7 +123,7 @@ def extract_gw(d_max: int, g_max: int) -> NTable:
             c = s.coeff(2 * g - 2)
             if set(c.num) - {0}:
                 raise InternalError(f"tau-dependent where scalar expected: {c}")
-            out[(g, d)] = Frac(c.num.get(0, 0), c.den) * i_power(2 * g - 2 - f[d].ipow)
+            out[(g, d)] = Frac(c.num.get(0, 0), c.den) * (1 if g % 2 else -1)
     return out
 
 

@@ -2,7 +2,9 @@
 polynomial kernel in ``dualcalc.laurent``, the read of a tau-free
 ``TauLaurent`` as a ``GaussianRational``, the complex model of a series in
 lambda' = i lambda read back in lambda, ``PSeries`` scaling and ``QFunction``
-negation (the package sums with coefficients instead), a q-expansion oracle, a
+negation (the package sums with coefficients instead), the bracket [m], a
+phase-carrying model of a power of i times a ``QFunction``, a q-expansion
+oracle, a
 ``Fraction`` lambda-expansion oracle, a series reciprocal, the pairwise fold
 that ``series.combine`` replaces, the pairwise ``PSeries`` sums and the
 two-branch framed build that ``PSeries._sum`` and the one build loop
@@ -41,8 +43,8 @@ from dualcalc.scalars import GaussianRational
 from dualcalc.series import TL_ZERO, LambdaSeries, combine
 
 
-def qfunction(ipow, num, den):
-    """(-sqrt(-1))**ipow * num / den as a reduced ``QFunction``, for any ``ULaurent``
+def qfunction(num, den):
+    """num / den as a reduced ``QFunction``, for any ``ULaurent``
     den = c * u^k * prod Phi_e^{m_e}, its factors found by trial division.
 
     Raises UsageError for a denominator with any other factor.  A factor
@@ -62,7 +64,7 @@ def qfunction(ipow, num, den):
             fac.append((e, m - left))
     if rest != ULaurent.const(1):
         raise UsageError("denominator is not a u-power times cyclotomic polynomials")
-    return QFunction.from_factors(ipow, num.shift(-lo).scale(1 / lead), tuple(fac))
+    return QFunction.from_factors(num.shift(-lo).scale(1 / lead), tuple(fac))
 
 
 def canonical(p):
@@ -115,17 +117,40 @@ def pscale(x, v):
 
 
 def qneg(f):
-    """-f for a ``QFunction``: a phase of 2 more."""
-    return QFunction._of(f.ipow + 2, f.num, f.fac)
+    """-f for a ``QFunction``."""
+    return f.scale(-1)
+
+
+def bracket(m):
+    """The quantum integer [m] = u^m - u^(-m) as a ``ULaurent``."""
+    return ULaurent({m: 1, -m: -1}) if m else ULaurent()
+
+
+def phased(ipow, f):
+    """A model of the value (-sqrt(-1))**ipow * f for a real ``QFunction`` f,
+    carrying its phase: (ipow, f) with ipow in {0, 1}, (-i)^2 = -1 folded into
+    f, and zero as (0, 0), the form ``cli.qfun_json`` prints."""
+    ipow %= 4
+    if ipow >= 2:
+        ipow, f = ipow - 2, f.scale(-1)
+    return (ipow if f else 0, f)
+
+
+def phased_product(*models):
+    """The product of ``phased`` models: phases add and values multiply."""
+    ipow, f = 0, QFunction.const(1)
+    for a, g in models:
+        ipow, f = ipow + a, q_mul_reference(f, g)
+    return phased(ipow, f)
 
 
 def q_series(f, order):
     """q-expansion of a ``QFunction`` through q^order, as Fractions.
 
-    Requires ipow == 0 and only even nonnegative u-powers in num and den.
+    Requires only even nonnegative u-powers in num and den.
     """
     num, den = f.num.c, f.den.c
-    assert not f.ipow and not any(k % 2 or k < 0 for k in (*num, *den))
+    assert not any(k % 2 or k < 0 for k in (*num, *den))
     num, den = ([p.get(2 * k, Fraction(0)) for k in range(order + 1)] for p in (num, den))
     return dense_mul(num, dense_inv(den, order + 1), order + 1)
 
@@ -843,13 +868,14 @@ def sin_expand(m: int, trunc: int) -> LambdaSeries:
 @lru_cache(maxsize=None)
 def _gv_kernel(g: int, k: int, trunc: int) -> LambdaSeries:
     """(1/k) (2 sin(k lambda / 2))^{2g-2}, with 2 sin(k lambda/2) = (-i)[k], as
-    a series in lambda' = i lambda: an even power of -i has ipow 0."""
+    a series in lambda' = i lambda: (-i)^{2g-2}, the real part of its
+    ``phased`` model, times the lambda' series of [k]^{2g-2} / k."""
     power = ULaurent.const(1)
     for _ in range(abs(2 * g - 2)):
-        power = power * ULaurent.bracket(k)
+        power = power * bracket(k)
     num, den = (ULaurent.const(1), power) if g == 0 else (power, ULaurent.const(1))
-    f = qfunction(2 * g - 2, num.scale(Fraction(1, k)), den)
-    assert f.ipow == 0
+    ipow, f = phased(2 * g - 2, qfunction(num.scale(Fraction(1, k)), den))
+    assert ipow == 0
     return f.to_lambda(trunc)
 
 
@@ -888,7 +914,7 @@ def h_principal_reference(k):
     den = ULaurent.const(1)
     for i in range(1, k + 1):
         den = den * (ULaurent.const(1) - ULaurent.mono(2 * i))
-    return qfunction(0, ULaurent.const(1), den)
+    return qfunction(ULaurent.const(1), den)
 
 
 def _jt_det(rows, cols, entries):
@@ -925,7 +951,7 @@ def w_pair_reference(mu, nu):
     u_exp = kappa(mu) + kappa(nu) + sum(mu) + sum(nu)
     acc = QFunction.const(0)
     for rho in sub_diagrams(intersection(mu, nu)):
-        shift = qfunction(0, ULaurent.mono(u_exp - 2 * sum(rho)), ULaurent.const(1))
+        shift = qfunction(ULaurent.mono(u_exp - 2 * sum(rho)), ULaurent.const(1))
         acc = q_add_reference(acc, q_mul_reference(q_mul_reference(
             shift, skew_schur_reference(mu, rho)), skew_schur_reference(nu, rho)))
     return qneg(acc) if (sum(mu) + sum(nu)) % 2 else acc
@@ -937,7 +963,7 @@ def q_mul_reference(a, b):
     ``qfunc.sum_of_products`` replaces."""
     fac = Counter(dict(a.fac))
     fac.update(dict(b.fac))
-    return QFunction._of(a.ipow + b.ipow, a.num * b.num, tuple(sorted(fac.items())),
+    return QFunction._of(a.num * b.num, tuple(sorted(fac.items())),
                          dict(a.fac).keys() ^ dict(b.fac).keys())
 
 
@@ -949,13 +975,11 @@ def q_add_reference(a, b):
         return b
     if not b.num:
         return a
-    if a.ipow != b.ipow:
-        raise UsageError("adding QFunctions with incompatible phases")
     fa, fb = dict(a.fac), dict(b.fac)
     top = tuple(sorted((e, max(fa.get(e, 0), fb.get(e, 0))) for e in {**fa, **fb}))
     num = (a.num * _expand(tuple((e, m - fa.get(e, 0)) for e, m in top))
            + b.num * _expand(tuple((e, m - fb.get(e, 0)) for e, m in top)))
-    return QFunction._of(a.ipow, num, top, {e for e in fa if fa[e] == fb.get(e)})
+    return QFunction._of(num, top, {e for e in fa if fa[e] == fb.get(e)})
 
 
 def sum_of_products_reference(terms):
@@ -963,7 +987,7 @@ def sum_of_products_reference(terms):
     as the pairwise fold of reduced products and sums."""
     acc = QFunction.const(0)
     for c, factors, shift in terms:
-        term = QFunction.from_factors(0, ULaurent({shift: c}), ())
+        term = QFunction.from_factors(ULaurent({shift: c}), ())
         for f in factors:
             term = q_mul_reference(term, f)
         acc = q_add_reference(acc, term)

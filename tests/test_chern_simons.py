@@ -2,23 +2,22 @@ from fractions import Fraction
 
 from dualcalc.chern_simons import (check_pair_reduction, w_one, w_one_lambda,
                                    w_pair, w_pair_lambda)
-from dualcalc.partitions import enumerate_partitions, size
+from dualcalc.partitions import enumerate_partitions
 from dualcalc.qfunc import QFunction, ULaurent
 from dualcalc.scalars import GaussianRational
-from oracles import (lambda_form, plain_form, qfunction, reciprocal, sin_expand,
-                     w_pair_reference)
+from oracles import (bracket, lambda_form, phased, phased_product, plain_form, qfunction,
+                     reciprocal, sin_expand, w_pair_reference)
 
 
 def test_w_one_empty_and_single():
     assert w_one(()) == QFunction.const(1)
-    # 1/(2 sin(lambda/2))
-    assert w_one((1,)) == qfunction(-1, ULaurent.const(1), ULaurent.bracket(1))
+    # 1/(2 sin(lambda/2)) = i / [1]
+    assert w_one((1,)) == qfunction(ULaurent.const(1), bracket(1))
 
 
 def test_w_one_two_cells():
-    # 1/(2 sin(lambda/2) 2 sin(lambda))
-    expect = qfunction(-2, ULaurent.const(1),
-                       ULaurent.bracket(1) * ULaurent.bracket(2))
+    # 1/(2 sin(lambda/2) 2 sin(lambda)) = i^2 / ([1] [2])
+    expect = qfunction(ULaurent.const(1), bracket(1) * bracket(2))
     assert w_one((2,)) == expect
     assert w_one((1, 1)) == expect  # ratio part is 1 for (1,1)
 
@@ -26,16 +25,25 @@ def test_w_one_two_cells():
 def _w_one_by_constructor(mu):
     """w_one as ``oracles.qfunction`` reduces it: the bracket products
     multiplied out and the denominator factored by trial division."""
-    l = len(mu)
+    tops, bottoms = _sine_arguments(mu)
     num, den = ULaurent.const(1), ULaurent.const(1)
-    for a in range(l):
-        for b in range(a + 1, l):
-            num = num * ULaurent.bracket(mu[a] - mu[b] + b - a)
-            den = den * ULaurent.bracket(b - a)
-    for i in range(1, l + 1):
-        for v in range(1, mu[i - 1] + 1):
-            den = den * ULaurent.bracket(v - i + l)
-    return qfunction(-size(mu), num, den)
+    for m in tops:
+        num = num * bracket(m)
+    for m in bottoms:
+        den = den * bracket(m)
+    return qfunction(num, den)
+
+
+def _sine_arguments(mu):
+    """The arguments m of the factors 2 sin(m lambda/2) of W_mu over and under
+    the line: pairs a < b give (mu_a - mu_b + b - a) over (b - a), and each
+    cell (i, v) gives (v - i + l) under."""
+    l = len(mu)
+    pairs = [(a, b) for a in range(l) for b in range(a + 1, l)]
+    tops = [mu[a] - mu[b] + b - a for a, b in pairs]
+    bottoms = [b - a for a, b in pairs]
+    bottoms += [v - i + l for i in range(1, l + 1) for v in range(1, mu[i - 1] + 1)]
+    return tops, bottoms
 
 
 def test_w_one_factored_matches_constructor():
@@ -44,7 +52,19 @@ def test_w_one_factored_matches_constructor():
         for mu in enumerate_partitions(n):
             got, expect = w_one(mu), _w_one_by_constructor(mu)
             assert got == expect, mu
-            assert (got.ipow, got.num.c, got.fac) == (expect.ipow, expect.num.c, expect.fac)
+            assert (got.num.c, got.fac) == (expect.num.c, expect.fac)
+
+
+def test_w_one_times_its_power_of_i_is_the_sine_product():
+    # W_mu = i^{|mu|} w_one(mu) against the product of its factors
+    # 2 sin(m lambda/2) = (-i)[m], each carrying its own phase: the
+    # (-i)^{-|mu|} bracket form of W_mu
+    for n in range(8):
+        for mu in enumerate_partitions(n):
+            tops, bottoms = _sine_arguments(mu)
+            sines = [phased(1, qfunction(bracket(m), ULaurent.const(1))) for m in tops]
+            sines += [phased(-1, qfunction(ULaurent.const(1), bracket(m))) for m in bottoms]
+            assert phased(-n, w_one(mu)) == phased_product(*sines), mu
 
 
 def test_w_one_floor():
@@ -56,9 +76,9 @@ def test_w_one_floor():
 
 
 def test_w_one_lambda_inverse_sine():
-    # a series in lambda' = i lambda; the value is (-i)^ipow times it
+    # a series in lambda' = i lambda; W_1 = i w_one((1,)) is i times it
     s = w_one_lambda((1,), 4)
-    form = lambda_form(s, -w_one((1,)).ipow)
+    form = lambda_form(s, 1)
     assert form[-1] == {0: GaussianRational(1)}
     assert form[1] == {0: GaussianRational(Fraction(1, 24))}
     # independent oracle: invert the sine series directly
@@ -69,13 +89,13 @@ def test_w_one_lambda_inverse_sine():
 def test_w_pair_basics():
     assert w_pair((), ()) == QFunction.const(1)
     # mu=(1), nu=(): -q^{1/2}/(1-q) = -u/(1-u^2)
-    expect = qfunction(2, ULaurent.mono(1), ULaurent.const(1) - ULaurent.mono(2))
+    expect = qfunction(ULaurent({1: -1}), ULaurent.const(1) - ULaurent.mono(2))
     assert w_pair((1,), ()) == expect
     # mu=nu=(1): q*(1/(1-q)^2 + q^{-1})
     one_minus_q = ULaurent.const(1) - ULaurent.mono(2)
-    s11 = qfunction(0, ULaurent.const(1), one_minus_q * one_minus_q)
-    expect11 = (s11 + qfunction(0, ULaurent.mono(-2), ULaurent.const(1))) * qfunction(
-        0, ULaurent.mono(2), ULaurent.const(1))
+    s11 = qfunction(ULaurent.const(1), one_minus_q * one_minus_q)
+    expect11 = (s11 + qfunction(ULaurent.mono(-2), ULaurent.const(1))) * qfunction(
+        ULaurent.mono(2), ULaurent.const(1))
     assert w_pair((1,), (1,)) == expect11
 
 
@@ -126,4 +146,4 @@ def test_w_pair_matches_reduced_product_reference():
     for mu in small:
         for nu in small:
             got, want = w_pair(mu, nu), w_pair_reference(mu, nu)
-            assert (got.ipow, got.num, got.fac) == (want.ipow, want.num, want.fac), (mu, nu)
+            assert (got.num, got.fac) == (want.num, want.fac), (mu, nu)

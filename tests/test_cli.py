@@ -12,11 +12,14 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualcalc import cli, verify
+from dualcalc.chern_simons import w_one, w_pair
+from dualcalc.qfunc import QFunction, ULaurent
 from dualcalc.scalars import GaussianRational
 from dualcalc.series import LambdaSeries, TauLaurent
-from oracles import lambda_form
+from oracles import lambda_form, phased
 
 GOLDEN = Path(__file__).parent / "golden"
 P4_SPEC = str(GOLDEN / "toric-p4-spec.json")
@@ -60,6 +63,17 @@ def test_witten_cross():
     assert code == 0
     assert doc["result"]["psi_asymptotic"] == "1/24"
     assert doc["checks"] == [{"name": "dvv-vs-asymptotics", "pass": True}]
+
+
+def test_witten_cross_compares_only_one_correlator():
+    # the same correlator up to the order of its indices is compared
+    code, doc = run_json(["witten", "--correlator", "1:2,1,0", "--psi", "1:0,1,2"])
+    assert code == 0
+    assert doc["checks"] == [{"name": "dvv-vs-asymptotics", "pass": True}]
+    # two different correlators are both computed, and neither fails the other
+    code, doc = run_json(["witten", "--correlator", "1:1", "--psi", "0:0,0,0"])
+    assert code == 0 and doc["checks"] == []
+    assert (doc["result"]["value"], doc["result"]["psi_asymptotic"]) == ("1/24", "1")
 
 
 def test_witten_virasoro():
@@ -950,3 +964,113 @@ def test_series_json_prints_the_lambda_form(ph):
     got = {int(e): {int(k): _gaussian(v) for k, v in c.items()}
            for e, c in doc["coeffs"].items()}
     assert got == lambda_form(_LAMBDA_PRIME, ph)
+
+
+# real W values and monomials with numerators of either sign
+_QFUN_VALUES = [w_one((2, 1)), w_one((3,)), w_pair((2,), (1,)),
+                QFunction.from_factors(ULaurent({3: -2, 0: Fraction(1, 3)}), ((1, 1), (4, 2)))]
+
+
+@pytest.mark.parametrize("ph", range(-3, 5))
+def test_qfun_json_prints_the_phased_value(ph):
+    # i^ph f against the phase-carrying model of (-i)^(-ph) f
+    for f in _QFUN_VALUES:
+        ipow, g = phased(-ph, f)
+        assert cli.qfun_json(f, ph) == {
+            "ipow": ipow,
+            "num": {str(k): str(v) for k, v in sorted(g.num.c.items())},
+            "den": {str(k): str(v) for k, v in sorted(g.den.c.items())},
+            "variable": "u = q^(1/2)"}
+
+
+# -- the CLI contract under drawn input ------------------------------------------
+
+def _number(lo, hi, *far):
+    """An integer option value: mostly a small one, else one past a limit or
+    not an integer."""
+    small = st.integers(lo, hi).map(str)
+    return st.one_of(small, small, small, st.sampled_from([*map(str, far), "x", "1.5", ""]))
+
+
+def _partition(top):
+    """A partition of at most 3 parts of at most ``top``, a list of small
+    integers that may not be one, or malformed text."""
+    parts = st.lists(st.integers(1, top), max_size=3)
+    return st.one_of(
+        parts.map(lambda ps: ",".join(map(str, sorted(ps, reverse=True)))),
+        st.lists(st.integers(-1, top), max_size=3).map(lambda ps: ",".join(map(str, ps))),
+        st.sampled_from(["1,,2", "2,1,", "a", "1.5", " ", "3;1", "-", "1,2"]))
+
+
+_PARTITION = _partition(3)
+_CORRELATOR = st.one_of(
+    st.builds(lambda g, ks: f"{g}:{','.join(map(str, ks))}",
+              st.integers(-1, 2), st.lists(st.integers(-1, 3), max_size=3)),
+    st.sampled_from(["1", "1:1:1", ":", "a:1", "1:a", "0:", "1:1,,1"]))
+
+
+def _options(*pairs):
+    """argv fragments: each (flag, values) pair present, mostly, or absent."""
+    return st.tuples(*(st.one_of(values.map(lambda v, f=flag: [f, v]),
+                                 values.map(lambda v, f=flag: [f, v]), st.just([]))
+                       for flag, values in pairs)).map(lambda parts: sum(parts, []))
+
+
+def _flag(name):
+    return st.sampled_from([[], [name]])
+
+
+_COMMANDS = st.one_of(
+    st.builds(lambda *parts: ["hurwitz", *sum(parts, [])],
+              _options(("--genus", _number(-2, 2, 7, 10 ** 6)), ("--partition", _PARTITION),
+                       ("--method", st.sampled_from(["burnside", "cutjoin", "both"] * 2 + ["bad"]))),
+              _flag("--elsv")),
+    st.builds(lambda opts: ["w", *opts],
+              _options(("--mu", _PARTITION), ("--nu", _PARTITION),
+                       ("--expand", _number(-1, 9, 65, 10 ** 6)))),
+    st.builds(lambda head, opts: ["mv", *head, *opts],
+              st.sampled_from([[], [], ["hodge"], ["hodge"], ["bad"]]),
+              _options(("--check", st.sampled_from(["pde", "initial", "elsv-limit",
+                                                    "convolution", "lambda-g",
+                                                    "two-partition", "bad"])),
+                       ("--dump", st.sampled_from(["connected", "disconnected"] * 2 + ["bad"])),
+                       ("--degree", _number(-1, 3, 9, 10 ** 6)),
+                       ("--order", _number(-1, 9, 20, 10 ** 6)),
+                       ("--genus", _number(-1, 1, 10 ** 6)),
+                       # at most 6 boxes: mv hodge builds through max(--degree, |mu|)
+                       ("--partition", _partition(2)))),
+    st.builds(lambda geometry, opts, gv: ["vertex", geometry, *opts, *gv],
+              st.sampled_from(["local-p2"] * 3 + ["local-p3"]),
+              _options(("--max-degree", _number(-1, 3, 10, 10 ** 6)),
+                       ("--max-genus", _number(-1, 3, 25, 10 ** 6))),
+              _flag("--gv")),
+    st.builds(lambda opts: ["witten", *opts],
+              _options(("--correlator", _CORRELATOR), ("--psi", _CORRELATOR),
+                       ("--virasoro", _number(-1, 3, 7, 10 ** 6)),
+                       ("--order", _number(-1, 4, 8, 10 ** 6)))),
+    st.builds(lambda opts: ["mirror", "quintic", *opts],
+              _options(("--max-degree", _number(-1, 5, 51, 10 ** 6)))),
+    st.builds(lambda opts: ["mirror", "toric", *opts],
+              _options(("--spec", st.sampled_from([P4_SPEC, str(GOLDEN / "no-such-spec.json"),
+                                                   str(GOLDEN / "w-expand.json")])),
+                       ("--max-degree", _number(-1, 3, 51, 10 ** 6)))),
+    st.builds(lambda opts, verify: ["mirror", "grassmannian", *opts, *verify],
+              _options(("-k", _number(1, 3, -1, 5)), ("-n", _number(2, 5, 0, 9)),
+                       ("--max-degree", _number(-1, 2, 5, 10 ** 6))),
+              _flag("--verify")),
+    st.builds(lambda profile: ["verify-all", "--profile", profile],
+              st.sampled_from(["bad", "", "Quick", "full,quick"])),
+    st.sampled_from([[sub, "-h"] for sub in ("hurwitz", "w", "mv", "vertex", "witten",
+                                             "mirror", "verify-all")]
+                    + [["mirror", "quintic", "-h"], [], ["bad"]]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_COMMANDS)
+def test_every_drawn_command_prints_one_document(argv):
+    # exit 3 is an internal inconsistency: a defect whatever the input
+    code, out = run(argv)
+    assert code in (0, 1, 2), (argv, out)
+    assert out.endswith("\n") and out.count("\n") == 1, (argv, out)
+    assert isinstance(json.loads(out), dict), argv

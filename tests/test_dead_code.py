@@ -6,17 +6,17 @@ only when some package module imports it from its module (a re-export in
 ``__init__.py`` counts), reads it as that module's attribute, or reads it in
 its own module outside its ``def``; so a local variable of the same name
 elsewhere does not keep it alive.  A method or nested function counts as
-named when its name appears anywhere in the package outside its ``def``.  A
-name that only the tests use does not count, and neither does a function's
-call to itself.
+named when some package module reads its name, as a bare name or as an
+attribute, outside its ``def``: a word in a docstring or comment does not
+count.  The methods that argparse calls back (``_Parser.error`` and
+``_Parser.print_help``) are exempt.  A name that only the tests use does not
+count, and neither does a function's call to itself.
 
 Every defaulted parameter is passed, by position or keyword, by some call
 inside the package: a default that no call overrides is a constant dressed
 as an option.  Calls are matched by name, so a call of any function of the
 same name counts."""
 import ast
-import re
-from collections import Counter
 from pathlib import Path
 
 import dualcalc
@@ -26,6 +26,8 @@ PACKAGE = Path(dualcalc.__file__).parent
 # defaults that callers outside the package supply: the console script calls
 # main() and argparse's -h/--help action calls print_help()
 OUTSIDE_CALLERS = {("cli.py", "main", "argv"), ("cli.py", "print_help", "file")}
+# methods that only argparse calls: on a bad argument and on -h/--help
+CALLBACKS = {("cli.py", "error"), ("cli.py", "print_help")}
 
 
 def _module_level_reads(trees):
@@ -44,32 +46,39 @@ def _module_level_reads(trees):
     return imported, reads
 
 
+def _references(trees):
+    """Per name, the (module path, line) of each ``Name`` or ``Attribute`` that reads it."""
+    refs = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
 def test_every_definition_is_named_elsewhere():
-    texts = {p: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    trees = {p: ast.parse(t, str(p)) for p, t in texts.items()}
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
     imported, reads = _module_level_reads(trees)
+    refs = _references(trees)
     defs = []
     for path, tree in trees.items():
-        lines = texts[path].splitlines()
         top = set(map(id, tree.body))
         for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not (node.name.startswith("__") and node.name.endswith("__"))):
-                body = "\n".join(lines[node.lineno - 1:node.end_lineno])
-                defs.append((path, node, id(node) in top, body))
-    per_name = Counter(node.name for _p, node, _t, _b in defs)
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and (path.name, node.name) not in CALLBACKS):
+                defs.append((path, node, id(node) in top))
     unused = []
-    for path, node, top, body in defs:
+    for path, node, top in defs:
         name = node.name
         if top:
             named = (path.stem, name) in imported or any(
                 not node.lineno <= line <= node.end_lineno
                 for line in reads.get((path.stem, name), ()))
         else:
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            # namings outside this definition, less the other definitions' own lines
-            outside = sum(len(word.findall(t)) for t in texts.values()) - len(word.findall(body))
-            named = outside > per_name[name] - 1
+            named = any(where != path or not node.lineno <= line <= node.end_lineno
+                        for where, line in refs.get(name, ()))
         if not named:
             unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"defined but never named elsewhere: {unused}"

@@ -17,7 +17,8 @@ from dualcalc.hodge import (FramedSeries, b_constant, build_series,
 from dualcalc.partitions import enumerate_partitions, length, size
 from dualcalc.pseries import PSeries
 from dualcalc.series import LambdaSeries, TauLaurent
-from oracles import assert_same_pseries, build_series_reference, lambda_form
+from oracles import (assert_same_pseries, build_series_reference, lambda_form, plain_form,
+                     reciprocal, sin_expand)
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +39,14 @@ def test_empty_key_is_one(fs3):
 def test_p1_coefficient_is_inverse_sine(fs3):
     # coefficient of p_1 is tau-independent: 1/(2 sin(lambda/2)), read back in
     # lambda from the stored S_1 (G_1(lambda) = i S_1(i lambda)) and from the
-    # lambda' expansion of ov_term(1) ((-i)^ipow times it)
+    # lambda' expansion of ov_term(1) (1/(2 sin(lambda/2)) = i ov_term(1))
     s = fs3.disconnected.coeff(((1,),))
-    ov = ov_term(1)
-    expect = ov.to_lambda(s.trunc)
+    expect = ov_term(1).to_lambda(s.trunc)
     assert (s.floor, s.trunc) == (expect.floor, expect.trunc) == (-1, fs3.trunc)
-    assert lambda_form(s, 1) == lambda_form(expect, -ov.ipow)
+    assert lambda_form(s, 1) == lambda_form(expect, 1)
+    # and from the reciprocal of the sine series itself
+    want = plain_form(reciprocal(sin_expand(1, s.trunc + 2)))
+    assert lambda_form(s, 1) == {e: c for e, c in want.items() if e < s.trunc}
 
 
 def test_single_part_floor(fs3):

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from dualcalc import chern_simons, hodge, hurwitz
 from dualcalc.errors import UsageError
 from dualcalc.partitions import (aut, character, compositions, conjugate, dim,
                                  enumerate_partitions, format_partition,
@@ -55,6 +56,27 @@ def test_parse_format_round_trip():
     assert format_partition(()) == ""
     with pytest.raises(UsageError):
         parse_partition("1,3")
+
+
+# the library entries that take a partition, each called on a candidate mu
+PARTITION_ENTRIES = {
+    "hurwitz_number-burnside": lambda mu: hurwitz.hurwitz_number(0, mu, "burnside"),
+    "hurwitz_number-cutjoin": lambda mu: hurwitz.hurwitz_number(0, mu, "cutjoin"),
+    "elsv_I": lambda mu: hurwitz.elsv_I(0, mu),
+    "burnside_phi": lambda mu: hurwitz.burnside_phi(mu, 6),
+    "double_hurwitz": lambda mu: hurwitz.double_hurwitz(mu, mu, 6),
+    "hodge_extract": lambda mu: hodge.hodge_extract(hodge.build_series(3, 9, 1), 1, mu),
+    "w_one": lambda mu: chern_simons.w_one(mu),
+    "w_pair": lambda mu: chern_simons.w_pair(mu, ()),
+}
+
+
+@pytest.mark.parametrize("mu", [(1, 2), (2, 0)], ids=["increasing", "zero-part"])
+@pytest.mark.parametrize("entry", PARTITION_ENTRIES)
+def test_library_entries_reject_a_non_partition(entry, mu):
+    # the CLI checks through parse_partition; a library caller gets the same check
+    with pytest.raises(UsageError, match="parts must be"):
+        PARTITION_ENTRIES[entry](mu)
 
 
 @pytest.mark.parametrize("mu,z,a,k", [

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from dualcalc.errors import InternalError, UsageError
 from dualcalc.scalars import GaussianRational
 from dualcalc.series import (TL_ONE, TL_ZERO, LambdaSeries, TauLaurent, combine,
-                             exp_monomial, i_power)
+                             exp_monomial)
 from oracles import as_scalar, canonical, combine_reference, sin_expand
 
 
@@ -169,13 +169,6 @@ def test_canonical_form_pin():
 def test_tau_laurent_adds_only_the_view_and_eval():
     # every other operation is the kernel's, with no phase
     assert {k for k in vars(TauLaurent) if not k.startswith("__")} == {"var", "c", "eval"}
-
-
-def test_i_power_reads_even_powers_as_signs():
-    assert [i_power(n) for n in range(-6, 7, 2)] == [-1, 1, -1, 1, -1, 1, -1]
-    for n in (-5, -3, -1, 1, 3, 7):
-        with pytest.raises(InternalError, match="odd power"):
-            i_power(n)
 
 
 # -- LambdaSeries -------------------------------------------------------------
