@@ -16,10 +16,18 @@ i^ph f, f a real ``QFunction``, is printed by ``qfun_json`` as a power of
 -sqrt(-1), 0 or 1, times num/den.  Partitions are
 comma-separated descending integers; keys are sorted, so output is
 byte-deterministic for fixed inputs apart from the ``seconds`` timings of
-``verify-all``.  A process builds its parser once (``build_parser`` is
-cached) and memoises ``candelas``, ``hori_vafa_series`` and the framed series
-``hodge.build_series``, unbounded for its life; handlers only read the
-cached results.
+``verify-all``.
+
+A process builds its parser once (``build_parser``) and parses each argv
+once (``_parsed``; a parse that raises is not kept).  It memoises the
+mirror series (``candelas``, ``hori_vafa_series``), the framed series
+(``hodge.build_series``), the W expansions (``w_one_lambda``,
+``w_pair_lambda``), the Hodge extractions (``hodge_extract_cached``) and
+the quintic's GV numbers (``_quintic_gv``), all unbounded for the life of
+the process.  So a repeated query reuses its parsed arguments and these
+values, and runs only its ``checks[]`` comparisons, each on every call, and
+serialisation: a rational held as an integer numerator over a denominator
+is printed by ``ratio_str``, with no ``Fraction`` formed.
 """
 from __future__ import annotations
 
@@ -28,10 +36,10 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, gcd, prod
 
 from . import hodge, hurwitz, intersections, mirror, vertex, verify
-from .chern_simons import w_one, w_pair
+from .chern_simons import w_one, w_one_lambda, w_pair, w_pair_lambda
 from .errors import InternalError, UsageError, VerificationFailure
 from .partitions import enumerate_partitions, format_partition, length, parse_partition
 from .qfunc import QFunction
@@ -43,13 +51,22 @@ from .series import LambdaSeries, TauLaurent
 # ---------------------------------------------------------------------------
 
 def frac_str(x) -> str:
-    return str(Fraction(x))
+    """A Fraction or an int as "p/q", or "p" when it is integral."""
+    return str(x)
+
+
+def ratio_str(v: int, den: int) -> str:
+    """str(Fraction(v, den)) for den > 0, with one gcd and no Fraction: how a
+    coefficient of a ``laurent.Poly``, an integer numerator over its
+    denominator, is printed."""
+    g = gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
 
 
 def tau_json(t: TauLaurent, ph: int) -> dict[str, str]:
     # i^ph times each rational coefficient: "p/q", or "p/q*i" at an odd ph
     sign = -1 if ph % 4 >= 2 else 1
-    return {str(k): frac_str(Fraction(sign * v, t.den)) + "*i" * (ph % 2)
+    return {str(k): ratio_str(sign * v, t.den) + "*i" * (ph % 2)
             for k, v in sorted(t.num.items())}
 
 
@@ -67,10 +84,11 @@ def series_json(s: LambdaSeries, ph: int) -> dict:
 def qfun_json(f: QFunction, ph: int) -> dict:
     # u = q^{1/2}; i^ph f as (-sqrt(-1))**ipow * num/den, (-i)^2 = -1 going to num
     sign = -1 if -ph % 4 >= 2 else 1
+    num, den = f.num, f.den
     return {
         "ipow": -ph % 2,
-        "num": {str(k): frac_str(sign * v) for k, v in sorted(f.num.c.items())},
-        "den": {str(k): frac_str(v) for k, v in sorted(f.den.c.items())},
+        "num": {str(k): ratio_str(sign * v, num.den) for k, v in sorted(num.num.items())},
+        "den": {str(k): ratio_str(v, den.den) for k, v in sorted(den.num.items())},
         "variable": "u = q^(1/2)",
     }
 
@@ -248,7 +266,8 @@ def _cmd_w(args) -> dict:
     if nu is not None:
         out["nu"] = format_partition(nu)
     if args.expand is not None:
-        out["lambda_expansion"] = series_json(f.to_lambda(args.expand), ph)
+        s = w_one_lambda(mu, args.expand) if nu is None else w_pair_lambda(mu, nu, args.expand)
+        out["lambda_expansion"] = series_json(s, ph)
     return {"result": out, "checks": []}
 
 
@@ -267,7 +286,7 @@ def _cmd_mv(args) -> dict:
             raise UsageError(f"mv hodge is limited to {MV_MAX_DEGREE} boxes and "
                              f"2g+l+|mu|+3 {MV_MAX_ORDER}")
         fs = hodge.build_series(cap, trunc, 1)
-        poly = hodge.hodge_extract(fs, args.genus, mu)
+        poly = hodge.hodge_extract_cached(fs, args.genus, mu)
         return {"result": {"genus": args.genus, "partition": format_partition(mu),
                            "tau_polynomial": [frac_str(c) for c in poly]},
                 "checks": []}
@@ -377,8 +396,16 @@ def _cmd_witten(args) -> dict:
     return {"result": result, "checks": checks}
 
 
+@lru_cache(maxsize=None)
+def _quintic_gv(d_max: int) -> tuple[vertex.NTable, vertex.GVTable]:
+    """The quintic's genus-0 table K_d and its GV numbers, inverted once per
+    degree; both dicts are read-only.  A failed inversion is not kept."""
+    k_table = {(0, d): k for d, k in enumerate(mirror.candelas(d_max)["K"], 1)}
+    return k_table, vertex.gv_invert(k_table, d_max, 0)
+
+
 def _alpha_json(v) -> dict[str, str]:
-    return {str(k): frac_str(c) for k, c in sorted(v.c.items())}
+    return {str(k): ratio_str(c, v.den) for k, c in sorted(v.num.items())}
 
 
 def _cmd_mirror(args) -> dict:
@@ -388,8 +415,7 @@ def _cmd_mirror(args) -> dict:
     if args.geometry == "quintic":
         d_max = args.max_degree
         data = mirror.candelas(d_max)
-        k_table = {(0, d): k for d, k in enumerate(data["K"], 1)}
-        gv = vertex.gv_invert(k_table, d_max, 0)
+        k_table, gv = _quintic_gv(d_max)
         checks.append({"name": "cubic-5/6", "pass": data["cubic"] == Fraction(5, 6)})
         checks.append({"name": "multiple-cover-integrality",
                        "pass": vertex.gv_forward(gv, d_max, 0) == k_table})
@@ -485,11 +511,18 @@ HANDLERS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _parsed(argv: tuple[str, ...]) -> dict:
+    """The parsed arguments of one argv, parsed once per process; the dict is
+    read-only.  A raising parse (a usage error, a help request) is not kept."""
+    return vars(build_parser().parse_args(argv))
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        # a fresh Namespace per call: a handler never sees another call's
+        args = argparse.Namespace(**_parsed(tuple(argv)))
         payload = HANDLERS[args.command](args)
         doc = {
             "query": args.command,

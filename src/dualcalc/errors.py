@@ -3,6 +3,7 @@
 The CLI maps these onto exit codes: usage errors -> 1, verification
 failures -> 2, internal inconsistencies -> 3.
 """
+from operator import index
 
 
 class UsageError(ValueError):
@@ -15,3 +16,12 @@ class VerificationFailure(Exception):
 
 class InternalError(AssertionError):
     """Bookkeeping invariant broken (division remainder, odd power of i, ...)."""
+
+
+def as_index(v, what: str) -> int:
+    """v as an int when it is integral by type (``operator.index``), else a
+    UsageError: 1.5 is not silently read as 1, nor 2.0 as 2."""
+    try:
+        return index(v)
+    except TypeError:
+        raise UsageError(f"{what} must be an integer, not {v!r}") from None

@@ -14,7 +14,8 @@ every check and query of a process shares one build.  The module verifies
 the cut-and-join evolution in tau, the initial value at tau = 0, the
 degeneration onto the Hurwitz series, the convolution with double Hurwitz
 numbers (its kernel is the tau = 0 slice, so no series is ever inverted),
-and extracts triple Hodge integrals through the framing prefactor.
+and extracts triple Hodge integrals through the framing prefactor, each
+once per (series, genus, partition) (``hodge_extract_cached``).
 
 Phase conventions.  With the sine-normalized W, the tau = 0 slice of the
 series equals sum_d i^{d-1} p_d / (2 d sin(d lambda / 2)): each degree-d part
@@ -44,7 +45,7 @@ from itertools import product
 from math import factorial, prod
 
 from .chern_simons import w_one_lambda, w_pair_lambda
-from .errors import InternalError, UsageError
+from .errors import InternalError, UsageError, as_index
 from .hurwitz import burnside_phi, double_hurwitz
 from .partitions import (Partition, aut, character, check_partition,
                          enumerate_partitions, kappa, length, size, zmu)
@@ -86,11 +87,14 @@ def _two_family_term(nup: Partition, num: Partition, trunc: int) -> LambdaSeries
     return framing * w_pair_lambda(nup, num, t)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_series(degree_cap: int, trunc: int, families: int) -> FramedSeries:
     """Assemble the disconnected series through the given caps, once per
     process: ``lru_cache`` keys a keyword and a positional ``families``
-    apart, so the package passes it positionally."""
+    apart, so the package passes it positionally.  The cache is typed, so
+    2.0 is not served the build of 2 but refused like 2.5."""
+    degree_cap, trunc, families = (as_index(v, name) for v, name in (
+        (degree_cap, "degree cap"), (trunc, "order"), (families, "families")))
     if families not in (1, 2):
         raise UsageError("families must be 1 or 2")
     family_term = _one_family_term if families == 1 else _two_family_term
@@ -260,6 +264,20 @@ def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> list[Frac]:
     return out
 
 
+@lru_cache(maxsize=None)
+def hodge_extract_cached(fs: FramedSeries, g: int, mu: Partition) -> tuple[Frac, ...]:
+    """``hodge_extract`` once per (series, genus, partition), as a tuple.
+
+    Keyed by the series itself: a ``FramedSeries`` hashes and compares its
+    ``PSeries`` by identity, so a series built apart is extracted apart.  A
+    raising extraction is not kept.  Callers pass an int genus and a
+    partition that ``check_partition`` returned, so that 1.0 or a list is
+    refused before it becomes a key.
+    """
+    return tuple(hodge_extract(fs, g, mu))
+
+
+@lru_cache(maxsize=None)
 def b_constant(g: int) -> Frac:
     """(2^{2g-1} - 1)/2^{2g-1} |B_{2g}|/(2g)! for g > 0; 1 at g = 0."""
     from .scalars import bernoulli
@@ -273,12 +291,13 @@ def b_constant(g: int) -> Frac:
 def lambda_g_check(fs: FramedSeries, g: int, mu: Partition) -> bool:
     """tau = 0 value of the extracted polynomial against b_g |mu|^{2g+n-3}.
 
-    The two sides must agree exactly, sign included, for every (g, mu).
+    The two sides must agree exactly, sign included, for every (g, mu).  The
+    extraction is read from its cache; the comparison runs on every call.
     """
+    g, mu = as_index(g, "genus"), check_partition(mu)
     if g < 1:
         raise UsageError("the identity concerns g >= 1")
-    mu = tuple(mu)
-    poly = hodge_extract(fs, g, mu)
+    poly = hodge_extract_cached(fs, g, mu)
     target = b_constant(g) * Frac(size(mu)) ** (2 * g + length(mu) - 3)
     return poly[0] == target
 

@@ -29,7 +29,7 @@ from itertools import product, zip_longest
 from math import comb, factorial, prod
 
 from .dense import power_sums
-from .errors import InternalError, UsageError, VerificationFailure
+from .errors import InternalError, UsageError, VerificationFailure, as_index
 from .partitions import (Partition, add_parts, aut, character, check_partition, dim,
                          enumerate_partitions, kappa, length, multiplicities, remove_part,
                          size, zmu)
@@ -277,7 +277,7 @@ def _bare_polynomial(g: int, n: int, rho: Partition) -> Frac:
 
 def psi_from_asymptotics(g: int, ks: Sequence[int]) -> Frac:
     """<tau_{k_1} ... tau_{k_n}>_g read off the top degree of the Hurwitz data."""
-    ks = tuple(int(k) for k in ks)
+    g, ks = as_index(g, "genus"), tuple(as_index(k, "index") for k in ks)
     n = len(ks)
     if n < 1:
         raise UsageError("need at least one insertion")

@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
-from .errors import UsageError
+from .errors import UsageError, as_index
 from .partitions import compositions
 
 Frac = Fraction
@@ -116,7 +116,7 @@ def _scaled(g: int, ks: Sequence[int], den: int) -> Frac:
 
 def dvv(g: int, ks: Sequence[int]) -> Frac:
     """<tau_{k_1} ... tau_{k_n}>_g; zero off the dimension shell."""
-    ks = tuple(int(k) for k in ks)
+    g, ks = _indices(g, ks)
     if any(k < 0 for k in ks):
         raise UsageError("indices must be nonnegative")
     if not ks:
@@ -133,7 +133,13 @@ def dvv(g: int, ks: Sequence[int]) -> Frac:
 
 def dvv_normalized(g: int, ks: Sequence[int]) -> Frac:
     """<prod s_{k}>_g with s_k = (2k+1)!! psi^k."""
-    return _scaled(g, [int(k) for k in ks], 1)
+    return _scaled(*_indices(g, ks), 1)
+
+
+def _indices(g, ks) -> tuple[int, tuple[int, ...]]:
+    """The genus and the indices as ints; anything not integral by type is a
+    UsageError."""
+    return as_index(g, "genus"), tuple(as_index(k, "index") for k in ks)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 
 from . import dense, nilpotent
-from .errors import InternalError, UsageError, VerificationFailure
+from .errors import InternalError, UsageError, VerificationFailure, as_index
 from .laurent import Laurent, Poly
 from .partitions import compositions
 
@@ -384,13 +384,15 @@ def _bialternant(rows: dict[tuple[int, int], Poly], k: int, n: int, d_max: int,
     return by_d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
     """Operator-formula series, localization series, and their equality:
     {"operator": {d: {t_exp: {lam: Laurent}}}, "localization": same shape,
     "equal": bool}.  "equal" is the entry-by-entry equality of the two sides'
     rows on a nonempty read; the localization rows are read on their own only
-    when they differ."""
+    when they differ.  The cache is typed, so 2.0 is refused, not served the
+    series of 2."""
+    k, n, d_max = (as_index(v, name) for v, name in ((k, "k"), (n, "n"), (d_max, "degree")))
     if not (1 <= k < n):
         raise UsageError("need 1 <= k < n")
     if d_max < 0:

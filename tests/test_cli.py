@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualcalc import cli, verify
 from dualcalc.chern_simons import w_one, w_pair
@@ -884,6 +885,8 @@ def test_a_process_builds_one_parser(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting)
+    # the parse memo too, or a parsed argv would not reach the parser
+    cli._parsed.cache_clear()
     cli.build_parser.cache_clear()
     run(MIXED[0])
     assert built, "the first call builds the parser"
@@ -892,6 +895,67 @@ def test_a_process_builds_one_parser(monkeypatch):
     for i in range(50):
         run(cheap[i % len(cheap)])
     assert built == []
+
+
+# repeated queries, one per cached value a warm query reads: parsed arguments,
+# W expansions of both kinds, Hodge extractions and the quintic's GV numbers.
+# vertex local-p2 is left out: it expands its free energy on every call.
+WARM = [
+    ["hurwitz", "--genus", "1", "--partition", "2,1", "--method", "both", "--elsv"],
+    ["w", "--mu", "2,1", "--expand", "6"],
+    ["w", "--mu", "2,1", "--nu", "1", "--expand", "4"],
+    ["mv", "--check", "lambda-g", "--degree", "2", "--order", "9"],
+    ["mv", "hodge", "--genus", "1", "--partition", "2,1"],
+    ["witten", "--correlator", "1:1", "--psi", "1:1"],
+    ["mirror", "quintic", "--max-degree", "4"],
+    ["mirror", "grassmannian", "-k", "2", "-n", "3", "--max-degree", "1", "--verify"],
+]
+
+
+def test_a_repeated_query_pays_only_for_serialisation(monkeypatch):
+    from dualcalc import hodge, vertex
+
+    calls = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in [(cli._Parser, "parse_args"), (QFunction, "to_lambda"),
+                        (hodge, "hodge_extract"), (vertex, "gv_invert")]:
+        count(owner, name)
+    _clear_caches()
+    first = [run(argv) for argv in WARM]
+    # each counted call is on the path of the first pass
+    assert set(calls) == {"parse_args", "to_lambda", "hodge_extract", "gv_invert"}
+    calls.clear()
+    second = [run(argv) for argv in WARM]
+    assert calls == Counter()
+    assert second == first
+    assert {code for code, _out in first} == {0}
+    # a parse that raises is never kept: each call parses again
+    for argv, code, kind in [(["hurwitz", "--genus", "x", "--partition", "1"], 1, "usage"),
+                             (["mirror", "quintic", "-h"], 0, "help")]:
+        docs = [run(argv) for _ in range(2)]
+        assert calls.pop("parse_args") == 2
+        assert docs[0] == docs[1] and docs[0][0] == code
+        assert json.loads(docs[0][1])["kind"] == kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 1)
+@example(0, 6)
+@example(-4, 6)
+@example(-7, 1)
+@example(12, 4)
+def test_ratio_str_prints_the_fraction(v, den):
+    assert cli.ratio_str(v, den) == str(Fraction(v, den))
 
 
 # a fresh process whose GaussianRational constructor fails: no command forms

@@ -10,7 +10,7 @@ import dualcalc
 from dualcalc.errors import UsageError
 from dualcalc.hodge import (FramedSeries, b_constant, build_series,
                             convolution_check, elsv_limit_check,
-                            framing_prefactor, hodge_extract,
+                            framing_prefactor, hodge_extract, hodge_extract_cached,
                             initial_value_report, lambda_g_check, ov_term,
                             pde_residual, residual_window_ok,
                             slice_reduction_check, swap_symmetry_check)
@@ -195,10 +195,14 @@ def test_framing_prefactor_is_built_once_per_partition(fs3):
     cases = [(g, mu) for g in (1, 2) for n in range(1, 4) for mu in enumerate_partitions(n)]
     partitions = len({mu for _g, mu in cases})
     framing_prefactor.cache_clear()
+    # the extractions too, or a case extracted earlier would not reach the prefactor
+    hodge_extract_cached.cache_clear()
     assert all(lambda_g_check(fs3, g, mu) for g, mu in cases)
     assert framing_prefactor.cache_info()[:2] == (len(cases) - partitions, partitions)
+    # a second pass reads every extraction from its cache: no prefactor is read
     assert all(lambda_g_check(fs3, g, mu) for g, mu in cases)
-    assert framing_prefactor.cache_info()[:2] == (2 * len(cases) - partitions, partitions)
+    assert framing_prefactor.cache_info()[:2] == (len(cases) - partitions, partitions)
+    assert hodge_extract_cached.cache_info()[:2] == (len(cases), len(cases))
 
 
 @pytest.mark.parametrize("args", [(3, 8, 1), (2, 7, 2), (3, 9, 2)])
@@ -230,3 +234,11 @@ def test_family_count_guard(fs3, fs2fam):
         swap_symmetry_check(fs3)
     with pytest.raises(UsageError):
         build_series(2, 6, 3)
+
+
+def test_build_series_takes_only_integer_arguments():
+    # a typed cache: 2.0 is refused even when the build of 2 is cached
+    build_series(2, 5, 1)
+    for args in [(2.5, 5, 1), (2.0, 5, 1), (2, 5.0, 1), (2, 5, 1.0)]:
+        with pytest.raises(UsageError, match="must be an integer"):
+            build_series(*args)

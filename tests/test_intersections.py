@@ -237,3 +237,11 @@ def test_usage_errors():
         dvv(0, (-1, 0))
     with pytest.raises(UsageError):
         virasoro_residual(-2, 3)
+
+
+@pytest.mark.parametrize("entry", [dvv, dvv_normalized, psi_from_asymptotics])
+def test_correlators_take_only_integer_indices(entry):
+    # 1.5 was read as 1: <tau_1 tau_0 tau_0>_0 is off the shell and read 0
+    for g, ks in [(0, (1.5, 0, 0)), (0, (1.0, 0, 0, 0)), (1.0, (1,)), (0, ("1", 0, 0, 0))]:
+        with pytest.raises(UsageError, match="must be an integer"):
+            entry(g, ks)

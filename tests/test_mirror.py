@@ -209,6 +209,14 @@ def test_toric_convexity_guard():
         toric_b_series([("H", 2)], [[-1]], [[1], [1]], 1)
 
 
+def test_hori_vafa_series_takes_only_integer_arguments():
+    # a typed cache: 2.0 is refused even when the series of 2 is cached
+    assert mirror.hori_vafa_series(2, 4, 1)["equal"]
+    for args in [(2.0, 4, 1), (2, 4.0, 1), (2, 4, 1.5)]:
+        with pytest.raises(UsageError, match="must be an integer"):
+            mirror.hori_vafa_series(*args)
+
+
 # -- projective / Grassmannian -----------------------------------------------
 
 def test_hg_projective_degree_zero():
