@@ -25,7 +25,8 @@ mirror series (``candelas``, ``hori_vafa_series``), the framed series
 ``w_pair_lambda``), the Hodge extractions (``hodge_extract_cached``) and
 the quintic's GV numbers (``_quintic_gv``), all unbounded for the life of
 the process.  So a repeated query reuses its parsed arguments and these
-values, and runs only its ``checks[]`` comparisons, each on every call, and
+values, and runs only its ``checks[]`` comparisons, each on every call but
+the Grassmannian's ``equal`` (computed with its cached series), and
 serialisation: a rational held as an integer numerator over a denominator
 is printed by ``ratio_str``, with no ``Fraction`` formed.
 """
