@@ -13,7 +13,7 @@ which ``check_pair_reduction`` tests for one partition (the
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import InternalError
 from .partitions import (Partition, check_partition, intersection, kappa, length, size,
@@ -23,7 +23,22 @@ from .schur import pochhammer_factors, skew_numerator
 from .series import LambdaSeries
 
 
-@lru_cache(maxsize=None)
+def _partition_cache(fn):
+    """``lru_cache`` over fn, each argument checked as a partition before the
+    lookup, and fn computing from the checked tuples: the cache keys (2.0,)
+    as (2,), so a check inside fn would not see a float part once (2,) is
+    cached."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def checked(*mus):
+        return cached(*map(check_partition, mus))
+
+    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+    return checked
+
+
+@_partition_cache
 def w_one(mu: Partition) -> QFunction:
     """The real bracket quotient of a single partition, W_mu = i^{|mu|} w_one(mu):
 
@@ -33,7 +48,6 @@ def w_one(mu: Partition) -> QFunction:
     the printed row bound is read as l(mu).  Every argument is positive for a
     partition, so no factor vanishes; anything else is a UsageError.
     """
-    check_partition(mu)
     l = length(mu)
     tops, bottoms = [], []
     for a in range(l):
@@ -46,7 +60,7 @@ def w_one(mu: Partition) -> QFunction:
     return bracket_quotient(tops, bottoms)
 
 
-@lru_cache(maxsize=None)
+@_partition_cache
 def w_pair(mu: Partition, nu: Partition) -> QFunction:
     """Two-partition W value via the skew-Schur sum.
 
@@ -57,8 +71,6 @@ def w_pair(mu: Partition, nu: Partition) -> QFunction:
     numerator ``skew_numerator(mu, rho, |mu|)``, so the signs cancel and W is
     one integer numerator over P_{|mu|} P_{|nu|}, reduced once.
     """
-    check_partition(mu)
-    check_partition(nu)
     u_exp = kappa(mu) + kappa(nu) + size(mu) + size(nu)
     # kappa is even, so the u-exponent is an integer; assert the bookkeeping
     if (kappa(mu) + kappa(nu)) % 2:

@@ -19,8 +19,13 @@ byte-deterministic for fixed inputs apart from the ``seconds`` timings of
 ``verify-all``.
 
 A process builds its parser once (``build_parser``) and parses each argv
-once (``_parsed``; a parse that raises is not kept).  It memoises the
-mirror series (``candelas``, ``hori_vafa_series``), the framed series
+once (``_parsed``; a parse that raises is not kept).  A plain argv (the
+command words, the leaf's positionals, then exact option strings, each
+given once, with values that do not start with "-") is read from the
+parser's own actions, so no option is declared twice; every other argv
+goes through argparse, which alone writes usage and help text.  No flag
+selects between the two.  The process also memoises the mirror series
+(``candelas``, ``hori_vafa_series``), the framed series
 (``hodge.build_series``), the W expansions (``w_one_lambda``,
 ``w_pair_lambda``), the Hodge extractions (``hodge_extract_cached``) and
 the quintic's GV numbers (``_quintic_gv``), all unbounded for the life of
@@ -36,7 +41,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd, prod
 
 from . import hodge, hurwitz, intersections, mirror, vertex, verify
@@ -146,6 +151,86 @@ class _Parser(argparse.ArgumentParser):
 
     def print_help(self, file=None):
         raise _Help(self.format_help())
+
+    @cached_property
+    def _grammar(self):
+        # kept on the parser, so that a rebuilt parser reads its own actions
+        return _plain_grammar(self, {}, frozenset())
+
+    def parse_plain(self, argv) -> dict | None:
+        """``vars(self.parse_args(argv))`` for a plain argv, else None.  A
+        plain argv is the command words, then the leaf subcommand's
+        positionals in order, then exact option strings, each given once:
+        a store_true flag, or an option with one value that does not start
+        with "-", read through the action's own type and choices.  Defaults
+        come from the actions, and a missing required argument makes the
+        argv not plain."""
+        node, i = self._grammar, 0
+        while isinstance(node, dict) and i < len(argv):
+            node, i = node.get(argv[i]), i + 1
+        if not isinstance(node, tuple):
+            return None
+        positionals, options, required, args = node
+        rest, pairs = argv[i:], []
+        for action in positionals:
+            if not rest or rest[0].startswith("-"):
+                break
+            pairs.append((action, rest[0]))
+            rest = rest[1:]
+        while rest:
+            action = options.get(rest[0])
+            if action is None:
+                return None
+            if action.nargs == 0:  # a store_true flag
+                pairs.append((action, None))
+                rest = rest[1:]
+            elif len(rest) > 1 and not rest[1].startswith("-"):
+                pairs.append((action, rest[1]))
+                rest = rest[2:]
+            else:
+                return None
+        given = {action for action, _text in pairs}
+        if len(given) < len(pairs) or not required <= given:
+            return None
+        args = dict(args)
+        for action, text in pairs:
+            if text is None:
+                args[action.dest] = action.const
+                continue
+            try:
+                value = (action.type or str)(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            args[action.dest] = value
+        return args
+
+
+def _plain_grammar(parser: _Parser, defaults: dict, required: frozenset):
+    """The plain argv grammar below ``parser``, read from its actions: a dict
+    from each command word to the tree below it, or at a leaf subcommand the
+    tuple (positionals, options by exact string, required actions, defaults)
+    that ``_Parser.parse_plain`` reads, or None when a positional of the leaf
+    is not one plain value.  A string default goes through the action's type,
+    as argparse reads it."""
+    acts = [a for a in parser._actions if a.dest is not argparse.SUPPRESS]  # no -h
+    defaults = {**defaults, **{
+        a.dest: (a.type or str)(a.default) if isinstance(a.default, str) else a.default
+        for a in acts if a.default is not argparse.SUPPRESS}}
+    required = required | {a for a in acts if a.required}
+    for a in acts:
+        if isinstance(a, argparse._SubParsersAction):
+            return {word: _plain_grammar(child, {**defaults, a.dest: word}, required - {a})
+                    for word, child in a.choices.items()}
+    positionals = [a for a in acts if not a.option_strings]
+    if any(type(a) is not argparse._StoreAction or a.nargs not in (None, "?")
+           for a in positionals):
+        return None
+    options = {s: a for a in acts for s in a.option_strings
+               if (type(a), a.nargs) == (argparse._StoreAction, None)
+               or isinstance(a, argparse._StoreConstAction)}
+    return positionals, options, required, defaults
 
 
 @lru_cache(maxsize=None)
@@ -451,8 +536,10 @@ def _cmd_mirror(args) -> dict:
             raise UsageError(f"mirror grassmannian is limited to --max-degree {GR_MAX_DEGREE} "
                              f"and k(n-k)(max-degree+1) {GR_MAX_SIZE}")
         hv = mirror.hori_vafa_series(k, n, args.max_degree)
-        result = {"operator": _reduced_json(hv["operator"]),
-                  "localization": _reduced_json(hv["localization"])}
+        op = _reduced_json(hv["operator"])
+        # when the rows agree, the series holds one side object for both
+        result = {"operator": op, "localization": op if hv["localization"] is hv["operator"]
+                  else _reduced_json(hv["localization"])}
         if args.verify:
             checks.append({"name": "operator-equals-localization",
                            "pass": hv["equal"]})
@@ -515,8 +602,13 @@ HANDLERS = {
 @lru_cache(maxsize=None)
 def _parsed(argv: tuple[str, ...]) -> dict:
     """The parsed arguments of one argv, parsed once per process; the dict is
-    read-only.  A raising parse (a usage error, a help request) is not kept."""
-    return vars(build_parser().parse_args(argv))
+    read-only.  A plain argv is read from the parser's own actions
+    (``_Parser.parse_plain``), any other by argparse, which alone writes usage
+    and help text.  A raising parse (a usage error, a help request) is not
+    kept."""
+    parser = build_parser()
+    args = parser.parse_plain(argv)
+    return vars(parser.parse_args(argv)) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

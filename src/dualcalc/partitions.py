@@ -11,13 +11,13 @@ from collections.abc import Iterator
 from functools import lru_cache
 from math import factorial
 
-from .errors import InternalError, UsageError
+from .errors import InternalError, UsageError, as_index
 
 Partition = tuple[int, ...]
 
 
 def check_partition(mu) -> Partition:
-    mu = tuple(int(p) for p in mu)
+    mu = tuple(as_index(p, "a part") for p in mu)
     if any(p <= 0 for p in mu):
         raise UsageError(f"parts must be positive: {mu}")
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import inspect
 import io
@@ -926,13 +927,15 @@ def test_a_repeated_query_pays_only_for_serialisation(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in [(cli._Parser, "parse_args"), (QFunction, "to_lambda"),
-                        (hodge, "hodge_extract"), (vertex, "gv_invert")]:
+    for owner, name in [(cli._Parser, "parse_args"), (cli._Parser, "parse_plain"),
+                        (QFunction, "to_lambda"), (hodge, "hodge_extract"),
+                        (vertex, "gv_invert")]:
         count(owner, name)
     _clear_caches()
     first = [run(argv) for argv in WARM]
-    # each counted call is on the path of the first pass
-    assert set(calls) == {"parse_args", "to_lambda", "hodge_extract", "gv_invert"}
+    # each counted call but argparse's is on the path of the first pass: a
+    # plain argv is read without it
+    assert set(calls) == {"parse_plain", "to_lambda", "hodge_extract", "gv_invert"}
     calls.clear()
     second = [run(argv) for argv in WARM]
     assert calls == Counter()
@@ -945,6 +948,131 @@ def test_a_repeated_query_pays_only_for_serialisation(monkeypatch):
         assert calls.pop("parse_args") == 2
         assert docs[0] == docs[1] and docs[0][0] == code
         assert json.loads(docs[0][1])["kind"] == kind
+
+
+# argv that argparse alone reads, with the documents the argparse-only
+# front end printed for them: a help request, an abbreviation, an attached
+# value and a value that starts with "-"
+ARGPARSE_ONLY = [
+    (["hurwitz", "-h"], 0,
+     '{"help": "usage: dualcalc hurwitz [-h] --genus GENUS --partition PARTITION\\n'
+     '                        [--method {burnside,cutjoin,both}] [--elsv]\\n\\noptions:\\n'
+     '  -h, --help            show this help message and exit\\n'
+     '  --genus GENUS         at most 6\\n  --partition PARTITION\\n'
+     '                        at most 12 boxes\\n  --method {burnside,cutjoin,both}\\n'
+     '  --elsv                include the ELSV-normalized values\\n", "kind": "help"}\n'),
+    *((["hurwitz", *genus, "--partition", "2,1"], 0,
+       '{"checks": [{"name": "oracle-agreement", "pass": true}], "params": {"elsv": false, '
+       '"genus": 1, "method": "both", "partition": "2,1"}, "query": "hurwitz", "result": '
+       '{"H": "40", "H_burnside": "40", "H_cutjoin": "40", "agree": true}}\n')
+      for genus in (["--gen", "1"], ["--genus=1"])),
+    (["hurwitz", "--genus", "-1", "--partition", "2,1"], 1,
+     '{"error": "genus must be nonnegative", "kind": "usage"}\n'),
+]
+
+
+def test_plain_argv_skip_argparse(monkeypatch):
+    calls = []
+    real = cli._Parser.parse_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", counted)
+    cli._parsed.cache_clear()
+    plain = [argv for argv in MIXED + WARM if "--help" not in argv]
+    assert len(plain) == len(MIXED + WARM) - 1
+    for argv in plain:
+        run(argv)
+    assert calls == []
+    for argv, code, doc in ARGPARSE_ONLY:
+        assert run(argv) == (code, doc)
+        assert calls == [(tuple(argv),)]
+        calls.clear()
+
+
+def test_grassmannian_prints_a_shared_side_once(monkeypatch):
+    from dualcalc import mirror
+
+    sides = []
+    real = cli._reduced_json
+    monkeypatch.setattr(cli, "_reduced_json", lambda side: sides.append(side) or real(side))
+    hv = mirror.hori_vafa_series(2, 3, 1)
+    assert hv["localization"] is hv["operator"]
+    code, doc = run_json(["mirror", "grassmannian", "-k", "2", "-n", "3", "--max-degree",
+                          "1", "--verify"])
+    assert code == 0 and sides == [hv["operator"]]
+    assert doc["result"]["localization"] == doc["result"]["operator"]
+
+
+def _leaves(parser, words=()):
+    """(command words, actions) of each leaf subcommand below ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for word, child in action.choices.items():
+                yield from _leaves(child, (*words, word))
+            return
+    yield words, parser._actions
+
+
+def _drawn_value(action):
+    """A value for one action: mostly one of its choices or a small text of
+    its type, else a bad, empty or negative one."""
+    if action.choices is not None:
+        good, bad = st.sampled_from(list(action.choices)), st.sampled_from(["bad", ""])
+    elif action.type is int:
+        good, bad = st.sampled_from("012"), st.sampled_from(["-1", "x", "1.5", ""])
+    else:
+        good, bad = st.sampled_from(["1", "2,1", "1:1", P4_SPEC]), st.sampled_from(["x", "", "-1"])
+    return st.one_of(good, good, good, good, good, bad)
+
+
+@st.composite
+def _drawn_argv(draw):
+    """A leaf's command words, its positionals, most of its options in drawn
+    order with drawn values, and at times hostile tokens or a repeated
+    option, built from the parser's own words, option strings and choices."""
+    words, actions = draw(st.sampled_from(list(_leaves(cli.build_parser()))))
+    argv = list(words)
+    mostly = st.sampled_from([True, True, True, False])
+    for action in actions:
+        if not action.option_strings and draw(mostly):
+            argv.append(draw(_drawn_value(action)))
+    options = [a for a in actions if a.option_strings and (a.nargs is None or a.const is True)]
+    for action in draw(st.permutations([a for a in options if draw(mostly)])):
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs is None:
+            argv.append(draw(_drawn_value(action)))
+    hostile = ["-h", "--gen", "--genus=1", "-1", "--", "", *argv[len(words):][-2:]]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(hostile)))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_drawn_argv())
+@example(["hurwitz", "--genus", "1", "--partition", "2,1"])
+@example(["mv", "hodge", "--partition", "2,1", "--genus", "1"])
+@example(["mirror", "grassmannian", "-n", "3", "-k", "2", "--verify"])
+@example(["hurwitz", "--genus", "1", "--partition", "2,1", "--genus", "1"])
+def test_a_plain_argv_reads_as_argparse_reads_it(argv):
+    parser = cli.build_parser()
+    got = parser.parse_plain(argv)
+    if got is None:
+        return
+    assert got == vars(parser.parse_args(argv)), argv
+    # main prints the same document, exit code included, when argparse reads
+    # the argv; verify-all is stubbed, since only its parse is under test
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "run_all", lambda profile, inject_fault: {
+            "profile": profile, "all_pass": inject_fault is None, "checks": []})
+        cli._parsed.cache_clear()
+        plain = run(argv)
+        mp.setattr(cli._Parser, "parse_plain", lambda self, argv: None)
+        cli._parsed.cache_clear()
+        assert run(argv) == plain, argv
+    cli._parsed.cache_clear()
 
 
 @settings(max_examples=300, deadline=None)

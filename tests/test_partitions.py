@@ -6,8 +6,8 @@ import pytest
 
 from dualcalc import chern_simons, hodge, hurwitz
 from dualcalc.errors import UsageError
-from dualcalc.partitions import (aut, character, compositions, conjugate, dim,
-                                 enumerate_partitions, format_partition,
+from dualcalc.partitions import (aut, character, check_partition, compositions,
+                                 conjugate, dim, enumerate_partitions, format_partition,
                                  hook_product, kappa, length, parse_partition,
                                  size, sub_diagrams, zmu)
 from oracles import set_partitions
@@ -77,6 +77,18 @@ def test_library_entries_reject_a_non_partition(entry, mu):
     # the CLI checks through parse_partition; a library caller gets the same check
     with pytest.raises(UsageError, match="parts must be"):
         PARTITION_ENTRIES[entry](mu)
+
+
+@pytest.mark.parametrize("mu", [(2.5,), (2.0,), (2.7, 1.2)], ids=["half", "integral", "two"])
+@pytest.mark.parametrize("entry", [*PARTITION_ENTRIES, "check_partition"])
+def test_library_entries_reject_a_float_part(entry, mu):
+    # a part is read through as_index, not truncated by int(); called first
+    # on the integer partition, a cached entry still refuses the float one,
+    # which an untyped cache keys alike
+    call = PARTITION_ENTRIES.get(entry, check_partition)
+    call(tuple(map(int, mu)))
+    with pytest.raises(UsageError, match="must be an integer"):
+        call(mu)
 
 
 @pytest.mark.parametrize("mu,z,a,k", [
