@@ -4,11 +4,15 @@ Each test prints one pass/fail line (visible with -s or in the verify-all
 CLI, which shares the same registry) and asserts both the check and, where
 stated, its wall-clock budget.  All comparisons are exact.
 """
+import json
 import time
+from pathlib import Path
 
 import pytest
 
-from dualcalc.verify import CHECKS, TIME_BOUNDS
+from dualcalc.verify import CHECKS, TIME_BOUNDS, run_all
+
+DETAILS = Path(__file__).parent / "golden" / "verify-all-details.json"
 
 CRITERIA = [
     ("hurwitz-oracle-equivalence", 1),
@@ -38,3 +42,11 @@ def test_acceptance(name, number):
     bound = TIME_BOUNDS.get(name)
     if bound is not None:
         assert seconds < bound, f"{name} took {seconds:.1f}s (budget {bound}s)"
+
+
+def test_verdict_details_are_pinned():
+    # verify-all prints name, pass and seconds; the details are pinned here
+    checks = run_all("full")["checks"]
+    got = json.dumps([[c["name"], c["pass"], c["detail"]] for c in checks],
+                     sort_keys=True) + "\n"
+    assert got == DETAILS.read_text()
