@@ -13,34 +13,15 @@ which ``check_pair_reduction`` tests for one partition (the
 """
 from __future__ import annotations
 
-from functools import lru_cache, wraps
-
 from .errors import InternalError
 from .partitions import (Partition, check_partition, intersection, kappa, length, size,
-                         sub_diagrams)
+                         sub_diagrams, typed_cache)
 from .qfunc import QFunction, ULaurent, bracket_quotient, sum_of_products
 from .schur import pochhammer_factors, skew_numerator
 from .series import LambdaSeries
 
 
-def _partition_cache(fn):
-    """``lru_cache`` over fn, whose arguments are partitions that fn checks on
-    a miss.  The cache keys (2.0,) as (2,), so an argument with a part that
-    is not an int is checked before the lookup; testing only the part types
-    there keeps a hit cheap (``vertex`` makes about 1,200 at degree 6)."""
-    cached = lru_cache(maxsize=None)(fn)
-
-    @wraps(fn)
-    def checked(*mus):
-        if any(type(p) is not int for mu in mus for p in mu):
-            mus = map(check_partition, mus)
-        return cached(*mus)
-
-    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
-    return checked
-
-
-@_partition_cache
+@typed_cache("partition")
 def w_one(mu: Partition) -> QFunction:
     """The real bracket quotient of a single partition, W_mu = i^{|mu|} w_one(mu):
 
@@ -63,7 +44,7 @@ def w_one(mu: Partition) -> QFunction:
     return bracket_quotient(tops, bottoms)
 
 
-@_partition_cache
+@typed_cache("partition", "partition")
 def w_pair(mu: Partition, nu: Partition) -> QFunction:
     """Two-partition W value via the skew-Schur sum.
 
@@ -89,7 +70,7 @@ def check_pair_reduction(nu: Partition) -> bool:
     return w_pair(nu, ()) == sum_of_products([(1, (w_one(nu),), kappa(nu) // 2)])
 
 
-@lru_cache(maxsize=None)
+@typed_cache("partition", "int")
 def w_one_lambda(mu: Partition, trunc: int) -> LambdaSeries:
     """Lambda-expansion of w_one; floor is exactly -|mu|."""
     s = w_one(mu).to_lambda(trunc)
@@ -98,6 +79,6 @@ def w_one_lambda(mu: Partition, trunc: int) -> LambdaSeries:
     return s
 
 
-@lru_cache(maxsize=None)
+@typed_cache("partition", "partition", "int")
 def w_pair_lambda(mu: Partition, nu: Partition, trunc: int) -> LambdaSeries:
     return w_pair(mu, nu).to_lambda(trunc)

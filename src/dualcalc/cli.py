@@ -56,11 +56,6 @@ from .series import LambdaSeries, TauLaurent
 # serialization
 # ---------------------------------------------------------------------------
 
-def frac_str(x) -> str:
-    """A Fraction or an int as "p/q", or "p" when it is integral."""
-    return str(x)
-
-
 def ratio_str(v: int, den: int) -> str:
     """str(Fraction(v, den)) for den > 0, with one gcd and no Fraction: how a
     coefficient of a ``laurent.Poly``, an integer numerator over its
@@ -306,7 +301,7 @@ def build_parser() -> _Parser:
     gr.add_argument("--verify", action="store_true")
 
     va = sub.add_parser("verify-all", help="run the acceptance checks")
-    va.add_argument("--profile", choices=["quick", "full"], default="quick")
+    va.add_argument("--profile", choices=["full"], default="full")
     va.add_argument("--inject-fault", type=str, default=None,
                     help=argparse.SUPPRESS)
     return p
@@ -324,17 +319,17 @@ def _cmd_hurwitz(args) -> dict:
     out: dict = {}
     checks = []
     if args.method in ("burnside", "both"):
-        out["H_burnside"] = frac_str(hurwitz.hurwitz_number(args.genus, mu, "burnside"))
+        out["H_burnside"] = str(hurwitz.hurwitz_number(args.genus, mu, "burnside"))
     if args.method in ("cutjoin", "both"):
-        out["H_cutjoin"] = frac_str(hurwitz.hurwitz_number(args.genus, mu, "cutjoin"))
+        out["H_cutjoin"] = str(hurwitz.hurwitz_number(args.genus, mu, "cutjoin"))
     out["H"] = out.get("H_burnside", out.get("H_cutjoin"))
     if args.method == "both":
         out["agree"] = out["H_burnside"] == out["H_cutjoin"]
         checks.append({"name": "oracle-agreement", "pass": out["agree"]})
     if args.elsv:
         i_val, bare = hurwitz.elsv_I(args.genus, mu)
-        out["I"] = frac_str(i_val)
-        out["bare_hodge_integral"] = frac_str(bare)
+        out["I"] = str(i_val)
+        out["bare_hodge_integral"] = str(bare)
     return {"result": out, "checks": checks}
 
 
@@ -374,7 +369,7 @@ def _cmd_mv(args) -> dict:
         fs = hodge.build_series(cap, trunc, 1)
         poly = hodge.hodge_extract_cached(fs, args.genus, mu)
         return {"result": {"genus": args.genus, "partition": format_partition(mu),
-                           "tau_polynomial": [frac_str(c) for c in poly]},
+                           "tau_polynomial": [str(c) for c in poly]},
                 "checks": []}
     if args.dump is not None:
         fs = hodge.build_series(args.degree, args.order, 1)
@@ -430,7 +425,7 @@ def _cmd_vertex(args) -> dict:
         raise UsageError(f"vertex local-p2 is limited to --max-degree {VERTEX_MAX_DEGREE} "
                          f"and --max-genus {VERTEX_MAX_GENUS}")
     n_table = vertex.extract_gw(d_max, g_max)
-    result = {"N": [[frac_str(n_table[(g, d)]) for d in range(1, d_max + 1)]
+    result = {"N": [[str(n_table[(g, d)]) for d in range(1, d_max + 1)]
                     for g in range(g_max + 1)]}
     checks = [{"name": "lambda-floor-and-parity", "pass": True}]
     if args.gv:
@@ -468,16 +463,16 @@ def _cmd_witten(args) -> dict:
     result: dict = {}
     checks = []
     if corr:
-        result["value"] = frac_str(intersections.dvv(*corr))
+        result["value"] = str(intersections.dvv(*corr))
     if psi:
-        result["psi_asymptotic"] = frac_str(hurwitz.psi_from_asymptotics(*psi))
+        result["psi_asymptotic"] = str(hurwitz.psi_from_asymptotics(*psi))
         # compared only when both name one correlator, up to the order of its indices
         if corr and (corr[0], sorted(corr[1])) == (psi[0], sorted(psi[1])):
             agree = result["value"] == result["psi_asymptotic"]
             checks.append({"name": "dvv-vs-asymptotics", "pass": agree})
     if args.virasoro is not None:
         r, _ = intersections.virasoro_residual(args.virasoro, args.order)
-        result["virasoro_residual_max"] = frac_str(r)
+        result["virasoro_residual_max"] = str(r)
         checks.append({"name": f"virasoro-L{args.virasoro}", "pass": r == 0})
     return {"result": result, "checks": checks}
 
@@ -506,10 +501,10 @@ def _cmd_mirror(args) -> dict:
         checks.append({"name": "multiple-cover-integrality",
                        "pass": vertex.gv_forward(gv, d_max, 0) == k_table})
         result = {
-            "K": [frac_str(k) for k in data["K"]],
+            "K": [str(k) for k in data["K"]],
             "n": [gv[(0, d)] for d in range(1, d_max + 1)],
-            "cubic": frac_str(data["cubic"]),
-            "mirror_map": [frac_str(c) for c in data["mirror_map"]],
+            "cubic": str(data["cubic"]),
+            "mirror_map": [str(c) for c in data["mirror_map"]],
         }
     elif args.geometry == "toric":
         gens, bundles, divisors = _read_toric_spec(args.spec)
@@ -525,7 +520,7 @@ def _cmd_mirror(args) -> dict:
         result = {"slices": {
             ",".join(map(str, d)): {
                 "H^" + ",".join(map(str, ge)) + "|t^" + ",".join(map(str, te)):
-                    frac_str(v)
+                    str(v)
                 for (ge, te), v in sorted(coeffs.items())}
             for d, coeffs in sorted(b.items())}}
     else:  # grassmannian

@@ -48,7 +48,7 @@ from .chern_simons import w_one_lambda, w_pair_lambda
 from .errors import InternalError, UsageError, as_index
 from .hurwitz import burnside_phi, double_hurwitz
 from .partitions import (Partition, aut, character, check_partition,
-                         enumerate_partitions, kappa, length, size, zmu)
+                         enumerate_partitions, kappa, length, size, typed_cache, zmu)
 from .pseries import PSeries, empty_key
 from .qfunc import QFunction, bracket_quotient
 from .series import LambdaSeries, TauLaurent, combine, exp_monomial
@@ -264,15 +264,13 @@ def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> list[Frac]:
     return out
 
 
-@lru_cache(maxsize=None)
+@typed_cache(None, "int", "partition")
 def hodge_extract_cached(fs: FramedSeries, g: int, mu: Partition) -> tuple[Frac, ...]:
     """``hodge_extract`` once per (series, genus, partition), as a tuple.
 
     Keyed by the series itself: a ``FramedSeries`` hashes and compares its
     ``PSeries`` by identity, so a series built apart is extracted apart.  A
-    raising extraction is not kept.  Callers pass an int genus and a
-    partition that ``check_partition`` returned, so that 1.0 or a list is
-    refused before it becomes a key.
+    raising extraction is not kept.
     """
     return tuple(hodge_extract(fs, g, mu))
 
@@ -306,7 +304,10 @@ def lambda_g_check(fs: FramedSeries, g: int, mu: Partition) -> bool:
 # degeneration onto the Hurwitz series
 # ---------------------------------------------------------------------------
 
-def elsv_limit_check(fs: FramedSeries, g_max: int = 2) -> bool:
+ELSV_G_MAX = 2  # the genus through which elsv_limit_check compares
+
+
+def elsv_limit_check(fs: FramedSeries) -> bool:
     """Substitute lambda -> lambda tau, tau -> 1/tau, p_d -> (lambda tau)^d p_d,
     send tau -> 0, and compare with the Burnside series at i lambda: on the
     stored series, in lambda', with the Burnside series itself.
@@ -329,7 +330,7 @@ def elsv_limit_check(fs: FramedSeries, g_max: int = 2) -> bool:
                 limit[e + w] = Frac(v, c.den)
         got = LambdaSeries.from_map(limit, s.trunc + w)
         expect = burnside_phi(mu, s.trunc + w)
-        need = 2 * g_max - 2 + w + length(mu) + 1
+        need = 2 * ELSV_G_MAX - 2 + w + length(mu) + 1
         lo = min(got.floor, expect.floor)
         hi = min(min(got.trunc, expect.trunc), max(need, lo))
         if not got.eq_through(expect, lo, hi):

@@ -1,8 +1,10 @@
 """Acceptance checks, shared by the CLI verify-all command and the test suite.
 
-Each check returns (ok, detail).  The quick profile shrinks caps for a fast
-smoke run; the full profile runs the shipped contracts.  Checks run one after
-another in registry order, in the calling thread.
+Each check returns (ok, detail) at the shipped caps; there is one profile,
+"full".  A check takes one positional argument and reads none of it, so that
+callers of ``CHECKS[name]("full")`` (the acceptance tests and the benchmark's
+child) keep working.  Checks run one after another in registry order, in the
+calling thread.
 """
 from __future__ import annotations
 
@@ -19,12 +21,11 @@ Detail = dict
 CheckFn = Callable[[str], tuple[bool, Detail]]
 
 
-def check_hurwitz_oracles(profile: str) -> tuple[bool, Detail]:
-    nmax, gmax = (6, 2) if profile == "full" else (4, 1)
+def check_hurwitz_oracles(_profile: str) -> tuple[bool, Detail]:
     compared = 0
-    for n in range(1, nmax + 1):
+    for n in range(1, 7):
         for mu in enumerate_partitions(n):
-            for g in range(gmax + 1):
+            for g in range(3):
                 a = hurwitz.hurwitz_number(g, mu, "burnside")
                 b = hurwitz.hurwitz_number(g, mu, "cutjoin")
                 if a != b:
@@ -35,10 +36,9 @@ def check_hurwitz_oracles(profile: str) -> tuple[bool, Detail]:
     return True, {"compared": compared, "seed": str(hurwitz.hurwitz_number(0, (1,)))}
 
 
-def check_genus0_closed_form(profile: str) -> tuple[bool, Detail]:
-    nmax = 7 if profile == "full" else 5
+def check_genus0_closed_form(_profile: str) -> tuple[bool, Detail]:
     checked = 0
-    for n in range(3, nmax + 1):
+    for n in range(3, 8):
         for mu in enumerate_partitions(n):
             if length(mu) not in (3, 4):
                 continue
@@ -49,8 +49,8 @@ def check_genus0_closed_form(profile: str) -> tuple[bool, Detail]:
     return True, {"profiles": checked}
 
 
-def check_mv_pde(profile: str) -> tuple[bool, Detail]:
-    cap, trunc, gmax = (4, 15, 2) if profile == "full" else (2, 8, 1)
+def check_mv_pde(_profile: str) -> tuple[bool, Detail]:
+    cap, trunc, gmax = 4, 15, 2
     fs = hodge.build_series(cap, trunc, 1)
     res = hodge.pde_residual(fs)
     ok = res.is_zero_through_windows()
@@ -58,27 +58,24 @@ def check_mv_pde(profile: str) -> tuple[bool, Detail]:
     return ok and cover, {"degree_cap": cap, "order": trunc, "window_covers_g": gmax}
 
 
-def check_initial_value(profile: str) -> tuple[bool, Detail]:
+def check_initial_value(_profile: str) -> tuple[bool, Detail]:
     # "through order 10" needs every window to pass order 10 inclusive,
     # hence the exclusive bound 11 and the taller build
-    cap, trunc, through = (4, 15, 11) if profile == "full" else (2, 8, 6)
-    fs = hodge.build_series(cap, trunc, 1)
-    rep = hodge.initial_value_report(fs, through=through)
+    fs = hodge.build_series(4, 15, 1)
+    rep = hodge.initial_value_report(fs, through=11)
     return rep["ok"], rep
 
 
-def check_elsv_limit(profile: str) -> tuple[bool, Detail]:
-    cap, trunc, gmax = (4, 15, 2) if profile == "full" else (2, 8, 1)
-    fs = hodge.build_series(cap, trunc, 1)
-    return hodge.elsv_limit_check(fs, g_max=gmax), {"degree_cap": cap, "g_max": gmax}
+def check_elsv_limit(_profile: str) -> tuple[bool, Detail]:
+    fs = hodge.build_series(4, 15, 1)
+    return hodge.elsv_limit_check(fs), {"degree_cap": 4, "g_max": hodge.ELSV_G_MAX}
 
 
-def check_lambda_g(profile: str) -> tuple[bool, Detail]:
-    cap, trunc = (4, 15) if profile == "full" else (2, 8)
-    gs = (1, 2) if profile == "full" else (1,)
-    fs = hodge.build_series(cap, trunc, 1)
+def check_lambda_g(_profile: str) -> tuple[bool, Detail]:
+    cap = 4
+    fs = hodge.build_series(cap, 15, 1)
     values = {}
-    for g in gs:
+    for g in (1, 2):
         for n in range(1, cap + 1):
             for mu in enumerate_partitions(n):
                 if not hodge.lambda_g_check(fs, g, mu):
@@ -88,8 +85,8 @@ def check_lambda_g(profile: str) -> tuple[bool, Detail]:
                   "b1": str(hodge.b_constant(1)), "b2": str(hodge.b_constant(2))}
 
 
-def check_two_partition(profile: str) -> tuple[bool, Detail]:
-    cap, trunc = (3, 9) if profile == "full" else (2, 7)
+def check_two_partition(_profile: str) -> tuple[bool, Detail]:
+    cap, trunc = 3, 9
     fs2 = hodge.build_series(cap, trunc, 2)
     res = hodge.pde_residual(fs2)
     if not res.is_zero_through_windows():
@@ -102,30 +99,25 @@ def check_two_partition(profile: str) -> tuple[bool, Detail]:
     return True, {"bidegree": (cap, cap), "order": trunc}
 
 
-def check_convolution(profile: str) -> tuple[bool, Detail]:
-    if profile == "full":
-        fs = hodge.build_series(4, 15, 1)  # reuses the PDE-check build
-        top = 3
-    else:
-        fs = hodge.build_series(2, 8, 1)
-        top = 2
+def check_convolution(_profile: str) -> tuple[bool, Detail]:
+    top = 3
+    fs = hodge.build_series(4, 15, 1)  # reuses the PDE-check build
     ok = hodge.convolution_check(fs, max_weight=top)
     return ok, {"profiles_through": top, "kernel_at": 0, "verified_at": [1, 2, 3]}
 
 
-def check_witten(profile: str) -> tuple[bool, Detail]:
-    order = 4 if profile == "full" else 3
+def check_witten(_profile: str) -> tuple[bool, Detail]:
+    order = 4
     compared = 0
     for n in range(-1, 4):
         r, checked = intersections.virasoro_residual(n, order)
         if r:
             return False, {"virasoro_n": n, "residual": str(r)}
         compared += checked
-    window = 4 if profile == "full" else 2
     cross = 0
     for g in range(0, 3):
         for n in range(1, 7):
-            if not (0 < 2 * g - 2 + n <= window):
+            if not (0 < 2 * g - 2 + n <= 4):
                 continue
             for rho in enumerate_partitions(3 * g - 3 + n):
                 if len(rho) > n:
@@ -141,8 +133,8 @@ def check_witten(profile: str) -> tuple[bool, Detail]:
         "virasoro_orders": order, "cross_checked": cross, "compared": compared}
 
 
-def check_vertex(profile: str) -> tuple[bool, Detail]:
-    d_max, g_max = (3, 2) if profile == "full" else (2, 1)
+def check_vertex(_profile: str) -> tuple[bool, Detail]:
+    d_max, g_max = 3, 2
     if not all(check_pair_reduction(nu) for nu in ((1,), (2,), (1, 1))):
         return False, {"failed": "pair-reduction"}
     n_table = vertex.extract_gw(d_max, g_max)
@@ -164,8 +156,8 @@ def check_vertex(profile: str) -> tuple[bool, Detail]:
 QUINTIC_N = (2875, 609250, 317206375, 242467530000, 229305888887625)
 
 
-def check_candelas(profile: str) -> tuple[bool, Detail]:
-    d_max = 5 if profile == "full" else 3
+def check_candelas(_profile: str) -> tuple[bool, Detail]:
+    d_max = 5
     data = mirror.candelas(d_max)
     if data["cubic"] != Fraction(5, 6):
         return False, {"cubic": str(data["cubic"])}
@@ -184,13 +176,13 @@ def check_candelas(profile: str) -> tuple[bool, Detail]:
     return True, {"cubic": "5/6", "degrees": d_max}
 
 
-def check_hori_vafa(profile: str) -> tuple[bool, Detail]:
-    cases = [(1, 2, 2), (2, 3, 2), (2, 4, 2)] if profile == "full" else [(1, 2, 2), (2, 3, 1)]
+def check_hori_vafa(_profile: str) -> tuple[bool, Detail]:
+    cases = [(1, 2, 2), (2, 3, 2), (2, 4, 2)]
     for (k, n, dm) in cases:
         hv = mirror.hori_vafa_series(k, n, dm)
         if not hv["equal"]:
             return False, {"k": k, "n": n}
-    if profile == "full" and not mirror.gr23_matches_p2(2):
+    if not mirror.gr23_matches_p2(2):
         return False, {"failed": "gr23-p2"}
     return True, {"cases": [f"Gr({k},{n}) d<={dm}" for (k, n, dm) in cases]}
 
@@ -210,7 +202,7 @@ CHECKS: dict[str, CheckFn] = {
     "hori-vafa-equality": check_hori_vafa,
 }
 
-# generous wall-clock budgets (seconds) on the full profile
+# generous wall-clock budgets (seconds) per check
 TIME_BOUNDS = {
     "hurwitz-oracle-equivalence": 60,
     "mv-pde-one-family": 300,
@@ -220,8 +212,8 @@ TIME_BOUNDS = {
 }
 
 
-def run_all(profile: str = "quick", inject_fault: str | None = None) -> dict:
-    if profile not in ("quick", "full"):
+def run_all(profile: str = "full", inject_fault: str | None = None) -> dict:
+    if profile != "full":
         raise UsageError(f"unknown profile {profile!r}")
     if inject_fault is not None and inject_fault not in CHECKS:
         raise UsageError(f"unknown check {inject_fault!r}")

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from dualcalc.errors import UsageError
 from dualcalc.verify import CHECKS, TIME_BOUNDS, run_all
 
 DETAILS = Path(__file__).parent / "golden" / "verify-all-details.json"
@@ -50,3 +51,8 @@ def test_verdict_details_are_pinned():
     got = json.dumps([[c["name"], c["pass"], c["detail"]] for c in checks],
                      sort_keys=True) + "\n"
     assert got == DETAILS.read_text()
+
+
+def test_full_is_the_only_profile():
+    with pytest.raises(UsageError, match="unknown profile"):
+        run_all("quick")

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
+import pytest
+
 from dualcalc.chern_simons import (check_pair_reduction, w_one, w_one_lambda,
                                    w_pair, w_pair_lambda)
+from dualcalc.errors import UsageError
 from dualcalc.partitions import enumerate_partitions
 from dualcalc.qfunc import QFunction, ULaurent
 from dualcalc.scalars import GaussianRational
@@ -119,11 +122,26 @@ def test_w_pair_lambda_cached():
     assert a is b
 
 
+@pytest.mark.parametrize("fn,good,bad", [
+    (w_one_lambda, ((2,), 3), [((2.0,), 3), ((2,), 3.0)]),
+    (w_pair_lambda, ((2,), (1,), 3), [((2.0,), (1,), 3), ((2,), (1.0,), 3), ((2,), (1,), 3.0)]),
+], ids=["w_one_lambda", "w_pair_lambda"])
+def test_lambda_caches_refuse_floats_in_either_call_order(fn, good, bad):
+    # an untyped cache keys 2.0 as 2: a float is refused before and after
+    # the integer arguments are cached
+    fn.cache_clear()
+    for _ in range(2):
+        for args in bad:
+            with pytest.raises(UsageError, match="must be an integer"):
+                fn(*args)
+        fn(*good)
+
+
 def test_pair_reduction_failure_is_a_verdict(monkeypatch):
     from dualcalc import verify
 
     monkeypatch.setattr(verify, "check_pair_reduction", lambda nu: False)
-    assert verify.check_vertex("quick") == (False, {"failed": "pair-reduction"})
+    assert verify.check_vertex("full") == (False, {"failed": "pair-reduction"})
 
 
 def test_import_computes_no_w_value():

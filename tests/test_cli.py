@@ -130,8 +130,7 @@ def test_determinism():
 
 
 def test_fault_injection_exits_2():
-    code, doc = run_json(["verify-all", "--profile", "quick",
-                          "--inject-fault", "genus0-closed-form"])
+    code, doc = run_json(["verify-all", "--inject-fault", "genus0-closed-form"])
     assert code == 2
     failing = [c["name"] for c in doc["checks"] if not c["pass"]]
     assert failing == ["genus0-closed-form"]
@@ -148,7 +147,7 @@ def test_mv_dump_series():
 def test_verify_all_defaults():
     code, doc = run_json(["verify-all"])
     assert code == 0
-    assert doc["result"]["profile"] == "quick"
+    assert doc["result"]["profile"] == "full"
     assert doc["result"]["all_pass"] is True
     assert [c["name"] for c in doc["checks"]] == list(verify.CHECKS)
     assert len(doc["checks"]) == 12
@@ -190,6 +189,7 @@ VACUOUS = {
     "w-expand-negative": ["w", "--mu", "1", "--expand", "-2"],
     "w-expand-zero": ["w", "--mu", "1", "--expand", "0"],
     "inject-unknown-check": ["verify-all", "--inject-fault", "no-such-check"],
+    "verify-quick-profile": ["verify-all", "--profile", "quick"],
     "mv-pde-order-too-small": ["mv", "--check", "pde", "--degree", "4", "--order", "1"],
     # a dict stands for a toric spec file with that content
     "toric-negative-degree": ["mirror", "toric", "--spec", P4_SPEC, "--max-degree", "-1"],
@@ -755,7 +755,7 @@ OP_COVERAGE = {
     # both substitution paths: the Lagrange pass in candelas, and the
     # composition that the round-trip check runs on its own
     "lagrange": ("dense.lagrange", ["mirror", "quintic", "--max-degree", "2"]),
-    "compose": ("dense.compose", ["verify-all", "--profile", "quick"]),
+    "compose": ("dense.compose", ["verify-all", "--profile", "full"]),
     "multiple_cover_invert": ("vertex.gv_invert", ["mirror", "quintic", "--max-degree", "2"]),
     "hg_projective": ("mirror.hg_projective", ["mirror", "grassmannian", "-k", "1", "-n", "2",
                                                "--max-degree", "1", "--verify"]),
@@ -766,7 +766,7 @@ OP_COVERAGE = {
     "truncated_mul_grassmannian": ("nilpotent.mul", ["mirror", "grassmannian", "-k", "2", "-n",
                                                      "3", "--max-degree", "1", "--verify"]),
     # cli itself
-    "verify_all": ("verify.run_all", ["verify-all", "--profile", "quick"]),
+    "verify_all": ("verify.run_all", ["verify-all"]),
 }
 
 
@@ -833,7 +833,7 @@ MIXED = [
     ["mirror", "grassmannian", "-k", "2", "-n", "3", "--max-degree", "1", "--verify"],
     ["mirror", "grassmannian", "--help"],
     ["hurwitz", "--genus", "0", "--partition", "1,3"],
-    ["verify-all", "--profile", "quick", "--inject-fault", "candelas-structure"],
+    ["verify-all", "--profile", "full", "--inject-fault", "candelas-structure"],
 ]
 
 
@@ -1126,7 +1126,7 @@ NO_GAUSSIAN_RATIONAL_COMMANDS = [
 def test_framed_and_w_commands_form_no_gaussian_rational():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     argvs = [argv for _name, argv in NO_GAUSSIAN_RATIONAL_COMMANDS]
-    argvs.append(["verify-all", "--profile", "quick"])
+    argvs.append(["verify-all"])
     child = subprocess.run([sys.executable, "-c", _NO_GAUSSIAN_RATIONAL, json.dumps(argvs)],
                            env=env, cwd=GOLDEN, capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
@@ -1251,7 +1251,7 @@ _COMMANDS = st.one_of(
                        ("--max-degree", _number(-1, 2, 5, 10 ** 6))),
               _flag("--verify")),
     st.builds(lambda profile: ["verify-all", "--profile", profile],
-              st.sampled_from(["bad", "", "Quick", "full,quick"])),
+              st.sampled_from(["bad", "", "quick", "Quick", "full,quick"])),
     st.sampled_from([[sub, "-h"] for sub in ("hurwitz", "w", "mv", "vertex", "witten",
                                              "mirror", "verify-all")]
                     + [["mirror", "quintic", "-h"], [], ["bad"]]),

@@ -135,7 +135,7 @@ def test_lambda_g_rejects_negated_first_case():
 
 
 def test_elsv_limit(fs3):
-    assert elsv_limit_check(fs3, g_max=2)
+    assert elsv_limit_check(fs3)
 
 
 def test_convolution(fs3):
@@ -234,6 +234,17 @@ def test_family_count_guard(fs3, fs2fam):
         swap_symmetry_check(fs3)
     with pytest.raises(UsageError):
         build_series(2, 6, 3)
+
+
+def test_extraction_cache_refuses_floats_in_either_call_order(fs3):
+    # an untyped cache keys 1.0 as 1 and (2.0,) as (2,): a float is refused
+    # before and after the integer arguments are cached
+    hodge_extract_cached.cache_clear()
+    for _ in range(2):
+        for g, mu in [(1, (2.0,)), (1.0, (2,))]:
+            with pytest.raises(UsageError, match="must be an integer"):
+                hodge_extract_cached(fs3, g, mu)
+        hodge_extract_cached(fs3, 1, (2,))
 
 
 def test_build_series_takes_only_integer_arguments():

@@ -218,14 +218,14 @@ def test_virasoro_residuals(n):
 
 
 def test_witten_check_counts_what_it_compared(monkeypatch):
-    ok, detail = verify.check_witten("quick")
-    # five Virasoro constraints through degree 3 in t_0..t_4, plus cross-checks
-    assert ok and detail == {"virasoro_orders": 3, "cross_checked": 5,
-                             "compared": 5 * comb(3 + 5, 5) + 5}
+    ok, detail = verify.check_witten("full")
+    # five Virasoro constraints through degree 4 in t_0..t_4, plus cross-checks
+    assert ok and detail == {"virasoro_orders": 4, "cross_checked": 22,
+                             "compared": 5 * comb(4 + 5, 5) + 22}
     monkeypatch.setattr(intersections, "virasoro_residual", lambda n, order: (0, 0))
     monkeypatch.setattr(verify, "enumerate_partitions", lambda n: ())
-    assert verify.check_witten("quick") == (
-        False, {"virasoro_orders": 3, "cross_checked": 0, "compared": 0})
+    assert verify.check_witten("full") == (
+        False, {"virasoro_orders": 4, "cross_checked": 0, "compared": 0})
 
 
 def test_usage_errors():
