@@ -27,22 +27,23 @@ def check_partition(mu) -> Partition:
 
 def typed_cache(*kinds: str | None):
     """``lru_cache`` over a function whose positional arguments are, in order,
-    a "partition", an "int" or anything else (None).  The cache keys 2.0 as 2
-    and (2.0,) as (2,), so an argument whose type, or whose parts' type, is
-    not int is read by ``check_partition`` or ``as_index`` before the lookup:
-    a float is refused whatever is cached.  Testing only the types keeps a
-    hit cheap (``vertex`` makes about 1,200 at degree 6); the function checks
-    the rest of its arguments on a miss."""
+    a "partition" (a tuple), an "int" or anything else (None).  The cache
+    keys 2.0 as 2 and (2.0,) as (2,), and cannot hash a list, so an argument
+    whose type, or whose parts' type, is not the one expected is read by
+    ``check_partition`` or ``as_index`` before the lookup: a float is refused
+    whatever is cached.  Testing only the types keeps a hit cheap (``vertex``
+    makes about 1,200 at degree 6); the function checks the rest of its
+    arguments on a miss."""
+    types = [(i, tuple if k == "partition" else int) for i, k in enumerate(kinds) if k]
     parts = [i for i, k in enumerate(kinds) if k == "partition"]
-    ints = [i for i, k in enumerate(kinds) if k == "int"]
 
     def decorate(fn):
         cached = lru_cache(maxsize=None)(fn)
 
         @wraps(fn)
         def checked(*args):
-            if (any(type(p) is not int for i in parts for p in args[i])
-                    or any(type(args[i]) is not int for i in ints)):
+            if (any(type(args[i]) is not t for i, t in types)
+                    or any(type(p) is not int for i in parts for p in args[i])):
                 args = [a if k is None else check_partition(a) if k == "partition"
                         else as_index(a, "an argument") for k, a in zip(kinds, args)]
             return cached(*args)
