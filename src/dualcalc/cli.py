@@ -27,13 +27,15 @@ goes through argparse, which alone writes usage and help text.  No flag
 selects between the two.  The process also memoises the mirror series
 (``candelas``, ``hori_vafa_series``), the framed series
 (``hodge.build_series``), the W expansions (``w_one_lambda``,
-``w_pair_lambda``), the Hodge extractions (``hodge_extract_cached``) and
-the quintic's GV numbers (``_quintic_gv``), all unbounded for the life of
-the process.  So a repeated query reuses its parsed arguments and these
-values, and runs only its ``checks[]`` comparisons, each on every call but
-the Grassmannian's ``equal`` (computed with its cached series), and
-serialisation: a rational held as an integer numerator over a denominator
-is printed by ``ratio_str``, with no ``Fraction`` formed.
+``w_pair_lambda``), the Hodge extractions (``hodge_extract``) and the
+quintic's GV numbers (``_quintic_gv``), all unbounded for the life of the
+process; each library cache is a ``partitions.typed_cache``, which takes
+positional arguments and checks their types before the lookup.  So a
+repeated query reuses its parsed arguments and these values, and runs only
+its ``checks[]`` comparisons, each on every call but the Grassmannian's
+``equal`` (computed with its cached series), and serialisation: a rational
+held as an integer numerator over a denominator is printed by
+``ratio_str``, with no ``Fraction`` formed.
 """
 from __future__ import annotations
 
@@ -367,7 +369,7 @@ def _cmd_mv(args) -> dict:
             raise UsageError(f"mv hodge is limited to {MV_MAX_DEGREE} boxes and "
                              f"2g+l+|mu|+3 {MV_MAX_ORDER}")
         fs = hodge.build_series(cap, trunc, 1)
-        poly = hodge.hodge_extract_cached(fs, args.genus, mu)
+        poly = hodge.hodge_extract(fs, args.genus, mu)
         return {"result": {"genus": args.genus, "partition": format_partition(mu),
                            "tau_polynomial": [str(c) for c in poly]},
                 "checks": []}
@@ -575,10 +577,10 @@ def _reduced_json(side) -> dict:
 
 
 def _cmd_verify_all(args) -> dict:
-    summary = verify.run_all(args.profile, inject_fault=args.inject_fault)
+    summary = verify.run_all(args.inject_fault)
     checks = [{"name": c["name"], "pass": c["pass"], "seconds": c["seconds"]}
               for c in summary["checks"]]
-    return {"result": {"profile": summary["profile"],
+    return {"result": {"profile": args.profile,
                        "all_pass": summary["all_pass"]},
             "checks": checks}
 

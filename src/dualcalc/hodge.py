@@ -15,7 +15,7 @@ the cut-and-join evolution in tau, the initial value at tau = 0, the
 degeneration onto the Hurwitz series, the convolution with double Hurwitz
 numbers (its kernel is the tau = 0 slice, so no series is ever inverted),
 and extracts triple Hodge integrals through the framing prefactor, each
-once per (series, genus, partition) (``hodge_extract_cached``).
+once per (series, genus, partition) (``hodge_extract``).
 
 Phase conventions.  With the sine-normalized W, the tau = 0 slice of the
 series equals sum_d i^{d-1} p_d / (2 d sin(d lambda / 2)): each degree-d part
@@ -87,14 +87,9 @@ def _two_family_term(nup: Partition, num: Partition, trunc: int) -> LambdaSeries
     return framing * w_pair_lambda(nup, num, t)
 
 
-@lru_cache(maxsize=None, typed=True)
+@typed_cache("int", "int", "int")
 def build_series(degree_cap: int, trunc: int, families: int) -> FramedSeries:
-    """Assemble the disconnected series through the given caps, once per
-    process: ``lru_cache`` keys a keyword and a positional ``families``
-    apart, so the package passes it positionally.  The cache is typed, so
-    2.0 is not served the build of 2 but refused like 2.5."""
-    degree_cap, trunc, families = (as_index(v, name) for v, name in (
-        (degree_cap, "degree cap"), (trunc, "order"), (families, "families")))
+    """Assemble the disconnected series through the given caps, once per process."""
     if families not in (1, 2):
         raise UsageError("families must be 1 or 2")
     family_term = _one_family_term if families == 1 else _two_family_term
@@ -232,13 +227,16 @@ def framing_prefactor(mu: Partition) -> TauLaurent:
     return poly
 
 
-def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> list[Frac]:
-    """Triple Hodge integral as a tau-polynomial (coefficient list).
+@typed_cache(None, "int", "partition")
+def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> tuple[Frac, ...]:
+    """Triple Hodge integral as a tau-polynomial (coefficient tuple).
 
     Reads the p_mu lambda^{2g-2+l(mu)} coefficient of the connected series,
     i^{|mu|+l} (-1)^{g-1} times its stored lambda'^{2g-2+l} coefficient, and
     divides out the framing prefactor i^{|mu|+l} A(tau); the quotient must be
-    a polynomial of degree at most 2g.
+    a polynomial of degree at most 2g.  Cached per (series, genus,
+    partition): a ``FramedSeries`` hashes and compares its ``PSeries`` by
+    identity, so a series built apart is extracted apart.
     """
     mu = check_partition(mu)
     if g < 0:
@@ -257,22 +255,11 @@ def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> list[Frac]:
     deg = quotient.max_exp() if quotient else 0
     if deg > 2 * g:
         raise InternalError(f"tau-degree {deg} exceeds 2g for (g={g}, mu={mu})")
-    out = [Frac(quotient.num.get(j, 0), quotient.den) for j in range(deg + 1)]
+    out = tuple(Frac(quotient.num.get(j, 0), quotient.den) for j in range(deg + 1))
     # multiply-back divisibility oracle
     if TauLaurent({j: v for j, v in enumerate(out)}) * a != c:
         raise InternalError("prefactor division is not exact")
     return out
-
-
-@typed_cache(None, "int", "partition")
-def hodge_extract_cached(fs: FramedSeries, g: int, mu: Partition) -> tuple[Frac, ...]:
-    """``hodge_extract`` once per (series, genus, partition), as a tuple.
-
-    Keyed by the series itself: a ``FramedSeries`` hashes and compares its
-    ``PSeries`` by identity, so a series built apart is extracted apart.  A
-    raising extraction is not kept.
-    """
-    return tuple(hodge_extract(fs, g, mu))
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +282,7 @@ def lambda_g_check(fs: FramedSeries, g: int, mu: Partition) -> bool:
     g, mu = as_index(g, "genus"), check_partition(mu)
     if g < 1:
         raise UsageError("the identity concerns g >= 1")
-    poly = hodge_extract_cached(fs, g, mu)
+    poly = hodge_extract(fs, g, mu)
     target = b_constant(g) * Frac(size(mu)) ** (2 * g + length(mu) - 3)
     return poly[0] == target
 

@@ -114,7 +114,7 @@ def burnside_phi(mu: Partition, trunc: int) -> LambdaSeries:
     Only exponents with r = |mu| + l(mu) (mod 2) appear; this parity is
     asserted.
     """
-    mu = check_partition(mu)
+    mu, trunc = check_partition(mu), as_index(trunc, "truncation")
     if size(mu) < 1:
         raise UsageError("profile must be nonempty")
     r0 = ramification_order(0, mu)
@@ -188,7 +188,7 @@ def _hurwitz_cutjoin(g: int, mu: Partition) -> Frac:
 
 def hurwitz_number(g: int, mu: Partition, method: str = "burnside") -> Frac:
     """Connected simple Hurwitz number H_{g,mu}."""
-    mu = check_partition(mu)
+    g, mu = as_index(g, "genus"), check_partition(mu)
     if g < 0:
         raise UsageError("genus must be nonnegative")
     if size(mu) < 1:
@@ -206,7 +206,7 @@ def hurwitz_number(g: int, mu: Partition, method: str = "burnside") -> Frac:
 
 def double_hurwitz(mu: Partition, nu: Partition, trunc: int) -> LambdaSeries:
     """Disconnected two-profile series sum_eta chi(mu) chi(nu)/(z z) e^{kappa L/2}."""
-    mu, nu = check_partition(mu), check_partition(nu)
+    mu, nu, trunc = check_partition(mu), check_partition(nu), as_index(trunc, "truncation")
     if size(mu) != size(nu):
         raise UsageError("profiles must have equal sizes")
     zz = zmu(mu) * zmu(nu)
@@ -225,7 +225,7 @@ def elsv_I(g: int, mu: Partition) -> tuple[Frac, Frac]:
 
     I = H / r!; bare = I * |Aut(mu)| * prod(mu_i! / mu_i^{mu_i}).
     """
-    mu = check_partition(mu)
+    g, mu = as_index(g, "genus"), check_partition(mu)
     r = ramification_order(g, mu)
     if r < 0:
         raise UsageError(f"unstable profile (g={g}, mu={mu})")

@@ -34,14 +34,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 
 from . import dense, nilpotent
-from .errors import InternalError, UsageError, VerificationFailure, as_index
+from .errors import InternalError, UsageError, VerificationFailure
 from .laurent import Laurent, Poly
-from .partitions import compositions
+from .partitions import compositions, typed_cache
 
 Frac = Fraction
 
@@ -50,7 +49,7 @@ Frac = Fraction
 # quintic
 # ===========================================================================
 
-@lru_cache(maxsize=None)
+@typed_cache("int")
 def candelas(d_max: int) -> dict:
     """Mirror map and degree coefficients of the cubic-normalized potential.
 
@@ -229,18 +228,16 @@ def toric_b_series(generators: Sequence[tuple[str, int]],
 # projective space and Grassmannian series
 # ===========================================================================
 
-@lru_cache(maxsize=None)
-def hg_projective(n: int, d_max: int, cap: int | None = None) -> tuple[Poly, ...]:
+@typed_cache("int", "int", "int")
+def hg_projective(n: int, d_max: int, cap: int) -> tuple[Poly, ...]:
     """Degree slices of the fundamental series of P^{n-1}.
 
     Slice d: e^{-t x / alpha} / prod_{m=1}^{d} (x - m alpha)^n, expanded in x
-    through the cap (default n-1, the nilpotency order), as a ``Poly`` keyed
-    by (x, P, t, alpha) exponents.
+    through the cap (n-1 is the nilpotency order), as a ``Poly`` keyed by
+    (x, P, t, alpha) exponents.
     """
     if n < 2:
         raise UsageError("need projective space of dimension >= 1")
-    if cap is None:
-        cap = n - 1
     caps = (cap,)
     pre = nilpotent.exp_x_times(cap, "t")
     out: list[Poly] = []
@@ -278,7 +275,7 @@ def _op_rows(k: int, n: int, d_max: int, cap: int) -> dict[tuple[int, int], Poly
     caps = (cap,)
     e_p = nilpotent.exp_x_times(cap, "P")
     out: dict[tuple[int, int], Poly] = {}
-    for c, s in enumerate(hg_projective(n, d_max, cap=cap)):
+    for c, s in enumerate(hg_projective(n, d_max, cap)):
         cur = nilpotent.mul(s, e_p, caps)
         for r in range(k):
             if r:
@@ -384,15 +381,13 @@ def _bialternant(rows: dict[tuple[int, int], Poly], k: int, n: int, d_max: int,
     return by_d
 
 
-@lru_cache(maxsize=None, typed=True)
+@typed_cache("int", "int", "int")
 def hori_vafa_series(k: int, n: int, d_max: int) -> dict:
     """Operator-formula series, localization series, and their equality:
     {"operator": {d: {t_exp: {lam: Laurent}}}, "localization": same shape,
     "equal": bool}.  "equal" is the entry-by-entry equality of the two sides'
     rows on a nonempty read; the localization rows are read on their own only
-    when they differ.  The cache is typed, so 2.0 is refused, not served the
-    series of 2."""
-    k, n, d_max = (as_index(v, name) for v, name in ((k, "k"), (n, "n"), (d_max, "degree")))
+    when they differ."""
     if not (1 <= k < n):
         raise UsageError("need 1 <= k < n")
     if d_max < 0:
@@ -418,7 +413,7 @@ def gr23_matches_p2(d_max: int = 2) -> bool:
     """The (2,3) operator output equals the P^2 series under s_1 <-> x."""
     lam_of_deg = {0: (), 1: (1,), 2: (1, 1)}
     expect: dict[tuple, dict[int, Frac]] = {}
-    for d, slice_d in enumerate(hg_projective(3, d_max)):
+    for d, slice_d in enumerate(hg_projective(3, d_max, 2)):
         for (xe, _pe, te, a), v in slice_d.c.items():
             expect.setdefault((d, te, lam_of_deg[xe]), {})[a] = v
     return _reduced_equal(hori_vafa_series(2, 3, d_max)["operator"],

@@ -17,7 +17,10 @@ Partition = tuple[int, ...]
 
 
 def check_partition(mu) -> Partition:
-    mu = tuple(as_index(p, "a part") for p in mu)
+    try:
+        mu = tuple(as_index(p, "a part") for p in mu)
+    except TypeError:
+        raise UsageError(f"a partition must be a sequence of parts, not {mu!r}") from None
     if any(p <= 0 for p in mu):
         raise UsageError(f"parts must be positive: {mu}")
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
@@ -27,13 +30,16 @@ def check_partition(mu) -> Partition:
 
 def typed_cache(*kinds: str | None):
     """``lru_cache`` over a function whose positional arguments are, in order,
-    a "partition" (a tuple), an "int" or anything else (None).  The cache
-    keys 2.0 as 2 and (2.0,) as (2,), and cannot hash a list, so an argument
-    whose type, or whose parts' type, is not the one expected is read by
-    ``check_partition`` or ``as_index`` before the lookup: a float is refused
-    whatever is cached.  Testing only the types keeps a hit cheap (``vertex``
-    makes about 1,200 at degree 6); the function checks the rest of its
-    arguments on a miss."""
+    a "partition" (a tuple), an "int" or anything else (None): the one memo
+    of every exported entry, so a wrong argument fails the same way whatever
+    the process has cached.  An untyped cache keys 2.0 as 2 and (2.0,) as
+    (2,), and cannot hash a list, so an argument whose type, or whose parts'
+    type, is not the one expected is read by ``check_partition`` or
+    ``as_index`` before the lookup: a float is refused whatever is cached.
+    Testing only the types keeps a hit cheap (``vertex`` makes about 1,200
+    at degree 6); the function checks the rest of its arguments on a miss.
+    Arguments are positional only: a keyword or a count other than
+    ``len(kinds)`` raises ``TypeError``, as a wrong call of the function does."""
     types = [(i, tuple if k == "partition" else int) for i, k in enumerate(kinds) if k]
     parts = [i for i, k in enumerate(kinds) if k == "partition"]
 
@@ -42,6 +48,9 @@ def typed_cache(*kinds: str | None):
 
         @wraps(fn)
         def checked(*args):
+            if len(args) != len(kinds):
+                raise TypeError(f"{fn.__name__}() takes {len(kinds)} positional arguments, "
+                                f"not {len(args)}")
             if (any(type(args[i]) is not t for i, t in types)
                     or any(type(p) is not int for i in parts for p in args[i])):
                 args = [a if k is None else check_partition(a) if k == "partition"
@@ -145,7 +154,7 @@ def sub_diagrams(mu: Partition) -> Iterator[Partition]:
     yield from rec(0, mu[0])
 
 
-@lru_cache(maxsize=None)
+@typed_cache("int")
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, reverse-lexicographic: (n) first, (1,...,1) last."""
     if n < 0:

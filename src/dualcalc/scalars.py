@@ -12,8 +12,10 @@ There is no floating point anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
+
+from .errors import UsageError
+from .partitions import typed_cache
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -131,12 +133,10 @@ GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
 
-@lru_cache(maxsize=None)
+@typed_cache("int")
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with B_1 = -1/2 (so B_2 = 1/6, B_4 = -1/30)."""
     if n < 0:
-        from .errors import UsageError
-
         raise UsageError(f"bernoulli index must be nonnegative, got {n}")
     if n == 0:
         return _F1

@@ -212,15 +212,13 @@ TIME_BOUNDS = {
 }
 
 
-def run_all(profile: str = "full", inject_fault: str | None = None) -> dict:
-    if profile != "full":
-        raise UsageError(f"unknown profile {profile!r}")
+def run_all(inject_fault: str | None = None) -> dict:
     if inject_fault is not None and inject_fault not in CHECKS:
         raise UsageError(f"unknown check {inject_fault!r}")
 
     def run_one(name: str) -> dict:
         t0 = time.monotonic()
-        ok, detail = CHECKS[name](profile)
+        ok, detail = CHECKS[name]("full")
         seconds = time.monotonic() - t0
         if inject_fault == name:
             ok = False
@@ -229,8 +227,4 @@ def run_all(profile: str = "full", inject_fault: str | None = None) -> dict:
                 "detail": detail}
 
     results = [run_one(name) for name in CHECKS]
-    return {
-        "profile": profile,
-        "checks": results,
-        "all_pass": all(r["pass"] for r in results),
-    }
+    return {"checks": results, "all_pass": all(r["pass"] for r in results)}

@@ -37,7 +37,7 @@ from . import dense
 from .chern_simons import w_pair
 from .errors import InternalError, UsageError, VerificationFailure
 from .laurent import Laurent
-from .partitions import compositions, enumerate_partitions, kappa
+from .partitions import compositions, enumerate_partitions, kappa, typed_cache
 from .qfunc import QFunction, sum_of_products
 
 Frac = Fraction
@@ -45,7 +45,7 @@ NTable = dict[tuple[int, int], Frac]
 GVTable = dict[tuple[int, int], int]
 
 
-@lru_cache(maxsize=None)
+@typed_cache("int")
 def local_p2_z(d_max: int) -> tuple[QFunction, ...]:
     """Degree slices Z_0..Z_{d_max} of the local-P2 partition function."""
     if d_max < 0:

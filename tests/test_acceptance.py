@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from dualcalc.errors import UsageError
 from dualcalc.verify import CHECKS, TIME_BOUNDS, run_all
 
 DETAILS = Path(__file__).parent / "golden" / "verify-all-details.json"
@@ -47,12 +46,7 @@ def test_acceptance(name, number):
 
 def test_verdict_details_are_pinned():
     # verify-all prints name, pass and seconds; the details are pinned here
-    checks = run_all("full")["checks"]
+    checks = run_all()["checks"]
     got = json.dumps([[c["name"], c["pass"], c["detail"]] for c in checks],
                      sort_keys=True) + "\n"
     assert got == DETAILS.read_text()
-
-
-def test_full_is_the_only_profile():
-    with pytest.raises(UsageError, match="unknown profile"):
-        run_all("quick")

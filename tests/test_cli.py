@@ -928,14 +928,14 @@ def test_a_repeated_query_pays_only_for_serialisation(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in [(cli._Parser, "parse_args"), (cli._Parser, "parse_plain"),
-                        (QFunction, "to_lambda"), (hodge, "hodge_extract"),
+                        (QFunction, "to_lambda"), (hodge, "framing_prefactor"),
                         (vertex, "gv_invert")]:
         count(owner, name)
     _clear_caches()
     first = [run(argv) for argv in WARM]
     # each counted call but argparse's is on the path of the first pass: a
     # plain argv is read without it
-    assert set(calls) == {"parse_plain", "to_lambda", "hodge_extract", "gv_invert"}
+    assert set(calls) == {"parse_plain", "to_lambda", "framing_prefactor", "gv_invert"}
     calls.clear()
     second = [run(argv) for argv in WARM]
     assert calls == Counter()
@@ -1065,8 +1065,8 @@ def test_a_plain_argv_reads_as_argparse_reads_it(argv):
     # main prints the same document, exit code included, when argparse reads
     # the argv; verify-all is stubbed, since only its parse is under test
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "run_all", lambda profile, inject_fault: {
-            "profile": profile, "all_pass": inject_fault is None, "checks": []})
+        mp.setattr(verify, "run_all", lambda inject_fault: {
+            "all_pass": inject_fault is None, "checks": []})
         cli._parsed.cache_clear()
         plain = run(argv)
         mp.setattr(cli._Parser, "parse_plain", lambda self, argv: None)

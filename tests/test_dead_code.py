@@ -130,3 +130,22 @@ def test_every_default_is_passed_somewhere():
                 if (fname, func, param) not in OUTSIDE_CALLERS
                 and not any(passes(c, names, param, index) for c in calls)]
     assert not unpassed, f"defaulted parameters no call passes: {unpassed}"
+
+
+def test_no_exported_function_carries_a_bare_lru_cache():
+    # an exported memo goes through partitions.typed_cache, which checks the
+    # argument types before the lookup; a bare lru_cache keys 2.0 as 2, so
+    # its answer to a float would depend on what the process cached first
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {(node.module, a.name) for node in init.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    bare = []
+    for module in {m for m, _ in exported}:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and (module, node.name) in exported:
+                for d in node.decorator_list:
+                    f = d.func if isinstance(d, ast.Call) else d
+                    if getattr(f, "id", getattr(f, "attr", None)) == "lru_cache":
+                        bare.append(f"{module}.{node.name}")
+    assert exported and not bare, f"exported functions under a bare lru_cache: {bare}"

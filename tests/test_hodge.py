@@ -10,7 +10,7 @@ import dualcalc
 from dualcalc.errors import UsageError
 from dualcalc.hodge import (FramedSeries, b_constant, build_series,
                             convolution_check, elsv_limit_check,
-                            framing_prefactor, hodge_extract, hodge_extract_cached,
+                            framing_prefactor, hodge_extract,
                             initial_value_report, lambda_g_check, ov_term,
                             pde_residual, residual_window_ok,
                             slice_reduction_check, swap_symmetry_check)
@@ -196,13 +196,13 @@ def test_framing_prefactor_is_built_once_per_partition(fs3):
     partitions = len({mu for _g, mu in cases})
     framing_prefactor.cache_clear()
     # the extractions too, or a case extracted earlier would not reach the prefactor
-    hodge_extract_cached.cache_clear()
+    hodge_extract.cache_clear()
     assert all(lambda_g_check(fs3, g, mu) for g, mu in cases)
     assert framing_prefactor.cache_info()[:2] == (len(cases) - partitions, partitions)
     # a second pass reads every extraction from its cache: no prefactor is read
     assert all(lambda_g_check(fs3, g, mu) for g, mu in cases)
     assert framing_prefactor.cache_info()[:2] == (len(cases) - partitions, partitions)
-    assert hodge_extract_cached.cache_info()[:2] == (len(cases), len(cases))
+    assert hodge_extract.cache_info()[:2] == (len(cases), len(cases))
 
 
 @pytest.mark.parametrize("args", [(3, 8, 1), (2, 7, 2), (3, 9, 2)])
@@ -239,12 +239,12 @@ def test_family_count_guard(fs3, fs2fam):
 def test_extraction_cache_refuses_floats_in_either_call_order(fs3):
     # an untyped cache keys 1.0 as 1 and (2.0,) as (2,): a float is refused
     # before and after the integer arguments are cached
-    hodge_extract_cached.cache_clear()
+    hodge_extract.cache_clear()
     for _ in range(2):
         for g, mu in [(1, (2.0,)), (1.0, (2,))]:
             with pytest.raises(UsageError, match="must be an integer"):
-                hodge_extract_cached(fs3, g, mu)
-        hodge_extract_cached(fs3, 1, (2,))
+                hodge_extract(fs3, g, mu)
+        hodge_extract(fs3, 1, (2,))
 
 
 def test_build_series_takes_only_integer_arguments():

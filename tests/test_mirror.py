@@ -219,14 +219,14 @@ def test_hori_vafa_series_takes_only_integer_arguments():
 # -- projective / Grassmannian -----------------------------------------------
 
 def test_hg_projective_degree_zero():
-    p = hg_projective(3, 1)
+    p = hg_projective(3, 1, 2)
     # pure e^{-tx/alpha}: coefficient of x^j t^j is (-1)^j/j! alpha^{-j}
     assert p[0].c == {(0, 0, 0, 0): 1, (1, 0, 1, -1): -1, (2, 0, 2, -2): F(1, 2)}
 
 
 def test_hg_projective_p1_degree_one():
     # 1/(x - alpha)^2 = alpha^{-2} (1 + 2x/alpha + ...) with x^2 = 0
-    p = hg_projective(2, 1)
+    p = hg_projective(2, 1, 1)
     assert p[1].c[(0, 0, 0, -2)] == 1
     assert p[1].c[(1, 0, 0, -3)] == 2
 
@@ -234,7 +234,7 @@ def test_hg_projective_p1_degree_one():
 def test_hg_projective_alpha_homogeneity():
     # alpha-exponent of the (x^j, t^m) coefficient at degree d is m - j - n d
     for n in (2, 3):
-        p = hg_projective(n, 2)
+        p = hg_projective(n, 2, n - 1)
         for d in range(3):
             for (xe, pe, te, aexp) in p[d].c:
                 assert pe == 0
@@ -284,7 +284,7 @@ def test_hori_vafa_equality(k, n, dm):
 
 def test_hori_vafa_k1_is_projective_series():
     hv = hori_vafa_series(1, 3, 2)
-    p = hg_projective(3, 2, cap=1 * 2 + 0 + 2)
+    p = hg_projective(3, 2, 1 * 2 + 0 + 2)
     for d in range(3):
         flat = {(te, (xe,) if xe else ()): v
                 for (xe, pe, te), v in _view(p[d]).items() if xe <= 2}

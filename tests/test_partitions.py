@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import dualcalc
 from dualcalc import chern_simons, hodge, hurwitz
 from dualcalc.errors import UsageError
 from dualcalc.partitions import (aut, character, check_partition, compositions,
@@ -89,6 +90,57 @@ def test_library_entries_reject_a_float_part(entry, mu):
     call(tuple(map(int, mu)))
     with pytest.raises(UsageError, match="must be an integer"):
         call(mu)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chern_simons.w_one(2),
+    lambda: hurwitz.hurwitz_number(0, 2),
+    lambda: hurwitz.hurwitz_number(1.0, (2, 1), "burnside"),
+    lambda: hurwitz.elsv_I(1.5, (2,)),
+    lambda: hurwitz.burnside_phi((2, 1), 6.0),
+    lambda: hurwitz.double_hurwitz((2, 1), (2, 1), 6.0),
+], ids=["w_one-int", "hurwitz_number-int", "hurwitz_number-genus", "elsv_I-genus",
+        "burnside_phi-trunc", "double_hurwitz-trunc"])
+def test_library_entries_refuse_a_float_or_a_non_iterable(call):
+    # each raised TypeError before; the CLI contract maps a bad argument to exit 1
+    with pytest.raises(UsageError):
+        call()
+
+
+# every memoised entry that dualcalc exports: (good arguments, arguments
+# with a float or a float part), each a thunk so that no series is built at
+# collection time
+MEMOISED = {
+    "bernoulli": lambda: ((4,), (4.0,)),
+    "build_series": lambda: ((1, 5, 1), (1, 5.0, 1)),
+    "candelas": lambda: ((2,), (2.0,)),
+    "enumerate_partitions": lambda: ((3,), (3.0,)),
+    "hg_projective": lambda: ((3, 2, 2), (3.0, 2, 2)),
+    "hodge_extract": lambda: ((fs := dualcalc.build_series(2, 9, 1), 1, (2,)),
+                              (fs, 1, (2.0,))),
+    "hori_vafa_series": lambda: ((2, 3, 1), (2, 3, 1.0)),
+    "local_p2_z": lambda: ((2,), (2.0,)),
+    "w_one": lambda: (((2, 1),), ((2.0, 1),)),
+    "w_pair": lambda: (((1,), (1,)), ((1,), (1.0,))),
+}
+
+
+@pytest.mark.parametrize("name", MEMOISED)
+def test_call_order_cannot_change_a_memoised_answer(name):
+    # an untyped cache keys 2.0 as 2: from an empty cache a float is refused,
+    # and it must still be refused once the integer call is cached
+    fn = getattr(dualcalc, name)
+    good, bad = MEMOISED[name]()
+    fn.cache_clear()
+    for _ in range(2):
+        with pytest.raises(UsageError, match="must be an integer"):
+            fn(*bad)
+        value = fn(*good)
+    assert fn(*good) is value
+    # a wrong count of positional arguments fails as the plain function does
+    for args in (good[:-1], good + good[-1:]):
+        with pytest.raises(TypeError, match="positional arguments"):
+            fn(*args)
 
 
 @pytest.mark.parametrize("mu,z,a,k", [
