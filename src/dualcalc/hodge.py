@@ -1,13 +1,18 @@
 """Framed triple-Hodge generating series (one and two partition families).
 
-The disconnected series is assembled directly from character sums,
-framing exponentials and the W building blocks, in one loop over the
-family weights (n) or (n+, n-):
+The disconnected series is a character sum of framing exponentials times
+the W building blocks, one block per family weight (n) or (n+, n-):
 
     one family:  sum_nu chi_nu(mu)/z_mu e^{i (tau+1/2) kappa_nu lambda/2} W_nu
     two family:  sum   chi chi / (z z) e^{i (kappa+ tau + kappa- / tau) lambda/2}
                  W_{nu+, nu-}
 
+A block is summed on integers, with no intermediate series (``_block``):
+each tau-polynomial is packed into one integer, a digit per tau-power, so
+framing x W is a convolution of integer rows in lambda' (the framing
+exponential's rows cached per kappa, length and digit width), the character
+sum is a sum of integers, and each stored coefficient is unpacked and
+reduced once.
 The connected series is its logarithm, taken on first read.  A built series
 is a read-only named tuple, cached per (degree cap, order, families), so
 every check and query of a process shares one build.  The module verifies
@@ -42,16 +47,17 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import mul
 
 from .chern_simons import w_one_lambda, w_pair_lambda
 from .errors import InternalError, UsageError, as_index
 from .hurwitz import burnside_phi, double_hurwitz
 from .partitions import (Partition, aut, character, check_partition,
                          enumerate_partitions, kappa, length, size, typed_cache, zmu)
-from .pseries import PSeries, empty_key
+from .pseries import PSeries, cut_join_terms, empty_key
 from .qfunc import QFunction, bracket_quotient
-from .series import LambdaSeries, TauLaurent, combine, exp_monomial
+from .series import TL_ZERO, LambdaSeries, TauLaurent, combine
 
 Frac = Fraction
 
@@ -72,19 +78,75 @@ class FramedSeries(namedtuple("FramedSeries", "families caps trunc disconnected"
 
 
 @lru_cache(maxsize=None)
-def _one_family_term(nu: Partition, trunc: int) -> LambdaSeries:
-    t = trunc + size(nu)
-    # e^{(tau + 1/2) kappa lambda' / 2} times w_one(nu), W_nu = i^{|nu|} w_one(nu)
-    framing = exp_monomial(TauLaurent({0: Frac(kappa(nu), 4), 1: Frac(kappa(nu), 2)}), 1, t)
-    return framing * w_one_lambda(nu, t)
+def _framing_rows(kappas: tuple[int, ...], length: int, bits: int) -> tuple[int, ...]:
+    """The framing exponential e^{alpha lambda'} on integers: row k < length
+    is d^top top! alpha^k / k!, top = length - 1, with the coefficient of
+    tau^p at digit p + shift of width ``bits``.  One family has alpha =
+    kappa (1 + 2 tau) / 4, d = 4 and shift 0; two have alpha = (kappa+ tau^2
+    + kappa-) / (2 tau), d = 2 and shift top.  Private: ``build_series``
+    calls it with checked integers only."""
+    top = length - 1
+    if len(kappas) == 1:
+        g, d, shift = kappas[0] * (1 + (2 << bits)), 4, 0
+    else:
+        g, d, shift = kappas[1] + (kappas[0] << 2 * bits), 2, top
+    c, x, rows = d ** top * factorial(top), 1 << shift * bits, []
+    for k in range(1, length + 1):
+        rows.append(c * x)
+        c, x = c // (d * k), x * g >> (bits if shift else 0)
+    return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _two_family_term(nup: Partition, num: Partition, trunc: int) -> LambdaSeries:
-    t = trunc + size(nup) + size(num)
-    # e^{(kappa+ tau + kappa- / tau) lambda' / 2}
-    framing = exp_monomial(TauLaurent({1: Frac(kappa(nup), 2), -1: Frac(kappa(num), 2)}), 1, t)
-    return framing * w_pair_lambda(nup, num, t)
+def _block(keys: list, trunc: int, families: int) -> dict:
+    """The coefficients p_mu of one weight block, sum_nu chi_nu(mu) / z_mu
+    framing_nu W_nu, each over the window that ``combine`` gives the sum of
+    the framing_nu W_nu products: the least floor and truncation over the nu
+    with chi_nu(mu) != 0, pruned when two or more contribute (a lone term's
+    leading coefficient is W's, never zero).  W's coefficients go over their
+    lcm and the framing rows over d^top top!, so the sum is one integer per
+    lambda'-power whose digits of width ``bits`` are its tau-coefficients.
+    """
+    t = trunc + sum(map(size, keys[0]))
+    w_lambda, d, shift = (w_one_lambda, 4, 0) if families == 1 else (w_pair_lambda, 2, t - 1)
+    ws = [w_lambda(*nu, t).pruned() for nu in keys]
+    big = lcm(*(c.den for w in ws for c in w.co))
+    nums = [[c.num.get(0, 0) * (big // c.den) for c in w.co] for w in ws]
+    wins = [(w.floor, min(w.floor + t, w.trunc)) for w in ws]
+    kaps = [tuple(map(kappa, nu)) for nu in keys]
+    chars = [[prod(map(character, nu, mu)) for nu in keys] for mu in keys]
+    # a framing digit is at most d^top top! e^{|g|_1 / d} <= d^top top! 3^ceil(|g|_1 / d),
+    # |g|_1 = 3 |kappa| or |kappa+| + |kappa-|
+    norm = 3 if families == 1 else 1
+    sizes = [3 ** -(-norm * sum(map(abs, k)) // d) * sum(map(abs, a))
+             for k, a in zip(kaps, nums)]
+    scale = d ** (t - 1) * factorial(t - 1)
+    bits = 1 + (scale * max(sum(abs(c) * z for c, z in zip(row, sizes))
+                            for row in chars)).bit_length()
+    # framing x W: row e of column nu is sum_j W_j framing_{e-j}
+    lo = min(f for f, _h in wins)
+    cols = [[0] * len(keys) for _ in range(lo, max(h for _f, h in wins))]
+    for i, (k, (floor, top), a) in enumerate(zip(kaps, wins, nums)):
+        rows = _framing_rows(k, t, bits)[top - floor - 1::-1]
+        for e in range(top - floor):
+            cols[floor - lo + e][i] = sum(map(mul, a[:e + 1], rows[-1 - e:]))
+    half, mask = 1 << bits - 1, (1 << bits) - 1
+    off = half * (((1 << bits * (t + shift)) - 1) // mask)  # half in every digit
+    out = {}
+    for mu, row in zip(keys, chars):
+        kept = [win for c, win in zip(row, wins) if c]
+        floor = min(f for f, _h in kept)
+        den = prod(map(zmu, mu)) * scale * big
+        co = []
+        for e in range(floor, min(h for _f, h in kept)):
+            v = sum(map(mul, row, cols[e - lo]))
+            r = min(e - floor, t - 1)  # row e holds tau^p for |p| <= r only
+            p0 = -r if shift else 0
+            u = v + off >> (p0 + shift) * bits
+            co.append(TL_ZERO._new({p: c for p in range(p0, r + 1)
+                                    if (c := (u >> (p - p0) * bits & mask) - half)}, den)
+                      if v else TL_ZERO)
+        out[mu] = LambdaSeries(floor, co).pruned()
+    return out
 
 
 @typed_cache("int", "int", "int")
@@ -92,18 +154,11 @@ def build_series(degree_cap: int, trunc: int, families: int) -> FramedSeries:
     """Assemble the disconnected series through the given caps, once per process."""
     if families not in (1, 2):
         raise UsageError("families must be 1 or 2")
-    family_term = _one_family_term if families == 1 else _two_family_term
     caps = (degree_cap,) * families
     co = {empty_key(families): LambdaSeries.one(trunc)}
     for weights in product(range(degree_cap + 1), repeat=families):
-        if not any(weights):
-            continue
-        keys = list(product(*map(enumerate_partitions, weights)))
-        terms = {nu: family_term(*nu, trunc) for nu in keys}
-        for mu in keys:
-            z = prod(map(zmu, mu))
-            co[mu] = combine([(Frac(prod(map(character, nu, mu)), z), terms[nu], None)
-                              for nu in keys])
+        if any(weights):
+            co.update(_block(list(product(*map(enumerate_partitions, weights))), trunc, families))
     return FramedSeries(families, caps, trunc, PSeries(families, caps, co))
 
 
@@ -131,11 +186,16 @@ def pde_residual(fs: FramedSeries) -> PSeries:
         r = fs.connected
         return r._fold([(1, r.tau_deriv(), None),
                         (-1, _times_lambda(r.cut_join_nonlinear(0)), None)])
+    # one sum over every key's terms: its tau-derivative, then the linear
+    # operator's terms on it times lambda' (plus) and times lambda' / tau^2 (minus)
     g = fs.disconnected
-    plus = _times_lambda(g.cut_join_linear(0))
-    minus = _times_lambda(g.cut_join_linear(1))
-    minus = minus.map_coeffs(lambda key, s: s.map_coeffs(lambda e, t: t.shift(-2)))
-    return g._fold([(1, g.tau_deriv(), None), (-1, plus, None), (1, minus, None)])
+    terms = [(key, 1, s.tau_deriv(), None) for key, s in g.co.items()]
+    for (mup, mum), s in g.co.items():
+        plus = s.shift(1)
+        minus = LambdaSeries(plus.floor, [c.shift(-2) for c in s.co])
+        terms.extend(((nu, mum), -c, plus, None) for nu, c in cut_join_terms(mup))
+        terms.extend(((mup, nu), c, minus, None) for nu, c in cut_join_terms(mum))
+    return g._sum(terms)
 
 
 def residual_window_ok(res: PSeries, need) -> bool:
@@ -201,7 +261,7 @@ def initial_value_report(fs: FramedSeries, through: int | None = None) -> dict:
 # Hodge-integral extraction
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@typed_cache("partition")
 def framing_prefactor(mu: Partition) -> TauLaurent:
     """A(tau) = -1 / |Aut mu| [tau(tau+1)]^{l-1} prod prod (mu_i tau + a)/(mu_i - 1)!.
 

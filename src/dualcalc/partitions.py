@@ -190,7 +190,7 @@ def add_parts(mu: Partition, *parts: int) -> Partition:
     return tuple(sorted(mu + tuple(parts), reverse=True))
 
 
-@lru_cache(maxsize=None)
+@typed_cache("int", "int")
 def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """Weak compositions of total into ``parts`` nonnegative parts, in
     lexicographic order."""
@@ -222,6 +222,7 @@ def hook_product(nu: Partition) -> int:
     return out
 
 
+@typed_cache("partition")
 def dim(nu: Partition) -> int:
     d, r = divmod(factorial(size(nu)), hook_product(nu))
     if r:

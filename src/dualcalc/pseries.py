@@ -10,25 +10,25 @@ The cut-and-join operators act family by family:
 
 with the sums over ordered pairs and the global 1/2 as displayed; both
 conserve total weight within their family.  ``cut_join_terms`` holds the
-linear part on one monomial p_mu; the Hurwitz oracle reads it too.  The
-quadratic term forms (dF/dp_i)(dF/dp_j) only on keys with room for the
-part i+j, and hands the products to the operator's one sum.  Every sum hands
-its terms c*a*b p_key to ``_sum``, one ``series.combine`` per key: ``_fold``
-sums c*A*B over whole series (``+``, ``-``, ``*``, each slice of ``log``,
-which runs ``dense.graded_log`` by weight slice, and the PDE residual), and
-both operators sum their terms directly.  A derivative or a product with
-variables moves each key to one other key, so it is a map, not a sum.
+linear part on one monomial p_mu; the Hurwitz oracle and the two-family PDE
+residual read it too.  The nonlinear operator forms (dF/dp_i)(dF/dp_j) only
+on keys with room for the part i+j, and sums the products with the linear
+terms.  Every sum hands its terms c*a*b p_key to ``_sum``, one
+``series.combine`` per key: ``_fold`` sums c*A*B over whole series (``+``,
+``-``, ``*``, each slice of ``log``, which runs ``dense.graded_log`` by
+weight slice, and the one-family PDE residual); the nonlinear operator and
+the two-family residual sum their terms directly.  A derivative or a product
+with variables moves each key to one other key, so it is a map, not a sum.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 
 from .dense import graded_log
 from .errors import UsageError
-from .partitions import Partition, add_parts, multiplicities, remove_part
+from .partitions import Partition, add_parts, multiplicities, remove_part, typed_cache
 from .series import LambdaSeries, combine
 
 Key = tuple[Partition, ...]
@@ -43,7 +43,7 @@ def key_weight(key: Key) -> int:
     return sum(sum(mu) for mu in key)
 
 
-@lru_cache(maxsize=None)
+@typed_cache("partition")
 def cut_join_terms(mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """The linear cut-and-join operator on p_mu as ((nu, c), ...): p_mu maps to
     sum c p_nu.  Joins (remove i <= j, add i+j) come first, then cuts (remove
@@ -170,15 +170,9 @@ class PSeries:
                            for k, s in self.co.items()})
 
     # -- cut-and-join --------------------------------------------------------------
-    def _cut_join_terms(self, fam: int) -> Iterable[Term]:
-        return ((k[:fam] + (nu,) + k[fam + 1:], c, s, None)
-                for k, s in self.co.items() for nu, c in cut_join_terms(k[fam]))
-
-    def cut_join_linear(self, fam: int = 0) -> "PSeries":
-        return self._sum(self._cut_join_terms(fam))
-
     def cut_join_nonlinear(self, fam: int = 0) -> "PSeries":
-        terms = list(self._cut_join_terms(fam))
+        terms = [(k[:fam] + (nu,) + k[fam + 1:], c, s, None)
+                 for k, s in self.co.items() for nu, c in cut_join_terms(k[fam])]
         cap = self.caps[fam]
         derivs: dict[int, PSeries] = {}
         for i in range(1, cap + 1):

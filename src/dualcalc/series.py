@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 
 from .errors import InternalError, UsageError
 from .laurent import Laurent
@@ -280,22 +280,3 @@ def _collect(parts: list) -> TauLaurent:
                 acc[k] = acc.get(k, 0) + v1 * v2
     return TL_ZERO._new({k: v for k, v in acc.items() if v}, den)
 
-
-def exp_monomial(coeff, exp: int, trunc: int) -> LambdaSeries:
-    """exp(coeff * lambda^exp) for exp >= 1, truncated at ``trunc``.
-
-    ``coeff`` is a scalar or a ``TauLaurent``; the lambda^{k exp} coefficient
-    coeff^k / k! is built by repeated ``TauLaurent`` products, so the framing
-    exponentials of ``hodge`` come out with tau-polynomial coefficients.
-    """
-    if exp < 1:
-        raise UsageError("exp_monomial requires exponent >= 1")
-    c = coeff if isinstance(coeff, TauLaurent) else TauLaurent.const(coeff)
-    m: dict[int, TauLaurent] = {}
-    p = TL_ONE
-    k = 0
-    while k * exp < trunc:
-        m[k * exp] = p.scale(Fraction(1, factorial(k)))
-        p = p * c
-        k += 1
-    return LambdaSeries.from_map(m, trunc)

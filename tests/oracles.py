@@ -6,9 +6,10 @@ negation (the package sums with coefficients instead), the bracket [m], a
 phase-carrying model of a power of i times a ``QFunction``, a q-expansion
 oracle, a
 ``Fraction`` lambda-expansion oracle, a series reciprocal, the pairwise fold
-that ``series.combine`` replaces, the pairwise ``PSeries`` sums and the
-two-branch framed build that ``PSeries._sum`` and the one build loop
-replace, the graded exponential of a ``PSeries``, the ``Fraction`` DVV
+that ``series.combine`` replaces, the pairwise ``PSeries`` sums that
+``PSeries._sum`` replaces, the framed build from series products (the
+framing exponential times W, summed by ``series.combine``) that the integer
+block kernel of ``hodge`` replaces, the graded exponential of a ``PSeries``, the ``Fraction`` DVV
 recursion, the cut-and-join Hurwitz recursion on ``PSeries`` slices, the
 interpolation that the finite-difference psi-extraction replaces, set
 partitions, the ``Fraction`` assembly of the Virasoro residuals that the
@@ -32,7 +33,8 @@ from math import comb, factorial, gcd
 
 from dualcalc import dense, intersections, mirror, nilpotent
 from dualcalc.errors import InternalError, UsageError, VerificationFailure
-from dualcalc.hodge import FramedSeries, _one_family_term, _two_family_term
+from dualcalc.chern_simons import w_one_lambda, w_pair_lambda
+from dualcalc.hodge import FramedSeries
 from dualcalc.hurwitz import elsv_I, ramification_order
 from dualcalc.laurent import Laurent, Poly
 from dualcalc.partitions import (add_parts, character, compositions, enumerate_partitions,
@@ -40,7 +42,7 @@ from dualcalc.partitions import (add_parts, character, compositions, enumerate_p
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key
 from dualcalc.qfunc import QFunction, ULaurent, _expand, _strip
 from dualcalc.scalars import GaussianRational
-from dualcalc.series import TL_ZERO, LambdaSeries, combine
+from dualcalc.series import TL_ONE, TL_ZERO, LambdaSeries, TauLaurent, combine
 
 
 def qfunction(num, den):
@@ -308,15 +310,55 @@ def cut_join_nonlinear_reference(x, fam):
     return out
 
 
+def exp_monomial(coeff, exp: int, trunc: int) -> LambdaSeries:
+    """exp(coeff * lambda^exp) for exp >= 1, truncated at ``trunc``.
+
+    ``coeff`` is a scalar or a ``TauLaurent``; the lambda^{k exp} coefficient
+    coeff^k / k! is built by repeated ``TauLaurent`` products, so the framing
+    exponentials come out with tau-polynomial coefficients.
+    """
+    if exp < 1:
+        raise UsageError("exp_monomial requires exponent >= 1")
+    c = coeff if isinstance(coeff, TauLaurent) else TauLaurent.const(coeff)
+    m = {}
+    p = TL_ONE
+    k = 0
+    while k * exp < trunc:
+        m[k * exp] = p.scale(Fraction(1, factorial(k)))
+        p = p * c
+        k += 1
+    return LambdaSeries.from_map(m, trunc)
+
+
+@lru_cache(maxsize=None)
+def one_family_term(nu, trunc):
+    """e^{(tau + 1/2) kappa lambda' / 2} w_one(nu) as a product of series."""
+    t = trunc + sum(nu)
+    framing = exp_monomial(TauLaurent({0: Fraction(kappa(nu), 4), 1: Fraction(kappa(nu), 2)}),
+                           1, t)
+    return framing * w_one_lambda(nu, t)
+
+
+@lru_cache(maxsize=None)
+def two_family_term(nup, num, trunc):
+    """e^{(kappa+ tau + kappa- / tau) lambda' / 2} w_pair(nu+, nu-) as a
+    product of series."""
+    t = trunc + sum(nup) + sum(num)
+    framing = exp_monomial(TauLaurent({1: Fraction(kappa(nup), 2), -1: Fraction(kappa(num), 2)}),
+                           1, t)
+    return framing * w_pair_lambda(nup, num, t)
+
+
 def build_series_reference(degree_cap, trunc, families):
-    """The framed series by one branch per family count: the reference for
-    the one build loop of ``hodge.build_series``."""
+    """The framed series by one branch per family count, each term a product
+    of the framing exponential and W as series, summed by ``series.combine``:
+    the reference for the integer block kernel of ``hodge.build_series``."""
     if families == 1:
         caps = (degree_cap,)
         co = {empty_key(1): LambdaSeries.one(trunc)}
         for n in range(1, degree_cap + 1):
             parts = enumerate_partitions(n)
-            terms = {nu: _one_family_term(nu, trunc) for nu in parts}
+            terms = {nu: one_family_term(nu, trunc) for nu in parts}
             for mu in parts:
                 z = zmu(mu)
                 co[(mu,)] = combine([(Fraction(character(nu, mu), z), terms[nu], None)
@@ -330,7 +372,7 @@ def build_series_reference(degree_cap, trunc, families):
                 continue
             pplus = enumerate_partitions(npos)
             pminus = enumerate_partitions(nneg)
-            terms = {(a, b): _two_family_term(a, b, trunc) for a in pplus for b in pminus}
+            terms = {(a, b): two_family_term(a, b, trunc) for a in pplus for b in pminus}
             for mup in pplus:
                 for mum in pminus:
                     zz = zmu(mup) * zmu(mum)
@@ -457,7 +499,7 @@ def cutjoin_slice_reference(cap, r):
     Phi_0 = p_1."""
     if r == 0:
         return PSeries(1, (cap,), {((1,),): LambdaSeries.one(1)})
-    rhs = cutjoin_slice_reference(cap, r - 1).cut_join_linear(0)
+    rhs = cut_join_linear_reference(cutjoin_slice_reference(cap, r - 1), 0)
     for a in range(r):
         rhs = rhs + _quad_term(_cutjoin_derivs_reference(cap, a),
                                _cutjoin_derivs_reference(cap, r - 1 - a), cap)

@@ -736,8 +736,8 @@ OP_COVERAGE = {
                          ["mv", "--check", "elsv-limit", "--degree", "2", "--order", "8"]),
     "convolution_check": ("hodge.convolution_check",
                           ["mv", "--check", "convolution", "--degree", "2", "--order", "8"]),
-    "two_family_structure": ("hodge._two_family_term", ["mv", "--check", "two-partition",
-                                                        "--degree", "2", "--order", "7"]),
+    "two_family_structure": ("hodge._block", ["mv", "--check", "two-partition",
+                                              "--degree", "2", "--order", "7"]),
     # vertex / gv
     "local_p2_z": ("vertex.local_p2_z",
                    ["vertex", "local-p2", "--max-degree", "1", "--max-genus", "1"]),

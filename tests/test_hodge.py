@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import dualcalc
+from dualcalc import hodge, series
 from dualcalc.errors import UsageError
 from dualcalc.hodge import (FramedSeries, b_constant, build_series,
                             convolution_check, elsv_limit_check,
@@ -205,10 +206,29 @@ def test_framing_prefactor_is_built_once_per_partition(fs3):
     assert hodge_extract.cache_info()[:2] == (len(cases), len(cases))
 
 
-@pytest.mark.parametrize("args", [(3, 8, 1), (2, 7, 2), (3, 9, 2)])
+# (3, 9, 1) has a zero character in its weight-3 block and the lone term of
+# weight 1; (6, 15, 1), (3, 9, 2) and (4, 15, 1) are the benchmark's and the
+# verdict's builds
+@pytest.mark.parametrize("args", [(3, 8, 1), (2, 7, 2), (3, 9, 2), (6, 15, 1), (4, 15, 1),
+                                  (3, 9, 1)])
 def test_build_matches_two_branch_reference(args):
     assert_same_pseries(build_series(*args).disconnected,
                         build_series_reference(*args).disconnected)
+
+
+def test_build_forms_no_series_sum_or_product(monkeypatch):
+    # the blocks are summed on integers: no series.combine, no series product
+    def refuse(*args):
+        raise AssertionError("a series sum or product in the build")
+
+    build_series.cache_clear()
+    for module in (series, hodge):
+        monkeypatch.setattr(module, "combine", refuse)
+    monkeypatch.setattr(LambdaSeries, "__mul__", refuse)
+    builds = {args: build_series(*args) for args in [(3, 8, 1), (2, 7, 2)]}
+    monkeypatch.undo()
+    for args, fs in builds.items():
+        assert_same_pseries(fs.disconnected, build_series_reference(*args).disconnected)
 
 
 def test_framed_checks_add_no_tau_polynomials_pairwise(monkeypatch):

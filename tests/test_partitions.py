@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import dualcalc
-from dualcalc import chern_simons, hodge, hurwitz
+from dualcalc import chern_simons, hodge, hurwitz, partitions, pseries
 from dualcalc.errors import UsageError
 from dualcalc.partitions import (aut, character, check_partition, compositions,
                                  conjugate, dim, enumerate_partitions, format_partition,
@@ -141,6 +141,27 @@ def test_call_order_cannot_change_a_memoised_answer(name):
     for args in (good[:-1], good + good[-1:]):
         with pytest.raises(TypeError, match="positional arguments"):
             fn(*args)
+
+
+# the package's own memoised helpers: (module, name, good arguments, the
+# same with a float part)
+INTERNAL = [(hodge, "framing_prefactor", ((2, 1),), ((2.0, 1),)),
+            (pseries, "cut_join_terms", ((2, 1),), ((2.0, 1),)),
+            (partitions, "compositions", (2, 2), (2.0, 2)),
+            (partitions, "dim", ((2, 1),), ((2.0, 1),))]
+
+
+@pytest.mark.parametrize("module,name,good,bad", INTERNAL, ids=[n for _m, n, *_a in INTERNAL])
+def test_internal_caches_refuse_floats_in_either_call_order(module, name, good, bad):
+    # a float is refused from an empty cache and again once the integer
+    # arguments are cached
+    fn = getattr(module, name)
+    fn.cache_clear()
+    for _ in range(2):
+        with pytest.raises(UsageError, match="must be an integer"):
+            fn(*bad)
+        value = fn(*good)
+    assert fn(*good) is value
 
 
 @pytest.mark.parametrize("mu,z,a,k", [

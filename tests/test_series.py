@@ -6,9 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from dualcalc.errors import InternalError, UsageError
 from dualcalc.scalars import GaussianRational
-from dualcalc.series import (TL_ONE, TL_ZERO, LambdaSeries, TauLaurent, combine,
-                             exp_monomial)
-from oracles import as_scalar, canonical, combine_reference, sin_expand
+from dualcalc.series import TL_ONE, TL_ZERO, LambdaSeries, TauLaurent, combine
+from oracles import as_scalar, canonical, combine_reference, exp_monomial, sin_expand
 
 
 # -- TauLaurent ---------------------------------------------------------------
