@@ -6,7 +6,10 @@ Every subcommand prints exactly one JSON document on stdout:
 
 A -h/--help request prints {"help": <usage text>, "kind": "help"} and exits
 0.  Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
-inconsistency.  When the reader closes stdout early (``dualcalc verify-all |
+inconsistency (``errors.EXIT_CODES``).  A raised failure prints one
+{"error", "kind"} document, except that a ``verify-all`` check that raises
+is its own failing entry, with that error and kind: exit 3 if one raised an
+internal error, else 2 if any check failed.  When the reader closes stdout early (``dualcalc verify-all |
 head -c 100``), the exit code is still that of the document being written,
 and nothing goes to stderr.  Rationals are serialized as decimal strings
 "p/q", and a lambda-series coefficient, a power of i times a rational, as
@@ -48,7 +51,7 @@ from math import comb, gcd, prod
 
 from . import hodge, hurwitz, intersections, mirror, vertex, verify
 from .chern_simons import w_one, w_one_lambda, w_pair, w_pair_lambda
-from .errors import InternalError, UsageError, VerificationFailure
+from .errors import EXIT_CODES, KINDS, UsageError, failure
 from .partitions import enumerate_partitions, format_partition, length, parse_partition
 from .qfunc import QFunction
 from .series import LambdaSeries, TauLaurent
@@ -304,8 +307,6 @@ def build_parser() -> _Parser:
 
     va = sub.add_parser("verify-all", help="run the acceptance checks")
     va.add_argument("--profile", choices=["full"], default="full")
-    va.add_argument("--inject-fault", type=str, default=None,
-                    help=argparse.SUPPRESS)
     return p
 
 
@@ -577,11 +578,11 @@ def _reduced_json(side) -> dict:
 
 
 def _cmd_verify_all(args) -> dict:
-    summary = verify.run_all(args.inject_fault)
-    checks = [{"name": c["name"], "pass": c["pass"], "seconds": c["seconds"]}
-              for c in summary["checks"]]
-    return {"result": {"profile": args.profile,
-                       "all_pass": summary["all_pass"]},
+    summary = verify.run_all()
+    # a check that raised carries its error and kind; the kind sets the exit code
+    checks = [{"name": c["name"], "pass": c["pass"], "seconds": c["seconds"],
+               **(c["detail"] if "kind" in c["detail"] else {})} for c in summary["checks"]]
+    return {"result": {"profile": args.profile, "all_pass": summary["all_pass"]},
             "checks": checks}
 
 
@@ -620,15 +621,14 @@ def main(argv: list[str] | None = None) -> int:
             "result": payload["result"],
             "checks": payload["checks"],
         }
-        code = 2 if any(not c["pass"] for c in payload["checks"]) else 0
+        # a failed check is a verification failure unless it names its kind
+        code = max((EXIT_CODES[c.get("kind", "verification")]
+                    for c in payload["checks"] if not c["pass"]), default=0)
     except _Help as req:
         doc, code = {"help": str(req), "kind": "help"}, 0
-    except UsageError as exc:
-        doc, code = {"error": str(exc), "kind": "usage"}, 1
-    except VerificationFailure as exc:
-        doc, code = {"error": str(exc), "kind": "verification"}, 2
-    except (InternalError, AssertionError, ZeroDivisionError) as exc:
-        doc, code = {"error": str(exc), "kind": "internal"}, 3
+    except tuple(KINDS) as exc:
+        doc = failure(exc)
+        code = EXIT_CODES[doc["kind"]]
     try:
         print(json.dumps(doc, sort_keys=True), flush=True)
     except BrokenPipeError:

@@ -1,7 +1,7 @@
 """Error taxonomy shared across the package.
 
-The CLI maps these onto exit codes: usage errors -> 1, verification
-failures -> 2, internal inconsistencies -> 3.
+``KINDS`` and ``EXIT_CODES`` give a raised failure's document kind and exit
+code: usage errors 1, verification failures 2, internal inconsistencies 3.
 """
 from operator import index
 
@@ -25,3 +25,13 @@ def as_index(v, what: str) -> int:
         return index(v)
     except TypeError:
         raise UsageError(f"{what} must be an integer, not {v!r}") from None
+
+
+# read by cli.main and verify.run_all; an InternalError is an AssertionError
+KINDS = {UsageError: "usage", VerificationFailure: "verification",
+         AssertionError: "internal", ZeroDivisionError: "internal"}
+EXIT_CODES = {"usage": 1, "verification": 2, "internal": 3}
+
+
+def failure(exc: BaseException) -> dict:
+    return {"error": str(exc), "kind": next(k for t, k in KINDS.items() if isinstance(exc, t))}

@@ -98,20 +98,21 @@ def _framing_rows(kappas: tuple[int, ...], length: int, bits: int) -> tuple[int,
 
 
 def _block(keys: list, trunc: int, families: int) -> dict:
-    """The coefficients p_mu of one weight block, sum_nu chi_nu(mu) / z_mu
-    framing_nu W_nu, each over the window that ``combine`` gives the sum of
-    the framing_nu W_nu products: the least floor and truncation over the nu
-    with chi_nu(mu) != 0, pruned when two or more contribute (a lone term's
-    leading coefficient is W's, never zero).  W's coefficients go over their
-    lcm and the framing rows over d^top top!, so the sum is one integer per
-    lambda'-power whose digits of width ``bits`` are its tau-coefficients.
+    """The coefficients p_mu of one weight-n block, sum_nu chi_nu(mu) / z_mu
+    framing_nu W_nu, each over the block's window [-n, trunc), pruned: the
+    window ``combine`` gives the sum, as every W of the block has floor -n and
+    reaches trunc (an ``InternalError`` if not).  W's coefficients go over
+    their lcm and the framing rows over d^top top!, so the sum is one integer
+    per lambda'-power whose digits of width ``bits`` are its tau-coefficients.
     """
-    t = trunc + sum(map(size, keys[0]))
+    n = sum(map(size, keys[0]))
+    t = trunc + n
     w_lambda, d, shift = (w_one_lambda, 4, 0) if families == 1 else (w_pair_lambda, 2, t - 1)
     ws = [w_lambda(*nu, t).pruned() for nu in keys]
+    if any(w.floor != -n or w.trunc < trunc for w in ws):
+        raise InternalError(f"a W of the weight-{n} block does not span [{-n}, {trunc})")
     big = lcm(*(c.den for w in ws for c in w.co))
     nums = [[c.num.get(0, 0) * (big // c.den) for c in w.co] for w in ws]
-    wins = [(w.floor, min(w.floor + t, w.trunc)) for w in ws]
     kaps = [tuple(map(kappa, nu)) for nu in keys]
     chars = [[prod(map(character, nu, mu)) for nu in keys] for mu in keys]
     # a framing digit is at most d^top top! e^{|g|_1 / d} <= d^top top! 3^ceil(|g|_1 / d),
@@ -122,30 +123,23 @@ def _block(keys: list, trunc: int, families: int) -> dict:
     scale = d ** (t - 1) * factorial(t - 1)
     bits = 1 + (scale * max(sum(abs(c) * z for c, z in zip(row, sizes))
                             for row in chars)).bit_length()
-    # framing x W: row e of column nu is sum_j W_j framing_{e-j}
-    lo = min(f for f, _h in wins)
-    cols = [[0] * len(keys) for _ in range(lo, max(h for _f, h in wins))]
-    for i, (k, (floor, top), a) in enumerate(zip(kaps, wins, nums)):
-        rows = _framing_rows(k, t, bits)[top - floor - 1::-1]
-        for e in range(top - floor):
-            cols[floor - lo + e][i] = sum(map(mul, a[:e + 1], rows[-1 - e:]))
+    # framing x W: column e holds each nu's sum_j W_j framing_{e-j}, at lambda'^(e-n)
+    cols = list(zip(*[[sum(map(mul, a, f[e::-1])) for e in range(t)]
+                      for f, a in zip((_framing_rows(k, t, bits) for k in kaps), nums)]))
     half, mask = 1 << bits - 1, (1 << bits) - 1
     off = half * (((1 << bits * (t + shift)) - 1) // mask)  # half in every digit
     out = {}
     for mu, row in zip(keys, chars):
-        kept = [win for c, win in zip(row, wins) if c]
-        floor = min(f for f, _h in kept)
         den = prod(map(zmu, mu)) * scale * big
         co = []
-        for e in range(floor, min(h for _f, h in kept)):
-            v = sum(map(mul, row, cols[e - lo]))
-            r = min(e - floor, t - 1)  # row e holds tau^p for |p| <= r only
-            p0 = -r if shift else 0
+        for e, col in enumerate(cols):
+            v = sum(map(mul, row, col))
+            p0 = -e if shift else 0  # row e holds tau^p for |p| <= e only
             u = v + off >> (p0 + shift) * bits
-            co.append(TL_ZERO._new({p: c for p in range(p0, r + 1)
+            co.append(TL_ZERO._new({p: c for p in range(p0, e + 1)
                                     if (c := (u >> (p - p0) * bits & mask) - half)}, den)
                       if v else TL_ZERO)
-        out[mu] = LambdaSeries(floor, co).pruned()
+        out[mu] = LambdaSeries(-n, co).pruned()
     return out
 
 

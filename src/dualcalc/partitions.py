@@ -249,6 +249,7 @@ def _shape_from_beta(beta: list[int]) -> Partition:
 _char_cache: dict[tuple[Partition, Partition], int] = {}
 
 
+@typed_cache("partition", "partition")
 def character(nu: Partition, mu: Partition) -> int:
     """Irreducible character chi_nu at the conjugacy class C(mu)."""
     if size(nu) != size(mu):
@@ -259,10 +260,8 @@ def character(nu: Partition, mu: Partition) -> int:
 def _mn(nu: Partition, mu: Partition) -> int:
     if not mu:
         return 1
-    key = (nu, mu)
-    val = _char_cache.get(key)
-    if val is not None:
-        return val
+    if (nu, mu) in _char_cache:
+        return _char_cache[nu, mu]
     k = mu[0]
     rest = mu[1:]
     beta = set(_beta_set(nu))
@@ -276,6 +275,6 @@ def _mn(nu: Partition, mu: Partition) -> int:
         nb.remove(b)
         nb.append(b2)
         total += (-1) ** ht * _mn(_shape_from_beta(nb), rest)
-    _char_cache[key] = total
+    _char_cache[nu, mu] = total
     return total
 

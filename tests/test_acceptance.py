@@ -5,12 +5,16 @@ CLI, which shares the same registry) and asserts both the check and, where
 stated, its wall-clock budget.  All comparisons are exact.
 """
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from dualcalc.verify import CHECKS, TIME_BOUNDS, run_all
+import dualcalc
+from dualcalc.verify import CHECKS, TIME_BOUND, run_all
 
 DETAILS = Path(__file__).parent / "golden" / "verify-all-details.json"
 
@@ -39,9 +43,7 @@ def test_acceptance(name, number):
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] criterion {number:2d} {name}: {seconds:.2f}s  {detail}")
     assert ok, (name, detail)
-    bound = TIME_BOUNDS.get(name)
-    if bound is not None:
-        assert seconds < bound, f"{name} took {seconds:.1f}s (budget {bound}s)"
+    assert seconds < TIME_BOUND, f"{name} took {seconds:.1f}s (budget {TIME_BOUND}s)"
 
 
 def test_verdict_details_are_pinned():
@@ -50,3 +52,27 @@ def test_verdict_details_are_pinned():
     got = json.dumps([[c["name"], c["pass"], c["detail"]] for c in checks],
                      sort_keys=True) + "\n"
     assert got == DETAILS.read_text()
+
+
+# each in a fresh process, so that no cache of this one is read: the verdict
+# under ``python -O`` (no ``assert`` guards a check), and the twelve checks in
+# reverse registry order (no check leans on a cache an earlier one filled)
+FRESH_VERDICT = """
+import json, sys
+from dualcalc import verify
+if sys.argv[1] == "reversed":
+    verify.CHECKS = dict(reversed(verify.CHECKS.items()))
+print(json.dumps([[c["name"], c["pass"], c["detail"]] for c in verify.run_all()["checks"]],
+                 sort_keys=True))
+"""
+
+
+@pytest.mark.parametrize("flags,order", [(["-O"], "registry"), ([], "reversed")],
+                         ids=["python-O", "reverse-order"])
+def test_a_fresh_verdict_repeats_the_pinned_details(flags, order):
+    env = dict(os.environ, PYTHONPATH=str(Path(dualcalc.__file__).parents[1]))
+    out = subprocess.run([sys.executable, *flags, "-c", FRESH_VERDICT, order], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    pinned = json.loads(DETAILS.read_text())
+    assert out == json.dumps(pinned[::-1] if order == "reversed" else pinned,
+                             sort_keys=True) + "\n"

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dualcalc import cli, verify
 from dualcalc.chern_simons import w_one, w_pair
+from dualcalc.errors import InternalError, UsageError, VerificationFailure
 from dualcalc.qfunc import QFunction, ULaurent
 from dualcalc.scalars import GaussianRational
 from dualcalc.series import LambdaSeries, TauLaurent
@@ -113,8 +114,6 @@ def test_unknown_subcommand_exits_1():
 
 
 def test_internal_error_maps_to_3(monkeypatch):
-    from dualcalc.errors import InternalError
-
     def boom(args):
         raise InternalError("division leaves a remainder")
 
@@ -129,11 +128,80 @@ def test_determinism():
     assert a == b
 
 
-def test_fault_injection_exits_2():
-    code, doc = run_json(["verify-all", "--inject-fault", "genus0-closed-form"])
+def _fails_after_running(name):
+    """The check ``name``, run as shipped and then reported failing."""
+    real = verify.CHECKS[name]
+    return lambda profile: (False, real(profile)[1])
+
+
+def test_fault_injection_exits_2(monkeypatch):
+    monkeypatch.setitem(verify.CHECKS, "genus0-closed-form",
+                        _fails_after_running("genus0-closed-form"))
+    code, doc = run_json(["verify-all"])
     assert code == 2
     failing = [c["name"] for c in doc["checks"] if not c["pass"]]
     assert failing == ["genus0-closed-form"]
+
+
+@pytest.mark.parametrize("exc,kind,code", [(VerificationFailure, "verification", 2),
+                                           (InternalError, "internal", 3),
+                                           (ZeroDivisionError, "internal", 3)],
+                         ids=["verification", "internal", "zero-division"])
+def test_a_raising_check_is_its_own_failing_entry(exc, kind, code):
+    # one check at a time raises; the other eleven still run and pass
+    names = list(verify.CHECKS)
+    for name in names:
+        def raising(_profile, name=name):
+            raise exc(f"{name} raised")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(verify.CHECKS, name, raising)
+            got, doc = run_json(["verify-all"])
+        assert got == code, name
+        assert [c["name"] for c in doc["checks"]] == names
+        entry = doc["checks"][names.index(name)]
+        assert entry == {"name": name, "pass": False, "seconds": entry["seconds"],
+                         "error": f"{name} raised", "kind": kind}
+        assert sum(c["pass"] for c in doc["checks"]) == 11
+        assert doc["result"]["all_pass"] is False
+
+
+def test_a_check_that_raises_a_usage_error_ends_the_verdict(monkeypatch):
+    # a UsageError is the caller's bug: one usage document, as from any command
+    def misused(_profile):
+        raise UsageError("need at least degree 1")
+
+    monkeypatch.setitem(verify.CHECKS, "candelas-structure", misused)
+    code, out = run(["verify-all"])
+    assert (code, out) == (1, '{"error": "need at least degree 1", "kind": "usage"}\n')
+    # and an exception outside the failure table propagates
+    monkeypatch.setitem(verify.CHECKS, "candelas-structure", lambda _profile: {}["missing"])
+    with pytest.raises(KeyError):
+        verify.run_all()
+
+
+def test_a_raise_inside_the_library_fails_only_its_check(monkeypatch):
+    # a fresh candelas whose Lagrange pass doubles the cubic term raises
+    # VerificationFailure from inside the candelas-structure check
+    from dualcalc import dense, mirror
+
+    real = dense.lagrange
+
+    def doubled_cubic(*args):
+        *rest, cubic = real(*args)
+        return [*rest, cubic.scale(2)]
+
+    monkeypatch.setattr(dense, "lagrange", doubled_cubic)
+    mirror.candelas.cache_clear()
+    try:
+        code, doc = run_json(["verify-all"])
+    finally:
+        mirror.candelas.cache_clear()
+    assert code == 2 and doc["result"]["all_pass"] is False
+    failing = [(c["name"], c.get("error"), c.get("kind")) for c in doc["checks"] if not c["pass"]]
+    assert failing == [("candelas-structure", "cubic coefficient of the potential is not 5/6",
+                        "verification")]
+    assert sum(c["pass"] for c in doc["checks"]) == 11
 
 
 def test_mv_dump_series():
@@ -188,6 +256,7 @@ VACUOUS = {
     "lambda-g-order-3": ["mv", "--check", "lambda-g", "--degree", "2", "--order", "3"],
     "w-expand-negative": ["w", "--mu", "1", "--expand", "-2"],
     "w-expand-zero": ["w", "--mu", "1", "--expand", "0"],
+    # verify-all has no such option
     "inject-unknown-check": ["verify-all", "--inject-fault", "no-such-check"],
     "verify-quick-profile": ["verify-all", "--profile", "quick"],
     "mv-pde-order-too-small": ["mv", "--check", "pde", "--degree", "4", "--order", "1"],
@@ -246,13 +315,22 @@ class ClosedPipe(io.StringIO):
         raise BrokenPipeError(32, "Broken pipe")
 
 
+# verify-all exits 2 with genus0-closed-form set to fail
 CLOSED_PIPE_CASES = [(["hurwitz", "--genus", "0", "--partition", "2"], 0),
                      (["hurwitz", "--genus", "0", "--partition", "x"], 1),
-                     (["verify-all", "--inject-fault", "genus0-closed-form"], 2)]
+                     (["verify-all"], 2)]
+_FAILING_CHECK = """
+import sys
+from dualcalc import cli, verify
+verify.CHECKS["genus0-closed-form"] = lambda _profile: (False, {})
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 @pytest.mark.parametrize("argv,code", CLOSED_PIPE_CASES)
 def test_closed_stdout_keeps_the_document_exit_code(argv, code, monkeypatch):
+    monkeypatch.setitem(verify.CHECKS, "genus0-closed-form",
+                        _fails_after_running("genus0-closed-form"))
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert cli.main(argv) == code
     # the unwritten rest is dropped, so the exit-time flush cannot raise
@@ -263,7 +341,7 @@ def test_closed_stdout_prints_no_traceback():
     # the read end is closed before the child writes, so every write fails
     argv, code = CLOSED_PIPE_CASES[2]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    child = subprocess.Popen([sys.executable, "-m", "dualcalc", *argv], env=env,
+    child = subprocess.Popen([sys.executable, "-c", _FAILING_CHECK, *argv], env=env,
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     child.stdout.close()
     assert (child.wait(timeout=120), child.stderr.read()) == (code, b"")
@@ -301,7 +379,6 @@ MIRROR_LIMITS = [(["mirror", "quintic"], "candelas"),
 
 def _mirror_limit_run(argv, worker, degree, monkeypatch):
     from dualcalc import mirror
-    from dualcalc.errors import InternalError
 
     def started(*_args):
         raise InternalError("the mirror series was started")
@@ -330,7 +407,6 @@ def test_mirror_limits_reject_before_any_work(argv, worker, monkeypatch):
 
 def _vertex_limit_run(degree, genus, monkeypatch):
     from dualcalc import vertex
-    from dualcalc.errors import InternalError
 
     def started(*_args):
         raise InternalError("the vertex sum was started")
@@ -374,8 +450,6 @@ WITTEN_LIMITS_REJECTED = [
 
 
 def _witten_limit_run(argv, worker, monkeypatch):
-    from dualcalc.errors import InternalError
-
     def started(*_args):
         raise InternalError("the witten computation was started")
 
@@ -432,8 +506,6 @@ HURWITZ_LIMITS_REJECTED = [
 
 
 def _limit_run(argv, worker, monkeypatch):
-    from dualcalc.errors import InternalError
-
     def started(*_args):
         raise InternalError(f"the {argv[0]} computation was started")
 
@@ -820,7 +892,8 @@ def test_op_reachable_from_cli(op):
 
 
 # one argv per subcommand and mirror family, a help request, a usage error
-# and an injected verification failure: every exit code the CLI has but 3
+# and a verify-all whose candelas-structure check is set to fail (in the
+# test below): every exit code the CLI has but 3
 MIXED = [
     ["hurwitz", "--genus", "1", "--partition", "2,1", "--method", "both", "--elsv"],
     ["w", "--mu", "2,1", "--nu", "1", "--expand", "3"],
@@ -833,7 +906,7 @@ MIXED = [
     ["mirror", "grassmannian", "-k", "2", "-n", "3", "--max-degree", "1", "--verify"],
     ["mirror", "grassmannian", "--help"],
     ["hurwitz", "--genus", "0", "--partition", "1,3"],
-    ["verify-all", "--profile", "full", "--inject-fault", "candelas-structure"],
+    ["verify-all", "--profile", "full"],
 ]
 
 
@@ -841,12 +914,14 @@ def _without_seconds(out):
     return re.sub(r'"seconds": [0-9.]+', '"seconds": 0', out)
 
 
-def test_repeated_queries_in_one_process_repeat_their_documents():
+def test_repeated_queries_in_one_process_repeat_their_documents(monkeypatch):
     # the first pass computes the mirror and framed series afresh, the second
     # reads them from the caches: a handler that mutated a cached value, or a
     # parser that kept state between calls, would change a second-pass document
     from dualcalc import hodge, mirror
 
+    monkeypatch.setitem(verify.CHECKS, "candelas-structure",
+                        _fails_after_running("candelas-structure"))
     mirror.candelas.cache_clear()
     mirror.hori_vafa_series.cache_clear()
     hodge.build_series.cache_clear()
@@ -1065,8 +1140,7 @@ def test_a_plain_argv_reads_as_argparse_reads_it(argv):
     # main prints the same document, exit code included, when argparse reads
     # the argv; verify-all is stubbed, since only its parse is under test
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "run_all", lambda inject_fault: {
-            "all_pass": inject_fault is None, "checks": []})
+        mp.setattr(verify, "run_all", lambda: {"all_pass": True, "checks": []})
         cli._parsed.cache_clear()
         plain = run(argv)
         mp.setattr(cli._Parser, "parse_plain", lambda self, argv: None)

@@ -2,13 +2,14 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import dualcalc
 from dualcalc import hodge, series
-from dualcalc.errors import UsageError
+from dualcalc.errors import InternalError, UsageError
 from dualcalc.hodge import (FramedSeries, b_constant, build_series,
                             convolution_check, elsv_limit_check,
                             framing_prefactor, hodge_extract,
@@ -229,6 +230,29 @@ def test_build_forms_no_series_sum_or_product(monkeypatch):
     monkeypatch.undo()
     for args, fs in builds.items():
         assert_same_pseries(fs.disconnected, build_series_reference(*args).disconnected)
+
+
+@pytest.mark.parametrize("families,target", [(1, ((1, 1),)), (2, ((1,), (1,)))],
+                         ids=["one-family", "two-family"])
+@pytest.mark.parametrize("off", ["shifted", "short"])
+def test_a_w_off_the_block_window_is_an_internal_error(monkeypatch, families, target, off):
+    # every W of a weight-n block spans [-n, trunc), the block's one window:
+    # a W moved up by one power, or cut one power short, is caught
+    name = "w_one_lambda" if families == 1 else "w_pair_lambda"
+    real, trunc = getattr(hodge, name), 7
+
+    def moved(*args):
+        w = real(*args)
+        if args[:-1] != target:
+            return w
+        if off == "shifted":
+            return w.shift(1)
+        return LambdaSeries(w.floor, w.co[:trunc - 1 - w.floor])
+
+    monkeypatch.setattr(hodge, name, moved)
+    keys = list(product(*map(enumerate_partitions, (2,) if families == 1 else (1, 1))))
+    with pytest.raises(InternalError, match=r"does not span \[-2, 7\)"):
+        hodge._block(keys, trunc, families)
 
 
 def test_framed_checks_add_no_tau_polynomials_pairwise(monkeypatch):

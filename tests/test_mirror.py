@@ -66,10 +66,11 @@ def test_candelas_check_compares_the_instanton_numbers(monkeypatch):
 
 
 def test_candelas_check_requires_integral_instanton_numbers(monkeypatch):
+    # gv_invert's raise is the candelas-structure entry of the verdict
     _perturbed_k(monkeypatch, 2, F(1, 2))
-    ok, detail = verify.check_candelas("full")
-    assert not ok and detail["failed"] == "instanton-integrality"
-    assert "n_3" in detail["error"]
+    entry = {c["name"]: c for c in verify.run_all()["checks"]}["candelas-structure"]
+    assert not entry["pass"] and entry["detail"]["kind"] == "verification"
+    assert "n_3" in entry["detail"]["error"]
 
 
 def test_mirror_map_round_trip():

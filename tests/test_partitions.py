@@ -114,6 +114,7 @@ MEMOISED = {
     "bernoulli": lambda: ((4,), (4.0,)),
     "build_series": lambda: ((1, 5, 1), (1, 5.0, 1)),
     "candelas": lambda: ((2,), (2.0,)),
+    "character": lambda: (((2, 1), (3,)), ((2.5,), (2.5,))),
     "enumerate_partitions": lambda: ((3,), (3.0,)),
     "hg_projective": lambda: ((3, 2, 2), (3.0, 2, 2)),
     "hodge_extract": lambda: ((fs := dualcalc.build_series(2, 9, 1), 1, (2,)),
@@ -223,6 +224,19 @@ def _cycle_type(perm):
 def test_character_size_mismatch():
     with pytest.raises(UsageError):
         character((2,), (1,))
+
+
+def test_character_refuses_a_float_part_in_either_call_order():
+    # each call is made from an empty cache and again once the integer call
+    # is cached
+    character.cache_clear()
+    for _ in range(2):
+        for nu, mu in [((2.5,), (2.5,)), ((1, 1, 0.5), (2.5,))]:
+            with pytest.raises(UsageError, match="must be an integer"):
+                character(nu, mu)
+        # a list is read as the partition it lists, as by every typed cache
+        assert character([2, 1], [3]) == -1
+        assert character((2, 1), (3,)) == -1
 
 
 def test_hook_dim():
