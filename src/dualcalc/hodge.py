@@ -16,7 +16,9 @@ reduced once.
 The connected series is its logarithm, taken on first read.  A built series
 is a read-only named tuple, cached per (degree cap, order, families), so
 every check and query of a process shares one build.  The module verifies
-the cut-and-join evolution in tau, the initial value at tau = 0, the
+the cut-and-join evolution in tau (one linear operator on the disconnected
+series for either family count, so the check takes no log), the initial
+value at tau = 0, the
 degeneration onto the Hurwitz series, the convolution with double Hurwitz
 numbers (its kernel is the tau = 0 slice, so no series is ever inverted),
 and extracts triple Hodge integrals through the framing prefactor, each
@@ -160,44 +162,42 @@ def build_series(degree_cap: int, trunc: int, families: int) -> FramedSeries:
 # cut-and-join evolution
 # ---------------------------------------------------------------------------
 
-def _times_lambda(ps: PSeries) -> PSeries:
-    return ps.map_coeffs(lambda key, s: s.shift(1))
-
-
 def pde_residual(fs: FramedSeries) -> PSeries:
-    """Residual of the tau-evolution; identically zero when everything is right.
+    """Residual of the tau-evolution of the disconnected series G; identically
+    zero when everything is right.  The evolution is linear in G, with
+    (CJ) = i lambda * [cut + join] acting on one family's variables:
 
-    One family (connected R):   dR/dtau - i lambda CJ_nl(R)
-    Two families (disconnected G, with (CJ)+- = i lambda * [cut+join]):
-        dG/dtau - (1/2)(CJ)+ G + (1/(2 tau^2))(CJ)- G
+        one family:    dG/dtau - (CJ) G
+        two families:  dG/dtau - (1/2)(CJ)+ G + (1/(2 tau^2))(CJ)- G
 
-    The operators here carry the global 1/2 over ordered index pairs, so the
-    displayed prefactor (1/2) i lambda (over a bracket without the half)
-    becomes i lambda against cut_join_nonlinear; on the stored series it is
-    lambda' (see the module docstring).
+    The connected R = log G obeys the same identity in nonlinear form,
+    dR/dtau = (CJ) R + i lambda quad(R, R) with quad(R, R) = (1/2) sum_{i,j}
+    i j p_{i+j} dR/dp_i dR/dp_j, as (CJ) e^R = e^R ((CJ) R + i lambda
+    quad(R, R)) (Goulden-Jackson).  G is known on [-|mu|, trunc) for every key, which fixes R's
+    residual on R's whole window [l(mu) - 2, trunc - l(mu) + 1), so the linear
+    form compares at least as much and needs no log.  ``cut_join_terms``
+    carries the global 1/2 over ordered index pairs, so the displayed (1/2)
+    i lambda (over a bracket without the half) becomes i lambda; on the
+    stored series it is lambda' (see the module docstring).
     """
-    if fs.families == 1:
-        r = fs.connected
-        return r._fold([(1, r.tau_deriv(), None),
-                        (-1, _times_lambda(r.cut_join_nonlinear(0)), None)])
     # one sum over every key's terms: its tau-derivative, then the linear
     # operator's terms on it times lambda' (plus) and times lambda' / tau^2 (minus)
     g = fs.disconnected
     terms = [(key, 1, s.tau_deriv(), None) for key, s in g.co.items()]
-    for (mup, mum), s in g.co.items():
+    for key, s in g.co.items():
         plus = s.shift(1)
-        minus = LambdaSeries(plus.floor, [c.shift(-2) for c in s.co])
-        terms.extend(((nu, mum), -c, plus, None) for nu, c in cut_join_terms(mup))
-        terms.extend(((mup, nu), c, minus, None) for nu, c in cut_join_terms(mum))
+        terms.extend(((nu,) + key[1:], -c, plus, None) for nu, c in cut_join_terms(key[0]))
+        if fs.families == 2:
+            minus = LambdaSeries(plus.floor, [c.shift(-2) for c in s.co])
+            terms.extend(((key[0], nu), c, minus, None) for nu, c in cut_join_terms(key[1]))
     return g._sum(terms)
 
 
-def residual_window_ok(res: PSeries, need) -> bool:
-    """True when every stored coefficient window reaches need(key)."""
-    for key, s in res.co.items():
-        if s.co and s.trunc < need(key):
-            return False
-    return True
+def window_reaches(cap: int, trunc: int, genus: int) -> bool:
+    """True when every connected coefficient window of the (cap, trunc) build
+    reaches its genus-``genus`` term lambda^{2 genus - 2 + l(mu)}: R_mu is
+    known on [l(mu) - 2, trunc - l(mu) + 1), and mu = 1^cap reaches last."""
+    return trunc >= 2 * cap + 2 * genus - 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,28 +2,21 @@
 
 A ``PSeries`` stores a map from keys (one partition per family) to
 ``LambdaSeries`` coefficients.  Keys are truncated by per-family weight caps.
-The cut-and-join operators act family by family:
+The linear cut-and-join operator acts family by family:
 
-    linear part   (1/2) sum_{i,j>=1} [ (i+j) p_i p_j d/dp_{i+j}
-                                       + i j p_{i+j} d^2/dp_i dp_j ]
-    nonlinear     linear + (1/2) sum_{i,j} i j p_{i+j} (dF/dp_i)(dF/dp_j)
+    (1/2) sum_{i,j>=1} [ (i+j) p_i p_j d/dp_{i+j} + i j p_{i+j} d^2/dp_i dp_j ]
 
-with the sums over ordered pairs and the global 1/2 as displayed; both
-conserve total weight within their family.  ``cut_join_terms`` holds the
-linear part on one monomial p_mu; the Hurwitz oracle and the two-family PDE
-residual read it too.  The nonlinear operator forms (dF/dp_i)(dF/dp_j) only
-on keys with room for the part i+j, and sums the products with the linear
-terms.  Every sum hands its terms c*a*b p_key to ``_sum``, one
+with the sum over ordered pairs and the global 1/2 as displayed; it
+conserves total weight within its family.  ``cut_join_terms`` holds it on
+one monomial p_mu; the Hurwitz oracle and the PDE residual of either family
+count read it.  Every sum hands its terms c*a*b p_key to ``_sum``, one
 ``series.combine`` per key: ``_fold`` sums c*A*B over whole series (``+``,
-``-``, ``*``, each slice of ``log``, which runs ``dense.graded_log`` by
-weight slice, and the one-family PDE residual); the nonlinear operator and
-the two-family residual sum their terms directly.  A derivative or a product
-with variables moves each key to one other key, so it is a map, not a sum.
+``-``, ``*`` and each slice of ``log``, which runs ``dense.graded_log`` by
+weight slice); the PDE residual sums its terms directly.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from fractions import Fraction
 from itertools import chain
 
 from .dense import graded_log
@@ -130,9 +123,6 @@ class PSeries:
     def map_coeffs(self, f: Callable[[Key, LambdaSeries], LambdaSeries]) -> "PSeries":
         return self._like({k: f(k, s) for k, s in self.co.items()})
 
-    def tau_deriv(self) -> "PSeries":
-        return self.map_coeffs(lambda k, s: s.tau_deriv())
-
     def tau_eval(self, x) -> "PSeries":
         return self.map_coeffs(lambda k, s: s.tau_eval(x))
 
@@ -154,42 +144,6 @@ class PSeries:
         if one is None or one != LambdaSeries.one(one.trunc):
             raise UsageError("log requires constant term exactly 1")
         return self._join(graded_log(self._slices(), self._fold))
-
-    # -- derivatives and multiplication by variables ------------------------------
-    def pderiv(self, fam: int, part: int) -> "PSeries":
-        co = {}
-        for k, s in self.co.items():
-            m = k[fam].count(part)
-            if m:
-                key = k[:fam] + (remove_part(k[fam], part),) + k[fam + 1:]
-                co[key] = s if m == 1 else s.scale(m)
-        return self._like(co)
-
-    def mul_parts(self, fam: int, *parts: int) -> "PSeries":
-        return self._like({k[:fam] + (add_parts(k[fam], *parts),) + k[fam + 1:]: s
-                           for k, s in self.co.items()})
-
-    # -- cut-and-join --------------------------------------------------------------
-    def cut_join_nonlinear(self, fam: int = 0) -> "PSeries":
-        terms = [(k[:fam] + (nu,) + k[fam + 1:], c, s, None)
-                 for k, s in self.co.items() for nu, c in cut_join_terms(k[fam])]
-        cap = self.caps[fam]
-        derivs: dict[int, PSeries] = {}
-        for i in range(1, cap + 1):
-            d = self.pderiv(fam, i)
-            if d.co:
-                derivs[i] = d
-        for i, di in derivs.items():
-            for j, dj in derivs.items():
-                if j < i or i + j > cap:
-                    continue
-                # only factors with room for the part i+j can give a kept key
-                room = self.caps[:fam] + (cap - i - j,) + self.caps[fam + 1:]
-                left = self._like(PSeries(self.fams, room, di.co).co).mul_parts(fam, i + j)
-                right = self._like(PSeries(self.fams, room, dj.co).co)
-                w = Fraction(i * j) if i != j else Fraction(i * j, 2)
-                terms.extend(self._terms(w, left, right))
-        return self._sum(terms)
 
     # -- predicates ---------------------------------------------------------------
     def is_zero_through_windows(self) -> bool:

@@ -56,9 +56,8 @@ def check_genus0_closed_form(_profile: str) -> tuple[bool, Detail]:
 def check_mv_pde(_profile: str) -> tuple[bool, Detail]:
     cap, trunc, gmax = 4, 15, 2
     fs = hodge.build_series(cap, trunc, 1)
-    res = hodge.pde_residual(fs)
-    ok = res.is_zero_through_windows()
-    cover = hodge.residual_window_ok(res, lambda key: 2 * gmax - 2 + length(key[0]) + 1)
+    ok = hodge.pde_residual(fs).is_zero_through_windows()
+    cover = hodge.window_reaches(cap, trunc, gmax)
     return ok and cover, {"degree_cap": cap, "order": trunc, "window_covers_g": gmax}
 
 

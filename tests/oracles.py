@@ -292,8 +292,11 @@ def cut_join_linear_reference(x, fam):
 
 
 def cut_join_nonlinear_reference(x, fam):
-    """The nonlinear cut-and-join operator with every sum a pairwise fold:
-    the reference for ``PSeries.cut_join_nonlinear``."""
+    """The nonlinear cut-and-join operator CJ_lin(F) + (1/2) sum_{i,j} i j
+    p_{i+j} dF/dp_i dF/dp_j with every sum a pairwise fold: the connected form
+    of the evolution that ``hodge.pde_residual`` checks on the disconnected
+    series.  A product dF/dp_i dF/dp_j is formed only on keys with room for
+    the part i+j."""
     out = cut_join_linear_reference(x, fam)
     cap = x.caps[fam]
     derivs = {i: pderiv_reference(x, fam, i) for i in range(1, cap + 1)}
@@ -487,7 +490,7 @@ def _quad_term(da, db, cap):
     for i, ai in da.items():
         for j, bj in db.items():
             if i + j <= cap:
-                out = out + pscale((ai * bj).mul_parts(0, i + j), Fraction(i * j, 2))
+                out = out + pscale(mul_parts_reference(ai * bj, 0, i + j), Fraction(i * j, 2))
     return out
 
 
@@ -509,7 +512,7 @@ def cutjoin_slice_reference(cap, r):
 @lru_cache(maxsize=None)
 def _cutjoin_derivs_reference(cap, r):
     s = cutjoin_slice_reference(cap, r)
-    derivs = {i: s.pderiv(0, i) for i in range(1, cap + 1)}
+    derivs = {i: pderiv_reference(s, 0, i) for i in range(1, cap + 1)}
     return {i: d for i, d in derivs.items() if d.co}
 
 

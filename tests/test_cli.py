@@ -538,6 +538,21 @@ def test_mv_and_hurwitz_limits_reject_before_any_work(argv, monkeypatch):
     assert _limit_run(argv, _worker(argv), monkeypatch) == (1, "usage")
 
 
+def test_mv_pde_rejects_a_short_order_before_any_work(monkeypatch):
+    # every connected window [l - 2, order - l + 1) must reach its genus-0
+    # term lambda^(l - 2), l up to the degree: order >= 2 degree - 2; a
+    # rejected query never starts the build (exit 3 here means it did)
+    grid = [(d, o) for d in range(1, cli.MV_MAX_DEGREE + 1) for o in range(1, cli.MV_MAX_ORDER + 1)]
+    argv = {k: ["mv", "--check", "pde", "--degree", str(k[0]), "--order", str(k[1])] for k in grid}
+    got = {k: _limit_run(argv[k], _worker(argv[k]), monkeypatch) for k in grid}
+    assert {k for k, v in got.items() if v == (1, "usage")} == {(d, o) for d, o in grid
+                                                                 if o < 2 * d - 2}
+    assert {k for k, v in got.items() if v == (3, "internal")} == {(d, o) for d, o in grid
+                                                                    if o >= 2 * d - 2}
+    _, doc = run_json(argv[(4, 5)])
+    assert doc["error"] == "order 5 leaves a residual window below its genus-0 term"
+
+
 def _p1_power(r):
     return {"generators": [{"name": f"H{i}", "nilpotency": 2} for i in range(r)],
             "line_bundles": [[2] * r],
@@ -763,7 +778,7 @@ OP_COVERAGE = {
     "series_arith": ("series.combine",
                      ["mv", "--check", "pde", "--degree", "2", "--order", "7"]),
     "series_exp_log": ("dense.graded_log",
-                       ["mv", "--check", "pde", "--degree", "2", "--order", "7"]),
+                       ["mv", "--check", "initial", "--degree", "2", "--order", "8"]),
     "bernoulli": ("scalars.bernoulli",
                   ["mv", "--check", "lambda-g", "--degree", "1", "--order", "9"]),
     "gv_kernel": ("vertex.cover_table", ["vertex", "local-p2", "--max-degree", "1",
@@ -780,11 +795,9 @@ OP_COVERAGE = {
     # series ring
     # products of series are terms of the one PSeries sum: the log's slices
     "pseries_mul": ("pseries.PSeries._fold",
-                    ["mv", "--check", "pde", "--degree", "2", "--order", "7"]),
+                    ["mv", "--check", "initial", "--degree", "2", "--order", "8"]),
     "cut_join_linear": ("pseries.cut_join_terms", ["hurwitz", "--genus", "0", "--partition",
                                                    "2,1", "--method", "cutjoin"]),
-    "cut_join_nonlinear": ("pseries.PSeries.cut_join_nonlinear",
-                           ["mv", "--check", "pde", "--degree", "2", "--order", "7"]),
     # hurwitz / elsv
     "burnside_phi": ("hurwitz.burnside_phi",
                      ["mv", "--check", "elsv-limit", "--degree", "2", "--order", "8"]),

@@ -14,13 +14,14 @@ from dualcalc.hodge import (FramedSeries, b_constant, build_series,
                             convolution_check, elsv_limit_check,
                             framing_prefactor, hodge_extract,
                             initial_value_report, lambda_g_check, ov_term,
-                            pde_residual, residual_window_ok,
-                            slice_reduction_check, swap_symmetry_check)
-from dualcalc.partitions import enumerate_partitions, length, size
+                            pde_residual, slice_reduction_check,
+                            swap_symmetry_check, window_reaches)
+from dualcalc.partitions import character, enumerate_partitions, kappa, length, size
 from dualcalc.pseries import PSeries
 from dualcalc.series import LambdaSeries, TauLaurent
-from oracles import (assert_same_pseries, build_series_reference, lambda_form, plain_form,
-                     reciprocal, sin_expand)
+from oracles import (assert_same_pseries, build_series_reference,
+                     cut_join_nonlinear_reference, lambda_form, plain_form, reciprocal,
+                     sin_expand)
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +59,54 @@ def test_single_part_floor(fs3):
 
 
 def test_pde_residual_one_family(fs3):
-    res = pde_residual(fs3)
-    assert res.is_zero_through_windows()
-    # windows must cover the g <= 2 orders for every key
-    assert residual_window_ok(res, lambda key: 2 * 2 - 2 + length(key[0]) + 1)
+    assert pde_residual(fs3).is_zero_through_windows()
+    # the connected windows cover the g <= 3 orders for every key, and no more
+    assert window_reaches(3, 11, 3) and not window_reaches(3, 11, 4)
+
+
+@pytest.mark.parametrize("cap,trunc", [(2, 7), (3, 9), (4, 15), (6, 15)])
+def test_window_rule_is_the_connected_windows(cap, trunc):
+    # R_mu lives on [l(mu) - 2, trunc - l(mu) + 1): the closed form that
+    # window_reaches reads, against the windows the log actually gives
+    fs = build_series(cap, trunc, 1)
+    for (mu,), s in fs.connected.co.items():
+        assert s.floor >= length(mu) - 2 and s.trunc == trunc - length(mu) + 1
+    for g in range(4):
+        want = all(trunc - length(mu) + 1 > 2 * g - 2 + length(mu)
+                   for (mu,) in fs.connected.co)
+        assert window_reaches(cap, trunc, g) == want
+
+
+def _connected_residual(fs):
+    """dR/dtau - lambda' CJ_nl(R) on R = log G, every operator the pairwise
+    reference: the nonlinear form of the evolution pde_residual checks."""
+    r = fs.connected
+    cj = cut_join_nonlinear_reference(r, 0)
+    return r._fold([(1, r.map_coeffs(lambda key, s: s.tau_deriv()), None),
+                    (-1, cj.map_coeffs(lambda key, s: s.shift(1)), None)])
+
+
+@pytest.mark.parametrize("cap,trunc", [(2, 7), (3, 9), (4, 15), (6, 15)])
+def test_linear_and_connected_residuals_agree(cap, trunc):
+    fs = build_series(cap, trunc, 1)
+    assert pde_residual(fs).is_zero_through_windows()
+    assert _connected_residual(fs).is_zero_through_windows()
+
+
+def _flip_one_character(nu, mu):
+    c = character(nu, mu)
+    return -c if (nu, mu) == ((2, 1), (3,)) else c
+
+
+@pytest.mark.parametrize("name,value", [("kappa", lambda nu: 2 * kappa(nu)),
+                                        ("character", _flip_one_character)],
+                         ids=["kappa-doubled", "chi21-at-3-flipped"])
+def test_both_residuals_see_a_wrong_build(monkeypatch, name, value):
+    assert character((2, 1), (3,))  # the flipped value is not zero
+    monkeypatch.setattr(hodge, name, value)
+    fs = build_series.__wrapped__(3, 9, 1)  # past the cache, with the mutant
+    assert not pde_residual(fs).is_zero_through_windows()
+    assert not _connected_residual(fs).is_zero_through_windows()
 
 
 def test_pde_residual_degree_one_trivial():

@@ -37,5 +37,5 @@ def test_traced_queries_feed_the_observers():
         json.loads(stdout)
     counters = out["trace"]["counters"]
     for name in ("hodge.build_series.coeffs", "hodge.build_series.max_num_bits",
-                 "hurwitz.max_sample_size", "pseries.cut_join_nonlinear.formed"):
+                 "hurwitz.max_sample_size"):
         assert counters.get(name, 0) > 0, name
