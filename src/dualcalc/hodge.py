@@ -18,11 +18,10 @@ is a read-only named tuple, cached per (degree cap, order, families), so
 every check and query of a process shares one build.  The module verifies
 the cut-and-join evolution in tau (one linear operator on the disconnected
 series for either family count, so the check takes no log), the initial
-value at tau = 0, the
-degeneration onto the Hurwitz series, the convolution with double Hurwitz
-numbers (its kernel is the tau = 0 slice, so no series is ever inverted),
-and extracts triple Hodge integrals through the framing prefactor, each
-once per (series, genus, partition) (``hodge_extract``).
+value at tau = 0, the degeneration onto the Hurwitz series, the convolution
+with double Hurwitz numbers (its kernel is the tau = 0 slice, so no series
+is ever inverted), and extracts triple Hodge integrals through the framing
+prefactor, each once per (series, genus, partition) (``hodge_extract``).
 
 Phase conventions.  With the sine-normalized W, the tau = 0 slice of the
 series equals sum_d i^{d-1} p_d / (2 d sin(d lambda / 2)): each degree-d part
@@ -173,9 +172,10 @@ def pde_residual(fs: FramedSeries) -> PSeries:
     The connected R = log G obeys the same identity in nonlinear form,
     dR/dtau = (CJ) R + i lambda quad(R, R) with quad(R, R) = (1/2) sum_{i,j}
     i j p_{i+j} dR/dp_i dR/dp_j, as (CJ) e^R = e^R ((CJ) R + i lambda
-    quad(R, R)) (Goulden-Jackson).  G is known on [-|mu|, trunc) for every key, which fixes R's
-    residual on R's whole window [l(mu) - 2, trunc - l(mu) + 1), so the linear
-    form compares at least as much and needs no log.  ``cut_join_terms``
+    quad(R, R)) (Goulden-Jackson).  G is known on [-|mu|, trunc) for every
+    key, which fixes R's residual on R's whole window [l(mu) - 2, trunc -
+    l(mu) + 1), so the linear form compares at least as much and needs no
+    log.  ``cut_join_terms``
     carries the global 1/2 over ordered index pairs, so the displayed (1/2)
     i lambda (over a bracket without the half) becomes i lambda; on the
     stored series it is lambda' (see the module docstring).
