@@ -10,13 +10,15 @@ already real.  The two normalizations are related by the monomial bridge
 
 which ``check_pair_reduction`` tests for one partition (the
 ``local-p2-gv-integrality`` acceptance check runs it on small ones).
+``w_one_lambda`` expands the reduced ``w_one``; ``w_pair_lambda`` the unreduced
+skew-Schur numerator over the Pochhammer brackets, one reciprocal series per sizes.
 """
 from __future__ import annotations
 
 from .errors import InternalError
 from .partitions import (Partition, check_partition, intersection, kappa, length, size,
                          sub_diagrams, typed_cache)
-from .qfunc import QFunction, ULaurent, bracket_quotient, sum_of_products
+from .qfunc import Factors, QFunction, ULaurent, bracket_quotient, expand_lambda, sum_of_products
 from .schur import pochhammer_factors, skew_numerator
 from .series import LambdaSeries
 
@@ -55,6 +57,11 @@ def w_pair(mu: Partition, nu: Partition) -> QFunction:
     numerator ``skew_numerator(mu, rho, |mu|)``, so the signs cancel and W is
     one integer numerator over P_{|mu|} P_{|nu|}, reduced once.
     """
+    return QFunction.from_factors(*_pair_quotient(mu, nu))
+
+
+def _pair_quotient(mu: Partition, nu: Partition) -> tuple[ULaurent, Factors]:
+    """``w_pair(mu, nu)`` unreduced: its integer numerator and the factors of P_{|mu|} P_{|nu|}."""
     mu, nu = check_partition(mu), check_partition(nu)
     u_exp = kappa(mu) + kappa(nu) + size(mu) + size(nu)
     # kappa is even, so the u-exponent is an integer; assert the bookkeeping
@@ -63,7 +70,7 @@ def w_pair(mu: Partition, nu: Partition) -> QFunction:
     num = sum(((skew_numerator(mu, rho, size(mu)) * skew_numerator(nu, rho, size(nu)))
                .shift(u_exp - 2 * size(rho)) for rho in sub_diagrams(intersection(mu, nu))),
               ULaurent())
-    return QFunction.from_factors(num, pochhammer_factors(size(mu), size(nu)))
+    return num, pochhammer_factors(size(mu), size(nu))
 
 
 def check_pair_reduction(nu: Partition) -> bool:
@@ -81,4 +88,7 @@ def w_one_lambda(mu: Partition, trunc: int) -> LambdaSeries:
 
 @typed_cache("partition", "partition", "int")
 def w_pair_lambda(mu: Partition, nu: Partition, trunc: int) -> LambdaSeries:
-    return w_pair(mu, nu).to_lambda(trunc)
+    """Lambda-expansion of w_pair, unreduced over the Pochhammer brackets: no trial division."""
+    if nu > mu:  # W is symmetric in mu and nu
+        return w_pair_lambda(nu, mu, trunc)
+    return expand_lambda(*_pair_quotient(mu, nu), trunc)

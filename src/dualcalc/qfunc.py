@@ -14,24 +14,26 @@ over terms and reduced once; ``+`` and ``*`` are calls to it.  A value holds
 no power of i: where a W value or 2 sin(d lambda/2) = -i [d] carries one,
 the caller that reads it out supplies it (``chern_simons``, ``hodge``,
 ``cli``).
-``to_lambda`` expands num/den at u = e^{lambda'/2} with lambda' =
-sqrt(-1) lambda (so q = e^{sqrt(-1) lambda}) on integers: num and den
-become integer series in y = lambda'/2 over one shared factorial, their
-quotient is taken fraction-free against a cached denominator side (both
-series are power sums, ``dense.power_sums``), and the powers of 2 join only
-as each lambda'^e coefficient is stored.  Every coefficient is rational.
+``to_lambda`` expands num/den at u = e^{lambda'/2}, lambda' = sqrt(-1) lambda, on
+integers: den is prod (u^d - 1)^{w_d} by Moebius inversion, and 1/den is
+lambda'^(-sum w_d) e^L, L linear in the power sums sum w_d d^j with Bernoulli
+weights, taken once per denominator and window.  A one-term num folds into L; any
+other joins by its power sums (``dense.power_sums``) in one convolution.
 """
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, gcd, lcm, prod
+from operator import mul
 
 from .dense import power_sums
 from .errors import InternalError
 from .laurent import Laurent
-from .series import TL_ONE, LambdaSeries
+from .scalars import bernoulli
+from .series import TL_ONE, TL_ZERO, LambdaSeries
 
 Factors = tuple[tuple[int, int], ...]
 
@@ -82,21 +84,77 @@ def _expand(fac: Factors) -> ULaurent:
     return out
 
 
-def _y_series(num: dict[int, int], n: int, length: int) -> list[int]:
-    """sum_m num[m] e^{m y} through y^(n-1), times (length-1)! for n <= length:
-    the y^j coefficient is (length-1)!/j! sum_m num[m] m^j, an integer."""
-    return [s * (factorial(length - 1) // factorial(j))
-            for j, s in enumerate(power_sums(num.items(), n))]
+@lru_cache(maxsize=None)
+def _mobius(fac: Factors) -> Factors:
+    """((d, w_d), ...) with prod Phi_e^{m_e} = prod_d (u^d - 1)^{w_d}, by Moebius
+    inversion from the top: Phi_e^m is (u^e - 1)^m over Phi_d^m for d | e, d < e."""
+    m, w = dict(fac), {}
+    for e in range(max(m, default=0), 0, -1):
+        if m.get(e):
+            w[e] = m[e]
+            for d in range(1, e):
+                if e % d == 0:
+                    m[d] = m.get(d, 0) - w[e]
+    return tuple(sorted(w.items()))
 
 
 @lru_cache(maxsize=None)
-def _den_series(fac: Factors, n: int, length: int) -> tuple[list[int], list[int], list[int]]:
-    """For an n-term quotient in ``to_lambda``: b = ``_y_series`` of prod Phi_e^{m_e}
-    through y^(v+n-1), d0^m (m <= n) for d0 = b_v and t = b_(v+j) d0^(j-1) (0 < j < n)."""
-    v = dict(fac).get(1, 0)
-    b = _y_series(_expand(fac).num, v + n, length)
-    pw = [b[v] ** m for m in range(n + 1)]
-    return b, pw, [b[v + j] * pw[j - 1] for j in range(1, n)]
+def _bernoulli_row(n: int) -> tuple[int, list[int]]:
+    """D and D 4^k B_2k / 2k for 2 <= 2k < n, D the lcm of their denominators."""
+    row = [4 ** k * bernoulli(2 * k) / (2 * k) for k in range(1, (n + 1) // 2)]
+    big = lcm(*(v.denominator for v in row))
+    return big, [v.numerator * (big // v.denominator) for v in row]
+
+
+@lru_cache(maxsize=None)
+def _reciprocal(w: Factors, s: int, n: int) -> tuple[list[int], int]:
+    """x^v u^s / prod_d (u^d - 1)^{w_d} at u = e^{x/2}, v = sum w_d, through
+    x^(n-1): integer numerators over one denominator.  With z = x/4,
+    u^d - 1 = 2dz e^{dz} sinh(dz)/dz and log(sinh(t/2)/(t/2)) = sum_k B_2k
+    t^2k / (2k (2k)!), so the value is prod (d/2)^{-w_d} e^L with
+    L = sum_i l_i z^i / i!, l_1 = 2s - P_1, l_2k = -4^k B_2k P_2k / 2k and
+    P_j = sum w_d d^j.  k E_k = sum_i i L_i E_(k-i) for E = e^L runs on the
+    integers e_m = D^m m! E_m: e_m = sum_i C(m-1, i-1) l_i D^i e_(m-i)."""
+    p, (big, row) = power_sums(w, n), _bernoulli_row(n)
+    terms = [(i, a) for i, a in [(1, (2 * s - p[1]) * big if n > 1 else 0)]
+             + [(2 * k, -b * p[2 * k] * big ** (2 * k - 1)) for k, b in enumerate(row, 1)] if a]
+    e = [1]
+    for m in range(1, n):
+        e.append(sum(comb(m - 1, i - 1) * a * e[m - i] for i, a in terms if i <= m and e[m - i]))
+    # x^m has e_m / (m! (4D)^m), over (n-1)! (4D)^(n-1)
+    c, q = prod(Fraction(2, d) ** x for d, x in w), 4 * big
+    nums = [v and v * c.numerator * (factorial(n - 1) // factorial(m)) * q ** (n - 1 - m)
+            for m, v in enumerate(e)]
+    den = factorial(n - 1) * q ** (n - 1) * c.denominator
+    g = gcd(den, *nums)
+    return [v // g for v in nums], den // g
+
+
+def expand_lambda(num: ULaurent, fac: Factors, trunc: int) -> LambdaSeries:
+    """num / prod Phi_e^{m_e} as a series in x = lambda' truncated at order
+    ``trunc``, num not necessarily reduced: num(e^{x/2}) x^(-v) times the
+    cached ``_reciprocal``, into which a one-term num c u^s folds; any other
+    num enters by its power sums, in one integer convolution."""
+    w = _mobius(fac)
+    if (v := sum(x for _d, x in w)) != dict(fac).get(1, 0):
+        raise InternalError("denominator x-valuation differs from its Phi_1 exponent")
+    n = trunc + v
+    if len(num.num) == 1:
+        (s, c), = num.num.items()
+        a, den = [c][:max(n, 0)], num.den
+    else:
+        # the x^j coefficient of num(e^{x/2}) is s_j / (2^j j!)
+        s, top = 0, factorial(max(n - 1, 0)) << max(n - 1, 0)
+        a = [c * (top // (factorial(j) << j))
+             for j, c in enumerate(power_sums(num.num.items(), n))]
+        den = top * num.den
+    lo = next((j for j, c in enumerate(a) if c), None)
+    if lo is None:  # the value's valuation lies at or beyond the window
+        return LambdaSeries.from_map({}, trunc)
+    e, eden = _reciprocal(w, s, n)
+    co = [sum(map(mul, a[lo:], e[k::-1])) for k in range(n - lo)]
+    # the leading coefficient a_lo e_0 is nonzero, so the window is [lo - v, trunc)
+    return LambdaSeries(lo - v, [TL_ONE._new({0: c}, den * eden) if c else TL_ZERO for c in co])
 
 
 class QFunction:
@@ -164,38 +222,8 @@ class QFunction:
 
     # -- expansion ---------------------------------------------------------------
     def to_lambda(self, trunc: int) -> LambdaSeries:
-        """num/den as a series in lambda' = i lambda, truncated at order
-        ``trunc``.
-
-        num and den become integer series a, b in y = lambda'/2; den vanishes
-        at y = 0 only through Phi_1 = u - 1, to order v.  With d0 = b_v,
-        Q'_m = d0^m a_(lo+m) - sum_{0<j<=m} b_(v+j) d0^(j-1) Q'_(m-j) is d0^(m+1)
-        times the y^(lo-v+m) coefficient of the quotient, found fraction-free;
-        it is stored as lambda'^e over d0^(m+1) num.den 2^e.
-        """
-        if not self.num:
-            return LambdaSeries(0, [])
-        v = dict(self.fac).get(1, 0)
-        length = trunc + 2 * v
-        a = _y_series(self.num.num, trunc + v, length)
-        lo = next((j for j, c in enumerate(a) if c), None)
-        if lo is None:
-            # the value's valuation lies at or beyond the window
-            return LambdaSeries.from_map({}, trunc)
-        n = trunc + v - lo
-        b, pw, t = _den_series(self.fac, n, length)
-        if any(b[:v]) or not b[v]:
-            raise InternalError("denominator x-valuation differs from its Phi_1 exponent")
-        quo, out = [], {}
-        for m in range(n):
-            c = pw[m] * a[lo + m] - sum(t[j] * quo[m - 1 - j] for j in range(m))
-            quo.append(c)
-            if c:
-                # d0 > 0, a factorial times Phi_e(1) > 0 (e > 1); 2^(-e) is an integer
-                e = lo - v + m
-                out[e] = TL_ONE._new({0: c << -e if e < 0 else c},
-                                     pw[m + 1] * self.num.den << max(e, 0))
-        return LambdaSeries.from_map(out, trunc)
+        """num/den as a series in lambda' = i lambda, truncated at order ``trunc``."""
+        return expand_lambda(self.num, self.fac, trunc) if self.num else LambdaSeries(0, [])
 
     def __repr__(self):
         return f"({self.num}) / ({self.den})"

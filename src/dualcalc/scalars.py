@@ -12,7 +12,7 @@ There is no floating point anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import factorial
 
 from .errors import UsageError
 from .partitions import typed_cache
@@ -135,13 +135,15 @@ GR_I = GaussianRational(0, 1)
 
 @typed_cache("int")
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n with B_1 = -1/2 (so B_2 = 1/6, B_4 = -1/30)."""
+    """Bernoulli number B_n with B_1 = -1/2 (so B_2 = 1/6, B_4 = -1/30): B_2k =
+    (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), T_k = (2k-1)! [x^(2k-1)] tan x (Brent-Harvey)."""
     if n < 0:
         raise UsageError(f"bernoulli index must be nonnegative, got {n}")
-    if n == 0:
-        return _F1
-    # sum_{k=0}^{n} C(n+1, k) B_k = 0
-    acc = _F0
-    for k in range(n):
-        acc += comb(n + 1, k) * bernoulli(k)
-    return -acc / (n + 1)
+    if n < 2 or n % 2:
+        return (_F1, Fraction(-1, 2), _F0)[min(n, 2)]
+    k = n // 2
+    t = [factorial(j) for j in range(k)]
+    for i in range(1, k):
+        for j in range(i, k):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return Fraction((-1) ** (k - 1) * n * t[-1], 4 ** k * (4 ** k - 1))

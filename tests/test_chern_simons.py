@@ -122,6 +122,18 @@ def test_w_pair_lambda_cached():
     assert a is b
 
 
+def test_w_pair_lambda_is_the_reduced_expansion():
+    # the unreduced numerator over the Pochhammer brackets expands to the
+    # reduced value's series, window and coefficients
+    small = [mu for n in range(5) for mu in enumerate_partitions(n)]
+    for mu in small:
+        for nu in small:
+            for t in (1, 5, 13):
+                got, want = w_pair_lambda(mu, nu, t), w_pair(mu, nu).to_lambda(t)
+                assert (got.floor, got.trunc) == (want.floor, want.trunc), (mu, nu, t)
+                assert [(c.num, c.den) for c in got.co] == [(c.num, c.den) for c in want.co]
+
+
 @pytest.mark.parametrize("fn,good,bad", [
     (w_one_lambda, ((2,), 3), [((2.0,), 3), ((2,), 3.0)]),
     (w_pair_lambda, ((2,), (1,), 3), [((2.0,), (1,), 3), ((2,), (1.0,), 3), ((2,), (1,), 3.0)]),

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dualcalc
-from dualcalc import hodge, series
+from dualcalc import chern_simons, hodge, qfunc, series
 from dualcalc.errors import InternalError, UsageError
 from dualcalc.hodge import (FramedSeries, b_constant, build_series,
                             convolution_check, elsv_limit_check,
@@ -18,6 +18,7 @@ from dualcalc.hodge import (FramedSeries, b_constant, build_series,
                             swap_symmetry_check, window_reaches)
 from dualcalc.partitions import character, enumerate_partitions, kappa, length, size
 from dualcalc.pseries import PSeries
+from dualcalc.qfunc import QFunction
 from dualcalc.series import LambdaSeries, TauLaurent
 from oracles import (assert_same_pseries, build_series_reference,
                      cut_join_nonlinear_reference, lambda_form, plain_form, reciprocal,
@@ -275,6 +276,20 @@ def test_build_forms_no_series_sum_or_product(monkeypatch):
     monkeypatch.undo()
     for args, fs in builds.items():
         assert_same_pseries(fs.disconnected, build_series_reference(*args).disconnected)
+
+
+def test_two_family_build_takes_no_trial_division(monkeypatch):
+    # each two-family W is expanded from its unreduced numerator: no value is
+    # reduced against its Pochhammer brackets
+    calls = []
+    real_from, real_strip = QFunction.from_factors, qfunc._strip
+    monkeypatch.setattr(QFunction, "from_factors",
+                        staticmethod(lambda *a: calls.append("from_factors") or real_from(*a)))
+    monkeypatch.setattr(qfunc, "_strip", lambda *a: calls.append("_strip") or real_strip(*a))
+    for cached in (build_series, chern_simons.w_pair, chern_simons.w_pair_lambda):
+        cached.cache_clear()
+    build_series(3, 9, 2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("families,target", [(1, ((1, 1),)), (2, ((1,), (1,)))],

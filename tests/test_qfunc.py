@@ -298,12 +298,33 @@ def test_to_lambda_matches_reference_on_bracket_quotients(tops, bottoms, above):
     assert _exact(f.to_lambda(trunc)) == _exact(to_lambda_reference(f, trunc))
 
 
-def _drop_phi1(fac, n, length, real=qfunc._den_series):
-    return real(tuple((e, m) for e, m in fac if e != 1), n, length)
+def test_to_lambda_is_ring_hom_on_a_cubed_bracket():
+    # a falsifying example once drawn for test_to_lambda_is_ring_hom, pinned
+    cube = bracket(1) * bracket(1) * bracket(1)
+    f, g = qfunction(ULaurent.const(1), cube), qfunction(ULaurent({0: 1, 1: 1}), cube)
+    lhs = (f * g).to_lambda(6)
+    rhs = f.to_lambda(6) * g.to_lambda(6)
+    lo, hi = lhs.window_with(rhs)
+    assert hi > lo and lhs.eq_through(rhs, lo, hi)
+
+
+@pytest.mark.parametrize("fac", [((1, 4), (3, 1)), ((1, 4), (5, 1)), ((1, 4), (9, 1)),
+                                 ((1, 4), (15, 1)), ((1, 4), (3, 2), (5, 1), (9, 1), (15, 1))])
+def test_to_lambda_matches_reference_on_odd_cyclotomic_denominators(fac):
+    # den_poly draws brackets and 1 - u^(2i) only; odd Phi_e give odd u^d - 1
+    for num in (ULaurent.const(1), ULaurent({0: 1, 1: 2, 3: -1}),
+                ULaurent({-2: Fraction(1, 3), 5: 1})):
+        f = _cyclotomic_value(num, fac)
+        for trunc in (-2, 1, 4, 9):
+            assert _exact(f.to_lambda(trunc)) == _exact(to_lambda_reference(f, trunc))
+
+
+def _drop_phi1(fac, real=qfunc._mobius):
+    return real(tuple((e, m) for e, m in fac if e != 1))
 
 
 def test_to_lambda_guard_catches_a_denominator_without_phi1(monkeypatch):
-    monkeypatch.setattr(qfunc, "_den_series", _drop_phi1)
+    monkeypatch.setattr(qfunc, "_mobius", _drop_phi1)
     with pytest.raises(InternalError, match="Phi_1 exponent"):
         bracket_quotient([], [1, 2]).to_lambda(4)
 
@@ -311,8 +332,8 @@ def test_to_lambda_guard_catches_a_denominator_without_phi1(monkeypatch):
 _GUARD_UNDER_O = """
 from dualcalc import qfunc
 from dualcalc.errors import InternalError
-real = qfunc._den_series
-qfunc._den_series = lambda fac, n, length: real(tuple(f for f in fac if f[0] != 1), n, length)
+real = qfunc._mobius
+qfunc._mobius = lambda fac: real(tuple(f for f in fac if f[0] != 1))
 try:
     qfunc.bracket_quotient([], [1, 2]).to_lambda(4)
 except InternalError as exc:
