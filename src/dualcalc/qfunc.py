@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
@@ -121,11 +120,12 @@ def _reciprocal(w: Factors, s: int, n: int) -> tuple[list[int], int]:
     e = [1]
     for m in range(1, n):
         e.append(sum(comb(m - 1, i - 1) * a * e[m - i] for i, a in terms if i <= m and e[m - i]))
-    # x^m has e_m / (m! (4D)^m), over (n-1)! (4D)^(n-1)
-    c, q = prod(Fraction(2, d) ** x for d, x in w), 4 * big
-    nums = [v and v * c.numerator * (factorial(n - 1) // factorial(m)) * q ** (n - 1 - m)
+    # x^m has e_m / (m! (4D)^m), over (n-1)! (4D)^(n-1); prod (d/2)^(-w_d) = cn / cd
+    cn, q = prod(2 ** x if x > 0 else d ** -x for d, x in w), 4 * big
+    cd = prod(d ** x if x > 0 else 2 ** -x for d, x in w)
+    nums = [v and v * cn * (factorial(n - 1) // factorial(m)) * q ** (n - 1 - m)
             for m, v in enumerate(e)]
-    den = factorial(n - 1) * q ** (n - 1) * c.denominator
+    den = factorial(n - 1) * q ** (n - 1) * cd
     g = gcd(den, *nums)
     return [v // g for v in nums], den // g
 

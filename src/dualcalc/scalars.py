@@ -140,7 +140,7 @@ def bernoulli(n: int) -> Fraction:
     if n < 0:
         raise UsageError(f"bernoulli index must be nonnegative, got {n}")
     if n < 2 or n % 2:
-        return (_F1, Fraction(-1, 2), _F0)[min(n, 2)]
+        return {0: _F1, 1: Fraction(-1, 2)}.get(n, _F0)
     k = n // 2
     t = [factorial(j) for j in range(k)]
     for i in range(1, k):
