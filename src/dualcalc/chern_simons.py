@@ -11,7 +11,7 @@ already real.  The two normalizations are related by the monomial bridge
 which ``check_pair_reduction`` tests for one partition (the
 ``local-p2-gv-integrality`` acceptance check runs it on small ones).
 ``w_one_lambda`` expands the reduced ``w_one``; ``w_pair_lambda`` the unreduced
-skew-Schur numerator over the Pochhammer brackets, one reciprocal series per sizes.
+skew-Schur numerator over the Pochhammer brackets, one reciprocal series per two sizes.
 """
 from __future__ import annotations
 

@@ -14,11 +14,11 @@ over terms and reduced once; ``+`` and ``*`` are calls to it.  A value holds
 no power of i: where a W value or 2 sin(d lambda/2) = -i [d] carries one,
 the caller that reads it out supplies it (``chern_simons``, ``hodge``,
 ``cli``).
-``to_lambda`` expands num/den at u = e^{lambda'/2}, lambda' = sqrt(-1) lambda, on
-integers: den is prod (u^d - 1)^{w_d} by Moebius inversion, and 1/den is
-lambda'^(-sum w_d) e^L, L linear in the power sums sum w_d d^j with Bernoulli
-weights, taken once per denominator and window.  A one-term num folds into L; any
-other joins by its power sums (``dense.power_sums``) in one convolution.
+``to_lambda`` (``expand_lambda``, num unreduced) expands num/den at u = e^{lambda'/2},
+lambda' = sqrt(-1) lambda, on integers: den is prod (u^d - 1)^{w_d} by Moebius
+inversion, 1/den is lambda'^(-sum w_d) prod (d/2)^(-w_d) e^L, L linear in the power
+sums sum w_d d^j with Bernoulli weights, cached per denominator, shift and window.
+A one-term num folds into L; any other joins by its power sums in one convolution.
 """
 from __future__ import annotations
 
