@@ -30,7 +30,7 @@ from .hodge import (FramedSeries, build_series, convolution_check,
                     elsv_limit_check, hodge_extract, initial_value_report,
                     lambda_g_check, pde_residual)
 from .vertex import extract_gw, gv_invert, local_p2_z
-from .intersections import dvv, virasoro_residual
+from .intersections import dvv, dvv_normalized, tau_coefficient, virasoro_residual
 from .mirror import candelas, hg_projective, hori_vafa_series, toric_b_series
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from math import comb, factorial, prod
 
 from .dense import power_sums
 from .errors import InternalError, UsageError, VerificationFailure, as_index
-from .partitions import (Partition, add_parts, aut, character, check_partition, dim,
+from .partitions import (Partition, _mn, add_parts, aut, character, check_partition, dim,
                          enumerate_partitions, kappa, length, multiplicities, remove_part,
                          size, zmu)
 from .pseries import cut_join_terms
@@ -48,14 +48,19 @@ def ramification_order(g: int, mu: Partition) -> int:
 # Burnside route
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _shapes(n: int) -> tuple[tuple[Partition, int, int], ...]:
+    """(nu, dim R_nu, kappa_nu/2) for each partition nu of n."""
+    return tuple((nu, dim(nu), kappa(nu) // 2) for nu in enumerate_partitions(n))
+
+
 def _exp_sum(n: int, weight) -> tuple[tuple[int, int], ...]:
-    """sum_nu weight(nu) e^{kappa_nu L/2} over partitions nu of n, as the
+    """sum_nu weight(nu, dim R_nu) e^{kappa_nu L/2} over partitions nu of n, as the
     integer exponential sum ((kappa_nu/2, summed weight), ...), zeros dropped."""
     by_half_kappa: dict[int, int] = {}
-    for nu in enumerate_partitions(n):
-        c = weight(nu)
+    for nu, d, hk in _shapes(n):
+        c = weight(nu, d)
         if c:
-            hk = kappa(nu) // 2
             by_half_kappa[hk] = by_half_kappa.get(hk, 0) + c
     return tuple((hk, c) for hk, c in by_half_kappa.items() if c)
 
@@ -65,13 +70,10 @@ def _disconnected_coeff(mu: Partition) -> tuple[tuple[int, int], ...]:
     """sum_nu chi_nu(mu) dim(R_nu) e^{kappa_nu L/2} as an exponential sum.
 
     Over z_mu |mu|! it is the disconnected series of p_mu; over
-    prod(mu_i) |mu|! it is the same series for labelled parts.
+    prod(mu_i) |mu|! it is the same series for labelled parts.  Its callers
+    pass checked profiles, so chi is read from the ribbon recursion's memo.
     """
-    def weight(nu: Partition) -> int:
-        chi = character(nu, mu)
-        return chi * dim(nu) if chi else 0
-
-    return _exp_sum(size(mu), weight)
+    return _exp_sum(size(mu), lambda nu, d: _mn(nu, mu) * d)
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +212,7 @@ def double_hurwitz(mu: Partition, nu: Partition, trunc: int) -> LambdaSeries:
     if size(mu) != size(nu):
         raise UsageError("profiles must have equal sizes")
     zz = zmu(mu) * zmu(nu)
-    s = power_sums(_exp_sum(size(mu), lambda eta: character(eta, mu) * character(eta, nu)),
+    s = power_sums(_exp_sum(size(mu), lambda eta, _d: character(eta, mu) * character(eta, nu)),
                    trunc)
     return LambdaSeries.from_map(
         {j: Frac(x, zz * factorial(j)) for j, x in enumerate(s) if x}, trunc)

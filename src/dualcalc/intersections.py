@@ -28,20 +28,37 @@ an s_1 first,
 Correlators divide out the power of two (and, when plain, the double
 factorials) once.
 
-tau = exp F is graded: F, hence tau, is zero off the shell
-sum_k (k-1) m_k = 0 (mod 3), so tau_coefficient does no work there.  The
-Virasoro residuals weigh each tau-coefficient by 16 times its operator
-coefficient (all integers) and divide by 16 once per nonzero sum.
+tau = exp F is held on packed monomials: t_0^{m_0} t_1^{m_1} ... is the
+integer sum_k m_k 16^k, one 4-bit digit per variable.  A residual through
+order k reads monomials of degree at most k + 2 (9 at the CLI's largest
+order 7; virasoro_residual admits k <= 13), so no digit overflows: a bump is
++-16^v, an exponent is a shift and a mask, and j <= m digitwise makes m - j
+the key of the quotient monomial.  tau is kept as the integer
+
+    W_m = tau_m m! 2^(E(m)+|m|),    E(m) = (4 sum_k k m_k + 2|m|)/3,
+
+with m! = prod m_k! and |m| the total degree.  W is zero off the shell
+sum_k (k-1) m_k = 0 (mod 3), and on it E(m) is an integer.  The free-energy
+coefficient is F_j = N(j) / (j! 2^(E(j)+1)), so the Euler operator turns
+tau = exp F into
+
+    |m| W_m = sum_{0<j<=m} |j| prod_k C(m_k, j_k) N(j) 2^(|j|-1) W_{m-j}.
+
+The division by |m| is exact: by the exponential formula, W_m is the sum
+over the set partitions of the |m| labelled insertions of prod_B N(B)
+2^(|m| - #blocks), an integer (a remainder is an InternalError).  Each
+Virasoro residual coefficient, on the scale of the monomial that
+-(1/2) d/dt_{n+1} reads, is one integer sum of W values, so its zero test is
+exact and a Fraction is formed only for a nonzero residual.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .errors import UsageError, as_index
+from .errors import InternalError, UsageError, as_index
 from .partitions import compositions
 
 Frac = Fraction
@@ -146,92 +163,65 @@ def _indices(g, ks) -> tuple[int, tuple[int, ...]]:
 # Virasoro constraints on the partition function
 # ---------------------------------------------------------------------------
 
-def _canon(mono: tuple[int, ...]) -> tuple[int, ...]:
-    """Drop trailing zero exponents."""
-    m = list(mono)
-    while m and not m[-1]:
-        m.pop()
-    return tuple(m)
-
-
 _F0 = Frac(0)
 
 
-@lru_cache(maxsize=None)
-def _free_energy_coeff(mono: tuple[int, ...]) -> Frac:
-    """Coefficient of prod t_k^{mono_k} in sum_g <exp sum t_k s_k>_g.
+def _digits(m: int) -> list[int]:
+    """The exponents m_0, m_1, ... of a packed monomial."""
+    out = []
+    while m:
+        out.append(m & 15)
+        m >>= 4
+    return out
 
-    The genus is fixed by the dimension constraint; the coefficient carries
-    1/prod m_k! from the exponential insertions.  Keys are canonical
-    (``_canon``).
-    """
-    n = sum(mono)
-    s = sum(k * m for k, m in enumerate(mono))
-    if n == 0 or (s - n) % 3:
-        return _F0
-    ks = [k for k, m in enumerate(mono) for _ in range(m)]
-    sym = 1
-    for m in mono:
-        sym *= factorial(m)
-    return dvv_normalized((s - n) // 3 + 1, ks) / sym
+
+def _scale(mono: Sequence[int]) -> int:
+    """m! 2^(E(m)+|m|), the ratio W_m / tau_m, on a monomial of the shell."""
+    return prod(map(factorial, mono)) << (4 * sum(k * e for k, e in enumerate(mono))
+                                          + 5 * sum(mono)) // 3
 
 
 @lru_cache(maxsize=None)
-def tau_coefficient(mono: tuple[int, ...]) -> Frac:
-    """Coefficient of prod t_k^{mono_k} in tau = exp(free energy).
+def _f(j: int) -> int:
+    """|j| N(j) 2^(|j|-1), the weight of F_j in the recursion for W, on a packed key."""
+    ks = [k for k, e in enumerate(_digits(j)) for _ in range(e)]
+    n, excess = len(ks), sum(ks) - len(ks)
+    if excess % 3:
+        return 0
+    return n * _norm(excess // 3 + 1, tuple(reversed(ks))) << n >> 1
 
-    Computed by the graded exponential formula: the Euler operator
-    sum_k t_k d/dt_k turns tau = exp(F) into |m| T_m = sum_{0 < j <= m}
-    |j| F_j T_{m-j}, where j runs over the exponent vectors below m and
-    |.| is the total t-degree.  Keys are canonical (``_canon``).
-    """
-    deg = sum(mono)
+
+@lru_cache(maxsize=None)
+def _w(m: int) -> int:
+    """W_m = tau_m m! 2^(E(m)+|m|) on a packed key m; zero off the shell."""
+    ds = _digits(m)
+    if sum((k - 1) * e for k, e in enumerate(ds)) % 3:
+        return 0
+    deg = sum(ds)
     if not deg:
-        return Frac(1)
-    if sum((k - 1) * m for k, m in enumerate(mono)) % 3:
-        return _F0
-    total = _F0
-    for j in product(*(range(m + 1) for m in mono)):
-        f = _free_energy_coeff(_canon(j))
+        return 1
+    js, cs = [0], [1]
+    for k, e in enumerate(ds):
+        if e:
+            js = [j + (t << 4 * k) for j in js for t in range(e + 1)]
+            cs = [c * comb(e, t) for c in cs for t in range(e + 1)]
+    total = 0
+    for j, c in zip(js, cs):
+        f = _f(j)
         if f:
-            rest = _canon(tuple(a - b for a, b in zip(mono, j)))
-            total += sum(j) * f * tau_coefficient(rest)
-    return total / deg
+            total += c * f * _w(m - j)
+    w, r = divmod(total, deg)
+    if r:
+        raise InternalError(f"|m| does not divide the exponential sum at exponents {ds}")
+    return w
 
 
-def _monomials(order: int, kmax: int) -> Iterator[tuple[int, ...]]:
-    """Exponent vectors in t_0..t_kmax of total degree <= order."""
-    for mono in compositions(order, kmax + 2):
-        yield _canon(mono[:-1])
-
-
-def _bump(mono: tuple[int, ...], var: int, by: int) -> tuple[int, ...]:
-    m = list(mono) + [0] * (var + 1 - len(mono))
-    m[var] += by
-    return _canon(tuple(m))
-
-
-def _l_terms(n: int, mono: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(16 * weight, monomial) of each tau-coefficient in the coefficient of
-    prod t_k^{mono_k} in L_n tau."""
-    # -(1/2) d/dt_{n+1}
-    up = _bump(mono, n + 1, 1)
-    yield -8 * up[n + 1], up
-    # sum_k (k+1/2) t_k d/dt_{k+n}
-    for k in range(len(mono)):
-        if mono[k] and k + n >= 0:
-            src = _bump(_bump(mono, k, -1), k + n, 1)
-            yield 8 * (2 * k + 1) * src[k + n], src
-    # (1/4) sum_{i=1..n} d^2/dt_{i-1} dt_{n-i}
-    for i in range(1, max(n, 0) + 1):
-        a, b = i - 1, n - i
-        src = _bump(_bump(mono, a, 1), b, 1)
-        yield 4 * src[a] * (src[b] - (a == b)), src
-    # (1/4) t_0^2 at n = -1, 1/16 at n = 0
-    if n == -1 and len(mono) > 0 and mono[0] >= 2:
-        yield 4, _bump(mono, 0, -2)
-    if n == 0:
-        yield 1, mono
+def tau_coefficient(mono: Sequence[int]) -> Frac:
+    """Coefficient of prod t_k^{mono_k} in tau = exp(free energy): W over its scale."""
+    if any(not 0 <= e < 16 for e in mono):
+        raise UsageError("tau exponents must lie in 0..15")
+    w = _w(sum(e << 4 * k for k, e in enumerate(mono)))
+    return Frac(w, _scale(mono)) if w else _F0
 
 
 VIRASORO_KMAX = 4
@@ -247,22 +237,32 @@ def virasoro_residual(n: int, order: int) -> tuple[Frac, int]:
           + (1/4) t_0^2 [n = -1] + (1/16) [n = 0]
 
     The printed general-n derivative index is read as n+1, the unique choice
-    consistent with the displayed L_{-1} and L_0.  The residual coefficient
-    of each checked monomial is assembled directly from tau-coefficients.
+    consistent with the displayed L_{-1} and L_0.  The coefficient of t^m,
+    times 16 m! 2^(E(u)+|u|) with u = m t_{n+1}, is one integer sum of W
+    values; each source of L_n lies 0, 3, 1, 5 or 3 powers of two below u on
+    that scale, in the order of the terms above.
     """
     if n < -1:
         raise UsageError("Virasoro index must be >= -1")
-    if order < 0:
-        raise UsageError("Virasoro order must be >= 0")
+    if not 0 <= order <= 13:
+        raise UsageError("Virasoro order must lie in 0..13")
     worst = _F0
     checked = 0
-    for mono in _monomials(order, VIRASORO_KMAX):
+    for mono in compositions(order, VIRASORO_KMAX + 2):
         checked += 1
-        acc = 0
-        for w, src in _l_terms(n, mono):
-            t = tau_coefficient(src)
-            if t:
-                acc += w * t
-        if acc:
-            worst = max(worst, abs(acc) / 16)
+        mono = mono[:-1]
+        m = sum(e << 4 * k for k, e in enumerate(mono))
+        up = m + (1 << 4 * n + 4)
+        acc = -8 * _w(up)
+        for k, e in enumerate(mono):
+            if e and k + n >= 0:
+                acc += 8 * (2 * k + 1) * e * _w(m - (1 << 4 * k) + (1 << 4 * (k + n))) << 3
+        for i in range(1, n + 1):
+            acc += 4 * _w(m + (1 << 4 * i - 4) + (1 << 4 * (n - i))) << 1
+        if n == -1 and mono[0] >= 2:
+            acc += 4 * mono[0] * (mono[0] - 1) * _w(m - 2) << 5
+        if n == 0:
+            acc += _w(m) << 3
+        if acc:  # over 16 m! 2^(E(u)+|u|) = 16 _scale(u) / u_{n+1}
+            worst = max(worst, Frac(abs(acc) * (up >> 4 * n + 4 & 15), 16 * _scale(_digits(up))))
     return worst, checked

@@ -12,8 +12,8 @@ framing exponential times W, summed by ``series.combine``) that the integer
 block kernel of ``hodge`` replaces, the graded exponential of a ``PSeries``, the ``Fraction`` DVV
 recursion, the cut-and-join Hurwitz recursion on ``PSeries`` slices, the
 interpolation that the finite-difference psi-extraction replaces, set
-partitions, the ``Fraction`` assembly of the Virasoro residuals that the
-integer-weighted one replaces, the ``Fraction``-list dense kernels, the
+partitions, the tuple-keyed monomials and ``Fraction`` assembly of the
+Virasoro residuals that the packed integer sums replace, the ``Fraction``-list dense kernels, the
 ``Fraction``-dict toric ring, the quintic bracket series built on its own (``mirror.candelas`` reads
 it off the toric series), the 2 sin(m lambda/2) expansion, the
 composition-by-permutation Schur reader that the row-by-row pass of
@@ -451,35 +451,58 @@ def fraction_norm(g, ks):
     return total
 
 
+def canon(mono):
+    """Drop trailing zero exponents."""
+    m = list(mono)
+    while m and not m[-1]:
+        m.pop()
+    return tuple(m)
+
+
+def monomials(order, kmax):
+    """Exponent vectors in t_0..t_kmax of total degree <= order, canonical."""
+    for mono in compositions(order, kmax + 2):
+        yield canon(mono[:-1])
+
+
+def bump(mono, var, by):
+    """mono times t_var^by, canonical."""
+    m = list(mono) + [0] * (var + 1 - len(mono))
+    m[var] += by
+    return canon(m)
+
+
+def virasoro_terms(n, mono):
+    """(Fraction weight, monomial) of each tau-coefficient in the coefficient
+    of prod t_k^{mono_k} in L_n tau."""
+    up = bump(mono, n + 1, 1)
+    yield -Fraction(up[n + 1], 2), up
+    for k in range(len(mono)):
+        if mono[k] and k + n >= 0:
+            src = bump(bump(mono, k, -1), k + n, 1)
+            yield Fraction(2 * k + 1, 2) * src[k + n], src
+    for i in range(1, max(n, 0) + 1):
+        a, b = i - 1, n - i
+        src = bump(bump(mono, a, 1), b, 1)
+        yield Fraction(src[a] * (src[b] - (a == b)), 4), src
+    if n == -1 and len(mono) > 0 and mono[0] >= 2:
+        yield Fraction(1, 4), bump(mono, 0, -2)
+    if n == 0:
+        yield Fraction(1, 16), mono
+
+
 def virasoro_residual_reference(n, order):
     """(max |coefficient|, coefficients checked) of L_n tau through total
     t-degree ``order``, each term a ``Fraction`` operator coefficient times
     ``intersections.tau_coefficient`` (read at call time, so a test can
-    perturb it): the reference for ``intersections.virasoro_residual``."""
-    tau, bump = intersections.tau_coefficient, intersections._bump
+    perturb what it reads): the reference for the packed integer sums of
+    ``intersections.virasoro_residual``."""
+    tau = intersections.tau_coefficient
     worst = Fraction(0)
     checked = 0
-    for mono in intersections._monomials(order, intersections.VIRASORO_KMAX):
+    for mono in monomials(order, intersections.VIRASORO_KMAX):
         checked += 1
-        up = bump(mono, n + 1, 1)
-        acc = -Fraction(up[n + 1], 2) * tau(up)
-        for k in range(len(mono)):
-            if mono[k] and k + n >= 0:
-                src = bump(bump(mono, k, -1), k + n, 1)
-                acc += Fraction(2 * k + 1, 2) * src[k + n] * tau(src)
-        for i in range(1, max(n, 0) + 1):
-            a, b = i - 1, n - i
-            if a == b:
-                src = bump(mono, a, 2)
-                acc += Fraction(src[a] * (src[a] - 1), 4) * tau(src)
-            else:
-                src = bump(bump(mono, a, 1), b, 1)
-                acc += Fraction(src[a] * src[b], 4) * tau(src)
-        if n == -1 and len(mono) > 0 and mono[0] >= 2:
-            acc += Fraction(1, 4) * tau(bump(mono, 0, -2))
-        if n == 0:
-            acc += Fraction(1, 16) * tau(mono)
-        worst = max(worst, abs(acc))
+        worst = max(worst, abs(sum(w * tau(src) for w, src in virasoro_terms(n, mono))))
     return worst, checked
 
 

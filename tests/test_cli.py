@@ -787,7 +787,9 @@ OP_COVERAGE = {
     # partition engine
     "enumerate_partitions": ("partitions.enumerate_partitions",
                              ["hurwitz", "--genus", "0", "--partition", "3"]),
-    "character": ("partitions.character", ["hurwitz", "--genus", "1", "--partition", "2"]),
+    # the Burnside sums read the ribbon recursion's memo; the framed build calls character
+    "character": ("partitions.character",
+                  ["mv", "--check", "pde", "--degree", "2", "--order", "7"]),
     "skew_schur_principal": ("schur.skew_numerator", ["w", "--mu", "2,1", "--nu", "1"]),
     # chern-simons
     "w_one": ("chern_simons.w_one", ["w", "--mu", "2,1"]),

@@ -5,12 +5,13 @@ from math import comb, factorial
 import pytest
 
 from dualcalc import intersections, verify
-from dualcalc.errors import UsageError
+from dualcalc.errors import InternalError, UsageError
 from dualcalc.hurwitz import psi_from_asymptotics
 from dualcalc.intersections import (double_factorial_odd, dvv, dvv_normalized,
                                     tau_coefficient, virasoro_residual)
 from dualcalc.partitions import enumerate_partitions
-from oracles import fraction_norm, set_partitions, virasoro_residual_reference
+from oracles import (fraction_norm, monomials, set_partitions, virasoro_residual_reference,
+                     virasoro_terms)
 
 
 def test_seeds():
@@ -182,8 +183,8 @@ def _residual_reads():
     """Every monomial whose tau-coefficient virasoro_residual(n, 4) reads,
     n = -1..3."""
     return {src for n in range(-1, 4)
-            for mono in intersections._monomials(4, intersections.VIRASORO_KMAX)
-            for _w, src in intersections._l_terms(n, mono)}
+            for mono in monomials(4, intersections.VIRASORO_KMAX)
+            for _w, src in virasoro_terms(n, mono)}
 
 
 def test_tau_coefficient_on_every_monomial_the_residuals_read():
@@ -198,17 +199,51 @@ def test_tau_coefficient_on_every_monomial_the_residuals_read():
             assert tau == 0, mono
 
 
+def _packed(mono):
+    return sum(e << 4 * k for k, e in enumerate(mono))
+
+
 def test_residual_matches_fraction_assembly_under_a_perturbed_tau(monkeypatch):
     for n in range(-1, 4):
-        # also fills the tau cache, so the perturbed function never recurses
+        # also fills the W cache, so the perturbed function never recurses
         assert virasoro_residual(n, 4) == virasoro_residual_reference(n, 4) == (0, 126)
-    real, target = intersections.tau_coefficient, (0, 0, 0, 0, 1)
-    assert _on_shell(target) and real(target) != 0
-    monkeypatch.setattr(intersections, "tau_coefficient",
-                        lambda mono: real(mono) + Fraction(1, 7) * (mono == target))
+    real, target = intersections._w, (0, 0, 0, 0, 1)
+    assert _on_shell(target) and real(_packed(target)) != 0
+    monkeypatch.setattr(intersections, "_w", lambda m: real(m) + 7 * (m == _packed(target)))
+    assert tau_coefficient(target) != real(_packed(target)) / 2 ** 7
     for n in range(-1, 4):
         got = virasoro_residual(n, 4)
         assert got == virasoro_residual_reference(n, 4) and got[0] != 0, n
+
+
+@pytest.mark.parametrize("n", range(-1, 7))
+def test_packed_residual_matches_fraction_assembly(n):
+    for order in range(6):
+        assert virasoro_residual(n, order) == virasoro_residual_reference(n, order) \
+            == (0, comb(order + 5, 5)), (n, order)
+
+
+def test_packed_residual_matches_fraction_assembly_at_the_largest_cli_case():
+    assert virasoro_residual(6, 7) == virasoro_residual_reference(6, 7) == (0, comb(12, 5))
+
+
+def test_packed_keys_hold_the_exponents_of_the_tuple_reader():
+    # t_0^3 is read as W = 32 over 3! 2^5, and W at t_4 as W over 2^7
+    assert intersections._w(3) == 32 and tau_coefficient((3,)) == Fraction(1, 6)
+    assert tau_coefficient((0, 0, 0, 0, 1)) == Fraction(intersections._w(1 << 16), 2 ** 7)
+    # trailing zero exponents do not change the key
+    assert tau_coefficient((0, 2, 0, 0)) == tau_coefficient((0, 2))
+
+
+def test_an_inexact_division_is_an_internal_error(monkeypatch):
+    real = intersections._f
+    monkeypatch.setattr(intersections, "_f", lambda j: real(j) + (j == 3))
+    intersections._w.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="does not divide"):
+            tau_coefficient((3,))
+    finally:
+        intersections._w.cache_clear()
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
@@ -237,6 +272,13 @@ def test_usage_errors():
         dvv(0, (-1, 0))
     with pytest.raises(UsageError):
         virasoro_residual(-2, 3)
+    # exponents are 4-bit digits of a packed key
+    with pytest.raises(UsageError):
+        virasoro_residual(0, 14)
+    with pytest.raises(UsageError):
+        tau_coefficient((16,))
+    with pytest.raises(UsageError):
+        tau_coefficient((1, -1))
 
 
 @pytest.mark.parametrize("entry", [dvv, dvv_normalized, psi_from_asymptotics])
