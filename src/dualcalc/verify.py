@@ -17,7 +17,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from . import hodge, hurwitz, intersections, mirror, vertex
-from .chern_simons import check_pair_reduction
+from .chern_simons import _pair_quotient, check_pair_reduction
 from .errors import KINDS, UsageError, failure
 from .partitions import enumerate_partitions, length, size
 
@@ -94,6 +94,11 @@ def check_two_partition(_profile: str) -> tuple[bool, Detail]:
         return False, {"failed": "pde"}
     if not hodge.swap_symmetry_check(fs2):
         return False, {"failed": "swap"}
+    # the build reads W(nu, mu) from W(mu, nu), so the swap holds for any W;
+    # the unreduced W numerators must be symmetric on their own
+    small = [mu for n in range(cap + 1) for mu in enumerate_partitions(n)]
+    if any(_pair_quotient(a, b) != _pair_quotient(b, a) for a in small for b in small):
+        return False, {"failed": "w-swap"}
     fs1 = hodge.build_series(cap, trunc, 1)
     if not hodge.slice_reduction_check(fs2, fs1):
         return False, {"failed": "slice-bridge"}
