@@ -12,6 +12,7 @@ which ``check_pair_reduction`` tests for one partition (the
 ``local-p2-gv-integrality`` acceptance check runs it on small ones).
 ``w_one_lambda`` expands the reduced ``w_one``; ``w_pair_lambda`` the unreduced
 skew-Schur numerator over the Pochhammer brackets, one reciprocal series per two sizes.
+The vertex reads ``_pair_quotient`` unreduced; only ``w`` and the bridge check read ``w_pair``.
 """
 from __future__ import annotations
 

@@ -6,14 +6,14 @@ over partition triples with total size d:
     Z_d = sum W(nu1,nu2) W(nu2,nu3) W(nu3,nu1) (-1)^d q^{(sum kappa_i)/2}
 
 kept as an exact rational function of u (q^{kappa/2} is an integral u-power
-because kappa is even): ``sum_of_products`` adds the products of the reduced
-W values, the sign (-1)^d as their coefficient, as integer numerators and
-reduces each slice once.  The connected free energy is the degree-graded
-log (``dense.graded_log``), again one ``sum_of_products`` per slice; its
-degree-d slice expands as a lambda'-Laurent series (lambda' = i lambda,
-``QFunction.to_lambda``) with floor >= -2 and even exponents only, and
-N_{g,d} is the lambda^{2g-2} coefficient: (-1)^{g-1} times the
-lambda'^{2g-2} one, read off its integer numerator and denominator.
+because kappa is even): ``sum_of_products`` adds the unreduced W products
+(``_pair_quotient``) of one triple per rotation orbit, times (-1)^d and the orbit
+size, over a few size-determined denominators, and reduces each slice once.  The
+connected free energy is the degree-graded log (``dense.graded_log``), again one
+``sum_of_products`` per slice; its degree-d slice expands as a lambda'-Laurent
+series (lambda' = i lambda, ``QFunction.to_lambda``) with floor >= -2 and even
+exponents only, and N_{g,d} is the lambda^{2g-2} coefficient: (-1)^{g-1} times
+the lambda'^{2g-2} one, read off its integer numerator and denominator.
 
 GV inversion is the Gopakumar-Vafa resummation
 
@@ -34,10 +34,10 @@ from itertools import product
 from math import factorial
 
 from . import dense
-from .chern_simons import w_pair
+from .chern_simons import _pair_quotient
 from .errors import InternalError, UsageError, VerificationFailure
 from .laurent import Laurent
-from .partitions import compositions, enumerate_partitions, kappa, typed_cache
+from .partitions import Partition, compositions, enumerate_partitions, kappa, typed_cache
 from .qfunc import QFunction, sum_of_products
 
 Frac = Fraction
@@ -57,18 +57,27 @@ def local_p2_z(d_max: int) -> tuple[QFunction, ...]:
 
 
 def _vertex_terms(d: int) -> Iterator[tuple[int, tuple[QFunction, ...], int]]:
-    """The sign (-1)^d, the factors W(nu1,nu2) W(nu2,nu3) W(nu3,nu1) and the
-    u-power sum kappa_i of each partition triple of total size d."""
+    """(-1)^d m, the unreduced W(nu1,nu2) W(nu2,nu3) W(nu3,nu1) and the u-power sum
+    kappa_i of the least triple of each orbit of (nu1,nu2,nu3) -> (nu2,nu3,nu1) in size d;
+    the term is the same on the orbit, of size m = 3, or 1 when nu1 = nu2 = nu3."""
     sign = (-1) ** d
     for a in range(d + 1):
         for b in range(d + 1 - a):
-            for nus in product(enumerate_partitions(a), enumerate_partitions(b),
-                               enumerate_partitions(d - a - b)):
-                ks = sum(map(kappa, nus))
+            for nu1, nu2, nu3 in product(enumerate_partitions(a), enumerate_partitions(b),
+                                         enumerate_partitions(d - a - b)):
+                if (nu1, nu2, nu3) > (nu2, nu3, nu1) or (nu1, nu2, nu3) > (nu3, nu1, nu2):
+                    continue
+                ks = kappa(nu1) + kappa(nu2) + kappa(nu3)
                 if ks % 2:
                     raise InternalError("odd kappa sum in vertex term")
-                nu1, nu2, nu3 = nus
-                yield sign, (w_pair(nu1, nu2), w_pair(nu2, nu3), w_pair(nu3, nu1)), ks
+                yield (sign * (1 if nu1 == nu2 == nu3 else 3),
+                       (_w(nu1, nu2), _w(nu2, nu3), _w(nu3, nu1)), ks)
+
+
+@lru_cache(maxsize=None)
+def _w(mu: Partition, nu: Partition) -> QFunction:
+    """W(mu, nu) as ``_pair_quotient`` gives it, unreduced: each slice is reduced once."""
+    return QFunction._of(*_pair_quotient(mu, nu))
 
 
 @lru_cache(maxsize=None)

@@ -30,6 +30,9 @@ MUTANTS = {
     "cover-sum-skips-k-equal-d": (
         "vertex.py", "for k in range(1, d + 1) if not d % k)", "for k in range(1, d) if not d % k)",
         "candelas-structure"),
+    # a rotation orbit with two equal partitions counted once, not three times
+    "orbit-multiplicity": ("vertex.py", "1 if nu1 == nu2 == nu3 else 3", "1 if nu1 == nu2 else 3",
+                           "local-p2-gv-integrality"),
     "cover-table-2-to-the-j": ("vertex.py", "4 ** j", "2 ** j", "local-p2-gv-integrality"),
     "lagrange-sign-of-u": ("dense.py", "e = exp(-u, n)", "e = exp(u, n)", "candelas-structure"),
     "dilaton-factor": ("intersections.py", "12 * (2 * g - 3 + n)", "12 * (2 * g - 2 + n)",

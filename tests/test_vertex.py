@@ -1,4 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,7 +94,7 @@ def test_extract_gw_rejects_empty_table(d_max, g_max):
         extract_gw(d_max, g_max)
 
 
-@pytest.mark.parametrize("d", range(5))
+@pytest.mark.parametrize("d", range(7))
 def test_grouped_slice_matches_term_by_term_sum(d):
     # reference: one reduced QFunction product and sum per partition triple
     from dualcalc.partitions import enumerate_partitions
@@ -106,7 +112,60 @@ def test_grouped_slice_matches_term_by_term_sum(d):
                         acc = q_add_reference(acc, q_mul_reference(term, u_ks))
     if d % 2:
         acc = qneg(acc)
-    assert local_p2_z(4)[d] == acc
+    assert local_p2_z(6)[d] == acc
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_orbit_representatives_cover_every_ordered_triple_once(d, monkeypatch):
+    # with W replaced by its argument pair, each representative repeated m
+    # times and rotated must give every ordered triple of size d exactly once
+    from dualcalc.partitions import enumerate_partitions
+
+    monkeypatch.setattr(vertex, "_w", lambda mu, nu: (mu, nu))
+    got = Counter()
+    for c, (w12, w23, w31), ks in vertex._vertex_terms(d):
+        nus = (w12[0], w23[0], w31[0])
+        assert (w12[1], w23[1], w31[1]) == nus[1:] + nus[:1]
+        assert ks == sum(map(kappa, nus))
+        m = c * (-1) ** d
+        assert m == (1 if len(set(nus)) == 1 else 3)
+        got.update(nus[k:] + nus[:k] for k in range(m))
+    want = Counter((nu1, nu2, nu3) for a in range(d + 1) for b in range(d + 1 - a)
+                   for nu1 in enumerate_partitions(a) for nu2 in enumerate_partitions(b)
+                   for nu3 in enumerate_partitions(d - a - b))
+    assert got == want
+
+
+def test_vertex_reduces_no_w_and_reads_both_orders():
+    # in a fresh process: the reduced w_pair is never built, trial division
+    # runs once per slice sum and never on a W, and the unreduced W memo is
+    # closed under swapping its two partitions (the vertex reads both orders)
+    code = """
+import json
+from dualcalc import chern_simons, qfunc, vertex
+from dualcalc.partitions import enumerate_partitions
+from dualcalc.qfunc import QFunction
+calls = []
+real_from, real_sum = QFunction.from_factors, qfunc.sum_of_products
+QFunction.from_factors = staticmethod(lambda *a: calls.append("from_factors") or real_from(*a))
+vertex.sum_of_products = lambda terms: calls.append("sum") or real_sum(terms)
+vertex.extract_gw(6, 1)
+held = vertex._w.cache_info()
+pairs = [(mu, nu) for n in range(7) for k in range(n + 1)
+         for mu in enumerate_partitions(k) for nu in enumerate_partitions(n - k)]
+for mu, nu in pairs:
+    vertex._w(nu, mu)
+print(json.dumps({"w_pair": chern_simons.w_pair.cache_info().currsize, "calls": calls,
+                  "held": held.currsize, "pairs": len(pairs),
+                  "misses": vertex._w.cache_info().misses - held.misses}))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                    env={**os.environ, "PYTHONPATH": src}, check=True).stdout)
+    assert out["w_pair"] == 0
+    # Z_0..Z_6, then F_0..F_6: each sum is followed by its one reduction
+    assert out["calls"] == ["sum", "from_factors"] * 14
+    assert out["held"] == out["pairs"] == 139 and out["misses"] == 0
 
 
 @pytest.mark.parametrize("g", range(4))
