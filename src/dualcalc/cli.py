@@ -116,7 +116,7 @@ MV_MAX_TWO_PARTITION_DEGREE = 5
 MV_MAX_ORDER = 19
 W_MAX_EXPAND = 64
 W_MAX_BOXES = 12
-VERTEX_MAX_DEGREE = 9  # degree 9: about 0.65 s cold; 10 (about 1.5 s) needs a mirror-side check
+VERTEX_MAX_DEGREE = 9  # degree 9: about 0.23 s cold; 10 (about 0.39 s) needs a mirror-side check
 VERTEX_MAX_GENUS = 24
 MIRROR_MAX_DEGREE = 50
 MIRROR_MAX_TORIC_SIZE = 256  # mirror toric: multidegree slices times ring dimension prod n_i
