@@ -1,10 +1,11 @@
 """dualcalc: exact computation of both sides of enumerative string-duality
 identities, with the connecting checks.
 
-Subsystems: Bernoulli numbers and the Gaussian-rational view type, the
-integer polynomial kernel behind every Laurent type, dense and lambda-truncated
-series and rational functions of q, the last two each summed by one kernel
-(``scalars``, ``laurent``, ``dense``, ``series``, ``qfunc``), partition and
+Subsystems: the Gaussian-rational view type, the integer polynomial kernel
+behind every Laurent type, dense and lambda-truncated series, and rational
+functions of q with their Bernoulli numbers and lambda' expansions (plain
+Laurent values), the last two each summed by one kernel (``scalars``,
+``laurent``, ``dense``, ``series``, ``qfunc``), partition and
 character data and skew Schur numerators (``partitions``, ``schur``),
 quantum-dimension W values
 (``chern_simons``), the partition-indexed series ring with cut-and-join
@@ -18,9 +19,9 @@ integers (``nilpotent``, ``mirror``), and the acceptance registry
 (``verify``) behind the ``dualcalc`` CLI (``cli``).
 """
 
-from .scalars import GaussianRational, bernoulli
+from .scalars import GaussianRational
 from .series import LambdaSeries, TauLaurent
-from .qfunc import QFunction, ULaurent
+from .qfunc import QFunction, ULaurent, bernoulli
 from .partitions import character, enumerate_partitions, parse_partition
 from .chern_simons import w_one, w_pair
 from .pseries import PSeries

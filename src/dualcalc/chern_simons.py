@@ -11,17 +11,18 @@ already real.  The two normalizations are related by the monomial bridge
 which ``check_pair_reduction`` tests for one partition (the
 ``local-p2-gv-integrality`` acceptance check runs it on small ones).
 ``w_one_lambda`` expands the reduced ``w_one``; ``w_pair_lambda`` the unreduced
-skew-Schur numerator over the Pochhammer brackets, one reciprocal series per two sizes.
+skew-Schur numerator over the Pochhammer brackets, one reciprocal series per two sizes;
+each expansion is one ``Laurent`` in lambda' = i lambda, exact through lambda'^(trunc-1).
 The vertex reads ``_pair_quotient`` unreduced; only ``w`` and the bridge check read ``w_pair``.
 """
 from __future__ import annotations
 
 from .errors import InternalError
+from .laurent import Laurent
 from .partitions import (Partition, check_partition, intersection, kappa, length, size,
                          sub_diagrams, typed_cache)
 from .qfunc import Factors, QFunction, ULaurent, bracket_quotient, expand_lambda, sum_of_products
 from .schur import pochhammer_factors, skew_numerator
-from .series import LambdaSeries
 
 
 @typed_cache("partition")
@@ -79,17 +80,18 @@ def check_pair_reduction(nu: Partition) -> bool:
 
 
 @typed_cache("partition", "int")
-def w_one_lambda(mu: Partition, trunc: int) -> LambdaSeries:
-    """Lambda-expansion of w_one; floor is exactly -|mu|."""
+def w_one_lambda(mu: Partition, trunc: int) -> Laurent:
+    """Lambda'-expansion of w_one through lambda'^(trunc-1); its floor is exactly -|mu|."""
     s = w_one(mu).to_lambda(trunc)
-    if size(mu) and s.valuation() != -size(mu):
-        raise InternalError(f"w_one({mu}) expansion floor {s.valuation()} != -|mu|")
+    if size(mu) and (v := min(s.num, default=None)) != -size(mu):
+        raise InternalError(f"w_one({mu}) expansion floor {v} != -|mu|")
     return s
 
 
 @typed_cache("partition", "partition", "int")
-def w_pair_lambda(mu: Partition, nu: Partition, trunc: int) -> LambdaSeries:
-    """Lambda-expansion of w_pair, unreduced over the Pochhammer brackets: no trial division."""
+def w_pair_lambda(mu: Partition, nu: Partition, trunc: int) -> Laurent:
+    """Lambda'-expansion of w_pair through lambda'^(trunc-1), unreduced over the
+    Pochhammer brackets: no trial division."""
     if nu > mu:  # W is symmetric in mu and nu
         return w_pair_lambda(nu, mu, trunc)
     return expand_lambda(*_pair_quotient(mu, nu), trunc)

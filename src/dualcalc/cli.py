@@ -14,9 +14,10 @@ head -c 100``), the exit code is still that of the document being written,
 and nothing goes to stderr.  Rationals are serialized as decimal strings
 "p/q", and a lambda-series coefficient, a power of i times a rational, as
 "p/q" or "p/q*i": the series are held in lambda' = i lambda with rational
-coefficients, and ``series_json`` puts the powers of i back.  A W value
-i^ph f, f a real ``QFunction``, is printed by ``qfun_json`` as a power of
--sqrt(-1), 0 or 1, times num/den.  Partitions are
+coefficients, and ``series_json`` puts the powers of i back, as ``w --expand``
+does for the one ``Laurent`` of a W expansion.  A W value i^ph f, f a real
+``QFunction``, is printed by ``qfun_json`` as a power of -sqrt(-1), 0 or 1,
+times num/den.  Every coefficient is printed by ``coeffs_json``.  Partitions are
 comma-separated descending integers; keys are sorted, so output is
 byte-deterministic for fixed inputs apart from the ``seconds`` timings of
 ``verify-all``.
@@ -54,7 +55,7 @@ from .chern_simons import w_one, w_one_lambda, w_pair, w_pair_lambda
 from .errors import EXIT_CODES, KINDS, UsageError, failure
 from .partitions import enumerate_partitions, format_partition, parse_partition
 from .qfunc import QFunction
-from .series import LambdaSeries, TauLaurent
+from .series import LambdaSeries
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +70,10 @@ def ratio_str(v: int, den: int) -> str:
     return str(v // g) if g == den else f"{v // g}/{den // g}"
 
 
-def tau_json(t: TauLaurent, ph: int) -> dict[str, str]:
-    # i^ph times each rational coefficient: "p/q", or "p/q*i" at an odd ph
+def coeffs_json(num: dict, den: int, ph: int = 0) -> dict[str, str]:
+    """i^ph num[k] / den for each key k, sorted: "p/q", or "p/q*i" at an odd ph."""
     sign = -1 if ph % 4 >= 2 else 1
-    return {str(k): ratio_str(sign * v, t.den) + "*i" * (ph % 2)
-            for k, v in sorted(t.num.items())}
+    return {str(k): ratio_str(sign * v, den) + "*i" * (ph % 2) for k, v in sorted(num.items())}
 
 
 def series_json(s: LambdaSeries, ph: int) -> dict:
@@ -82,19 +82,18 @@ def series_json(s: LambdaSeries, ph: int) -> dict:
     return {
         "floor": s.floor,
         "trunc": s.trunc,
-        "coeffs": {str(s.floor + i): tau_json(c, ph + s.floor + i)
+        "coeffs": {str(s.floor + i): coeffs_json(c.num, c.den, ph + s.floor + i)
                    for i, c in enumerate(s.co) if c},
     }
 
 
 def qfun_json(f: QFunction, ph: int) -> dict:
     # u = q^{1/2}; i^ph f as (-sqrt(-1))**ipow * num/den, (-i)^2 = -1 going to num
-    sign = -1 if -ph % 4 >= 2 else 1
     num, den = f.num, f.den
     return {
         "ipow": -ph % 2,
-        "num": {str(k): ratio_str(sign * v, num.den) for k, v in sorted(num.num.items())},
-        "den": {str(k): ratio_str(v, den.den) for k, v in sorted(den.num.items())},
+        "num": coeffs_json(num.num, num.den, -ph % 4 & 2),
+        "den": coeffs_json(den.num, den.den),
         "variable": "u = q^(1/2)",
     }
 
@@ -350,8 +349,10 @@ def _cmd_w(args) -> dict:
     if nu is not None:
         out["nu"] = format_partition(nu)
     if args.expand is not None:
+        # i^ph s(i lambda) for s in lambda', as ``series_json`` prints a series
         s = w_one_lambda(mu, args.expand) if nu is None else w_pair_lambda(mu, nu, args.expand)
-        out["lambda_expansion"] = series_json(s, ph)
+        out["lambda_expansion"] = {"floor": s.min_exp(), "trunc": args.expand, "coeffs": {
+            str(e): coeffs_json({0: v}, s.den, ph + e) for e, v in sorted(s.num.items())}}
     return {"result": out, "checks": []}
 
 
@@ -487,10 +488,6 @@ def _quintic_gv(d_max: int) -> tuple[vertex.NTable, vertex.GVTable]:
     return k_table, vertex.gv_invert(k_table, d_max, 0)
 
 
-def _alpha_json(v) -> dict[str, str]:
-    return {str(k): ratio_str(c, v.den) for k, c in sorted(v.num.items())}
-
-
 def _cmd_mirror(args) -> dict:
     checks = []
     if args.geometry != "grassmannian" and args.max_degree > MIRROR_MAX_DEGREE:
@@ -570,7 +567,7 @@ def _reduced_json(side) -> dict:
     for d, by_t in sorted(side.items()):
         row = {}
         for te, lams in sorted(by_t.items()):
-            row[f"t^{te}"] = {format_partition(lam) or "1": _alpha_json(v)
+            row[f"t^{te}"] = {format_partition(lam) or "1": coeffs_json(v.num, v.den)
                               for lam, v in sorted(lams.items()) if v}
         out[str(d)] = row
     return out

@@ -8,7 +8,9 @@ the W building blocks, one block per family weight (n) or (n+, n-):
                  W_{nu+, nu-}
 
 A block is summed on integers, with no intermediate series (``_block``):
-each tau-polynomial is packed into one integer, a digit per tau-power, so
+each W arrives as its lambda' expansion, one ``Laurent`` whose integer
+numerators go over the block's lcm; each tau-polynomial is packed into one
+integer, a digit per tau-power, so
 framing x W is a convolution of integer rows in lambda' (the framing
 exponential's rows cached per kappa, length and digit width), the character
 sum is a sum of integers, and each stored coefficient is unpacked and
@@ -57,7 +59,7 @@ from .hurwitz import burnside_phi, double_hurwitz
 from .partitions import (Partition, aut, character, check_partition,
                          enumerate_partitions, kappa, length, size, typed_cache, zmu)
 from .pseries import PSeries, cut_join_terms, empty_key
-from .qfunc import QFunction, bracket_quotient
+from .qfunc import QFunction, bernoulli, bracket_quotient
 from .series import TL_ZERO, LambdaSeries, TauLaurent, combine
 
 Frac = Fraction
@@ -100,20 +102,20 @@ def _framing_rows(kappas: tuple[int, ...], length: int, bits: int) -> tuple[int,
 
 def _block(keys: list, trunc: int, families: int) -> dict:
     """The coefficients p_mu of one weight-n block, sum_nu chi_nu(mu) / z_mu
-    framing_nu W_nu, each over the block's window [-n, trunc), pruned: the
-    window ``combine`` gives the sum, as every W of the block has floor -n and
-    reaches trunc (an ``InternalError`` if not).  W's coefficients go over
-    their lcm and the framing rows over d^top top!, so the sum is one integer
-    per lambda'-power whose digits of width ``bits`` are its tau-coefficients.
+    framing_nu W_nu, each over the block's window [-n, trunc), pruned: every W
+    of the block starts at lambda'^(-n) (an ``InternalError`` if not) and is
+    exact through trunc.  The W numerators go over their lcm and the framing
+    rows over d^top top!, so the sum is one integer per lambda'-power whose
+    digits of width ``bits`` are its tau-coefficients.
     """
     n = sum(map(size, keys[0]))
     t = trunc + n
     w_lambda, d, shift = (w_one_lambda, 4, 0) if families == 1 else (w_pair_lambda, 2, t - 1)
-    ws = [w_lambda(*nu, t).pruned() for nu in keys]
-    if any(w.floor != -n or w.trunc < trunc for w in ws):
+    ws = [w_lambda(*nu, t) for nu in keys]
+    if any(min(w.num, default=None) != -n for w in ws):
         raise InternalError(f"a W of the weight-{n} block does not span [{-n}, {trunc})")
-    big = lcm(*(c.den for w in ws for c in w.co))
-    nums = [[c.num.get(0, 0) * (big // c.den) for c in w.co] for w in ws]
+    big = lcm(*(w.den for w in ws))
+    nums = [[w.num.get(e, 0) * (big // w.den) for e in range(-n, trunc)] for w in ws]
     kaps = [tuple(map(kappa, nu)) for nu in keys]
     chars = [[prod(map(character, nu, mu)) for nu in keys] for mu in keys]
     # a framing digit is at most d^top top! e^{|g|_1 / d} <= d^top top! 3^ceil(|g|_1 / d),
@@ -237,9 +239,9 @@ def initial_value_report(fs: FramedSeries, through: int | None = None) -> dict:
         else:
             d = mu[0]
             # i^{d-1} / (2 d sin(d lambda/2)) = i^d ov_term(d), stored as ov_term(d) in lambda'
-            expect = ov_term(d).to_lambda(s.trunc)
-            lo, _ = s.window_with(expect)
-            if not s.eq_through(expect, lo, hi):
+            expect = ov_term(d).to_lambda(s.trunc).c
+            if any(s.coeff(e) != TauLaurent.const(expect.get(e, 0))
+                   for e in range(min((s.floor, *expect)), hi)):
                 single_ok = False
             phases[d] = f"i^{(d - 1) % 4}"
     return {
@@ -319,8 +321,6 @@ def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> tuple[Frac, ...]:
 @lru_cache(maxsize=None)
 def b_constant(g: int) -> Frac:
     """(2^{2g-1} - 1)/2^{2g-1} |B_{2g}|/(2g)! for g > 0; 1 at g = 0."""
-    from .scalars import bernoulli
-
     if g == 0:
         return Frac(1)
     p = 2 ** (2 * g - 1)

@@ -17,22 +17,24 @@ the caller that reads it out supplies it (``chern_simons``, ``hodge``,
 ``to_lambda`` (``expand_lambda``, num unreduced) expands num/den at u = e^{lambda'/2},
 lambda' = sqrt(-1) lambda, on integers: den is prod (u^d - 1)^{w_d} by Moebius
 inversion, 1/den is lambda'^(-sum w_d) prod (d/2)^(-w_d) e^L, L linear in the power
-sums sum w_d d^j with Bernoulli weights, cached per denominator, shift and window.
-A one-term num folds into L; any other joins by its power sums in one convolution.
+sums sum w_d d^j with Bernoulli weights (``bernoulli``), cached per denominator, shift
+and window.  A one-term num folds into L; any other joins by its power sums in one
+convolution.  The expansion is one ``laurent.Laurent`` in lambda': integer numerators
+over one denominator, exact through lambda'^(trunc-1), with nothing stored at or beyond.
 """
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
 from .dense import power_sums
-from .errors import InternalError
+from .errors import InternalError, UsageError
 from .laurent import Laurent
-from .scalars import bernoulli
-from .series import TL_ONE, TL_ZERO, LambdaSeries
+from .partitions import typed_cache
 
 Factors = tuple[tuple[int, int], ...]
 
@@ -97,6 +99,22 @@ def _mobius(fac: Factors) -> Factors:
     return tuple(sorted(w.items()))
 
 
+@typed_cache("int")
+def bernoulli(n: int) -> Fraction:
+    """Bernoulli number B_n with B_1 = -1/2 (so B_2 = 1/6, B_4 = -1/30): B_2k =
+    (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), T_k = (2k-1)! [x^(2k-1)] tan x (Brent-Harvey)."""
+    if n < 0:
+        raise UsageError(f"bernoulli index must be nonnegative, got {n}")
+    if n < 2 or n % 2:
+        return {0: Fraction(1), 1: Fraction(-1, 2)}.get(n, Fraction(0))
+    k = n // 2
+    t = [factorial(j) for j in range(k)]
+    for i in range(1, k):
+        for j in range(i, k):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return Fraction((-1) ** (k - 1) * n * t[-1], 4 ** k * (4 ** k - 1))
+
+
 @lru_cache(maxsize=None)
 def _bernoulli_row(n: int) -> tuple[int, list[int]]:
     """D and D 4^k B_2k / 2k for 2 <= 2k < n, D the lcm of their denominators."""
@@ -130,11 +148,12 @@ def _reciprocal(w: Factors, s: int, n: int) -> tuple[list[int], int]:
     return [v // g for v in nums], den // g
 
 
-def expand_lambda(num: ULaurent, fac: Factors, trunc: int) -> LambdaSeries:
-    """num / prod Phi_e^{m_e} as a series in x = lambda' truncated at order
-    ``trunc``, num not necessarily reduced: num(e^{x/2}) x^(-v) times the
-    cached ``_reciprocal``, into which a one-term num c u^s folds; any other
-    num enters by its power sums, in one integer convolution."""
+def expand_lambda(num: ULaurent, fac: Factors, trunc: int) -> Laurent:
+    """num / prod Phi_e^{m_e} as a Laurent polynomial in x = lambda', exact
+    through x^(trunc-1) and with no term beyond, num not necessarily reduced:
+    num(e^{x/2}) x^(-v) times the cached ``_reciprocal``, into which a one-term
+    num c u^s folds; any other num enters by its power sums, in one integer
+    convolution, and the result is reduced once."""
     w = _mobius(fac)
     if (v := sum(x for _d, x in w)) != dict(fac).get(1, 0):
         raise InternalError("denominator x-valuation differs from its Phi_1 exponent")
@@ -149,12 +168,11 @@ def expand_lambda(num: ULaurent, fac: Factors, trunc: int) -> LambdaSeries:
              for j, c in enumerate(power_sums(num.num.items(), n))]
         den = top * num.den
     lo = next((j for j, c in enumerate(a) if c), None)
-    if lo is None:  # the value's valuation lies at or beyond the window
-        return LambdaSeries.from_map({}, trunc)
+    if lo is None:  # the value's valuation lies at or beyond trunc
+        return Laurent()
     e, eden = _reciprocal(w, s, n)
     co = [sum(map(mul, a[lo:], e[k::-1])) for k in range(n - lo)]
-    # the leading coefficient a_lo e_0 is nonzero, so the window is [lo - v, trunc)
-    return LambdaSeries(lo - v, [TL_ONE._new({0: c}, den * eden) if c else TL_ZERO for c in co])
+    return Laurent()._new({lo - v + k: c for k, c in enumerate(co) if c}, den * eden)
 
 
 class QFunction:
@@ -221,9 +239,9 @@ class QFunction:
         return QFunction._of(self.num.scale(v), self.fac)
 
     # -- expansion ---------------------------------------------------------------
-    def to_lambda(self, trunc: int) -> LambdaSeries:
-        """num/den as a series in lambda' = i lambda, truncated at order ``trunc``."""
-        return expand_lambda(self.num, self.fac, trunc) if self.num else LambdaSeries(0, [])
+    def to_lambda(self, trunc: int) -> Laurent:
+        """num/den in lambda' = i lambda, exact through lambda'^(trunc-1)."""
+        return expand_lambda(self.num, self.fac, trunc) if self.num else Laurent()
 
     def __repr__(self):
         return f"({self.num}) / ({self.den})"

@@ -1,4 +1,4 @@
-"""Gaussian-rational scalars and Bernoulli numbers.
+"""Gaussian-rational scalars.
 
 ``GaussianRational`` is a complex number with arbitrary-precision rational
 real and imaginary parts.  No computation of the package forms one: the
@@ -12,13 +12,6 @@ There is no floating point anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-
-from .errors import UsageError
-from .partitions import typed_cache
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -132,18 +125,3 @@ class GaussianRational:
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
-
-@typed_cache("int")
-def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n with B_1 = -1/2 (so B_2 = 1/6, B_4 = -1/30): B_2k =
-    (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), T_k = (2k-1)! [x^(2k-1)] tan x (Brent-Harvey)."""
-    if n < 0:
-        raise UsageError(f"bernoulli index must be nonnegative, got {n}")
-    if n < 2 or n % 2:
-        return {0: _F1, 1: Fraction(-1, 2)}.get(n, _F0)
-    k = n // 2
-    t = [factorial(j) for j in range(k)]
-    for i in range(1, k):
-        for j in range(i, k):
-            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
-    return Fraction((-1) ** (k - 1) * n * t[-1], 4 ** k * (4 ** k - 1))

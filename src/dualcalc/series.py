@@ -12,8 +12,9 @@ Two layers:
   claims coefficients it has not actually computed.  A series with an empty
   coefficient list is an *exact* zero (valid to every order);
   ``from_map({}, trunc)`` is zero only through its window.  There is no
-  series division: a rational function of q reaches this type through
-  ``QFunction.to_lambda``.
+  series division, and no rational function of q is held here:
+  ``QFunction.to_lambda`` expands one into a plain ``laurent.Laurent``, whose
+  integers the framed build reads (``hodge._block``).
   ``combine`` is the one sum of series: it forms a sum of products with one
   reduction per coefficient, and ``+``, ``-`` and ``*`` are calls to it.
 
@@ -64,7 +65,6 @@ class TauLaurent(Laurent):
 
 
 TL_ZERO = TauLaurent()
-TL_ONE = TauLaurent({0: 1})
 
 
 class LambdaSeries:
@@ -122,12 +122,6 @@ class LambdaSeries:
             # all-zero through the window: keep a sentinel so trunc survives
             return LambdaSeries(self.trunc - 1, [TL_ZERO])
         return LambdaSeries(self.floor + i, self.co[i:])
-
-    def valuation(self) -> int | None:
-        for i, c in enumerate(self.co):
-            if c:
-                return self.floor + i
-        return None
 
     def coeff(self, e: int) -> TauLaurent:
         if not self.co:

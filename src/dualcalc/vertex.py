@@ -10,10 +10,10 @@ because kappa is even): ``sum_of_products`` adds the unreduced W products
 (``_pair_quotient``) of one triple per rotation orbit, times (-1)^d and the orbit
 size, over a few size-determined denominators, and reduces each slice once.  The
 connected free energy is the degree-graded log (``dense.graded_log``), again one
-``sum_of_products`` per slice; its degree-d slice expands as a lambda'-Laurent
-series (lambda' = i lambda, ``QFunction.to_lambda``) with floor >= -2 and even
-exponents only, and N_{g,d} is the lambda^{2g-2} coefficient: (-1)^{g-1} times
-the lambda'^{2g-2} one, read off its integer numerator and denominator.
+``sum_of_products`` per slice; its degree-d slice expands as one ``Laurent`` in
+lambda' = i lambda (``QFunction.to_lambda``) with floor >= -2 and even exponents
+only, and N_{g,d} is the lambda^{2g-2} coefficient: (-1)^{g-1} times the
+lambda'^{2g-2} one, read off its integer numerator and denominator.
 
 GV inversion is the Gopakumar-Vafa resummation
 
@@ -121,18 +121,12 @@ def extract_gw(d_max: int, g_max: int) -> NTable:
     out: NTable = {}
     for d in range(1, d_max + 1):
         s = f[d].to_lambda(2 * g_max + 2)
-        if not s.is_exact_zero():
-            v = s.valuation()
-            if v is not None and v < -2:
-                raise InternalError(f"free energy degree {d} has lambda-floor {v} < -2")
-        for e in range(s.floor, s.trunc):
-            if e % 2 and s.coeff(e):
-                raise InternalError(f"odd lambda-power {e} survives at degree {d}")
+        if s and (v := s.min_exp()) < -2:
+            raise InternalError(f"free energy degree {d} has lambda-floor {v} < -2")
+        if odd := sorted(e for e in s.num if e % 2):
+            raise InternalError(f"odd lambda-power {odd[0]} survives at degree {d}")
         for g in range(g_max + 1):
-            c = s.coeff(2 * g - 2)
-            if set(c.num) - {0}:
-                raise InternalError(f"tau-dependent where scalar expected: {c}")
-            out[(g, d)] = Frac(c.num.get(0, 0), c.den) * (1 if g % 2 else -1)
+            out[(g, d)] = Frac(s.num.get(2 * g - 2, 0), s.den) * (1 if g % 2 else -1)
     return out
 
 

@@ -42,7 +42,7 @@ from dualcalc.partitions import (add_parts, character, compositions, enumerate_p
 from dualcalc.pseries import PSeries, cut_join_terms, empty_key
 from dualcalc.qfunc import QFunction, ULaurent, _expand, _strip
 from dualcalc.scalars import GaussianRational
-from dualcalc.series import TL_ONE, TL_ZERO, LambdaSeries, TauLaurent, combine
+from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine
 
 
 def qfunction(num, den):
@@ -92,9 +92,20 @@ I_POW = (GaussianRational(1), GaussianRational(0, 1), GaussianRational(-1),
 def lambda_form(s, ph):
     """The complex model {e: {k: GaussianRational}} of i^ph s(i lambda) for a
     series s in lambda' = i lambda: its lambda^e coefficient is i^(ph+e) s_e,
-    the rule ``cli.series_json`` prints.  Zero coefficients are left out."""
+    the rule ``cli.series_json`` prints.  Zero coefficients are left out.  A
+    lambda' expansion of a ``QFunction``, one ``Laurent``, has the tau-free
+    coefficients {0: ...}."""
+    if not isinstance(s, LambdaSeries):
+        return {e: {0: I_POW[(ph + e) % 4] * Fraction(v, s.den)} for e, v in s.num.items()}
     return {e: {k: I_POW[(ph + e) % 4] * Fraction(v, c.den) for k, v in c.num.items()}
             for e, c in enumerate(s.co, s.floor) if c}
+
+
+def lambda_series(s, trunc):
+    """A lambda' expansion of a ``QFunction``, one ``Laurent`` exact through
+    lambda'^(trunc-1), as the ``LambdaSeries`` on [its valuation, trunc), or
+    zero through the window [trunc - 1, trunc) when it has no term."""
+    return LambdaSeries.from_map(s.c, trunc)
 
 
 def plain_form(s):
@@ -172,21 +183,21 @@ def _x_series(p, n):
 def to_lambda_reference(f, trunc):
     """``QFunction.to_lambda`` over ``Fraction`` series in x = lambda' =
     sqrt(-1) lambda, divided by ``dense_mul``/``dense_inv``: the reference for
-    the integer quotient, a series in lambda'."""
+    the integer quotient, a ``Laurent`` in lambda' exact through lambda'^(trunc-1)."""
     if not f.num:
-        return LambdaSeries(0, [])
+        return Laurent()
     v = dict(f.fac).get(1, 0)
     num = _x_series(f.num, trunc + v)
     lo = next((j for j, c in enumerate(num) if c), None)
     if lo is None:
-        return LambdaSeries.from_map({}, trunc)
+        return Laurent()
     n = trunc + v - lo
     den = _x_series(f.den, v + n)
     if any(den[:v]) or not den[v]:
         raise InternalError("denominator x-valuation differs from its Phi_1 exponent")
     quo = dense_mul(num[lo:], dense_inv(den[v:], n), n)
     lo -= v
-    return LambdaSeries.from_map({lo + j: c for j, c in enumerate(quo) if c}, trunc)
+    return Laurent({lo + j: c for j, c in enumerate(quo)})
 
 
 def reciprocal(s):
@@ -324,7 +335,7 @@ def exp_monomial(coeff, exp: int, trunc: int) -> LambdaSeries:
         raise UsageError("exp_monomial requires exponent >= 1")
     c = coeff if isinstance(coeff, TauLaurent) else TauLaurent.const(coeff)
     m = {}
-    p = TL_ONE
+    p = TauLaurent.const(1)
     k = 0
     while k * exp < trunc:
         m[k * exp] = p.scale(Fraction(1, factorial(k)))
@@ -339,7 +350,7 @@ def one_family_term(nu, trunc):
     t = trunc + sum(nu)
     framing = exp_monomial(TauLaurent({0: Fraction(kappa(nu), 4), 1: Fraction(kappa(nu), 2)}),
                            1, t)
-    return framing * w_one_lambda(nu, t)
+    return framing * lambda_series(w_one_lambda(nu, t), t)
 
 
 @lru_cache(maxsize=None)
@@ -349,7 +360,7 @@ def two_family_term(nup, num, trunc):
     t = trunc + sum(nup) + sum(num)
     framing = exp_monomial(TauLaurent({1: Fraction(kappa(nup), 2), -1: Fraction(kappa(num), 2)}),
                            1, t)
-    return framing * w_pair_lambda(nup, num, t)
+    return framing * lambda_series(w_pair_lambda(nup, num, t), t)
 
 
 def build_series_reference(degree_cap, trunc, families):
@@ -934,10 +945,10 @@ def sin_expand(m: int, trunc: int) -> LambdaSeries:
 
 
 @lru_cache(maxsize=None)
-def _gv_kernel(g: int, k: int, trunc: int) -> LambdaSeries:
-    """(1/k) (2 sin(k lambda / 2))^{2g-2}, with 2 sin(k lambda/2) = (-i)[k], as
-    a series in lambda' = i lambda: (-i)^{2g-2}, the real part of its
-    ``phased`` model, times the lambda' series of [k]^{2g-2} / k."""
+def _gv_kernel(g: int, k: int, trunc: int) -> Laurent:
+    """(1/k) (2 sin(k lambda / 2))^{2g-2}, with 2 sin(k lambda/2) = (-i)[k], in
+    lambda' = i lambda through lambda'^(trunc-1): (-i)^{2g-2}, the real part of
+    its ``phased`` model, times the lambda' expansion of [k]^{2g-2} / k."""
     power = ULaurent.const(1)
     for _ in range(abs(2 * g - 2)):
         power = power * bracket(k)
@@ -955,7 +966,7 @@ def gv_forward_reference(gv, d_max, g_max):
     trunc = 2 * g_max + 1
     out = {}
     for d in range(1, d_max + 1):
-        acc = LambdaSeries.from_map({}, trunc)
+        acc = Laurent()
         for k in range(1, d + 1):
             if d % k:
                 continue

@@ -779,7 +779,7 @@ OP_COVERAGE = {
                      ["mv", "--check", "pde", "--degree", "2", "--order", "7"]),
     "series_exp_log": ("dense.graded_log",
                        ["mv", "--check", "initial", "--degree", "2", "--order", "8"]),
-    "bernoulli": ("scalars.bernoulli",
+    "bernoulli": ("qfunc.bernoulli",
                   ["mv", "--check", "lambda-g", "--degree", "1", "--order", "9"]),
     "gv_kernel": ("vertex.cover_table", ["vertex", "local-p2", "--max-degree", "1",
                                          "--max-genus", "1", "--gv"]),

@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 from dualcalc import qfunc
 from dualcalc.chern_simons import w_one, w_pair
 from dualcalc.errors import InternalError, UsageError
+from dualcalc.laurent import Laurent
 from dualcalc.partitions import enumerate_partitions, size
 from dualcalc.qfunc import QFunction, ULaurent, bracket_quotient, sum_of_products
 from dualcalc.scalars import GaussianRational
-from dualcalc.series import LambdaSeries
-from oracles import (bracket, lambda_form, plain_form, q_series, qfunction, reciprocal,
-                     sin_expand, sum_of_products_reference, to_lambda_reference)
+from oracles import (bracket, lambda_form, lambda_series, plain_form, q_series, qfunction,
+                     reciprocal, sin_expand, sum_of_products_reference, to_lambda_reference)
 
 
 def q(num, den):
@@ -38,19 +38,19 @@ def test_bracket_to_sine():
     # (-i)(u - u^{-1}) = 2 sin(lambda/2): i^-1 times a series in lambda' = i lambda
     f = qfunction(bracket(1), ULaurent.const(1))
     got = f.to_lambda(8)
-    assert got.trunc == 8
+    assert max(got.num) == 7
     assert lambda_form(got, -1) == plain_form(sin_expand(1, 8))
 
 
 def test_const_expansion():
-    assert QFunction.const(1).to_lambda(5).eq_through(LambdaSeries.one(5), 0, 5)
+    assert QFunction.const(1).to_lambda(5) == Laurent.const(1)
 
 
 def test_inverse_bracket_expansion():
     # value = 1/(2 sin(lambda/2)): 1/L + L/24 + 7 L^3 / 5760 + ...
     f = qfunction(ULaurent.const(1), bracket(1))
     s = f.to_lambda(4)
-    assert s.floor == -1
+    assert s.min_exp() == -1
     form = lambda_form(s, 1)
     assert form[-1] == {0: GaussianRational(1)}
     assert 0 not in form
@@ -110,8 +110,8 @@ def test_to_lambda_is_ring_hom(n1, n2, d1, d2):
     f = qfunction(n1, d1)
     g = qfunction(n2, d2)
     trunc = 6
-    lhs = (f * g).to_lambda(trunc)
-    rhs = f.to_lambda(trunc) * g.to_lambda(trunc)
+    lhs = lambda_series((f * g).to_lambda(trunc), trunc)
+    rhs = lambda_series(f.to_lambda(trunc), trunc) * lambda_series(g.to_lambda(trunc), trunc)
     lo, hi = lhs.window_with(rhs)
     if hi > lo:
         assert lhs.eq_through(rhs, lo, hi)
@@ -142,9 +142,9 @@ def test_factored_sum_and_product_match_expansions(f, g, pf, pg):
         assert cut[0] == cut[1]
 
     trunc = 5
-    fs, gs = f.to_lambda(trunc), g.to_lambda(trunc)
-    agree((f * g).to_lambda(trunc), fs * gs, pf + pg)
-    agree((f + g).to_lambda(trunc), fs + gs, pf)
+    fs, gs, prod, total = (lambda_series(x.to_lambda(trunc), trunc) for x in (f, g, f * g, f + g))
+    agree(prod, fs * gs, pf + pg)
+    agree(total, fs + gs, pf)
 
 
 def test_factored_denominator_is_cyclotomic_product():
@@ -219,19 +219,16 @@ def test_sum_of_products_matches_pairwise_fold(terms):
 
 
 def test_window_at_or_below_valuation_is_zero_through_window():
-    # (u - u^-1)^2 = (2i sin(lambda/2))^2 = -lambda^2 + ...: zero below lambda^2,
-    # not the exact zero
+    # (u - u^-1)^2 = (2i sin(lambda/2))^2 = -lambda^2 + ...: no term below lambda^2
     sq = qfunction(bracket(1) * bracket(1), ULaurent.const(1))
     for trunc in (-2, 0, 1, 2):
-        s = sq.to_lambda(trunc)
-        assert not s.is_exact_zero() and s.trunc == trunc and s.is_zero_through()
+        assert sq.to_lambda(trunc) == Laurent()
     assert lambda_form(sq.to_lambda(3), 0) == {2: {0: GaussianRational(-1)}}
     # 1/(2 sin(lambda/2)) = i/[1] = 1/lambda + ...; trunc + (Phi_1 exponent) <= 0
     # is not an IndexError
     inv = qfunction(ULaurent.const(1), bracket(1))
     for trunc in (-4, -1):
-        s = inv.to_lambda(trunc)
-        assert not s.is_exact_zero() and s.trunc == trunc and s.is_zero_through()
+        assert inv.to_lambda(trunc) == Laurent()
     assert lambda_form(inv.to_lambda(0), 1) == {-1: {0: GaussianRational(1)}}
 
 
@@ -249,7 +246,7 @@ def _direct(ph, p: ULaurent, j: int) -> GaussianRational:
 def test_to_lambda_of_polynomial_is_direct_sum(p, ph, trunc):
     f = qfunction(p, ULaurent.const(1))
     s = f.to_lambda(trunc)
-    assert s.trunc == trunc and (s.floor >= 0 or s.is_zero_through())
+    assert all(0 <= e < trunc for e in s.num)
     direct = {j: {0: _direct(ph, p, j)} for j in range(max(trunc, 0))}
     assert lambda_form(s, ph) == {j: c for j, c in direct.items() if c[0]}
 
@@ -259,17 +256,13 @@ def test_to_lambda_of_polynomial_is_direct_sum(p, ph, trunc):
 def test_to_lambda_times_denominator_is_numerator(f, extra):
     v = dict(f.fac).get(1, 0)
     trunc = v + extra
-    prod = f.to_lambda(trunc) * qfunction(f.den, ULaurent.const(1)).to_lambda(trunc)
+    prod = (lambda_series(f.to_lambda(trunc), trunc)
+            * lambda_series(qfunction(f.den, ULaurent.const(1)).to_lambda(trunc), trunc))
     assert prod.trunc >= extra
     # num/den times den is num
     direct = {j: {0: _direct(0, f.num, j)} for j in range(prod.trunc)}
     assert through(lambda_form(prod, 0), prod.trunc) == {
         j: c for j, c in direct.items() if c[0]}
-
-
-def _exact(s):
-    """A lambda'-series as its window and its coefficients' (num, den)."""
-    return s.floor, s.trunc, [(c.num, c.den) for c in s.co]
 
 
 def test_to_lambda_matches_reference_on_framed_w_values():
@@ -278,11 +271,11 @@ def test_to_lambda_matches_reference_on_framed_w_values():
     for k in range(7):
         for nu in enumerate_partitions(k):
             f, trunc = w_one(nu), 15 + k
-            assert _exact(f.to_lambda(trunc)) == _exact(to_lambda_reference(f, trunc))
+            assert f.to_lambda(trunc) == to_lambda_reference(f, trunc)
     for a in small:
         for b in small:
             f, trunc = w_pair(a, b), 9 + size(a) + size(b)
-            assert _exact(f.to_lambda(trunc)) == _exact(to_lambda_reference(f, trunc))
+            assert f.to_lambda(trunc) == to_lambda_reference(f, trunc)
 
 
 brackets = st.lists(st.integers(1, 5), max_size=4)
@@ -295,15 +288,18 @@ def test_to_lambda_matches_reference_on_bracket_quotients(tops, bottoms, above):
     # value's valuation to a few terms above it
     f = bracket_quotient(tops, bottoms)
     trunc = len(tops) - len(bottoms) + above
-    assert _exact(f.to_lambda(trunc)) == _exact(to_lambda_reference(f, trunc))
+    got = f.to_lambda(trunc)
+    assert got == to_lambda_reference(f, trunc)
+    # exact through lambda'^(trunc-1), and nothing stored at or beyond it
+    assert all(e < trunc for e in got.num)
 
 
 def test_to_lambda_is_ring_hom_on_a_cubed_bracket():
     # a falsifying example once drawn for test_to_lambda_is_ring_hom, pinned
     cube = bracket(1) * bracket(1) * bracket(1)
     f, g = qfunction(ULaurent.const(1), cube), qfunction(ULaurent({0: 1, 1: 1}), cube)
-    lhs = (f * g).to_lambda(6)
-    rhs = f.to_lambda(6) * g.to_lambda(6)
+    lhs = lambda_series((f * g).to_lambda(6), 6)
+    rhs = lambda_series(f.to_lambda(6), 6) * lambda_series(g.to_lambda(6), 6)
     lo, hi = lhs.window_with(rhs)
     assert hi > lo and lhs.eq_through(rhs, lo, hi)
 
@@ -316,7 +312,7 @@ def test_to_lambda_matches_reference_on_odd_cyclotomic_denominators(fac):
                 ULaurent({-2: Fraction(1, 3), 5: 1})):
         f = _cyclotomic_value(num, fac)
         for trunc in (-2, 1, 4, 9):
-            assert _exact(f.to_lambda(trunc)) == _exact(to_lambda_reference(f, trunc))
+            assert f.to_lambda(trunc) == to_lambda_reference(f, trunc)
 
 
 def _drop_phi1(fac, real=qfunc._mobius):

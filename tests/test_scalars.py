@@ -4,7 +4,8 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from dualcalc.scalars import GR_I, GR_ONE, GaussianRational, bernoulli
+from dualcalc.qfunc import bernoulli
+from dualcalc.scalars import GR_I, GR_ONE, GaussianRational
 
 
 def test_i_squared():
