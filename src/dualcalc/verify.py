@@ -204,8 +204,8 @@ CHECKS: dict[str, CheckFn] = {
     "hori-vafa-equality": check_hori_vafa,
 }
 
-# the wall-clock budget (seconds) of each check, about 100 times the slowest
-# one's cold run of about 0.05 s
+# the wall-clock budget (seconds) of each check, over 100 times the slowest
+# one's cold run (about 0.04 s on a 2-vCPU shared VM)
 TIME_BOUND = 5
 
 
