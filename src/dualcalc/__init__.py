@@ -6,10 +6,10 @@ behind every Laurent type, dense and lambda-truncated series, and rational
 functions of q with their Bernoulli numbers and lambda' expansions (plain
 Laurent values), the last two each summed by one kernel (``scalars``,
 ``laurent``, ``dense``, ``series``, ``qfunc``), partition and
-character data and skew Schur numerators (``partitions``, ``schur``),
-quantum-dimension W values
-(``chern_simons``), the partition-indexed series ring with cut-and-join
-operators (``pseries``), Hurwitz and ELSV (``hurwitz``), the framed
+character data with the cut-and-join operator, and skew Schur numerators
+(``partitions``, ``schur``), quantum-dimension W values
+(``chern_simons``), the partition-indexed series ring (``pseries``),
+Hurwitz and ELSV, whose series are plain Laurent values (``hurwitz``), the framed
 triple-Hodge series (``hodge``), the local-P2 vertex with the one
 Gopakumar-Vafa inversion, whose genus-0 case also inverts the quintic
 (``vertex``), psi-intersections and Virasoro (``intersections``), mirror

@@ -554,12 +554,19 @@ def _read_toric_spec(path: str):
         raise UsageError("toric spec must be a JSON object with exactly the keys "
                          "generators, line_bundles and divisors")
     try:
-        gens = [(g["name"], int(g["nilpotency"])) for g in spec["generators"]]
-        bundles = [[int(c) for c in vec] for vec in spec["line_bundles"]]
-        divisors = [[int(c) for c in vec] for vec in spec["divisors"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        gens = [(g["name"], _spec_int(g["nilpotency"], "nilpotency")) for g in spec["generators"]]
+        bundles = [[_spec_int(c, "line_bundles") for c in vec] for vec in spec["line_bundles"]]
+        divisors = [[_spec_int(c, "divisors") for c in vec] for vec in spec["divisors"]]
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed toric spec: {exc!r}") from exc
     return gens, bundles, divisors
+
+
+def _spec_int(v, field: str) -> int:
+    """v when it is a JSON integer; a float, string or boolean is a usage error."""
+    if type(v) is not int:
+        raise UsageError(f"toric spec field {field} must be an integer, not {v!r}")
+    return v
 
 
 def _reduced_json(side) -> dict:

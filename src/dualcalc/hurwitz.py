@@ -7,12 +7,13 @@
   the subset recursion on labelled parts (the connected part of a set of
   parts is its disconnected part minus the splits off the block of part 0),
   with products of exponential sums adding exponents; the lambda^j
-  coefficient is a power sum (``dense.power_sums``) over j!.
+  coefficient is a power sum (``dense.power_sums``) over j!, and a series is
+  one ``laurent.Laurent`` in lambda, known below its truncation.
 * Cut-and-join route: the same numbers are grown order by order from the
   genus-0 degree-1 seed by matching coefficients of the cut-and-join
   evolution d(Phi)/d(lambda) = CJ(Phi), on partition-keyed rationals: each
   lambda-slice is a {partition: Fraction} dict, and the linear operator is
-  ``pseries.cut_join_terms``, the one the series ring uses.
+  ``partitions.cut_join_terms``, the one the framed PDE residual uses.
 * ELSV: I_{g,mu} = H_{g,mu} / r! with r = 2g-2+|mu|+l(mu); the bare linear
   Hodge integral is I scaled by |Aut(mu)| prod(mu_i!/mu_i^mu_i).
 * psi_from_asymptotics: reads a psi-intersection number off the top-degree
@@ -30,11 +31,10 @@ from math import comb, factorial, prod
 
 from .dense import power_sums
 from .errors import InternalError, UsageError, VerificationFailure, as_index
-from .partitions import (Partition, _mn, add_parts, aut, character, check_partition, dim,
-                         enumerate_partitions, kappa, length, multiplicities, remove_part,
-                         size, zmu)
-from .pseries import cut_join_terms
-from .series import LambdaSeries
+from .laurent import Laurent
+from .partitions import (Partition, _mn, add_parts, aut, character, check_partition,
+                         cut_join_terms, dim, enumerate_partitions, kappa, length,
+                         multiplicities, remove_part, size, zmu)
 
 Frac = Fraction
 
@@ -100,18 +100,18 @@ def _connected_sum(mu: Partition) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _connected_coeff(mu: Partition, order: int) -> tuple[Frac, ...]:
-    """Connected coefficients of p_mu at L^0..L^order: the connected sum's
-    power sums over z_mu |mu|! j!."""
+def _connected_coeff(mu: Partition, j: int) -> Frac:
+    """The L^j coefficient of the connected series of p_mu: the connected
+    sum's moment sum c h^j over z_mu |mu|! j!."""
     if not mu:
         raise UsageError("connected series needs a nonempty profile")
-    d = zmu(mu) * factorial(size(mu))
-    return tuple(Frac(s, d * factorial(j))
-                 for j, s in enumerate(power_sums(_connected_sum(mu), order + 1)))
+    return Frac(sum(c * h ** j for h, c in _connected_sum(mu)),
+                zmu(mu) * factorial(size(mu)) * factorial(j))
 
 
-def burnside_phi(mu: Partition, trunc: int) -> LambdaSeries:
-    """Connected series Phi_mu = sum_g H_{g,mu} lambda^r / r! through trunc.
+def burnside_phi(mu: Partition, trunc: int) -> Laurent:
+    """Connected series Phi_mu = sum_g H_{g,mu} lambda^r / r! below lambda^trunc:
+    the connected sum's power sums over z_mu |mu|! (trunc-1)!.
 
     Only exponents with r = |mu| + l(mu) (mod 2) appear; this parity is
     asserted.
@@ -122,20 +122,14 @@ def burnside_phi(mu: Partition, trunc: int) -> LambdaSeries:
     r0 = ramification_order(0, mu)
     if trunc <= max(r0, 0):
         raise UsageError("truncation too small to contain any genus term")
-    co = _connected_coeff(mu, trunc - 1)
+    top = factorial(trunc - 1)
+    num = {j: s * (top // factorial(j))
+           for j, s in enumerate(power_sums(_connected_sum(mu), trunc)) if s}
     par = (size(mu) + length(mu)) % 2
-    for j, c in enumerate(co):
-        if c and j % 2 != par:
+    for j in num:
+        if j % 2 != par:
             raise InternalError(f"parity violation in Phi_{mu} at order {j}")
-    return LambdaSeries.from_map({j: c for j, c in enumerate(co) if c}, trunc)
-
-
-def _hurwitz_burnside(g: int, mu: Partition) -> Frac:
-    r = ramification_order(g, mu)
-    if r < 0:
-        return Frac(0)
-    co = _connected_coeff(mu, r)
-    return co[r] * factorial(r)
+    return Laurent()._new(num, zmu(mu) * factorial(size(mu)) * top)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +175,6 @@ def _cutjoin_derivs(w: int, r: int) -> dict[int, dict[Partition, Frac]]:
     return out
 
 
-def _hurwitz_cutjoin(g: int, mu: Partition) -> Frac:
-    r = ramification_order(g, mu)
-    if r < 0:
-        return Frac(0)
-    return _cutjoin_part(size(mu), r).get(mu, Frac(0)) * factorial(r)
-
-
 def hurwitz_number(g: int, mu: Partition, method: str = "burnside") -> Frac:
     """Connected simple Hurwitz number H_{g,mu}."""
     g, mu = as_index(g, "genus"), check_partition(mu)
@@ -195,10 +182,11 @@ def hurwitz_number(g: int, mu: Partition, method: str = "burnside") -> Frac:
         raise UsageError("genus must be nonnegative")
     if size(mu) < 1:
         raise UsageError("profile must be nonempty")
+    r = ramification_order(g, mu)  # >= 0 for g >= 0 and a nonempty mu
     if method == "burnside":
-        return _hurwitz_burnside(g, mu)
+        return _connected_coeff(mu, r) * factorial(r)
     if method == "cutjoin":
-        return _hurwitz_cutjoin(g, mu)
+        return _cutjoin_part(size(mu), r).get(mu, Frac(0)) * factorial(r)
     raise UsageError(f"unknown method {method!r}")
 
 
@@ -206,16 +194,17 @@ def hurwitz_number(g: int, mu: Partition, method: str = "burnside") -> Frac:
 # double Hurwitz series
 # ---------------------------------------------------------------------------
 
-def double_hurwitz(mu: Partition, nu: Partition, trunc: int) -> LambdaSeries:
-    """Disconnected two-profile series sum_eta chi(mu) chi(nu)/(z z) e^{kappa L/2}."""
+def double_hurwitz(mu: Partition, nu: Partition, trunc: int) -> Laurent:
+    """Disconnected two-profile series sum_eta chi(mu) chi(nu)/(z z) e^{kappa L/2}
+    below L^trunc: the power sums over z_mu z_nu (trunc-1)!."""
     mu, nu, trunc = check_partition(mu), check_partition(nu), as_index(trunc, "truncation")
     if size(mu) != size(nu):
         raise UsageError("profiles must have equal sizes")
-    zz = zmu(mu) * zmu(nu)
+    top = factorial(max(trunc - 1, 0))
     s = power_sums(_exp_sum(size(mu), lambda eta, _d: character(eta, mu) * character(eta, nu)),
                    trunc)
-    return LambdaSeries.from_map(
-        {j: Frac(x, zz * factorial(j)) for j, x in enumerate(s) if x}, trunc)
+    return Laurent()._new({j: x * (top // factorial(j)) for j, x in enumerate(s) if x},
+                          zmu(mu) * zmu(nu) * top)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +221,7 @@ def elsv_I(g: int, mu: Partition) -> tuple[Frac, Frac]:
     if r < 0:
         raise UsageError(f"unstable profile (g={g}, mu={mu})")
     # H / r! is the connected coefficient itself; bare is reduced once
-    i_val = _connected_coeff(mu, r)[r]
+    i_val = _connected_coeff(mu, r)
     bare = Frac(i_val.numerator * aut(mu) * prod(map(factorial, mu)),
                 i_val.denominator * prod(p ** p for p in mu))
     return i_val, bare

@@ -3,7 +3,7 @@
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 partition is ``()``.  Characters are computed by the Murnaghan-Nakayama
 ribbon recursion with a shared memo cache; cached values are pure functions
-of their keys.
+of their keys.  ``cut_join_terms`` holds the cut-and-join operator on p_mu.
 """
 from __future__ import annotations
 
@@ -188,6 +188,28 @@ def remove_part(mu: Partition, p: int) -> Partition:
 
 def add_parts(mu: Partition, *parts: int) -> Partition:
     return tuple(sorted(mu + tuple(parts), reverse=True))
+
+
+@typed_cache("partition")
+def cut_join_terms(mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The linear cut-and-join operator (1/2) sum_{i,j>=1} [(i+j) p_i p_j
+    d/dp_{i+j} + i j p_{i+j} d^2/dp_i dp_j], over ordered pairs, on p_mu as
+    ((nu, c), ...): p_mu maps to sum c p_nu.  Joins (remove i <= j, add i+j)
+    come first, then cuts (remove s, add i + (s-i) with i <= s/2); every nu
+    occurs once and every c is an integer."""
+    mult = multiplicities(mu)
+    parts = sorted(mult)
+    out = []
+    for ii, i in enumerate(parts):
+        for j in parts[ii:]:
+            c = i * j * mult[i] * mult[j] if i != j else i * i * mult[i] * (mult[i] - 1) // 2
+            if c:
+                out.append((add_parts(remove_part(remove_part(mu, i), j), i + j), c))
+    for sp, m in mult.items():
+        base = remove_part(mu, sp)
+        for i in range(1, sp // 2 + 1):
+            out.append((add_parts(base, i, sp - i), sp * m if 2 * i != sp else i * m))
+    return tuple(out)
 
 
 @typed_cache("int", "int")

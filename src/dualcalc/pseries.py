@@ -2,26 +2,20 @@
 
 A ``PSeries`` stores a map from keys (one partition per family) to
 ``LambdaSeries`` coefficients.  Keys are truncated by per-family weight caps.
-The linear cut-and-join operator acts family by family:
-
-    (1/2) sum_{i,j>=1} [ (i+j) p_i p_j d/dp_{i+j} + i j p_{i+j} d^2/dp_i dp_j ]
-
-with the sum over ordered pairs and the global 1/2 as displayed; it
-conserves total weight within its family.  ``cut_join_terms`` holds it on
-one monomial p_mu; the Hurwitz oracle and the PDE residual of either family
-count read it.  Every sum hands its terms c*a*b p_key to ``_sum``, one
-``series.combine`` per key: ``_fold`` sums c*A*B over whole series (``+``,
-``-``, ``*`` and each slice of ``log``, which runs ``dense.graded_log`` by
-weight slice); the PDE residual sums its terms directly.
+Every sum hands its terms c*a*b p_key to ``_sum``, one ``series.combine``
+per key: ``_fold`` sums c*A*B over whole series (``+``, ``-``, ``*`` and
+each slice of ``log``, which runs ``dense.graded_log`` by weight slice); the
+PDE residual sums its terms directly, with the cut-and-join operator of
+``partitions.cut_join_terms``.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from itertools import chain
 
 from .dense import graded_log
 from .errors import UsageError
-from .partitions import Partition, add_parts, multiplicities, remove_part, typed_cache
+from .partitions import Partition, add_parts
 from .series import LambdaSeries, combine
 
 Key = tuple[Partition, ...]
@@ -34,27 +28,6 @@ def empty_key(fams: int) -> Key:
 
 def key_weight(key: Key) -> int:
     return sum(sum(mu) for mu in key)
-
-
-@typed_cache("partition")
-def cut_join_terms(mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """The linear cut-and-join operator on p_mu as ((nu, c), ...): p_mu maps to
-    sum c p_nu.  Joins (remove i <= j, add i+j) come first, then cuts (remove
-    s, add i + (s-i) with i <= s/2); every nu occurs once and every c is an
-    integer."""
-    mult = multiplicities(mu)
-    parts = sorted(mult)
-    out = []
-    for ii, i in enumerate(parts):
-        for j in parts[ii:]:
-            c = i * j * mult[i] * mult[j] if i != j else i * i * mult[i] * (mult[i] - 1) // 2
-            if c:
-                out.append((add_parts(remove_part(remove_part(mu, i), j), i + j), c))
-    for sp, m in mult.items():
-        base = remove_part(mu, sp)
-        for i in range(1, sp // 2 + 1):
-            out.append((add_parts(base, i, sp - i), sp * m if 2 * i != sp else i * m))
-    return tuple(out)
 
 
 class PSeries:
@@ -119,12 +92,6 @@ class PSeries:
 
     def __mul__(self, other: "PSeries") -> "PSeries":
         return self._fold([(1, self, other)])
-
-    def map_coeffs(self, f: Callable[[Key, LambdaSeries], LambdaSeries]) -> "PSeries":
-        return self._like({k: f(k, s) for k, s in self.co.items()})
-
-    def tau_eval(self, x) -> "PSeries":
-        return self.map_coeffs(lambda k, s: s.tau_eval(x))
 
     # -- grading -----------------------------------------------------------------
     def _slices(self) -> list["PSeries"]:

@@ -4,8 +4,8 @@ Two layers:
 
 * ``TauLaurent`` -- finite Laurent polynomials in the framing parameter tau
   over the rationals: a ``laurent.Laurent`` (integer numerators over one
-  positive denominator) that can be evaluated at a rational tau.
-  ``GaussianRational`` is only the type of the read-only view ``c``.
+  positive denominator).  ``GaussianRational`` is only the type of the
+  read-only view ``c``.
 * ``LambdaSeries`` -- truncated Laurent series in lambda whose coefficients
   are ``TauLaurent`` values.  Every series carries an explicit window
   ``[floor, trunc)``; arithmetic narrows windows so that no operation ever
@@ -18,12 +18,15 @@ Two layers:
   ``combine`` is the one sum of series: it forms a sum of products with one
   reduction per coefficient, and ``+``, ``-`` and ``*`` are calls to it.
 
+``at`` evaluates a series at a rational tau into one plain ``laurent.Laurent``
+in lambda', the form of every value without tau.
+
 The framed series are stored in lambda' = i lambda (see ``hodge``), where
 every coefficient is rational, so no value here carries a power of i.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 
@@ -36,7 +39,7 @@ class TauLaurent(Laurent):
     """Finite Laurent polynomial in tau: sum num[k] tau^k / den over the rationals.
 
     Arithmetic, shifts, the derivative, tau -> 1/tau and exact division come
-    from ``Laurent`` unchanged; this class adds the value at a rational tau.
+    from ``Laurent`` unchanged; this class adds only the view ``c``.
     """
 
     __slots__ = ()
@@ -47,21 +50,6 @@ class TauLaurent(Laurent):
         """The coefficients as ``GaussianRational`` values (a fresh dict)."""
         den = self.den
         return {k: GaussianRational(Fraction(v, den)) for k, v in self.num.items()}
-
-    def eval(self, x) -> "TauLaurent":
-        """The value at tau = x for an int or Fraction x = a/b, as a constant,
-        in integers: the sum of num[k] a^(k-lo) b^(hi-k) over den a^-lo b^hi,
-        with lo <= 0 <= hi the exponent range (at 0 a negative power divides
-        by zero)."""
-        a, b = x.numerator, x.denominator
-        lo, hi = min((0, *self.num)), max((0, *self.num))
-        den = self.den * a ** -lo * b ** hi
-        if not den:
-            raise ZeroDivisionError("a negative power of tau at tau = 0")
-        v = sum(w * a ** (k - lo) * b ** (hi - k) for k, w in self.num.items())
-        if den < 0:
-            v, den = -v, -den
-        return self._new({0: v} if v else {}, den)
 
 
 TL_ZERO = TauLaurent()
@@ -152,28 +140,11 @@ class LambdaSeries:
         return LambdaSeries(self.floor + d, list(self.co))
 
     # -- tau plumbing ----------------------------------------------------------
-    def map_coeffs(self, f: Callable[[int, TauLaurent], TauLaurent]) -> "LambdaSeries":
-        return LambdaSeries(self.floor,
-                            [f(self.floor + i, c) for i, c in enumerate(self.co)]).pruned()
-
     def tau_deriv(self) -> "LambdaSeries":
-        return self.map_coeffs(lambda e, c: c.deriv())
-
-    def tau_eval(self, x) -> "LambdaSeries":
-        return self.map_coeffs(lambda e, c: c.eval(x))
+        return LambdaSeries(self.floor, [c.deriv() for c in self.co]).pruned()
 
     def tau_inverse(self) -> "LambdaSeries":
-        return self.map_coeffs(lambda e, c: c.subs_inverse())
-
-    def subst_scale(self, c) -> "LambdaSeries":
-        """lambda -> c lambda for a nonzero int or Fraction c, on integers; the
-        sign of c goes to the numerators, so every denominator stays positive."""
-        p, q = c.numerator, c.denominator
-        # c^e for e >= 0 is p^e / q^e, and for e < 0 (q sign p)^|e| / |p|^|e|
-        top, bottom = (p, q if p > 0 else -q), (q, abs(p))
-        return self.map_coeffs(lambda e, t: t._new(
-            {k: w * top[e < 0] ** abs(e) for k, w in t.num.items()},
-            t.den * bottom[e < 0] ** abs(e)))
+        return LambdaSeries(self.floor, [c.subs_inverse() for c in self.co]).pruned()
 
     # -- comparisons -------------------------------------------------------------
     def window_with(self, other: "LambdaSeries") -> tuple[int, int]:
@@ -274,3 +245,21 @@ def _collect(parts: list) -> TauLaurent:
                 acc[k] = acc.get(k, 0) + v1 * v2
     return TL_ZERO._new({k: v for k, v in acc.items() if v}, den)
 
+
+def at(s: LambdaSeries, x) -> Laurent:
+    """The value of s at tau = x, an int or Fraction a/b, as one ``Laurent`` in
+    lambda', known below s.trunc and with no term beyond.  On integers: with
+    lo <= 0 <= hi the tau-exponent range of s, each coefficient is the sum of
+    num[k] a^(k-lo) b^(hi-k) over den a^-lo b^hi (at x = 0 a negative power
+    of tau divides by zero), and the coefficients go over their lcm."""
+    a, b = x.numerator, x.denominator
+    ks = {k for c in s.co for k in c.num} | {0}
+    lo, hi = min(ks), max(ks)
+    if not (scale := a ** -lo * b ** hi):
+        raise ZeroDivisionError("a negative power of tau at tau = 0")
+    pw = {k: a ** (k - lo) * b ** (hi - k) for k in ks}
+    vals = [(e, sum(w * pw[k] for k, w in c.num.items()), c.den)
+            for e, c in enumerate(s.co, s.floor) if c.num]
+    den = lcm(*(d for _e, _v, d in vals))
+    m = den if scale > 0 else -den
+    return Laurent()._new({e: v * (m // d) for e, v, d in vals if v}, den * abs(scale))

@@ -37,9 +37,10 @@ from dualcalc.chern_simons import w_one_lambda, w_pair_lambda
 from dualcalc.hodge import FramedSeries
 from dualcalc.hurwitz import elsv_I, ramification_order
 from dualcalc.laurent import Laurent, Poly
-from dualcalc.partitions import (add_parts, character, compositions, enumerate_partitions,
-                                 intersection, kappa, remove_part, sub_diagrams, zmu)
-from dualcalc.pseries import PSeries, cut_join_terms, empty_key
+from dualcalc.partitions import (add_parts, character, compositions, cut_join_terms,
+                                 enumerate_partitions, intersection, kappa, remove_part,
+                                 sub_diagrams, zmu)
+from dualcalc.pseries import PSeries, empty_key
 from dualcalc.qfunc import QFunction, ULaurent, _expand, _strip
 from dualcalc.scalars import GaussianRational
 from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine
@@ -126,7 +127,7 @@ def as_scalar(t):
 
 def pscale(x, v):
     """v times a ``PSeries``, coefficient by coefficient."""
-    return x.map_coeffs(lambda key, s: s.scale(v))
+    return PSeries(x.fams, x.caps, {k: s.scale(v) for k, s in x.co.items()})
 
 
 def qneg(f):

@@ -241,6 +241,30 @@ def test_toric_unknown_keys_rejected(tmp_path):
     assert code == 1 and doc["kind"] == "usage"
 
 
+# a toric spec entry that is not a JSON integer, by field and kind
+SPEC_P1 = {"generators": [{"name": "H", "nilpotency": 2}], "line_bundles": [[2]],
+           "divisors": [[1], [1]]}
+NOT_INTEGERS = {"float": 5.9, "integral-float": 2.0, "string": "5", "true": True, "false": False}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_INTEGERS))
+@pytest.mark.parametrize("field", ["nilpotency", "line_bundles", "divisors"])
+def test_toric_spec_refuses_a_non_integer_entry(field, kind, tmp_path):
+    # int() read 5.9 as 5 and "5" as 5, so such a spec printed another
+    # ring's slices with exit 0
+    spec = json.loads(json.dumps(SPEC_P1))
+    if field == "nilpotency":
+        spec["generators"][0]["nilpotency"] = NOT_INTEGERS[kind]
+    else:
+        spec[field][0][0] = NOT_INTEGERS[kind]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(["mirror", "toric", "--spec", str(path), "--max-degree", "1"])
+    assert code == 1 and out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["kind"] == "usage" and field in doc["error"], doc
+
+
 # inputs that would otherwise compare nothing and report a vacuous pass,
 # or lie outside the range the computation is defined or built for
 VACUOUS = {
@@ -798,7 +822,7 @@ OP_COVERAGE = {
     # products of series are terms of the one PSeries sum: the log's slices
     "pseries_mul": ("pseries.PSeries._fold",
                     ["mv", "--check", "initial", "--degree", "2", "--order", "8"]),
-    "cut_join_linear": ("pseries.cut_join_terms", ["hurwitz", "--genus", "0", "--partition",
+    "cut_join_linear": ("partitions.cut_join_terms", ["hurwitz", "--genus", "0", "--partition",
                                                    "2,1", "--method", "cutjoin"]),
     # hurwitz / elsv
     "burnside_phi": ("hurwitz.burnside_phi",

@@ -83,8 +83,8 @@ def _connected_residual(fs):
     reference: the nonlinear form of the evolution pde_residual checks."""
     r = fs.connected
     cj = cut_join_nonlinear_reference(r, 0)
-    return r._fold([(1, r.map_coeffs(lambda key, s: s.tau_deriv()), None),
-                    (-1, cj.map_coeffs(lambda key, s: s.shift(1)), None)])
+    return r._fold([(1, PSeries(1, r.caps, {k: s.tau_deriv() for k, s in r.co.items()}), None),
+                    (-1, PSeries(1, cj.caps, {k: s.shift(1) for k, s in cj.co.items()}), None)])
 
 
 @pytest.mark.parametrize("cap,trunc", [(2, 7), (3, 9), (4, 15), (6, 15)])
@@ -202,6 +202,48 @@ def test_convolution_sees_a_framing_dependent_term(fs3, mu, e):
     assert convolution_check(fs3)
 
 
+def _perturbed(fs, mu, e, p):
+    """fs with tau^p lambda'^e added to its disconnected p_mu coefficient; fs is
+    left as it is.  For mu of the top weight the connected p_mu coefficient
+    moves by the same term, and no other key moves."""
+    co = dict(fs.disconnected.co)
+    s = co[(mu,)]
+    co[(mu,)] = s + LambdaSeries.from_map({e: TauLaurent({p: 1})}, s.trunc)
+    return FramedSeries(1, fs.caps, fs.trunc, PSeries(1, fs.caps, co))
+
+
+TOP_WEIGHT = [(3,), (2, 1), (1, 1, 1)]  # the partitions of fs3's degree cap
+
+
+@pytest.mark.parametrize("mu", [(1,), (2,), (1, 1), *TOP_WEIGHT])
+def test_convolution_compares_through_its_top_power(fs3, mu):
+    # the convolution is known below trunc - |mu|: a framing-dependent term at
+    # lambda'^(trunc - |mu| - 1) fails the check, one power higher is not compared
+    top = fs3.trunc - size(mu) - 1
+    assert not convolution_check(_perturbed(fs3, mu, top, 1))
+    assert convolution_check(_perturbed(fs3, mu, top + 1, 1))
+
+
+@pytest.mark.parametrize("mu", TOP_WEIGHT)
+def test_elsv_limit_compares_through_its_top_power(fs3, mu):
+    # the limit is compared below min(trunc of R_mu + |mu|, need), R_mu known
+    # below trunc - l(mu) + 1; tau^(e + |mu|) lambda'^e lands on lambda'^(e + |mu|)
+    w, l = size(mu), length(mu)
+    hi = min(fs3.trunc - l + 1 + w, 2 * hodge.ELSV_G_MAX - 2 + w + l + 1)
+    assert not elsv_limit_check(_perturbed(fs3, mu, hi - 1 - w, hi - 1))
+    assert elsv_limit_check(_perturbed(fs3, mu, hi - w, hi))
+
+
+@pytest.mark.parametrize("mu", TOP_WEIGHT)
+def test_initial_value_compares_through_its_top_power(fs3, mu):
+    # a tau-free term at lambda'^(through - 1) fails the check, one power
+    # higher is not compared
+    through = 9
+    assert initial_value_report(fs3, through=through)["ok"]
+    assert not initial_value_report(_perturbed(fs3, mu, through - 1, 0), through=through)["ok"]
+    assert initial_value_report(_perturbed(fs3, mu, through, 0), through=through)["ok"]
+
+
 def test_two_family_pde(fs2fam):
     res = pde_residual(fs2fam)
     assert res.is_zero_through_windows()
@@ -269,8 +311,8 @@ def test_build_forms_no_series_sum_or_product(monkeypatch):
         raise AssertionError("a series sum or product in the build")
 
     build_series.cache_clear()
-    for module in (series, hodge):
-        monkeypatch.setattr(module, "combine", refuse)
+    # hodge reads no combine of its own: its checks compare plain Laurents
+    monkeypatch.setattr(series, "combine", refuse)
     monkeypatch.setattr(LambdaSeries, "__mul__", refuse)
     builds = {args: build_series(*args) for args in [(3, 8, 1), (2, 7, 2)]}
     monkeypatch.undo()

@@ -5,7 +5,8 @@ q with their lambda' expansions, the W values, the vertex and the
 intersection and mirror modules import nothing from the framed-series
 stack: the tau-series types (``series``), the partition-indexed series
 (``pseries``), the Gaussian-rational view (``scalars``), the framed build
-(``hodge``) or the Hurwitz series (``hurwitz``)."""
+(``hodge``) or the Hurwitz series (``hurwitz``).  The Hurwitz series in
+turn import nothing from the first four."""
 import ast
 from pathlib import Path
 
@@ -38,3 +39,9 @@ def test_lower_modules_import_nothing_from_the_framed_series_stack():
     assert set(LOWER) | UPPER <= set(trees)
     crossings = {(name, up) for name in LOWER for up in _imports(trees[name]) & UPPER}
     assert crossings == set()
+
+
+def test_hurwitz_sits_below_the_framed_series_stack():
+    # its series are plain Laurents, so hurwitz needs no tau-series type
+    tree = ast.parse((PACKAGE / "hurwitz.py").read_text())
+    assert _imports(tree) & (UPPER - {"hurwitz"}) == set()

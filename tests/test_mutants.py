@@ -43,6 +43,14 @@ MUTANTS = {
                       "witten-virasoro-dvv"),
     "virasoro-second-derivative-weight": ("intersections.py", "acc += 4 * _w(", "acc += 2 * _w(",
                                           "witten-virasoro-dvv"),
+    # the double Hurwitz series read at tau lambda' with one power of tau too many
+    "convolution-scaling-exponent": ("hodge.py", "tv ** e", "tv ** (e + 1)",
+                                     "convolution-tau-independence"),
+    "convolution-kernel-at-tau-1": ("hodge.py", "at(fs.disconnected.coeff((nu,)), 0)",
+                                    "at(fs.disconnected.coeff((nu,)), 1)",
+                                    "convolution-tau-independence"),
+    "elsv-limit-halved": ("hodge.py", "limit[e + w] = Frac(v, c.den)",
+                          "limit[e + w] = Frac(v, 2 * c.den)", "mv-elsv-limit"),
 }
 
 _FAILED_CHECKS = """

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import dualcalc
-from dualcalc import chern_simons, hodge, hurwitz, partitions, pseries
+from dualcalc import chern_simons, hodge, hurwitz, partitions
 from dualcalc.errors import UsageError
 from dualcalc.partitions import (aut, character, check_partition, compositions,
                                  conjugate, dim, enumerate_partitions, format_partition,
@@ -147,7 +147,7 @@ def test_call_order_cannot_change_a_memoised_answer(name):
 # the package's own memoised helpers: (module, name, good arguments, the
 # same with a float part)
 INTERNAL = [(hodge, "framing_prefactor", ((2, 1),), ((2.0, 1),)),
-            (pseries, "cut_join_terms", ((2, 1),), ((2.0, 1),)),
+            (partitions, "cut_join_terms", ((2, 1),), ((2.0, 1),)),
             (partitions, "compositions", (2, 2), (2.0, 2)),
             (partitions, "dim", ((2, 1),), ((2.0, 1),))]
 

@@ -9,8 +9,8 @@ from dualcalc import pseries
 from dualcalc.dense import graded_log
 from dualcalc.errors import UsageError
 from dualcalc.hodge import build_series, pde_residual
-from dualcalc.partitions import enumerate_partitions, zmu
-from dualcalc.pseries import PSeries, cut_join_terms, empty_key, key_weight
+from dualcalc.partitions import cut_join_terms, enumerate_partitions, zmu
+from dualcalc.pseries import PSeries, empty_key, key_weight
 from dualcalc.series import LambdaSeries, TauLaurent
 import oracles
 from oracles import (add_reference, as_scalar, assert_same_pseries,

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dualcalc.errors import InternalError, UsageError
+from dualcalc.laurent import Laurent
 from dualcalc.scalars import GaussianRational
-from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, combine
+from dualcalc.series import TL_ZERO, LambdaSeries, TauLaurent, at, combine
 from oracles import as_scalar, canonical, combine_reference, exp_monomial, sin_expand
 
 
@@ -18,8 +19,10 @@ def test_tau_basic():
     assert t * TauLaurent.const(3) == TauLaurent({1: 3, -2: 1})
     assert t.subs_inverse() == TauLaurent({-1: 1, 2: Fraction(1, 3)})
     assert t.deriv() == TauLaurent({0: 1, -3: Fraction(-2, 3)})
-    assert t.eval(2) == TauLaurent.const(Fraction(2) + Fraction(1, 12))
-    assert as_scalar(t.eval(2)) == GaussianRational(Fraction(2) + Fraction(1, 12))
+    # its value at tau = 2, read as the lambda'^0 coefficient of a one-term series
+    v = at(LambdaSeries.from_map({0: t}, 1), 2)
+    assert v == Laurent.const(Fraction(2) + Fraction(1, 12))
+    assert v.c == {0: Fraction(25, 12)}
 
 
 def test_tau_divexact():
@@ -99,20 +102,23 @@ def test_key_operations_match_model(a, d):
 
 
 @settings(max_examples=200, deadline=None)
-@given(models(), st.one_of(small_q, st.integers(-7, 7)))
-@example({0: Fraction(-1, 2), 2: -3}, 0)
-@example({-1: 1, 0: 1}, 0)
-@example({-2: 3, 1: 1}, Fraction(-2, 3))
-def test_eval_matches_model(a, x):
-    t = TauLaurent(a)
+@given(models(), models(), st.one_of(small_q, st.integers(-7, 7)))
+@example({0: Fraction(-1, 2), 2: -3}, {}, 0)
+@example({-1: 1, 0: 1}, {}, 0)
+@example({-2: 3, 1: 1}, {}, Fraction(-2, 3))
+@example({0: Fraction(1, 3)}, {1: Fraction(-1, 3)}, 1)
+def test_eval_matches_model(a, b, x):
+    # the series a lambda'^-1 + b lambda'^2 at tau = x, one Laurent in lambda'
+    s = LambdaSeries.from_map({-1: TauLaurent(a), 2: TauLaurent(b)}, 3)
     try:
-        expect = sum((v * Fraction(x) ** k for k, v in a.items()), Fraction(0))
+        expect = {e: sum((v * Fraction(x) ** k for k, v in m.items()), Fraction(0))
+                  for e, m in ((-1, a), (2, b))}
     except ZeroDivisionError:
         # a negative power of tau at tau = 0
         with pytest.raises(ZeroDivisionError):
-            t.eval(x)
+            at(s, x)
         return
-    check(t.eval(x), _clean({0: expect}))
+    check(at(s, x), _clean(expect))
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,13 +167,15 @@ def test_canonical_form_pin():
     assert (t.num, t.den) == ({0: -2, 1: 3}, 6)
     # zero is unique whatever produced it
     for z in (TauLaurent(), half - half, half.scale(0), TauLaurent({0: 1}).deriv(),
-              TauLaurent({0: 0, 1: Fraction(0)}), TauLaurent({0: 1}).eval(0) - TauLaurent.const(1)):
+              TauLaurent({0: 0, 1: Fraction(0)}),
+              at(LambdaSeries.from_map({0: TauLaurent({0: 1, 1: 1})}, 1), 0) - Laurent.const(1)):
         assert (z.num, z.den) == ({}, 1) and z == TauLaurent()
 
 
-def test_tau_laurent_adds_only_the_view_and_eval():
-    # every other operation is the kernel's, with no phase
-    assert {k for k in vars(TauLaurent) if not k.startswith("__")} == {"var", "c", "eval"}
+def test_tau_laurent_adds_only_the_view():
+    # every other operation is the kernel's, with no phase; the value at a
+    # rational tau is ``series.at``, on a whole series
+    assert {k for k in vars(TauLaurent) if not k.startswith("__")} == {"var", "c"}
 
 
 # -- LambdaSeries -------------------------------------------------------------
@@ -264,17 +272,22 @@ def test_tau_plumbing_on_series():
     d = s.tau_deriv()
     assert d.coeff(0) == TauLaurent.const(1)
     assert d.coeff(2) == TauLaurent({-2: -2})
-    e = s.tau_eval(Fraction(1, 2))
-    assert e.coeff(2) == TauLaurent.const(4)
+    e = at(s, Fraction(1, 2))
+    assert e == Laurent({0: Fraction(1, 2), 2: 4})
     inv = s.tau_inverse()
     assert inv.coeff(0) == TauLaurent({-1: 1})
 
 
+def _tau_graded(s):
+    """s with tau^e put on its lambda^e coefficient: its value at tau = c is
+    s(c lambda) at tau = c."""
+    return LambdaSeries(s.floor, [t.shift(e) for e, t in enumerate(s.co, s.floor)])
+
+
 def test_subst_scale():
+    # lambda -> c lambda of a tau-free series is ``at`` on the tau-graded series
     s = LambdaSeries.from_map({-1: 1, 2: 3}, 4)
-    t = s.subst_scale(Fraction(2))
-    assert as_scalar(t.coeff(-1)) == GaussianRational(Fraction(1, 2))
-    assert as_scalar(t.coeff(2)) == GaussianRational(12)
+    assert at(_tau_graded(s), Fraction(2)) == Laurent({-1: Fraction(1, 2), 2: 12})
 
 
 small_frac = st.fractions(min_value=-8, max_value=8, max_denominator=4)
@@ -357,12 +370,13 @@ def test_combine_matches_pairwise_fold(terms):
         canonical(c)
 
 
-# -- lambda -> c lambda against Fraction powers ---------------------------------
+# -- lambda -> c lambda and tau = c against Fraction powers --------------------
 
 def _subst_scale_reference(s, c):
-    """lambda -> c lambda through Fraction powers, negative ones included."""
-    return s.map_coeffs(lambda e, t: TauLaurent(
-        {k: Fraction(v, t.den) * Fraction(c) ** e for k, v in t.num.items()}))
+    """s(c lambda) at tau = c through Fraction powers, negative ones included."""
+    return Laurent({e: sum((Fraction(v, t.den) * Fraction(c) ** (k + e)
+                            for k, v in t.num.items()), Fraction(0))
+                    for e, t in enumerate(s.co, s.floor)})
 
 
 # c for lambda -> c lambda, three of them negative
@@ -373,14 +387,14 @@ SCALES = [3, Fraction(-2, 3), Fraction(-1, 2), Fraction(5, 2), -1]
 def test_subst_scale_matches_gaussian_powers(c):
     s = LambdaSeries(-3, [TauLaurent({-1: Fraction(1, 3), 2: 5}), TauLaurent({0: 2}), TL_ZERO,
                           TauLaurent({1: Fraction(-7, 2)}), TauLaurent({3: 1, 0: -4})])
-    got, want = s.subst_scale(c), _subst_scale_reference(s, c)
-    assert (got.floor, got.trunc, got.co) == (want.floor, want.trunc, want.co)
-    for t in got.co:
-        canonical(t)
+    got = at(_tau_graded(s), c)
+    assert got == _subst_scale_reference(s, c)
+    canonical(got)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(SCALES), random_series())
 def test_subst_scale_matches_gaussian_powers_on_random_windows(c, s):
-    got, want = s.subst_scale(c), _subst_scale_reference(s, c)
-    assert (got.floor, got.trunc, got.co) == (want.floor, want.trunc, want.co)
+    got = at(_tau_graded(s), c)
+    assert got == _subst_scale_reference(s, c)
+    canonical(got)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualcalc import qfunc, vertex
+from dualcalc import qfunc, verify, vertex
 from dualcalc.chern_simons import w_pair
 from dualcalc.errors import UsageError, VerificationFailure
 from dualcalc.partitions import kappa
@@ -69,6 +69,13 @@ def test_gv_forward_round_trip_synthetic():
              for g in range(4) for d in range(1, 5)}
     n_table = gv_forward(synth, 4, 3)
     assert gv_invert(n_table, 4, 3) == synth
+
+
+@pytest.mark.parametrize("d_max,g_max", [(6, 2), (9, 2)])
+def test_verdict_synthetic_round_trip_past_degree_four(d_max, g_max):
+    # the acceptance check runs it at (3, 2); its table once stopped at
+    # degree 4, which failed a correct vertex from d_max = 5 on
+    assert verify.synthetic_round_trip(d_max, g_max)
 
 
 def test_gv_non_integer_rejected():
