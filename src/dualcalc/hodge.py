@@ -399,13 +399,17 @@ def convolution_check(fs: FramedSeries, max_weight: int | None = None) -> bool:
         kernel = [at(fs.disconnected.coeff((nu,)), 0) for nu in parts]
         for tv in (1, 2, 3):
             for mu in parts:
-                # sum_nu z_nu Phi2_{mu,nu}(tv lambda') K_nu, known below trunc + min(valuations)
+                # sum_nu z_nu Phi2_{mu,nu}(tv lambda') K_nu: both factors are known
+                # below trunc, so each product is known below trunc + the lesser
+                # valuation, a factor zero below trunc counting as valuation trunc
                 total, hi = Laurent(), trunc
                 for nu, k in zip(parts, kernel):
-                    if (p := phi[(mu, nu)]) and k:
+                    p = phi[(mu, nu)]
+                    hi = min(hi, trunc + min(p.min_exp() if p else trunc,
+                                             k.min_exp() if k else trunc))
+                    if p and k:
                         p = p._new({e: v * tv ** e for e, v in p.num.items()}, p.den)
                         total += (p * k).scale(zmu(nu))
-                        hi = min(hi, trunc + min(p.min_exp(), k.min_exp()))
                 if not _agree_below(total, at(fs.disconnected.coeff((mu,)), tv), hi):
                     return False
     return True

@@ -224,6 +224,15 @@ def test_convolution_compares_through_its_top_power(fs3, mu):
     assert convolution_check(_perturbed(fs3, mu, top + 1, 1))
 
 
+@pytest.mark.parametrize("degree, order", product((2, 3), (1, 2, 3)))
+def test_convolution_holds_at_low_orders(degree, order):
+    # at trunc <= l(nu) - l(mu) the series Phi2_{mu,nu} is zero below trunc, and
+    # its product with K_nu still bounds the convolution's window
+    fs = build_series(degree, order, 1)
+    assert convolution_check(fs)
+    assert initial_value_report(fs)["ok"]
+
+
 @pytest.mark.parametrize("mu", TOP_WEIGHT)
 def test_elsv_limit_compares_through_its_top_power(fs3, mu):
     # the limit is compared below min(trunc of R_mu + |mu|, need), R_mu known
