@@ -48,7 +48,6 @@ def w_one(mu: Partition) -> QFunction:
     return bracket_quotient(tops, bottoms)
 
 
-@typed_cache("partition", "partition")
 def w_pair(mu: Partition, nu: Partition) -> QFunction:
     """Two-partition W value via the skew-Schur sum.
 

@@ -22,24 +22,20 @@ comma-separated descending integers; keys are sorted, so output is
 byte-deterministic for fixed inputs apart from the ``seconds`` timings of
 ``verify-all``.
 
-A process builds its parser once (``build_parser``) and parses each argv
-once (``_parsed``; a parse that raises is not kept).  A plain argv (the
+A process builds its parser once (``build_parser``).  A plain argv (the
 command words, the leaf's positionals, then exact option strings, each
 given once, with values that do not start with "-") is read from the
 parser's own actions, so no option is declared twice; every other argv
 goes through argparse, which alone writes usage and help text.  No flag
-selects between the two.  The process also memoises the mirror series
-(``candelas``, ``hori_vafa_series``), the framed series
-(``hodge.build_series``), the W expansions (``w_one_lambda``,
-``w_pair_lambda``), the Hodge extractions (``hodge_extract``) and the
-quintic's GV numbers (``_quintic_gv``), all unbounded for the life of the
-process; each library cache is a ``partitions.typed_cache``, which takes
-positional arguments and checks their types before the lookup.  So a
-repeated query reuses its parsed arguments and these values, and runs only
-its ``checks[]`` comparisons, each on every call but the Grassmannian's
-``equal`` (computed with its cached series), and serialisation: a rational
-held as an integer numerator over a denominator is printed by
-``ratio_str``, with no ``Fraction`` formed.
+selects between the two.  ``respond`` keeps the text of each passing
+document that depends on its argv alone, so a repeated query prints it
+again and calls no parser, handler or check; help, errors, failed checks,
+``verify-all`` (it prints timings) and ``mirror toric`` (it reads --spec)
+are computed on every call.  A first-seen query reads the memoised mirror
+series, framed series and W expansions, each a ``partitions.typed_cache``,
+which checks argument types before the lookup.  A rational held as an
+integer numerator over a denominator is printed by ``ratio_str``, with no
+``Fraction`` formed.
 """
 from __future__ import annotations
 
@@ -480,14 +476,6 @@ def _cmd_witten(args) -> dict:
     return {"result": result, "checks": checks}
 
 
-@lru_cache(maxsize=None)
-def _quintic_gv(d_max: int) -> tuple[vertex.NTable, vertex.GVTable]:
-    """The quintic's genus-0 table K_d and its GV numbers, inverted once per
-    degree; both dicts are read-only.  A failed inversion is not kept."""
-    k_table = {(0, d): k for d, k in enumerate(mirror.candelas(d_max)["K"], 1)}
-    return k_table, vertex.gv_invert(k_table, d_max, 0)
-
-
 def _cmd_mirror(args) -> dict:
     checks = []
     if args.geometry != "grassmannian" and args.max_degree > MIRROR_MAX_DEGREE:
@@ -495,7 +483,8 @@ def _cmd_mirror(args) -> dict:
     if args.geometry == "quintic":
         d_max = args.max_degree
         data = mirror.candelas(d_max)
-        k_table, gv = _quintic_gv(d_max)
+        k_table = {(0, d): k for d, k in enumerate(data["K"], 1)}
+        gv = vertex.gv_invert(k_table, d_max, 0)
         checks.append({"name": "cubic-5/6", "pass": data["cubic"] == Fraction(5, 6)})
         checks.append({"name": "multiple-cover-integrality",
                        "pass": vertex.gv_forward(gv, d_max, 0) == k_table})
@@ -554,18 +543,21 @@ def _read_toric_spec(path: str):
         raise UsageError("toric spec must be a JSON object with exactly the keys "
                          "generators, line_bundles and divisors")
     try:
-        gens = [(g["name"], _spec_int(g["nilpotency"], "nilpotency")) for g in spec["generators"]]
-        bundles = [[_spec_int(c, "line_bundles") for c in vec] for vec in spec["line_bundles"]]
-        divisors = [[_spec_int(c, "divisors") for c in vec] for vec in spec["divisors"]]
+        gens = [(_spec_entry(g["name"], str, "name"),
+                 _spec_entry(g["nilpotency"], int, "nilpotency")) for g in spec["generators"]]
+        bundles = [[_spec_entry(c, int, "line_bundles") for c in vec] for vec in spec["line_bundles"]]
+        divisors = [[_spec_entry(c, int, "divisors") for c in vec] for vec in spec["divisors"]]
     except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed toric spec: {exc!r}") from exc
     return gens, bundles, divisors
 
 
-def _spec_int(v, field: str) -> int:
-    """v when it is a JSON integer; a float, string or boolean is a usage error."""
-    if type(v) is not int:
-        raise UsageError(f"toric spec field {field} must be an integer, not {v!r}")
+def _spec_entry(v, kind: type, field: str):
+    """v when it is a JSON integer (``kind`` int) or string (str); a float, a
+    boolean, null or any other JSON value is a usage error."""
+    if type(v) is not kind:
+        noun = "an integer" if kind is int else "a string"
+        raise UsageError(f"toric spec field {field} must be {noun}, not {v!r}")
     return v
 
 
@@ -600,23 +592,26 @@ HANDLERS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _parsed(argv: tuple[str, ...]) -> dict:
-    """The parsed arguments of one argv, parsed once per process; the dict is
-    read-only.  A plain argv is read from the parser's own actions
-    (``_Parser.parse_plain``), any other by argparse, which alone writes usage
-    and help text.  A raising parse (a usage error, a help request) is not
-    kept."""
+def _parsed(argv: tuple[str, ...]) -> argparse.Namespace:
+    """The parsed arguments of one argv, in a fresh Namespace.  A plain argv
+    is read from the parser's own actions (``_Parser.parse_plain``), any
+    other by argparse, which alone writes usage and help text."""
     parser = build_parser()
     args = parser.parse_plain(argv)
-    return vars(parser.parse_args(argv)) if args is None else args
+    return parser.parse_args(argv) if args is None else argparse.Namespace(**args)
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+class _Unkept(Exception):
+    """A document ``respond`` does not keep, raised with its (text, exit code)."""
+
+
+@lru_cache(maxsize=None)
+def respond(argv: tuple[str, ...]) -> tuple[str, int]:
+    """The JSON text of one argv's document and its exit code, kept for the
+    life of the process when it passes and depends on the argv alone; any
+    other document is raised as ``_Unkept``, which ``lru_cache`` does not keep."""
     try:
-        # a fresh Namespace per call: a handler never sees another call's
-        args = argparse.Namespace(**_parsed(tuple(argv)))
+        args = _parsed(argv)
         payload = HANDLERS[args.command](args)
         doc = {
             "query": args.command,
@@ -627,13 +622,26 @@ def main(argv: list[str] | None = None) -> int:
         # a failed check is a verification failure unless it names its kind
         code = max((EXIT_CODES[c.get("kind", "verification")]
                     for c in payload["checks"] if not c["pass"]), default=0)
+        # verify-all prints the seconds its checks took, mirror toric reads its --spec file
+        keep = code == 0 and args.command != "verify-all" and getattr(args, "spec", None) is None
     except _Help as req:
-        doc, code = {"help": str(req), "kind": "help"}, 0
+        doc, code, keep = {"help": str(req), "kind": "help"}, 0, False
     except tuple(KINDS) as exc:
-        doc = failure(exc)
+        doc, keep = failure(exc), False
         code = EXIT_CODES[doc["kind"]]
+    text = json.dumps(doc, sort_keys=True)
+    if not keep:
+        raise _Unkept(text, code)
+    return text, code
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        print(json.dumps(doc, sort_keys=True), flush=True)
+        text, code = respond(tuple(sys.argv[1:] if argv is None else argv))
+    except _Unkept as fresh:
+        text, code = fresh.args
+    try:
+        print(text, flush=True)
     except BrokenPipeError:
         # the reader closed stdout: drop the unwritten rest so that the
         # exit-time flush stays quiet, and keep the document's exit code

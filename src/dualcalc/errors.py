@@ -20,11 +20,10 @@ class InternalError(AssertionError):
 
 def as_index(v, what: str) -> int:
     """v as an int when it is integral by type (``operator.index``), else a
-    UsageError: 1.5 is not silently read as 1, nor 2.0 as 2."""
-    try:
-        return index(v)
-    except TypeError:
-        raise UsageError(f"{what} must be an integer, not {v!r}") from None
+    UsageError: 1.5 is not silently read as 1, nor 2.0 as 2, nor True as 1."""
+    if type(v) is bool or not hasattr(type(v), "__index__"):
+        raise UsageError(f"{what} must be an integer, not {v!r}")
+    return index(v)
 
 
 # read by cli.main and verify.run_all; an InternalError is an AssertionError

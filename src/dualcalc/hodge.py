@@ -23,7 +23,7 @@ series for either family count, so the check takes no log), the initial
 value at tau = 0, the degeneration onto the Hurwitz series, the convolution
 with double Hurwitz numbers (its kernel is the tau = 0 slice, so no series
 is ever inverted), and extracts triple Hodge integrals through the framing
-prefactor, each once per (series, genus, partition) (``hodge_extract``).
+prefactor (``hodge_extract``).
 The initial value, the degeneration and the convolution compare values
 without tau, each one ``laurent.Laurent`` in lambda' (``series.at``, the
 Hurwitz series), below each check's compared power (``_agree_below``).
@@ -285,18 +285,16 @@ def framing_prefactor(mu: Partition) -> TauLaurent:
     return poly
 
 
-@typed_cache(None, "int", "partition")
 def hodge_extract(fs: FramedSeries, g: int, mu: Partition) -> tuple[Frac, ...]:
     """Triple Hodge integral as a tau-polynomial (coefficient tuple).
 
     Reads the p_mu lambda^{2g-2+l(mu)} coefficient of the connected series,
     i^{|mu|+l} (-1)^{g-1} times its stored lambda'^{2g-2+l} coefficient, and
     divides out the framing prefactor i^{|mu|+l} A(tau); the quotient must be
-    a polynomial of degree at most 2g.  Cached per (series, genus,
-    partition): a ``FramedSeries`` hashes and compares its ``PSeries`` by
-    identity, so a series built apart is extracted apart.
+    a polynomial of degree at most 2g.  Not memoised: the series and the
+    prefactor are.
     """
-    mu = check_partition(mu)
+    g, mu = as_index(g, "genus"), check_partition(mu)
     if g < 0:
         raise UsageError("genus must be nonnegative")
     if size(mu) > fs.caps[0]:
@@ -332,8 +330,7 @@ def b_constant(g: int) -> Frac:
 def lambda_g_check(fs: FramedSeries, g: int, mu: Partition) -> bool:
     """tau = 0 value of the extracted polynomial against b_g |mu|^{2g+n-3}.
 
-    The two sides must agree exactly, sign included, for every (g, mu).  The
-    extraction is read from its cache; the comparison runs on every call.
+    The two sides must agree exactly, sign included, for every (g, mu).
     """
     g, mu = as_index(g, "genus"), check_partition(mu)
     if g < 1:

@@ -231,7 +231,6 @@ def elsv_I(g: int, mu: Partition) -> tuple[Frac, Frac]:
 # psi-class intersections from large-profile asymptotics
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _bare_polynomial(g: int, n: int, rho: Partition) -> Frac:
     """The coefficient of mu^rho in the top-degree part of the bare-integral
     polynomial P(mu) for (g, n), rho a partition of D = 3g-3+n into at most n
@@ -267,7 +266,8 @@ def _bare_polynomial(g: int, n: int, rho: Partition) -> Frac:
 
 
 def psi_from_asymptotics(g: int, ks: Sequence[int]) -> Frac:
-    """<tau_{k_1} ... tau_{k_n}>_g read off the top degree of the Hurwitz data."""
+    """<tau_{k_1} ... tau_{k_n}>_g read off the top degree of the Hurwitz data,
+    afresh on every call from the memoised samples (``_connected_coeff``)."""
     g, ks = as_index(g, "genus"), tuple(as_index(k, "index") for k in ks)
     n = len(ks)
     if n < 1:

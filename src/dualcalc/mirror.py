@@ -38,7 +38,7 @@ from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 
 from . import dense, nilpotent
-from .errors import InternalError, UsageError, VerificationFailure
+from .errors import InternalError, UsageError, VerificationFailure, as_index
 from .laurent import Laurent, Poly
 from .partitions import compositions, typed_cache
 
@@ -228,7 +228,6 @@ def toric_b_series(generators: Sequence[tuple[str, int]],
 # projective space and Grassmannian series
 # ===========================================================================
 
-@typed_cache("int", "int", "int")
 def hg_projective(n: int, d_max: int, cap: int) -> tuple[Poly, ...]:
     """Degree slices of the fundamental series of P^{n-1}.
 
@@ -236,6 +235,7 @@ def hg_projective(n: int, d_max: int, cap: int) -> tuple[Poly, ...]:
     through the cap (n-1 is the nilpotency order), as a ``Poly`` keyed by
     (x, P, t, alpha) exponents.
     """
+    n, d_max, cap = (as_index(v, "an argument") for v in (n, d_max, cap))
     if n < 2:
         raise UsageError("need projective space of dimension >= 1")
     caps = (cap,)

@@ -28,19 +28,16 @@ def check_partition(mu) -> Partition:
     return mu
 
 
-def typed_cache(*kinds: str | None):
+def typed_cache(*kinds: str):
     """``lru_cache`` over a function whose positional arguments are, in order,
-    a "partition" (a tuple), an "int" or anything else (None): the one memo
-    of every exported entry, so a wrong argument fails the same way whatever
-    the process has cached.  An untyped cache keys 2.0 as 2 and (2.0,) as
-    (2,), and cannot hash a list, so an argument whose type, or whose parts'
-    type, is not the one expected is read by ``check_partition`` or
-    ``as_index`` before the lookup: a float is refused whatever is cached.
-    Testing only the types keeps a hit cheap (``vertex`` makes about 1,200
-    at degree 6); the function checks the rest of its arguments on a miss.
-    Arguments are positional only: a keyword or a count other than
-    ``len(kinds)`` raises ``TypeError``, as a wrong call of the function does."""
-    types = [(i, tuple if k == "partition" else int) for i, k in enumerate(kinds) if k]
+    each a "partition" (a tuple) or an "int": the one memo of every exported
+    entry.  An untyped cache keys 2.0 as 2 and (2.0,) as (2,), and cannot hash
+    a list, so an argument whose type, or whose parts' type, is not the one
+    expected is read by ``check_partition`` or ``as_index`` before the lookup,
+    and a wrong argument fails the same way whatever is cached.  Testing only
+    the types keeps a hit cheap; the function checks the rest on a miss.  A
+    keyword or a count other than ``len(kinds)`` raises ``TypeError``."""
+    types = [tuple if k == "partition" else int for k in kinds]
     parts = [i for i, k in enumerate(kinds) if k == "partition"]
 
     def decorate(fn):
@@ -51,10 +48,10 @@ def typed_cache(*kinds: str | None):
             if len(args) != len(kinds):
                 raise TypeError(f"{fn.__name__}() takes {len(kinds)} positional arguments, "
                                 f"not {len(args)}")
-            if (any(type(args[i]) is not t for i, t in types)
+            if (any(type(a) is not t for a, t in zip(args, types))
                     or any(type(p) is not int for i in parts for p in args[i])):
-                args = [a if k is None else check_partition(a) if k == "partition"
-                        else as_index(a, "an argument") for k, a in zip(kinds, args)]
+                args = [check_partition(a) if k == "partition" else as_index(a, "an argument")
+                        for k, a in zip(kinds, args)]
             return cached(*args)
 
         checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
@@ -244,8 +241,8 @@ def hook_product(nu: Partition) -> int:
     return out
 
 
-@typed_cache("partition")
 def dim(nu: Partition) -> int:
+    nu = check_partition(nu)
     d, r = divmod(factorial(size(nu)), hook_product(nu))
     if r:
         raise InternalError(f"hook product of {nu} does not divide |nu|!")

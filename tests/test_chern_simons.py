@@ -163,12 +163,22 @@ def test_import_computes_no_w_value():
     import sys
     from pathlib import Path
 
+    # in a fresh process, no function of chern_simons runs while the package
+    # is imported, and the W memo is empty
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import dualcalc.chern_simons as c; "
-            "print(c.w_pair.cache_info().currsize, c.w_one.cache_info().currsize)")
+    code = ("import sys; calls = []\n"
+            "def seen(frame, event, _arg):\n"
+            "    co = frame.f_code\n"
+            "    if event == 'call' and co.co_filename.endswith('chern_simons.py') "
+            "and co.co_name != '<module>':\n"
+            "        calls.append(co.co_name)\n"
+            "sys.setprofile(seen)\n"
+            "import dualcalc, dualcalc.chern_simons as c\n"
+            "sys.setprofile(None)\n"
+            "print(calls, c.w_one.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["[]", "0"]
 
 
 def test_w_pair_matches_reduced_product_reference():

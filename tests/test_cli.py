@@ -265,6 +265,19 @@ def test_toric_spec_refuses_a_non_integer_entry(field, kind, tmp_path):
     assert doc["kind"] == "usage" and field in doc["error"], doc
 
 
+@pytest.mark.parametrize("name", [5, None, [1], True], ids=["int", "null", "list", "true"])
+def test_toric_spec_refuses_a_non_string_name(name, tmp_path):
+    # the name was never read, so any JSON value printed the slices with exit 0
+    spec = json.loads(json.dumps(SPEC_P1))
+    spec["generators"][0]["name"] = name
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(["mirror", "toric", "--spec", str(path), "--max-degree", "1"])
+    assert code == 1 and out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["kind"] == "usage" and "name" in doc["error"], doc
+
+
 # inputs that would otherwise compare nothing and report a vacuous pass,
 # or lie outside the range the computation is defined or built for
 VACUOUS = {
@@ -1000,8 +1013,6 @@ def test_a_process_builds_one_parser(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting)
-    # the parse memo too, or a parsed argv would not reach the parser
-    cli._parsed.cache_clear()
     cli.build_parser.cache_clear()
     run(MIXED[0])
     assert built, "the first call builds the parser"
@@ -1012,9 +1023,9 @@ def test_a_process_builds_one_parser(monkeypatch):
     assert built == []
 
 
-# repeated queries, one per cached value a warm query reads: parsed arguments,
-# W expansions of both kinds, Hodge extractions and the quintic's GV numbers.
-# vertex local-p2 is left out: it expands its free energy on every call.
+# repeated queries, one per memoised value a first-seen query reads: W
+# expansions of both kinds, the framed and mirror series and the Hurwitz
+# coefficients; a repeat reads its kept document and calls none of them.
 WARM = [
     ["hurwitz", "--genus", "1", "--partition", "2,1", "--method", "both", "--elsv"],
     ["w", "--mu", "2,1", "--expand", "6"],
@@ -1064,6 +1075,93 @@ def test_a_repeated_query_pays_only_for_serialisation(monkeypatch):
         assert json.loads(docs[0][1])["kind"] == kind
 
 
+def _counted_handlers(monkeypatch) -> Counter:
+    """Count each handler call, by command, through ``cli.HANDLERS``."""
+    calls = Counter()
+    for name, handler in list(cli.HANDLERS.items()):
+        monkeypatch.setitem(cli.HANDLERS, name,
+                            lambda args, h=handler, n=name: calls.update([n]) or h(args))
+    return calls
+
+
+# the passing queries of MIXED: one of each subcommand but verify-all, and
+# of each mirror family but toric
+PASSING = MIXED[:9]
+
+
+def test_a_repeated_query_prints_its_kept_document(monkeypatch):
+    calls = _counted_handlers(monkeypatch)
+    first = [run(argv) for argv in PASSING]
+    assert {code for code, _out in first} == {0}
+    assert calls == Counter(argv[0] for argv in PASSING)
+    calls.clear()
+    assert [run(argv) for argv in PASSING] == first
+    assert calls == Counter()
+    assert cli.respond.cache_info().currsize == len(PASSING)
+
+
+def test_verify_all_runs_its_checks_on_every_call(monkeypatch):
+    # a passing verdict, but its document prints the seconds each check took
+    runs = []
+    monkeypatch.setattr(verify, "run_all",
+                        lambda: runs.append(1) or {"all_pass": True, "checks": []})
+    assert [run(["verify-all"])[0] for _ in range(3)] == [0, 0, 0]
+    assert len(runs) == 3
+
+
+def test_a_rewritten_toric_spec_is_read_again(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPEC_P1))
+    argv = ["mirror", "toric", "--spec", str(path), "--max-degree", "1"]
+    code1, p1 = run_json(argv)
+    path.write_text(json.dumps({"generators": [{"name": "H", "nilpotency": 3}],
+                                "line_bundles": [[3]], "divisors": [[1]] * 3}))
+    code2, p2 = run_json(argv)
+    assert code1 == code2 == 0
+    assert p2["result"] != p1["result"]
+    cli.respond.cache_clear()
+    assert run_json(argv) == (code2, p2)
+
+
+def test_a_refusal_or_a_help_request_is_parsed_on_every_call(monkeypatch):
+    parses = Counter()
+    real = cli._parsed
+    monkeypatch.setattr(cli, "_parsed", lambda argv: parses.update([argv]) or real(argv))
+    for argv, code in [(["hurwitz", "--genus", "x", "--partition", "1"], 1),
+                       (["hurwitz", "--genus", "0", "--partition", "1,3"], 1),
+                       (["mirror", "quintic", "-h"], 0)]:
+        docs = [run(argv) for _ in range(3)]
+        assert docs[0] == docs[1] == docs[2] and docs[0][0] == code
+        assert json.loads(docs[0][1])["kind"] in ("usage", "help")
+        assert parses[tuple(argv)] == 3
+    assert cli.respond.cache_info().currsize == 0
+
+
+def test_a_failed_check_is_recomputed_on_every_call(monkeypatch):
+    from dualcalc import vertex
+
+    real = vertex.gv_forward
+    argv = ["mirror", "quintic", "--max-degree", "3"]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counted_handlers(mp)
+        mp.setattr(vertex, "gv_forward", lambda *a: {**real(*a), (0, 1): 0})
+        assert [run(argv)[0] for _ in range(2)] == [2, 2]
+        assert calls == Counter({"mirror": 2})
+    # the failing verdict was not kept: the next call computes a passing one
+    assert run(argv)[0] == 0
+
+
+def test_clear_caches_empties_the_kept_documents(monkeypatch):
+    calls = _counted_handlers(monkeypatch)
+    argv = PASSING[0]
+    first = run(argv)
+    assert cli.respond.cache_info().currsize == 1
+    _clear_caches()
+    assert cli.respond.cache_info().currsize == 0
+    assert run(argv) == first
+    assert calls == Counter({argv[0]: 2})
+
+
 # argv that argparse alone reads, with the documents the argparse-only
 # front end printed for them: a help request, an abbreviation, an attached
 # value and a value that starts with "-"
@@ -1094,7 +1192,6 @@ def test_plain_argv_skip_argparse(monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "parse_args", counted)
-    cli._parsed.cache_clear()
     plain = [argv for argv in MIXED + WARM if "--help" not in argv]
     assert len(plain) == len(MIXED + WARM) - 1
     for argv in plain:
@@ -1180,12 +1277,13 @@ def test_a_plain_argv_reads_as_argparse_reads_it(argv):
     # the argv; verify-all is stubbed, since only its parse is under test
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "run_all", lambda: {"all_pass": True, "checks": []})
-        cli._parsed.cache_clear()
+        # a kept document would be printed without a parse: the autouse
+        # fixture clears it once per test, not once per example
+        cli.respond.cache_clear()
         plain = run(argv)
         mp.setattr(cli._Parser, "parse_plain", lambda self, argv: None)
-        cli._parsed.cache_clear()
+        cli.respond.cache_clear()
         assert run(argv) == plain, argv
-    cli._parsed.cache_clear()
 
 
 @settings(max_examples=300, deadline=None)

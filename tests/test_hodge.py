@@ -294,14 +294,11 @@ def test_framing_prefactor_is_built_once_per_partition(fs3):
     cases = [(g, mu) for g in (1, 2) for n in range(1, 4) for mu in enumerate_partitions(n)]
     partitions = len({mu for _g, mu in cases})
     framing_prefactor.cache_clear()
-    # the extractions too, or a case extracted earlier would not reach the prefactor
-    hodge_extract.cache_clear()
     assert all(lambda_g_check(fs3, g, mu) for g, mu in cases)
     assert framing_prefactor.cache_info()[:2] == (len(cases) - partitions, partitions)
-    # a second pass reads every extraction from its cache: no prefactor is read
+    # a second pass extracts every case again, each from its cached prefactor
     assert all(lambda_g_check(fs3, g, mu) for g, mu in cases)
-    assert framing_prefactor.cache_info()[:2] == (len(cases) - partitions, partitions)
-    assert hodge_extract.cache_info()[:2] == (len(cases), len(cases))
+    assert framing_prefactor.cache_info()[:2] == (2 * len(cases) - partitions, partitions)
 
 
 # (3, 9, 1) has a zero character in its weight-3 block and the lone term of
@@ -337,7 +334,7 @@ def test_two_family_build_takes_no_trial_division(monkeypatch):
     monkeypatch.setattr(QFunction, "from_factors",
                         staticmethod(lambda *a: calls.append("from_factors") or real_from(*a)))
     monkeypatch.setattr(qfunc, "_strip", lambda *a: calls.append("_strip") or real_strip(*a))
-    for cached in (build_series, chern_simons.w_pair, chern_simons.w_pair_lambda):
+    for cached in (build_series, chern_simons.w_pair_lambda):
         cached.cache_clear()
     build_series(3, 9, 2)
     assert calls == []
@@ -388,10 +385,9 @@ def test_family_count_guard(fs3, fs2fam):
         build_series(2, 6, 3)
 
 
-def test_extraction_cache_refuses_floats_in_either_call_order(fs3):
-    # an untyped cache keys 1.0 as 1 and (2.0,) as (2,): a float is refused
-    # before and after the integer arguments are cached
-    hodge_extract.cache_clear()
+def test_extraction_refuses_floats_before_and_after_an_integer_call(fs3):
+    # the extraction has no memo of its own: it reads 1.0 or (2.0,) through
+    # as_index and check_partition on every call
     for _ in range(2):
         for g, mu in [(1, (2.0,)), (1.0, (2,))]:
             with pytest.raises(UsageError, match="must be an integer"):

@@ -272,10 +272,7 @@ def _elsv_with_degree_three(g, mu):
 
 @pytest.fixture
 def non_polynomial_data(monkeypatch):
-    hurwitz._bare_polynomial.cache_clear()
     monkeypatch.setattr(hurwitz, "elsv_I", _elsv_with_degree_three)
-    yield
-    hurwitz._bare_polynomial.cache_clear()
 
 
 def test_psi_guard_rejects_a_term_above_the_degree(non_polynomial_data):

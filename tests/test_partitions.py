@@ -99,10 +99,21 @@ def test_library_entries_reject_a_float_part(entry, mu):
     lambda: hurwitz.elsv_I(1.5, (2,)),
     lambda: hurwitz.burnside_phi((2, 1), 6.0),
     lambda: hurwitz.double_hurwitz((2, 1), (2, 1), 6.0),
+    lambda: check_partition((True, 1)),
+    lambda: hurwitz.hurwitz_number(True, (2,)),
+    lambda: chern_simons.w_one((True,)),
+    lambda: dualcalc.hg_projective(3.0, 2, 2),
+    lambda: dualcalc.hodge_extract(dualcalc.build_series(2, 9, 1), 1, (2.0,)),
+    lambda: chern_simons.w_pair((1,), (1.0,)),
+    lambda: dim((2.0, 1)),
 ], ids=["w_one-int", "hurwitz_number-int", "hurwitz_number-genus", "elsv_I-genus",
-        "burnside_phi-trunc", "double_hurwitz-trunc"])
+        "burnside_phi-trunc", "double_hurwitz-trunc", "check_partition-true",
+        "hurwitz_number-true-genus", "w_one-true-part", "hg_projective-float",
+        "hodge_extract-float-part", "w_pair-float-part", "dim-float-part"])
 def test_library_entries_refuse_a_float_or_a_non_iterable(call):
-    # each raised TypeError before; the CLI contract maps a bad argument to exit 1
+    # the first six raised TypeError and the next three read True as 1; the
+    # CLI contract maps a bad argument to exit 1.  The last four are entries
+    # without a memo, each checking its arguments on every call
     with pytest.raises(UsageError):
         call()
 
@@ -116,13 +127,9 @@ MEMOISED = {
     "candelas": lambda: ((2,), (2.0,)),
     "character": lambda: (((2, 1), (3,)), ((2.5,), (2.5,))),
     "enumerate_partitions": lambda: ((3,), (3.0,)),
-    "hg_projective": lambda: ((3, 2, 2), (3.0, 2, 2)),
-    "hodge_extract": lambda: ((fs := dualcalc.build_series(2, 9, 1), 1, (2,)),
-                              (fs, 1, (2.0,))),
     "hori_vafa_series": lambda: ((2, 3, 1), (2, 3, 1.0)),
     "local_p2_z": lambda: ((2,), (2.0,)),
     "w_one": lambda: (((2, 1),), ((2.0, 1),)),
-    "w_pair": lambda: (((1,), (1,)), ((1,), (1.0,))),
 }
 
 
@@ -148,8 +155,7 @@ def test_call_order_cannot_change_a_memoised_answer(name):
 # same with a float part)
 INTERNAL = [(hodge, "framing_prefactor", ((2, 1),), ((2.0, 1),)),
             (partitions, "cut_join_terms", ((2, 1),), ((2.0, 1),)),
-            (partitions, "compositions", (2, 2), (2.0, 2)),
-            (partitions, "dim", ((2, 1),), ((2.0, 1),))]
+            (partitions, "compositions", (2, 2), (2.0, 2))]
 
 
 @pytest.mark.parametrize("module,name,good,bad", INTERNAL, ids=[n for _m, n, *_a in INTERNAL])

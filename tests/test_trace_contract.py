@@ -17,8 +17,6 @@ if str(PERFBENCH) not in sys.path:
 
 from child import run_queries  # noqa: E402
 
-from dualcalc import hurwitz  # noqa: E402
-
 QUERIES = [
     ["mv", "--check", "pde", "--degree", "2", "--order", "6"],
     ["mv", "--check", "two-partition", "--degree", "1", "--order", "5"],
@@ -28,8 +26,6 @@ QUERIES = [
 
 
 def test_traced_queries_feed_the_observers():
-    # the psi extraction is cached; start it cold so its Hurwitz samples are counted
-    hurwitz._bare_polynomial.cache_clear()
     out = run_queries({"queries": QUERIES, "trace": 1})
     for argv, (code, _ms, stdout) in zip(QUERIES, out["results"]):
         assert code == 0, argv
